@@ -40,7 +40,7 @@
 //! `interference_kernel` bench asserts max I(v) lands inside the
 //! envelope across seeds at 10⁵–10⁷ nodes.
 
-use crate::parallel::{num_threads, par_scatter_u32};
+use crate::parallel::{num_threads, par_fill_chunks, par_scatter_u32};
 use rim_geom::{GridCapacityError, SoaGrid, SoaPoints};
 use rim_udg::Topology;
 
@@ -130,8 +130,20 @@ impl StreamInstance {
     }
 
     /// Fallible variant of [`StreamInstance::with_nn_radii`]: errors when
-    /// the store exceeds the grid's `u32` item capacity.
+    /// the store exceeds the grid's `u32` item capacity. The radius pass
+    /// runs on [`num_threads`] workers.
     pub fn try_with_nn_radii(points: SoaPoints) -> Result<Self, GridCapacityError> {
+        Self::try_with_nn_radii_sharded(points, num_threads())
+    }
+
+    /// [`StreamInstance::try_with_nn_radii`] with the radius pass split
+    /// over `threads` workers. Each radius is a pure function of its
+    /// bucket position, so the instance is identical for every
+    /// `threads >= 1`.
+    pub fn try_with_nn_radii_sharded(
+        points: SoaPoints,
+        threads: usize,
+    ) -> Result<Self, GridCapacityError> {
         let _span = rim_obs::span("stream/build_nn");
         let n = points.len();
         // Uniform-density cell hint: about one point per cell, so both
@@ -148,10 +160,14 @@ impl StreamInstance {
                 1.0
             }
         };
-        let grid = SoaGrid::try_build(&points, hint)?;
-        let radii: Vec<f64> = (0..grid.len())
-            .map(|k| grid.nearest_dist_at(k).unwrap_or(SILENT))
-            .collect();
+        let grid = {
+            let _span = rim_obs::span("stream/soa_build");
+            SoaGrid::try_build(&points, hint)?
+        };
+        // The grid holds its own bucket-ordered copy of the coordinates;
+        // freeing the input first keeps it out of the peak.
+        drop(points);
+        let radii = nn_radii(&grid, threads);
         Ok(StreamInstance { grid, radii })
     }
 
@@ -230,6 +246,22 @@ impl StreamInstance {
             .max()
             .unwrap_or(0)
     }
+}
+
+/// The nearest-neighbor radius column of `grid`, in bucket order, filled
+/// in place by `threads` workers over contiguous position windows
+/// ([`par_fill_chunks`]). A store with fewer than two points has no
+/// neighbors, so every node is `SILENT`.
+fn nn_radii(grid: &SoaGrid, threads: usize) -> Vec<f64> {
+    let _span = rim_obs::span("stream/nn_radii");
+    let mut radii = vec![SILENT; grid.len()];
+    let threads = threads.min((grid.len() / STREAM_CHUNK).max(1));
+    par_fill_chunks(&mut radii, threads, |first, window| {
+        for (k, r) in (first..).zip(window.iter_mut()) {
+            *r = grid.nearest_dist_at(k).unwrap_or(SILENT);
+        }
+    });
+    radii
 }
 
 /// The Θ(√(log n)) acceptance envelope for max receiver-centric

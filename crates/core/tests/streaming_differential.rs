@@ -4,7 +4,9 @@
 //! oracle transcribing Definition 3.1, across the same five adversarial
 //! instance families the indexed engines are pinned by
 //! (`differential.rs`), and the sharded accumulator variant must be
-//! invariant in the worker count.
+//! invariant in the worker count. The nearest-neighbor path
+//! ([`StreamInstance::with_nn_radii`]) is pinned the same way, against
+//! brute-force nearest-neighbor radii.
 //!
 //! The family generators are deliberately duplicated from
 //! `differential.rs` rather than shared: each suite stays a
@@ -16,6 +18,7 @@ use rim_core::{sqrt_log_envelope, StreamInstance};
 use rim_geom::{Point, SoaPoints};
 use rim_rng::prop::check;
 use rim_rng::{prop_ensure, SmallRng};
+use rim_udg::radius::induced_topology;
 use rim_udg::{NodeSet, Topology};
 
 /// Random edge selection over `n` nodes: up to `2n` draws, deduped.
@@ -170,6 +173,119 @@ fn streaming_differential_duplicate_coordinates() {
     );
 }
 
+/// Brute-force nearest-neighbor radii: `sqrt(min dist_sq)` over every
+/// other node.
+fn brute_nn_radii(pts: &[Point]) -> Vec<f64> {
+    (0..pts.len())
+        .map(|u| {
+            (0..pts.len())
+                .filter(|&v| v != u)
+                .map(|v| pts[u].dist_sq(&pts[v]))
+                .fold(f64::INFINITY, f64::min)
+                .sqrt()
+        })
+        .collect()
+}
+
+/// The interference vector of nearest-neighbor radii, built on the naive
+/// oracle. On the topology induced by the radii, a link needs both
+/// endpoints in range, so exactly the nodes whose nearest neighbor is
+/// mutual keep a link, each at its nearest-neighbor distance; the oracle
+/// counts their disks. Every other node transmits too in the streaming
+/// instance, so its disk is added by the same closed predicate.
+fn nn_oracle(pts: &[Point]) -> Vec<usize> {
+    let radii = brute_nn_radii(pts);
+    let induced = induced_topology(&NodeSet::new(pts.to_vec()), &radii);
+    let mut want = interference_vector_naive(&induced);
+    for u in (0..pts.len()).filter(|&u| induced.graph().degree(u) == 0) {
+        for (v, iv) in want.iter_mut().enumerate() {
+            if v != u && pts[u].dist(&pts[v]) <= radii[u] {
+                *iv += 1;
+            }
+        }
+    }
+    want
+}
+
+/// `with_nn_radii` must reproduce [`nn_oracle`] exactly. (Instances this
+/// small run on one worker; see the thread-count test below.)
+fn nn_radii_match_oracle(t: &Topology) -> Result<(), String> {
+    let pts = t.nodes().points();
+    let oracle = nn_oracle(pts);
+    let got: Vec<usize> = StreamInstance::with_nn_radii(SoaPoints::from_points(pts))
+        .interference_counts()
+        .into_iter()
+        .map(|c| c as usize)
+        .collect();
+    prop_ensure!(
+        got == oracle,
+        "nearest-neighbor kernel diverged from the oracle\n  got:    {:?}\n  oracle: {:?}",
+        got,
+        oracle
+    );
+    Ok(())
+}
+
+#[test]
+fn nn_radii_differential_uniform() {
+    check("nn_radii_differential_uniform", 128, gen_uniform, nn_radii_match_oracle);
+}
+
+#[test]
+fn nn_radii_differential_clustered() {
+    check("nn_radii_differential_clustered", 128, gen_clustered, nn_radii_match_oracle);
+}
+
+#[test]
+fn nn_radii_differential_exponential_chain() {
+    check(
+        "nn_radii_differential_exponential_chain",
+        128,
+        gen_exponential_chain,
+        nn_radii_match_oracle,
+    );
+}
+
+#[test]
+fn nn_radii_differential_collinear() {
+    check("nn_radii_differential_collinear", 128, gen_collinear, nn_radii_match_oracle);
+}
+
+#[test]
+fn nn_radii_differential_duplicate_coordinates() {
+    check(
+        "nn_radii_differential_duplicate_coordinates",
+        128,
+        gen_duplicates,
+        nn_radii_match_oracle,
+    );
+}
+
+/// The radius pass only splits once every worker gets 1024 nodes, so
+/// thread invariance is pinned on an instance big enough for eight
+/// workers: clusters with coincident centers.
+#[test]
+fn nn_radii_are_invariant_in_the_radius_thread_count() {
+    let mut rng = SmallRng::seed_from_u64(7);
+    let n = 8 * 1024 + 37;
+    let pts: Vec<Point> = (0..n)
+        .map(|i| {
+            let (cx, cy) = ((i % 5) as f64 * 40.0, (i % 3) as f64 * 25.0);
+            if i % 11 == 0 {
+                Point::new(cx, cy)
+            } else {
+                Point::new(cx + rng.gen_range(-1.0..1.0), cy + rng.gen_range(-1.0..1.0))
+            }
+        })
+        .collect();
+    let oracle: Vec<u32> = nn_oracle(&pts).into_iter().map(|c| c as u32).collect();
+    for threads in 1..=8 {
+        let inst = StreamInstance::try_with_nn_radii_sharded(SoaPoints::from_points(&pts), threads)
+            .unwrap();
+        assert_eq!(inst.interference_counts(), oracle, "radius threads = {threads}");
+    }
+}
+
 /// Deterministic large instances right at the suite's size bound: the
 /// property generators stay small for iteration count, so this pins the
 /// kernels against the oracle at `n = 2048` explicitly.
@@ -184,6 +300,7 @@ fn streaming_matches_oracle_at_2048() {
             .collect();
         let t = topology_from(&mut rng, pts);
         streaming_matches_oracle(&t).unwrap();
+        nn_radii_match_oracle(&t).unwrap();
     }
 }
 

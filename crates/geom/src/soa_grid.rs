@@ -94,9 +94,9 @@ impl SoaGrid {
         let (origin, nx, ny, cell) = if bbox.is_empty() {
             (Point::ORIGIN, 1, 1, cell)
         } else {
-            // Same linear-memory budget as UniformGrid, capped below
-            // u32::MAX cells so cell ids fit u32 at any point count.
-            let budget = ((8 * n + 1024) as f64).min(4.0e9);
+            // Same linear-memory budget as UniformGrid, capped at
+            // MAX_CELLS so cell ids fit u32 at any point count.
+            let budget = ((8 * n + 1024) as f64).min(MAX_CELLS);
             let mut cell = cell;
             let cells_for = |c: f64| {
                 ((bbox.width() / c).floor() + 1.0) * ((bbox.height() / c).floor() + 1.0)
@@ -118,8 +118,8 @@ impl SoaGrid {
         // rim-lint: allow(panic-freedom) — cell coordinates are clamped into the grid
         let cells: Vec<u32> = (0..n)
             .map(|i| {
-                let cx = (((xs[i] - origin.x) / cell).floor() as usize).min(nx - 1);
-                let cy = (((ys[i] - origin.y) / cell).floor() as usize).min(ny - 1);
+                let cx = cell_coord(xs[i], origin.x, cell, nx - 1);
+                let cy = cell_coord(ys[i], origin.y, cell, ny - 1);
                 (cy * nx + cx) as u32
             })
             .collect();
@@ -173,36 +173,44 @@ impl SoaGrid {
     /// [`SoaGrid::point_at`]; kernels that iterate the whole store in
     /// bucket order use this variant so neighbor coordinates never go
     /// through the id indirection.
+    ///
+    /// The scanned cell range is `cell_coord(c ± reach)`, where `reach`
+    /// exceeds `r` only by a rounding slack, not by a whole cell. The
+    /// range is complete because bucketing and the range bounds go
+    /// through the same monotone function `cell_coord` (floor of
+    /// `(v − o)/cell`, clamped to the grid): if a hit `p` satisfies
+    /// `c.x − reach ≤ p.x ≤ c.x + reach` in exact arithmetic, rounding
+    /// is monotone and `p.x` is representable, so
+    /// `fl(c.x − reach) ≤ p.x ≤ fl(c.x + reach)` and its bucket lies
+    /// between the two bounds. So `reach` only has to bound the true
+    /// offset `|p.x − c.x|` of a point whose *computed* distance is at
+    /// most `r`: that offset is at most `r·(1 + 2.6u)` (`u = 2⁻⁵³`: the
+    /// difference, its square and the root each round once) while the
+    /// square is normal, and below `2⁻⁵¹¹` the square may underflow, so
+    /// `reach = r·(1 + 2⁻⁴⁰) + 2⁻⁵⁰⁰` covers both with room to spare.
     // rim-lint: allow(panic-freedom) — cell coordinates are clamped to the grid; `starts` has `ncells + 1` entries and bounds the column slices
     pub fn for_each_pos_in_disk<F: FnMut(usize)>(&self, c: Point, r: f64, mut f: F) {
         debug_assert!(r >= 0.0);
-        // One extra cell of margin on every side, mirroring UniformGrid:
-        // `c.x + r` can round below the coordinate of a point at distance
-        // exactly `r`, and the closed predicate must still see it.
-        let x0 = ((c.x - r - self.origin.x) / self.cell).floor() - 1.0;
-        let x1 = ((c.x + r - self.origin.x) / self.cell).floor() + 1.0;
-        let y0 = ((c.y - r - self.origin.y) / self.cell).floor() - 1.0;
-        let y1 = ((c.y + r - self.origin.y) / self.cell).floor() + 1.0;
-        let cx0 = x0.max(0.0) as usize;
-        let cx1 = (x1.max(-1.0) as isize).min(self.nx as isize - 1);
-        let cy0 = y0.max(0.0) as usize;
-        let cy1 = (y1.max(-1.0) as isize).min(self.ny as isize - 1);
-        if cx1 < cx0 as isize || cy1 < cy0 as isize {
-            return;
+        let reach = r + r * QUERY_SLACK + UNDERFLOW_SLACK;
+        let cx0 = self.col(c.x - reach);
+        let cx1 = self.col(c.x + reach);
+        let cy0 = self.row(c.y - reach);
+        let cy1 = self.row(c.y + reach);
+        if cx1 < cx0 || cy1 < cy0 {
+            return; // negative radius
         }
-        for cy in cy0..=(cy1 as usize) {
+        for cy in cy0..=cy1 {
             // Contiguous run of cells within the row: one slice scan per
             // row instead of one per cell keeps the loop tight.
             let row = cy * self.nx;
             let lo = self.starts[row + cx0] as usize;
-            let hi = self.starts[row + cx1 as usize + 1] as usize;
-            for k in lo..hi {
+            let hi = self.starts[row + cx1 + 1] as usize;
+            for (i, (&x, &y)) in self.sxs[lo..hi].iter().zip(&self.sys[lo..hi]).enumerate() {
                 // Same formula as Point::dist — sqrt of dx² + dy², then a
                 // distance-level closed comparison — so hits agree with
                 // the naive scan bit for bit.
-                let p = Point::new(self.sxs[k], self.sys[k]);
-                if p.dist(&c) <= r {
-                    f(k);
+                if Point::new(x, y).dist(&c) <= r {
+                    f(lo + i);
                 }
             }
         }
@@ -237,55 +245,150 @@ impl SoaGrid {
     /// radius assignment. Returns `None` for a store with fewer than two
     /// points or an out-of-range position.
     ///
-    /// The result is exact: disk queries are closed and complete, so the
-    /// minimum found inside a query radius is the global minimum, and
-    /// the value is `min dist_sq` followed by a single `sqrt` — bit-equal
-    /// to [`Point::dist`] of the closest pair.
-    // rim-lint: allow(panic-freedom) — `k` is range-checked; ring search only reads clamped buckets
+    /// The value is `sqrt(min dist_sq)` over all other points, bit-equal
+    /// to [`Point::dist`] of the closest pair. The search reads the 3×3
+    /// block of cells around the point's own cell, then widens by one
+    /// Chebyshev ring at a time, keeping the minimum `dist_sq`; no square
+    /// root is taken until the end. After ring `R` it stops once
+    /// `best_sq ≤ (R·cell·(1 − 2⁻²⁰))²`. If the block covers the whole
+    /// grid, or more rings would cost more than a scan of every point,
+    /// it falls back to a full scan.
+    ///
+    /// Why the stop is exact: every point is bucketed by `cell_coord`,
+    /// i.e. `floor(a)` with `a = fl(fl(x − o)/cell)`, clamped to `nx − 1`.
+    /// Take a point `p` whose column is at least `R + 1` away from the
+    /// column of `c`. Clamping only lowers a column, so `c`'s column is
+    /// `floor(a_c)` if `p` lies to its right and at most `floor(a_c)` if
+    /// `p` lies to its left; either way `|a_p − a_c| > R`. Each `a` is
+    /// within `2.0001u·nx` of the true `(x − o)/cell` (`u = 2⁻⁵³`: two
+    /// roundings relative to `a < nx·(1 + 2u)`), and the grid caps
+    /// `nx, ny ≤ 2³⁰`, so the true offset exceeds
+    /// `(R − 2⁻²¹·1.0001)·cell ≥ R·cell·(1 − 2⁻²¹·1.0001)`. The stop
+    /// factor keeps almost another `2⁻²¹` in reserve, far more than the
+    /// few ulps by which the computed `R·cell·(1 − 2⁻²⁰)` can exceed its
+    /// exact value, so it stays below `|p.x − c.x|`. Rounding is
+    /// monotone, so `p`'s computed `dx²`, and with it its `dist_sq`, is at
+    /// least the threshold and cannot undercut `best_sq`, even where
+    /// squares underflow. Rows follow the same argument.
+    // rim-lint: allow(panic-freedom) — `k` is range-checked; ring cells are clamped to the grid
     pub fn nearest_dist_at(&self, k: usize) -> Option<f64> {
         if self.len() < 2 || k >= self.len() {
             return None;
         }
         let c = Point::new(self.sxs[k], self.sys[k]);
-        // Expanding-disk search: a hit inside radius r dominates every
-        // unvisited point (all at distance > r >= hit), so the first
-        // round with any hit yields the true nearest neighbor.
-        let mut r = self.cell;
+        let (ix, iy) = (self.col(c.x), self.row(c.y));
+        let (last_x, last_y) = (self.nx - 1, self.ny - 1);
+        let mut best_sq = f64::INFINITY;
+        // Own cell and ring 1, as three contiguous row runs.
+        let (x0, x1) = (ix.saturating_sub(1), (ix + 1).min(last_x));
+        for y in iy.saturating_sub(1)..=(iy + 1).min(last_y) {
+            self.min_sq_in_cells(y, x0, x1, c, k, &mut best_sq);
+        }
+        let mut ring = 1;
         loop {
-            let mut best: Option<f64> = None;
-            self.for_each_pos_in_disk(c, r, |j| {
-                if j == k {
-                    return;
-                }
-                let d = Point::new(self.sxs[j], self.sys[j]).dist_sq(&c);
-                if best.map_or(true, |b| d < b) {
-                    best = Some(d);
-                }
-            });
-            if let Some(d_sq) = best {
-                return Some(d_sq.sqrt());
+            let stop = ring as f64 * self.cell * RING_SHRINK;
+            if best_sq <= stop * stop {
+                break;
             }
-            if r > self.span() + 2.0 * self.cell {
-                // The disk covered the whole grid and found nothing but
-                // `k` itself: the only way this happens is a degenerate
-                // geometry (non-finite coordinates); scan to finish.
-                let mut best = f64::INFINITY;
-                for j in 0..self.len() {
-                    if j != k {
-                        best = best.min(Point::new(self.sxs[j], self.sys[j]).dist_sq(&c));
+            let covers = ix <= ring && iy <= ring && ix + ring >= last_x && iy + ring >= last_y;
+            if covers || ring * ring > self.len() {
+                best_sq = f64::INFINITY;
+                self.min_sq_in_range(0, self.len(), c, k, &mut best_sq);
+                break;
+            }
+            ring += 1;
+            // Ring `ring`: its top and bottom rows as runs, then the
+            // single cells of its left and right columns in between.
+            let (x0, x1) = (ix.saturating_sub(ring), (ix + ring).min(last_x));
+            if let Some(y) = iy.checked_sub(ring) {
+                self.min_sq_in_cells(y, x0, x1, c, k, &mut best_sq);
+            }
+            if iy + ring <= last_y {
+                self.min_sq_in_cells(iy + ring, x0, x1, c, k, &mut best_sq);
+            }
+            let left = ix.checked_sub(ring);
+            let right = (ix + ring <= last_x).then_some(ix + ring);
+            if left.is_some() || right.is_some() {
+                for y in iy.saturating_sub(ring - 1)..=(iy + ring - 1).min(last_y) {
+                    for x in left.into_iter().chain(right) {
+                        self.min_sq_in_cells(y, x, x, c, k, &mut best_sq);
                     }
                 }
-                return Some(best.sqrt());
             }
-            r *= 2.0;
         }
+        Some(best_sq.sqrt())
     }
 
-    fn span(&self) -> f64 {
-        let w = self.nx as f64 * self.cell;
-        let h = self.ny as f64 * self.cell;
-        (w * w + h * h).sqrt()
+    /// Column of x-coordinate `x`, clamped to the grid.
+    #[inline]
+    fn col(&self, x: f64) -> usize {
+        cell_coord(x, self.origin.x, self.cell, self.nx - 1)
     }
+
+    /// Row of y-coordinate `y`, clamped to the grid.
+    #[inline]
+    fn row(&self, y: f64) -> usize {
+        cell_coord(y, self.origin.y, self.cell, self.ny - 1)
+    }
+
+    /// Lowers `best_sq` to the smallest `dist_sq` from `c` over the
+    /// points in cells `x0..=x1` of row `y`, skipping position `skip`.
+    #[inline]
+    // rim-lint: allow(panic-freedom) — callers clamp `y <= ny - 1` and `x0 <= x1 <= nx - 1`; `starts` has `ncells + 1` entries
+    fn min_sq_in_cells(
+        &self,
+        y: usize,
+        x0: usize,
+        x1: usize,
+        c: Point,
+        skip: usize,
+        best_sq: &mut f64,
+    ) {
+        let row = y * self.nx;
+        let lo = self.starts[row + x0] as usize;
+        let hi = self.starts[row + x1 + 1] as usize;
+        self.min_sq_in_range(lo, hi, c, skip, best_sq);
+    }
+
+    /// Lowers `best_sq` to the smallest `dist_sq` from `c` over positions
+    /// `lo..hi`, skipping position `skip`.
+    #[inline]
+    // rim-lint: allow(panic-freedom) — `lo <= hi <= len()` comes from `starts` or the caller
+    fn min_sq_in_range(&self, lo: usize, hi: usize, c: Point, skip: usize, best_sq: &mut f64) {
+        for (i, (&x, &y)) in self.sxs[lo..hi].iter().zip(&self.sys[lo..hi]).enumerate() {
+            let d_sq = Point::new(x, y).dist_sq(&c);
+            if d_sq < *best_sq && lo + i != skip {
+                *best_sq = d_sq;
+            }
+        }
+    }
+}
+
+/// Relative slack of a disk query's cell range (see
+/// [`SoaGrid::for_each_pos_in_disk`]).
+const QUERY_SLACK: f64 = 1.0 / (1u64 << 40) as f64;
+
+/// Absolute slack of a disk query's cell range, `2⁻⁵⁰⁰`: covers offsets
+/// whose squares underflow.
+const UNDERFLOW_SLACK: f64 = f64::from_bits((1023 - 500) << 52);
+
+/// Stop factor of the ring search, `1 − 2⁻²⁰` (see
+/// [`SoaGrid::nearest_dist_at`]).
+const RING_SHRINK: f64 = 1.0 - 1.0 / (1u64 << 20) as f64;
+
+/// Cap on the number of grid cells. Besides keeping cell ids in `u32`,
+/// `2³⁰` bounds `nx` and `ny`, which bounds the rounding error of a
+/// bucket coordinate well below the ring search's stop margin.
+const MAX_CELLS: f64 = (1u64 << 30) as f64;
+
+/// Cell coordinate of `v` on an axis that starts at `o` and has
+/// `last + 1` cells of size `cell`. The build buckets points through this
+/// function and every query bounds its cell range through it, so the two
+/// agree bit for bit; it is monotone in `v` (`as usize` saturates, so
+/// negative and NaN inputs map to 0).
+#[inline]
+fn cell_coord(v: f64, o: f64, cell: f64, last: usize) -> usize {
+    (((v - o) / cell).floor() as usize).min(last)
 }
 
 #[cfg(test)]
@@ -376,6 +479,20 @@ mod tests {
         assert_eq!(dup.nearest_dist_at(0), Some(0.0));
         assert_eq!(dup.nearest_dist_at(1), Some(0.0));
         assert_eq!(dup.nearest_dist_at(2), None);
+    }
+
+    #[test]
+    fn underflowing_offsets_stay_in_range() {
+        // Squares below 2⁻¹⁰⁷⁴ underflow to 0, so every point is at
+        // computed distance 0 from (1e-170, 0), though they lie in other
+        // cells.
+        let pts = [Point::ORIGIN, Point::new(1e-170, 0.0), Point::new(1e-167, 0.0)];
+        let grid = SoaGrid::build(&SoaPoints::from_points(&pts), 1e-167 / 1040.0);
+        let mut got = grid.query_disk(pts[1], 0.0);
+        got.sort_unstable();
+        assert_eq!(got, vec![0, 1, 2]);
+        let k = (0..grid.len()).find(|&k| grid.item(k) == 1).expect("point 1 is indexed");
+        assert_eq!(grid.nearest_dist_at(k), Some(0.0));
     }
 
     #[test]

@@ -2,8 +2,11 @@
 //! their brute-force counterparts on arbitrary inputs (seeded in-repo
 //! harness, `rim_rng::prop`).
 
-use rim_geom::{closest_pair, closest_pair_brute_force, convex_hull, KdTree, Point, UniformGrid};
-use rim_rng::prop::check_default;
+use rim_geom::{
+    closest_pair, closest_pair_brute_force, convex_hull, KdTree, Point, SoaGrid, SoaPoints,
+    UniformGrid,
+};
+use rim_rng::prop::{check, check_default};
 use rim_rng::{prop_ensure, prop_ensure_eq, SmallRng};
 
 fn arb_point(rng: &mut SmallRng) -> Point {
@@ -102,6 +105,162 @@ fn grid_nearest_matches_brute_force() {
                 }
                 _ => Err("grid and brute force disagree on existence".into()),
             }
+        },
+    );
+}
+
+/// Points of the unit lattice `0..8 × 0..8`, each coordinate nudged one
+/// ulp down, one ulp up or not at all, plus the exact corner `(0, 0)`:
+/// with power-of-two cells, points sit on or just below cell boundaries,
+/// and differences between them round.
+fn nudged_lattice(rng: &mut SmallRng, n: usize) -> Vec<Point> {
+    // Coordinates are non-negative, so ±1 on the bits is ±1 ulp.
+    let mut nudge = |v: f64| match rng.gen_range(0..3u32) {
+        0 if v > 0.0 => f64::from_bits(v.to_bits() - 1),
+        1 => f64::from_bits(v.to_bits() + 1),
+        _ => v,
+    };
+    let mut pts = vec![Point::ORIGIN];
+    for i in 0..n {
+        let (k, m) = ((i * 5 % 8) as f64, (i * 3 / 8 % 8) as f64);
+        let x = nudge(k);
+        pts.push(Point::new(x, nudge(m)));
+    }
+    pts
+}
+
+/// Adversarial clouds for the SoA grid: clusters, duplicates, collinear
+/// runs, exponential spreads, uniform squares and ulp-nudged lattices,
+/// shifted by offsets up to 1e9 so coordinate rounding dominates the
+/// spacing.
+fn arb_cloud(rng: &mut SmallRng) -> Vec<Point> {
+    let n = rng.gen_range(2usize..120);
+    let mut shift = || {
+        if rng.gen_bool(0.5) {
+            0.0
+        } else {
+            rng.gen_range(-1.0e9f64..1.0e9)
+        }
+    };
+    let offset = Point::new(shift(), shift());
+    let pts: Vec<Point> = match rng.gen_range(0..6u32) {
+        5 => return nudged_lattice(rng, n),
+        0 => {
+            let centers: Vec<Point> = (0..rng.gen_range(1usize..5))
+                .map(|_| Point::new(rng.gen_range(0.0f64..20.0), rng.gen_range(0.0f64..20.0)))
+                .collect();
+            (0..n)
+                .map(|i| {
+                    let c = centers[i % centers.len()];
+                    Point::new(
+                        c.x + rng.gen_range(-0.05f64..0.05),
+                        c.y + rng.gen_range(-0.05f64..0.05),
+                    )
+                })
+                .collect()
+        }
+        1 => {
+            let sites: Vec<Point> = (0..rng.gen_range(1usize..8)).map(|_| arb_point(rng)).collect();
+            (0..n).map(|i| sites[i % sites.len()]).collect()
+        }
+        2 => {
+            let directions = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -3.0)];
+            let (dx, dy) = directions[rng.gen_range(0..directions.len())];
+            (0..n)
+                .map(|_| {
+                    let t = rng.gen_range(0.0f64..10.0);
+                    Point::new(t * dx, t * dy)
+                })
+                .collect()
+        }
+        3 => {
+            let scale = 2f64.powi(-(rng.gen_range(0u32..30) as i32));
+            (0..n.min(60))
+                .map(|i| {
+                    let d = (2f64.powi(i as i32) - 1.0) * scale;
+                    if i % 2 == 0 {
+                        Point::new(d, 0.0)
+                    } else {
+                        Point::new(0.0, d)
+                    }
+                })
+                .collect()
+        }
+        _ => (0..n).map(|_| arb_point(rng)).collect(),
+    };
+    pts.into_iter().map(|p| Point::new(p.x + offset.x, p.y + offset.y)).collect()
+}
+
+/// Grid cell sizes from 2⁻²⁰ to 2²⁰.
+fn arb_cell(rng: &mut SmallRng) -> f64 {
+    2f64.powi(rng.gen_range(0u32..41) as i32 - 20)
+}
+
+#[test]
+fn soa_ring_nearest_matches_brute_force_bitwise() {
+    check(
+        "soa_ring_nearest_matches_brute_force_bitwise",
+        512,
+        |rng| (arb_cloud(rng), arb_cell(rng)),
+        |(pts, cell)| {
+            let grid = SoaGrid::build(&SoaPoints::from_points(pts), *cell);
+            for k in 0..grid.len() {
+                let i = grid.item(k);
+                let want = (0..pts.len())
+                    .filter(|&j| j != i)
+                    .map(|j| pts[j].dist_sq(&pts[i]))
+                    .fold(f64::INFINITY, f64::min)
+                    .sqrt();
+                let got = grid.nearest_dist_at(k).ok_or("no nearest neighbour")?;
+                prop_ensure!(
+                    got.to_bits() == want.to_bits(),
+                    "position {k} (point {i}): ring search {got:e}, brute force {want:e}"
+                );
+            }
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn soa_disk_query_matches_brute_force_at_exact_distances() {
+    // Radii equal to an exact pairwise distance put a point right on the
+    // closed boundary: the tight cell margin must still reach it.
+    check(
+        "soa_disk_query_matches_brute_force_at_exact_distances",
+        512,
+        |rng| {
+            let pts = if rng.gen_bool(0.5) {
+                let n = rng.gen_range(2usize..120);
+                nudged_lattice(rng, n)
+            } else {
+                arb_cloud(rng)
+            };
+            let (a, b) = (rng.gen_range(0..pts.len()), rng.gen_range(0..pts.len()));
+            let center = if rng.gen_bool(0.5) {
+                pts[a]
+            } else {
+                let c = pts[a];
+                Point::new(c.x + rng.gen_range(-1.0f64..1.0), c.y + rng.gen_range(-1.0f64..1.0))
+            };
+            // Lattice-sized cells half the time, so cell boundaries fall
+            // on the nudged lattice points.
+            let cell = if rng.gen_bool(0.5) {
+                2f64.powi(-(rng.gen_range(0u32..3) as i32))
+            } else {
+                arb_cell(rng)
+            };
+            (pts, cell, center, b)
+        },
+        |(pts, cell, center, b)| {
+            let grid = SoaGrid::build(&SoaPoints::from_points(pts), *cell);
+            let r = pts[*b].dist(center);
+            let mut got = grid.query_disk(*center, r);
+            got.sort_unstable();
+            let want = brute_disk(pts, *center, r);
+            prop_ensure!(want.contains(b), "brute force misses the boundary point");
+            prop_ensure_eq!(got, want);
+            Ok(())
         },
     );
 }

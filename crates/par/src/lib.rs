@@ -21,6 +21,10 @@
 //!   worker scatters increments into its own private `u32` buffer and
 //!   the buffers are summed at the barrier, so counting kernels (the
 //!   interference engines) never false-share a common output vector.
+//! * [`par_fill_chunks`] — an in-place parallel fill: contiguous
+//!   `chunks_mut` windows of one caller-owned slice, one scoped thread
+//!   each, so per-element kernels (nearest-neighbour radii) write their
+//!   column directly with no per-worker buffers to concatenate.
 //!
 //! Determinism contract: both primitives return results in input order,
 //! and neither changes *what* is computed — only where. Callers that
@@ -137,6 +141,44 @@ where
         }
     }
     out
+}
+
+/// Fills `out` in place in parallel: the slice is split into `chunks`
+/// contiguous `chunks_mut` pieces, and `fill(offset, piece)` runs on each
+/// piece in its own scoped thread, where `offset` is the index of the
+/// piece's first element in `out`.
+///
+/// Nothing is allocated per piece and nothing is concatenated: each
+/// worker writes straight into its own disjoint window of the caller's
+/// buffer. When every element is a pure function of its index, the
+/// result is identical for every `chunks`; with `chunks <= 1` (or an
+/// empty slice) `fill(0, out)` runs inline on the calling thread. A
+/// panic in any worker is resumed on the caller.
+pub fn par_fill_chunks<T, F>(out: &mut [T], chunks: usize, fill: F)
+where
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
+{
+    let n = out.len();
+    let chunks = chunks.clamp(1, n.max(1));
+    if chunks == 1 {
+        fill(0, out);
+        return;
+    }
+    rim_obs::counter_add("par.fill_chunks", chunks as u64);
+    let len = n.div_ceil(chunks);
+    let fill = &fill;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = out
+            .chunks_mut(len)
+            .enumerate()
+            .map(|(i, piece)| s.spawn(move || fill(i * len, piece)))
+            .collect();
+        for h in handles {
+            h.join()
+                .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+        }
+    });
 }
 
 /// Recovers a lock even when a sibling worker panicked: the enclosing
@@ -297,6 +339,22 @@ mod tests {
             }
         });
         assert_eq!(one, vec![0, 7]);
+    }
+
+    #[test]
+    fn fill_chunks_writes_every_slot_once_with_its_index() {
+        for n in [0usize, 1, 7, 64, 1000] {
+            for chunks in [0usize, 1, 2, 3, 8, 200] {
+                let mut out = vec![usize::MAX; n];
+                par_fill_chunks(&mut out, chunks, |offset, piece| {
+                    for (i, slot) in piece.iter_mut().enumerate() {
+                        assert_eq!(*slot, usize::MAX, "slot written twice");
+                        *slot = offset + i;
+                    }
+                });
+                assert_eq!(out, (0..n).collect::<Vec<_>>(), "n={n} chunks={chunks}");
+            }
+        }
     }
 
     #[test]

@@ -494,6 +494,8 @@ pub const PANIC_FREE_ROOTS: &[&str] = &[
     "interference_counts",
     "interference_counts_sharded",
     "par_scatter_u32",
+    "nn_radii",
+    "par_fill_chunks",
     "remove_node",
     "apply_edit",
     "encode_snapshot",

@@ -624,9 +624,13 @@ impl<'a> Parser<'a> {
                 }
                 "as" if 25 >= min_bp => {
                     self.bump();
+                    // `=>` ends a cast inside a match guard
+                    // (`Ok(p) if n == m as u64 => …`); `|`, `^` and the
+                    // compound assignments cannot occur inside a type.
                     self.skip_type(&[
-                        ";", ",", ")", "]", "}", "{", "=", "==", "!=", "<=", ">=", "&&", "||",
-                        "+", "-", "*", "/", "%", "?", ".", "..", "..=", "as",
+                        ";", ",", ")", "]", "}", "{", "=", "=>", "==", "!=", "<=", ">=", "&&",
+                        "||", "|", "^", "+", "-", "*", "/", "%", "?", ".", "..", "..=", "as",
+                        "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=",
                     ]);
                     lhs = Expr { line: lhs.line, kind: ExprKind::Cast(Box::new(lhs)) };
                     continue;

@@ -774,6 +774,8 @@ pub const DETERMINISM_ROOTS: &[&str] = &[
     "sinr_interference_with",
     "interference_counts_sharded",
     "par_scatter_u32",
+    "nn_radii",
+    "par_fill_chunks",
     "remove_node",
     "apply_edit",
     "encode_snapshot",

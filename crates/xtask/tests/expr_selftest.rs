@@ -79,6 +79,26 @@ fn every_workspace_fn_body_parses_with_zero_errors() {
     );
 }
 
+#[test]
+fn match_guard_ending_in_a_cast_parses() {
+    // Regression: the cast's type skipper used to run through `=>` and
+    // swallow the arm body.
+    let body = expr::parse_source_body(
+        "match &printed { Ok(p) if *p == max && total == size.n as u64 => Ok(()), \
+         Ok(p) => Err(p), Err(e) => Err(e.clone()), }",
+    );
+    assert_eq!(body.errors, 0, "{:#?}", body.block);
+    let Some(tail) = &body.block.tail else { panic!("no tail expression") };
+    let ExprKind::Match(_, arms) = &tail.kind else { panic!("not a match: {tail:#?}") };
+    assert_eq!(arms.len(), 3);
+    let guard = arms[0].guard.as_ref().expect("first arm keeps its guard");
+    assert_eq!(guard.sexpr(), "(&& (== (* p:p) p:max) (== p:total (as (field p:size n))))");
+    // Compound assignment and bit-or after a cast end the type too.
+    for src in ["x += y as u64;", "let z = a as u8 | b;", "let z = a as u8 ^ b;"] {
+        assert_eq!(expr::parse_source_body(src).errors, 0, "{src}");
+    }
+}
+
 /// Vocabulary for token-soup fuzzing: everything the grammar reacts
 /// to, plus some it must survive.
 const SOUP: &[&str] = &[

@@ -36,6 +36,38 @@ fn workspace_lint_is_clean() {
 }
 
 #[test]
+fn every_crate_is_a_default_member() {
+    // `cargo test -q` from the root only tests `default-members`; a crate
+    // missing from that list silently drops out of the Tier-1 gate.
+    let manifest = std::fs::read_to_string(root().join("Cargo.toml")).expect("root manifest");
+    let list = manifest
+        .split_once("default-members = [")
+        .and_then(|(_, rest)| rest.split_once(']'))
+        .map(|(list, _)| list)
+        .expect("the root manifest sets `default-members`");
+    let listed: Vec<&str> = list
+        .lines()
+        .map(|l| l.trim().trim_end_matches(',').trim_matches('"'))
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .collect();
+    assert!(listed.contains(&"."), "the facade package must stay a default member");
+    let mut crates: Vec<String> = std::fs::read_dir(root().join("crates"))
+        .expect("crates/ is readable")
+        .flatten()
+        .filter(|e| e.path().join("Cargo.toml").is_file())
+        .map(|e| format!("crates/{}", e.file_name().to_string_lossy()))
+        .collect();
+    crates.sort();
+    assert!(crates.len() > 10, "only {} crates found", crates.len());
+    for krate in &crates {
+        assert!(
+            listed.contains(&krate.as_str()),
+            "`{krate}` is a workspace member but not in the root `default-members`"
+        );
+    }
+}
+
+#[test]
 fn call_graph_stays_populated() {
     let members = rim_xtask::load_workspace(root()).expect("workspace loads");
     let ws = rim_xtask::model::build(&members);
@@ -95,18 +127,25 @@ fn physical_engine_obligations_stay_registered() {
 #[test]
 fn streaming_kernel_obligations_stay_registered() {
     // The million-node streaming path's standing obligations: both
-    // counting entry points and the sharded scatter primitive carry the
+    // counting entry points, the nearest-neighbor radius pass, and the
+    // sharded scatter and in-place fill primitives carry the
     // panic-freedom closure check, the thread-count-invariant kernels
     // are determinism roots, and the naive oracle the streaming
     // differential suite pins against stays retained. Dropping any of
     // these would silently un-audit the SoA/streaming layer.
-    for root in ["interference_counts", "interference_counts_sharded", "par_scatter_u32"] {
+    for root in [
+        "interference_counts",
+        "interference_counts_sharded",
+        "par_scatter_u32",
+        "nn_radii",
+        "par_fill_chunks",
+    ] {
         assert!(
             rim_xtask::audit::PANIC_FREE_ROOTS.contains(&root),
             "`{root}` must stay in PANIC_FREE_ROOTS"
         );
     }
-    for root in ["interference_counts_sharded", "par_scatter_u32"] {
+    for root in ["interference_counts_sharded", "par_scatter_u32", "nn_radii", "par_fill_chunks"] {
         assert!(
             rim_xtask::flow::DETERMINISM_ROOTS.contains(&root),
             "`{root}` must stay in DETERMINISM_ROOTS"
