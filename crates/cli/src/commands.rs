@@ -339,24 +339,27 @@ pub fn analyze(args: &Args) -> Result<(), UsageError> {
         let worst_mw = sinr_mw.iter().copied().fold(0.0f64, f64::max);
         (worst_cov, worst_mw)
     });
+    let (forest, connected) = {
+        let _s = rim_obs::span("analyze/connectivity");
+        (topology.is_forest(), topology.preserves_connectivity_of(&udg))
+    };
+    let sender = {
+        let _s = rim_obs::span("analyze/sender");
+        sender_graph_interference(&topology)
+    };
+    let energy = topology.energy(2.0);
     drop(root);
     emit_obs(mode, rec);
     println!("nodes:                    {}", nodes.len());
     println!("interference engine:      {}", engine.name());
     println!("udg edges / max degree:   {} / {}", udg.num_edges(), udg.max_degree());
     println!("topology edges:           {}", topology.num_edges());
-    println!("is forest:                {}", topology.is_forest());
-    println!(
-        "preserves connectivity:   {}",
-        topology.preserves_connectivity_of(&udg)
-    );
+    println!("is forest:                {forest}");
+    println!("preserves connectivity:   {connected}");
     println!("receiver interference I:  {}", summary.max);
     println!("mean node interference:   {:.3}", summary.mean);
-    println!(
-        "sender-centric measure:   {}",
-        sender_graph_interference(&topology)
-    );
-    println!("energy (alpha = 2):       {:.4}", topology.energy(2.0));
+    println!("sender-centric measure:   {sender}");
+    println!("energy (alpha = 2):       {energy:.4}");
     if let Some(v) = summary.argmax() {
         println!("worst node:               {v} (I = {})", summary.per_node[v]);
     }

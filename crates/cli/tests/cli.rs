@@ -383,6 +383,68 @@ fn analyze_obs_jsonl_emits_spans_and_counters() {
 }
 
 #[test]
+fn analyze_obs_spans_cover_the_report_and_leave_stdout_unchanged() {
+    // The connectivity and sender-centric lines are computed inside the
+    // `analyze` root span, under their own spans; tracing them must not
+    // change a byte of the report.
+    let dir = tmp_dir("analyze_obs_report");
+    let nodes = dir.join("nodes.txt");
+    let topo = dir.join("topo.txt");
+    let out = rim()
+        .args(["generate", "--kind", "uniform-square", "--n", "300", "--side", "5",
+               "--seed", "3", "--out"])
+        .arg(&nodes)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let out = rim()
+        .args(["control", "--algo", "rng", "--nodes"])
+        .arg(&nodes)
+        .arg("--out")
+        .arg(&topo)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let analyze = |obs: &str| {
+        let out = rim()
+            .args(["analyze", "--obs", obs, "--nodes"])
+            .arg(&nodes)
+            .arg("--topology")
+            .arg(&topo)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        (out.stdout, String::from_utf8(out.stderr).unwrap())
+    };
+    let (plain, quiet) = analyze("off");
+    let (traced, err) = analyze("jsonl");
+    assert!(quiet.is_empty(), "{quiet}");
+    assert_eq!(traced, plain, "--obs must not change stdout");
+    for needle in ["\"name\":\"analyze/connectivity\"", "\"name\":\"analyze/sender\""] {
+        assert!(err.contains(needle), "missing {needle} in --obs jsonl output:\n{err}");
+    }
+    let stdout = String::from_utf8(plain).unwrap();
+    let labels: Vec<&str> =
+        stdout.lines().filter_map(|l| l.split_once(':')).map(|(k, _)| k).collect();
+    assert_eq!(
+        labels,
+        [
+            "nodes",
+            "interference engine",
+            "udg edges / max degree",
+            "topology edges",
+            "is forest",
+            "preserves connectivity",
+            "receiver interference I",
+            "mean node interference",
+            "sender-centric measure",
+            "energy (alpha = 2)",
+            "worst node",
+        ]
+    );
+}
+
+#[test]
 fn analyze_physical_engines_and_phy_sections() {
     let dir = tmp_dir("analyze_phy");
     let nodes = dir.join("nodes.txt");

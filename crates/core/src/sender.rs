@@ -64,7 +64,19 @@ pub fn sender_graph_interference(t: &Topology) -> usize {
 /// original squared predicate of [`edge_coverage`] decides membership,
 /// keeping the two bit-identical on every input (boundary ties
 /// included). Expected cost `O(n + Σ_e Cov(e))` instead of `O(n·m)`.
+///
+/// From [`rim_par::AUTO_PARALLEL_MIN`] nodes on, the edges are sharded
+/// over [`rim_par::num_threads`] workers; each coverage is a pure
+/// function of its edge, so the vector is the same for every worker
+/// count.
 pub fn coverage_vector(t: &Topology) -> Vec<usize> {
+    coverage_vector_threads(t, rim_par::auto_threads(t.num_nodes()))
+}
+
+/// [`coverage_vector`] over `threads` workers, each with its own stamp
+/// array for the two-disk union.
+// rim-lint: allow(panic-freedom) — the median index is guarded by the is_empty branch; `par_map_ranges` only yields edge indices below `edges.len()`, and stamps are indexed by node ids
+pub(crate) fn coverage_vector_threads(t: &Topology, threads: usize) -> Vec<usize> {
     let edges = t.edges();
     if edges.is_empty() {
         return Vec::new();
@@ -75,34 +87,37 @@ pub fn coverage_vector(t: &Topology) -> Vec<usize> {
     lens.sort_unstable_by(f64::total_cmp);
     let hint = lens[lens.len() / 2];
     let index = SpatialIndex::build(nodes.points(), hint);
-    // Stamp-based dedup of the two-disk union, reused across edges.
-    let mut stamp = vec![0u32; nodes.len()];
-    let mut version = 0u32;
-    edges
-        .iter()
-        .map(|e| {
-            version += 1;
-            let pu = nodes.pos(e.u);
-            let pv = nodes.pos(e.v);
-            let d_sq = nodes.dist_sq(e.u, e.v);
-            let d = nodes.dist(e.u, e.v);
-            let mut count = 0usize;
-            for center in [pu, pv] {
-                index.for_each_in_disk(center, d, |w| {
-                    if stamp[w] == version {
-                        return; // already counted for this edge
-                    }
-                    let pw = nodes.pos(w);
-                    // The model's exact predicate, on squares.
-                    if pw.dist_sq(&pu) <= d_sq || pw.dist_sq(&pv) <= d_sq {
-                        stamp[w] = version;
-                        count += 1;
-                    }
-                });
-            }
-            count
-        })
-        .collect()
+    let shards = rim_par::par_map_ranges(edges.len(), threads, |range| {
+        // Stamp-based dedup of the two-disk union, reused across edges.
+        let mut stamp = vec![0u32; nodes.len()];
+        let mut version = 0u32;
+        edges[range]
+            .iter()
+            .map(|e| {
+                version += 1;
+                let pu = nodes.pos(e.u);
+                let pv = nodes.pos(e.v);
+                let d_sq = nodes.dist_sq(e.u, e.v);
+                let d = nodes.dist(e.u, e.v);
+                let mut count = 0usize;
+                for center in [pu, pv] {
+                    index.for_each_in_disk(center, d, |w| {
+                        if stamp[w] == version {
+                            return; // already counted for this edge
+                        }
+                        let pw = nodes.pos(w);
+                        // The model's exact predicate, on squares.
+                        if pw.dist_sq(&pu) <= d_sq || pw.dist_sq(&pv) <= d_sq {
+                            stamp[w] = version;
+                            count += 1;
+                        }
+                    });
+                }
+                count
+            })
+            .collect::<Vec<usize>>()
+    });
+    shards.concat()
 }
 
 #[cfg(test)]
@@ -180,6 +195,78 @@ mod tests {
             sender_graph_interference(&t),
             batched.iter().copied().max().unwrap_or(0)
         );
+    }
+
+    /// Five instance families above the parallel gate: uniform, clustered,
+    /// an exponential chain (served by the kd-tree), collinear, and
+    /// duplicate coordinates.
+    fn families() -> Vec<(&'static str, NodeSet)> {
+        use rim_geom::Point;
+        use rim_rng::SmallRng;
+        let n = rim_par::AUTO_PARALLEL_MIN + 64;
+        let mut rng = SmallRng::seed_from_u64(43);
+        let mut coord = |hi: f64| rng.gen_range(0.0..hi);
+        let uniform: Vec<Point> = (0..n).map(|_| Point::new(coord(22.0), coord(22.0))).collect();
+        let centers: Vec<Point> = (0..32).map(|_| Point::new(coord(30.0), coord(30.0))).collect();
+        let clustered = (0..n)
+            .map(|i| {
+                let c = centers[i % centers.len()];
+                Point::new(c.x + coord(0.6), c.y + coord(0.6))
+            })
+            .collect();
+        let chain: Vec<f64> = (0..n).map(|i| 1.01f64.powi(i as i32) - 1.0).collect();
+        let mut x = 0.0;
+        let collinear: Vec<f64> = (0..n)
+            .map(|_| {
+                x += coord(0.9);
+                x
+            })
+            .collect();
+        let sites: Vec<Point> = (0..300).map(|_| Point::new(coord(20.0), coord(20.0))).collect();
+        let duplicate = (0..n).map(|i| sites[(i * 7919) % sites.len()]).collect();
+        vec![
+            ("uniform", NodeSet::new(uniform)),
+            ("clustered", NodeSet::new(clustered)),
+            ("exp-chain", NodeSet::on_line(&chain)),
+            ("collinear", NodeSet::on_line(&collinear)),
+            ("duplicate", NodeSet::new(duplicate)),
+        ]
+    }
+
+    /// Each node's link to its nearest other node (ties to the smaller
+    /// id), plus a sprinkle of long links across the instance.
+    fn nearest_neighbour_topology(ns: NodeSet) -> Topology {
+        let n = ns.len();
+        let mut pairs: Vec<(usize, usize)> = (0..n)
+            .map(|u| {
+                let v = (0..n)
+                    .filter(|&v| v != u)
+                    .min_by(|&a, &b| ns.dist_sq(u, a).total_cmp(&ns.dist_sq(u, b)))
+                    .expect("n >= 2");
+                (u.min(v), u.max(v))
+            })
+            .chain((0..n).step_by(97).map(|u| (u, (u * 7 + 1) % n)))
+            .filter(|&(a, b)| a != b)
+            .map(|(a, b)| (a.min(b), a.max(b)))
+            .collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        Topology::from_pairs(ns, &pairs)
+    }
+
+    #[test]
+    fn parallel_coverage_matches_the_oracle_for_every_worker_count() {
+        for (family, ns) in families() {
+            let t = nearest_neighbour_topology(ns);
+            let want: Vec<usize> = t.edges().iter().map(|e| edge_coverage(&t, e.u, e.v)).collect();
+            for threads in 1..=8 {
+                assert_eq!(
+                    coverage_vector_threads(&t, threads),
+                    want,
+                    "family={family} threads={threads}"
+                );
+            }
+        }
     }
 
     #[test]

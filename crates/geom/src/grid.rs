@@ -1,23 +1,29 @@
-//! Uniform bucket grid — the workhorse spatial index.
+//! Bucket-grid layout: how [`crate::SoaGrid`] cuts the plane into cells
+//! and fills its buckets.
 //!
 //! Interference queries repeatedly ask "which points lie within distance
 //! `r` of `p`?". For the point densities of ad-hoc network instances a
 //! uniform grid with cell size matched to the typical query radius answers
 //! this in output-sensitive time and with far better constants than a tree.
+//! This module holds the layout half of that grid — the `u32` capacity
+//! limit, the sanitized and budget-clamped cell shape, the cell coordinate
+//! function shared by bucketing and queries, and the cache-blocked bucket
+//! scatter — and the grid's regression suite. The storage and the scans
+//! live in [`crate::soa_grid`].
 
 use crate::bbox::Aabb;
 use crate::point::Point;
 
 /// Largest number of points a grid-backed index can hold: bucket items
 /// are stored as `u32` ids, so any build beyond this would silently
-/// truncate indices. [`UniformGrid::try_build`] (and the SoA variant)
-/// refuse larger inputs instead.
+/// truncate indices. [`crate::SoaGrid::try_build`] refuses larger inputs
+/// instead.
 pub const MAX_INDEXED_POINTS: usize = u32::MAX as usize;
 
 /// Returns `true` if `n` points fit a `u32`-id bucket index — the
-/// capacity predicate behind [`UniformGrid::try_build`]. Exposed so the
-/// boundary (`u32::MAX` fits, `u32::MAX + 1` does not) is unit-testable
-/// without allocating four billion points.
+/// capacity predicate behind [`crate::SoaGrid::try_build`]. Exposed so
+/// the boundary (`u32::MAX` fits, `u32::MAX + 1` does not) is
+/// unit-testable without allocating four billion points.
 #[inline]
 pub fn fits_u32_index(n: usize) -> bool {
     n <= MAX_INDEXED_POINTS
@@ -42,10 +48,117 @@ impl std::fmt::Display for GridCapacityError {
 
 impl std::error::Error for GridCapacityError {}
 
-/// Bucket scatter shared by [`UniformGrid`] and the SoA grid: given each
-/// point's cell id, produces the CSR `starts` array (length `ncells + 1`)
-/// and the bucket-major point permutation (`order[k]` = original point
-/// id), insertion-stable within every bucket.
+/// Cell budget of a grid over `n` points: `O(n)` cells keep the bucket
+/// table linear in the input.
+#[inline]
+pub(crate) fn cell_budget(n: usize) -> f64 {
+    (8 * n + 1024) as f64
+}
+
+/// Number of cells a grid of cell size `cell` needs to cover `bbox`.
+#[inline]
+pub(crate) fn cells_for(bbox: &Aabb, cell: f64) -> f64 {
+    ((bbox.width() / cell).floor() + 1.0) * ((bbox.height() / cell).floor() + 1.0)
+}
+
+/// Cap on the number of grid cells. Besides keeping cell ids in `u32`,
+/// `2³⁰` bounds `nx` and `ny`, which bounds the rounding error of a
+/// bucket coordinate well below the ring search's stop margin.
+const MAX_CELLS: f64 = (1u64 << 30) as f64;
+
+/// Origin, cell size and cell counts of a grid.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct GridShape {
+    pub origin: Point,
+    pub cell: f64,
+    pub nx: usize,
+    pub ny: usize,
+}
+
+impl GridShape {
+    /// The shape of a grid over `n` points with bounding box `bbox`, from
+    /// a cell size *hint*, adjusted in two ways:
+    ///
+    /// * A non-positive or non-finite hint (zero-spread instances —
+    ///   all-coincident points, a single node — produce exactly these when
+    ///   callers derive the cell from pairwise distances) is replaced by
+    ///   the bounding-box diagonal, or `1.0` when that is also zero. The
+    ///   grid then degenerates to a handful of buckets, which is the right
+    ///   shape for such inputs anyway.
+    /// * If the hint would create more than [`cell_budget`] buckets over
+    ///   the bounding box (think a nanometer cell over a kilometer span —
+    ///   exponential node chains do this), the cell is enlarged to keep
+    ///   memory linear in `n`, and never past [`MAX_CELLS`].
+    ///
+    /// Queries stay correct under both adjustments; only their constant
+    /// factor changes.
+    pub fn new(bbox: &Aabb, n: usize, hint: f64) -> Self {
+        let cell = if hint > 0.0 && hint.is_finite() {
+            hint
+        } else {
+            let diag = if bbox.is_empty() {
+                0.0
+            } else {
+                Point::new(bbox.width(), bbox.height()).norm()
+            };
+            if diag > 0.0 && diag.is_finite() {
+                diag
+            } else {
+                1.0
+            }
+        };
+        if bbox.is_empty() {
+            return GridShape { origin: Point::ORIGIN, cell, nx: 1, ny: 1 };
+        }
+        let budget = cell_budget(n).min(MAX_CELLS);
+        let mut cell = cell;
+        if cells_for(bbox, cell) > budget {
+            cell *= (cells_for(bbox, cell) / budget).sqrt().max(2.0);
+            while cells_for(bbox, cell) > budget {
+                cell *= 2.0;
+            }
+        }
+        GridShape {
+            origin: bbox.min,
+            cell,
+            nx: (bbox.width() / cell).floor() as usize + 1,
+            ny: (bbox.height() / cell).floor() as usize + 1,
+        }
+    }
+
+    /// Number of cells.
+    #[inline]
+    pub fn ncells(&self) -> usize {
+        self.nx * self.ny
+    }
+
+    /// Column of x-coordinate `x`, clamped to the grid.
+    #[inline]
+    pub fn col(&self, x: f64) -> usize {
+        cell_coord(x, self.origin.x, self.cell, self.nx - 1)
+    }
+
+    /// Row of y-coordinate `y`, clamped to the grid.
+    #[inline]
+    pub fn row(&self, y: f64) -> usize {
+        cell_coord(y, self.origin.y, self.cell, self.ny - 1)
+    }
+}
+
+/// Cell coordinate of `v` on an axis that starts at `o` and has
+/// `last + 1` cells of size `cell`. The build buckets points through this
+/// function and every query bounds its cell range through it, so the two
+/// agree bit for bit; it is monotone in `v` (`as usize` saturates, so
+/// negative and NaN inputs map to 0).
+#[inline]
+fn cell_coord(v: f64, o: f64, cell: f64, last: usize) -> usize {
+    (((v - o) / cell).floor() as usize).min(last)
+}
+
+/// Bucket scatter of the grid build: given each point's cell id,
+/// produces the CSR `starts` array (length `ncells + 1`) and the
+/// bucket-major point permutation (`order[k]` = original point id),
+/// insertion-stable within every bucket.
 ///
 /// Small tables scatter directly. Past [`DIRECT_SCATTER_CELLS`] the
 /// cursor and destination arrays no longer fit the fast caches and the
@@ -112,303 +225,29 @@ const DIRECT_SCATTER_CELLS: usize = 1 << 15;
 /// Maximum number of coarse blocks in the row-blocked scatter.
 const COARSE_BLOCKS: usize = 1 << 12;
 
-/// A uniform bucket grid over a fixed set of points.
-///
-/// The grid stores point *indices* into the slice it was built from, so it
-/// composes with any external node numbering. Buckets are stored in a flat
-/// CSR-like layout (`starts` + `items`) to keep the index allocation-free
-/// at query time.
-///
-/// ```
-/// use rim_geom::{Point, UniformGrid};
-///
-/// let pts = vec![Point::new(0.0, 0.0), Point::new(0.5, 0.0), Point::new(2.0, 2.0)];
-/// let grid = UniformGrid::build(&pts, 0.5);
-/// assert_eq!(grid.query_disk(Point::new(0.1, 0.0), 0.5), vec![0, 1]);
-/// assert_eq!(grid.nearest(Point::new(1.8, 1.8), usize::MAX), Some(2));
-/// ```
-#[derive(Debug, Clone)]
-pub struct UniformGrid {
-    origin: Point,
-    cell: f64,
-    nx: usize,
-    ny: usize,
-    starts: Vec<u32>,
-    items: Vec<u32>,
-    points: Vec<Point>,
-}
-
-impl UniformGrid {
-    /// Builds a grid over `points` with the given `cell` size.
-    ///
-    /// A good choice for `cell` is the dominant query radius; queries with
-    /// radius `r` touch `O((r/cell + 2)^2)` buckets. The requested cell
-    /// size is a *hint* in two ways:
-    ///
-    /// * A non-positive or non-finite `cell` (zero spread instances —
-    ///   all-coincident points, a single node — produce exactly these when
-    ///   callers derive the cell from pairwise distances) is replaced by
-    ///   the bounding-box diagonal, or `1.0` when that is also zero. The
-    ///   grid then degenerates to a handful of buckets, which is the right
-    ///   shape for such inputs anyway.
-    /// * If the hint would create more than `O(n)` buckets over the
-    ///   points' bounding box (think a nanometer cell over a kilometer
-    ///   span — exponential node chains do this), the cell is enlarged to
-    ///   keep memory linear in `n`.
-    ///
-    /// Queries stay correct under both adjustments, only their constant
-    /// factor changes.
-    ///
-    /// Panics if `points` exceeds [`MAX_INDEXED_POINTS`] (the `u32` item
-    /// capacity); use [`UniformGrid::try_build`] to handle that case as
-    /// an error instead.
-    // rim-lint: allow(panic-freedom) — the capacity assert replaces silent `as u32` id truncation; instances this large cannot be addressed by any caller in the workspace
-    pub fn build(points: &[Point], cell: f64) -> Self {
-        match Self::try_build(points, cell) {
-            Ok(grid) => grid,
-            // rim-lint: allow(no-unwrap-in-lib) — intentional capacity assert, fallible twin is try_build
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible variant of [`UniformGrid::build`]: returns a
-    /// [`GridCapacityError`] instead of panicking when `points` has more
-    /// entries than the `u32` bucket items can address.
-    pub fn try_build(points: &[Point], cell: f64) -> Result<Self, GridCapacityError> {
-        if !fits_u32_index(points.len()) {
-            return Err(GridCapacityError {
-                points: points.len(),
-            });
-        }
-        let bbox = Aabb::of_points(points);
-        let cell = if cell > 0.0 && cell.is_finite() {
-            cell
-        } else {
-            let diag = if bbox.is_empty() {
-                0.0
-            } else {
-                Point::new(bbox.width(), bbox.height()).norm()
-            };
-            if diag > 0.0 && diag.is_finite() {
-                diag
-            } else {
-                1.0
-            }
-        };
-        let (origin, nx, ny, cell) = if bbox.is_empty() {
-            (Point::ORIGIN, 1, 1, cell)
-        } else {
-            // Capped below u32::MAX cells so cell ids fit u32 even for
-            // point counts near the item-id capacity.
-            let budget = ((8 * points.len() + 1024) as f64).min(4.0e9);
-            let mut cell = cell;
-            let cells_for = |c: f64| {
-                ((bbox.width() / c).floor() + 1.0) * ((bbox.height() / c).floor() + 1.0)
-            };
-            if cells_for(cell) > budget {
-                cell *= (cells_for(cell) / budget).sqrt().max(2.0);
-                while cells_for(cell) > budget {
-                    cell *= 2.0;
-                }
-            }
-            let nx = (bbox.width() / cell).floor() as usize + 1;
-            let ny = (bbox.height() / cell).floor() as usize + 1;
-            (bbox.min, nx, ny, cell)
-        };
-
-        let ncells = nx * ny;
-        // Cell ids are computed once into a column (the second pass of
-        // the old build recomputed them point by point), then scattered
-        // with the shared cache-blocked bucket fill.
-        let cell_of = |p: &Point| -> u32 {
-            let cx = (((p.x - origin.x) / cell).floor() as usize).min(nx - 1);
-            let cy = (((p.y - origin.y) / cell).floor() as usize).min(ny - 1);
-            (cy * nx + cx) as u32
-        };
-        let cells: Vec<u32> = points.iter().map(cell_of).collect();
-        let (starts, items) = bucket_scatter(&cells, ncells);
-
-        Ok(UniformGrid {
-            origin,
-            cell,
-            nx,
-            ny,
-            starts,
-            items,
-            points: points.to_vec(),
-        })
-    }
-
-    /// Number of indexed points.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Returns `true` if the grid indexes no points.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// The point with index `i` (as passed at build time).
-    #[inline]
-    pub fn point(&self, i: usize) -> Point {
-        self.points[i]
-    }
-
-    /// Calls `f(i)` for every point index `i` with `|points[i] - c| <= r`.
-    ///
-    /// The center `c` need not be an indexed point. Visit order is
-    /// deterministic (bucket-major, insertion order within buckets).
-    /// Membership uses the distance-level predicate `|p - c| <= r` (not
-    /// squared), so a radius copied from a [`Point::dist`] result keeps
-    /// the boundary point inside — the exactness policy of this crate.
-    pub fn for_each_in_disk<F: FnMut(usize)>(&self, c: Point, r: f64, f: F) {
-        self.for_each_in_disk_counting(c, r, f);
-    }
-
-    /// Like [`Self::for_each_in_disk`], additionally returning the number
-    /// of candidate points scanned (bucket occupants tested against the
-    /// distance predicate, whether or not they passed) — the
-    /// output-sensitivity signal the observability layer reports per
-    /// query.
-    // rim-lint: allow(panic-freedom) — cell coordinates are clamped to the grid; `starts` has `ncells + 1` entries
-    pub fn for_each_in_disk_counting<F: FnMut(usize)>(&self, c: Point, r: f64, mut f: F) -> usize {
-        debug_assert!(r >= 0.0);
-        let mut candidates = 0usize;
-        // One extra cell of margin on every side: `c.x + r` rounds to
-        // nearest and can land *below* the coordinate of a point at
-        // distance exactly `r` (e.g. 0.2 + 0.7 rounds down), which would
-        // silently drop a closed-disk boundary point from the scan. The
-        // rounding error is a few ulps — far below one cell — so a
-        // single-cell margin restores the superset guarantee; the exact
-        // distance predicate below still decides membership.
-        let x0 = ((c.x - r - self.origin.x) / self.cell).floor() - 1.0;
-        let x1 = ((c.x + r - self.origin.x) / self.cell).floor() + 1.0;
-        let y0 = ((c.y - r - self.origin.y) / self.cell).floor() - 1.0;
-        let y1 = ((c.y + r - self.origin.y) / self.cell).floor() + 1.0;
-        let cx0 = x0.max(0.0) as usize;
-        let cx1 = (x1.max(-1.0) as isize).min(self.nx as isize - 1);
-        let cy0 = y0.max(0.0) as usize;
-        let cy1 = (y1.max(-1.0) as isize).min(self.ny as isize - 1);
-        if cx1 < cx0 as isize || cy1 < cy0 as isize {
-            return candidates;
-        }
-        for cy in cy0..=(cy1 as usize) {
-            for cx in cx0..=(cx1 as usize) {
-                let cidx = cy * self.nx + cx;
-                let lo = self.starts[cidx] as usize;
-                let hi = self.starts[cidx + 1] as usize;
-                candidates += hi - lo;
-                for &i in &self.items[lo..hi] {
-                    if self.points[i as usize].dist(&c) <= r {
-                        f(i as usize);
-                    }
-                }
-            }
-        }
-        candidates
-    }
-
-    /// Occupancy of every non-empty bucket, in cell order — the cell
-    /// occupancy distribution the observability layer histograms at build
-    /// time.
-    pub fn nonempty_bucket_sizes(&self) -> impl Iterator<Item = usize> + '_ {
-        self.starts
-            .windows(2)
-            .map(|w| (w[1] - w[0]) as usize)
-            .filter(|&occ| occ > 0)
-    }
-
-    /// Collects the indices of all points within distance `r` of `c`.
-    pub fn query_disk(&self, c: Point, r: f64) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.for_each_in_disk(c, r, |i| out.push(i));
-        out
-    }
-
-    /// Counts the points within distance `r` of `c`.
-    pub fn count_in_disk(&self, c: Point, r: f64) -> usize {
-        let mut n = 0;
-        self.for_each_in_disk(c, r, |_| n += 1);
-        n
-    }
-
-    /// Index of the nearest indexed point to `c` that is not `exclude`
-    /// (pass `usize::MAX` to exclude nothing). Returns `None` when no
-    /// eligible point exists. Ties break towards the smaller index.
-    pub fn nearest(&self, c: Point, exclude: usize) -> Option<usize> {
-        if self.points.is_empty() || (self.points.len() == 1 && exclude == 0) {
-            return None;
-        }
-        // Expanding ring search: try radii cell, 2*cell, 4*cell, ... until a
-        // hit is found, then verify with one final query at the found
-        // distance (a closer point could sit in a diagonal bucket).
-        let mut r = self.cell;
-        loop {
-            let mut best: Option<(f64, usize)> = None;
-            self.for_each_in_disk(c, r, |i| {
-                if i == exclude {
-                    return;
-                }
-                let d = self.points[i].dist_sq(&c);
-                match best {
-                    Some((bd, bi)) if (d, i) >= (bd, bi) => {}
-                    _ => best = Some((d, i)),
-                }
-            });
-            if let Some((d_sq, i)) = best {
-                let d = d_sq.sqrt();
-                if d <= r {
-                    // Confirm: search the exact radius d to catch diagonal
-                    // neighbors that the square-of-buckets already covers.
-                    let mut confirm = (d_sq, i);
-                    self.for_each_in_disk(c, d, |j| {
-                        if j == exclude {
-                            return;
-                        }
-                        let dj = self.points[j].dist_sq(&c);
-                        if (dj, j) < confirm {
-                            confirm = (dj, j);
-                        }
-                    });
-                    return Some(confirm.1);
-                }
-            }
-            r *= 2.0;
-            // Bail out once the ring covers the whole point set.
-            if r > 4.0 * self.span() + 4.0 * self.cell {
-                let mut best: Option<(f64, usize)> = None;
-                for (i, p) in self.points.iter().enumerate() {
-                    if i == exclude {
-                        continue;
-                    }
-                    let d = p.dist_sq(&c);
-                    if best.is_none_or(|(bd, bi)| (d, i) < (bd, bi)) {
-                        best = Some((d, i));
-                    }
-                }
-                return best.map(|(_, i)| i);
-            }
-        }
-    }
-
-    fn span(&self) -> f64 {
-        let w = self.nx as f64 * self.cell;
-        let h = self.ny as f64 * self.cell;
-        (w * w + h * h).sqrt()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{SoaGrid, SoaPoints, SpatialIndex};
+
+    fn grid(points: &[Point], cell: f64) -> SoaGrid {
+        SoaGrid::build(&SoaPoints::from_points(points), cell)
+    }
+
+    fn sorted(mut v: Vec<usize>) -> Vec<usize> {
+        v.sort_unstable();
+        v
+    }
 
     fn brute_disk(points: &[Point], c: Point, r: f64) -> Vec<usize> {
         (0..points.len())
             .filter(|&i| points[i].dist(&c) <= r)
             .collect()
+    }
+
+    /// Nearest-neighbour distance of point `i` via the grid's ring search.
+    fn nearest_dist(g: &SoaGrid, i: usize) -> Option<f64> {
+        (0..g.len()).find(|&k| g.item(k) == i).and_then(|k| g.nearest_dist_at(k))
     }
 
     #[test]
@@ -419,27 +258,27 @@ mod tests {
                 pts.push(Point::new(i as f64 * 0.1, j as f64 * 0.1));
             }
         }
-        let grid = UniformGrid::build(&pts, 0.25);
+        let g = grid(&pts, 0.25);
+        let idx = SpatialIndex::build(&pts, 0.25);
         for &(cx, cy, r) in &[(0.5, 0.5, 0.3), (0.0, 0.0, 0.15), (0.95, 0.1, 0.5)] {
             let c = Point::new(cx, cy);
-            let mut got = grid.query_disk(c, r);
-            got.sort_unstable();
-            assert_eq!(got, brute_disk(&pts, c, r));
+            assert_eq!(sorted(g.query_disk(c, r)), brute_disk(&pts, c, r));
+            assert_eq!(idx.query_disk(c, r), brute_disk(&pts, c, r));
         }
     }
 
     #[test]
     fn empty_and_singleton() {
-        let grid = UniformGrid::build(&[], 1.0);
-        assert!(grid.is_empty());
-        assert_eq!(grid.query_disk(Point::ORIGIN, 10.0), Vec::<usize>::new());
-        assert_eq!(grid.nearest(Point::ORIGIN, usize::MAX), None);
+        let g = grid(&[], 1.0);
+        assert!(g.is_empty());
+        assert_eq!(g.query_disk(Point::ORIGIN, 10.0), Vec::<usize>::new());
+        assert_eq!(g.nearest_dist_at(0), None);
+        assert!(SpatialIndex::build(&[], 1.0).query_disk(Point::ORIGIN, 10.0).is_empty());
 
-        let grid = UniformGrid::build(&[Point::new(3.0, 4.0)], 1.0);
-        assert_eq!(grid.query_disk(Point::ORIGIN, 5.0), vec![0]);
-        assert_eq!(grid.query_disk(Point::ORIGIN, 4.9), Vec::<usize>::new());
-        assert_eq!(grid.nearest(Point::ORIGIN, usize::MAX), Some(0));
-        assert_eq!(grid.nearest(Point::ORIGIN, 0), None);
+        let g = grid(&[Point::new(3.0, 4.0)], 1.0);
+        assert_eq!(g.query_disk(Point::ORIGIN, 5.0), vec![0]);
+        assert_eq!(g.query_disk(Point::ORIGIN, 4.9), Vec::<usize>::new());
+        assert_eq!(g.nearest_dist_at(0), None);
     }
 
     #[test]
@@ -451,23 +290,14 @@ mod tests {
             (state >> 11) as f64 / (1u64 << 53) as f64
         };
         let pts: Vec<Point> = (0..200).map(|_| Point::new(rnd(), rnd())).collect();
-        let grid = UniformGrid::build(&pts, 0.05);
+        let g = grid(&pts, 0.05);
         for q in 0..pts.len() {
-            let got = grid.nearest(pts[q], q).unwrap();
             let want = (0..pts.len())
                 .filter(|&i| i != q)
-                .min_by(|&a, &b| {
-                    pts[a]
-                        .dist_sq(&pts[q])
-                        .total_cmp(&pts[b].dist_sq(&pts[q]))
-                        .then(a.cmp(&b))
-                })
-                .unwrap();
-            assert_eq!(
-                pts[got].dist_sq(&pts[q]),
-                pts[want].dist_sq(&pts[q]),
-                "q={q} got={got} want={want}"
-            );
+                .map(|i| pts[i].dist_sq(&pts[q]))
+                .fold(f64::INFINITY, f64::min)
+                .sqrt();
+            assert_eq!(nearest_dist(&g, q), Some(want), "q={q}");
         }
     }
 
@@ -475,8 +305,8 @@ mod tests {
     fn boundary_points_are_included() {
         // A point exactly at distance r must be reported (closed disk).
         let pts = [Point::ORIGIN, Point::new(1.0, 0.0)];
-        let grid = UniformGrid::build(&pts, 0.3);
-        assert_eq!(grid.query_disk(Point::ORIGIN, 1.0), vec![0, 1]);
+        assert_eq!(grid(&pts, 0.3).query_disk(Point::ORIGIN, 1.0), vec![0, 1]);
+        assert_eq!(SpatialIndex::build(&pts, 0.3).query_disk(Point::ORIGIN, 1.0), vec![0, 1]);
     }
 
     #[test]
@@ -486,11 +316,10 @@ mod tests {
         let pts: Vec<Point> = (0..32)
             .map(|i| Point::on_line((2f64.powi(i) - 1.0) / 2f64.powi(32)))
             .collect();
-        let grid = UniformGrid::build(&pts, 2f64.powi(-32));
-        let mut got = grid.query_disk(Point::on_line(0.0), 0.5);
-        got.sort_unstable();
-        assert_eq!(got, brute_disk(&pts, Point::on_line(0.0), 0.5));
-        assert_eq!(grid.nearest(pts[5], 5), Some(4));
+        let g = grid(&pts, 2f64.powi(-32));
+        let c = Point::on_line(0.0);
+        assert_eq!(sorted(g.query_disk(c, 0.5)), brute_disk(&pts, c, 0.5));
+        assert_eq!(nearest_dist(&g, 5), Some(pts[5].dist(&pts[4])));
     }
 
     #[test]
@@ -501,11 +330,12 @@ mod tests {
         // working grid rather than panic.
         let pts = [Point::new(1.0, 2.0), Point::new(4.0, 6.0)];
         for bad in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let grid = UniformGrid::build(&pts, bad);
-            let mut got = grid.query_disk(Point::new(1.0, 2.0), 5.0);
-            got.sort_unstable();
-            assert_eq!(got, vec![0, 1], "cell={bad}");
-            assert_eq!(grid.nearest(Point::new(4.0, 6.0), 1), Some(0));
+            let g = grid(&pts, bad);
+            assert_eq!(sorted(g.query_disk(Point::new(1.0, 2.0), 5.0)), vec![0, 1], "cell={bad}");
+            assert_eq!(nearest_dist(&g, 1), Some(5.0), "cell={bad}");
+            let idx = SpatialIndex::build(&pts, bad);
+            assert!(matches!(idx, SpatialIndex::Grid(_)), "cell={bad}");
+            assert_eq!(idx.query_disk(Point::new(4.0, 6.0), 5.0), vec![0, 1], "cell={bad}");
         }
     }
 
@@ -515,15 +345,19 @@ mod tests {
         // (including a degenerate one) must collapse to one bucket.
         let pts = vec![Point::new(2.5, -1.5); 9];
         for cell in [0.0, 1.0, f64::NAN] {
-            let grid = UniformGrid::build(&pts, cell);
-            assert_eq!(grid.len(), 9);
+            let g = grid(&pts, cell);
+            assert_eq!(g.len(), 9);
+            assert_eq!(g.nonempty_bucket_sizes().collect::<Vec<_>>(), vec![9]);
             assert_eq!(
-                grid.query_disk(Point::new(2.5, -1.5), 0.0),
+                g.query_disk(Point::new(2.5, -1.5), 0.0),
                 (0..9).collect::<Vec<_>>(),
                 "cell={cell}"
             );
-            assert_eq!(grid.count_in_disk(Point::new(2.5, -1.5), 0.0), 9);
-            assert!(grid.query_disk(Point::ORIGIN, 1.0).is_empty());
+            assert_eq!(g.count_in_disk(Point::new(2.5, -1.5), 0.0), 9);
+            assert!(g.query_disk(Point::ORIGIN, 1.0).is_empty());
+            assert_eq!(g.nearest_dist_at(4), Some(0.0));
+            let idx = SpatialIndex::build(&pts, cell);
+            assert_eq!(idx.count_in_disk(Point::new(2.5, -1.5), 0.0), 9);
         }
     }
 
@@ -531,18 +365,20 @@ mod tests {
     fn single_node() {
         let pts = [Point::new(7.0, 7.0)];
         for cell in [0.0, 0.5, f64::INFINITY] {
-            let grid = UniformGrid::build(&pts, cell);
-            assert_eq!(grid.query_disk(Point::new(7.0, 7.0), 0.0), vec![0]);
-            assert_eq!(grid.nearest(Point::new(7.0, 7.0), 0), None);
+            let g = grid(&pts, cell);
+            assert_eq!(g.query_disk(Point::new(7.0, 7.0), 0.0), vec![0]);
+            assert_eq!(g.nearest_dist_at(0), None);
+            let idx = SpatialIndex::build(&pts, cell);
+            assert_eq!(idx.query_disk(Point::new(7.0, 7.0), 0.0), vec![0]);
         }
     }
 
     #[test]
     fn boundary_point_survives_downward_rounding_of_cell_range() {
         // Regression: with c.x = 0.2 and r = dist(0.2, 0.9) the sum
-        // `c.x + r` rounds *below* 0.9, and the unmargined cell range
-        // excluded the bucket holding the boundary point even though the
-        // closed-disk predicate includes it.
+        // `c.x + r` rounds *below* 0.9, so a cell range bounded by the
+        // unslacked `c.x + r` can miss the bucket holding the boundary
+        // point even though the closed-disk predicate includes it.
         let pts = [
             Point::on_line(0.0),
             Point::on_line(0.2),
@@ -550,13 +386,16 @@ mod tests {
             Point::on_line(0.9),
         ];
         let r = pts[1].dist(&pts[3]);
-        let grid = UniformGrid::build(&pts, 0.45);
-        assert_eq!(grid.query_disk(pts[1], r), vec![0, 1, 2, 3]);
+        for cell in [0.45, 0.7, 0.9] {
+            let got = sorted(grid(&pts, cell).query_disk(pts[1], r));
+            assert_eq!(got, vec![0, 1, 2, 3], "cell={cell}");
+            assert_eq!(SpatialIndex::build(&pts, cell).query_disk(pts[1], r), vec![0, 1, 2, 3]);
+        }
     }
 
     #[test]
     fn closed_disk_boundary_semantics() {
-        // `for_each_in_disk` must use the *closed* distance-level predicate
+        // Disk queries must use the *closed* distance-level predicate
         // `dist(p, c) <= r`: a radius copied from a `Point::dist` result
         // keeps the boundary point inside, bit for bit. This is the exact
         // comparison `interference_at` uses, so the two must agree.
@@ -564,27 +403,34 @@ mod tests {
         let b = Point::new(0.7, 0.9);
         let r = a.dist(&b); // irrational; only bit-identical compare passes
         let pts = [a, b];
-        let grid = UniformGrid::build(&pts, r / 3.0);
-        assert_eq!(grid.query_disk(a, r), vec![0, 1]);
         // The open side: anything strictly below the distance excludes b.
         let below = f64::from_bits(r.to_bits() - 1);
-        assert_eq!(grid.query_disk(a, below), vec![0]);
+        for cell in [r / 3.0, r, 0.6, 0.7] {
+            let g = grid(&pts, cell);
+            assert_eq!(sorted(g.query_disk(a, r)), vec![0, 1], "cell={cell}");
+            assert_eq!(sorted(g.query_disk(b, r)), vec![0, 1], "cell={cell}");
+            assert_eq!(g.query_disk(a, below), vec![0], "cell={cell}");
+        }
     }
 
     #[test]
     fn collinear_highway_points() {
         let pts: Vec<Point> = (0..50).map(|i| Point::on_line(i as f64 * 0.02)).collect();
-        let grid = UniformGrid::build(&pts, 0.1);
-        let mut got = grid.query_disk(Point::on_line(0.5), 0.1);
-        got.sort_unstable();
-        assert_eq!(got, brute_disk(&pts, Point::on_line(0.5), 0.1));
+        let g = grid(&pts, 0.1);
+        let idx = SpatialIndex::build(&pts, 0.1);
+        for (c, r) in [(0.5, 0.1), (0.0, 0.02), (0.98, 0.3)] {
+            let c = Point::on_line(c);
+            assert_eq!(sorted(g.query_disk(c, r)), brute_disk(&pts, c, r));
+            assert_eq!(idx.query_disk(c, r), brute_disk(&pts, c, r));
+        }
     }
 
     #[test]
     fn u32_capacity_boundary_is_pinned() {
         // The boundary itself cannot be allocated in a test, so the
         // predicate behind `try_build` pins it: exactly u32::MAX points
-        // fit, one more does not (the old build truncated ids silently).
+        // fit, one more does not (an unchecked build would truncate ids
+        // silently).
         assert!(fits_u32_index(0));
         assert!(fits_u32_index(MAX_INDEXED_POINTS));
         assert!(!fits_u32_index(MAX_INDEXED_POINTS + 1));
@@ -592,9 +438,10 @@ mod tests {
             points: MAX_INDEXED_POINTS + 1,
         };
         assert!(err.to_string().contains("4294967295"), "{err}");
-        // In-capacity builds succeed through the fallible path.
-        let grid = UniformGrid::try_build(&[Point::ORIGIN], 1.0).unwrap();
-        assert_eq!(grid.len(), 1);
+        // In-capacity builds succeed through both fallible paths.
+        let g = SoaGrid::try_build(&SoaPoints::from_points(&[Point::ORIGIN]), 1.0).unwrap();
+        assert_eq!(g.len(), 1);
+        assert_eq!(SoaGrid::try_build_from_points(&[Point::ORIGIN], 1.0).unwrap().len(), 1);
     }
 
     #[test]
@@ -628,14 +475,16 @@ mod tests {
         let pts: Vec<Point> = (0..100)
             .map(|i| Point::new((i % 10) as f64 * 0.1, (i / 10) as f64 * 0.1))
             .collect();
-        let grid = UniformGrid::build(&pts, 0.2);
+        let g = grid(&pts, 0.2);
         let mut hits = 0usize;
-        let candidates = grid.for_each_in_disk_counting(Point::new(0.5, 0.5), 0.25, |_| hits += 1);
+        let candidates = g.for_each_in_disk_counting(Point::new(0.5, 0.5), 0.25, |_| hits += 1);
         assert!(hits > 0);
         assert!(candidates >= hits, "candidates={candidates} hits={hits}");
-        assert!(candidates <= pts.len());
+        // The tight cell range scans about a 3×3 block of 0.2-cells, not
+        // a ±1-cell margin, which would cover all 5×5 cells here.
+        assert!(candidates < pts.len() / 2, "candidates={candidates}");
         // Bucket occupancies partition the point set.
-        assert_eq!(grid.nonempty_bucket_sizes().sum::<usize>(), pts.len());
-        assert!(grid.nonempty_bucket_sizes().all(|occ| occ > 0));
+        assert_eq!(g.nonempty_bucket_sizes().sum::<usize>(), pts.len());
+        assert!(g.nonempty_bucket_sizes().all(|occ| occ > 0));
     }
 }

@@ -1,7 +1,7 @@
-//! Adaptive spatial index: a uniform grid with a kd-tree fallback.
+//! Adaptive spatial index: the SoA bucket grid with a kd-tree fallback.
 //!
 //! The interference engine scatters one disk query per transmitter. On
-//! uniformly dense instances the [`UniformGrid`] wins by a wide constant
+//! uniformly dense instances the [`SoaGrid`] wins by a wide constant
 //! factor, but degenerate aspect ratios — the exponential node chain packs
 //! half its points into a sliver 2^-n of the span wide — defeat any single
 //! cell size: the grid's memory budget inflates the cell until most of the
@@ -17,9 +17,10 @@
 //! speed.
 
 use crate::bbox::Aabb;
-use crate::grid::UniformGrid;
+use crate::grid::{cell_budget, cells_for};
 use crate::kdtree::KdTree;
 use crate::point::Point;
+use crate::soa_grid::SoaGrid;
 
 /// How many times over the grid's cell budget the requested cell may go
 /// before the build switches to a kd-tree. At 64x the clamp would enlarge
@@ -28,13 +29,13 @@ use crate::point::Point;
 const GRID_DISTORTION_LIMIT: f64 = 64.0;
 
 /// A spatial index over a fixed set of points, backed by either a
-/// [`UniformGrid`] or a [`KdTree`] — chosen at build time from the spread
+/// [`SoaGrid`] or a [`KdTree`] — chosen at build time from the spread
 /// of the data. Point indices are preserved, and disk queries use the
 /// closed distance-level predicate of both backends.
 #[derive(Debug, Clone)]
 pub enum SpatialIndex {
-    /// Uniform bucket grid (dense, well-conditioned instances).
-    Grid(UniformGrid),
+    /// SoA bucket grid (dense, well-conditioned instances).
+    Grid(SoaGrid),
     /// Balanced kd-tree (degenerate spreads, e.g. exponential chains).
     Kd(KdTree),
 }
@@ -48,20 +49,27 @@ impl SpatialIndex {
     /// would scan most points per query anyway.
     ///
     /// Degenerate hints (non-positive, non-finite) are fine; they are
-    /// sanitized exactly as [`UniformGrid::build`] does.
+    /// sanitized as for [`SoaGrid::build`].
+    ///
+    /// Panics if `points` exceeds [`crate::MAX_INDEXED_POINTS`], the `u32`
+    /// id capacity both backends share.
+    // rim-lint: allow(panic-freedom) — the capacity assert replaces silent `as u32` id truncation; instances this large cannot be addressed by any caller in the workspace
     pub fn build(points: &[Point], cell_hint: f64) -> Self {
         let bbox = Aabb::of_points(points);
-        if !bbox.is_empty() && cell_hint > 0.0 && cell_hint.is_finite() {
-            let cells =
-                ((bbox.width() / cell_hint).floor() + 1.0) * ((bbox.height() / cell_hint).floor() + 1.0);
-            let budget = (8 * points.len() + 1024) as f64;
-            if cells > budget * GRID_DISTORTION_LIMIT {
-                rim_obs::counter_add("geom.index.kd_builds", 1);
-                return SpatialIndex::Kd(KdTree::build(points));
-            }
+        if !bbox.is_empty()
+            && cell_hint > 0.0
+            && cell_hint.is_finite()
+            && cells_for(&bbox, cell_hint) > cell_budget(points.len()) * GRID_DISTORTION_LIMIT
+        {
+            rim_obs::counter_add("geom.index.kd_builds", 1);
+            return SpatialIndex::Kd(KdTree::build(points));
         }
         rim_obs::counter_add("geom.index.grid_builds", 1);
-        let grid = UniformGrid::build(points, cell_hint);
+        let grid = match SoaGrid::try_build_from_points(points, cell_hint) {
+            Ok(grid) => grid,
+            // rim-lint: allow(no-unwrap-in-lib) — intentional capacity assert, as in SoaGrid::build
+            Err(e) => panic!("{e}"),
+        };
         if rim_obs::active() {
             for occ in grid.nonempty_bucket_sizes() {
                 rim_obs::record("geom.grid.cell_occupancy", occ as u64);
@@ -199,7 +207,7 @@ mod tests {
         let b = Point::new(1.1, 2.2);
         let r = a.dist(&b);
         let pts = [a, b];
-        let grid = SpatialIndex::Grid(UniformGrid::build(&pts, r));
+        let grid = SpatialIndex::Grid(SoaGrid::try_build_from_points(&pts, r).unwrap());
         let kd = SpatialIndex::Kd(KdTree::build(&pts));
         for idx in [&grid, &kd] {
             assert_eq!(idx.query_disk(a, r), vec![0, 1]);

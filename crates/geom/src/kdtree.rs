@@ -1,10 +1,10 @@
 //! A static 2-d tree for nearest-neighbor and range queries.
 //!
-//! The [`crate::grid::UniformGrid`] is faster for uniformly dense
-//! instances, but degenerate constructions such as the exponential node
-//! chain have point densities varying over many orders of magnitude; a
-//! kd-tree answers nearest-neighbor queries on those in `O(log n)` without
-//! tuning a cell size.
+//! The [`crate::SoaGrid`] is faster for uniformly dense instances, but
+//! degenerate constructions such as the exponential node chain have point
+//! densities varying over many orders of magnitude; a kd-tree answers
+//! nearest-neighbor and disk queries on those without tuning a cell size,
+//! which is why [`crate::SpatialIndex`] falls back to it there.
 
 use crate::point::Point;
 

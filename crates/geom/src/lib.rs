@@ -9,11 +9,11 @@
 //!   helpers that prefer squared distances in hot paths,
 //! * [`Disk`] — a closed disk `D(c, r)` with containment predicates,
 //! * [`Aabb`] — axis-aligned bounding boxes,
-//! * [`UniformGrid`] — a bucket grid spatial index for range queries,
 //! * [`SoaPoints`] / [`SoaGrid`] — structure-of-arrays point storage and
-//!   a bucket grid with bucket-major coordinate columns, the layout the
-//!   million-node streaming kernels scan,
-//! * [`KdTree`] — a static 2-d tree for nearest-neighbor queries,
+//!   the bucket grid with bucket-major coordinate columns, the one grid
+//!   every disk query in the workspace scans,
+//! * [`KdTree`] — a static 2-d tree, the grid's fallback on degenerate
+//!   spreads,
 //! * [`SpatialIndex`] — grid/kd-tree dispatch chosen from the data,
 //! * [`closest_pair`] — divide-and-conquer closest pair,
 //! * [`convex_hull`] — Andrew's monotone chain.
@@ -53,7 +53,7 @@ pub use bbox::Aabb;
 pub use closest_pair::{closest_pair, closest_pair_brute_force};
 pub use delaunay::{delaunay, Delaunay};
 pub use disk::Disk;
-pub use grid::{fits_u32_index, GridCapacityError, UniformGrid, MAX_INDEXED_POINTS};
+pub use grid::{fits_u32_index, GridCapacityError, MAX_INDEXED_POINTS};
 pub use hull::convex_hull;
 pub use index::SpatialIndex;
 pub use kdtree::KdTree;

@@ -1,29 +1,32 @@
-//! Structure-of-arrays bucket grid — the million-node spatial index.
+//! Structure-of-arrays bucket grid — the workspace's one spatial grid.
 //!
-//! [`crate::UniformGrid`] answers a disk query by walking bucket item
-//! ids and dereferencing each one into a `Vec<Point>`: one indirection
+//! A grid that stores point ids per bucket answers a disk query by
+//! dereferencing each candidate id into a `Vec<Point>`: one indirection
 //! (and usually one cache miss) per candidate. At 10^6–10^7 points that
 //! indirection *is* the kernel's running time. [`SoaGrid`] removes it:
-//! at build time the coordinate columns of a [`SoaPoints`] are permuted
-//! into bucket-major order, so a bucket scan reads `sxs[lo..hi]` /
-//! `sys[lo..hi]` sequentially and only touches the id column for actual
-//! hits. The build itself uses the same cache-blocked bucket fill as
-//! [`crate::UniformGrid`] ([`crate::grid::bucket_scatter`]).
+//! at build time the coordinate columns are permuted into bucket-major
+//! order, so a bucket scan reads `sxs[lo..hi]` / `sys[lo..hi]`
+//! sequentially and only touches the id column for actual hits. The
+//! layout — cell shape, cell coordinates and the cache-blocked bucket
+//! fill — comes from [`crate::grid`].
 //!
-//! Query semantics are identical to the other indexes — the *closed*
-//! distance-level predicate `dist(p, c) <= r` (see the crate-level
-//! floating-point policy) — so results are bit-compatible with
-//! [`crate::SpatialIndex`] and the naive scans.
+//! The same structure backs [`crate::SpatialIndex::Grid`] for the
+//! `Point`-slice callers (UDG construction, topology control, the batch
+//! engines) and the million-node streaming kernels. Query semantics are
+//! the *closed* distance-level predicate `dist(p, c) <= r` (see the
+//! crate-level floating-point policy), so results are bit-compatible
+//! with the kd-tree and the naive scans.
 
-use crate::grid::{bucket_scatter, fits_u32_index, GridCapacityError};
+use crate::bbox::Aabb;
+use crate::grid::{bucket_scatter, fits_u32_index, GridCapacityError, GridShape};
 use crate::point::Point;
 use crate::soa::SoaPoints;
 
-/// A uniform bucket grid over a [`SoaPoints`] store, with bucket-major
-/// coordinate columns for sequential scans.
+/// A uniform bucket grid with bucket-major coordinate columns for
+/// sequential scans.
 ///
 /// Indices reported by queries refer to the original point order of the
-/// store the grid was built from.
+/// store (or slice) the grid was built from.
 ///
 /// ```
 /// use rim_geom::{Point, SoaGrid, SoaPoints};
@@ -38,10 +41,7 @@ use crate::soa::SoaPoints;
 /// ```
 #[derive(Debug, Clone)]
 pub struct SoaGrid {
-    origin: Point,
-    cell: f64,
-    nx: usize,
-    ny: usize,
+    shape: GridShape,
     starts: Vec<u32>,
     /// Original point ids, bucket-major, insertion-stable per bucket.
     items: Vec<u32>,
@@ -53,9 +53,9 @@ pub struct SoaGrid {
 
 impl SoaGrid {
     /// Builds a grid over `points` with the given `cell` size hint. The
-    /// hint is sanitized and budget-clamped exactly as in
-    /// [`crate::UniformGrid::build`]: degenerate hints fall back to the
-    /// bounding-box diagonal, and cell counts stay `O(n)`.
+    /// hint is sanitized and budget-clamped (see [`crate::grid`]):
+    /// degenerate hints fall back to the bounding-box diagonal, and cell
+    /// counts stay `O(n)`.
     ///
     /// Panics if the store exceeds the `u32` item capacity; use
     /// [`SoaGrid::try_build`] to handle that case as an error.
@@ -70,70 +70,45 @@ impl SoaGrid {
 
     /// Fallible variant of [`SoaGrid::build`]: errors when `points` has
     /// more entries than `u32` bucket item ids can address.
+    // rim-lint: allow(panic-freedom) — `i < len()` for both columns
     pub fn try_build(points: &SoaPoints, cell: f64) -> Result<Self, GridCapacityError> {
-        let n = points.len();
+        let (xs, ys) = (points.xs(), points.ys());
+        let grid = Self::try_build_with(points.len(), &points.bbox(), cell, |i| xs[i], |i| ys[i])?;
+        rim_obs::counter_add("geom.index.soa_builds", 1);
+        Ok(grid)
+    }
+
+    /// [`SoaGrid::try_build`] over a `Point` slice, without an
+    /// intermediate [`SoaPoints`] copy.
+    // rim-lint: allow(panic-freedom) — `i < points.len()`
+    pub fn try_build_from_points(points: &[Point], cell: f64) -> Result<Self, GridCapacityError> {
+        let bbox = Aabb::of_points(points);
+        Self::try_build_with(points.len(), &bbox, cell, |i| points[i].x, |i| points[i].y)
+    }
+
+    /// The build behind both entry points: `(x(i), y(i))` for `i < n` are
+    /// the points, `bbox` their bounding box.
+    fn try_build_with(
+        n: usize,
+        bbox: &Aabb,
+        cell: f64,
+        x: impl Fn(usize) -> f64,
+        y: impl Fn(usize) -> f64,
+    ) -> Result<Self, GridCapacityError> {
         if !fits_u32_index(n) {
             return Err(GridCapacityError { points: n });
         }
-        rim_obs::counter_add("geom.index.soa_builds", 1);
-        let bbox = points.bbox();
-        let cell = if cell > 0.0 && cell.is_finite() {
-            cell
-        } else {
-            let diag = if bbox.is_empty() {
-                0.0
-            } else {
-                Point::new(bbox.width(), bbox.height()).norm()
-            };
-            if diag > 0.0 && diag.is_finite() {
-                diag
-            } else {
-                1.0
-            }
-        };
-        let (origin, nx, ny, cell) = if bbox.is_empty() {
-            (Point::ORIGIN, 1, 1, cell)
-        } else {
-            // Same linear-memory budget as UniformGrid, capped at
-            // MAX_CELLS so cell ids fit u32 at any point count.
-            let budget = ((8 * n + 1024) as f64).min(MAX_CELLS);
-            let mut cell = cell;
-            let cells_for = |c: f64| {
-                ((bbox.width() / c).floor() + 1.0) * ((bbox.height() / c).floor() + 1.0)
-            };
-            if cells_for(cell) > budget {
-                cell *= (cells_for(cell) / budget).sqrt().max(2.0);
-                while cells_for(cell) > budget {
-                    cell *= 2.0;
-                }
-            }
-            let nx = (bbox.width() / cell).floor() as usize + 1;
-            let ny = (bbox.height() / cell).floor() as usize + 1;
-            (bbox.min, nx, ny, cell)
-        };
-
-        let ncells = nx * ny;
-        let xs = points.xs();
-        let ys = points.ys();
-        // rim-lint: allow(panic-freedom) — cell coordinates are clamped into the grid
+        let shape = GridShape::new(bbox, n, cell);
         let cells: Vec<u32> = (0..n)
-            .map(|i| {
-                let cx = cell_coord(xs[i], origin.x, cell, nx - 1);
-                let cy = cell_coord(ys[i], origin.y, cell, ny - 1);
-                (cy * nx + cx) as u32
-            })
+            .map(|i| (shape.row(y(i)) * shape.nx + shape.col(x(i))) as u32)
             .collect();
-        let (starts, items) = bucket_scatter(&cells, ncells);
+        let (starts, items) = bucket_scatter(&cells, shape.ncells());
         // Gather the coordinate columns into bucket order: after this,
         // every bucket scan is a sequential read of both columns.
-        let sxs: Vec<f64> = items.iter().map(|&i| xs[i as usize]).collect();
-        let sys: Vec<f64> = items.iter().map(|&i| ys[i as usize]).collect();
-
+        let sxs: Vec<f64> = items.iter().map(|&i| x(i as usize)).collect();
+        let sys: Vec<f64> = items.iter().map(|&i| y(i as usize)).collect();
         Ok(SoaGrid {
-            origin,
-            cell,
-            nx,
-            ny,
+            shape,
             starts,
             items,
             sxs,
@@ -174,10 +149,10 @@ impl SoaGrid {
     /// bucket order use this variant so neighbor coordinates never go
     /// through the id indirection.
     ///
-    /// The scanned cell range is `cell_coord(c ± reach)`, where `reach`
+    /// The scanned cell range is `col/row(c ± reach)`, where `reach`
     /// exceeds `r` only by a rounding slack, not by a whole cell. The
     /// range is complete because bucketing and the range bounds go
-    /// through the same monotone function `cell_coord` (floor of
+    /// through the same monotone cell coordinate of [`crate::grid`] (floor of
     /// `(v − o)/cell`, clamped to the grid): if a hit `p` satisfies
     /// `c.x − reach ≤ p.x ≤ c.x + reach` in exact arithmetic, rounding
     /// is monotone and `p.x` is representable, so
@@ -188,23 +163,52 @@ impl SoaGrid {
     /// difference, its square and the root each round once) while the
     /// square is normal, and below `2⁻⁵¹¹` the square may underflow, so
     /// `reach = r·(1 + 2⁻⁴⁰) + 2⁻⁵⁰⁰` covers both with room to spare.
+    pub fn for_each_pos_in_disk<F: FnMut(usize)>(&self, c: Point, r: f64, f: F) {
+        self.scan_disk(c, r, f);
+    }
+
+    /// Calls `f(i)` for every *original point index* `i` with
+    /// `dist(points[i], c) <= r` (closed disk, distance level — the
+    /// workspace's exactness policy). Visit order is deterministic:
+    /// bucket-major, insertion order within buckets.
+    pub fn for_each_in_disk<F: FnMut(usize)>(&self, c: Point, r: f64, f: F) {
+        self.for_each_in_disk_counting(c, r, f);
+    }
+
+    /// Like [`Self::for_each_in_disk`], additionally returning the number
+    /// of candidate points scanned (the row-run lengths: points tested
+    /// against the distance predicate, whether or not they passed) — the
+    /// output-sensitivity signal the observability layer reports per
+    /// query.
+    // rim-lint: allow(panic-freedom) — scan positions are below len()
+    pub fn for_each_in_disk_counting<F: FnMut(usize)>(&self, c: Point, r: f64, mut f: F) -> usize {
+        self.scan_disk(c, r, |k| f(self.items[k] as usize))
+    }
+
+    /// The disk scan behind every query: calls `f(k)` for each hit
+    /// position and returns the number of candidates scanned (see
+    /// [`SoaGrid::for_each_pos_in_disk`] for the cell range).
+    #[inline]
     // rim-lint: allow(panic-freedom) — cell coordinates are clamped to the grid; `starts` has `ncells + 1` entries and bounds the column slices
-    pub fn for_each_pos_in_disk<F: FnMut(usize)>(&self, c: Point, r: f64, mut f: F) {
+    fn scan_disk<F: FnMut(usize)>(&self, c: Point, r: f64, mut f: F) -> usize {
         debug_assert!(r >= 0.0);
+        let s = &self.shape;
         let reach = r + r * QUERY_SLACK + UNDERFLOW_SLACK;
-        let cx0 = self.col(c.x - reach);
-        let cx1 = self.col(c.x + reach);
-        let cy0 = self.row(c.y - reach);
-        let cy1 = self.row(c.y + reach);
+        let cx0 = s.col(c.x - reach);
+        let cx1 = s.col(c.x + reach);
+        let cy0 = s.row(c.y - reach);
+        let cy1 = s.row(c.y + reach);
+        let mut candidates = 0;
         if cx1 < cx0 || cy1 < cy0 {
-            return; // negative radius
+            return candidates; // negative radius
         }
         for cy in cy0..=cy1 {
             // Contiguous run of cells within the row: one slice scan per
             // row instead of one per cell keeps the loop tight.
-            let row = cy * self.nx;
+            let row = cy * s.nx;
             let lo = self.starts[row + cx0] as usize;
             let hi = self.starts[row + cx1 + 1] as usize;
+            candidates += hi - lo;
             for (i, (&x, &y)) in self.sxs[lo..hi].iter().zip(&self.sys[lo..hi]).enumerate() {
                 // Same formula as Point::dist — sqrt of dx² + dy², then a
                 // distance-level closed comparison — so hits agree with
@@ -214,15 +218,17 @@ impl SoaGrid {
                 }
             }
         }
+        candidates
     }
 
-    /// Calls `f(i)` for every *original point index* `i` with
-    /// `dist(points[i], c) <= r` (closed disk, distance level — the
-    /// workspace's exactness policy). Visit order is deterministic:
-    /// bucket-major, insertion order within buckets, exactly as
-    /// [`crate::UniformGrid::for_each_in_disk`].
-    pub fn for_each_in_disk<F: FnMut(usize)>(&self, c: Point, r: f64, mut f: F) {
-        self.for_each_pos_in_disk(c, r, |k| f(self.items[k] as usize));
+    /// Occupancy of every non-empty bucket, in cell order — the cell
+    /// occupancy distribution the observability layer histograms at build
+    /// time.
+    pub fn nonempty_bucket_sizes(&self) -> impl Iterator<Item = usize> + '_ {
+        self.starts
+            .windows(2)
+            .map(|w| (w[1] - w[0]) as usize)
+            .filter(|&occ| occ > 0)
     }
 
     /// Collects the indices of all points within distance `r` of `c`, in
@@ -254,7 +260,7 @@ impl SoaGrid {
     /// grid, or more rings would cost more than a scan of every point,
     /// it falls back to a full scan.
     ///
-    /// Why the stop is exact: every point is bucketed by `cell_coord`,
+    /// Why the stop is exact: every point is bucketed by its cell coordinate,
     /// i.e. `floor(a)` with `a = fl(fl(x − o)/cell)`, clamped to `nx − 1`.
     /// Take a point `p` whose column is at least `R + 1` away from the
     /// column of `c`. Clamping only lowers a column, so `c`'s column is
@@ -276,8 +282,9 @@ impl SoaGrid {
             return None;
         }
         let c = Point::new(self.sxs[k], self.sys[k]);
-        let (ix, iy) = (self.col(c.x), self.row(c.y));
-        let (last_x, last_y) = (self.nx - 1, self.ny - 1);
+        let s = &self.shape;
+        let (ix, iy) = (s.col(c.x), s.row(c.y));
+        let (last_x, last_y) = (s.nx - 1, s.ny - 1);
         let mut best_sq = f64::INFINITY;
         // Own cell and ring 1, as three contiguous row runs.
         let (x0, x1) = (ix.saturating_sub(1), (ix + 1).min(last_x));
@@ -286,7 +293,7 @@ impl SoaGrid {
         }
         let mut ring = 1;
         loop {
-            let stop = ring as f64 * self.cell * RING_SHRINK;
+            let stop = ring as f64 * s.cell * RING_SHRINK;
             if best_sq <= stop * stop {
                 break;
             }
@@ -319,18 +326,6 @@ impl SoaGrid {
         Some(best_sq.sqrt())
     }
 
-    /// Column of x-coordinate `x`, clamped to the grid.
-    #[inline]
-    fn col(&self, x: f64) -> usize {
-        cell_coord(x, self.origin.x, self.cell, self.nx - 1)
-    }
-
-    /// Row of y-coordinate `y`, clamped to the grid.
-    #[inline]
-    fn row(&self, y: f64) -> usize {
-        cell_coord(y, self.origin.y, self.cell, self.ny - 1)
-    }
-
     /// Lowers `best_sq` to the smallest `dist_sq` from `c` over the
     /// points in cells `x0..=x1` of row `y`, skipping position `skip`.
     #[inline]
@@ -344,7 +339,7 @@ impl SoaGrid {
         skip: usize,
         best_sq: &mut f64,
     ) {
-        let row = y * self.nx;
+        let row = y * self.shape.nx;
         let lo = self.starts[row + x0] as usize;
         let hi = self.starts[row + x1 + 1] as usize;
         self.min_sq_in_range(lo, hi, c, skip, best_sq);
@@ -376,25 +371,9 @@ const UNDERFLOW_SLACK: f64 = f64::from_bits((1023 - 500) << 52);
 /// [`SoaGrid::nearest_dist_at`]).
 const RING_SHRINK: f64 = 1.0 - 1.0 / (1u64 << 20) as f64;
 
-/// Cap on the number of grid cells. Besides keeping cell ids in `u32`,
-/// `2³⁰` bounds `nx` and `ny`, which bounds the rounding error of a
-/// bucket coordinate well below the ring search's stop margin.
-const MAX_CELLS: f64 = (1u64 << 30) as f64;
-
-/// Cell coordinate of `v` on an axis that starts at `o` and has
-/// `last + 1` cells of size `cell`. The build buckets points through this
-/// function and every query bounds its cell range through it, so the two
-/// agree bit for bit; it is monotone in `v` (`as usize` saturates, so
-/// negative and NaN inputs map to 0).
-#[inline]
-fn cell_coord(v: f64, o: f64, cell: f64, last: usize) -> usize {
-    (((v - o) / cell).floor() as usize).min(last)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::UniformGrid;
     use crate::MAX_INDEXED_POINTS;
 
     fn lcg_points(n: usize, side: f64) -> Vec<Point> {
@@ -407,18 +386,19 @@ mod tests {
     }
 
     #[test]
-    fn matches_uniform_grid_queries() {
+    fn queries_match_brute_force() {
         let pts = lcg_points(600, 10.0);
         let soa = SoaPoints::from_points(&pts);
         let grid = SoaGrid::build(&soa, 0.7);
-        let reference = UniformGrid::build(&pts, 0.7);
+        let from_slice = SoaGrid::try_build_from_points(&pts, 0.7).expect("fits u32");
         for (qi, q) in pts.iter().enumerate().step_by(17) {
             for r in [0.0, 0.35, 0.7, 1.4, 3.0] {
-                let mut got = grid.query_disk(*q, r);
-                let mut want: Vec<usize> = Vec::new();
-                reference.for_each_in_disk(*q, r, |j| want.push(j));
+                let want: Vec<usize> = (0..pts.len()).filter(|&j| pts[j].dist(q) <= r).collect();
+                let got = grid.query_disk(*q, r);
+                // Both entry points build the same grid, visit order included.
+                assert_eq!(from_slice.query_disk(*q, r), got, "query {qi} r={r}");
+                let mut got = got;
                 got.sort_unstable();
-                want.sort_unstable();
                 assert_eq!(got, want, "query {qi} r={r}");
             }
         }

@@ -4,7 +4,7 @@
 
 use rim_geom::{
     closest_pair, closest_pair_brute_force, convex_hull, KdTree, Point, SoaGrid, SoaPoints,
-    UniformGrid,
+    SpatialIndex,
 };
 use rim_rng::prop::{check, check_default};
 use rim_rng::{prop_ensure, prop_ensure_eq, SmallRng};
@@ -26,21 +26,27 @@ fn brute_disk(points: &[Point], c: Point, r: f64) -> Vec<usize> {
 
 #[test]
 fn grid_disk_query_matches_brute_force() {
+    // Half the radii are exact pairwise distances, which put a point right
+    // on the closed boundary.
     check_default(
         "grid_disk_query_matches_brute_force",
         |rng| {
-            (
-                arb_points(rng, 60),
-                arb_point(rng),
-                rng.gen_range(0.0f64..5.0),
-                rng.gen_range(0.05f64..3.0),
-            )
+            let pts = arb_points(rng, 60);
+            let q = if !pts.is_empty() && rng.gen_bool(0.5) {
+                pts[rng.gen_range(0..pts.len())]
+            } else {
+                arb_point(rng)
+            };
+            let r = if !pts.is_empty() && rng.gen_bool(0.5) {
+                pts[rng.gen_range(0..pts.len())].dist(&q)
+            } else {
+                rng.gen_range(0.0f64..5.0)
+            };
+            (pts, q, r, rng.gen_range(0.05f64..3.0))
         },
         |(pts, q, r, cell)| {
-            let grid = UniformGrid::build(pts, *cell);
-            let mut got = grid.query_disk(*q, *r);
-            got.sort_unstable();
-            prop_ensure_eq!(got, brute_disk(pts, *q, *r));
+            let index = SpatialIndex::build(pts, *cell);
+            prop_ensure_eq!(index.query_disk(*q, *r), brute_disk(pts, *q, *r));
             Ok(())
         },
     );
@@ -79,31 +85,6 @@ fn kdtree_nearest_matches_brute_force() {
                     Ok(())
                 }
                 _ => Err("one of fast/brute found a point, the other did not".into()),
-            }
-        },
-    );
-}
-
-#[test]
-fn grid_nearest_matches_brute_force() {
-    check_default(
-        "grid_nearest_matches_brute_force",
-        |rng| (arb_points(rng, 40), arb_point(rng), rng.gen_range(0.05f64..3.0)),
-        |(pts, q, cell)| {
-            let grid = UniformGrid::build(pts, *cell);
-            let got = grid.nearest(*q, usize::MAX);
-            let want = (0..pts.len()).map(|i| pts[i].dist_sq(q)).min_by(f64::total_cmp);
-            match (got, want) {
-                (None, None) => Ok(()),
-                (Some(i), Some(d)) => {
-                    prop_ensure!(
-                        pts[i].dist_sq(q).total_cmp(&d).is_eq(),
-                        "grid nearest at {} not minimal",
-                        i
-                    );
-                    Ok(())
-                }
-                _ => Err("grid and brute force disagree on existence".into()),
             }
         },
     );

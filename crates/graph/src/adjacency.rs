@@ -39,6 +39,24 @@ impl AdjacencyList {
         g
     }
 
+    /// Builds a graph from complete per-vertex neighbour lists: `lists[u]`
+    /// holds `(v, weight)` for every neighbour `v` of `u`, strictly sorted
+    /// by `v` and free of self-loops, and the lists are symmetric — `(v,
+    /// w)` is in `lists[u]` exactly when `(u, w)` is in `lists[v]`, with
+    /// the same weight bits. Bulk constructors that already hold each
+    /// vertex's whole neighbourhood (the UDG build) hand it over here
+    /// instead of making `m` [`AdjacencyList::add_edge`] calls, each with
+    /// two binary-search `Vec::insert`s. Debug builds assert the contract.
+    pub fn from_sorted_symmetric_lists(lists: Vec<Vec<(u32, f64)>>) -> Self {
+        assert!(lists.len() <= u32::MAX as usize, "too many vertices");
+        debug_assert_eq!(list_contract_violation(&lists), None);
+        let degree_sum: usize = lists.iter().map(Vec::len).sum();
+        AdjacencyList {
+            adj: lists,
+            num_edges: degree_sum / 2,
+        }
+    }
+
     /// Number of vertices.
     #[inline]
     pub fn num_vertices(&self) -> usize {
@@ -162,6 +180,33 @@ impl AdjacencyList {
     }
 }
 
+/// The first breach of the [`AdjacencyList::from_sorted_symmetric_lists`]
+/// contract in `lists`, if any.
+// rim-lint: allow(panic-freedom) — `v < n` is checked before `lists[v]` is read
+fn list_contract_violation(lists: &[Vec<(u32, f64)>]) -> Option<String> {
+    for (u, list) in lists.iter().enumerate() {
+        for pair in list.windows(2) {
+            if pair[0].0 >= pair[1].0 {
+                let (a, b) = (pair[0].0, pair[1].0);
+                return Some(format!("list {u} is not strictly sorted at {a} then {b}"));
+            }
+        }
+        for &(v, w) in list {
+            let v = v as usize;
+            if v == u || v >= lists.len() {
+                return Some(format!("list {u} holds invalid neighbour {v}"));
+            }
+            let mirrored = lists[v]
+                .binary_search_by_key(&(u as u32), |&(x, _)| x)
+                .is_ok_and(|p| lists[v][p].1.to_bits() == w.to_bits());
+            if !mirrored {
+                return Some(format!("edge {{{u}, {v}}} is not mirrored with equal weight"));
+            }
+        }
+    }
+    None
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,6 +281,54 @@ mod tests {
     #[should_panic]
     fn self_loops_are_rejected() {
         AdjacencyList::new(2).add_edge(1, 1, 0.0);
+    }
+
+    #[test]
+    fn sorted_symmetric_lists_match_add_edge() {
+        let lists = vec![
+            vec![(1, 0.5), (2, 1.0)],
+            vec![(0, 0.5)],
+            vec![(0, 1.0)],
+            vec![],
+        ];
+        let g = AdjacencyList::from_sorted_symmetric_lists(lists);
+        let mut want = AdjacencyList::new(4);
+        want.add_edge(0, 2, 1.0);
+        want.add_edge(1, 0, 0.5);
+        assert_eq!(g.num_edges(), 2);
+        assert_eq!(g.num_vertices(), 4);
+        assert_eq!(g.edges(), want.edges());
+        assert_eq!(g.neighbors(0).collect::<Vec<_>>(), vec![1, 2]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not strictly sorted")]
+    fn sorted_symmetric_lists_reject_unsorted_lists() {
+        AdjacencyList::from_sorted_symmetric_lists(vec![
+            vec![(2, 1.0), (1, 0.5)],
+            vec![(0, 0.5)],
+            vec![(0, 1.0)],
+        ]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not mirrored")]
+    fn sorted_symmetric_lists_reject_asymmetric_lists() {
+        // Edge {0, 2} is missing from list 2.
+        AdjacencyList::from_sorted_symmetric_lists(vec![
+            vec![(1, 0.5), (2, 1.0)],
+            vec![(0, 0.5)],
+            vec![],
+        ]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not mirrored")]
+    fn sorted_symmetric_lists_reject_unequal_weights() {
+        AdjacencyList::from_sorted_symmetric_lists(vec![vec![(1, 0.5)], vec![(0, 0.25)]]);
     }
 
     #[test]

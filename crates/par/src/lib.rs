@@ -38,6 +38,21 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+/// Instance size from which a query loop over all nodes (UDG
+/// construction, sender coverage, the topology-construction pipeline)
+/// amortizes the spawn of scoped threads; smaller instances run inline.
+pub const AUTO_PARALLEL_MIN: usize = 2048;
+
+/// Worker count for a node-sized loop over `n` items: [`num_threads`]
+/// from [`AUTO_PARALLEL_MIN`] on, 1 (inline) below it.
+pub fn auto_threads(n: usize) -> usize {
+    if n >= AUTO_PARALLEL_MIN {
+        num_threads()
+    } else {
+        1
+    }
+}
+
 /// Number of worker threads worth spawning on this machine; at least 1.
 ///
 /// `std::thread::available_parallelism` fails only in exotic sandboxes,

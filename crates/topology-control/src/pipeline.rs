@@ -31,12 +31,9 @@ use rim_udg::NodeSet;
 
 /// Below this node count the all-node witness scan beats an index build.
 pub(crate) const AUTO_NAIVE_MAX: usize = 64;
-/// From this node count on, threads amortize their spawn cost for
-/// construction workloads.
-pub(crate) const AUTO_PARALLEL_MIN: usize = 2048;
 
 /// Resolves [`Engine::Auto`] for a construction over `n` nodes: naive
-/// below [`AUTO_NAIVE_MAX`], parallel from [`AUTO_PARALLEL_MIN`] when
+/// below [`AUTO_NAIVE_MAX`], parallel from [`rim_par::AUTO_PARALLEL_MIN`] when
 /// more than one core is available, indexed in between. The physical
 /// (SINR) engines only change how *interference* is evaluated, not how
 /// geometric constructions run, so they normalize to their disk-side
@@ -46,7 +43,7 @@ pub(crate) fn resolve(engine: Engine, n: usize) -> Engine {
         Engine::Auto => {
             if n < AUTO_NAIVE_MAX {
                 Engine::Naive
-            } else if n >= AUTO_PARALLEL_MIN && rim_par::num_threads() > 1 {
+            } else if rim_par::auto_threads(n) > 1 {
                 Engine::Parallel
             } else {
                 Engine::Indexed

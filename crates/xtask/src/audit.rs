@@ -500,6 +500,8 @@ pub const PANIC_FREE_ROOTS: &[&str] = &[
     "apply_edit",
     "encode_snapshot",
     "decode_snapshot",
+    "unit_disk_graph_with_range",
+    "coverage_vector",
 ];
 
 /// Finds the first occurrence of each panicking construct inside a

@@ -185,6 +185,25 @@ fn churn_hot_path_obligations_stay_registered() {
 }
 
 #[test]
+fn pipeline_query_loops_stay_registered() {
+    // The two node-sized query loops of the topology-control pipeline
+    // that fan out over worker threads — the UDG build and the sender
+    // coverage vector — must stay panic-free and bitwise deterministic
+    // for every worker count. Dropping either registration would
+    // silently un-audit them.
+    for root in ["unit_disk_graph_with_range", "coverage_vector"] {
+        assert!(
+            rim_xtask::audit::PANIC_FREE_ROOTS.contains(&root),
+            "`{root}` must stay in PANIC_FREE_ROOTS"
+        );
+        assert!(
+            rim_xtask::flow::DETERMINISM_ROOTS.contains(&root),
+            "`{root}` must stay in DETERMINISM_ROOTS"
+        );
+    }
+}
+
+#[test]
 fn graph_oracle_verdicts_agree_with_the_token_scan() {
     // Same workspace, both implementations: the graph-based audit is
     // stricter in general (it needs a call chain, not a mention), but on
