@@ -13,7 +13,7 @@
 //!   it reproduces every coordinate and every pick bit-for-bit.
 //! * [`sim::ChurnSim`] — applies the stream to
 //!   [`rim_core::DynamicInterference`], links each arrival to its
-//!   nearest live neighbor through a [`grid::LiveGrid`], tombstone-
+//!   nearest live neighbor through the engine's own grid, tombstone-
 //!   compacts so a sustained million-edit run keeps flat memory, and
 //!   tracks deterministic op counters (the SLO surface next to the
 //!   rim-obs latency histograms).
@@ -31,12 +31,10 @@
 
 #![forbid(unsafe_code)]
 
-pub mod grid;
 pub mod sim;
 pub mod snapshot;
 pub mod trace;
 
-pub use grid::LiveGrid;
 pub use sim::{ChurnSim, OpCounts};
 pub use snapshot::{decode_snapshot, encode_snapshot};
 pub use trace::{ChurnConfig, ChurnOp, ChurnTrace, Family};

@@ -2,13 +2,16 @@
 //! interference engine, keeping memory flat over million-edit horizons.
 //!
 //! The hot path is [`ChurnSim::apply_edit`]: resolve the op against the
-//! sorted live-id list, mutate [`DynamicInterference`] (`O(affected)`),
-//! and keep the [`LiveGrid`] in lockstep. Departures tombstone their
+//! sorted live-id list and mutate [`DynamicInterference`]
+//! (`O(affected)`). Arrivals and relinks find their partners with the
+//! engine's own nearest-live query, [`DynamicInterference::nearest_live_k`],
+//! so the sim keeps no index of its own. Departures tombstone their
 //! slot; once dead slots outnumber live ones the sim **compacts** —
-//! rebuilds the engine from the live topology with fresh dense ids — so
-//! a sustained run's footprint tracks the live population, not the edit
-//! count. Compaction is a deterministic function of the edit sequence,
-//! so replays (and snapshot restores) reproduce it exactly.
+//! re-packs the engine's live state with fresh dense ids in one pass
+//! ([`DynamicInterference::compacted`]) — so a sustained run's footprint
+//! tracks the live population, not the edit count. Compaction is a
+//! deterministic function of the edit sequence, so replays (and
+//! snapshot restores) reproduce it exactly.
 //!
 //! Everything observable is deterministic: op resolution uses the
 //! sorted id list, nearest-neighbor queries tie-break on `(distance,
@@ -16,7 +19,6 @@
 //! Wall-clock latency is measured by callers (CLI / bench harness),
 //! never here.
 
-use crate::grid::LiveGrid;
 use crate::trace::{ChurnConfig, ChurnOp, ChurnTrace};
 use rim_core::DynamicInterference;
 use rim_geom::Point;
@@ -70,11 +72,13 @@ pub struct ChurnSim {
     cfg: ChurnConfig,
     trace: ChurnTrace,
     engine: DynamicInterference,
-    grid: LiveGrid,
     /// Live slot ids, ascending (slot ids are allocated monotonically,
     /// so arrivals append in order and the list stays sorted).
     live_ids: Vec<u32>,
     counts: OpCounts,
+    /// Result buffer of the nearest-live queries, kept so an edit does
+    /// not allocate one.
+    nearby: Vec<(f64, usize)>,
 }
 
 impl ChurnSim {
@@ -86,15 +90,15 @@ impl ChurnSim {
             cfg,
             trace: ChurnTrace::new(cfg, edits),
             engine: DynamicInterference::new(NodeSet::new(Vec::new())),
-            grid: LiveGrid::new(cfg.side(), cfg.n0),
             live_ids: Vec::new(),
             counts: OpCounts::default(),
+            nearby: Vec::new(),
         }
     }
 
     /// Reassembles a sim from snapshotted parts (the snapshot codec's
-    /// constructor). `engine` must already be restored; the grid and
-    /// live-id list are derived from it, never serialized.
+    /// constructor). `engine` must already be restored; the live-id list
+    /// is derived from it, never serialized.
     pub(crate) fn from_parts(
         cfg: ChurnConfig,
         trace: ChurnTrace,
@@ -104,11 +108,7 @@ impl ChurnSim {
         let live_ids: Vec<u32> = (0..engine.len() as u32)
             .filter(|&v| engine.is_live(v as usize))
             .collect();
-        let mut grid = LiveGrid::new(cfg.side(), cfg.n0);
-        for &v in &live_ids {
-            grid.insert(v, engine.position(v as usize));
-        }
-        ChurnSim { cfg, trace, engine, grid, live_ids, counts }
+        ChurnSim { cfg, trace, engine, live_ids, counts, nearby: Vec::new() }
     }
 
     /// Scenario configuration.
@@ -212,8 +212,8 @@ impl ChurnSim {
     }
 
     /// Applies one churn op — the hot path. `O(affected)` through the
-    /// engine, plus an expected-`O(1)` grid query; no wall clock, no
-    /// randomness (the op carries every draw).
+    /// engine, whose grid also answers the nearest-live queries; no wall
+    /// clock, no randomness (the op carries every draw).
     pub fn apply_edit(&mut self, op: ChurnOp) {
         self.counts.edits += 1;
         match op {
@@ -248,32 +248,26 @@ impl ChurnSim {
         self.maybe_compact();
     }
 
-    /// Resolves a raw pick against the sorted live-id list.
-    // rim-lint: allow(panic-freedom) — index is pick modulo the (checked nonempty) list length
+    /// Resolves a raw pick against the sorted live-id list (`None` while
+    /// it is empty).
     fn resolve(&self, pick: u64) -> Option<u32> {
-        if self.live_ids.is_empty() {
-            return None;
-        }
-        Some(self.live_ids[(pick % self.live_ids.len() as u64) as usize])
+        let at = pick.checked_rem(self.live_ids.len() as u64)?;
+        self.live_ids.get(at as usize).copied()
     }
 
-    /// A node arrives: new engine slot, one link to the nearest live
-    /// node (if any), grid + id-list bookkeeping.
-    fn arrive(&mut self, p: Point) -> u32 {
-        let v = self.engine.insert_node(p) as u32;
-        let engine = &self.engine;
-        if let Some((_, w)) = self.grid.nearest_live(p, None, |id| engine.position(id as usize)) {
-            self.engine.insert_edge(v as usize, w as usize);
+    /// A node arrives: one link to the nearest live node (if any), then
+    /// id-list bookkeeping.
+    fn arrive(&mut self, p: Point) {
+        self.engine.nearest_live_k(p, 1, None, &mut self.nearby);
+        let v = self.engine.insert_node(p);
+        if let Some(&(_, w)) = self.nearby.first() {
+            self.engine.insert_edge(v, w);
         }
-        self.grid.insert(v, p);
-        self.live_ids.push(v);
-        v
+        self.live_ids.push(v as u32);
     }
 
-    /// A node departs: engine tombstone + grid + id-list bookkeeping.
+    /// A node departs: engine tombstone + id-list bookkeeping.
     fn depart(&mut self, v: u32) {
-        let p = self.engine.position(v as usize);
-        self.grid.remove(v, p);
         self.engine.remove_node(v as usize);
         if let Ok(i) = self.live_ids.binary_search(&v) {
             self.live_ids.remove(i);
@@ -284,13 +278,10 @@ impl ChurnSim {
     /// neighbor (or the farthest available when fewer than `k` exist) —
     /// the radius-reassignment edit class in link-derived form.
     fn relink(&mut self, v: u32, k: usize) {
-        let p = self.engine.position(v as usize);
-        let engine = &self.engine;
-        let nbrs = self
-            .grid
-            .nearest_k(p, k, Some(v), |id| engine.position(id as usize));
-        if let Some(&(_, w)) = nbrs.last() {
-            let (a, b) = (v as usize, w as usize);
+        let a = v as usize;
+        let p = self.engine.position(a);
+        self.engine.nearest_live_k(p, k, Some(a), &mut self.nearby);
+        if let Some(&(_, b)) = self.nearby.last() {
             if self.engine.graph().has_edge(a, b) {
                 self.engine.remove_edge(a, b);
                 self.counts.links_removed += 1;
@@ -301,10 +292,10 @@ impl ChurnSim {
         }
     }
 
-    /// Rebuilds the engine from the live topology once tombstones
-    /// outnumber live nodes (with a floor so small scenarios never
-    /// compact): amortized `O(1)` per edit, and the footprint tracks the
-    /// live population instead of the edit count. The schedule depends
+    /// Re-packs the engine's live state once tombstones outnumber live
+    /// nodes (with a floor so small scenarios never compact): amortized
+    /// `O(1)` per edit, and the footprint tracks the live population
+    /// instead of the edit count. The schedule depends
     /// only on the edit sequence, so replays reproduce it exactly.
     fn maybe_compact(&mut self) {
         let dead = self.engine.len().saturating_sub(self.engine.live_count());
@@ -314,17 +305,12 @@ impl ChurnSim {
         self.counts.compactions += 1;
         rim_obs::counter_add("churn.compactions", 1);
         let _span = rim_obs::span("churn.compact");
-        let (t, _slots) = self.engine.live_topology();
-        self.engine = DynamicInterference::from_topology(&t);
-        // live_topology compacts in ascending slot order, which is
-        // exactly the order of live_ids — so dense ids 0..live map
-        // one-to-one onto the old list and pick resolution is unchanged.
-        self.live_ids = (0..self.engine.len() as u32).collect();
-        let mut grid = LiveGrid::new(self.cfg.side(), self.cfg.n0);
-        for &v in &self.live_ids {
-            grid.insert(v, self.engine.position(v as usize));
-        }
-        self.grid = grid;
+        self.engine = self.engine.compacted();
+        // Compaction keeps ascending slot order, which is exactly the
+        // order of live_ids — so dense ids 0..live map one-to-one onto
+        // the old list and pick resolution is unchanged.
+        self.live_ids.clear();
+        self.live_ids.extend(0..self.engine.len() as u32);
     }
 }
 

@@ -24,9 +24,11 @@
 //! counters), and nothing derivable (coverage counts, histogram, grid,
 //! live-id list, edge weights — all recomputed on restore from the
 //! fields above). A flipped bit anywhere fails the checksum; a
-//! structurally invalid body that somehow passes fails the engine's
-//! own [`rim_core::DynamicInterference::from_state`] validation.
-//! Decode never panics.
+//! structurally invalid body with a valid checksum fails the decoder's
+//! own checks (node and edge counts must fit in the bytes that follow,
+//! `fixed_radii` must be 0 — churn radii are link-derived) or the
+//! engine's [`rim_core::DynamicInterference::from_state`] validation.
+//! Decode never panics and never allocates more than the file holds.
 
 use crate::sim::{ChurnSim, OpCounts};
 use crate::trace::{ChurnConfig, ChurnTrace, Family};
@@ -135,14 +137,27 @@ impl<'a> Rd<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
-    /// A `u64` count that must fit comfortably in memory (guards against
-    /// a corrupted length field allocating gigabytes before the
-    /// checksum... which is why the checksum is verified *first*; this
-    /// is defense in depth).
+    /// A `u64` count that must fit comfortably in memory. (The checksum
+    /// is verified first, but a file can carry a valid checksum over any
+    /// body, so counts are checked on their own.)
     fn count(&mut self, what: &str) -> Result<usize, String> {
         let v = self.u64()?;
         if v > (1 << 32) {
             return Err(format!("implausible {what} count {v}"));
+        }
+        Ok(v as usize)
+    }
+
+    /// A count of records `bytes_each` long that must follow: it may not
+    /// exceed what the rest of the body can hold, so no count can
+    /// preallocate more memory than the file itself occupies.
+    fn records(&mut self, what: &str, bytes_each: usize) -> Result<usize, String> {
+        let v = self.u64()?;
+        let room = self.b.len().saturating_sub(self.at) / bytes_each;
+        if v > room as u64 {
+            return Err(format!(
+                "snapshot declares {v} {what}s but the rest of the body holds at most {room}"
+            ));
         }
         Ok(v as usize)
     }
@@ -189,7 +204,8 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<ChurnSim, String> {
     counts.links_added = rd.u64()?;
     counts.links_removed = rd.u64()?;
     counts.compactions = rd.u64()?;
-    let n = rd.count("node")?;
+    // Per node: a position (16 bytes), a radius (8) and a liveness byte.
+    let n = rd.records("node", 25)?;
     let mut points = Vec::with_capacity(n);
     for _ in 0..n {
         let (x, y) = (rd.f64()?, rd.f64()?);
@@ -203,7 +219,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<ChurnSim, String> {
     for _ in 0..n {
         alive.push(rd.u8()? != 0);
     }
-    let m = rd.count("edge")?;
+    let m = rd.records("edge", 8)?;
     let mut edges = Vec::with_capacity(m);
     for _ in 0..m {
         let (u, v) = (rd.u32()?, rd.u32()?);
@@ -211,7 +227,9 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<ChurnSim, String> {
     }
     let indexed_len = rd.count("indexed prefix")?;
     let radius_bound = rd.f64()?;
-    let fixed_radii = rd.u8()? != 0;
+    if rd.u8()? != 0 {
+        return Err("physical-mode engine state: churn radii are link-derived".to_string());
+    }
     if rd.at != body.len() {
         return Err(format!(
             "{} trailing bytes after the engine state",
@@ -225,7 +243,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<ChurnSim, String> {
         edges,
         indexed_len,
         radius_bound,
-        fixed_radii,
+        fixed_radii: false,
     })?;
     if engine.live_count() as u64 != live {
         return Err(format!(

@@ -10,6 +10,7 @@
 //! pending-overlay boundary, and the RNG stream position).
 
 use rim_churn::{decode_snapshot, encode_snapshot, ChurnConfig, ChurnSim, Family};
+use rim_core::receiver::interference_vector_naive;
 use rim_rng::prop::check;
 use rim_rng::{prop_ensure, prop_ensure_eq, SmallRng};
 
@@ -112,5 +113,192 @@ fn snapshots_at_every_early_edit_decode() {
         if s.step().is_none() {
             break;
         }
+    }
+}
+
+/// FNV-1a 64-bit, the snapshot trailer's checksum.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// One way to damage a snapshot.
+#[derive(Debug)]
+enum Damage {
+    /// Flip one bit anywhere, trailer included.
+    Flip { at: usize, bit: u8 },
+    /// Keep only the first `len` bytes.
+    Truncate { len: usize },
+    /// Append bytes after the trailer.
+    Append { bytes: Vec<u8> },
+    /// Overwrite body bytes from `at` and recompute the checksum, so the
+    /// decoder's structural checks and the engine's `from_state`
+    /// validation are what must catch it.
+    Body { at: usize, bytes: Vec<u8> },
+}
+
+/// Adversarial 8-byte values: zero, all ones, the count bounds, and
+/// floats that break naive arithmetic.
+const NASTY: [u64; 10] = [
+    0,
+    u64::MAX,
+    1 << 32,
+    (1 << 32) + 1,
+    1 << 63,
+    1,
+    0x7ff8_0000_0000_0000, // NaN
+    0x7ff0_0000_0000_0000, // +inf
+    0x8000_0000_0000_0000, // -0.0
+    0x7e37_e43c_8800_759c, // 1e300
+];
+
+#[derive(Debug)]
+struct Damaged {
+    cfg: ChurnConfig,
+    edits: u64,
+    damage: Vec<Damage>,
+}
+
+/// Byte offsets of the engine-state fields of a snapshot with `n` slots
+/// and `m` edges: the node count, a slot's x, radius and liveness, the
+/// edge count, an edge endpoint, `indexed_len`, `radius_bound` and the
+/// `fixed_radii` byte.
+fn field_offsets(n: usize, m: usize, slot: usize, edge: usize) -> [usize; 9] {
+    let nodes = 8 + 1 + 16 + 32 + 17 + 64; // header up to the node count
+    let after_nodes = nodes + 8 + 25 * n;
+    let after_edges = after_nodes + 8 + 8 * m;
+    [
+        nodes,
+        nodes + 8 + 16 * slot,
+        nodes + 8 + 16 * n + 8 * slot,
+        nodes + 8 + 24 * n + slot,
+        after_nodes,
+        after_nodes + 8 + 8 * edge,
+        after_edges,
+        after_edges + 8,
+        after_edges + 16,
+    ]
+}
+
+fn gen_damaged(rng: &mut SmallRng) -> Damaged {
+    let cfg = ChurnConfig {
+        family: Family::ALL[rng.gen_range(0usize..Family::ALL.len())],
+        n0: rng.gen_range(2usize..48),
+        seed: rng.next_u64(),
+    };
+    let edits = rng.gen_range(0u64..700);
+    let sim = sim_after(cfg, edits);
+    let len = encode_snapshot(&sim).len();
+    let (n, m) = (sim.engine().len(), sim.engine().graph().num_edges());
+    let mut damage = Vec::new();
+    for _ in 0..rng.gen_range(1usize..4) {
+        damage.push(match rng.gen_range(0u32..6) {
+            0 => Damage::Flip { at: rng.gen_range(0..len), bit: rng.gen_range(0u32..8) as u8 },
+            1 => Damage::Truncate { len: rng.gen_range(0..len) },
+            2 => Damage::Append {
+                bytes: (0..rng.gen_range(1usize..40)).map(|_| rng.next_u64() as u8).collect(),
+            },
+            3 => Damage::Body {
+                at: rng.gen_range(0..len - 8),
+                bytes: vec![rng.next_u64() as u8],
+            },
+            _ => {
+                let slot = rng.gen_range(0..n.max(1));
+                let edge = rng.gen_range(0..m.max(1));
+                let fields = field_offsets(n, m, slot, edge);
+                let at = fields[rng.gen_range(0..fields.len())];
+                let value = if rng.gen_bool(0.5) {
+                    NASTY[rng.gen_range(0..NASTY.len())]
+                } else {
+                    rng.next_u64() >> rng.gen_range(0u32..64)
+                };
+                Damage::Body { at, bytes: value.to_le_bytes().to_vec() }
+            }
+        });
+    }
+    Damaged { cfg, edits, damage }
+}
+
+fn sim_after(cfg: ChurnConfig, edits: u64) -> ChurnSim {
+    let mut sim = ChurnSim::new(cfg, edits);
+    sim.run_to_end();
+    sim
+}
+
+/// Applies `d` to `bytes`.
+fn damage(mut bytes: Vec<u8>, d: &Damage) -> Vec<u8> {
+    match d {
+        Damage::Flip { at, bit } => {
+            if let Some(b) = bytes.get_mut(*at) {
+                *b ^= 1 << bit;
+            }
+        }
+        Damage::Truncate { len } => bytes.truncate(*len),
+        Damage::Append { bytes: extra } => bytes.extend_from_slice(extra),
+        Damage::Body { at, bytes: patch } => {
+            let body = bytes.len().saturating_sub(8);
+            for (i, &b) in patch.iter().enumerate() {
+                if at + i < body {
+                    bytes[at + i] = b;
+                }
+            }
+            let sum = fnv1a64(&bytes[..body]);
+            bytes.truncate(body);
+            bytes.extend_from_slice(&sum.to_le_bytes());
+        }
+    }
+    bytes
+}
+
+#[test]
+fn damaged_snapshots_fail_cleanly_or_restore_a_consistent_sim() {
+    // Every damaged snapshot must either be rejected with an error or
+    // restore a sim whose maintained counts equal the naive oracle over
+    // its live topology. A panic or an abort fails the test.
+    let mut rejected = 0;
+    check(
+        "damaged_snapshots_fail_cleanly_or_restore_a_consistent_sim",
+        384,
+        gen_damaged,
+        |case| {
+            let mut bytes = encode_snapshot(&sim_after(case.cfg, case.edits));
+            for d in &case.damage {
+                bytes = damage(bytes, d);
+            }
+            let Ok(sim) = decode_snapshot(&bytes) else {
+                rejected += 1;
+                return Ok(());
+            };
+            let (t, slots) = sim.engine().live_topology();
+            let want = interference_vector_naive(&t);
+            let got: Vec<usize> = slots.iter().map(|&v| sim.engine().interference_at(v)).collect();
+            prop_ensure_eq!(got, want);
+            prop_ensure_eq!(sim.live_count(), slots.len());
+            Ok(())
+        },
+    );
+    // Most damage must be caught; a few body patches land on fields any
+    // value is valid for (seeds, counters, trace position).
+    assert!(rejected > 300, "only {rejected} of 384 damaged snapshots were rejected");
+}
+
+#[test]
+fn oversized_counts_are_rejected_before_allocating() {
+    // A node or edge count far beyond the file's size, with a valid
+    // checksum, must be an error — not a multi-gigabyte allocation.
+    let sim = sim_after(ChurnConfig { family: Family::Uniform, n0: 16, seed: 3 }, 200);
+    let bytes = encode_snapshot(&sim);
+    let (n, m) = (sim.engine().len(), sim.engine().graph().num_edges());
+    let [nodes, .., edges_at, _, _, _, _] = field_offsets(n, m, 0, 0);
+    let patches = [(nodes, 1u64 << 32), (nodes, n as u64 + 1), (edges_at, 1 << 32), (edges_at, m as u64 + 1)];
+    for (at, value) in patches {
+        let bad = damage(bytes.clone(), &Damage::Body { at, bytes: value.to_le_bytes().to_vec() });
+        let err = decode_snapshot(&bad).err();
+        let err = err.unwrap_or_else(|| panic!("count {value} at {at} decoded"));
+        assert!(!err.contains("checksum"), "the checksum was recomputed: {err}");
     }
 }

@@ -700,3 +700,41 @@ fn churn_rejects_bad_specs_and_corrupt_snapshots() {
     let out = rim().arg("churn").arg("--resume").arg(&snap).output().unwrap();
     assert!(!out.status.success(), "corrupt snapshot must be rejected");
 }
+
+#[test]
+fn churn_rejects_snapshots_with_oversized_counts() {
+    // A RIMCHRN1 file whose node or edge count is patched to 2^32, with
+    // the FNV-1a trailer recomputed, must exit 2 with an error line —
+    // not abort on a 64 GiB allocation.
+    let dir = tmp_dir("churn_counts");
+    let snap = dir.join("s.bin");
+    let out = rim()
+        .args(["churn", "--trace", "uniform:16", "--edits", "100", "--seed", "5", "--snapshot"])
+        .arg(&snap)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let good = std::fs::read(&snap).unwrap();
+    let count_at = |at: usize| u64::from_le_bytes(good[at..at + 8].try_into().unwrap()) as usize;
+    // The node count follows the 138-byte header; the edge count follows
+    // 25 bytes per node.
+    let nodes_at = 138;
+    let edges_at = nodes_at + 8 + 25 * count_at(nodes_at);
+    for at in [nodes_at, edges_at] {
+        let mut bad = good.clone();
+        bad[at..at + 8].copy_from_slice(&(1u64 << 32).to_le_bytes());
+        let body = bad.len() - 8;
+        let mut sum = 0xcbf2_9ce4_8422_2325u64;
+        for &b in &bad[..body] {
+            sum = (sum ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        bad[body..].copy_from_slice(&sum.to_le_bytes());
+        let patched = dir.join(format!("patched_{at}.bin"));
+        std::fs::write(&patched, &bad).unwrap();
+        let out = rim().arg("churn").arg("--resume").arg(&patched).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "count patched at byte {at}: {err}");
+        assert!(err.starts_with("error:"), "{err}");
+        assert!(err.contains("4294967296"), "{err}");
+    }
+}

@@ -19,12 +19,16 @@
 //! * `I(G') = max_v I(v)` is answered in `O(1)` from a frequency
 //!   histogram over the coverage counts, maintained at every ±1 change.
 //!
-//! The index is rebuilt lazily: newly inserted nodes accumulate in a
-//! small `pending` overlay that queries scan linearly, and once the
-//! overlay outgrows a fraction of the indexed set the index is rebuilt in
-//! one `O(n)` pass — classic amortization, no query ever misses a node.
-//! The equivalence with the batch [`crate::receiver`] kernels is
-//! property-tested, including full edit-trace replays.
+//! The index is a [`DynGrid`], rebuilt lazily: newly inserted nodes
+//! accumulate in its pending overlay, bucketed into the cells of the last
+//! build, so a query reads only the overlay entries of the cells it
+//! scans. Once the overlay outgrows a fraction of the merged set the grid
+//! is rebuilt in one `O(n)` pass — classic amortization, no query ever
+//! misses a node. The same grid answers
+//! [`DynamicInterference::nearest_live_k`], the nearest-live-node query
+//! of the churn simulator. The equivalence with the batch
+//! [`crate::receiver`] kernels is property-tested, including full
+//! edit-trace replays.
 //!
 //! **Physical (fixed-radii) mode.** Under the SINR model a node's
 //! coverage radius `ρ_u` comes from its transmit power, not from its
@@ -34,7 +38,7 @@
 //! same symmetric-difference patch with `new_r = old_r`, which reduces
 //! to a pure gating patch over the fixed disk.
 
-use rim_geom::{Point, SpatialIndex};
+use rim_geom::{DynGrid, Point};
 use rim_graph::AdjacencyList;
 use rim_udg::{NodeSet, Topology};
 
@@ -48,8 +52,8 @@ pub struct DynamicInterference {
     /// Liveness per slot. Departed nodes are tombstoned — the slot keeps
     /// its position (ids stay stable, the spatial index never needs a
     /// deletion path) but is dead: it accepts no edges, receives no
-    /// coverage, and leaves the histogram. Long-churn callers compact by
-    /// rebuilding from [`DynamicInterference::live_topology`].
+    /// coverage, and leaves the histogram. Long-churn callers compact
+    /// with [`DynamicInterference::compacted`].
     alive: Vec<bool>,
     /// Number of live slots (`alive.iter().filter(|a| **a).count()`).
     live: usize,
@@ -57,14 +61,11 @@ pub struct DynamicInterference {
     /// coverage update — needed to patch coverage when a node's degree
     /// crosses zero without its radius changing (zero-length links).
     was_transmitting: Vec<bool>,
-    /// Spatial index over `points[..indexed_len]`; nodes inserted since
-    /// the last rebuild live in the pending overlay `indexed_len..n`.
-    index: SpatialIndex,
-    indexed_len: usize,
-    /// `freq[c]` = number of nodes with coverage count `c`; `cur_max` is
-    /// the largest `c` with `freq[c] > 0` (0 when all counts are 0).
-    freq: Vec<u32>,
-    cur_max: usize,
+    /// Grid over every slot: `points[..grid.merged_len()]` in its SoA
+    /// base, the nodes inserted since the last rebuild in its overlay.
+    grid: DynGrid,
+    /// Histogram of the live coverage counts.
+    hist: CoverageHistogram,
     /// Monotone upper bound on every current radius, used to bound the
     /// candidate search of [`DynamicInterference::insert_node`]. Radius
     /// shrinkage only loosens the bound (still correct, just a wider
@@ -81,7 +82,7 @@ impl DynamicInterference {
     pub fn new(nodes: NodeSet) -> Self {
         let n = nodes.len();
         let points = nodes.points().to_vec();
-        let index = SpatialIndex::build(&points, initial_cell_hint(&points));
+        let grid = DynGrid::build(&points, initial_cell_hint(&points));
         DynamicInterference {
             points,
             graph: AdjacencyList::new(n),
@@ -90,10 +91,8 @@ impl DynamicInterference {
             alive: vec![true; n],
             live: n,
             was_transmitting: vec![false; n],
-            index,
-            indexed_len: n,
-            freq: vec![n as u32],
-            cur_max: 0,
+            grid,
+            hist: CoverageHistogram { freq: vec![n as u32], max: 0 },
             radius_bound: 0.0,
             fixed_radii: false,
         }
@@ -153,10 +152,10 @@ impl DynamicInterference {
         self.points.is_empty()
     }
 
-    /// Whether slot `v` holds a live (non-departed) node.
-    // rim-lint: allow(panic-freedom) — node ids are caller-validated against the structure
+    /// Whether slot `v` holds a live (non-departed) node; `false` past
+    /// the last slot.
     pub fn is_live(&self, v: usize) -> bool {
-        self.alive[v]
+        self.alive.get(v).copied().unwrap_or(false)
     }
 
     /// Number of live nodes: [`DynamicInterference::len`] minus
@@ -173,7 +172,7 @@ impl DynamicInterference {
     /// Current graph interference `I(G')`, answered in `O(1)` from the
     /// maintained coverage-count histogram.
     pub fn graph_interference(&self) -> usize {
-        self.cur_max
+        self.hist.max
     }
 
     /// The maintained coverage-count histogram: entry `c` is the number
@@ -181,7 +180,7 @@ impl DynamicInterference {
     /// trailing zero entries leak representation details (the internal
     /// vector only ever grows). Departed nodes are not counted.
     pub fn coverage_histogram(&self) -> Vec<u32> {
-        let mut h = self.freq.clone();
+        let mut h = self.hist.freq.clone();
         while h.len() > 1 && h.last() == Some(&0) {
             h.pop();
         }
@@ -235,6 +234,65 @@ impl DynamicInterference {
         (Topology::from_graph(NodeSet::new(pts), g), slots)
     }
 
+    /// The live state re-packed as a fresh structure over dense slot ids
+    /// `0..live_count()`, in ascending slot order — how long-churn callers
+    /// drop tombstones. It is built in one pass: every slot merged into
+    /// one grid build, edges renamed list by list, each radius carried
+    /// over (a link-derived radius is the longest incident link), the
+    /// radius bound set to the largest radius, and coverage recomputed
+    /// with one disk query per transmitter. In link mode that is exactly
+    /// the state `from_topology(&self.live_topology().0)` reaches by
+    /// replaying every edge through two disk queries.
+    // rim-lint: allow(panic-freedom) — dense[] covers every slot; edges connect live slots
+    pub fn compacted(&self) -> Self {
+        let mut dense = vec![u32::MAX; self.len()];
+        let mut points = Vec::with_capacity(self.live);
+        let mut radii = Vec::with_capacity(self.live);
+        for v in (0..self.len()).filter(|&v| self.alive[v]) {
+            dense[v] = points.len() as u32;
+            points.push(self.points[v]);
+            radii.push(self.radii[v]);
+        }
+        // Renaming keeps slot order, so every list stays sorted and the
+        // lists stay symmetric.
+        let lists: Vec<Vec<(u32, f64)>> = (0..self.len())
+            .filter(|&v| self.alive[v])
+            .map(|v| {
+                self.graph
+                    .neighbors_weighted(v)
+                    .map(|(w, weight)| (dense[w], weight))
+                    .collect()
+            })
+            .collect();
+        let graph = AdjacencyList::from_sorted_symmetric_lists(lists);
+        let radius_bound = radii.iter().copied().fold(0.0, f64::max);
+        let n = points.len();
+        Self::assemble(points, graph, radii, vec![true; n], n, radius_bound, self.fixed_radii)
+    }
+
+    /// Writes to `out` the `k` live slots nearest to `p`, leaving out
+    /// `exclude`, ascending by `(dist, id)` with `dist` the
+    /// [`Point::dist`] value — a total order, so the answer does not
+    /// depend on the grid's history. Pending slots are found in the
+    /// overlay; dead slots are skipped. Fewer than `k` entries come back
+    /// when fewer live slots qualify. `out` is a caller-owned buffer, so
+    /// a query allocates nothing once it has held `k` entries.
+    pub fn nearest_live_k(
+        &self,
+        p: Point,
+        k: usize,
+        exclude: Option<usize>,
+        out: &mut Vec<(f64, usize)>,
+    ) {
+        let alive = &self.alive;
+        self.grid.nearest_k_where(
+            p,
+            k,
+            |id| Some(id) != exclude && alive.get(id).copied().unwrap_or(false),
+            out,
+        );
+    }
+
     /// Inserts `{u, v}`; returns `false` if the edge already existed or
     /// either endpoint has departed. Costs one disk query per endpoint
     /// whose radius (or transmit status) changed — `O(affected)`.
@@ -285,26 +343,28 @@ impl DynamicInterference {
     /// candidates within the current maximum radius, via the index) and,
     /// being isolated, contributes nothing itself until an edge arrives.
     /// The spatial index absorbs the node lazily — see the module docs.
+    // rim-lint: allow(panic-freedom) — grid ids index the per-slot vectors, which grow in lockstep with it
     pub fn insert_node(&mut self, p: Point) -> usize {
         assert!(p.is_finite(), "node positions must be finite");
         rim_obs::counter_add("dynamic.node_inserts", 1);
+        // Coverage received by the newcomer: every transmitter whose disk
+        // reaches p. Candidates are bounded by the maintained radius bound.
+        let (radii, transmitting) = (&self.radii, &self.was_transmitting);
+        let mut covered_by = 0u32;
+        self.grid.for_each_within(p, self.radius_bound, |u, d| {
+            if transmitting[u] && d <= radii[u] {
+                covered_by += 1;
+            }
+        });
         let v = self.graph.add_vertex();
         self.points.push(p);
+        self.grid.push_overlay(p);
         self.radii.push(0.0);
         self.alive.push(true);
         self.live += 1;
         self.was_transmitting.push(false);
-        // Coverage received by the newcomer: every transmitter whose disk
-        // reaches p. Candidates are bounded by the maintained radius bound.
-        let r_max = self.radius_bound;
-        let mut covered_by = 0u32;
-        self.for_each_candidate(p, r_max, |u, d| {
-            if u != v && self.was_transmitting[u] && d <= self.radii[u] {
-                covered_by += 1;
-            }
-        });
         self.cov.push(covered_by);
-        self.histogram_add(covered_by as usize);
+        self.hist.enter(covered_by as usize);
         self.maybe_rebuild_index();
         v
     }
@@ -342,45 +402,30 @@ impl DynamicInterference {
             return false;
         }
         rim_obs::counter_add("dynamic.node_removes", 1);
-        let nbrs: Vec<usize> = self.graph.neighbors(v).collect();
-        for w in nbrs {
+        // Neighbor lists are sorted, so unlinking the first neighbor until
+        // none is left drops the edges in ascending order.
+        loop {
+            let Some(w) = self.graph.neighbors(v).next() else { break };
             self.remove_edge(v, w);
         }
         // v is now silent (degree 0 ⇒ not transmitting); what remains is
         // the coverage it was *receiving*, which leaves the histogram
         // with the node.
-        let c = self.cov[v] as usize;
-        self.histogram_remove(c);
+        self.hist.leave(self.cov[v] as usize);
         self.cov[v] = 0;
         self.alive[v] = false;
         self.live -= 1;
         true
     }
 
-    /// Calls `f(u, dist(points[u], c))` for every node within distance
-    /// `r` of `c`: indexed nodes via one disk query, pending nodes via a
-    /// linear scan of the (small, amortized) overlay.
-    fn for_each_candidate<F: FnMut(usize, f64)>(&self, c: Point, r: f64, mut f: F) {
-        self.index
-            .for_each_in_disk(c, r, |u| f(u, self.points[u].dist(&c)));
-        for u in self.indexed_len..self.points.len() {
-            let d = self.points[u].dist(&c);
-            if d <= r {
-                f(u, d);
-            }
-        }
-    }
-
-    /// Rebuilds the spatial index once the pending overlay outgrows half
-    /// the indexed set (with a constant floor so small structures never
+    /// Rebuilds the grid once the pending overlay outgrows half the
+    /// merged set (with a constant floor so small structures never
     /// rebuild): `O(n)` per rebuild, amortized `O(1)` per insertion.
-    // rim-lint: allow(panic-freedom) — indexed_len <= points.len() by construction
     fn maybe_rebuild_index(&mut self) {
-        let pending = self.points.len() - self.indexed_len;
-        if pending > (self.indexed_len / 2).max(64) {
+        let merged = self.grid.merged_len();
+        if self.points.len().saturating_sub(merged) > (merged / 2).max(64) {
             rim_obs::counter_add("dynamic.index_rebuilds", 1);
-            self.index = SpatialIndex::build(&self.points, initial_cell_hint(&self.points));
-            self.indexed_len = self.points.len();
+            self.grid = DynGrid::build(&self.points, initial_cell_hint(&self.points));
             // Re-tighten the radius bound to the exact maximum while we
             // are paying O(n) anyway.
             self.radius_bound = self
@@ -389,47 +434,6 @@ impl DynamicInterference {
                 .copied()
                 .max_by(f64::total_cmp)
                 .unwrap_or(0.0);
-        }
-    }
-
-    /// Moves one node's coverage count from `old` to `new` in the
-    /// histogram, keeping `cur_max` exact in amortized `O(1)`.
-    // rim-lint: allow(panic-freedom) — `old` was previously added, so freq[old] exists; `new` is resized in
-    fn histogram_move(&mut self, old: usize, new: usize) {
-        self.freq[old] -= 1;
-        if new >= self.freq.len() {
-            self.freq.resize(new + 1, 0);
-        }
-        self.freq[new] += 1;
-        if new > self.cur_max {
-            self.cur_max = new;
-        } else if old == self.cur_max && self.freq[old] == 0 {
-            while self.cur_max > 0 && self.freq[self.cur_max] == 0 {
-                self.cur_max -= 1;
-            }
-        }
-    }
-
-    /// Retires a node leaving the histogram at count `c` (departures).
-    // rim-lint: allow(panic-freedom) — `c` was previously added, so freq[c] exists and is > 0
-    fn histogram_remove(&mut self, c: usize) {
-        self.freq[c] -= 1;
-        if c == self.cur_max && self.freq[c] == 0 {
-            while self.cur_max > 0 && self.freq[self.cur_max] == 0 {
-                self.cur_max -= 1;
-            }
-        }
-    }
-
-    /// Registers a fresh node entering the histogram at count `c`.
-    // rim-lint: allow(panic-freedom) — freq is resized to cover `c` before indexing
-    fn histogram_add(&mut self, c: usize) {
-        if c >= self.freq.len() {
-            self.freq.resize(c + 1, 0);
-        }
-        self.freq[c] += 1;
-        if c > self.cur_max {
-            self.cur_max = c;
         }
     }
 
@@ -462,30 +466,32 @@ impl DynamicInterference {
             (false, true) => new_r,
             (false, false) => return, // silent before and after: no disk at all
         };
-        let mut deltas: Vec<(usize, usize, usize)> = Vec::new();
-        let mut affected = 0u64;
-        self.for_each_candidate(pu, query_r, |w, d| {
-            if w == u || !self.alive[w] {
+        // Counts are patched in place as the query visits them: each node
+        // is visited once, and the histogram maximum is exact after every
+        // single move, so the result does not depend on visit order.
+        let (cov, alive, hist) = (&mut self.cov, &self.alive, &mut self.hist);
+        let (mut affected, mut patched) = (0u64, 0u64);
+        self.grid.for_each_within(pu, query_r, |w, d| {
+            if w == u || !alive[w] {
                 return; // dead slots receive no coverage
             }
             affected += 1;
             let before = was_tx && d <= old_r;
             let after = is_tx && d <= new_r;
             if before != after {
-                let old_c = self.cov[w] as usize;
+                let old_c = cov[w] as usize;
                 let new_c = if after { old_c + 1 } else { old_c - 1 };
-                deltas.push((w, old_c, new_c));
+                cov[w] = new_c as u32;
+                hist.enter(new_c);
+                hist.leave(old_c);
+                patched += 1;
             }
         });
         if rim_obs::active() {
             // affected = candidates the symmetric-difference query visited;
             // patch_size = nodes whose coverage actually changed.
             rim_obs::record("dynamic.affected_candidates", affected);
-            rim_obs::record("dynamic.patch_size", deltas.len() as u64);
-        }
-        for (w, old_c, new_c) in deltas {
-            self.cov[w] = new_c as u32;
-            self.histogram_move(old_c, new_c);
+            rim_obs::record("dynamic.patch_size", patched);
         }
     }
 
@@ -493,11 +499,11 @@ impl DynamicInterference {
     /// complete: [`DynamicInterference::from_state`] rebuilds a structure
     /// whose observable behavior — counts, histogram, `I(G')`, *and* the
     /// amortization schedule of future edits — is bit-identical to this
-    /// one's. `indexed_len` pins the spatial index's era (the pending
-    /// overlay is exactly the slots past it) and `radius_bound` the
-    /// monotone candidate bound; everything else (coverage counts,
-    /// histogram, transmit gating, edge weights) is derivable and is
-    /// recomputed on restore.
+    /// one's. `indexed_len` pins the grid's era (the pending overlay is
+    /// exactly the slots past it) and `radius_bound` the monotone
+    /// candidate bound; everything else (coverage counts, histogram,
+    /// transmit gating, edge weights) is derivable and is recomputed on
+    /// restore.
     pub fn export_state(&self) -> DynState {
         DynState {
             points: self.points.clone(),
@@ -509,7 +515,7 @@ impl DynamicInterference {
                 .iter()
                 .map(|e| (e.u as u32, e.v as u32))
                 .collect(),
-            indexed_len: self.indexed_len,
+            indexed_len: self.grid.merged_len(),
             radius_bound: self.radius_bound,
             fixed_radii: self.fixed_radii,
         }
@@ -517,14 +523,16 @@ impl DynamicInterference {
 
     /// Rebuilds a structure from a previously exported [`DynState`],
     /// validating every field (a corrupted snapshot yields an error, not
-    /// a panic or a silently wrong structure).
+    /// a panic or a silently wrong structure). In link mode every radius
+    /// must be bit-equal to its slot's longest link (0 without links),
+    /// the invariant the edge updates maintain.
     ///
-    /// Restoration is exact because the spatial index is a pure function
-    /// of `points[..indexed_len]` — positions are never mutated in
-    /// place, only appended (mobility is modeled as depart + arrive) —
-    /// so rebuilding it over that prefix reproduces the original
-    /// bit-for-bit, pending overlay included. Coverage counts are
-    /// recomputed from the same predicate the incremental patches
+    /// Restoration is exact because the grid is a pure function of
+    /// `points[..indexed_len]` and the arrival order of the rest —
+    /// positions are never mutated in place, only appended (mobility is
+    /// modeled as depart + arrive) — so rebuilding it over that prefix
+    /// and replaying the overlay reproduces the original. Coverage counts
+    /// are recomputed from the same predicate the incremental patches
     /// maintain, which the differential tests pin equal.
     // rim-lint: allow(panic-freedom) — every index below is validated before use
     pub fn from_state(s: DynState) -> Result<Self, String> {
@@ -570,46 +578,106 @@ impl DynamicInterference {
                 return Err(format!("duplicate edge ({u}, {v})"));
             }
         }
-        let index = SpatialIndex::build(
-            &s.points[..s.indexed_len],
-            initial_cell_hint(&s.points[..s.indexed_len]),
-        );
-        let live = s.alive.iter().filter(|&&a| a).count();
-        let was_transmitting: Vec<bool> = (0..n).map(|u| s.alive[u] && graph.degree(u) > 0).collect();
-        let mut d = DynamicInterference {
-            points: s.points,
-            graph,
-            radii: s.radii,
-            cov: vec![0; n],
-            alive: s.alive,
-            live,
-            was_transmitting,
-            index,
-            indexed_len: s.indexed_len,
-            freq: vec![0],
-            cur_max: 0,
-            radius_bound: s.radius_bound,
-            fixed_radii: s.fixed_radii,
-        };
-        let mut cov = vec![0u32; n];
-        for u in 0..n {
-            if !d.was_transmitting[u] {
-                continue;
+        if !s.fixed_radii {
+            for (u, &r) in s.radii.iter().enumerate() {
+                let longest = graph.max_incident_weight(u).unwrap_or(0.0);
+                if r.to_bits() != longest.to_bits() {
+                    return Err(format!("radius {r} of slot {u} is not its longest link {longest}"));
+                }
             }
-            let (pu, ru) = (d.points[u], d.radii[u]);
-            d.for_each_candidate(pu, ru, |w, dist| {
-                if w != u && d.alive[w] && dist <= ru {
+        }
+        Ok(Self::assemble(
+            s.points,
+            graph,
+            s.radii,
+            s.alive,
+            s.indexed_len,
+            s.radius_bound,
+            s.fixed_radii,
+        ))
+    }
+
+    /// The structure over already-consistent parts: the grid over
+    /// `points[..indexed_len]` with the rest replayed into its overlay,
+    /// and coverage from one disk query per transmitter — the counting
+    /// rule the incremental patches maintain.
+    // rim-lint: allow(panic-freedom) — callers pass per-slot vectors of one length and indexed_len <= points.len(); grid ids are slots
+    fn assemble(
+        points: Vec<Point>,
+        graph: AdjacencyList,
+        radii: Vec<f64>,
+        alive: Vec<bool>,
+        indexed_len: usize,
+        radius_bound: f64,
+        fixed_radii: bool,
+    ) -> Self {
+        let n = points.len();
+        let merged = &points[..indexed_len];
+        let mut grid = DynGrid::build(merged, initial_cell_hint(merged));
+        for &p in &points[indexed_len..] {
+            grid.push_overlay(p);
+        }
+        let was_transmitting: Vec<bool> = (0..n).map(|u| alive[u] && graph.degree(u) > 0).collect();
+        let mut cov = vec![0u32; n];
+        for u in (0..n).filter(|&u| was_transmitting[u]) {
+            grid.for_each_within(points[u], radii[u], |w, _| {
+                if w != u && alive[w] {
                     cov[w] += 1;
                 }
             });
         }
-        d.cov = cov;
-        for v in 0..n {
-            if d.alive[v] {
-                d.histogram_add(d.cov[v] as usize);
+        let mut hist = CoverageHistogram { freq: vec![0], max: 0 };
+        for v in (0..n).filter(|&v| alive[v]) {
+            hist.enter(cov[v] as usize);
+        }
+        DynamicInterference {
+            live: alive.iter().filter(|&&a| a).count(),
+            points,
+            graph,
+            radii,
+            cov,
+            alive,
+            was_transmitting,
+            grid,
+            hist,
+            radius_bound,
+            fixed_radii,
+        }
+    }
+}
+
+/// Frequency histogram of the live coverage counts: `freq[c]` live nodes
+/// have count `c`, and `max` is the largest `c` with `freq[c] > 0` (0 when
+/// every count is 0). `max` is exact after every single update, so a
+/// batch of updates ends in the same state in any order. A count moving
+/// from `old` to `new` is `enter(new)` then `leave(old)`: amortized
+/// `O(1)`, since `max` only walks down past counts that just emptied.
+#[derive(Debug, Clone)]
+struct CoverageHistogram {
+    freq: Vec<u32>,
+    max: usize,
+}
+
+impl CoverageHistogram {
+    /// Counts a node at coverage `c`.
+    // rim-lint: allow(panic-freedom) — freq is resized to cover `c` before indexing
+    fn enter(&mut self, c: usize) {
+        if c >= self.freq.len() {
+            self.freq.resize(c + 1, 0);
+        }
+        self.freq[c] += 1;
+        self.max = self.max.max(c);
+    }
+
+    /// Uncounts a node at coverage `c`, which must have entered.
+    // rim-lint: allow(panic-freedom) — `c` entered before, so freq[c] exists and is > 0
+    fn leave(&mut self, c: usize) {
+        self.freq[c] -= 1;
+        if c == self.max {
+            while self.max > 0 && self.freq[self.max] == 0 {
+                self.max -= 1;
             }
         }
-        Ok(d)
     }
 }
 
@@ -991,10 +1059,20 @@ mod tests {
         bad.radii[0] = -1.0;
         assert!(DynamicInterference::from_state(bad).is_err(), "negative radius");
 
-        let mut bad = good;
+        let mut bad = good.clone();
         bad.radius_bound = 0.0; // below the surviving radius
         bad.radii[0] = 0.5;
         assert!(DynamicInterference::from_state(bad).is_err(), "bound below max radius");
+
+        let mut bad = good;
+        bad.radii[0] = 0.25; // within the bound, but slot 0 has no link
+        assert!(DynamicInterference::from_state(bad).is_err(), "radius without a link");
+
+        let mut linked = DynamicInterference::new(NodeSet::on_line(&[0.0, 0.4, 0.5]));
+        linked.insert_edge(0, 1);
+        let mut bad = linked.export_state();
+        bad.radii[0] = 0.3;
+        assert!(DynamicInterference::from_state(bad).is_err(), "radius below the longest link");
     }
 
     #[test]
@@ -1014,6 +1092,152 @@ mod tests {
         let r = DynamicInterference::from_state(s).expect("physical state restores");
         assert!(r.is_physical());
         assert_eq!(r.live_count(), 2);
+    }
+
+    /// Six points: a duplicate pair (slots 2 and 3) and one far from the
+    /// rest.
+    fn knn_points() -> Vec<Point> {
+        vec![
+            Point::new(0.1, 0.1),
+            Point::new(0.9, 0.9),
+            Point::new(0.5, 0.52),
+            Point::new(0.5, 0.52),
+            Point::new(0.52, 0.5),
+            Point::new(3.5, 3.5),
+        ]
+    }
+
+    /// A nearest-live answer: `(dist, id)` pairs.
+    type Knn = Vec<(f64, usize)>;
+
+    /// `nearest_live_k` into a fresh buffer.
+    fn knn(d: &DynamicInterference, p: Point, k: usize, exclude: Option<usize>) -> Knn {
+        let mut out = Vec::new();
+        d.nearest_live_k(p, k, exclude, &mut out);
+        out
+    }
+
+    /// Brute force over the live slots, with the same `(dist, id)` order.
+    fn brute_knn(d: &DynamicInterference, p: Point, k: usize, exclude: Option<usize>) -> Knn {
+        let mut all: Vec<(f64, usize)> = (0..d.len())
+            .filter(|&v| d.is_live(v) && Some(v) != exclude)
+            .map(|v| (d.position(v).dist(&p), v))
+            .collect();
+        all.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        all.truncate(k);
+        all
+    }
+
+    #[test]
+    fn nearest_live_matches_brute_force() {
+        let d = DynamicInterference::new(NodeSet::new(knn_points()));
+        for q in 0..d.len() {
+            for k in 1..=4 {
+                let p = d.position(q);
+                assert_eq!(knn(&d, p, k, Some(q)), brute_knn(&d, p, k, Some(q)), "query {q} k={k}");
+            }
+        }
+        // Fewer live slots than asked for: every one of them comes back.
+        assert_eq!(knn(&d, Point::ORIGIN, 9, None).len(), 6);
+    }
+
+    #[test]
+    fn nearest_live_breaks_ties_by_id() {
+        let d = DynamicInterference::new(NodeSet::new(knn_points()));
+        let dup = Point::new(0.5, 0.52);
+        // Each duplicate finds the other at distance 0; with neither
+        // excluded, the lower id comes first.
+        assert_eq!(knn(&d, dup, 1, Some(3)), vec![(0.0, 2)]);
+        assert_eq!(knn(&d, dup, 1, Some(2)), vec![(0.0, 3)]);
+        assert_eq!(knn(&d, dup, 2, None), vec![(0.0, 2), (0.0, 3)]);
+    }
+
+    #[test]
+    fn nearest_live_ignores_grid_history() {
+        // The same slots, all merged in one build or arrived one by one
+        // through the overlay (and two rebuilds), answer identically.
+        let pts: Vec<Point> = (0..150)
+            .map(|i| Point::new((i * 37 % 101) as f64 * 0.03, (i * 53 % 89) as f64 * 0.03))
+            .collect();
+        let merged = DynamicInterference::new(NodeSet::new(pts.clone()));
+        let mut arrived = DynamicInterference::new(NodeSet::new(vec![]));
+        for &p in &pts {
+            arrived.insert_node(p);
+        }
+        assert_ne!(merged.export_state().indexed_len, arrived.export_state().indexed_len);
+        for q in [Point::new(1.5, 1.3), Point::new(-1.0, 0.2), pts[17], pts[149]] {
+            for k in [1, 4] {
+                let (a, b) = (knn(&merged, q, k, None), knn(&arrived, q, k, None));
+                assert_eq!(a, b, "query {q:?} k={k}");
+            }
+        }
+    }
+
+    #[test]
+    fn nearest_live_skips_dead_and_finds_pending_slots() {
+        let mut d = DynamicInterference::new(NodeSet::new(knn_points()));
+        assert!(d.remove_node(2));
+        let dup = Point::new(0.5, 0.52);
+        assert_eq!(knn(&d, dup, 1, None), vec![(0.0, 3)], "the surviving duplicate wins");
+        // Arrivals sit in the grid's overlay until the next rebuild.
+        let (p, q) = (Point::new(0.5, 0.5), Point::new(0.5, 0.49));
+        let v = d.insert_node(p);
+        assert_eq!(knn(&d, q, 1, None), vec![(p.dist(&q), v)]);
+        assert!(d.remove_node(v));
+        assert_eq!(knn(&d, q, 1, None)[0].1, 4);
+        for q in [dup, Point::new(2.0, 2.0), Point::new(0.1, 0.1)] {
+            assert_eq!(knn(&d, q, 3, Some(4)), brute_knn(&d, q, 3, Some(4)));
+        }
+    }
+
+    #[test]
+    fn nearest_live_handles_points_outside_the_grid() {
+        let ns = NodeSet::new(vec![Point::new(0.2, 0.2), Point::new(0.8, 0.7)]);
+        let mut d = DynamicInterference::new(ns);
+        // Arrivals far outside the bounding box of the last build land in
+        // its border cells; queries from outside still rank correctly.
+        d.insert_node(Point::new(-5.0, -5.0));
+        d.insert_node(Point::new(9.0, 9.0));
+        let queries = [Point::ORIGIN, Point::new(-6.0, -4.0), Point::new(20.0, 0.0), Point::new(9.0, 8.0)];
+        for q in queries {
+            assert_eq!(knn(&d, q, 2, None), brute_knn(&d, q, 2, None), "query {q:?}");
+        }
+        assert_eq!(knn(&d, Point::ORIGIN, 1, None)[0].1, 0);
+    }
+
+    #[test]
+    fn nearest_live_on_an_empty_structure_is_empty() {
+        let mut d = DynamicInterference::new(NodeSet::new(vec![]));
+        assert!(knn(&d, Point::ORIGIN, 3, None).is_empty());
+        let v = d.insert_node(Point::new(1.0, 1.0));
+        assert!(knn(&d, Point::ORIGIN, 0, None).is_empty(), "k = 0");
+        assert!(knn(&d, Point::ORIGIN, 2, Some(v)).is_empty(), "only the excluded slot");
+        d.remove_node(v);
+        assert!(knn(&d, Point::ORIGIN, 1, None).is_empty(), "only a dead slot");
+    }
+
+    #[test]
+    fn compaction_matches_the_replayed_live_topology() {
+        let mut d = DynamicInterference::new(NodeSet::on_line(&[0.0, 0.1, 0.25, 0.4]));
+        d.insert_edge(0, 1);
+        d.insert_edge(1, 2);
+        d.insert_edge(2, 3);
+        for i in 0..120usize {
+            let v = d.insert_node(Point::new((i % 12) as f64 * 0.05, (i / 12) as f64 * 0.05));
+            d.insert_edge(v, i % 4);
+            if i % 3 == 0 {
+                d.remove_node(4 + i / 2);
+            }
+        }
+        let c = d.compacted();
+        let (t, slots) = d.live_topology();
+        let replayed = DynamicInterference::from_topology(&t);
+        assert_eq!(c.export_state(), replayed.export_state());
+        assert_eq!(c.coverage_histogram(), replayed.coverage_histogram());
+        let got: Vec<usize> = (0..c.len()).map(|v| c.interference_at(v)).collect();
+        let want: Vec<usize> = slots.iter().map(|&v| d.interference_at(v)).collect();
+        assert_eq!(got, want);
+        check_consistent(&c);
     }
 
     #[test]

@@ -12,6 +12,8 @@
 //! * [`SoaPoints`] / [`SoaGrid`] — structure-of-arrays point storage and
 //!   the bucket grid with bucket-major coordinate columns, the one grid
 //!   every disk query in the workspace scans,
+//! * [`DynGrid`] — that grid plus a bucketed arrival overlay, the
+//!   incremental engine's index,
 //! * [`KdTree`] — a static 2-d tree, the grid's fallback on degenerate
 //!   spreads,
 //! * [`SpatialIndex`] — grid/kd-tree dispatch chosen from the data,
@@ -41,6 +43,7 @@ pub mod bbox;
 pub mod closest_pair;
 pub mod delaunay;
 pub mod disk;
+pub mod dyn_grid;
 pub mod grid;
 pub mod hull;
 pub mod index;
@@ -53,6 +56,7 @@ pub use bbox::Aabb;
 pub use closest_pair::{closest_pair, closest_pair_brute_force};
 pub use delaunay::{delaunay, Delaunay};
 pub use disk::Disk;
+pub use dyn_grid::DynGrid;
 pub use grid::{fits_u32_index, GridCapacityError, MAX_INDEXED_POINTS};
 pub use hull::convex_hull;
 pub use index::SpatialIndex;

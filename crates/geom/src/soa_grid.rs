@@ -41,14 +41,14 @@ use crate::soa::SoaPoints;
 /// ```
 #[derive(Debug, Clone)]
 pub struct SoaGrid {
-    shape: GridShape,
-    starts: Vec<u32>,
+    pub(crate) shape: GridShape,
+    pub(crate) starts: Vec<u32>,
     /// Original point ids, bucket-major, insertion-stable per bucket.
-    items: Vec<u32>,
+    pub(crate) items: Vec<u32>,
     /// X-coordinates permuted into the `items` order.
-    sxs: Vec<f64>,
+    pub(crate) sxs: Vec<f64>,
     /// Y-coordinates permuted into the `items` order.
-    sys: Vec<f64>,
+    pub(crate) sys: Vec<f64>,
 }
 
 impl SoaGrid {
@@ -361,15 +361,15 @@ impl SoaGrid {
 
 /// Relative slack of a disk query's cell range (see
 /// [`SoaGrid::for_each_pos_in_disk`]).
-const QUERY_SLACK: f64 = 1.0 / (1u64 << 40) as f64;
+pub(crate) const QUERY_SLACK: f64 = 1.0 / (1u64 << 40) as f64;
 
 /// Absolute slack of a disk query's cell range, `2⁻⁵⁰⁰`: covers offsets
 /// whose squares underflow.
-const UNDERFLOW_SLACK: f64 = f64::from_bits((1023 - 500) << 52);
+pub(crate) const UNDERFLOW_SLACK: f64 = f64::from_bits((1023 - 500) << 52);
 
 /// Stop factor of the ring search, `1 − 2⁻²⁰` (see
 /// [`SoaGrid::nearest_dist_at`]).
-const RING_SHRINK: f64 = 1.0 - 1.0 / (1u64 << 20) as f64;
+pub(crate) const RING_SHRINK: f64 = 1.0 - 1.0 / (1u64 << 20) as f64;
 
 #[cfg(test)]
 mod tests {

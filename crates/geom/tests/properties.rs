@@ -3,8 +3,8 @@
 //! harness, `rim_rng::prop`).
 
 use rim_geom::{
-    closest_pair, closest_pair_brute_force, convex_hull, KdTree, Point, SoaGrid, SoaPoints,
-    SpatialIndex,
+    closest_pair, closest_pair_brute_force, convex_hull, DynGrid, KdTree, Point, SoaGrid,
+    SoaPoints, SpatialIndex,
 };
 use rim_rng::prop::{check, check_default};
 use rim_rng::{prop_ensure, prop_ensure_eq, SmallRng};
@@ -241,6 +241,105 @@ fn soa_disk_query_matches_brute_force_at_exact_distances() {
             let want = brute_disk(pts, *center, r);
             prop_ensure!(want.contains(b), "brute force misses the boundary point");
             prop_ensure_eq!(got, want);
+            Ok(())
+        },
+    );
+}
+
+/// A cloud split into a merged prefix and an overlay of arrivals, about
+/// half of them moved outside the prefix's bounding box (into clamped
+/// border cells), plus a grid cell size.
+fn arb_dyn_cloud(rng: &mut SmallRng) -> (Vec<Point>, usize, f64) {
+    let mut pts = arb_cloud(rng);
+    let merged = rng.gen_range(0..pts.len() + 1);
+    for p in &mut pts[merged..] {
+        if rng.gen_bool(0.5) {
+            let (sx, sy) = (rng.gen_range(-3.0f64..3.0), rng.gen_range(-3.0f64..3.0));
+            *p = Point::new(p.x * sx + rng.gen_range(-30.0f64..30.0), p.y * sy);
+        }
+    }
+    (pts, merged, arb_cell(rng))
+}
+
+fn dyn_grid(pts: &[Point], merged: usize, cell: f64) -> DynGrid {
+    let mut grid = DynGrid::build(&pts[..merged], cell);
+    for &p in &pts[merged..] {
+        grid.push_overlay(p);
+    }
+    grid
+}
+
+#[test]
+fn dyn_grid_overlay_disk_queries_match_brute_force() {
+    // Half the radii are exact pairwise distances, which put a point
+    // right on the closed boundary, merged or pending.
+    check(
+        "dyn_grid_overlay_disk_queries_match_brute_force",
+        512,
+        |rng| {
+            let (pts, merged, cell) = arb_dyn_cloud(rng);
+            let (a, b) = (rng.gen_range(0..pts.len()), rng.gen_range(0..pts.len()));
+            let c = pts[a];
+            let center = if rng.gen_bool(0.5) {
+                c
+            } else {
+                Point::new(c.x + rng.gen_range(-1.0f64..1.0), c.y + rng.gen_range(-1.0f64..1.0))
+            };
+            let r = if rng.gen_bool(0.5) {
+                pts[b].dist(&center)
+            } else {
+                rng.gen_range(0.0f64..4.0)
+            };
+            (pts, merged, cell, center, r)
+        },
+        |(pts, merged, cell, center, r)| {
+            let grid = dyn_grid(pts, *merged, *cell);
+            let mut got = Vec::new();
+            grid.for_each_within(*center, *r, |id, d| got.push((id, d.to_bits())));
+            got.sort_unstable();
+            let want: Vec<(usize, u64)> = brute_disk(pts, *center, *r)
+                .into_iter()
+                .map(|i| (i, pts[i].dist(center).to_bits()))
+                .collect();
+            prop_ensure_eq!(got, want);
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn dyn_grid_nearest_k_matches_brute_force() {
+    check(
+        "dyn_grid_nearest_k_matches_brute_force",
+        512,
+        |rng| {
+            let (pts, merged, cell) = arb_dyn_cloud(rng);
+            let c = pts[rng.gen_range(0..pts.len())];
+            let query = match rng.gen_range(0..3u32) {
+                0 => c,
+                1 => Point::new(c.x + rng.gen_range(-2.0f64..2.0), c.y),
+                _ => Point::new(c.x * 3.0 + 50.0, c.y - 50.0),
+            };
+            // Keeping only every `m`-th point pushes the answer out of the
+            // query's 3×3 block, into later rings.
+            let (m, sparse) = (rng.gen_range(1usize..17), rng.gen_bool(0.5));
+            (pts, merged, cell, query, rng.gen_range(1usize..6), m, sparse)
+        },
+        |(pts, merged, cell, query, k, m, sparse)| {
+            let grid = dyn_grid(pts, *merged, *cell);
+            let keep = |i: usize| if *sparse { i % m == 0 } else { i % m != 0 || *m == 1 };
+            let mut got = Vec::new();
+            grid.nearest_k_where(*query, *k, keep, &mut got);
+            let mut want: Vec<(f64, usize)> = (0..pts.len())
+                .filter(|&i| keep(i))
+                .map(|i| (pts[i].dist(query), i))
+                .collect();
+            want.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            want.truncate(*k);
+            let bits = |v: &[(f64, usize)]| -> Vec<(u64, usize)> {
+                v.iter().map(|&(d, i)| (d.to_bits(), i)).collect()
+            };
+            prop_ensure_eq!(bits(&got), bits(&want));
             Ok(())
         },
     );

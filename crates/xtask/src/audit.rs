@@ -500,6 +500,8 @@ pub const PANIC_FREE_ROOTS: &[&str] = &[
     "apply_edit",
     "encode_snapshot",
     "decode_snapshot",
+    "nearest_live_k",
+    "push_overlay",
     "unit_disk_graph_with_range",
     "coverage_vector",
 ];

@@ -779,6 +779,8 @@ pub const DETERMINISM_ROOTS: &[&str] = &[
     "remove_node",
     "apply_edit",
     "encode_snapshot",
+    "nearest_live_k",
+    "push_overlay",
     "unit_disk_graph_with_range",
     "coverage_vector",
 ];
