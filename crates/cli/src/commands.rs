@@ -245,6 +245,11 @@ fn analyze_generated(spec: &str, args: &Args) -> Result<(), UsageError> {
             )))
         }
     };
+    // Reject counts past the grid's u32 ids before allocating coordinates.
+    if !rim_geom::fits_u32_index(n) {
+        let max = rim_geom::MAX_INDEXED_POINTS;
+        return Err(UsageError(format!("--generate {spec}: the grid indexes at most {max} nodes")));
+    }
     let seed: u64 = args.opt_parse("seed", 0)?;
     // Unit density by default: an n-node instance on a √n × √n square,
     // the regime of the Θ(√(log n)) interference statistics.

@@ -605,6 +605,38 @@ fn analyze_generate_rejects_bad_specs() {
 }
 
 #[test]
+fn analyze_generate_rejects_counts_past_the_u32_grid() {
+    // 2³² nodes: one past the grid's u32 id capacity. The count must be
+    // refused before anything allocates 64 GiB of coordinates.
+    let out = rim().args(["analyze", "--generate", "uniform:4294967296"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(2), "{}", String::from_utf8_lossy(&out.stderr));
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.lines().any(|l| l.starts_with("error:")), "{err}");
+    assert!(err.contains("4294967295"), "{err}");
+}
+
+#[test]
+fn churn_obs_reports_grid_splits_on_the_exp_chain_only() {
+    // The exp-chain family overloads uniform cells, so its grid builds
+    // split; the uniform family's never do.
+    let split_cells = |family: &str| {
+        let out = rim()
+            .args(["churn", "--trace", family, "--edits", "3000", "--seed", "5", "--obs", "jsonl"])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.contains("\"name\":\"geom.index.grid_builds\""), "{err}");
+        err.lines()
+            .find(|l| l.contains("\"name\":\"geom.grid.split_cells\""))
+            .map(|l| l.to_string())
+    };
+    let chain = split_cells("exp-chain:2048").expect("exp-chain builds report split cells");
+    assert!(!chain.contains("\"value\":0}"), "{chain}");
+    assert_eq!(split_cells("uniform:2048"), None, "uniform grids never split");
+}
+
+#[test]
 fn churn_checkpoints_are_deterministic_and_verified() {
     let run = || {
         rim()

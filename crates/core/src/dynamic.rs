@@ -14,8 +14,8 @@
 //!   of radius `max(r_old, r_new)` — `O(affected)` for bounded densities
 //!   instead of `O(n)`;
 //! * [`DynamicInterference::insert_node`] appends a node and charges only
-//!   the transmitters whose disks reach it (found through the same
-//!   index), keeping arrivals `O(affected)` too;
+//!   the transmitters whose disks reach it (found through the index's
+//!   per-cell radius bounds), keeping arrivals `O(affected)` too;
 //! * `I(G') = max_v I(v)` is answered in `O(1)` from a frequency
 //!   histogram over the coverage counts, maintained at every ±1 change.
 //!
@@ -24,7 +24,8 @@
 //! build, so a query reads only the overlay entries of the cells it
 //! scans. Once the overlay outgrows a fraction of the merged set the grid
 //! is rebuilt in one `O(n)` pass — classic amortization, no query ever
-//! misses a node. The same grid answers
+//! misses a node. Every build (rebuild, compaction, restore) re-tightens
+//! the per-cell radius bounds to the current radii. The same grid answers
 //! [`DynamicInterference::nearest_live_k`], the nearest-live-node query
 //! of the churn simulator. The equivalence with the batch
 //! [`crate::receiver`] kernels is property-tested, including full
@@ -66,11 +67,10 @@ pub struct DynamicInterference {
     grid: DynGrid,
     /// Histogram of the live coverage counts.
     hist: CoverageHistogram,
-    /// Monotone upper bound on every current radius, used to bound the
-    /// candidate search of [`DynamicInterference::insert_node`]. Radius
-    /// shrinkage only loosens the bound (still correct, just a wider
-    /// query); it is re-tightened to the exact maximum at every index
-    /// rebuild.
+    /// Monotone upper bound on every current radius, the outer range of
+    /// [`DynamicInterference::insert_node`]'s search. Radius shrinkage
+    /// only loosens the bound (still correct, just a wider range); it is
+    /// re-tightened to the exact maximum at every index rebuild.
     radius_bound: f64,
     /// Physical mode: radii are power-derived constants (coverage radii
     /// `ρ_u`), so edge updates only flip transmit gating.
@@ -340,18 +340,18 @@ impl DynamicInterference {
     ///
     /// The arrival is charged `O(affected)`: the new node starts with the
     /// coverage it receives from existing transmitters (one pass over the
-    /// candidates within the current maximum radius, via the index) and,
-    /// being isolated, contributes nothing itself until an edge arrives.
-    /// The spatial index absorbs the node lazily — see the module docs.
+    /// cells whose radius bound reaches it, via the index) and, being
+    /// isolated, contributes nothing itself until an edge arrives. The
+    /// spatial index absorbs the node lazily — see the module docs.
     // rim-lint: allow(panic-freedom) — grid ids index the per-slot vectors, which grow in lockstep with it
     pub fn insert_node(&mut self, p: Point) -> usize {
         assert!(p.is_finite(), "node positions must be finite");
         rim_obs::counter_add("dynamic.node_inserts", 1);
         // Coverage received by the newcomer: every transmitter whose disk
-        // reaches p. Candidates are bounded by the maintained radius bound.
+        // reaches p, from the cells whose radius bound reaches p.
         let (radii, transmitting) = (&self.radii, &self.was_transmitting);
         let mut covered_by = 0u32;
-        self.grid.for_each_within(p, self.radius_bound, |u, d| {
+        self.grid.for_each_reaching(p, self.radius_bound, |u, d| {
             if transmitting[u] && d <= radii[u] {
                 covered_by += 1;
             }
@@ -426,6 +426,7 @@ impl DynamicInterference {
         if self.points.len().saturating_sub(merged) > (merged / 2).max(64) {
             rim_obs::counter_add("dynamic.index_rebuilds", 1);
             self.grid = DynGrid::build(&self.points, initial_cell_hint(&self.points));
+            raise_bounds(&mut self.grid, &self.points, &self.radii, &self.was_transmitting);
             // Re-tighten the radius bound to the exact maximum while we
             // are paying O(n) anyway.
             self.radius_bound = self
@@ -460,6 +461,10 @@ impl DynamicInterference {
         self.radii[u] = new_r;
         self.radius_bound = self.radius_bound.max(new_r);
         let pu = self.points[u];
+        // A transmitter's cell bound already covers its old radius.
+        if is_tx && (!was_tx || new_r > old_r) {
+            self.grid.raise_bound(pu, new_r);
+        }
         let query_r = match (was_tx, is_tx) {
             (true, true) => old_r.max(new_r),
             (true, false) => old_r,
@@ -618,6 +623,7 @@ impl DynamicInterference {
             grid.push_overlay(p);
         }
         let was_transmitting: Vec<bool> = (0..n).map(|u| alive[u] && graph.degree(u) > 0).collect();
+        raise_bounds(&mut grid, &points, &radii, &was_transmitting);
         let mut cov = vec![0u32; n];
         for u in (0..n).filter(|&u| was_transmitting[u]) {
             grid.for_each_within(points[u], radii[u], |w, _| {
@@ -708,10 +714,18 @@ pub struct DynState {
     pub fixed_radii: bool,
 }
 
+/// Raises a fresh grid's per-cell bounds to every transmitter's radius.
+fn raise_bounds(grid: &mut DynGrid, points: &[Point], radii: &[f64], transmitting: &[bool]) {
+    for ((&p, &r), _) in points.iter().zip(radii).zip(transmitting).filter(|(_, &tx)| tx) {
+        grid.raise_bound(p, r);
+    }
+}
+
 /// Cell hint for the dynamic structure's index: the node-set diagonal
 /// scaled to roughly √n cells per axis. Radii are unknown at build time
 /// (edges come later), so a density-based hint is the best available;
-/// `SpatialIndex::build` sanitizes degenerate values.
+/// the grid build sanitizes degenerate values, and splits the cells a
+/// skewed spread overloads.
 fn initial_cell_hint(points: &[Point]) -> f64 {
     let bbox = rim_geom::Aabb::of_points(points);
     if bbox.is_empty() {

@@ -6,7 +6,7 @@
 //!   This is the **permanent oracle**: it transcribes Definition 3.1
 //!   literally and every faster kernel is differential-tested against it.
 //! * [`Engine::Indexed`] — one closed-disk range query per transmitter
-//!   over a [`SpatialIndex`] (grid, or kd-tree for degenerate spreads).
+//!   over a [`SoaGrid`] (overloaded cells split on skewed spreads).
 //! * [`Engine::Parallel`] — the indexed scatter split across scoped
 //!   threads with per-thread accumulators.
 //!
@@ -27,7 +27,7 @@
 //! with the disk kernels — a differential-tested contract.
 
 use crate::parallel::{num_threads, par_scatter_u32};
-use rim_geom::SpatialIndex;
+use rim_geom::SoaGrid;
 use rim_udg::Topology;
 
 /// Below this node count the all-pairs scan beats any index build.
@@ -55,7 +55,7 @@ pub enum Engine {
     /// disk-limit theorem keeps the counts bit-identical to [`Engine::Naive`].
     PhysicalNaive,
     /// Disk-equivalent physical model with one coverage-disk query per
-    /// transmitter over the shared [`SpatialIndex`].
+    /// transmitter over the shared [`SoaGrid`].
     PhysicalIndexed,
     /// Structure-of-arrays streaming kernel ([`crate::stream`]): the
     /// topology's radii are carried into a bucket-permuted SoA grid and
@@ -177,12 +177,12 @@ pub fn interference_vector_naive(t: &Topology) -> Vec<usize> {
 
 /// Builds the spatial index the batch kernels scatter over: the median
 /// positive radius makes a good cell hint (it balances bucket population
-/// against buckets touched per query), and [`SpatialIndex::build`] falls
-/// back to a kd-tree when the spread defeats any uniform cell. Public so
+/// against buckets touched per query), and the grid splits the cells a
+/// skewed spread overloads. Public so
 /// other layers computing coverage relations (e.g. the simulator's PHY
 /// tables) share the same heuristic.
 // rim-lint: allow(panic-freedom) — the median index is guarded by the is_empty branch
-pub fn build_index(t: &Topology) -> SpatialIndex {
+pub fn build_index(t: &Topology) -> SoaGrid {
     let _span = rim_obs::span("interference/index_build");
     let mut radii: Vec<f64> = t.radii().iter().copied().filter(|&r| r > 0.0).collect();
     let hint = if radii.is_empty() {
@@ -191,7 +191,7 @@ pub fn build_index(t: &Topology) -> SpatialIndex {
         radii.sort_unstable_by(f64::total_cmp);
         radii[radii.len() / 2]
     };
-    SpatialIndex::build(t.nodes().points(), hint)
+    SoaGrid::from_points(t.nodes().points(), hint)
 }
 
 /// Scatters sender `u`'s coverage contribution into `out` via `index`,
@@ -202,7 +202,7 @@ pub fn build_index(t: &Topology) -> SpatialIndex {
 /// so the counts cannot overflow — and halving the accumulator width
 /// halves the cache traffic of the hot scatter loop.
 #[inline]
-fn scatter_sender(t: &Topology, index: &SpatialIndex, u: usize, out: &mut [u32]) -> u64 {
+fn scatter_sender(t: &Topology, index: &SoaGrid, u: usize, out: &mut [u32]) -> u64 {
     if t.graph().degree(u) == 0 {
         return 0; // isolated nodes transmit nothing
     }
@@ -220,7 +220,7 @@ fn scatter_sender(t: &Topology, index: &SpatialIndex, u: usize, out: &mut [u32])
 /// r_u`, never on squares — `r_u` is itself a `dist()` result, and
 /// squaring would break exact boundary ties), so the counts equal
 /// [`interference_vector_naive`]'s exactly.
-fn interference_vector_indexed(t: &Topology, index: &SpatialIndex) -> Vec<usize> {
+fn interference_vector_indexed(t: &Topology, index: &SoaGrid) -> Vec<usize> {
     let n = t.num_nodes();
     let mut out = vec![0u32; n];
     let mut queries = 0u64;
@@ -236,7 +236,7 @@ fn interference_vector_indexed(t: &Topology, index: &SpatialIndex) -> Vec<usize>
 /// `u32` buffer (no false sharing on a common output vector) and the
 /// buffers are summed at the barrier. Integer addition commutes, so the
 /// result is bit-identical to the indexed kernel for any thread count.
-fn interference_vector_parallel(t: &Topology, index: &SpatialIndex) -> Vec<usize> {
+fn interference_vector_parallel(t: &Topology, index: &SoaGrid) -> Vec<usize> {
     let n = t.num_nodes();
     let chunks = (n / PARALLEL_CHUNK).clamp(1, num_threads());
     let counts = par_scatter_u32(n, n, chunks, |range, buf| {

@@ -19,7 +19,7 @@
 //! is twofold: coverage is charged at the *sender* side, and the measure
 //! can jump by `Θ(n)` when one node is added ([`crate::robustness`]).
 
-use rim_geom::SpatialIndex;
+use rim_geom::SoaGrid;
 use rim_udg::Topology;
 
 /// Coverage of the (hypothetical or actual) link `{u, v}`: how many nodes
@@ -86,7 +86,7 @@ pub(crate) fn coverage_vector_threads(t: &Topology, threads: usize) -> Vec<usize
     let mut lens: Vec<f64> = edges.iter().map(|e| e.weight).collect();
     lens.sort_unstable_by(f64::total_cmp);
     let hint = lens[lens.len() / 2];
-    let index = SpatialIndex::build(nodes.points(), hint);
+    let index = SoaGrid::from_points(nodes.points(), hint);
     let shards = rim_par::par_map_ranges(edges.len(), threads, |range| {
         // Stamp-based dedup of the two-disk union, reused across edges.
         let mut stamp = vec![0u32; nodes.len()];
@@ -198,7 +198,7 @@ mod tests {
     }
 
     /// Five instance families above the parallel gate: uniform, clustered,
-    /// an exponential chain (served by the kd-tree), collinear, and
+    /// an exponential chain (on split grid cells), collinear, and
     /// duplicate coordinates.
     fn families() -> Vec<(&'static str, NodeSet)> {
         use rim_geom::Point;

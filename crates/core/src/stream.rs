@@ -90,7 +90,6 @@ impl StreamInstance {
     // rim-lint: allow(panic-freedom) — Topology node counts passed the u32 capacity guard at grid build
     pub fn from_topology(t: &Topology) -> Self {
         let _span = rim_obs::span("stream/build_from_topology");
-        let points = SoaPoints::from_points(t.nodes().points());
         // Same cell hint as `receiver::build_index`: the median positive
         // radius balances bucket population against buckets per query.
         let mut positive: Vec<f64> = t.radii().iter().copied().filter(|&r| r > 0.0).collect();
@@ -100,7 +99,7 @@ impl StreamInstance {
             positive.sort_unstable_by(f64::total_cmp);
             positive[positive.len() / 2]
         };
-        let grid = SoaGrid::build(&points, hint);
+        let grid = SoaGrid::from_points(t.nodes().points(), hint);
         let radii: Vec<f64> = (0..grid.len())
             .map(|k| {
                 let u = grid.item(k);

@@ -7,7 +7,7 @@
 //! The families are chosen to stress different failure modes of the
 //! spatial index: uniform (the grid's home turf), clustered (uneven
 //! bucket population), exponential chains (radius spreads that defeat
-//! any uniform cell and force the kd-tree), collinear instances
+//! any uniform cell and make the grid split cells), collinear instances
 //! (degenerate bounding boxes), and duplicate coordinates (zero-length
 //! links, boundary ties at `d = 0`).
 
@@ -71,7 +71,7 @@ fn gen_clustered(rng: &mut SmallRng) -> Topology {
 }
 
 /// Exponentially growing gaps (the paper's Figure 7 instance shape):
-/// radii spread over many orders of magnitude, the kd-tree trigger.
+/// radii spread over many orders of magnitude, the split-cell trigger.
 fn gen_exponential_chain(rng: &mut SmallRng) -> Topology {
     let n = rng.gen_range(3usize..24);
     let scale = 2f64.powi(-(rng.gen_range(0u32..30) as i32));

@@ -4,7 +4,7 @@
 //! the cost of those hooks — while no sink is installed — under 5% of
 //! the 4096-node indexed interference kernel. The kernel issues one
 //! `rim_obs::active()` check per disk query (inside
-//! `SpatialIndex::for_each_in_disk`) plus a constant number of span and
+//! `SoaGrid::for_each_in_disk`) plus a constant number of span and
 //! counter calls per batch, so the emulation below reproduces exactly
 //! that call pattern and times it against the kernel itself.
 //!

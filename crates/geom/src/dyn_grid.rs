@@ -1,5 +1,6 @@
 //! The dynamic engine's grid: a [`SoaGrid`] over a merged prefix of the
-//! points, plus an overlay of later arrivals bucketed into the same cells.
+//! points, plus an overlay of later arrivals bucketed into the same cells
+//! and a radius bound per cell.
 //!
 //! A [`SoaGrid`] is static: its coordinate columns are permuted into
 //! bucket-major order once, at build time. An incremental structure
@@ -7,25 +8,37 @@
 //! merges them into a rebuilt grid only once they outnumber a fraction of
 //! the merged set. Until then each arrival sits in the overlay: one
 //! per-cell head array and one per-entry next array chain the arrivals of
-//! every cell, newest first. An entry's cell comes from the same clamped,
-//! monotone cell coordinate the build buckets with — arrivals outside the
-//! merged bounding box land in the border cells — so a query that scans a
-//! cell range reads that range's overlay entries and nothing else, and
-//! the completeness argument of [`SoaGrid::for_each_pos_in_disk`] covers
-//! both halves unchanged.
+//! every leaf cell, newest first. An entry's leaf comes from the same
+//! clamped, monotone cell coordinates the build buckets with, level by
+//! level down the split cells — arrivals outside a level's bounding box
+//! land in its border cells — so a query that scans a cell range reads
+//! that range's overlay entries and nothing else, and the completeness
+//! argument of [`SoaGrid::for_each_pos_in_disk`] covers both halves
+//! unchanged.
+//!
+//! **Radius bounds.** [`DynGrid::raise_bound`] raises the bound of a
+//! point's leaf cell and of every cell above it, so a split cell's bound
+//! covers its nested cells; bounds only grow until the next build. The
+//! arrival-coverage query ([`DynGrid::for_each_reaching`]) scans a cell
+//! only if a disk query of the cell's bound around the newcomer `c`
+//! would scan it (same `reach` slack, same cell coordinate). It misses no
+//! transmitter `u` with `dist(u, c) <= r_u`: each cell above `u` has a
+//! bound `b >= r_u`, so `u` is a hit of the disk query of radius `b`,
+//! whose completeness puts the cell in its range.
 //!
 //! Ids follow the append order: `0..merged_len()` are the merged points in
 //! their original order, `merged_len()..len()` the overlay in arrival
 //! order.
 
 use crate::point::Point;
-use crate::soa_grid::{SoaGrid, QUERY_SLACK, RING_SHRINK, UNDERFLOW_SLACK};
+use crate::soa_grid::{reach, record_query, Level, SoaGrid};
+use std::cmp::Ordering;
 
 /// End of an overlay chain.
 const NIL: u32 = u32::MAX;
 
 /// A [`SoaGrid`] over the merged points plus a bucketed arrival overlay
-/// (see the module docs).
+/// and per-cell radius bounds (see the module docs).
 ///
 /// ```
 /// use rim_geom::{DynGrid, Point};
@@ -40,31 +53,31 @@ const NIL: u32 = u32::MAX;
 #[derive(Debug, Clone)]
 pub struct DynGrid {
     base: SoaGrid,
-    /// Per cell, the newest overlay entry bucketed there, or [`NIL`].
+    /// Per cell id, the newest overlay entry chained into that leaf
+    /// cell, or [`NIL`].
     heads: Vec<u32>,
     /// Per overlay entry, the next-older entry of its cell, or [`NIL`].
     next: Vec<u32>,
     /// Overlay positions, in arrival order.
     pending: Vec<Point>,
+    /// Per cell id, the largest radius raised for a point in the cell or
+    /// in a cell nested in it, or −∞ if none was.
+    bounds: Vec<f64>,
 }
 
 impl DynGrid {
-    /// Builds the grid over `points`, all merged, with an empty overlay.
-    /// The cell hint is sanitized and budget-clamped as for
-    /// [`SoaGrid::build`].
+    /// Builds the grid over `points`, all merged, with an empty overlay
+    /// and no radius raised. The cell hint is sanitized and
+    /// budget-clamped as for [`SoaGrid::from_points`], and overloaded cells
+    /// split.
     ///
     /// Panics if `points` exceeds [`crate::MAX_INDEXED_POINTS`], the `u32`
-    /// id capacity.
-    // rim-lint: allow(panic-freedom) — the capacity assert replaces silent `as u32` id truncation, as in SpatialIndex::build
+    /// id capacity, as [`SoaGrid::from_points`] does.
     pub fn build(points: &[Point], cell_hint: f64) -> Self {
-        let base = match SoaGrid::try_build_from_points(points, cell_hint) {
-            Ok(grid) => grid,
-            // rim-lint: allow(no-unwrap-in-lib) — intentional capacity assert, as in SpatialIndex::build
-            Err(e) => panic!("{e}"),
-        };
-        rim_obs::counter_add("geom.index.grid_builds", 1);
+        let base = SoaGrid::from_points(points, cell_hint);
         DynGrid {
-            heads: vec![NIL; base.shape.ncells()],
+            heads: vec![NIL; base.starts.len()],
+            bounds: vec![f64::NEG_INFINITY; base.starts.len()],
             base,
             next: Vec::new(),
             pending: Vec::new(),
@@ -89,49 +102,110 @@ impl DynGrid {
         self.base.len()
     }
 
-    /// Appends `p` to the overlay, chained into the cell the build would
-    /// have bucketed it in, and returns its id ([`DynGrid::len`] before
-    /// the call). `O(1)`.
-    // rim-lint: allow(panic-freedom) — the cell coordinate is clamped to the grid, so the head index is below ncells
+    /// Appends `p` to the overlay, chained into the leaf cell the build
+    /// would have bucketed it in, and returns its id ([`DynGrid::len`]
+    /// before the call). `O(split depth)`.
+    // rim-lint: allow(panic-freedom) — `descend` returns a cell id, and `heads` has one entry per cell id
     pub fn push_overlay(&mut self, p: Point) -> usize {
-        let s = &self.base.shape;
-        let cell = s.row(p.y) * s.nx + s.col(p.x);
-        self.next.push(self.heads[cell]);
-        self.heads[cell] = self.pending.len() as u32;
+        let (leaf, _) = self.base.descend(p, |_| {});
+        self.next.push(self.heads[leaf]);
+        self.heads[leaf] = self.pending.len() as u32;
         self.pending.push(p);
         self.len() - 1
     }
 
+    /// Raises to at least `r` the radius bound of the leaf cell a point
+    /// at `p` falls in and of every cell on the way down to it.
+    /// `O(split depth)`.
+    pub fn raise_bound(&mut self, p: Point, r: f64) {
+        let bounds = &mut self.bounds;
+        self.base.descend(p, |g| {
+            if let Some(b) = bounds.get_mut(g) {
+                *b = b.max(r);
+            }
+        });
+    }
+
     /// Calls `f(id, dist(p_id, c))` for every point, merged or pending,
     /// with `dist(p_id, c) <= r` — the closed, distance-level predicate of
-    /// every disk query in the workspace. The scanned cell range is
-    /// [`SoaGrid::for_each_pos_in_disk`]'s; visit order is deterministic.
+    /// every disk query in the workspace — and returns the number of
+    /// candidate points scanned, as [`SoaGrid::for_each_in_disk_counting`]
+    /// does. The scanned cells are [`SoaGrid::for_each_pos_in_disk`]'s;
+    /// visit order is deterministic.
     ///
     /// With an observability sink active, the query records its hit and
-    /// candidate counts under the same histograms as
-    /// [`crate::SpatialIndex::for_each_in_disk`].
-    pub fn for_each_within<F: FnMut(usize, f64)>(&self, c: Point, r: f64, mut f: F) {
+    /// candidate counts as [`SoaGrid::for_each_in_disk`] does.
+    pub fn for_each_within<F: FnMut(usize, f64)>(&self, c: Point, r: f64, mut f: F) -> usize {
         debug_assert!(r >= 0.0);
-        let s = &self.base.shape;
-        let reach = r + r * QUERY_SLACK + UNDERFLOW_SLACK;
-        let (x0, x1) = (s.col(c.x - reach), s.col(c.x + reach));
-        let (y0, y1) = (s.row(c.y - reach), s.row(c.y + reach));
-        if x1 < x0 || y1 < y0 {
-            return; // negative radius
-        }
-        let mut hits = 0u64;
-        let mut visit = |id: usize, d: f64| {
+        let (mut hits, mut candidates) = (0, 0);
+        let mut visit = |id, d| {
             hits += 1;
             f(id, d);
             r
         };
-        let mut candidates = 0;
+        self.base.walk_cells(self.base.top(), c, reach(r), &mut |g0, g1| {
+            candidates += self.scan_run(g0, g1, c, r, &mut visit).0;
+        });
+        record_query(candidates, hits);
+        candidates
+    }
+
+    /// The arrival-coverage query: calls `f(id, d)` for every point whose
+    /// distance `d = dist(p_id, c)` is at most its cell's radius bound,
+    /// scanning only the cells whose bound could reach `c` (see the module
+    /// docs) within the top-level range of radius `r`, which must bound
+    /// every raised radius. Returns and records counts as
+    /// [`DynGrid::for_each_within`] does.
+    pub fn for_each_reaching<F: FnMut(usize, f64)>(&self, c: Point, r: f64, mut f: F) -> usize {
+        let (mut hits, mut candidates) = (0, 0);
+        self.reaching(self.base.top(), c, r, &mut |g, b| {
+            candidates += self.scan_run(g, g, c, b, &mut |id, d| {
+                hits += 1;
+                f(id, d);
+                b
+            })
+            .0;
+        });
+        record_query(candidates, hits);
+        candidates
+    }
+
+    /// Calls `leaf(g, b)` for every leaf cell `g` at or below level `lv`
+    /// whose bound `b` passes the test, within `lv`'s range of radius
+    /// `outer`; a passing split cell is searched with its bound as `outer`.
+    // rim-lint: allow(panic-freedom) — cell coordinates are clamped to the level, so ids are below its end, and `bounds` has one entry per cell id
+    fn reaching<F: FnMut(usize, f64)>(&self, lv: Level, c: Point, outer: f64, leaf: &mut F) {
+        let s = &lv.shape;
+        let Some((x0, x1, y0, y1)) = s.span(c, reach(outer)) else {
+            return;
+        };
+        let (cx, cy) = (s.col(c.x), s.row(c.y));
         for y in y0..=y1 {
-            candidates += self.scan_cells(y, x0, x1, c, r, &mut visit).0;
-        }
-        if rim_obs::active() {
-            rim_obs::record("geom.index.query_candidates", candidates as u64);
-            rim_obs::record("geom.index.query_hits", hits);
+            for x in x0..=x1 {
+                let g = lv.first + y * s.nx + x;
+                let b = self.bounds[g];
+                // −∞, never raised: the cell holds no transmitter. The
+                // range test is `span(c, reach(b))`: `col` is monotone, so
+                // only the bound facing the cell can exclude it.
+                let rb = reach(b);
+                let scanned = b >= 0.0
+                    && match x.cmp(&cx) {
+                        Ordering::Less => s.col(c.x - rb) <= x,
+                        Ordering::Equal => true,
+                        Ordering::Greater => x <= s.col(c.x + rb),
+                    }
+                    && match y.cmp(&cy) {
+                        Ordering::Less => s.row(c.y - rb) <= y,
+                        Ordering::Equal => true,
+                        Ordering::Greater => y <= s.row(c.y + rb),
+                    };
+                if scanned {
+                    match self.base.split_of(g) {
+                        Some(sub) => self.reaching(sub, c, b, leaf),
+                        None => leaf(g, b),
+                    }
+                }
+            }
         }
     }
 
@@ -142,89 +216,71 @@ impl DynGrid {
     /// come back if fewer points are kept. `keep` runs only for points
     /// that would enter the list.
     ///
-    /// The search scans `c`'s own cell, then one Chebyshev ring of cells
-    /// at a time, holding the best `k` in `out`. After ring `R` it stops
-    /// once the list is full and its last distance is strictly below
-    /// `R·cell·(1 − 2⁻²⁰)`: by the argument of
-    /// [`SoaGrid::nearest_dist_at`], every unscanned point then lies at a
-    /// computed distance of at least that bound, so none can tie or beat
-    /// the last entry. (The bound is only trusted from `2⁻⁵⁰⁰` up, where
-    /// its square cannot underflow.) Otherwise the search ends once the
-    /// rings cover the grid.
+    /// The search runs closed-disk queries of doubling radius `R` from the
+    /// size of `c`'s leaf cell; each round offers the points with
+    /// `R/2 < dist <= R`. It stops once the list is full and its last
+    /// distance is at most `R`: no unoffered point can tie or beat it. Once
+    /// a round spans the whole grid, a last round of infinite `R` offers
+    /// every point. Returns the candidates scanned over all rounds.
     pub fn nearest_k_where<F: Fn(usize) -> bool>(
         &self,
         c: Point,
         k: usize,
         keep: F,
         out: &mut Vec<(f64, usize)>,
-    ) {
+    ) -> usize {
         out.clear();
         if k == 0 || self.is_empty() {
-            return;
+            return 0;
         }
-        let s = &self.base.shape;
-        let (ix, iy) = (s.col(c.x), s.row(c.y));
-        let (last_x, last_y) = (s.nx - 1, s.ny - 1);
-        // Only points at or below the last distance of a full list can
-        // enter it; `bound` tracks that distance so scans skip the rest.
-        let mut bound = f64::INFINITY;
-        let mut scan = |out: &mut Vec<(f64, usize)>, y: usize, x0: usize, x1: usize| {
-            let mut offer = |id, d| offer_bounded(out, k, &keep, id, d);
-            bound = self.scan_cells(y, x0, x1, c, bound, &mut offer).1;
-        };
-        scan(out, iy, ix, ix);
-        let mut ring = 0;
+        let (_, mut r) = self.base.descend(c, |_| {});
+        // Every point at distance `inner` or less has been offered; only
+        // points at or under the list's entry bound `entry` can enter it.
+        let (mut inner, mut entry) = (f64::NEG_INFINITY, f64::INFINITY);
+        let mut candidates = 0;
         loop {
-            let stop = ring as f64 * s.cell * RING_SHRINK;
-            let full = out.len() == k;
-            if full && stop >= UNDERFLOW_SLACK && out.last().is_some_and(|&(d, _)| d < stop) {
-                return;
-            }
-            if ix <= ring && iy <= ring && ix + ring >= last_x && iy + ring >= last_y {
-                return; // the rings cover the grid
-            }
-            ring += 1;
-            // Ring `ring`: its top and bottom rows as runs, then the
-            // single cells of its left and right columns in between.
-            let (x0, x1) = (ix.saturating_sub(ring), (ix + ring).min(last_x));
-            if let Some(y) = iy.checked_sub(ring) {
-                scan(out, y, x0, x1);
-            }
-            if iy + ring <= last_y {
-                scan(out, iy + ring, x0, x1);
-            }
-            let left = ix.checked_sub(ring);
-            let right = (ix + ring <= last_x).then_some(ix + ring);
-            for y in iy.saturating_sub(ring - 1)..=(iy + ring - 1).min(last_y) {
-                for x in left.into_iter().chain(right) {
-                    scan(out, y, x, x);
+            let mut bound = entry.min(r);
+            let mut offer = |id, d| {
+                if d > inner {
+                    entry = offer_bounded(out, k, &keep, id, d);
                 }
+                entry.min(r)
+            };
+            self.base.walk_cells(self.base.top(), c, reach(r), &mut |g0, g1| {
+                let (visited, b) = self.scan_run(g0, g1, c, bound, &mut offer);
+                (candidates, bound) = (candidates + visited, b);
+            });
+            let settled = out.len() == k && out.last().is_some_and(|&(d, _)| d <= r);
+            if settled || r.is_infinite() {
+                return candidates;
             }
+            inner = r;
+            let s = &self.base.shape;
+            let spans_grid = s.span(c, reach(r)) == Some((0, s.nx - 1, 0, s.ny - 1));
+            r = if spans_grid { f64::INFINITY } else { 2.0 * r };
         }
     }
 
-    /// Calls `f(id, d)` for each point bucketed in cells `x0..=x1` of row
-    /// `y` — the merged run, then each cell's overlay chain — whose
-    /// distance `d = dist(p_id, c)` is at most `bound`; `f` returns the
-    /// bound for the rest of the scan. Returns how many points it visited
-    /// and the final bound. Testing the bound in the loop keeps the
-    /// per-candidate work to one distance and one comparison however
+    /// Calls `f(id, d)` for each point bucketed in the leaf cells
+    /// `g0..=g1` — their merged run, then each cell's overlay chain —
+    /// whose distance `d = dist(p_id, c)` is at most `bound`; `f` returns
+    /// the bound for the rest of the scan. Returns how many points it
+    /// visited and the final bound. Testing the bound in the loop keeps
+    /// the per-candidate work to one distance and one comparison however
     /// large `f` is. Distances are `Point::dist`, as in every disk scan,
     /// so hits agree with the naive scan bit for bit.
     #[inline]
-    // rim-lint: allow(panic-freedom) — callers clamp `y <= ny - 1` and `x0 <= x1 <= nx - 1`; `starts` has `ncells + 1` entries and bounds the column slices; `heads` has one entry per cell
-    fn scan_cells<F: FnMut(usize, f64) -> f64>(
+    // rim-lint: allow(panic-freedom) — walked cell ids are followed by their end offset in `starts`, which bounds the column slices; `heads` has one entry per cell id
+    fn scan_run<F: FnMut(usize, f64) -> f64>(
         &self,
-        y: usize,
-        x0: usize,
-        x1: usize,
+        g0: usize,
+        g1: usize,
         c: Point,
         mut bound: f64,
         f: &mut F,
     ) -> (usize, f64) {
         let g = &self.base;
-        let row = y * g.shape.nx;
-        let (lo, hi) = (g.starts[row + x0] as usize, g.starts[row + x1 + 1] as usize);
+        let (lo, hi) = (g.starts[g0] as usize, g.starts[g1 + 1] as usize);
         let run = g.sxs[lo..hi].iter().zip(&g.sys[lo..hi]).zip(&g.items[lo..hi]);
         for ((&px, &py), &id) in run {
             let d = Point::new(px, py).dist(&c);
@@ -234,7 +290,7 @@ impl DynGrid {
         }
         let mut visited = hi - lo;
         if !self.pending.is_empty() {
-            for &head in &self.heads[row + x0..=row + x1] {
+            for &head in &self.heads[g0..=g1] {
                 // A chain ends at NIL, which indexes no entry.
                 let mut j = head as usize;
                 while let Some(p) = self.pending.get(j) {
@@ -380,6 +436,71 @@ mod tests {
         assert_eq!(out, brute_knn(&all, far, 3, keep));
         g.nearest_k_where(all[0], 4, |i| i == 350, &mut out);
         assert_eq!(out, brute_knn(&all, all[0], 4, |i| i == 350));
+    }
+
+    #[test]
+    fn nearest_k_matches_brute_force_on_split_cells() {
+        // 257 points, half of them packed into a 10⁻⁵ square whose cell
+        // splits, and every point queried for its nearest other point.
+        let mut rnd = lcg(42);
+        let pts: Vec<Point> = (0..257)
+            .map(|i| {
+                let s = if i % 2 == 0 { 1.0 } else { 1e-5 };
+                Point::new(0.5 + rnd() * s, 0.5 + rnd() * s)
+            })
+            .collect();
+        assert!(SoaGrid::from_points(&pts[..200], 0.3).split_cells() > 0);
+        let g = grid(&pts[..200], &pts[200..]);
+        let mut out = Vec::new();
+        for q in 0..pts.len() {
+            g.nearest_k_where(pts[q], 1, |i| i != q, &mut out);
+            assert_eq!(out, brute_knn(&pts, pts[q], 1, |i| i != q), "q={q}");
+        }
+    }
+
+    #[test]
+    fn exponential_chain_nearest_is_the_predecessor() {
+        // Spacing varies by 2^30: the nearest neighbour of v_i is v_{i-1}.
+        let pts: Vec<Point> = (0..31)
+            .map(|i| Point::on_line((2f64.powi(i) - 1.0) / 2f64.powi(31)))
+            .collect();
+        let g = DynGrid::build(&pts, 2f64.powi(-31));
+        let mut out = Vec::new();
+        for q in 1..pts.len() {
+            g.nearest_k_where(pts[q], 1, |i| i != q, &mut out);
+            assert_eq!(out.first().map(|e| e.1), Some(q - 1), "q={q}");
+        }
+        g.nearest_k_where(pts[0], 1, |i| i != 0, &mut out);
+        assert_eq!(out.first().map(|e| e.1), Some(1));
+    }
+
+    #[test]
+    fn arrival_query_scans_only_reaching_cells() {
+        let mut rnd = lcg(5);
+        let pts: Vec<Point> = (0..400).map(|_| Point::new(rnd() * 20.0, rnd() * 20.0)).collect();
+        let mut g = grid(&pts[..300], &pts[300..]);
+        // Small radii everywhere, one long one: the bound of the long
+        // one's cell reaches far, every other cell's only its neighbours.
+        let radii: Vec<f64> = (0..pts.len()).map(|i| if i == 7 { 15.0 } else { 0.4 }).collect();
+        for (p, &r) in pts.iter().zip(&radii) {
+            g.raise_bound(*p, r);
+        }
+        for (qi, &q) in pts.iter().enumerate().step_by(11) {
+            let want: Vec<usize> =
+                (0..pts.len()).filter(|&u| pts[u].dist(&q) <= radii[u]).collect();
+            let mut got = Vec::new();
+            let scanned = g.for_each_reaching(q, 15.0, |u, d| {
+                if d <= radii[u] {
+                    got.push(u);
+                }
+            });
+            got.sort_unstable();
+            assert_eq!(got, want, "query {qi}");
+            assert!(scanned < pts.len() / 4, "query {qi} scanned {scanned}");
+        }
+        // A cell never raised holds no transmitter and is never scanned.
+        let fresh = grid(&pts[..300], &[]);
+        assert_eq!(fresh.for_each_reaching(pts[0], 15.0, |_, _| {}), 0);
     }
 
     #[test]

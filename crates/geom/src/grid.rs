@@ -1,5 +1,5 @@
-//! Bucket-grid layout: how [`crate::SoaGrid`] cuts the plane into cells
-//! and fills its buckets.
+//! Bucket-grid layout: how [`crate::SoaGrid`] cuts the plane into cells,
+//! fills its buckets and splits the overloaded ones.
 //!
 //! Interference queries repeatedly ask "which points lie within distance
 //! `r` of `p`?". For the point densities of ad-hoc network instances a
@@ -7,9 +7,9 @@
 //! this in output-sensitive time and with far better constants than a tree.
 //! This module holds the layout half of that grid — the `u32` capacity
 //! limit, the sanitized and budget-clamped cell shape, the cell coordinate
-//! function shared by bucketing and queries, and the cache-blocked bucket
-//! scatter — and the grid's regression suite. The storage and the scans
-//! live in [`crate::soa_grid`].
+//! function shared by bucketing and queries, the split budget, and the
+//! cache-blocked bucket scatter — and the grid's regression suite. The
+//! storage, the split cells and the scans live in [`crate::soa_grid`].
 
 use crate::bbox::Aabb;
 use crate::point::Point;
@@ -48,18 +48,13 @@ impl std::fmt::Display for GridCapacityError {
 
 impl std::error::Error for GridCapacityError {}
 
-/// Cell budget of a grid over `n` points: `O(n)` cells keep the bucket
-/// table linear in the input.
-#[inline]
-pub(crate) fn cell_budget(n: usize) -> f64 {
-    (8 * n + 1024) as f64
-}
+/// Most points a cell may hold before the build splits it into a nested
+/// grid; uniform instances at a few points per cell stay far below it.
+pub(crate) const SPLIT_BUDGET: usize = 32;
 
-/// Number of cells a grid of cell size `cell` needs to cover `bbox`.
-#[inline]
-pub(crate) fn cells_for(bbox: &Aabb, cell: f64) -> f64 {
-    ((bbox.width() / cell).floor() + 1.0) * ((bbox.height() / cell).floor() + 1.0)
-}
+/// Deepest nesting of split grids: caps memory and scan recursion on
+/// pathological spreads, whose deepest cells then stay overloaded.
+pub(crate) const MAX_SPLIT_DEPTH: usize = 16;
 
 /// Cap on the number of grid cells. Besides keeping cell ids in `u32`,
 /// `2³⁰` bounds `nx` and `ny`, which bounds the rounding error of a
@@ -85,7 +80,7 @@ impl GridShape {
     ///   the bounding-box diagonal, or `1.0` when that is also zero. The
     ///   grid then degenerates to a handful of buckets, which is the right
     ///   shape for such inputs anyway.
-    /// * If the hint would create more than [`cell_budget`] buckets over
+    /// * If the hint would create more than `8n + 1024` buckets over
     ///   the bounding box (think a nanometer cell over a kilometer span —
     ///   exponential node chains do this), the cell is enlarged to keep
     ///   memory linear in `n`, and never past [`MAX_CELLS`].
@@ -110,11 +105,14 @@ impl GridShape {
         if bbox.is_empty() {
             return GridShape { origin: Point::ORIGIN, cell, nx: 1, ny: 1 };
         }
-        let budget = cell_budget(n).min(MAX_CELLS);
+        // `O(n)` cells keep the bucket table linear in the input.
+        let budget = ((8 * n + 1024) as f64).min(MAX_CELLS);
+        let cells_for =
+            |cell: f64| ((bbox.width() / cell).floor() + 1.0) * ((bbox.height() / cell).floor() + 1.0);
         let mut cell = cell;
-        if cells_for(bbox, cell) > budget {
-            cell *= (cells_for(bbox, cell) / budget).sqrt().max(2.0);
-            while cells_for(bbox, cell) > budget {
+        if cells_for(cell) > budget {
+            cell *= (cells_for(cell) / budget).sqrt().max(2.0);
+            while cells_for(cell) > budget {
                 cell *= 2.0;
             }
         }
@@ -126,10 +124,30 @@ impl GridShape {
         }
     }
 
+    /// The shape of the nested grid that splits an overloaded cell of `m`
+    /// points with bounding box `bbox`: about `m/2` square cells cover
+    /// the box, whether the points spread over an area or along a line.
+    pub fn nested(bbox: &Aabb, m: usize) -> Self {
+        let (w, h, k) = (bbox.width(), bbox.height(), m as f64 / 2.0);
+        let hint = (w * h / k).sqrt().max(w.max(h) / k);
+        GridShape::new(bbox, m, hint)
+    }
+
     /// Number of cells.
     #[inline]
     pub fn ncells(&self) -> usize {
         self.nx * self.ny
+    }
+
+    /// The cell range `(x0, x1, y0, y1)` that a disk query around `c`
+    /// with slackened radius `reach` scans (see
+    /// [`crate::SoaGrid::for_each_pos_in_disk`]), or `None` when it is
+    /// empty (a negative radius).
+    #[inline]
+    pub fn span(&self, c: Point, reach: f64) -> Option<(usize, usize, usize, usize)> {
+        let (x0, x1) = (self.col(c.x - reach), self.col(c.x + reach));
+        let (y0, y1) = (self.row(c.y - reach), self.row(c.y + reach));
+        (x0 <= x1 && y0 <= y1).then_some((x0, x1, y0, y1))
     }
 
     /// Column of x-coordinate `x`, clamped to the grid.
@@ -146,19 +164,22 @@ impl GridShape {
 }
 
 /// Cell coordinate of `v` on an axis that starts at `o` and has
-/// `last + 1` cells of size `cell`. The build buckets points through this
-/// function and every query bounds its cell range through it, so the two
-/// agree bit for bit; it is monotone in `v` (`as usize` saturates, so
-/// negative and NaN inputs map to 0).
+/// `last + 1` cells of size `cell`: the floor of `(v − o)/cell`, clamped.
+/// The build buckets points through this function and every query bounds
+/// its cell range through it, so the two agree bit for bit; it is
+/// monotone in `v`. `as usize` truncates toward zero and saturates, so it
+/// floors every non-negative quotient and maps negative and NaN ones to
+/// 0, as `floor` would — without `floor`'s library call on targets that
+/// lack a rounding instruction.
 #[inline]
 fn cell_coord(v: f64, o: f64, cell: f64, last: usize) -> usize {
-    (((v - o) / cell).floor() as usize).min(last)
+    (((v - o) / cell) as usize).min(last)
 }
 
 /// Bucket scatter of the grid build: given each point's cell id,
-/// produces the CSR `starts` array (length `ncells + 1`) and the
+/// produces the CSR `starts` array (length `ncells + 1`), the
 /// bucket-major point permutation (`order[k]` = original point id),
-/// insertion-stable within every bucket.
+/// insertion-stable within every bucket, and the largest bucket size.
 ///
 /// Small tables scatter directly. Past [`DIRECT_SCATTER_CELLS`] the
 /// cursor and destination arrays no longer fit the fast caches and the
@@ -170,13 +191,15 @@ fn cell_coord(v: f64, o: f64, cell: f64, last: usize) -> usize {
 /// window small enough to stay cache-resident. Both paths produce
 /// bit-identical output (a stable sort by cell id).
 // rim-lint: allow(panic-freedom) — cell ids are < ncells by construction; prefix sums cover ncells + 1 slots
-pub(crate) fn bucket_scatter(cells: &[u32], ncells: usize) -> (Vec<u32>, Vec<u32>) {
+pub(crate) fn bucket_scatter(cells: &[u32], ncells: usize) -> (Vec<u32>, Vec<u32>, usize) {
     let n = cells.len();
     let mut counts = vec![0u32; ncells + 1];
     for &c in cells {
         counts[c as usize + 1] += 1;
     }
+    let mut largest = 0;
     for i in 1..=ncells {
+        largest = largest.max(counts[i]);
         counts[i] += counts[i - 1];
     }
     let starts = counts.clone();
@@ -187,7 +210,7 @@ pub(crate) fn bucket_scatter(cells: &[u32], ncells: usize) -> (Vec<u32>, Vec<u32
             order[cursor[c as usize] as usize] = i as u32;
             cursor[c as usize] += 1;
         }
-        return (starts, order);
+        return (starts, order, largest as usize);
     }
     // Pass 1: stable partition by coarse block (cell id >> shift).
     let mut shift = 0u32;
@@ -217,7 +240,7 @@ pub(crate) fn bucket_scatter(cells: &[u32], ncells: usize) -> (Vec<u32>, Vec<u32
         order[cursor[c] as usize] = i;
         cursor[c] += 1;
     }
-    (starts, order)
+    (starts, order, largest as usize)
 }
 
 /// Cell-table size up to which the one-pass scatter stays cache-friendly.
@@ -228,10 +251,10 @@ const COARSE_BLOCKS: usize = 1 << 12;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{SoaGrid, SoaPoints, SpatialIndex};
+    use crate::{SoaGrid, SoaPoints};
 
     fn grid(points: &[Point], cell: f64) -> SoaGrid {
-        SoaGrid::build(&SoaPoints::from_points(points), cell)
+        SoaGrid::from_points(points, cell)
     }
 
     fn sorted(mut v: Vec<usize>) -> Vec<usize> {
@@ -259,11 +282,11 @@ mod tests {
             }
         }
         let g = grid(&pts, 0.25);
-        let idx = SpatialIndex::build(&pts, 0.25);
+        let idx = SoaGrid::from_points(&pts, 0.25);
         for &(cx, cy, r) in &[(0.5, 0.5, 0.3), (0.0, 0.0, 0.15), (0.95, 0.1, 0.5)] {
             let c = Point::new(cx, cy);
             assert_eq!(sorted(g.query_disk(c, r)), brute_disk(&pts, c, r));
-            assert_eq!(idx.query_disk(c, r), brute_disk(&pts, c, r));
+            assert_eq!(sorted(idx.query_disk(c, r)), brute_disk(&pts, c, r));
         }
     }
 
@@ -273,7 +296,7 @@ mod tests {
         assert!(g.is_empty());
         assert_eq!(g.query_disk(Point::ORIGIN, 10.0), Vec::<usize>::new());
         assert_eq!(g.nearest_dist_at(0), None);
-        assert!(SpatialIndex::build(&[], 1.0).query_disk(Point::ORIGIN, 10.0).is_empty());
+        assert!(SoaGrid::from_points(&[], 1.0).query_disk(Point::ORIGIN, 10.0).is_empty());
 
         let g = grid(&[Point::new(3.0, 4.0)], 1.0);
         assert_eq!(g.query_disk(Point::ORIGIN, 5.0), vec![0]);
@@ -306,7 +329,7 @@ mod tests {
         // A point exactly at distance r must be reported (closed disk).
         let pts = [Point::ORIGIN, Point::new(1.0, 0.0)];
         assert_eq!(grid(&pts, 0.3).query_disk(Point::ORIGIN, 1.0), vec![0, 1]);
-        assert_eq!(SpatialIndex::build(&pts, 0.3).query_disk(Point::ORIGIN, 1.0), vec![0, 1]);
+        assert_eq!(SoaGrid::from_points(&pts, 0.3).query_disk(Point::ORIGIN, 1.0), vec![0, 1]);
     }
 
     #[test]
@@ -333,9 +356,8 @@ mod tests {
             let g = grid(&pts, bad);
             assert_eq!(sorted(g.query_disk(Point::new(1.0, 2.0), 5.0)), vec![0, 1], "cell={bad}");
             assert_eq!(nearest_dist(&g, 1), Some(5.0), "cell={bad}");
-            let idx = SpatialIndex::build(&pts, bad);
-            assert!(matches!(idx, SpatialIndex::Grid(_)), "cell={bad}");
-            assert_eq!(idx.query_disk(Point::new(4.0, 6.0), 5.0), vec![0, 1], "cell={bad}");
+            let idx = SoaGrid::from_points(&pts, bad);
+            assert_eq!(sorted(idx.query_disk(Point::new(4.0, 6.0), 5.0)), vec![0, 1], "cell={bad}");
         }
     }
 
@@ -353,11 +375,12 @@ mod tests {
                 (0..9).collect::<Vec<_>>(),
                 "cell={cell}"
             );
-            assert_eq!(g.count_in_disk(Point::new(2.5, -1.5), 0.0), 9);
+            assert_eq!(g.query_disk(Point::new(2.5, -1.5), 0.0).len(), 9);
             assert!(g.query_disk(Point::ORIGIN, 1.0).is_empty());
             assert_eq!(g.nearest_dist_at(4), Some(0.0));
-            let idx = SpatialIndex::build(&pts, cell);
-            assert_eq!(idx.count_in_disk(Point::new(2.5, -1.5), 0.0), 9);
+            // Nine coincident points stay below the split budget; the
+            // split tests cover overloaded coincident cells.
+            assert_eq!(g.split_cells(), 0);
         }
     }
 
@@ -368,7 +391,7 @@ mod tests {
             let g = grid(&pts, cell);
             assert_eq!(g.query_disk(Point::new(7.0, 7.0), 0.0), vec![0]);
             assert_eq!(g.nearest_dist_at(0), None);
-            let idx = SpatialIndex::build(&pts, cell);
+            let idx = SoaGrid::from_points(&pts, cell);
             assert_eq!(idx.query_disk(Point::new(7.0, 7.0), 0.0), vec![0]);
         }
     }
@@ -389,7 +412,8 @@ mod tests {
         for cell in [0.45, 0.7, 0.9] {
             let got = sorted(grid(&pts, cell).query_disk(pts[1], r));
             assert_eq!(got, vec![0, 1, 2, 3], "cell={cell}");
-            assert_eq!(SpatialIndex::build(&pts, cell).query_disk(pts[1], r), vec![0, 1, 2, 3]);
+            let idx = SoaGrid::from_points(&pts, cell);
+            assert_eq!(sorted(idx.query_disk(pts[1], r)), vec![0, 1, 2, 3]);
         }
     }
 
@@ -417,11 +441,11 @@ mod tests {
     fn collinear_highway_points() {
         let pts: Vec<Point> = (0..50).map(|i| Point::on_line(i as f64 * 0.02)).collect();
         let g = grid(&pts, 0.1);
-        let idx = SpatialIndex::build(&pts, 0.1);
+        let idx = SoaGrid::from_points(&pts, 0.1);
         for (c, r) in [(0.5, 0.1), (0.0, 0.02), (0.98, 0.3)] {
             let c = Point::on_line(c);
             assert_eq!(sorted(g.query_disk(c, r)), brute_disk(&pts, c, r));
-            assert_eq!(idx.query_disk(c, r), brute_disk(&pts, c, r));
+            assert_eq!(sorted(idx.query_disk(c, r)), brute_disk(&pts, c, r));
         }
     }
 
@@ -438,10 +462,10 @@ mod tests {
             points: MAX_INDEXED_POINTS + 1,
         };
         assert!(err.to_string().contains("4294967295"), "{err}");
-        // In-capacity builds succeed through both fallible paths.
+        // In-capacity builds succeed through the fallible path.
         let g = SoaGrid::try_build(&SoaPoints::from_points(&[Point::ORIGIN]), 1.0).unwrap();
         assert_eq!(g.len(), 1);
-        assert_eq!(SoaGrid::try_build_from_points(&[Point::ORIGIN], 1.0).unwrap().len(), 1);
+        assert_eq!(SoaGrid::from_points(&[Point::ORIGIN], 1.0).len(), 1);
     }
 
     #[test]
@@ -459,10 +483,12 @@ mod tests {
                 (state >> 33) as u32 % ncells as u32
             })
             .collect();
-        let (starts, order) = bucket_scatter(&cells, ncells);
+        let (starts, order, largest) = bucket_scatter(&cells, ncells);
         let mut expect: Vec<u32> = (0..cells.len() as u32).collect();
         expect.sort_by_key(|&i| cells[i as usize]); // stable
         assert_eq!(order, expect);
+        let widest = starts.windows(2).map(|w| (w[1] - w[0]) as usize).max();
+        assert_eq!(Some(largest), widest);
         assert_eq!(starts.len(), ncells + 1);
         assert_eq!(*starts.last().unwrap() as usize, cells.len());
         for w in starts.windows(2) {

@@ -11,12 +11,11 @@
 //! * [`Aabb`] — axis-aligned bounding boxes,
 //! * [`SoaPoints`] / [`SoaGrid`] — structure-of-arrays point storage and
 //!   the bucket grid with bucket-major coordinate columns, the one grid
-//!   every disk query in the workspace scans,
-//! * [`DynGrid`] — that grid plus a bucketed arrival overlay, the
-//!   incremental engine's index,
-//! * [`KdTree`] — a static 2-d tree, the grid's fallback on degenerate
-//!   spreads,
-//! * [`SpatialIndex`] — grid/kd-tree dispatch chosen from the data,
+//!   every disk query in the workspace scans. Cells overloaded by a
+//!   skewed density (the exponential chain) split into nested grids, so
+//!   one structure serves every spread,
+//! * [`DynGrid`] — that grid plus a bucketed arrival overlay and per-cell
+//!   radius bounds, the incremental engine's index,
 //! * [`closest_pair`] — divide-and-conquer closest pair,
 //! * [`convex_hull`] — Andrew's monotone chain.
 //!
@@ -46,8 +45,6 @@ pub mod disk;
 pub mod dyn_grid;
 pub mod grid;
 pub mod hull;
-pub mod index;
-pub mod kdtree;
 pub mod point;
 pub mod soa;
 pub mod soa_grid;
@@ -59,8 +56,6 @@ pub use disk::Disk;
 pub use dyn_grid::DynGrid;
 pub use grid::{fits_u32_index, GridCapacityError, MAX_INDEXED_POINTS};
 pub use hull::convex_hull;
-pub use index::SpatialIndex;
-pub use kdtree::KdTree;
 pub use point::Point;
 pub use soa::SoaPoints;
 pub use soa_grid::SoaGrid;

@@ -10,38 +10,58 @@
 //! layout — cell shape, cell coordinates and the cache-blocked bucket
 //! fill — comes from [`crate::grid`].
 //!
-//! The same structure backs [`crate::SpatialIndex::Grid`] for the
-//! `Point`-slice callers (UDG construction, topology control, the batch
-//! engines) and the million-node streaming kernels. Query semantics are
-//! the *closed* distance-level predicate `dist(p, c) <= r` (see the
-//! crate-level floating-point policy), so results are bit-compatible
-//! with the kd-tree and the naive scans.
+//! The same structure serves the `Point`-slice callers (UDG
+//! construction, topology control, the batch and physical engines), the
+//! million-node streaming kernels and, under [`crate::DynGrid`], the
+//! incremental engine. Query semantics are the *closed* distance-level
+//! predicate `dist(p, c) <= r` (see the crate-level floating-point
+//! policy), so results are bit-compatible with the naive scans.
+//!
+//! # Split cells
+//!
+//! A cell holding more than `SPLIT_BUDGET` (32) points that do not all
+//! coincide (most of an exponential chain lands in one cell) gets a
+//! nested grid over their bounding box (`GridShape::nested`), and so on
+//! down to `MAX_SPLIT_DEPTH` levels. The bucket scatter's largest count
+//! tells the build whether any cell is overloaded, so a grid without one
+//! pays nothing. Splitting terminates: a nested shape of two or more
+//! cells separates the points of least and greatest coordinate, so each
+//! nested cell holds fewer points, and a one-cell shape is not split. The
+//! nested buckets re-permute the parent cell's run of the columns in
+//! place, stably, so a scan that reads a run flat stays exact
+//! ([`SoaGrid::nearest_dist_at`] does). Disk queries descend, scanning at
+//! every level the range of the same slackened radius through that
+//! level's monotone cell coordinate. A cell's index into the shared
+//! `starts` vector is its *cell id*, the key of [`crate::DynGrid`]'s
+//! per-cell tables.
 
 use crate::bbox::Aabb;
-use crate::grid::{bucket_scatter, fits_u32_index, GridCapacityError, GridShape};
+use crate::grid::{
+    bucket_scatter, fits_u32_index, GridCapacityError, GridShape, MAX_SPLIT_DEPTH, SPLIT_BUDGET,
+};
 use crate::point::Point;
 use crate::soa::SoaPoints;
 
-/// A uniform bucket grid with bucket-major coordinate columns for
-/// sequential scans.
+/// A bucket grid with bucket-major coordinate columns for sequential
+/// scans, whose overloaded cells split into nested grids (see the
+/// module docs).
 ///
 /// Indices reported by queries refer to the original point order of the
 /// store (or slice) the grid was built from.
 ///
 /// ```
-/// use rim_geom::{Point, SoaGrid, SoaPoints};
+/// use rim_geom::{Point, SoaGrid};
 ///
-/// let pts = SoaPoints::from_points(&[
-///     Point::new(0.0, 0.0),
-///     Point::new(0.5, 0.0),
-///     Point::new(2.0, 2.0),
-/// ]);
-/// let grid = SoaGrid::build(&pts, 0.5);
+/// let pts = [Point::new(0.0, 0.0), Point::new(0.5, 0.0), Point::new(2.0, 2.0)];
+/// let grid = SoaGrid::from_points(&pts, 0.5);
 /// assert_eq!(grid.query_disk(Point::new(0.1, 0.0), 0.5), vec![0, 1]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct SoaGrid {
+    /// Shape of the top level, whose cell `k` has id `k`.
     pub(crate) shape: GridShape,
+    /// CSR offsets into the columns, per cell id: the top level's
+    /// `ncells + 1` entries, then each nested level's.
     pub(crate) starts: Vec<u32>,
     /// Original point ids, bucket-major, insertion-stable per bucket.
     pub(crate) items: Vec<u32>,
@@ -49,27 +69,32 @@ pub struct SoaGrid {
     pub(crate) sxs: Vec<f64>,
     /// Y-coordinates permuted into the `items` order.
     pub(crate) sys: Vec<f64>,
+    /// The nested grids of the split cells, in build order.
+    subs: Vec<Level>,
+    /// Per cell id, `1 +` the index in `subs` of the grid that splits
+    /// the cell, or 0 for a leaf. Empty when no cell is split.
+    split: Vec<u32>,
+}
+
+/// One level of a [`SoaGrid`]: the top grid or a nested one.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Level {
+    pub shape: GridShape,
+    /// Id of the level's cell 0.
+    pub first: usize,
+    /// Nesting depth: 0 for the top level.
+    pub depth: usize,
+    /// Whether any cell of the level is split; scans of a level without
+    /// split cells read whole row runs.
+    pub splits: bool,
 }
 
 impl SoaGrid {
-    /// Builds a grid over `points` with the given `cell` size hint. The
-    /// hint is sanitized and budget-clamped (see [`crate::grid`]):
-    /// degenerate hints fall back to the bounding-box diagonal, and cell
-    /// counts stay `O(n)`.
-    ///
-    /// Panics if the store exceeds the `u32` item capacity; use
-    /// [`SoaGrid::try_build`] to handle that case as an error.
-    // rim-lint: allow(panic-freedom) — the capacity assert replaces silent `as u32` id truncation
-    pub fn build(points: &SoaPoints, cell: f64) -> Self {
-        match Self::try_build(points, cell) {
-            Ok(grid) => grid,
-            // rim-lint: allow(no-unwrap-in-lib) — intentional capacity assert, fallible twin is try_build
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible variant of [`SoaGrid::build`]: errors when `points` has
-    /// more entries than `u32` bucket item ids can address.
+    /// Builds a grid over `points` with the given `cell` size hint, or
+    /// errors when `points` has more entries than `u32` bucket item ids
+    /// can address. The hint is sanitized and budget-clamped (see
+    /// [`crate::grid`]): degenerate hints fall back to the bounding-box
+    /// diagonal, and cell counts stay `O(n)`.
     // rim-lint: allow(panic-freedom) — `i < len()` for both columns
     pub fn try_build(points: &SoaPoints, cell: f64) -> Result<Self, GridCapacityError> {
         let (xs, ys) = (points.xs(), points.ys());
@@ -78,16 +103,32 @@ impl SoaGrid {
         Ok(grid)
     }
 
-    /// [`SoaGrid::try_build`] over a `Point` slice, without an
-    /// intermediate [`SoaPoints`] copy.
-    // rim-lint: allow(panic-freedom) — `i < points.len()`
-    pub fn try_build_from_points(points: &[Point], cell: f64) -> Result<Self, GridCapacityError> {
-        let bbox = Aabb::of_points(points);
-        Self::try_build_with(points.len(), &bbox, cell, |i| points[i].x, |i| points[i].y)
+    /// The index build of the `Point`-slice callers, with `cell_hint`
+    /// (typically the dominant query radius) sizing the top-level cells.
+    /// Counts `geom.index.grid_builds` and, with an observability sink
+    /// active, records the top-level cell occupancy. Panics past
+    /// [`crate::MAX_INDEXED_POINTS`], which no caller can address.
+    // rim-lint: allow(panic-freedom) — the capacity assert replaces silent `as u32` id truncation; `i < points.len()`
+    pub fn from_points(points: &[Point], cell_hint: f64) -> Self {
+        let (n, bbox) = (points.len(), Aabb::of_points(points));
+        let grid = match Self::try_build_with(n, &bbox, cell_hint, |i| points[i].x, |i| points[i].y) {
+            Ok(grid) => grid,
+            // rim-lint: allow(no-unwrap-in-lib) — intentional capacity assert, fallible twin is try_build
+            Err(e) => panic!("{e}"),
+        };
+        rim_obs::counter_add("geom.index.grid_builds", 1);
+        if rim_obs::active() {
+            for occ in grid.nonempty_bucket_sizes() {
+                rim_obs::record("geom.grid.cell_occupancy", occ as u64);
+            }
+        }
+        grid
     }
 
-    /// The build behind both entry points: `(x(i), y(i))` for `i < n` are
-    /// the points, `bbox` their bounding box.
+    /// The build behind every entry point: `(x(i), y(i))` for `i < n`
+    /// are the points, `bbox` their bounding box. With an observability
+    /// sink active, a build that splits records `geom.grid.split_cells`
+    /// and `geom.grid.split_depth`.
     fn try_build_with(
         n: usize,
         bbox: &Aabb,
@@ -102,18 +143,86 @@ impl SoaGrid {
         let cells: Vec<u32> = (0..n)
             .map(|i| (shape.row(y(i)) * shape.nx + shape.col(x(i))) as u32)
             .collect();
-        let (starts, items) = bucket_scatter(&cells, shape.ncells());
+        let (starts, items, largest) = bucket_scatter(&cells, shape.ncells());
         // Gather the coordinate columns into bucket order: after this,
         // every bucket scan is a sequential read of both columns.
         let sxs: Vec<f64> = items.iter().map(|&i| x(i as usize)).collect();
         let sys: Vec<f64> = items.iter().map(|&i| y(i as usize)).collect();
-        Ok(SoaGrid {
+        let mut grid = SoaGrid {
             shape,
             starts,
             items,
             sxs,
             sys,
-        })
+            subs: Vec::new(),
+            split: Vec::new(),
+        };
+        if largest > SPLIT_BUDGET {
+            grid.split_overloaded();
+        }
+        if rim_obs::active() && grid.split_cells() > 0 {
+            rim_obs::counter_add("geom.grid.split_cells", grid.split_cells() as u64);
+            rim_obs::record("geom.grid.split_depth", grid.split_depth() as u64);
+        }
+        Ok(grid)
+    }
+
+    /// Splits every overloaded cell (see the module docs), level by
+    /// level: the top level's cells, then each nested grid's as the loop
+    /// reaches it, so the cell ids of a level are contiguous.
+    // rim-lint: allow(panic-freedom) — a level's cell ids are followed by its end offset in `starts`
+    fn split_overloaded(&mut self) {
+        self.split = vec![0; self.starts.len()];
+        // `at` is the level's index in `subs`, `None` for the top level.
+        let (mut level, mut at): (_, Option<usize>) = (Some(self.top()), None);
+        while let Some(lv) = level {
+            if lv.depth < MAX_SPLIT_DEPTH {
+                for g in lv.first..lv.first + lv.shape.ncells() {
+                    let (lo, hi) = (self.starts[g] as usize, self.starts[g + 1] as usize);
+                    if hi - lo > SPLIT_BUDGET {
+                        if let Some(sub) = self.split_cell(lo, hi, lv.depth + 1) {
+                            self.subs.push(sub);
+                            self.split[g] = self.subs.len() as u32;
+                            if let Some(parent) = at.and_then(|i| self.subs.get_mut(i)) {
+                                parent.splits = true;
+                            }
+                        }
+                    }
+                }
+            }
+            let next = at.map_or(0, |i| i + 1);
+            (level, at) = (self.subs.get(next).copied(), Some(next));
+        }
+    }
+
+    /// Re-buckets positions `lo..hi`, one overloaded cell's run, into a
+    /// nested grid over their bounding box, and appends its offsets to
+    /// `starts`. Returns `None`, leaving the run as it is, when the
+    /// nested shape has a single cell.
+    // rim-lint: allow(panic-freedom) — `lo <= hi <= len()` come from `starts`; scatter positions are below `hi - lo`
+    fn split_cell(&mut self, lo: usize, hi: usize, depth: usize) -> Option<Level> {
+        let (xs, ys) = (&self.sxs[lo..hi], &self.sys[lo..hi]);
+        let bbox = xs.iter().zip(ys).fold(Aabb::EMPTY, |b, (&x, &y)| b.expand(Point::new(x, y)));
+        let shape = GridShape::nested(&bbox, hi - lo);
+        if shape.ncells() < 2 {
+            return None;
+        }
+        let cells: Vec<u32> = xs
+            .iter()
+            .zip(ys)
+            .map(|(&x, &y)| (shape.row(y) * shape.nx + shape.col(x)) as u32)
+            .collect();
+        let (starts, order, _) = bucket_scatter(&cells, shape.ncells());
+        let items: Vec<u32> = order.iter().map(|&o| self.items[lo + o as usize]).collect();
+        let sxs: Vec<f64> = order.iter().map(|&o| self.sxs[lo + o as usize]).collect();
+        let sys: Vec<f64> = order.iter().map(|&o| self.sys[lo + o as usize]).collect();
+        self.items[lo..hi].copy_from_slice(&items);
+        self.sxs[lo..hi].copy_from_slice(&sxs);
+        self.sys[lo..hi].copy_from_slice(&sys);
+        let first = self.starts.len();
+        self.starts.extend(starts.iter().map(|&s| s + lo as u32));
+        self.split.resize(self.starts.len(), 0);
+        Some(Level { shape, first, depth, splits: false })
     }
 
     /// Number of indexed points.
@@ -126,6 +235,16 @@ impl SoaGrid {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()
+    }
+
+    /// Number of split cells, at every level.
+    pub fn split_cells(&self) -> usize {
+        self.subs.len()
+    }
+
+    /// Deepest nesting of split cells: 0 for a grid without them.
+    pub fn split_depth(&self) -> usize {
+        self.subs.iter().map(|lv| lv.depth).max().unwrap_or(0)
     }
 
     /// Original point id stored at bucket-order position `k`.
@@ -144,10 +263,12 @@ impl SoaGrid {
     }
 
     /// Calls `f(k)` with the *bucket-order position* of every point with
-    /// `dist(points[k], c) <= r`. Positions index [`SoaGrid::item`] /
-    /// [`SoaGrid::point_at`]; kernels that iterate the whole store in
-    /// bucket order use this variant so neighbor coordinates never go
-    /// through the id indirection.
+    /// `dist(points[k], c) <= r`, and returns the number of candidates
+    /// scanned (the run lengths: points tested against the distance
+    /// predicate, whether or not they passed). Positions index
+    /// [`SoaGrid::item`] / [`SoaGrid::point_at`]; kernels that iterate the
+    /// whole store in bucket order use this variant so neighbor
+    /// coordinates never go through the id indirection.
     ///
     /// The scanned cell range is `col/row(c ± reach)`, where `reach`
     /// exceeds `r` only by a rounding slack, not by a whole cell. The
@@ -163,45 +284,19 @@ impl SoaGrid {
     /// difference, its square and the root each round once) while the
     /// square is normal, and below `2⁻⁵¹¹` the square may underflow, so
     /// `reach = r·(1 + 2⁻⁴⁰) + 2⁻⁵⁰⁰` covers both with room to spare.
-    pub fn for_each_pos_in_disk<F: FnMut(usize)>(&self, c: Point, r: f64, f: F) {
-        self.scan_disk(c, r, f);
-    }
-
-    /// Calls `f(i)` for every *original point index* `i` with
-    /// `dist(points[i], c) <= r` (closed disk, distance level — the
-    /// workspace's exactness policy). Visit order is deterministic:
-    /// bucket-major, insertion order within buckets.
-    pub fn for_each_in_disk<F: FnMut(usize)>(&self, c: Point, r: f64, f: F) {
-        self.for_each_in_disk_counting(c, r, f);
-    }
-
-    /// Like [`Self::for_each_in_disk`], additionally returning the number
-    /// of candidate points scanned (the row-run lengths: points tested
-    /// against the distance predicate, whether or not they passed) — the
-    /// output-sensitivity signal the observability layer reports per
-    /// query.
-    // rim-lint: allow(panic-freedom) — scan positions are below len()
-    pub fn for_each_in_disk_counting<F: FnMut(usize)>(&self, c: Point, r: f64, mut f: F) -> usize {
-        self.scan_disk(c, r, |k| f(self.items[k] as usize))
-    }
-
-    /// The disk scan behind every query: calls `f(k)` for each hit
-    /// position and returns the number of candidates scanned (see
-    /// [`SoaGrid::for_each_pos_in_disk`] for the cell range).
+    /// Split cells are descended into with the same rule at every level.
     #[inline]
     // rim-lint: allow(panic-freedom) — cell coordinates are clamped to the grid; `starts` has `ncells + 1` entries and bounds the column slices
-    fn scan_disk<F: FnMut(usize)>(&self, c: Point, r: f64, mut f: F) -> usize {
+    pub fn for_each_pos_in_disk<F: FnMut(usize)>(&self, c: Point, r: f64, mut f: F) -> usize {
         debug_assert!(r >= 0.0);
-        let s = &self.shape;
-        let reach = r + r * QUERY_SLACK + UNDERFLOW_SLACK;
-        let cx0 = s.col(c.x - reach);
-        let cx1 = s.col(c.x + reach);
-        let cy0 = s.row(c.y - reach);
-        let cy1 = s.row(c.y + reach);
-        let mut candidates = 0;
-        if cx1 < cx0 || cy1 < cy0 {
-            return candidates; // negative radius
+        if !self.subs.is_empty() {
+            return self.scan_split(c, r, &mut f);
         }
+        let s = &self.shape;
+        let mut candidates = 0;
+        let Some((cx0, cx1, cy0, cy1)) = s.span(c, reach(r)) else {
+            return candidates; // negative radius
+        };
         for cy in cy0..=cy1 {
             // Contiguous run of cells within the row: one slice scan per
             // row instead of one per cell keeps the loop tight.
@@ -221,12 +316,121 @@ impl SoaGrid {
         candidates
     }
 
-    /// Occupancy of every non-empty bucket, in cell order — the cell
-    /// occupancy distribution the observability layer histograms at build
-    /// time.
+    /// The split-aware disk scan: every run of leaf cells
+    /// [`SoaGrid::walk_cells`] yields is one slice scan.
+    // rim-lint: allow(panic-freedom) — walked cell ids are followed by their end offset in `starts`, which bounds the column slices
+    fn scan_split<F: FnMut(usize)>(&self, c: Point, r: f64, f: &mut F) -> usize {
+        let mut candidates = 0;
+        self.walk_cells(self.top(), c, reach(r), &mut |g0, g1| {
+            let (lo, hi) = (self.starts[g0] as usize, self.starts[g1 + 1] as usize);
+            candidates += hi - lo;
+            for (i, (&x, &y)) in self.sxs[lo..hi].iter().zip(&self.sys[lo..hi]).enumerate() {
+                if Point::new(x, y).dist(&c) <= r {
+                    f(lo + i);
+                }
+            }
+        });
+        candidates
+    }
+
+    /// Calls `f(i)` for every *original point index* `i` with
+    /// `dist(points[i], c) <= r` (closed disk, distance level — the
+    /// workspace's exactness policy). Visit order is deterministic:
+    /// bucket-major, insertion order within buckets.
+    ///
+    /// With an observability sink active, each query records its hit and
+    /// candidate counts as the histograms `geom.index.query_hits` and
+    /// `geom.index.query_candidates`.
+    pub fn for_each_in_disk<F: FnMut(usize)>(&self, c: Point, r: f64, mut f: F) {
+        let mut hits = 0;
+        let candidates = self.for_each_in_disk_counting(c, r, |i| {
+            hits += 1;
+            f(i);
+        });
+        record_query(candidates, hits);
+    }
+
+    /// Like [`Self::for_each_in_disk`], additionally returning the number
+    /// of candidate points scanned — the output-sensitivity signal the
+    /// observability layer reports per query.
+    // rim-lint: allow(panic-freedom) — scan positions are below len()
+    pub fn for_each_in_disk_counting<F: FnMut(usize)>(&self, c: Point, r: f64, mut f: F) -> usize {
+        self.for_each_pos_in_disk(c, r, |k| f(self.items[k] as usize))
+    }
+
+    /// Calls `run(g0, g1)` for every run `g0..=g1` of consecutive leaf
+    /// cells, within one row of one level, that a disk query around `c`
+    /// with slackened radius `reach` scans, starting at level `lv` and
+    /// descending into split cells. Visit order is deterministic.
+    pub(crate) fn walk_cells<F: FnMut(usize, usize)>(
+        &self,
+        lv: Level,
+        c: Point,
+        reach: f64,
+        run: &mut F,
+    ) {
+        let Some((x0, x1, y0, y1)) = lv.shape.span(c, reach) else {
+            return; // negative radius
+        };
+        for y in y0..=y1 {
+            let row = lv.first + y * lv.shape.nx;
+            if !lv.splits {
+                run(row + x0, row + x1);
+                continue;
+            }
+            let mut from = row + x0;
+            for g in row + x0..=row + x1 {
+                if let Some(sub) = self.split_of(g) {
+                    if from < g {
+                        run(from, g - 1);
+                    }
+                    self.walk_cells(sub, c, reach, run);
+                    from = g + 1;
+                }
+            }
+            if from <= row + x1 {
+                run(from, row + x1);
+            }
+        }
+    }
+
+    /// The top level.
+    #[inline]
+    pub(crate) fn top(&self) -> Level {
+        // Nested levels only exist under split top-level cells.
+        Level { shape: self.shape, first: 0, depth: 0, splits: !self.subs.is_empty() }
+    }
+
+    /// The nested grid that splits cell `g`, if any.
+    #[inline]
+    pub(crate) fn split_of(&self, g: usize) -> Option<Level> {
+        let s = *self.split.get(g)? as usize;
+        self.subs.get(s.checked_sub(1)?).copied()
+    }
+
+    /// The leaf cell a point at `p` falls in — the cell the build would
+    /// bucket it in, through the clamped cell coordinate of every level
+    /// on the way down — and that cell's size. Calls `on_path(g)` for
+    /// every cell passed, the leaf included.
+    pub(crate) fn descend(&self, p: Point, mut on_path: impl FnMut(usize)) -> (usize, f64) {
+        let mut lv = self.top();
+        loop {
+            let s = &lv.shape;
+            let g = lv.first + s.row(p.y) * s.nx + s.col(p.x);
+            on_path(g);
+            match self.split_of(g) {
+                Some(sub) => lv = sub,
+                None => return (g, s.cell),
+            }
+        }
+    }
+
+    /// Occupancy of every non-empty top-level bucket, in cell order — the
+    /// cell occupancy distribution the observability layer histograms at
+    /// build time.
     pub fn nonempty_bucket_sizes(&self) -> impl Iterator<Item = usize> + '_ {
-        self.starts
-            .windows(2)
+        let top = self.starts.get(..=self.shape.ncells()).unwrap_or(&[]);
+        top.windows(2)
             .map(|w| (w[1] - w[0]) as usize)
             .filter(|&occ| occ > 0)
     }
@@ -237,13 +441,6 @@ impl SoaGrid {
         let mut out = Vec::new();
         self.for_each_in_disk(c, r, |i| out.push(i));
         out
-    }
-
-    /// Counts the points within distance `r` of `c`.
-    pub fn count_in_disk(&self, c: Point, r: f64) -> usize {
-        let mut count = 0;
-        self.for_each_in_disk(c, r, |_| count += 1);
-        count
     }
 
     /// Distance from the point at *bucket-order position* `k` to its
@@ -359,17 +556,34 @@ impl SoaGrid {
     }
 }
 
-/// Relative slack of a disk query's cell range (see
-/// [`SoaGrid::for_each_pos_in_disk`]).
-pub(crate) const QUERY_SLACK: f64 = 1.0 / (1u64 << 40) as f64;
+/// Records a disk query's candidate and hit counts as the histograms
+/// `geom.index.query_candidates` and `geom.index.query_hits`, when an
+/// observability sink is active (one atomic load otherwise).
+#[inline]
+pub(crate) fn record_query(candidates: usize, hits: usize) {
+    if rim_obs::active() {
+        rim_obs::record("geom.index.query_candidates", candidates as u64);
+        rim_obs::record("geom.index.query_hits", hits as u64);
+    }
+}
+
+/// The slackened radius whose cell range a disk query of radius `r`
+/// scans (see [`SoaGrid::for_each_pos_in_disk`]).
+#[inline]
+pub(crate) fn reach(r: f64) -> f64 {
+    r + r * QUERY_SLACK + UNDERFLOW_SLACK
+}
+
+/// Relative slack of a disk query's cell range.
+const QUERY_SLACK: f64 = 1.0 / (1u64 << 40) as f64;
 
 /// Absolute slack of a disk query's cell range, `2⁻⁵⁰⁰`: covers offsets
 /// whose squares underflow.
-pub(crate) const UNDERFLOW_SLACK: f64 = f64::from_bits((1023 - 500) << 52);
+const UNDERFLOW_SLACK: f64 = f64::from_bits((1023 - 500) << 52);
 
 /// Stop factor of the ring search, `1 − 2⁻²⁰` (see
 /// [`SoaGrid::nearest_dist_at`]).
-pub(crate) const RING_SHRINK: f64 = 1.0 - 1.0 / (1u64 << 20) as f64;
+const RING_SHRINK: f64 = 1.0 - 1.0 / (1u64 << 20) as f64;
 
 #[cfg(test)]
 mod tests {
@@ -389,8 +603,8 @@ mod tests {
     fn queries_match_brute_force() {
         let pts = lcg_points(600, 10.0);
         let soa = SoaPoints::from_points(&pts);
-        let grid = SoaGrid::build(&soa, 0.7);
-        let from_slice = SoaGrid::try_build_from_points(&pts, 0.7).expect("fits u32");
+        let grid = SoaGrid::try_build(&soa, 0.7).unwrap();
+        let from_slice = SoaGrid::from_points(&pts, 0.7);
         for (qi, q) in pts.iter().enumerate().step_by(17) {
             for r in [0.0, 0.35, 0.7, 1.4, 3.0] {
                 let want: Vec<usize> = (0..pts.len()).filter(|&j| pts[j].dist(q) <= r).collect();
@@ -410,7 +624,7 @@ mod tests {
     fn positions_expose_exact_coordinates() {
         let pts = lcg_points(128, 4.0);
         let soa = SoaPoints::from_points(&pts);
-        let grid = SoaGrid::build(&soa, 0.5);
+        let grid = SoaGrid::try_build(&soa, 0.5).unwrap();
         let mut seen = vec![false; pts.len()];
         for k in 0..grid.len() {
             let i = grid.item(k);
@@ -424,14 +638,14 @@ mod tests {
         let mut by_pos: Vec<usize> = Vec::new();
         grid.for_each_pos_in_disk(q, 1.0, |k| by_pos.push(grid.item(k)));
         assert_eq!(by_pos, grid.query_disk(q, 1.0));
-        assert_eq!(grid.count_in_disk(q, 1.0), by_pos.len());
+        assert_eq!(grid.query_disk(q, 1.0).len(), by_pos.len());
     }
 
     #[test]
     fn nearest_dist_matches_naive() {
         let pts = lcg_points(300, 6.0);
         let soa = SoaPoints::from_points(&pts);
-        let grid = SoaGrid::build(&soa, 0.4);
+        let grid = SoaGrid::try_build(&soa, 0.4).unwrap();
         for k in 0..grid.len() {
             let c = grid.point_at(k);
             let want = (0..pts.len())
@@ -446,16 +660,13 @@ mod tests {
 
     #[test]
     fn nearest_dist_handles_duplicates_and_small_stores() {
-        let empty = SoaGrid::build(&SoaPoints::new(), 1.0);
+        let empty = SoaGrid::from_points(&[], 1.0);
         assert!(empty.is_empty());
         assert_eq!(empty.nearest_dist_at(0), None);
-        let one = SoaGrid::build(&SoaPoints::from_points(&[Point::new(1.0, 1.0)]), 1.0);
+        let one = SoaGrid::from_points(&[Point::new(1.0, 1.0)], 1.0);
         assert_eq!(one.nearest_dist_at(0), None);
         // Coincident points: nearest distance is exactly zero.
-        let dup = SoaGrid::build(
-            &SoaPoints::from_points(&[Point::new(2.0, 2.0), Point::new(2.0, 2.0)]),
-            1.0,
-        );
+        let dup = SoaGrid::from_points(&[Point::new(2.0, 2.0), Point::new(2.0, 2.0)], 1.0);
         assert_eq!(dup.nearest_dist_at(0), Some(0.0));
         assert_eq!(dup.nearest_dist_at(1), Some(0.0));
         assert_eq!(dup.nearest_dist_at(2), None);
@@ -467,7 +678,7 @@ mod tests {
         // computed distance 0 from (1e-170, 0), though they lie in other
         // cells.
         let pts = [Point::ORIGIN, Point::new(1e-170, 0.0), Point::new(1e-167, 0.0)];
-        let grid = SoaGrid::build(&SoaPoints::from_points(&pts), 1e-167 / 1040.0);
+        let grid = SoaGrid::from_points(&pts, 1e-167 / 1040.0);
         let mut got = grid.query_disk(pts[1], 0.0);
         got.sort_unstable();
         assert_eq!(got, vec![0, 1, 2]);
@@ -483,13 +694,112 @@ mod tests {
         assert!(!fits_u32_index(MAX_INDEXED_POINTS + 1));
     }
 
+    fn brute_disk(pts: &[Point], c: Point, r: f64) -> Vec<usize> {
+        (0..pts.len()).filter(|&i| pts[i].dist(&c) <= r).collect()
+    }
+
+    fn sorted(mut v: Vec<usize>) -> Vec<usize> {
+        v.sort_unstable();
+        v
+    }
+
+    #[test]
+    fn uniform_grids_do_not_split() {
+        let pts: Vec<Point> = (0..100)
+            .map(|i| Point::new((i % 10) as f64, (i / 10) as f64))
+            .collect();
+        let grid = SoaGrid::from_points(&pts, 1.0);
+        assert_eq!(grid.split_cells(), 0);
+        assert_eq!(grid.split_depth(), 0);
+        let c = Point::new(5.0, 5.0);
+        assert_eq!(sorted(grid.query_disk(c, 1.5)), brute_disk(&pts, c, 1.5));
+    }
+
+    #[test]
+    fn exponential_spreads_split_cells() {
+        // Exponential chain over a unit span: the natural cell hint is the
+        // smallest gap, 2^-47 of the span; the budget clamp puts most of
+        // the chain into one cell, which splits, level after level.
+        let pts: Vec<Point> = (0..48)
+            .map(|i| Point::on_line((2f64.powi(i) - 1.0) / 2f64.powi(48)))
+            .collect();
+        let grid = SoaGrid::from_points(&pts, pts[1].x - pts[0].x);
+        assert!(grid.split_cells() > 0);
+        for q in [0usize, 5, 47] {
+            for r in [0.0, 2f64.powi(-40), 0.25] {
+                let want = brute_disk(&pts, pts[q], r);
+                assert_eq!(sorted(grid.query_disk(pts[q], r)), want, "q={q}");
+            }
+        }
+    }
+
+    #[test]
+    fn split_range_matches_brute_force() {
+        // Half the points packed into a 10⁻⁶ square: its cell splits.
+        let mut pts = lcg_points(100, 1.0);
+        pts.extend(lcg_points(100, 1e-6).iter().map(|p| Point::new(p.x + 0.3, p.y + 0.3)));
+        let grid = SoaGrid::from_points(&pts, 0.1);
+        assert!(grid.split_cells() > 0);
+        let queries = [(0.5, 0.5, 0.2), (0.0, 1.0, 0.6), (0.9, 0.9, 0.05), (0.3, 0.3, 5e-7)];
+        for &(qx, qy, r) in &queries {
+            let q = Point::new(qx, qy);
+            assert_eq!(sorted(grid.query_disk(q, r)), brute_disk(&pts, q, r), "q={q:?} r={r}");
+        }
+    }
+
+    #[test]
+    fn split_grid_handles_empty_and_duplicates() {
+        let empty = SoaGrid::from_points(&[], 1.0);
+        assert!(empty.is_empty());
+        assert!(empty.query_disk(Point::ORIGIN, 1.0).is_empty());
+        // Forty coincident points and one more: the overloaded cell splits
+        // once, and the coincident stack stays one leaf.
+        let mut pts = vec![Point::ORIGIN; 40];
+        pts.push(Point::new(1.0, 0.0));
+        let grid = SoaGrid::from_points(&pts, 4.0);
+        assert_eq!((grid.split_cells(), grid.split_depth()), (1, 1));
+        assert_eq!(sorted(grid.query_disk(Point::ORIGIN, 0.0)), (0..40).collect::<Vec<_>>());
+        assert_eq!(grid.query_disk(Point::new(1.0, 0.0), 1.0).len(), 41);
+        assert_eq!(grid.nearest_dist_at(0), Some(0.0));
+    }
+
+    #[test]
+    fn split_and_flat_grids_share_closed_disk_semantics() {
+        // The same two boundary points, alone and inside an overloaded
+        // cell: a radius copied from their distance keeps both, one ulp
+        // less drops the far one.
+        let a = Point::new(0.3, 0.4);
+        let b = Point::new(1.1, 2.2);
+        let r = a.dist(&b);
+        let below = f64::from_bits(r.to_bits() - 1);
+        let mut crowded = vec![a, b];
+        crowded.extend(lcg_points(60, 1e-3).iter().map(|p| Point::new(p.x + 0.7, p.y + 1.3)));
+        for pts in [vec![a, b], crowded] {
+            let grid = SoaGrid::from_points(&pts, r * 2.0);
+            assert_eq!(grid.split_cells() > 0, pts.len() > 2);
+            assert!(sorted(grid.query_disk(a, r)).starts_with(&[0, 1]));
+            assert!(!grid.query_disk(a, below).contains(&1));
+        }
+    }
+
+    #[test]
+    fn degenerate_hints_build_a_working_grid() {
+        let pts = [Point::ORIGIN, Point::new(1.0, 1.0), Point::new(1.0, 1.0)];
+        for hint in [0.0, -2.0, f64::NAN, f64::INFINITY] {
+            let grid = SoaGrid::from_points(&pts, hint);
+            assert_eq!(grid.len(), 3);
+            assert_eq!(sorted(grid.query_disk(Point::new(1.0, 1.0), 0.0)), vec![1, 2]);
+            assert_eq!(grid.query_disk(Point::ORIGIN, 2.0).len(), 3);
+        }
+    }
+
     #[test]
     fn degenerate_hints_fall_back() {
         let pts = lcg_points(50, 3.0);
         let soa = SoaPoints::from_points(&pts);
         for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            let grid = SoaGrid::build(&soa, bad);
-            assert_eq!(grid.count_in_disk(pts[0], 0.0), 1);
+            let grid = SoaGrid::try_build(&soa, bad).unwrap();
+            assert_eq!(grid.query_disk(pts[0], 0.0).len(), 1);
         }
     }
 }

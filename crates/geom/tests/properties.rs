@@ -3,8 +3,7 @@
 //! harness, `rim_rng::prop`).
 
 use rim_geom::{
-    closest_pair, closest_pair_brute_force, convex_hull, DynGrid, KdTree, Point, SoaGrid,
-    SoaPoints, SpatialIndex,
+    closest_pair, closest_pair_brute_force, convex_hull, DynGrid, Point, SoaGrid, SoaPoints,
 };
 use rim_rng::prop::{check, check_default};
 use rim_rng::{prop_ensure, prop_ensure_eq, SmallRng};
@@ -24,14 +23,56 @@ fn brute_disk(points: &[Point], c: Point, r: f64) -> Vec<usize> {
         .collect()
 }
 
+fn sorted(mut v: Vec<usize>) -> Vec<usize> {
+    v.sort_unstable();
+    v
+}
+
+/// Clouds far above the grid's split budget, so grids over them split:
+/// the churn exp-chain line `x = side·2^(−octaves·u)`, an exponential
+/// spread over both axes, and stacks of coincident points, whose
+/// overloaded cells splitting must leave alone.
+fn arb_dense_cloud(rng: &mut SmallRng) -> Vec<Point> {
+    let n = rng.gen_range(100usize..400);
+    match rng.gen_range(0..3u32) {
+        0 => {
+            let octaves = rng.gen_range(4.0f64..40.0);
+            let side = 2f64.powi(rng.gen_range(0u32..21) as i32 - 10);
+            (0..n)
+                .map(|_| Point::new(side * 2f64.powf(-octaves * rng.gen_range(0.0f64..1.0)), 0.0))
+                .collect()
+        }
+        1 => (0..n)
+            .map(|_| {
+                let (a, b) = (rng.gen_range(0.0f64..30.0), rng.gen_range(0.0f64..30.0));
+                Point::new(2f64.powf(-a), 2f64.powf(-b))
+            })
+            .collect(),
+        _ => {
+            let sites: Vec<Point> = (0..rng.gen_range(1usize..4)).map(|_| arb_point(rng)).collect();
+            (0..n)
+                .map(|i| if i % 9 == 0 { arb_point(rng) } else { sites[i % sites.len()] })
+                .collect()
+        }
+    }
+}
+
+/// Requires that at least a quarter of a property's `cases` built a grid
+/// with split cells, so the suite exercises the nested-grid path.
+fn assert_splits(name: &str, split: u32, cases: u32) {
+    assert!(4 * split >= cases, "{name}: only {split} of {cases} cases split a cell");
+}
+
 #[test]
 fn grid_disk_query_matches_brute_force() {
     // Half the radii are exact pairwise distances, which put a point right
-    // on the closed boundary.
-    check_default(
+    // on the closed boundary; half the clouds overload cells.
+    let mut split = 0;
+    check(
         "grid_disk_query_matches_brute_force",
+        256,
         |rng| {
-            let pts = arb_points(rng, 60);
+            let pts = if rng.gen_bool(0.5) { arb_dense_cloud(rng) } else { arb_points(rng, 60) };
             let q = if !pts.is_empty() && rng.gen_bool(0.5) {
                 pts[rng.gen_range(0..pts.len())]
             } else {
@@ -45,49 +86,101 @@ fn grid_disk_query_matches_brute_force() {
             (pts, q, r, rng.gen_range(0.05f64..3.0))
         },
         |(pts, q, r, cell)| {
-            let index = SpatialIndex::build(pts, *cell);
-            prop_ensure_eq!(index.query_disk(*q, *r), brute_disk(pts, *q, *r));
+            let index = SoaGrid::from_points(pts, *cell);
+            split += u32::from(index.split_cells() > 0);
+            prop_ensure_eq!(sorted(index.query_disk(*q, *r)), brute_disk(pts, *q, *r));
             Ok(())
         },
     );
+    assert_splits("grid_disk_query_matches_brute_force", split, 256);
 }
 
 #[test]
-fn kdtree_disk_query_matches_brute_force() {
+fn split_grid_disk_query_matches_brute_force() {
+    // Queries around the dense end of the spread, at radii from far below
+    // to far above its spacing, and bit-exact boundary radii.
+    let mut split = 0;
     check_default(
-        "kdtree_disk_query_matches_brute_force",
-        |rng| (arb_points(rng, 60), arb_point(rng), rng.gen_range(0.0f64..5.0)),
-        |(pts, q, r)| {
-            let tree = KdTree::build(pts);
-            prop_ensure_eq!(tree.query_disk(*q, *r), brute_disk(pts, *q, *r));
+        "split_grid_disk_query_matches_brute_force",
+        |rng| {
+            let pts = arb_dense_cloud(rng);
+            let c = pts[rng.gen_range(0..pts.len())];
+            let r = if rng.gen_bool(0.5) {
+                pts[rng.gen_range(0..pts.len())].dist(&c)
+            } else {
+                2f64.powi(rng.gen_range(0u32..40) as i32 - 30)
+            };
+            (pts, c, r, 2f64.powi(rng.gen_range(0u32..41) as i32 - 20))
+        },
+        |(pts, c, r, cell)| {
+            let grid = SoaGrid::from_points(pts, *cell);
+            split += u32::from(grid.split_cells() > 0);
+            let want = brute_disk(pts, *c, *r);
+            let mut hits = 0;
+            let candidates = grid.for_each_in_disk_counting(*c, *r, |_| hits += 1);
+            prop_ensure!(candidates >= hits, "{candidates} candidates for {hits} hits");
+            prop_ensure_eq!(sorted(grid.query_disk(*c, *r)), want);
+            // Positions descend into the same cells as ids.
+            let mut by_pos = Vec::new();
+            grid.for_each_pos_in_disk(*c, *r, |k| by_pos.push(grid.item(k)));
+            prop_ensure_eq!(sorted(by_pos), want);
             Ok(())
         },
     );
+    assert_splits("split_grid_disk_query_matches_brute_force", split, 256);
 }
 
 #[test]
-fn kdtree_nearest_matches_brute_force() {
+fn split_grid_nearest_matches_brute_force() {
+    // The nearest point to any query, merged or pending, on clouds whose
+    // cells split.
+    let mut split = 0;
     check_default(
-        "kdtree_nearest_matches_brute_force",
-        |rng| (arb_points(rng, 60), arb_point(rng)),
-        |(pts, q)| {
-            let tree = KdTree::build(pts);
-            let got = tree.nearest(*q, usize::MAX);
-            let want = (0..pts.len()).map(|i| pts[i].dist_sq(q)).min_by(f64::total_cmp);
-            match (got, want) {
-                (None, None) => Ok(()),
-                (Some(i), Some(d)) => {
-                    prop_ensure!(
-                        pts[i].dist_sq(q).total_cmp(&d).is_eq(),
-                        "kd nearest at {} not minimal",
-                        i
-                    );
-                    Ok(())
-                }
-                _ => Err("one of fast/brute found a point, the other did not".into()),
-            }
+        "split_grid_nearest_matches_brute_force",
+        |rng| {
+            let pts = arb_dense_cloud(rng);
+            let merged = rng.gen_range(pts.len() / 2..pts.len() + 1);
+            let q = if rng.gen_bool(0.5) {
+                pts[rng.gen_range(0..pts.len())]
+            } else {
+                arb_point(rng)
+            };
+            (pts, merged, q, 2f64.powi(rng.gen_range(0u32..41) as i32 - 20))
+        },
+        |(pts, merged, q, cell)| {
+            let grid = dyn_grid(pts, *merged, *cell);
+            split += u32::from(SoaGrid::from_points(&pts[..*merged], *cell).split_cells() > 0);
+            let mut got = Vec::new();
+            grid.nearest_k_where(*q, 1, |_| true, &mut got);
+            let want = (0..pts.len())
+                .map(|i| (pts[i].dist(q), i))
+                .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            prop_ensure_eq!(got.first().copied(), want);
+            Ok(())
         },
     );
+    assert_splits("split_grid_nearest_matches_brute_force", split, 256);
+}
+
+#[test]
+fn splitting_stops_at_coincident_points() {
+    // Stacks of coincident points far above the budget: the cell holding
+    // a stack with another point splits, the stack's own cell cannot.
+    let stack = Point::new(1.5, -2.0);
+    let mut pts = vec![stack; 500];
+    pts.push(Point::new(1.75, -2.0));
+    pts.extend(vec![Point::ORIGIN; 300]);
+    for cell in [0.0, 1e-9, 1.0, 1e9] {
+        let grid = SoaGrid::from_points(&pts, cell);
+        assert!(grid.split_depth() <= 2, "cell={cell}: depth {}", grid.split_depth());
+        assert_eq!(grid.query_disk(stack, 0.0).len(), 500, "cell={cell}");
+        assert_eq!(grid.query_disk(Point::ORIGIN, 0.0).len(), 300, "cell={cell}");
+        assert_eq!(grid.query_disk(stack, 0.25).len(), 501, "cell={cell}");
+        let k = (0..grid.len()).find(|&k| grid.item(k) == 500).expect("indexed");
+        assert_eq!(grid.nearest_dist_at(k), Some(0.25), "cell={cell}");
+    }
+    let all_coincident = SoaGrid::from_points(&vec![stack; 400], 0.5);
+    assert_eq!(all_coincident.split_cells(), 0);
 }
 
 /// Points of the unit lattice `0..8 × 0..8`, each coordinate nudged one
@@ -113,8 +206,11 @@ fn nudged_lattice(rng: &mut SmallRng, n: usize) -> Vec<Point> {
 /// Adversarial clouds for the SoA grid: clusters, duplicates, collinear
 /// runs, exponential spreads, uniform squares and ulp-nudged lattices,
 /// shifted by offsets up to 1e9 so coordinate rounding dominates the
-/// spacing.
+/// spacing; and, a third of the time, a cloud above the split budget.
 fn arb_cloud(rng: &mut SmallRng) -> Vec<Point> {
+    if rng.gen_range(0..3u32) == 0 {
+        return arb_dense_cloud(rng);
+    }
     let n = rng.gen_range(2usize..120);
     let mut shift = || {
         if rng.gen_bool(0.5) {
@@ -184,7 +280,7 @@ fn soa_ring_nearest_matches_brute_force_bitwise() {
         512,
         |rng| (arb_cloud(rng), arb_cell(rng)),
         |(pts, cell)| {
-            let grid = SoaGrid::build(&SoaPoints::from_points(pts), *cell);
+            let grid = SoaGrid::from_points(pts, *cell);
             for k in 0..grid.len() {
                 let i = grid.item(k);
                 let want = (0..pts.len())
@@ -207,6 +303,7 @@ fn soa_ring_nearest_matches_brute_force_bitwise() {
 fn soa_disk_query_matches_brute_force_at_exact_distances() {
     // Radii equal to an exact pairwise distance put a point right on the
     // closed boundary: the tight cell margin must still reach it.
+    let mut split = 0;
     check(
         "soa_disk_query_matches_brute_force_at_exact_distances",
         512,
@@ -234,7 +331,8 @@ fn soa_disk_query_matches_brute_force_at_exact_distances() {
             (pts, cell, center, b)
         },
         |(pts, cell, center, b)| {
-            let grid = SoaGrid::build(&SoaPoints::from_points(pts), *cell);
+            let grid = SoaGrid::from_points(pts, *cell);
+            split += u32::from(grid.split_cells() > 0);
             let r = pts[*b].dist(center);
             let mut got = grid.query_disk(*center, r);
             got.sort_unstable();
@@ -244,6 +342,7 @@ fn soa_disk_query_matches_brute_force_at_exact_distances() {
             Ok(())
         },
     );
+    assert_splits("soa_disk_query_matches_brute_force_at_exact_distances", split, 512);
 }
 
 /// A cloud split into a merged prefix and an overlay of arrivals, about
@@ -273,6 +372,7 @@ fn dyn_grid(pts: &[Point], merged: usize, cell: f64) -> DynGrid {
 fn dyn_grid_overlay_disk_queries_match_brute_force() {
     // Half the radii are exact pairwise distances, which put a point
     // right on the closed boundary, merged or pending.
+    let mut split = 0;
     check(
         "dyn_grid_overlay_disk_queries_match_brute_force",
         512,
@@ -294,6 +394,7 @@ fn dyn_grid_overlay_disk_queries_match_brute_force() {
         },
         |(pts, merged, cell, center, r)| {
             let grid = dyn_grid(pts, *merged, *cell);
+            split += u32::from(SoaGrid::from_points(&pts[..*merged], *cell).split_cells() > 0);
             let mut got = Vec::new();
             grid.for_each_within(*center, *r, |id, d| got.push((id, d.to_bits())));
             got.sort_unstable();
@@ -305,10 +406,12 @@ fn dyn_grid_overlay_disk_queries_match_brute_force() {
             Ok(())
         },
     );
+    assert_splits("dyn_grid_overlay_disk_queries_match_brute_force", split, 512);
 }
 
 #[test]
 fn dyn_grid_nearest_k_matches_brute_force() {
+    let mut split = 0;
     check(
         "dyn_grid_nearest_k_matches_brute_force",
         512,
@@ -327,6 +430,7 @@ fn dyn_grid_nearest_k_matches_brute_force() {
         },
         |(pts, merged, cell, query, k, m, sparse)| {
             let grid = dyn_grid(pts, *merged, *cell);
+            split += u32::from(SoaGrid::from_points(&pts[..*merged], *cell).split_cells() > 0);
             let keep = |i: usize| if *sparse { i % m == 0 } else { i % m != 0 || *m == 1 };
             let mut got = Vec::new();
             grid.nearest_k_where(*query, *k, keep, &mut got);
@@ -343,6 +447,7 @@ fn dyn_grid_nearest_k_matches_brute_force() {
             Ok(())
         },
     );
+    assert_splits("dyn_grid_nearest_k_matches_brute_force", split, 512);
 }
 
 #[test]

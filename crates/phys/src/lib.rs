@@ -17,7 +17,7 @@
 //!   counts then equal the paper's interference vector on every input
 //!   — a differential-tested theorem, see `DESIGN.md` §11.
 //! * [`sinr_interference_naive`] is the permanent `O(n²)` SINR oracle;
-//!   [`sinr_interference_indexed`] reuses `rim_geom::SpatialIndex`
+//!   [`sinr_interference_indexed`] reuses `rim_geom::SoaGrid`
 //!   with a conservative range cutoff derived from the noise floor and
 //!   produces bit-identical sums (same closed predicate, same
 //!   ascending-sender accumulation order per receiver).

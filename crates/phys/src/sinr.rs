@@ -11,13 +11,13 @@
 //! addends.
 
 use crate::model::PhysModel;
-use rim_geom::SpatialIndex;
+use rim_geom::SoaGrid;
 
 /// Builds the spatial index the physical kernels scatter over: the
 /// median positive cutoff radius makes a good cell hint, same
 /// heuristic as the disk engines' `build_index`.
 // rim-lint: allow(panic-freedom) — the median index is guarded by the is_empty branch
-pub fn build_phys_index(m: &PhysModel) -> SpatialIndex {
+pub fn build_phys_index(m: &PhysModel) -> SoaGrid {
     let _span = rim_obs::span("phys/index_build");
     let mut cutoffs: Vec<f64> = (0..m.len()).map(|u| m.cutoff(u)).filter(|&c| c > 0.0).collect();
     let hint = if cutoffs.is_empty() {
@@ -27,7 +27,7 @@ pub fn build_phys_index(m: &PhysModel) -> SpatialIndex {
         cutoffs[cutoffs.len() / 2]
     };
     let points: Vec<rim_geom::Point> = (0..m.len()).map(|u| m.pos(u)).collect();
-    SpatialIndex::build(&points, hint)
+    SoaGrid::from_points(&points, hint)
 }
 
 /// Physical coverage counts, reference `O(n²)` implementation:
@@ -54,7 +54,7 @@ pub fn coverage_vector_naive(m: &PhysModel) -> Vec<usize> {
 /// Physical coverage counts via one closed-disk query of radius `ρ_u`
 /// per transmitter — same predicate at distance level as the naive
 /// kernel, so the counts agree exactly.
-pub fn coverage_vector_indexed(m: &PhysModel, index: &SpatialIndex) -> Vec<usize> {
+pub fn coverage_vector_indexed(m: &PhysModel, index: &SoaGrid) -> Vec<usize> {
     let n = m.len();
     let mut out = vec![0usize; n];
     let mut queries = 0u64;
@@ -121,7 +121,7 @@ pub fn sinr_interference_naive(m: &PhysModel) -> Vec<f64> {
 /// below the noise floor, so the indexed sums equal the naive oracle's
 /// bit-for-bit (identical addends, identical per-receiver order; see
 /// the module docs and `DESIGN.md` §11).
-pub fn sinr_interference_indexed(m: &PhysModel, index: &SpatialIndex) -> Vec<f64> {
+pub fn sinr_interference_indexed(m: &PhysModel, index: &SoaGrid) -> Vec<f64> {
     let n = m.len();
     let mut out = vec![0.0f64; n];
     let mut queries = 0u64;

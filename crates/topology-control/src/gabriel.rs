@@ -9,14 +9,14 @@
 //! Two witness predicates compute the same answer: the brute-force
 //! [`is_gabriel_edge_naive`] scans all `n` nodes (the **permanent
 //! oracle** the differential suites test against), while
-//! [`is_gabriel_edge`] queries a [`SpatialIndex`] for the closed disk of
+//! [`is_gabriel_edge`] queries a [`SoaGrid`] for the closed disk of
 //! radius `|uv|` around `u` — any witness `w` has `|uw|² + |wv|² <=
 //! |uv|²`, hence `|uw| <= |uv|` even after rounding, so the query never
 //! misses one — and re-evaluates the exact predicate on the candidates.
 
 use crate::pipeline::{self, witness_index};
 use rim_core::receiver::Engine;
-use rim_geom::SpatialIndex;
+use rim_geom::SoaGrid;
 use rim_graph::AdjacencyList;
 use rim_udg::{NodeSet, Topology};
 
@@ -36,7 +36,7 @@ pub fn is_gabriel_edge_naive(nodes: &NodeSet, u: usize, v: usize) -> bool {
 /// radius `|uv|` around `u` (a superset of the diameter disk — see the
 /// module docs for the containment argument) and are filtered by the
 /// identical squared-distance predicate.
-pub fn is_gabriel_edge(nodes: &NodeSet, index: &SpatialIndex, u: usize, v: usize) -> bool {
+pub fn is_gabriel_edge(nodes: &NodeSet, index: &SoaGrid, u: usize, v: usize) -> bool {
     let d_uv = nodes.dist_sq(u, v);
     let mut blocked = false;
     index.for_each_in_disk(nodes.pos(u), nodes.dist(u, v), |w| {

@@ -4,7 +4,7 @@
 //! (Gabriel, RNG, XTC) or computes a per-node local structure (LMST,
 //! Yao) funnels through the helpers here:
 //!
-//! * [`witness_index`] builds the same [`SpatialIndex`] the interference
+//! * [`witness_index`] builds the same [`SoaGrid`] the interference
 //!   engine scatters over, hinted by the median UDG edge length — the
 //!   dominant witness-query radius.
 //! * [`filter_edges`] fans an edge predicate out over the shared chunked
@@ -25,7 +25,7 @@
 //! so index-backed construction equals the brute-force scan bit for bit.
 
 use rim_core::receiver::Engine;
-use rim_geom::SpatialIndex;
+use rim_geom::SoaGrid;
 use rim_graph::{AdjacencyList, Edge};
 use rim_udg::NodeSet;
 
@@ -61,11 +61,11 @@ pub(crate) fn resolve(engine: Engine, n: usize) -> Engine {
 /// Builds the spatial index the witness predicates query: all node
 /// positions, with the median UDG edge length as the cell hint (witness
 /// queries use radius `|uv|` of the edge under test, so the median edge
-/// balances bucket population against buckets touched). Falls back to a
-/// kd-tree on degenerate spreads exactly as the interference engine
-/// does.
+/// balances bucket population against buckets touched). Overloaded
+/// cells split on skewed spreads, exactly as in the interference
+/// engine's grid.
 // rim-lint: allow(panic-freedom) — the median index is guarded by the is_empty branch
-pub fn witness_index(nodes: &NodeSet, udg: &AdjacencyList) -> SpatialIndex {
+pub fn witness_index(nodes: &NodeSet, udg: &AdjacencyList) -> SoaGrid {
     let _span = rim_obs::span("control/witness_index");
     let mut lens: Vec<f64> = udg.edges().iter().map(|e| e.weight).collect();
     let hint = if lens.is_empty() {
@@ -74,7 +74,7 @@ pub fn witness_index(nodes: &NodeSet, udg: &AdjacencyList) -> SpatialIndex {
         lens.sort_unstable_by(f64::total_cmp);
         lens[lens.len() / 2]
     };
-    SpatialIndex::build(nodes.points(), hint)
+    SoaGrid::from_points(nodes.points(), hint)
 }
 
 /// Keeps the edges of `edges` for which `keep` holds, evaluating the

@@ -7,14 +7,14 @@
 //!
 //! As for the Gabriel graph, two witness predicates agree exactly: the
 //! brute-force [`is_rng_edge_naive`] oracle scans all `n` nodes, while
-//! [`is_rng_edge`] queries a [`SpatialIndex`] for the closed disk of
+//! [`is_rng_edge`] queries a [`SoaGrid`] for the closed disk of
 //! radius `|uv|` around `u` — a lune witness has `|uw| < |uv|`, so the
 //! disk contains it even at floating-point level — and re-applies the
 //! exact predicate to the candidates.
 
 use crate::pipeline::{self, witness_index};
 use rim_core::receiver::Engine;
-use rim_geom::SpatialIndex;
+use rim_geom::SoaGrid;
 use rim_graph::AdjacencyList;
 use rim_udg::{NodeSet, Topology};
 
@@ -33,7 +33,7 @@ pub fn is_rng_edge_naive(nodes: &NodeSet, u: usize, v: usize) -> bool {
 /// candidates come from the closed disk of radius `|uv|` around `u`
 /// (a superset of the lune) and are filtered by the identical
 /// squared-distance predicate.
-pub fn is_rng_edge(nodes: &NodeSet, index: &SpatialIndex, u: usize, v: usize) -> bool {
+pub fn is_rng_edge(nodes: &NodeSet, index: &SoaGrid, u: usize, v: usize) -> bool {
     let d_uv = nodes.dist_sq(u, v);
     let mut blocked = false;
     index.for_each_in_disk(nodes.pos(u), nodes.dist(u, v), |w| {

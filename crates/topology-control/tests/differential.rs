@@ -5,7 +5,7 @@
 //! reproduce them **exactly** — same edge set, not approximately — on
 //! five instance families: uniform, clustered, exponential-chain,
 //! collinear, and duplicate-coordinate (the degenerate ones stress the
-//! spatial index's kd-tree fallback and boundary ties).
+//! grid's split cells and boundary ties).
 
 use rim_geom::Point;
 use rim_rng::SmallRng;
@@ -50,8 +50,7 @@ fn clustered(clusters: usize, per: usize, side: f64, seed: u64) -> NodeSet {
 }
 
 /// Exponentially growing gaps on a line — the paper's chain family and
-/// the stress case that pushes the witness index onto its kd-tree
-/// fallback.
+/// the stress case that makes the witness index split overloaded cells.
 fn exponential_chain(n: usize) -> NodeSet {
     let scale = 2f64.powi(-(n as i32));
     NodeSet::on_line(

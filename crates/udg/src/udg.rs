@@ -2,19 +2,19 @@
 
 use crate::node_set::NodeSet;
 use rim_graph::AdjacencyList;
-use rim_geom::SpatialIndex;
+use rim_geom::SoaGrid;
 
 /// Builds the Unit Disk Graph of `nodes`: an edge `{u, v}` (weighted by
 /// Euclidean distance) for every pair with `|uv| <= max_range`.
 ///
 /// The paper normalizes the maximum transmission range to 1; pass
 /// `max_range = 1.0` for the standard UDG. Construction scatters one
-/// closed-disk query per node over a [`SpatialIndex`] (grid, or kd-tree
-/// when the spread defeats a uniform cell — the same adaptive structure
-/// the interference engine uses) and runs in `O(n + m)` expected time
-/// for bounded densities. From [`rim_par::AUTO_PARALLEL_MIN`] nodes on,
-/// the queries fan out over [`rim_par::num_threads`] workers; the graph
-/// is the same for every worker count.
+/// closed-disk query per node over a [`SoaGrid`] (the same grid the
+/// interference engine uses, whose overloaded cells split on skewed
+/// spreads) and runs in `O(n + m)` expected time for bounded densities.
+/// From [`rim_par::AUTO_PARALLEL_MIN`] nodes on, the queries fan out
+/// over [`rim_par::num_threads`] workers; the graph is the same for
+/// every worker count.
 pub fn unit_disk_graph_with_range(nodes: &NodeSet, max_range: f64) -> AdjacencyList {
     unit_disk_graph_threads(nodes, max_range, rim_par::auto_threads(nodes.len()))
 }
@@ -38,7 +38,7 @@ pub(crate) fn unit_disk_graph_threads(
     if n < 2 {
         return AdjacencyList::new(n);
     }
-    let index = SpatialIndex::build(nodes.points(), max_range);
+    let index = SoaGrid::from_points(nodes.points(), max_range);
     let chunks = rim_par::par_map_ranges(n, threads, |range| {
         let mut scratch: Vec<(u32, f64)> = Vec::new();
         range
@@ -129,7 +129,7 @@ mod tests {
     }
 
     /// Five instance families above the parallel gate: uniform, clustered,
-    /// an exponential chain (which the index serves from its kd-tree),
+    /// an exponential chain (whose grid splits its overloaded cells),
     /// collinear, and duplicate coordinates.
     fn families() -> Vec<(&'static str, NodeSet)> {
         use rim_rng::SmallRng;
@@ -180,8 +180,8 @@ mod tests {
     fn parallel_build_matches_brute_force_for_every_worker_count() {
         for (family, ns) in families() {
             if family == "exp-chain" {
-                let index = SpatialIndex::build(ns.points(), 1.0);
-                assert!(matches!(index, SpatialIndex::Kd(_)), "the chain must take the kd-tree");
+                let index = SoaGrid::from_points(ns.points(), 1.0);
+                assert!(index.split_cells() > 0, "the chain must split its overloaded cells");
             }
             let want = brute_force_udg(&ns, 1.0);
             let want_edges: Vec<(usize, usize, u64)> =

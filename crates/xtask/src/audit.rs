@@ -502,6 +502,9 @@ pub const PANIC_FREE_ROOTS: &[&str] = &[
     "decode_snapshot",
     "nearest_live_k",
     "push_overlay",
+    "scan_split",
+    "for_each_reaching",
+    "raise_bound",
     "unit_disk_graph_with_range",
     "coverage_vector",
 ];

@@ -781,6 +781,9 @@ pub const DETERMINISM_ROOTS: &[&str] = &[
     "encode_snapshot",
     "nearest_live_k",
     "push_overlay",
+    "scan_split",
+    "for_each_reaching",
+    "raise_bound",
     "unit_disk_graph_with_range",
     "coverage_vector",
 ];

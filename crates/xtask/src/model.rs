@@ -622,8 +622,8 @@ mod tests {
             member(
                 "rim-geom",
                 &[(
-                    "crates/geom/src/index.rs",
-                    "pub struct SpatialIndex;\nimpl SpatialIndex {\n  pub fn build() -> Self { SpatialIndex }\n}\n",
+                    "crates/geom/src/soa_grid.rs",
+                    "pub struct SoaGrid;\nimpl SoaGrid {\n  pub fn build() -> Self { SoaGrid }\n}\n",
                 )],
                 &[],
             ),
@@ -632,7 +632,7 @@ mod tests {
                 &["rim-geom"],
                 &[(
                     "crates/core/src/receiver.rs",
-                    "pub fn f() { let _ = SpatialIndex::build(); }\n",
+                    "pub fn f() { let _ = SoaGrid::build(); }\n",
                 )],
                 &[],
             ),
@@ -656,8 +656,8 @@ mod tests {
             member(
                 "rim-geom",
                 &[(
-                    "crates/geom/src/index.rs",
-                    "pub struct SpatialIndex;\nimpl SpatialIndex {\n  pub fn probe(&self) {}\n}\n",
+                    "crates/geom/src/soa_grid.rs",
+                    "pub struct SoaGrid;\nimpl SoaGrid {\n  pub fn probe(&self) {}\n}\n",
                 )],
                 &[],
             )

@@ -68,8 +68,8 @@ pub struct Item {
     pub span: (usize, usize),
     /// `[start, end)` token range inside the body braces.
     pub body: (usize, usize),
-    /// For [`ItemKind::Impl`]: the Self-type name (`SpatialIndex` for
-    /// `impl rim_geom::SpatialIndex`, `Engine` for `impl FromStr for Engine`).
+    /// For [`ItemKind::Impl`]: the Self-type name (`SoaGrid` for
+    /// `impl rim_geom::SoaGrid`, `Engine` for `impl FromStr for Engine`).
     pub impl_of: Option<String>,
     /// For [`ItemKind::Impl`]: whether this is a trait impl
     /// (`impl Trait for Type`), whose methods are called through the

@@ -161,13 +161,15 @@ fn streaming_kernel_obligations_stay_registered() {
 fn churn_hot_path_obligations_stay_registered() {
     // The churn layer's standing obligations: the whole edit hot path
     // (op application, tombstoning departures, the engine's
-    // nearest-live query and its grid's overlay insert) plus both
-    // snapshot codec entry points are panic-free roots, and the
-    // replay-equality surface (apply_edit, remove_node, the nearest-live
-    // query, the overlay insert, the snapshot encoder) must not reach
-    // RNG draws, wall-clock reads, or atomic RMW — bit-exact
+    // nearest-live query, its grid's overlay insert, the split-aware
+    // cell scan, the arrival-coverage query and the per-cell radius
+    // bound raise) plus both snapshot codec entry points are panic-free
+    // roots, and the replay-equality surface (apply_edit, remove_node,
+    // the nearest-live query, the grid paths, the snapshot encoder) must
+    // not reach RNG draws, wall-clock reads, or atomic RMW — bit-exact
     // (seed, trace) replay and snapshot restore depend on it. Dropping
     // any of these would silently un-audit rim-churn.
+    const GRID_PATHS: [&str; 3] = ["scan_split", "for_each_reaching", "raise_bound"];
     for root in [
         "remove_node",
         "apply_edit",
@@ -175,13 +177,19 @@ fn churn_hot_path_obligations_stay_registered() {
         "push_overlay",
         "encode_snapshot",
         "decode_snapshot",
-    ] {
+    ]
+    .into_iter()
+    .chain(GRID_PATHS)
+    {
         assert!(
             rim_xtask::audit::PANIC_FREE_ROOTS.contains(&root),
             "`{root}` must stay in PANIC_FREE_ROOTS"
         );
     }
-    for root in ["remove_node", "apply_edit", "nearest_live_k", "push_overlay", "encode_snapshot"] {
+    for root in ["remove_node", "apply_edit", "nearest_live_k", "push_overlay", "encode_snapshot"]
+        .into_iter()
+        .chain(GRID_PATHS)
+    {
         assert!(
             rim_xtask::flow::DETERMINISM_ROOTS.contains(&root),
             "`{root}` must stay in DETERMINISM_ROOTS"

@@ -143,7 +143,7 @@ fn figure_7_linear_chain_interference_pinned_engines() {
 /// Theorems 5.1 + 5.2 pinned through the indexed engine: the `√n`
 /// sandwich must hold on the exact counts the spatial index produces —
 /// exponential chains are precisely the instances whose radius spread
-/// forces the kd-tree backend.
+/// makes the grid split its overloaded cells.
 #[test]
 fn theorem_5_1_and_5_2_aexp_sandwich_pinned_indexed() {
     for n in [16usize, 64, 144, 256] {
