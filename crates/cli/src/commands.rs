@@ -231,6 +231,25 @@ pub fn control(args: &Args) -> Result<(), UsageError> {
     result
 }
 
+/// Smallest `--side` of `analyze --generate`, `2^-405`.
+const MIN_GENERATED_SIDE: f64 = f64::from_bits((1023 - 405) << 52);
+/// Largest `--side` of `analyze --generate`, `2^511`.
+const MAX_GENERATED_SIDE: f64 = f64::from_bits((1023 + 511) << 52);
+
+/// Whether every squared distance between two distinct points that
+/// `uniform_soa` draws in a `side × side` square is a finite, normal f64,
+/// so that the nearest-neighbour radii and the interference counts are
+/// the scaled instance's: true for `side` in `[2^-405, 2^511]`.
+///
+/// * Upper bound: `|dx|, |dy| <= side <= 2^511`, so
+///   `dx² + dy² <= 2^1023` stays finite.
+/// * Lower bound: coordinates are `fl(k·2^-53·side)`, so distinct ones
+///   differ by at least `side·2^-106 >= 2^-511`, whose square is a
+///   normal number.
+fn side_keeps_distances_in_range(side: f64) -> bool {
+    (MIN_GENERATED_SIDE..=MAX_GENERATED_SIDE).contains(&side)
+}
+
 /// `rim analyze --generate uniform:N` — the file-free streaming path:
 /// generate N uniform nodes, assign nearest-neighbor radii, and run the
 /// SoA streaming kernel. No node file, no topology file, no edge list.
@@ -259,22 +278,24 @@ fn analyze_generated(spec: &str, args: &Args) -> Result<(), UsageError> {
     if side <= 0.0 || !side.is_finite() {
         return Err(UsageError(format!("--side must be positive, got {side}")));
     }
+    if !side_keeps_distances_in_range(side) {
+        return Err(UsageError(format!(
+            "--side {side:e} is outside [2^-405, 2^511]: squared distances between \
+             generated nodes would leave the f64 range"
+        )));
+    }
     let rec = obs_install(mode);
-    let (counts, max) = {
+    let (max, total) = {
         let _root = rim_obs::span("analyze_generated");
         let soa = rim_workloads::uniform_soa(n, side, seed);
         let inst = rim_core::StreamInstance::try_with_nn_radii(soa)
             .map_err(|e| UsageError(e.to_string()))?;
-        let counts = inst.interference_counts_sharded(rim_core::parallel::num_threads());
-        let max = counts.iter().copied().max().unwrap_or(0);
-        (counts, max)
+        inst.interference_max_sum(rim_core::parallel::num_threads())
     };
     emit_obs(mode, rec);
-    let mean = if counts.is_empty() {
-        0.0
-    } else {
-        counts.iter().map(|&c| f64::from(c)).sum::<f64>() / counts.len() as f64
-    };
+    // `total as f64` is exact below 2^53; nearest-neighbour radii give
+    // a total of about n.
+    let mean = if n == 0 { 0.0 } else { total as f64 / n as f64 };
     let (lo, hi) = rim_core::sqrt_log_envelope(n);
     println!("nodes:                    {n} (generated uniform, seed {seed}, side {side})");
     println!("interference engine:      streaming (nearest-neighbor radii)");
@@ -643,4 +664,30 @@ pub fn render(args: &Args) -> Result<(), UsageError> {
         )
     };
     write_out(&out, &svg)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn generated_sides_are_accepted_exactly_on_their_range() {
+        assert_eq!(MIN_GENERATED_SIDE, 2f64.powi(-405));
+        assert_eq!(MAX_GENERATED_SIDE, 2f64.powi(511));
+        for side in [MIN_GENERATED_SIDE, 1.0, 1414.2, MAX_GENERATED_SIDE] {
+            assert!(side_keeps_distances_in_range(side), "{side:e}");
+        }
+        for side in [
+            MIN_GENERATED_SIDE.next_down(),
+            MAX_GENERATED_SIDE.next_up(),
+            0.0,
+            -1.0,
+            1e-170,
+            1e160,
+            f64::NAN,
+            f64::INFINITY,
+        ] {
+            assert!(!side_keeps_distances_in_range(side), "{side:e}");
+        }
+    }
 }

@@ -616,6 +616,87 @@ fn analyze_generate_rejects_counts_past_the_u32_grid() {
 }
 
 #[test]
+fn analyze_generate_rejects_sides_that_leave_the_f64_range() {
+    // Past 2^511 squared distances overflow; below 2^-405 the squares of
+    // the smallest coordinate gaps underflow. Either used to print a
+    // wrong I with exit 0.
+    for side in ["1e160", "1e-170"] {
+        let out = rim()
+            .args(["analyze", "--generate", "uniform:3000", "--side", side])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "side {side}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.lines().any(|l| l.starts_with("error:")), "side {side}: {err}");
+        assert!(out.stdout.is_empty(), "side {side}");
+    }
+}
+
+#[test]
+fn analyze_generate_is_invariant_under_power_of_two_sides() {
+    // Scaling by 2^k scales every coordinate and distance exactly, so
+    // wherever the side is accepted the report's I and mean must not
+    // move.
+    let summary = |k: i32| {
+        let side = format!("{:e}", 2f64.powi(k));
+        let out = rim()
+            .args(["analyze", "--generate", "uniform:3000", "--seed", "11", "--side", &side])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "k={k}: {}", String::from_utf8_lossy(&out.stderr));
+        let text = String::from_utf8(out.stdout).unwrap();
+        let line = |label: &str| {
+            text.lines().find(|l| l.starts_with(label)).map(str::to_string).unwrap_or_default()
+        };
+        (line("receiver interference I:"), line("mean node interference:"))
+    };
+    let want = summary(0);
+    assert!(!want.0.is_empty() && !want.1.is_empty(), "{want:?}");
+    for k in [-400, -200, 200, 505] {
+        assert_eq!(summary(k), want, "side 2^{k}");
+    }
+}
+
+/// The numeric value of `"key":` in one JSONL line.
+fn json_u64(line: &str, key: &str) -> Option<u64> {
+    let rest = &line[line.find(&format!("\"{key}\":"))? + key.len() + 3..];
+    rest[..rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len())].parse().ok()
+}
+
+#[test]
+fn analyze_generate_obs_shows_one_staged_grid_build() {
+    // Above the parallel build gate: the streaming path builds exactly
+    // one grid, reports its worker count and times its three stages
+    // inside `stream/soa_build`.
+    let out = rim()
+        .args(["analyze", "--generate", "uniform:200000", "--seed", "3", "--obs", "jsonl"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let err = String::from_utf8(out.stderr).unwrap();
+    let named = |name: &str| {
+        let tag = format!("\"name\":\"{name}\"");
+        err.lines().filter(|l| l.contains(&tag)).map(str::to_string).collect::<Vec<_>>()
+    };
+    let builds = named("geom.index.grid_builds");
+    assert_eq!(builds.len(), 1, "{err}");
+    assert_eq!(json_u64(&builds[0], "value"), Some(1), "{err}");
+    let threads = named("geom.grid.build_threads");
+    assert_eq!(threads.len(), 1, "{err}");
+    assert!(json_u64(&threads[0], "max").is_some_and(|t| t >= 1), "{err}");
+    let wall = |name: &str| {
+        let spans = named(name);
+        assert_eq!(spans.len(), 1, "{name}: {err}");
+        json_u64(&spans[0], "wall_ns").unwrap_or_else(|| panic!("{name} has no wall_ns: {err}"))
+    };
+    let stages: u64 = ["geom/grid_cells", "geom/grid_scatter", "geom/grid_gather"]
+        .into_iter()
+        .map(wall)
+        .sum();
+    assert!(stages <= wall("stream/soa_build"), "{err}");
+}
+
+#[test]
 fn churn_obs_reports_grid_splits_on_the_exp_chain_only() {
     // The exp-chain family overloads uniform cells, so its grid builds
     // split; the uniform family's never do.

@@ -135,8 +135,9 @@ impl StreamInstance {
         Self::try_with_nn_radii_sharded(points, num_threads())
     }
 
-    /// [`StreamInstance::try_with_nn_radii`] with the radius pass split
-    /// over `threads` workers. Each radius is a pure function of its
+    /// [`StreamInstance::try_with_nn_radii`] with the grid build and the
+    /// radius pass split over `threads` workers. The grid is the same for
+    /// every worker count and each radius is a pure function of its
     /// bucket position, so the instance is identical for every
     /// `threads >= 1`.
     pub fn try_with_nn_radii_sharded(
@@ -144,24 +145,11 @@ impl StreamInstance {
         threads: usize,
     ) -> Result<Self, GridCapacityError> {
         let _span = rim_obs::span("stream/build_nn");
-        let n = points.len();
-        // Uniform-density cell hint: about one point per cell, so both
-        // the NN search and the interference scatter touch O(1) buckets.
-        let bbox = points.bbox();
-        let hint = if bbox.is_empty() {
-            1.0
-        } else {
-            let area = (bbox.width() * bbox.height()).max(f64::MIN_POSITIVE);
-            let h = (area / n.max(1) as f64).sqrt();
-            if h > 0.0 && h.is_finite() {
-                h
-            } else {
-                1.0
-            }
-        };
+        // About one point per cell, so both the NN search and the
+        // interference scatter touch O(1) buckets.
         let grid = {
             let _span = rim_obs::span("stream/soa_build");
-            SoaGrid::try_build(&points, hint)?
+            SoaGrid::try_build_unit_density(&points, threads)?
         };
         // The grid holds its own bucket-ordered copy of the coordinates;
         // freeing the input first keeps it out of the peak.
@@ -185,7 +173,7 @@ impl StreamInstance {
     /// [`crate::interference_vector_naive`] on the same instance.
     pub fn interference_counts(&self) -> Vec<u32> {
         let _span = rim_obs::span("interference/streaming");
-        self.counts_with_chunks(1)
+        self.by_node(self.position_counts(1))
     }
 
     /// Per-node interference with the scatter sharded over `threads`
@@ -196,21 +184,34 @@ impl StreamInstance {
     /// are bit-identical for any `threads >= 1`.
     pub fn interference_counts_sharded(&self, threads: usize) -> Vec<u32> {
         let _span = rim_obs::span("interference/streaming_sharded");
-        self.counts_with_chunks(threads)
+        self.by_node(self.position_counts(threads))
+    }
+
+    /// The largest and the total interference, `(max_v I(v), Σ_v I(v))`,
+    /// with the scatter sharded over `threads` workers as in
+    /// [`StreamInstance::interference_counts_sharded`]. Both reduce the
+    /// counts in the grid's bucket order, so no per-node vector is ever
+    /// built; they equal the max and sum of the per-node counts for any
+    /// `threads >= 1`.
+    pub fn interference_max_sum(&self, threads: usize) -> (u32, u64) {
+        let _span = rim_obs::span("interference/streaming_sharded");
+        let counts = self.position_counts(threads);
+        let max = counts.iter().copied().max().unwrap_or(0);
+        (max, counts.iter().map(|&c| u64::from(c)).sum())
     }
 
     /// Shared scatter body: senders are swept in bucket order (the radius
-    /// column and both coordinate columns stream sequentially), counts
-    /// are accumulated *in bucket-position space* — so neighbor hits also
-    /// write near each other — and un-permuted once at the end.
-    // rim-lint: allow(panic-freedom) — `radii` and the scatter buffers all have length `n` = grid.len(), and positions/items stay below it
-    fn counts_with_chunks(&self, chunks: usize) -> Vec<u32> {
+    /// column and both coordinate columns stream sequentially), and
+    /// counts are accumulated *in bucket-position space* — so neighbor
+    /// hits also write near each other.
+    // rim-lint: allow(panic-freedom) — `radii` and the scatter buffers all have length `n` = grid.len(), and positions stay below it
+    fn position_counts(&self, chunks: usize) -> Vec<u32> {
         let n = self.len();
         if n == 0 {
             return Vec::new();
         }
         let chunks = chunks.min((n / STREAM_CHUNK).max(1));
-        let pos_counts = par_scatter_u32(n, n, chunks, |range, buf| {
+        par_scatter_u32(n, n, chunks, |range, buf| {
             let mut queries = 0u64;
             for k in range {
                 let r = self.radii[k];
@@ -228,9 +229,13 @@ impl StreamInstance {
             }
             // One counter update per chunk, not per query.
             rim_obs::counter_add("core.disk_queries", queries);
-        });
-        // Un-permute bucket positions back to original node ids.
-        let mut out = vec![0u32; n];
+        })
+    }
+
+    /// Un-permutes counts from bucket positions back to node ids.
+    // rim-lint: allow(panic-freedom) — grid items are a permutation of `0..n`
+    fn by_node(&self, pos_counts: Vec<u32>) -> Vec<u32> {
+        let mut out = vec![0u32; pos_counts.len()];
         for (k, &c) in pos_counts.iter().enumerate() {
             out[self.grid.item(k)] = c;
         }
@@ -240,10 +245,7 @@ impl StreamInstance {
     /// Graph interference `I(G')` (Definition 3.2) of this instance,
     /// using the sharded kernel with the machine's thread count.
     pub fn max_interference(&self) -> u32 {
-        self.interference_counts_sharded(num_threads())
-            .into_iter()
-            .max()
-            .unwrap_or(0)
+        self.interference_max_sum(num_threads()).0
     }
 }
 
@@ -346,6 +348,32 @@ mod tests {
             inst.max_interference(),
             reference.iter().copied().max().unwrap_or(0)
         );
+    }
+
+    #[test]
+    fn nn_instances_are_thread_count_invariant_above_the_build_gate() {
+        // Just above rim-geom's build gate, so 2..=8 workers build the
+        // grid in parallel as well as running the radius pass.
+        let n = rim_geom::PAR_BUILD_MIN + 1_000;
+        let side = (n as f64).sqrt();
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut rnd = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64 * side
+        };
+        let pts: Vec<Point> = (0..n).map(|_| Point::new(rnd(), rnd())).collect();
+        let build = |threads| {
+            let inst =
+                StreamInstance::try_with_nn_radii_sharded(SoaPoints::from_points(&pts), threads)
+                    .expect("fits the grid");
+            let items: Vec<usize> = (0..n).map(|k| inst.grid.item(k)).collect();
+            let radii: Vec<u64> = inst.radii.iter().map(|r| r.to_bits()).collect();
+            (items, radii)
+        };
+        let one = build(1);
+        for threads in 2..=8 {
+            assert!(build(threads) == one, "threads={threads}");
+        }
     }
 
     #[test]

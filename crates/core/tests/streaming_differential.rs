@@ -134,7 +134,24 @@ fn streaming_matches_oracle(t: &Topology) -> Result<(), String> {
             sharded,
             oracle
         );
+        reduction_matches(&inst, threads, &sharded)?;
     }
+    Ok(())
+}
+
+/// The position-order `(max, Σ)` reduction must equal the max and sum of
+/// the per-node counts.
+fn reduction_matches(
+    inst: &StreamInstance,
+    threads: usize,
+    counts: &[usize],
+) -> Result<(), String> {
+    let want = (
+        counts.iter().copied().max().unwrap_or(0) as u32,
+        counts.iter().sum::<usize>() as u64,
+    );
+    let got = inst.interference_max_sum(threads);
+    prop_ensure!(got == want, "(max, sum) with {threads} worker(s): got {got:?}, want {want:?}");
     Ok(())
 }
 
@@ -212,17 +229,17 @@ fn nn_oracle(pts: &[Point]) -> Vec<usize> {
 fn nn_radii_match_oracle(t: &Topology) -> Result<(), String> {
     let pts = t.nodes().points();
     let oracle = nn_oracle(pts);
-    let got: Vec<usize> = StreamInstance::with_nn_radii(SoaPoints::from_points(pts))
-        .interference_counts()
-        .into_iter()
-        .map(|c| c as usize)
-        .collect();
+    let inst = StreamInstance::with_nn_radii(SoaPoints::from_points(pts));
+    let got: Vec<usize> = inst.interference_counts().into_iter().map(|c| c as usize).collect();
     prop_ensure!(
         got == oracle,
         "nearest-neighbor kernel diverged from the oracle\n  got:    {:?}\n  oracle: {:?}",
         got,
         oracle
     );
+    for threads in [1, 3] {
+        reduction_matches(&inst, threads, &got)?;
+    }
     Ok(())
 }
 

@@ -8,11 +8,20 @@
 //! This module holds the layout half of that grid — the `u32` capacity
 //! limit, the sanitized and budget-clamped cell shape, the cell coordinate
 //! function shared by bucketing and queries, the split budget, and the
-//! cache-blocked bucket scatter — and the grid's regression suite. The
-//! storage, the split cells and the scans live in [`crate::soa_grid`].
+//! bucket scatter — and the grid's regression suite. The storage, the
+//! split cells and the scans live in [`crate::soa_grid`].
+//!
+//! The bucket scatter is a stable counting sort of the points by cell id.
+//! Small cell tables take one direct pass. Large ones sort by coarse cell
+//! block first, so every pass works on a cache-resident cursor window,
+//! and from [`PAR_BUILD_MIN`] points on that sort runs on
+//! [`rim_par`] workers. Its output is the same stable sort for every
+//! worker count (see `bucket_scatter`), so a grid is bit-identical
+//! whether it was built on one core or many.
 
 use crate::bbox::Aabb;
 use crate::point::Point;
+use rim_par::{par_fill_columns, par_map_ranges};
 
 /// Largest number of points a grid-backed index can hold: bucket items
 /// are stored as `u32` ids, so any build beyond this would silently
@@ -47,6 +56,17 @@ impl std::fmt::Display for GridCapacityError {
 }
 
 impl std::error::Error for GridCapacityError {}
+
+/// Points from which a grid build runs its cell ids, bucket scatter and
+/// column gather on [`rim_par`] workers: the measured crossover of a
+/// uniform unit-density build on two cores, where one build on two
+/// workers catches up with one on the calling thread (at 2¹⁶ points it
+/// still takes 1.2 times as long, at 2¹⁸ 0.8 times). Below it the
+/// working set fits the caches, and seven parallel passes pay more in
+/// thread spawns and cross-core cache traffic than they save, so the
+/// 20k-node pipeline instances and the churn engine's grids (a few
+/// thousand live nodes) build on the calling thread.
+pub const PAR_BUILD_MIN: usize = 1 << 17;
 
 /// Most points a cell may hold before the build splits it into a nested
 /// grid; uniform instances at a few points per cell stay far below it.
@@ -124,6 +144,26 @@ impl GridShape {
         }
     }
 
+    /// The shape of a grid over `n` points with bounding box `bbox` and
+    /// about one point per cell, so nearest-neighbour searches and
+    /// nearest-neighbour disks touch `O(1)` cells on uniform input. A box
+    /// without area (collinear points) gets a tiny hint, which the cell
+    /// budget of [`GridShape::new`] enlarges.
+    pub fn unit_density(bbox: &Aabb, n: usize) -> Self {
+        let hint = if bbox.is_empty() {
+            1.0
+        } else {
+            let area = (bbox.width() * bbox.height()).max(f64::MIN_POSITIVE);
+            let h = (area / n.max(1) as f64).sqrt();
+            if h > 0.0 && h.is_finite() {
+                h
+            } else {
+                1.0
+            }
+        };
+        GridShape::new(bbox, n, hint)
+    }
+
     /// The shape of the nested grid that splits an overloaded cell of `m`
     /// points with bounding box `bbox`: about `m/2` square cells cover
     /// the box, whether the points spread over an area or along a line.
@@ -180,19 +220,32 @@ fn cell_coord(v: f64, o: f64, cell: f64, last: usize) -> usize {
 /// produces the CSR `starts` array (length `ncells + 1`), the
 /// bucket-major point permutation (`order[k]` = original point id),
 /// insertion-stable within every bucket, and the largest bucket size.
+/// The output is the stable sort of the points by cell id, the same for
+/// every `threads`.
 ///
-/// Small tables scatter directly. Past [`DIRECT_SCATTER_CELLS`] the
-/// cursor and destination arrays no longer fit the fast caches and the
-/// classic one-pass counting sort degrades to one cache miss per point;
-/// the scatter then switches to a two-pass *row-blocked* fill: points
-/// are first partitioned by coarse cell block (at most
-/// [`COARSE_BLOCKS`] blocks, each covering a contiguous cell-id range),
-/// then each block is scattered exactly — every pass works on a cursor
-/// window small enough to stay cache-resident. Both paths produce
-/// bit-identical output (a stable sort by cell id).
+/// Small tables scatter directly, on one core. Past
+/// [`DIRECT_SCATTER_CELLS`] the cursor and destination arrays no longer
+/// fit the fast caches and the classic one-pass counting sort degrades
+/// to one cache miss per point; the scatter then runs
+/// [`par_block_scatter`], a stable counting sort by coarse cell block on
+/// up to `threads` workers, whose every pass works on a cursor window
+/// small enough to stay cache-resident. The cell ids are consumed, so
+/// that path frees them as soon as it no longer reads them.
+pub(crate) fn bucket_scatter(
+    cells: Vec<u32>,
+    ncells: usize,
+    threads: usize,
+) -> (Vec<u32>, Vec<u32>, usize) {
+    if ncells <= DIRECT_SCATTER_CELLS {
+        direct_scatter(&cells, ncells)
+    } else {
+        par_block_scatter(cells, ncells, threads)
+    }
+}
+
+/// The one-pass counting sort of small cell tables.
 // rim-lint: allow(panic-freedom) — cell ids are < ncells by construction; prefix sums cover ncells + 1 slots
-pub(crate) fn bucket_scatter(cells: &[u32], ncells: usize) -> (Vec<u32>, Vec<u32>, usize) {
-    let n = cells.len();
+fn direct_scatter(cells: &[u32], ncells: usize) -> (Vec<u32>, Vec<u32>, usize) {
     let mut counts = vec![0u32; ncells + 1];
     for &c in cells {
         counts[c as usize + 1] += 1;
@@ -203,49 +256,153 @@ pub(crate) fn bucket_scatter(cells: &[u32], ncells: usize) -> (Vec<u32>, Vec<u32
         counts[i] += counts[i - 1];
     }
     let starts = counts.clone();
-    let mut order = vec![0u32; n];
-    if ncells <= DIRECT_SCATTER_CELLS {
-        let mut cursor = counts;
-        for (i, &c) in cells.iter().enumerate() {
-            order[cursor[c as usize] as usize] = i as u32;
-            cursor[c as usize] += 1;
-        }
-        return (starts, order, largest as usize);
+    let mut order = vec![0u32; cells.len()];
+    let mut cursor = counts;
+    for (i, &c) in cells.iter().enumerate() {
+        order[cursor[c as usize] as usize] = i as u32;
+        cursor[c as usize] += 1;
     }
-    // Pass 1: stable partition by coarse block (cell id >> shift).
+    (starts, order, largest as usize)
+}
+
+/// The stable counting sort of large cell tables, on up to `threads`
+/// workers. Cell ids fall into at most [`COARSE_BLOCKS`] coarse blocks
+/// (`id >> shift`, each a contiguous id range), and the sort runs in
+/// three steps:
+///
+/// 1. Each worker counts the blocks of its contiguous range of points.
+/// 2. The points move into disjoint `(block, worker)` slices, laid out
+///    block by block and in worker order within each block
+///    ([`partition_by_block`]).
+/// 3. Each worker takes a contiguous run of blocks holding about
+///    `n / workers` points and, block by block, counts the cells into
+///    `starts` and then scatters the block's entries into its cells.
+///    Both passes touch only the block's cursor window, and the scatter
+///    keeps the block's order within every cell.
+///
+/// Every block lists its points in index order (see step 2), so every
+/// cell does, and the blocks follow each other in id order: the output
+/// is the stable sort by cell id, whatever the worker count. One worker
+/// runs the same three steps.
+// rim-lint: allow(panic-freedom) — block cells are < ncells and block entries < n; group indices are < workers and a group's blocks lie in its windows, which its cursors never leave
+fn par_block_scatter(
+    cells: Vec<u32>,
+    ncells: usize,
+    threads: usize,
+) -> (Vec<u32>, Vec<u32>, usize) {
+    let n = cells.len();
     let mut shift = 0u32;
     while (ncells - 1) >> shift >= COARSE_BLOCKS {
         shift += 1;
     }
     let nblocks = ((ncells - 1) >> shift) + 1;
-    let mut block_counts = vec![0u32; nblocks + 1];
-    for &c in cells {
-        block_counts[(c >> shift) as usize + 1] += 1;
+    // Cells `[b << shift, min((b + 1) << shift, ncells))` form block `b`.
+    let block_cells = |b: usize| (b << shift).min(ncells)..((b + 1) << shift).min(ncells);
+    let (by_block, block_lo, workers) = partition_by_block(cells, shift, nblocks, threads);
+    // Step 3: contiguous block groups of about n / workers points.
+    let mut groups = vec![nblocks; workers + 1];
+    for (g, first) in groups.iter_mut().enumerate().take(workers) {
+        *first = block_lo[..nblocks].partition_point(|&lo| lo < g * n / workers);
     }
-    for i in 1..=nblocks {
-        block_counts[i] += block_counts[i - 1];
-    }
-    let mut block_cursor = block_counts;
-    let mut by_block = vec![0u32; n];
-    for (i, &c) in cells.iter().enumerate() {
-        let b = (c >> shift) as usize;
-        by_block[block_cursor[b] as usize] = i as u32;
-        block_cursor[b] += 1;
-    }
-    // Pass 2: exact scatter, one contiguous cursor/destination window
-    // per block. Stability of pass 1 keeps insertion order per bucket.
-    let mut cursor = starts.clone();
-    for &i in &by_block {
-        let c = cells[i as usize] as usize;
-        order[cursor[c] as usize] = i;
-        cursor[c] += 1;
-    }
+    let group_cells: Vec<usize> =
+        groups.windows(2).map(|g| block_cells(g[1]).start - block_cells(g[0]).start).collect();
+    let mut starts = vec![0u32; ncells + 1];
+    let largest = par_fill_columns(&mut starts, workers, &group_cells, |g, pieces| {
+        let (Some(window), first) = (pieces.first_mut(), block_cells(groups[g]).start) else {
+            return 0;
+        };
+        let mut largest = 0;
+        for b in groups[g]..groups[g + 1] {
+            let cells = block_cells(b);
+            let counts = &mut window[cells.start - first..cells.end - first];
+            for &e in &by_block[block_lo[b]..block_lo[b + 1]] {
+                counts[(e >> 32) as usize - cells.start] += 1;
+            }
+            let mut at = block_lo[b] as u32;
+            for slot in counts.iter_mut() {
+                let count = *slot;
+                largest = largest.max(count);
+                *slot = at;
+                at += count;
+            }
+        }
+        largest
+    })
+    .into_iter()
+    .max()
+    .unwrap_or(0);
+    starts[ncells] = n as u32;
+    let group_points: Vec<usize> =
+        groups.windows(2).map(|g| block_lo[g[1]] - block_lo[g[0]]).collect();
+    let mut order = vec![0u32; n];
+    par_fill_columns(&mut order, workers, &group_points, |g, pieces| {
+        let (Some(window), first) = (pieces.first_mut(), block_lo[groups[g]]) else {
+            return;
+        };
+        let mut cursor = Vec::new();
+        for b in groups[g]..groups[g + 1] {
+            let cells = block_cells(b);
+            cursor.clear();
+            cursor.extend(starts[cells.clone()].iter().map(|&s| s as usize - first));
+            for &e in &by_block[block_lo[b]..block_lo[b + 1]] {
+                let k = &mut cursor[(e >> 32) as usize - cells.start];
+                window[*k] = e as u32;
+                *k += 1;
+            }
+        }
+    });
     (starts, order, largest as usize)
+}
+
+/// Steps 1 and 2 of [`par_block_scatter`]: the points, each packed with
+/// its cell id as `cell << 32 | id`, stably partitioned by block
+/// `cell >> shift` on up to `threads` workers; each block's first
+/// position (`nblocks + 1` entries); and the worker count used. Each
+/// worker counts, then fills, its own `(block, worker)` slices
+/// ([`rim_par::par_fill_columns`]), visiting its contiguous range in
+/// index order, so each block lists its points in index order. The cell
+/// ids are freed on return.
+// rim-lint: allow(panic-freedom) — cell ids are < ncells, so blocks are < nblocks; worker indices are < workers; a worker's slice of a block holds exactly its points in that block
+fn partition_by_block(
+    cells: Vec<u32>,
+    shift: u32,
+    nblocks: usize,
+    threads: usize,
+) -> (Vec<u64>, Vec<usize>, usize) {
+    let hists = par_map_ranges(cells.len(), threads, |range| {
+        let mut hist = vec![0usize; nblocks];
+        for &c in &cells[range.clone()] {
+            hist[(c >> shift) as usize] += 1;
+        }
+        (range, hist)
+    });
+    let workers = hists.len();
+    let mut lens = Vec::with_capacity(nblocks * workers);
+    let mut block_lo = vec![0usize; nblocks + 1];
+    for b in 0..nblocks {
+        let mut lo = block_lo[b];
+        for (_, hist) in &hists {
+            lens.push(hist[b]);
+            lo += hist[b];
+        }
+        block_lo[b + 1] = lo;
+    }
+    let mut by_block = vec![0u64; cells.len()];
+    par_fill_columns(&mut by_block, workers, &lens, |w, slices| {
+        let mut slots: Vec<_> = slices.iter_mut().map(|s| s.iter_mut()).collect();
+        for i in hists[w].0.clone() {
+            let c = cells[i];
+            if let Some(slot) = slots[(c >> shift) as usize].next() {
+                *slot = u64::from(c) << 32 | i as u64;
+            }
+        }
+    });
+    (by_block, block_lo, workers)
 }
 
 /// Cell-table size up to which the one-pass scatter stays cache-friendly.
 const DIRECT_SCATTER_CELLS: usize = 1 << 15;
-/// Maximum number of coarse blocks in the row-blocked scatter.
+/// Maximum number of coarse blocks in the blocked scatter.
 const COARSE_BLOCKS: usize = 1 << 12;
 
 #[cfg(test)]
@@ -468,31 +625,65 @@ mod tests {
         assert_eq!(SoaGrid::from_points(&[Point::ORIGIN], 1.0).len(), 1);
     }
 
+    /// The stable sort by cell id that every scatter must produce: its
+    /// CSR offsets, its permutation and its largest bucket.
+    fn stable_sort(cells: &[u32], ncells: usize) -> (Vec<u32>, Vec<u32>, usize) {
+        let mut order: Vec<u32> = (0..cells.len() as u32).collect();
+        order.sort_by_key(|&i| cells[i as usize]); // stable
+        let mut counts = vec![0u32; ncells];
+        for &c in cells {
+            counts[c as usize] += 1;
+        }
+        let starts = std::iter::once(0)
+            .chain(counts.iter().scan(0, |acc, &c| {
+                *acc += c;
+                Some(*acc)
+            }))
+            .collect();
+        (starts, order, counts.into_iter().max().unwrap_or(0) as usize)
+    }
+
     #[test]
     fn blocked_scatter_matches_direct_scatter() {
-        // Synthetic cell ids over a table large enough to force the
-        // row-blocked two-pass path; the result must equal a reference
-        // stable sort (which is also what the direct path computes).
-        let ncells = DIRECT_SCATTER_CELLS * 4;
+        // Synthetic cell ids over tables large enough to force the
+        // blocked path; on every worker count the result must equal a
+        // reference stable sort (which is also what the direct path
+        // computes).
+        let ncells = DIRECT_SCATTER_CELLS * 4; // block width 32
         let mut state = 1u64;
-        let cells: Vec<u32> = (0..10_000)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                (state >> 33) as u32 % ncells as u32
-            })
-            .collect();
-        let (starts, order, largest) = bucket_scatter(&cells, ncells);
-        let mut expect: Vec<u32> = (0..cells.len() as u32).collect();
-        expect.sort_by_key(|&i| cells[i as usize]); // stable
-        assert_eq!(order, expect);
-        let widest = starts.windows(2).map(|w| (w[1] - w[0]) as usize).max();
-        assert_eq!(Some(largest), widest);
-        assert_eq!(starts.len(), ncells + 1);
-        assert_eq!(*starts.last().unwrap() as usize, cells.len());
-        for w in starts.windows(2) {
-            assert!(w[0] <= w[1]);
+        let mut next = move |m: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) as usize % m) as u32
+        };
+        let random: Vec<u32> = (0..10_000).map(|_| next(ncells)).collect();
+        // Every point in one coarse block, most cells shared by points of
+        // several workers.
+        let one_block: Vec<u32> = (0..10_000).map(|_| 32 * 7 + next(32)).collect();
+        // A single non-empty bucket.
+        let one_cell = vec![ncells as u32 - 1; 3_000];
+        // A last block narrower than the others, and its last cell used.
+        let ragged = ncells + 13;
+        let mut tail: Vec<u32> = (0..10_000).map(|_| next(ragged)).collect();
+        tail.extend([ragged as u32 - 1, ragged as u32 - 20, 0]);
+        // Fewer points than workers.
+        let few = vec![5u32, ncells as u32 - 1, 5];
+        let cases = [
+            ("random", random, ncells),
+            ("one block", one_block, ncells),
+            ("one cell", one_cell, ncells),
+            ("ragged last block", tail, ragged),
+            ("fewer points than workers", few, ncells),
+            ("no points", Vec::new(), ncells),
+        ];
+        for (name, cells, ncells) in cases {
+            let want = stable_sort(&cells, ncells);
+            assert_eq!(direct_scatter(&cells, ncells), want, "{name}: direct");
+            for threads in 1..=8 {
+                let got = bucket_scatter(cells.clone(), ncells, threads);
+                assert_eq!(got, want, "{name}: threads={threads}");
+            }
         }
     }
 

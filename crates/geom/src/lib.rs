@@ -54,7 +54,7 @@ pub use closest_pair::{closest_pair, closest_pair_brute_force};
 pub use delaunay::{delaunay, Delaunay};
 pub use disk::Disk;
 pub use dyn_grid::DynGrid;
-pub use grid::{fits_u32_index, GridCapacityError, MAX_INDEXED_POINTS};
+pub use grid::{fits_u32_index, GridCapacityError, MAX_INDEXED_POINTS, PAR_BUILD_MIN};
 pub use hull::convex_hull;
 pub use point::Point;
 pub use soa::SoaPoints;

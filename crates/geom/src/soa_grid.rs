@@ -37,10 +37,12 @@
 
 use crate::bbox::Aabb;
 use crate::grid::{
-    bucket_scatter, fits_u32_index, GridCapacityError, GridShape, MAX_SPLIT_DEPTH, SPLIT_BUDGET,
+    bucket_scatter, fits_u32_index, GridCapacityError, GridShape, MAX_SPLIT_DEPTH, PAR_BUILD_MIN,
+    SPLIT_BUDGET,
 };
 use crate::point::Point;
 use crate::soa::SoaPoints;
+use rim_par::par_fill_chunks;
 
 /// A bucket grid with bucket-major coordinate columns for sequential
 /// scans, whose overloaded cells split into nested grids (see the
@@ -94,29 +96,64 @@ impl SoaGrid {
     /// errors when `points` has more entries than `u32` bucket item ids
     /// can address. The hint is sanitized and budget-clamped (see
     /// [`crate::grid`]): degenerate hints fall back to the bounding-box
-    /// diagonal, and cell counts stay `O(n)`.
-    // rim-lint: allow(panic-freedom) — `i < len()` for both columns
+    /// diagonal, and cell counts stay `O(n)`. From the build gate of
+    /// [`crate::grid`] on, the build runs on [`rim_par::num_threads`]
+    /// workers.
     pub fn try_build(points: &SoaPoints, cell: f64) -> Result<Self, GridCapacityError> {
+        let shape = GridShape::new(&points.bbox(), points.len(), cell);
+        Self::try_build_soa(points, shape, rim_par::num_threads())
+    }
+
+    /// Builds a grid over `points` with about one point per cell (see
+    /// [`crate::grid`]), the shape of the streaming nearest-neighbour
+    /// kernels, on `threads` workers from the build gate on. The
+    /// bounding box is scanned once. Errors like [`SoaGrid::try_build`].
+    pub fn try_build_unit_density(
+        points: &SoaPoints,
+        threads: usize,
+    ) -> Result<Self, GridCapacityError> {
+        let shape = GridShape::unit_density(&points.bbox(), points.len());
+        Self::try_build_soa(points, shape, threads)
+    }
+
+    /// The columnar build behind [`SoaGrid::try_build`] and
+    /// [`SoaGrid::try_build_unit_density`].
+    // rim-lint: allow(panic-freedom) — `i < len()` for both columns
+    fn try_build_soa(
+        points: &SoaPoints,
+        shape: GridShape,
+        threads: usize,
+    ) -> Result<Self, GridCapacityError> {
         let (xs, ys) = (points.xs(), points.ys());
-        let grid = Self::try_build_with(points.len(), &points.bbox(), cell, |i| xs[i], |i| ys[i])?;
-        rim_obs::counter_add("geom.index.soa_builds", 1);
-        Ok(grid)
+        Self::try_build_with(points.len(), shape, |i| xs[i], |i| ys[i], threads)
     }
 
     /// The index build of the `Point`-slice callers, with `cell_hint`
     /// (typically the dominant query radius) sizing the top-level cells.
-    /// Counts `geom.index.grid_builds` and, with an observability sink
-    /// active, records the top-level cell occupancy. Panics past
-    /// [`crate::MAX_INDEXED_POINTS`], which no caller can address.
-    // rim-lint: allow(panic-freedom) — the capacity assert replaces silent `as u32` id truncation; `i < points.len()`
+    /// With an observability sink active, records the top-level cell
+    /// occupancy. Panics past [`crate::MAX_INDEXED_POINTS`], which no
+    /// caller can address.
     pub fn from_points(points: &[Point], cell_hint: f64) -> Self {
-        let (n, bbox) = (points.len(), Aabb::of_points(points));
-        let grid = match Self::try_build_with(n, &bbox, cell_hint, |i| points[i].x, |i| points[i].y) {
+        Self::from_points_threads(points, cell_hint, rim_par::num_threads())
+    }
+
+    /// [`SoaGrid::from_points`] on `threads` workers from the build gate
+    /// on; the grid is the same for every `threads`.
+    // rim-lint: allow(panic-freedom) — the capacity assert replaces silent `as u32` id truncation; `i < points.len()`
+    pub(crate) fn from_points_threads(points: &[Point], cell_hint: f64, threads: usize) -> Self {
+        let shape = GridShape::new(&Aabb::of_points(points), points.len(), cell_hint);
+        let built = Self::try_build_with(
+            points.len(),
+            shape,
+            |i| points[i].x,
+            |i| points[i].y,
+            threads,
+        );
+        let grid = match built {
             Ok(grid) => grid,
             // rim-lint: allow(no-unwrap-in-lib) — intentional capacity assert, fallible twin is try_build
             Err(e) => panic!("{e}"),
         };
-        rim_obs::counter_add("geom.index.grid_builds", 1);
         if rim_obs::active() {
             for occ in grid.nonempty_bucket_sizes() {
                 rim_obs::record("geom.grid.cell_occupancy", occ as u64);
@@ -126,28 +163,50 @@ impl SoaGrid {
     }
 
     /// The build behind every entry point: `(x(i), y(i))` for `i < n`
-    /// are the points, `bbox` their bounding box. With an observability
-    /// sink active, a build that splits records `geom.grid.split_cells`
-    /// and `geom.grid.split_depth`.
+    /// are the points, `shape` the top level's shape. Below
+    /// [`PAR_BUILD_MIN`] points the build runs on the calling thread,
+    /// from it on `threads` workers compute the cell ids, scatter the
+    /// buckets and gather the columns; the grid is the same either way.
+    /// Counts `geom.index.grid_builds`. With an observability sink active
+    /// it records `geom.grid.build_threads`, opens the stage spans
+    /// `geom/grid_cells`, `geom/grid_scatter` and `geom/grid_gather`,
+    /// and a build that splits records `geom.grid.split_cells` and
+    /// `geom.grid.split_depth`.
     fn try_build_with(
         n: usize,
-        bbox: &Aabb,
-        cell: f64,
-        x: impl Fn(usize) -> f64,
-        y: impl Fn(usize) -> f64,
+        shape: GridShape,
+        x: impl Fn(usize) -> f64 + Sync,
+        y: impl Fn(usize) -> f64 + Sync,
+        threads: usize,
     ) -> Result<Self, GridCapacityError> {
         if !fits_u32_index(n) {
             return Err(GridCapacityError { points: n });
         }
-        let shape = GridShape::new(bbox, n, cell);
-        let cells: Vec<u32> = (0..n)
-            .map(|i| (shape.row(y(i)) * shape.nx + shape.col(x(i))) as u32)
-            .collect();
-        let (starts, items, largest) = bucket_scatter(&cells, shape.ncells());
+        let threads = if n >= PAR_BUILD_MIN { threads.max(1) } else { 1 };
+        rim_obs::counter_add("geom.index.grid_builds", 1);
+        if rim_obs::active() {
+            rim_obs::record("geom.grid.build_threads", threads as u64);
+        }
+        let cells = {
+            let _span = rim_obs::span("geom/grid_cells");
+            let mut cells = vec![0u32; n];
+            par_fill_chunks(&mut cells, threads, |first, window| {
+                for (i, c) in (first..).zip(window.iter_mut()) {
+                    *c = (shape.row(y(i)) * shape.nx + shape.col(x(i))) as u32;
+                }
+            });
+            cells
+        };
+        let (starts, items, largest) = {
+            let _span = rim_obs::span("geom/grid_scatter");
+            bucket_scatter(cells, shape.ncells(), threads)
+        };
         // Gather the coordinate columns into bucket order: after this,
         // every bucket scan is a sequential read of both columns.
-        let sxs: Vec<f64> = items.iter().map(|&i| x(i as usize)).collect();
-        let sys: Vec<f64> = items.iter().map(|&i| y(i as usize)).collect();
+        let (sxs, sys) = {
+            let _span = rim_obs::span("geom/grid_gather");
+            (gather_column(&items, &x, threads), gather_column(&items, &y, threads))
+        };
         let mut grid = SoaGrid {
             shape,
             starts,
@@ -212,7 +271,7 @@ impl SoaGrid {
             .zip(ys)
             .map(|(&x, &y)| (shape.row(y) * shape.nx + shape.col(x)) as u32)
             .collect();
-        let (starts, order, _) = bucket_scatter(&cells, shape.ncells());
+        let (starts, order, _) = bucket_scatter(cells, shape.ncells(), 1);
         let items: Vec<u32> = order.iter().map(|&o| self.items[lo + o as usize]).collect();
         let sxs: Vec<f64> = order.iter().map(|&o| self.sxs[lo + o as usize]).collect();
         let sys: Vec<f64> = order.iter().map(|&o| self.sys[lo + o as usize]).collect();
@@ -556,6 +615,18 @@ impl SoaGrid {
     }
 }
 
+/// Column `v` in bucket order, `out[k] = v(items[k])`, gathered by
+/// `threads` workers over contiguous position windows.
+fn gather_column(items: &[u32], v: impl Fn(usize) -> f64 + Sync, threads: usize) -> Vec<f64> {
+    let mut out = vec![0.0; items.len()];
+    par_fill_chunks(&mut out, threads, |first, window| {
+        for (slot, &i) in window.iter_mut().zip(items.get(first..).unwrap_or_default()) {
+            *slot = v(i as usize);
+        }
+    });
+    out
+}
+
 /// Records a disk query's candidate and hit counts as the histograms
 /// `geom.index.query_candidates` and `geom.index.query_hits`, when an
 /// observability sink is active (one atomic load otherwise).
@@ -790,6 +861,86 @@ mod tests {
             assert_eq!(grid.len(), 3);
             assert_eq!(sorted(grid.query_disk(Point::new(1.0, 1.0), 0.0)), vec![1, 2]);
             assert_eq!(grid.query_disk(Point::ORIGIN, 2.0).len(), 3);
+        }
+    }
+
+    /// Five point families of `n` points: uniform, clustered, an
+    /// exponential chain, collinear and coincident stacks.
+    fn families(n: usize) -> Vec<(&'static str, Vec<Point>)> {
+        let side = (n as f64).sqrt();
+        let unit = lcg_points(n, 1.0);
+        let uniform = unit.iter().map(|p| Point::new(p.x * side, p.y * side)).collect();
+        let centers = lcg_points(40, side);
+        let clustered = unit
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                let c = centers[i % centers.len()];
+                Point::new(c.x + p.x * 0.05, c.y + p.y * 0.05)
+            })
+            .collect();
+        let chain = unit.iter().map(|p| Point::on_line(64.0 * 2f64.powf(-24.0 * p.x))).collect();
+        let collinear = unit.iter().map(|p| Point::on_line(p.y * side)).collect();
+        let sites = lcg_points(n / 64 + 1, side);
+        let stacked = (0..n).map(|i| sites[i % sites.len()]).collect();
+        vec![
+            ("uniform", uniform),
+            ("clustered", clustered),
+            ("exp-chain", chain),
+            ("collinear", collinear),
+            ("duplicates", stacked),
+        ]
+    }
+
+    /// Everything a query can observe of a grid: shapes, offsets, ids,
+    /// coordinate bits and split tables.
+    fn layout(g: &SoaGrid) -> (String, Vec<u32>, Vec<u32>, Vec<u64>, Vec<u64>, String, Vec<u32>) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+        (
+            format!("{:?}", g.shape),
+            g.starts.clone(),
+            g.items.clone(),
+            bits(&g.sxs),
+            bits(&g.sys),
+            format!("{:?}", g.subs),
+            g.split.clone(),
+        )
+    }
+
+    #[test]
+    fn builds_are_thread_count_invariant_above_the_gate() {
+        // Just above the gate, so 2..=8 workers run the parallel cell
+        // ids, scatter and gather; the exp-chain and clustered grids
+        // then run the split pass over a parallel top level.
+        let n = PAR_BUILD_MIN + 1_001;
+        for (name, pts) in families(n) {
+            let hint = GridShape::unit_density(&Aabb::of_points(&pts), n).cell;
+            let one = SoaGrid::from_points_threads(&pts, hint, 1);
+            let want = layout(&one);
+            assert_eq!(one.len(), n, "{name}");
+            if matches!(name, "exp-chain" | "clustered") {
+                assert!(one.split_cells() > 0, "{name} must split");
+            }
+            for threads in 2..=8 {
+                let g = SoaGrid::from_points_threads(&pts, hint, threads);
+                assert!(layout(&g) == want, "{name}: threads={threads}");
+                for k in (0..n).step_by(4_099) {
+                    let (c, d) = (g.point_at(k), g.nearest_dist_at(k));
+                    assert_eq!(d, one.nearest_dist_at(k), "{name}: k={k}");
+                    for r in [0.0, d.unwrap_or(0.0), 4.0 * d.unwrap_or(0.0)] {
+                        assert_eq!(g.query_disk(c, r), one.query_disk(c, r), "{name}: k={k} r={r}");
+                    }
+                }
+            }
+        }
+        // The columnar entry builds the same grid as the slice entry.
+        let (_, pts) = families(n).swap_remove(0);
+        let soa = SoaPoints::from_points(&pts);
+        let hint = GridShape::unit_density(&soa.bbox(), n).cell;
+        let by_slice = SoaGrid::from_points_threads(&pts, hint, 1);
+        for threads in [1, 3] {
+            let by_soa = SoaGrid::try_build_unit_density(&soa, threads).unwrap();
+            assert!(layout(&by_soa) == layout(&by_slice), "threads={threads}");
         }
     }
 

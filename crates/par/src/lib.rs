@@ -19,15 +19,21 @@
 //!   to carry; the only locks left are uncontended per-slot ones.
 //! * [`par_scatter_u32`] — a sharded-accumulator counting kernel: each
 //!   worker scatters increments into its own private `u32` buffer and
-//!   the buffers are summed at the barrier, so counting kernels (the
-//!   interference engines) never false-share a common output vector.
+//!   the buffers are summed at the barrier, window by window on the same
+//!   workers, so counting kernels (the interference engines) never
+//!   false-share a common output vector.
 //! * [`par_fill_chunks`] — an in-place parallel fill: contiguous
 //!   `chunks_mut` windows of one caller-owned slice, one scoped thread
-//!   each, so per-element kernels (nearest-neighbour radii) write their
-//!   column directly with no per-worker buffers to concatenate.
+//!   each, so per-element kernels (nearest-neighbour radii, the grid
+//!   build's cell ids and column gather) write their column directly with
+//!   no per-worker buffers to concatenate.
+//! * [`par_fill_columns`] — an in-place parallel fill through caller-cut
+//!   pieces, each worker owning one column of a `rows × workers` table of
+//!   them: the partition step of the grid build's parallel stable
+//!   counting sort.
 //!
-//! Determinism contract: both primitives return results in input order,
-//! and neither changes *what* is computed — only where. Callers that
+//! Determinism contract: every primitive returns results in input order,
+//! and none changes *what* is computed — only where. Callers that
 //! need bit-identical output across thread counts (the topology
 //! pipeline's invariance tests) get it for free as long as their
 //! per-item closures are pure.
@@ -142,19 +148,25 @@ where
         return out;
     }
     rim_obs::counter_add("par.sharded_scatters", 1);
-    let shards = par_map_ranges(n, chunks, |r| {
+    let mut shards = par_map_ranges(n, chunks, |r| {
         let mut buf = vec![0u32; out_len];
         scatter(r, &mut buf);
         buf
-    });
-    // Merge in range order (order is irrelevant to the sums, but keeping
-    // it fixed makes the reduction trivially auditable).
-    let mut out = vec![0u32; out_len];
-    for shard in shards {
-        for (o, s) in out.iter_mut().zip(shard) {
-            *o += s;
+    })
+    .into_iter();
+    // Merge into the first shard, one window per worker: each window
+    // adds the other shards' matching windows in range order (order is
+    // irrelevant to the sums, but keeping it fixed makes the reduction
+    // trivially auditable), and no further buffer is allocated.
+    let mut out = shards.next().unwrap_or_default();
+    let rest: Vec<Vec<u32>> = shards.collect();
+    par_fill_chunks(&mut out, chunks, |first, window| {
+        for shard in &rest {
+            for (o, s) in window.iter_mut().zip(shard.get(first..).unwrap_or_default()) {
+                *o += s;
+            }
         }
-    }
+    });
     out
 }
 
@@ -194,6 +206,65 @@ where
                 .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
         }
     });
+}
+
+/// Fills disjoint pieces of `out` in parallel, each worker through its
+/// own set of them, and returns the workers' results in worker order.
+///
+/// `lens` cuts `out` into consecutive pieces, and piece `j` belongs to
+/// worker `j % workers`. Read row-major as a `rows × workers` table,
+/// piece `(r, w)` has length `lens[r * workers + w]` and worker `w` owns
+/// column `w`: `fill(w, pieces)` gets its pieces in row order, on its own
+/// scoped thread. This is the partition step of a parallel stable
+/// counting sort: rows are key ranges, and worker `w` scatters its
+/// contiguous share of the input into its column, so every row lists the
+/// workers' items in worker order. With one row, worker `w` simply owns
+/// the `w`-th of `workers` caller-sized windows.
+///
+/// The pieces cover a prefix of `out` when the lengths sum to less than
+/// its length; pieces past its end come out short or empty. With
+/// `workers <= 1` every piece belongs to worker 0, which runs inline on
+/// the calling thread. When every element a worker writes is a pure
+/// function of its inputs, the result does not depend on thread
+/// scheduling. A panic in any worker is resumed on the caller.
+pub fn par_fill_columns<T, R, F>(out: &mut [T], workers: usize, lens: &[usize], fill: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(usize, &mut [&mut [T]]) -> R + Sync,
+{
+    let workers = workers.max(1);
+    let mut columns: Vec<Vec<&mut [T]>> = (0..workers)
+        .map(|_| Vec::with_capacity(lens.len() / workers + 1))
+        .collect();
+    let mut rest = out;
+    for (j, &len) in lens.iter().enumerate() {
+        let cut = len.min(rest.len());
+        let (piece, tail) = std::mem::take(&mut rest).split_at_mut(cut);
+        rest = tail;
+        if let Some(column) = columns.get_mut(j % workers) {
+            column.push(piece);
+        }
+    }
+    if workers == 1 {
+        return columns.into_iter().map(|mut pieces| fill(0, &mut pieces)).collect();
+    }
+    rim_obs::counter_add("par.fill_columns", workers as u64);
+    let fill = &fill;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = columns
+            .into_iter()
+            .enumerate()
+            .map(|(w, mut pieces)| s.spawn(move || fill(w, &mut pieces)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+            })
+            .collect()
+    })
 }
 
 /// Recovers a lock even when a sibling worker panicked: the enclosing
@@ -370,6 +441,51 @@ mod tests {
                 assert_eq!(out, (0..n).collect::<Vec<_>>(), "n={n} chunks={chunks}");
             }
         }
+    }
+
+    #[test]
+    fn fill_columns_hands_each_worker_its_column_in_row_order() {
+        // Three rows over `workers` columns with uneven, partly empty
+        // pieces: every element is written once, by the owner of its
+        // piece, and each worker sees its pieces in row order.
+        for workers in [0usize, 1, 2, 3, 5] {
+            let cols = workers.max(1);
+            let lens: Vec<usize> = (0..3 * cols).map(|j| (j * 7 + 3) % 5).collect();
+            let total: usize = lens.iter().sum();
+            let mut out = vec![(usize::MAX, usize::MAX); total + 2];
+            let seen = par_fill_columns(&mut out, workers, &lens, |w, pieces| {
+                for (r, piece) in pieces.iter_mut().enumerate() {
+                    for slot in piece.iter_mut() {
+                        assert_eq!(*slot, (usize::MAX, usize::MAX), "slot written twice");
+                        *slot = (w, r);
+                    }
+                }
+                pieces.iter().map(|p| p.len()).collect::<Vec<_>>()
+            });
+            let mut want = Vec::new();
+            for (j, &len) in lens.iter().enumerate() {
+                want.extend(std::iter::repeat((j % cols, j / cols)).take(len));
+            }
+            want.extend([(usize::MAX, usize::MAX); 2]); // past the pieces: untouched
+            assert_eq!(out, want, "workers={workers}");
+            let by_worker: Vec<Vec<usize>> =
+                (0..cols).map(|w| lens.iter().skip(w).step_by(cols).copied().collect()).collect();
+            assert_eq!(seen, by_worker, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn fill_columns_truncates_pieces_past_the_end() {
+        let mut out = vec![0u8; 5];
+        let lens = par_fill_columns(&mut out, 2, &[3, 4, 2, 1], |w, pieces| {
+            for piece in pieces.iter_mut() {
+                piece.fill(w as u8 + 1);
+            }
+            pieces.iter().map(|p| p.len()).collect::<Vec<_>>()
+        });
+        assert_eq!(out, vec![1, 1, 1, 2, 2]);
+        assert_eq!(lens, vec![vec![3, 0], vec![2, 0]]);
+        assert_eq!(par_fill_columns(&mut [0u8; 0], 3, &[], |w, _| w), vec![0, 1, 2]);
     }
 
     #[test]

@@ -507,6 +507,10 @@ pub const PANIC_FREE_ROOTS: &[&str] = &[
     "raise_bound",
     "unit_disk_graph_with_range",
     "coverage_vector",
+    "interference_max_sum",
+    "par_block_scatter",
+    "gather_column",
+    "par_fill_columns",
 ];
 
 /// Finds the first occurrence of each panicking construct inside a

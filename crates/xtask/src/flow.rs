@@ -786,6 +786,10 @@ pub const DETERMINISM_ROOTS: &[&str] = &[
     "raise_bound",
     "unit_disk_graph_with_range",
     "coverage_vector",
+    "interference_max_sum",
+    "par_block_scatter",
+    "gather_column",
+    "par_fill_columns",
 ];
 
 /// Atomic read-modify-write methods (order-sensitive cross-thread

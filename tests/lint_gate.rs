@@ -126,26 +126,42 @@ fn physical_engine_obligations_stay_registered() {
 
 #[test]
 fn streaming_kernel_obligations_stay_registered() {
-    // The million-node streaming path's standing obligations: both
-    // counting entry points, the nearest-neighbor radius pass, and the
-    // sharded scatter and in-place fill primitives carry the
-    // panic-freedom closure check, the thread-count-invariant kernels
-    // are determinism roots, and the naive oracle the streaming
-    // differential suite pins against stays retained. Dropping any of
-    // these would silently un-audit the SoA/streaming layer.
+    // The million-node streaming path's standing obligations: the
+    // counting entry points and the (max, Σ) reduction, the
+    // nearest-neighbor radius pass, the grid build's parallel scatter
+    // and column gather, and the sharded scatter, in-place fill and
+    // column-partition primitives carry the panic-freedom closure check,
+    // the thread-count-invariant kernels are determinism roots, and the
+    // naive oracle the streaming differential suite pins against stays
+    // retained. Dropping any of these would silently un-audit the
+    // SoA/streaming layer.
+    const PARALLEL_BUILD: [&str; 3] = ["par_block_scatter", "gather_column", "par_fill_columns"];
     for root in [
         "interference_counts",
         "interference_counts_sharded",
+        "interference_max_sum",
         "par_scatter_u32",
         "nn_radii",
         "par_fill_chunks",
-    ] {
+    ]
+    .into_iter()
+    .chain(PARALLEL_BUILD)
+    {
         assert!(
             rim_xtask::audit::PANIC_FREE_ROOTS.contains(&root),
             "`{root}` must stay in PANIC_FREE_ROOTS"
         );
     }
-    for root in ["interference_counts_sharded", "par_scatter_u32", "nn_radii", "par_fill_chunks"] {
+    for root in [
+        "interference_counts_sharded",
+        "interference_max_sum",
+        "par_scatter_u32",
+        "nn_radii",
+        "par_fill_chunks",
+    ]
+    .into_iter()
+    .chain(PARALLEL_BUILD)
+    {
         assert!(
             rim_xtask::flow::DETERMINISM_ROOTS.contains(&root),
             "`{root}` must stay in DETERMINISM_ROOTS"
