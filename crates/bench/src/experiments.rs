@@ -19,7 +19,7 @@ use rim_highway::{a_apx, a_exp, a_gen, exponential_chain, gamma, HighwayInstance
 use rim_sim::{MacConfig, SimConfig, Simulator, TrafficConfig};
 use rim_topology_control::emst::euclidean_mst;
 use rim_topology_control::nnf::nearest_neighbor_forest;
-use rim_topology_control::{Baseline, Engine};
+use rim_topology_control::Baseline;
 use rim_udg::udg::unit_disk_graph;
 use rim_udg::{NodeSet, Topology};
 
@@ -569,20 +569,12 @@ pub fn ablation_threshold(seed: u64) -> Vec<Row> {
 }
 
 /// Baseline comparison on 2-D fields: every topology-control algorithm's
-/// receiver- and sender-centric interference side by side
-/// ([`Engine::Auto`] construction).
+/// receiver- and sender-centric interference side by side.
 pub fn baselines_2d(seed: u64) -> Vec<Row> {
-    baselines_2d_with(seed, Engine::Auto)
-}
-
-/// [`baselines_2d`] with an explicit construction [`Engine`] for the
-/// engine-sensitive baselines (the measured interference is
-/// engine-invariant; only construction speed differs).
-pub fn baselines_2d_with(seed: u64, engine: Engine) -> Vec<Row> {
     let nodes = rim_workloads::uniform_square(150, 3.0, seed);
     let udg = unit_disk_graph(&nodes);
     parallel_map(Baseline::ALL.to_vec(), move |b| {
-        let t = b.build_with(&nodes, &udg, engine);
+        let t = b.build(&nodes, &udg);
         let bc = rim_graph::biconnectivity::biconnectivity(t.graph());
         let connected = t.preserves_connectivity_of(&udg);
         // Weighted stretch vs the UDG — the implicit "spanner" proxy the

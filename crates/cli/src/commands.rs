@@ -27,12 +27,10 @@ commands:
   control   --algo nnf|mst|gg|rng|yao6|xtc|life|lmst|cbtc|kneigh9|rdg|
                    linear|a-exp|a-gen|a-apx|a-gen2
             --nodes FILE [--out FILE]
-            [--engine naive|indexed|parallel|auto]   (construction pipeline)
+            [--engine naive|auto]   (construction pipeline)
             [--obs human|jsonl]   (spans/counters/histograms on stderr)
-            [--timing true]   (alias for --obs human)
   analyze   --nodes FILE --topology FILE
-            [--engine naive|indexed|parallel|physical-naive|physical-indexed|
-                      streaming|auto]
+            [--engine naive|auto|physical-naive|physical-indexed]
             [--generate uniform:N]   (skip the files: stream N uniform nodes
               with nearest-neighbor radii through the SoA kernel;
               takes [--seed K] [--side S], no edge list is ever built)
@@ -162,13 +160,7 @@ pub fn generate(args: &Args) -> Result<(), UsageError> {
 pub fn control(args: &Args) -> Result<(), UsageError> {
     let algo = args.required("algo")?;
     let engine: Engine = args.opt_parse("engine", Engine::Auto)?;
-    let timing: bool = args.opt_parse("timing", false)?;
-    let mut mode = obs_mode(args)?;
-    if timing && mode == ObsMode::Off {
-        // `--timing true` predates `--obs`; keep it as an alias so the
-        // per-stage wall times still land on stderr.
-        mode = ObsMode::Human;
-    }
+    let mode = obs_mode(args)?;
     let out = args.opt("out", "-");
     args.required("nodes")?; // consumed again by load_nodes below
     args.finish()?;

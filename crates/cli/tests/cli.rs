@@ -73,7 +73,7 @@ fn generate_control_analyze_pipeline() {
 
     // Every explicit engine selection must report the same numbers.
     let mut reports = Vec::new();
-    for engine in ["naive", "indexed", "parallel", "streaming"] {
+    for engine in ["naive", "auto"] {
         let out = rim()
             .args(["analyze", "--engine", engine, "--nodes"])
             .arg(&nodes)
@@ -107,7 +107,7 @@ fn control_engines_agree_byte_for_byte() {
         .success());
     for algo in ["gg", "rng", "lmst", "xtc", "yao6"] {
         let mut outputs = Vec::new();
-        for engine in ["naive", "indexed", "parallel", "auto"] {
+        for engine in ["naive", "auto"] {
             let out_file = dir.join(format!("{algo}_{engine}.txt"));
             let out = rim()
                 .args(["control", "--algo", algo, "--engine", engine, "--nodes"])
@@ -136,7 +136,7 @@ fn control_timing_reports_stages_on_stderr() {
     let nodes = dir.join("nodes.txt");
     std::fs::write(&nodes, "0.0\n0.4\n0.8\n1.2\n").unwrap();
     let out = rim()
-        .args(["control", "--algo", "gg", "--timing", "true", "--nodes"])
+        .args(["control", "--algo", "gg", "--obs", "human", "--nodes"])
         .arg(&nodes)
         .output()
         .unwrap();
@@ -173,15 +173,19 @@ fn analyze_rejects_unknown_engine() {
     let topo = dir.join("topo.txt");
     std::fs::write(&nodes, "0.0\n0.4\n").unwrap();
     std::fs::write(&topo, "0 1\n").unwrap();
-    let out = rim()
-        .args(["analyze", "--engine", "warp", "--nodes"])
-        .arg(&nodes)
-        .arg("--topology")
-        .arg(&topo)
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown engine"));
+    // The engines folded into `auto` are gone, not aliased.
+    for engine in ["warp", "indexed", "parallel", "streaming"] {
+        let out = rim()
+            .args(["analyze", "--engine", engine, "--nodes"])
+            .arg(&nodes)
+            .arg("--topology")
+            .arg(&topo)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "engine {engine}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.starts_with("error:") && err.contains("unknown engine"), "{engine}: {err}");
+    }
 }
 
 #[test]
@@ -319,6 +323,99 @@ fn malformed_files_give_line_errors() {
 }
 
 #[test]
+fn control_gg_keeps_coincident_nodes_connected() {
+    // A node coincident with an endpoint must not block that endpoint's
+    // Gabriel edges, or three coincident nodes keep no links.
+    let dir = tmp_dir("gg_coincident");
+    let nodes = dir.join("nodes.txt");
+    std::fs::write(&nodes, "0.5 0.5\n0.5 0.5\n0.5 0.5\n").unwrap();
+    let out = rim()
+        .args(["control", "--algo", "gg", "--nodes"])
+        .arg(&nodes)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(text.contains("edges = 3, preserves connectivity = true"), "{text}");
+}
+
+#[test]
+fn node_files_at_extreme_scales_are_rejected() {
+    // Every distance of this line underflows to 0 when squared, which
+    // gives a star MST with I = 3 instead of the path with I = 2.
+    let dir = tmp_dir("tiny_scale");
+    let nodes = dir.join("nodes.txt");
+    std::fs::write(&nodes, "0\n1e-200\n3e-200\n7e-200\n").unwrap();
+    let out = rim()
+        .args(["control", "--algo", "mst", "--nodes"])
+        .arg(&nodes)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.starts_with("error:") && err.contains("line 2"), "{err}");
+    assert!(out.stdout.is_empty());
+}
+
+#[test]
+fn analyze_is_invariant_under_power_of_two_scaling_of_node_files() {
+    // Scaling by 2^-k scales every coordinate, distance and square
+    // exactly while the file is accepted. With diameter <= 1 the UDG is
+    // complete at every scale, so `control` and `analyze` must agree.
+    let dir = tmp_dir("scaled_files");
+    let mut state = 0x853C_49E6_748F_EA9Bu64;
+    let mut rnd = move || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        // In [2^-6, 0.7]: the diameter stays below 1 and every
+        // coordinate stays at least 2^-459 after scaling by 2^-450.
+        0.015625 + (state >> 11) as f64 / (1u64 << 53) as f64 * 0.68
+    };
+    let pts: Vec<(f64, f64)> = (0..40).map(|_| (rnd(), rnd())).collect();
+    let summary = |k: i32| {
+        let scale = 2f64.powi(-k);
+        let nodes = dir.join(format!("nodes_{k}.txt"));
+        let topo = dir.join(format!("topo_{k}.txt"));
+        let text: String =
+            pts.iter().map(|(x, y)| format!("{:e} {:e}\n", x * scale, y * scale)).collect();
+        std::fs::write(&nodes, text).unwrap();
+        let mut reports = Vec::new();
+        for algo in ["mst", "gg", "lmst"] {
+            let out = rim()
+                .args(["control", "--algo", algo, "--nodes"])
+                .arg(&nodes)
+                .arg("--out")
+                .arg(&topo)
+                .output()
+                .unwrap();
+            assert!(out.status.success(), "k={k}: {}", String::from_utf8_lossy(&out.stderr));
+            let out = rim()
+                .args(["analyze", "--nodes"])
+                .arg(&nodes)
+                .arg("--topology")
+                .arg(&topo)
+                .output()
+                .unwrap();
+            assert!(out.status.success(), "k={k}: {}", String::from_utf8_lossy(&out.stderr));
+            let text = String::from_utf8(out.stdout).unwrap();
+            reports.extend(
+                text.lines()
+                    .filter(|l| {
+                        l.starts_with("receiver interference I:")
+                            || l.starts_with("mean node interference:")
+                    })
+                    .map(str::to_string),
+            );
+        }
+        reports
+    };
+    let want = summary(0);
+    assert_eq!(want.len(), 6, "{want:?}");
+    for k in [100, 200, 300, 400, 450] {
+        assert_eq!(summary(k), want, "scale 2^-{k}");
+    }
+}
+
+#[test]
 fn unknown_flags_are_rejected() {
     let out = rim()
         .args(["generate", "--kind", "exp-chain", "--n", "8", "--bogus", "1"])
@@ -326,6 +423,19 @@ fn unknown_flags_are_rejected() {
         .unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--bogus"));
+
+    // `--timing true` was an alias for `--obs human` and is retired.
+    let dir = tmp_dir("retired_timing");
+    let nodes = dir.join("nodes.txt");
+    std::fs::write(&nodes, "0.0\n0.4\n").unwrap();
+    let out = rim()
+        .args(["control", "--algo", "gg", "--timing", "true", "--nodes"])
+        .arg(&nodes)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.starts_with("error: unknown flag --timing"), "{err}");
 }
 
 #[test]
@@ -356,7 +466,7 @@ fn analyze_obs_jsonl_emits_spans_and_counters() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
 
     let out = rim()
-        .args(["analyze", "--engine", "indexed", "--obs", "jsonl", "--nodes"])
+        .args(["analyze", "--engine", "auto", "--obs", "jsonl", "--nodes"])
         .arg(&nodes)
         .arg("--topology")
         .arg(&topo)
@@ -369,7 +479,7 @@ fn analyze_obs_jsonl_emits_spans_and_counters() {
         "\"kind\":\"span\"",          // spans present at all
         "\"name\":\"analyze\"",       // CLI root span
         "interference/index_build",   // spatial index construction
-        "interference/indexed",       // engine dispatch
+        "interference/auto",          // engine dispatch
         "\"kind\":\"counter\"",
         "core.disk_queries",          // one per receiver in the kernel
     ] {

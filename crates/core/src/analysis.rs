@@ -18,8 +18,8 @@ pub struct InterferenceSummary {
 }
 
 impl InterferenceSummary {
-    /// Computes the summary for a topology with automatic engine
-    /// selection ([`Engine::Auto`]).
+    /// Computes the summary for a topology with the fast kernel
+    /// ([`Engine::Auto`]).
     pub fn of(t: &Topology) -> Self {
         Self::with_engine(t, Engine::Auto)
     }

@@ -21,12 +21,12 @@
 //!
 //! Module map:
 //!
-//! * [`receiver`] — Definitions 3.1/3.2 (naive oracle plus indexed and
-//!   parallel engines behind [`receiver::Engine`]),
-//! * [`stream`] — the UDG-free streaming kernel in structure-of-arrays
-//!   layout for 10⁶–10⁷-node instances, with the Θ(√(log n))
-//!   statistical envelope for uniform instances,
-//! * [`parallel`] — the scoped-thread range splitter the engines share,
+//! * [`receiver`] — Definitions 3.1/3.2 (the naive oracle and the fast
+//!   kernel behind [`receiver::Engine`]),
+//! * [`stream`] — the fast kernel: a structure-of-arrays scatter that
+//!   needs no edge list, from a topology or straight from points with
+//!   nearest-neighbour radii at 10⁶–10⁷ nodes,
+//! * [`parallel`] — the scoped-thread executor the kernels share,
 //! * [`physical`] — SINR physical-layer glue (`rim-phys` re-exports and
 //!   the disk-limit adapter behind the physical engines),
 //! * [`sender`] — the link-coverage measure of \[2\] for comparison,

@@ -118,7 +118,7 @@ pub fn min_interference_topology(
         AdjacencyList::from_edges(n, &kruskal(n, &udg.edges())),
     );
     let best_radii: Vec<f64> = mst_topology.radii().to_vec();
-    let best = crate::receiver::graph_interference(&mst_topology);
+    let best = naive_interference(&mst_topology);
 
     let mut search = Search {
         nodes,
@@ -139,7 +139,7 @@ pub fn min_interference_topology(
     let exhausted = search.exhausted;
 
     let topology = induced_topology(nodes, &search.best_radii);
-    let interference = crate::receiver::graph_interference(&topology);
+    let interference = naive_interference(&topology);
     debug_assert!(interference <= search.best);
     OptimalResult {
         topology,
@@ -237,6 +237,12 @@ impl Search<'_> {
     }
 }
 
+/// `I(G')` by the all-pairs scan: the solvers here are test oracles for
+/// the fast kernel, so they must not evaluate interference with it.
+fn naive_interference(t: &Topology) -> usize {
+    crate::receiver::graph_interference_with(t, crate::receiver::Engine::Naive)
+}
+
 /// Independent test oracle: minimum interference over **all** subgraphs of
 /// the UDG (edge-subset enumeration, `O(2^m)`), used to validate the
 /// branch-and-bound solver on tiny instances.
@@ -255,7 +261,7 @@ pub fn min_interference_exhaustive(nodes: &NodeSet, max_range: f64) -> Option<us
         if !t.preserves_connectivity_of(&udg) {
             continue;
         }
-        let i = crate::receiver::graph_interference(&t);
+        let i = naive_interference(&t);
         if best.is_none_or(|b| i < b) {
             best = Some(i);
         }

@@ -1,23 +1,19 @@
 //! The receiver-centric interference measure (Definitions 3.1 and 3.2).
 //!
-//! Three batch kernels compute the same counts:
+//! Two batch kernels compute the same counts:
 //!
 //! * [`interference_vector_naive`] — the `O(n²)` all-pairs reference.
 //!   This is the **permanent oracle**: it transcribes Definition 3.1
-//!   literally and every faster kernel is differential-tested against it.
-//! * [`Engine::Indexed`] — one closed-disk range query per transmitter
-//!   over a [`SoaGrid`] (overloaded cells split on skewed spreads).
-//! * [`Engine::Parallel`] — the indexed scatter split across scoped
-//!   threads with per-thread accumulators.
+//!   literally and the fast kernel is differential-tested against it.
+//! * [`Engine::Auto`] — the structure-of-arrays scatter of
+//!   [`crate::stream`]: one closed-disk range query per transmitter over
+//!   a [`SoaGrid`] (overloaded cells split on skewed spreads), sharded
+//!   over the machine's cores with per-worker accumulators. It runs the
+//!   same code at every instance size.
 //!
-//! All three evaluate the identical predicate `deg(u) > 0 && dist(u,v)
-//! <= r_u` at distance level, so they agree *exactly* — not
-//! approximately — on every input; [`Engine::Auto`] may therefore pick
-//! by size alone.
-//!
-//! [`Engine::Streaming`] routes through the structure-of-arrays kernel
-//! of [`crate::stream`] — the same counts computed without the edge
-//! list, sized for 10⁶–10⁷-node instances.
+//! Both evaluate the identical predicate `deg(u) > 0 && dist(u,v) <=
+//! r_u` at distance level, so they agree *exactly* — not approximately
+//! — on every input.
 //!
 //! Two further engines route through the physical-layer (SINR) model of
 //! `rim-phys` in its disk-equivalent instantiation:
@@ -26,16 +22,10 @@
 //! disk-limit theorem (`DESIGN.md` §11) makes them agree bit-for-bit
 //! with the disk kernels — a differential-tested contract.
 
-use crate::parallel::{num_threads, par_scatter_u32};
+use crate::parallel::num_threads;
+use crate::stream::StreamInstance;
 use rim_geom::SoaGrid;
 use rim_udg::Topology;
-
-/// Below this node count the all-pairs scan beats any index build.
-const AUTO_INDEXED_MIN: usize = 64;
-/// From this node count on, threads amortize their spawn cost.
-const AUTO_PARALLEL_MIN: usize = 8192;
-/// Target number of senders per parallel chunk.
-const PARALLEL_CHUNK: usize = 1024;
 
 /// Strategy selector for the batch interference kernels.
 ///
@@ -46,10 +36,6 @@ const PARALLEL_CHUNK: usize = 1024;
 pub enum Engine {
     /// All-pairs `O(n²)` scan — the oracle every other engine must match.
     Naive,
-    /// Spatial-index scatter: one disk query per transmitter.
-    Indexed,
-    /// Indexed scatter split across `std::thread::scope` workers.
-    Parallel,
     /// Disk-equivalent physical (SINR) model, all-pairs coverage scan —
     /// exercises the `rim-phys` path-loss pipeline end to end while the
     /// disk-limit theorem keeps the counts bit-identical to [`Engine::Naive`].
@@ -57,12 +43,8 @@ pub enum Engine {
     /// Disk-equivalent physical model with one coverage-disk query per
     /// transmitter over the shared [`SoaGrid`].
     PhysicalIndexed,
-    /// Structure-of-arrays streaming kernel ([`crate::stream`]): the
-    /// topology's radii are carried into a bucket-permuted SoA grid and
-    /// scattered without touching the edge list — the 10⁶–10⁷-node path.
-    Streaming,
-    /// Pick by instance size: naive below 64 nodes, indexed above,
-    /// parallel from 8192 nodes when more than one core is available.
+    /// The one fast path: the structure-of-arrays scatter
+    /// ([`StreamInstance::from_topology`]) on all cores, at every size.
     #[default]
     Auto,
 }
@@ -70,13 +52,10 @@ pub enum Engine {
 impl Engine {
     /// All selectable engines, in oracle-first order (useful for tests
     /// and help text).
-    pub const ALL: [Engine; 7] = [
+    pub const ALL: [Engine; 4] = [
         Engine::Naive,
-        Engine::Indexed,
-        Engine::Parallel,
         Engine::PhysicalNaive,
         Engine::PhysicalIndexed,
-        Engine::Streaming,
         Engine::Auto,
     ];
 
@@ -84,28 +63,9 @@ impl Engine {
     pub fn name(self) -> &'static str {
         match self {
             Engine::Naive => "naive",
-            Engine::Indexed => "indexed",
-            Engine::Parallel => "parallel",
             Engine::PhysicalNaive => "physical-naive",
             Engine::PhysicalIndexed => "physical-indexed",
-            Engine::Streaming => "streaming",
             Engine::Auto => "auto",
-        }
-    }
-
-    /// Resolves `Auto` to the concrete engine for an instance of `n` nodes.
-    fn resolve(self, n: usize) -> Engine {
-        match self {
-            Engine::Auto => {
-                if n < AUTO_INDEXED_MIN {
-                    Engine::Naive
-                } else if n >= AUTO_PARALLEL_MIN && num_threads() > 1 {
-                    Engine::Parallel
-                } else {
-                    Engine::Indexed
-                }
-            }
-            e => e,
         }
     }
 }
@@ -116,14 +76,11 @@ impl std::str::FromStr for Engine {
     fn from_str(s: &str) -> Result<Engine, String> {
         match s {
             "naive" => Ok(Engine::Naive),
-            "indexed" => Ok(Engine::Indexed),
-            "parallel" => Ok(Engine::Parallel),
             "physical-naive" => Ok(Engine::PhysicalNaive),
             "physical-indexed" => Ok(Engine::PhysicalIndexed),
-            "streaming" => Ok(Engine::Streaming),
             "auto" => Ok(Engine::Auto),
             other => Err(format!(
-                "unknown engine `{other}` (expected naive|indexed|parallel|physical-naive|physical-indexed|streaming|auto)"
+                "unknown engine `{other}` (expected naive|auto|physical-naive|physical-indexed)"
             )),
         }
     }
@@ -175,7 +132,7 @@ pub fn interference_vector_naive(t: &Topology) -> Vec<usize> {
     out
 }
 
-/// Builds the spatial index the batch kernels scatter over: the median
+/// Builds the spatial index the fast kernel scatters over: the median
 /// positive radius makes a good cell hint (it balances bucket population
 /// against buckets touched per query), and the grid splits the cells a
 /// skewed spread overloads. Public so
@@ -194,95 +151,32 @@ pub fn build_index(t: &Topology) -> SoaGrid {
     SoaGrid::from_points(t.nodes().points(), hint)
 }
 
-/// Scatters sender `u`'s coverage contribution into `out` via `index`,
-/// returning the number of disk queries issued (0 for silent nodes, 1
-/// for transmitters) so the kernels can report query totals in one
-/// counter update per batch. Accumulators are `u32`: interference is
-/// bounded by `n - 1`, and the grids refuse more than `u32::MAX` points,
-/// so the counts cannot overflow — and halving the accumulator width
-/// halves the cache traffic of the hot scatter loop.
-#[inline]
-fn scatter_sender(t: &Topology, index: &SoaGrid, u: usize, out: &mut [u32]) -> u64 {
-    if t.graph().degree(u) == 0 {
-        return 0; // isolated nodes transmit nothing
-    }
-    index.for_each_in_disk(t.nodes().pos(u), t.radius(u), |v| {
-        if v != u {
-            out[v] += 1;
-        }
-    });
-    1
-}
-
-/// Indexed kernel: one closed-disk range query per transmitter, expected
-/// `O(n + Σ_u I-contribution(u))` for bounded densities. The range query
-/// evaluates the same closed predicate at distance level (`dist(u,v) <=
-/// r_u`, never on squares — `r_u` is itself a `dist()` result, and
-/// squaring would break exact boundary ties), so the counts equal
-/// [`interference_vector_naive`]'s exactly.
-fn interference_vector_indexed(t: &Topology, index: &SoaGrid) -> Vec<usize> {
-    let n = t.num_nodes();
-    let mut out = vec![0u32; n];
-    let mut queries = 0u64;
-    for u in 0..n {
-        queries += scatter_sender(t, index, u, &mut out);
-    }
-    rim_obs::counter_add("core.disk_queries", queries);
-    out.into_iter().map(|c| c as usize).collect()
-}
-
-/// Parallel kernel: the sender range `0..n` is sharded over
-/// [`par_scatter_u32`] — every worker scatters into a private zeroed
-/// `u32` buffer (no false sharing on a common output vector) and the
-/// buffers are summed at the barrier. Integer addition commutes, so the
-/// result is bit-identical to the indexed kernel for any thread count.
-fn interference_vector_parallel(t: &Topology, index: &SoaGrid) -> Vec<usize> {
-    let n = t.num_nodes();
-    let chunks = (n / PARALLEL_CHUNK).clamp(1, num_threads());
-    let counts = par_scatter_u32(n, n, chunks, |range, buf| {
-        let mut queries = 0u64;
-        for u in range {
-            queries += scatter_sender(t, index, u, buf);
-        }
-        // One counter update per chunk, not per query: the shared-sink
-        // cost stays O(chunks) however large the instance.
-        rim_obs::counter_add("core.disk_queries", queries);
-    });
-    counts.into_iter().map(|c| c as usize).collect()
-}
-
 /// Per-node interference via an explicitly chosen [`Engine`]:
 /// `out[v] = I(v)`. All engines agree exactly; see the module docs.
 pub fn interference_vector_with(t: &Topology, engine: Engine) -> Vec<usize> {
-    let n = t.num_nodes();
-    if n == 0 {
+    if t.num_nodes() == 0 {
         return Vec::new();
     }
-    let resolved = engine.resolve(n);
-    let _span = rim_obs::span(match resolved {
+    let _span = rim_obs::span(match engine {
         Engine::Naive => "interference/naive",
-        Engine::Indexed => "interference/indexed",
         Engine::PhysicalNaive => "interference/physical_naive",
         Engine::PhysicalIndexed => "interference/physical_indexed",
-        Engine::Streaming => "interference/streaming_engine",
-        Engine::Parallel | Engine::Auto => "interference/parallel",
+        Engine::Auto => "interference/auto",
     });
-    match resolved {
+    match engine {
         Engine::Naive => interference_vector_naive(t),
-        Engine::Indexed => interference_vector_indexed(t, &build_index(t)),
         Engine::PhysicalNaive => crate::physical::disk_limit_vector(t, false),
         Engine::PhysicalIndexed => crate::physical::disk_limit_vector(t, true),
-        Engine::Streaming => crate::stream::StreamInstance::from_topology(t)
+        Engine::Auto => StreamInstance::from_topology(t)
             .interference_counts_sharded(num_threads())
             .into_iter()
             .map(|c| c as usize)
             .collect(),
-        Engine::Parallel | Engine::Auto => interference_vector_parallel(t, &build_index(t)),
     }
 }
 
-/// Per-node interference with automatic engine selection
-/// ([`Engine::Auto`]) — the default entry point of the workspace.
+/// Per-node interference with the fast kernel ([`Engine::Auto`]) — the
+/// default entry point of the workspace.
 pub fn interference_vector(t: &Topology) -> Vec<usize> {
     interference_vector_with(t, Engine::Auto)
 }
@@ -443,26 +337,13 @@ mod tests {
     }
 
     #[test]
-    fn parallel_splits_are_exercised_and_exact() {
-        // Enough nodes that the parallel kernel actually spawns threads
-        // (n / PARALLEL_CHUNK >= 2) on multi-core machines.
-        let n = 2 * super::PARALLEL_CHUNK;
-        let pts: Vec<Point> = (0..n)
-            .map(|i| Point::new((i % 64) as f64 * 0.1, (i / 64) as f64 * 0.1))
-            .collect();
-        let pairs: Vec<(usize, usize)> = (1..n).map(|i| (i - 1, i)).collect();
-        let t = Topology::from_pairs(NodeSet::new(pts), &pairs);
-        let oracle = interference_vector_naive(&t);
-        assert_eq!(interference_vector_with(&t, Engine::Parallel), oracle);
-        assert_eq!(interference_vector_with(&t, Engine::Indexed), oracle);
-    }
-
-    #[test]
     fn engine_parses_from_cli_strings() {
         for e in Engine::ALL {
             assert_eq!(e.name().parse::<Engine>(), Ok(e));
         }
-        assert!("grid".parse::<Engine>().is_err());
+        for gone in ["grid", "indexed", "parallel", "streaming"] {
+            assert!(gone.parse::<Engine>().is_err(), "{gone}");
+        }
         assert_eq!(Engine::default(), Engine::Auto);
     }
 }

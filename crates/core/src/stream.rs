@@ -1,51 +1,47 @@
 //! Streaming million-node interference kernel (UDG-free, SoA layout).
 //!
-//! Every batch engine in [`crate::receiver`] starts from a [`Topology`]:
-//! the full adjacency structure with per-node `Vec`s of neighbors. At
-//! 10⁶–10⁷ uniform nodes that edge list is the memory wall — the UDG on
-//! a constant-density instance has Θ(n) edges with heavy constants, and
-//! building it is itself `O(n²)` in the naive form. But receiver-centric
-//! interference (Definition 3.1) never needs the edges: it needs each
-//! node's **position** and **radius**, nothing else. [`StreamInstance`]
-//! exploits that — it holds a structure-of-arrays point store
-//! ([`SoaPoints`]), a bucket-permuted grid ([`SoaGrid`]), and one flat
-//! radius column aligned with the grid's bucket order, and computes
-//! `I(v)` for all `v` by scattering one closed-disk query per
-//! transmitter into a flat `u32` count buffer. No per-node allocation,
-//! no edge list, no `Vec<Vec<…>>` anywhere in the hot path.
+//! A [`Topology`] carries the full adjacency structure with per-node
+//! `Vec`s of neighbors. At 10⁶–10⁷ uniform nodes that edge list is the
+//! memory wall — the UDG on a constant-density instance has Θ(n) edges
+//! with heavy constants, and building it is itself `O(n²)` in the naive
+//! form. But receiver-centric interference (Definition 3.1) never needs
+//! the edges: it needs each node's **position** and **radius**, nothing
+//! else. [`StreamInstance`] exploits that — it holds a bucket-permuted
+//! structure-of-arrays grid ([`SoaGrid`]) and one flat radius column
+//! aligned with the grid's bucket order, and computes `I(v)` for all `v`
+//! by scattering one closed-disk query per transmitter into a flat `u32`
+//! count buffer. No per-node allocation, no edge list, no `Vec<Vec<…>>`
+//! anywhere in the hot path. This scatter is the workspace's one fast
+//! receiver kernel.
 //!
 //! Radii come from either source:
 //!
 //! * [`StreamInstance::from_topology`] copies an existing topology's
 //!   radius assignment (silent nodes, `deg = 0`, are marked and skipped
-//!   exactly as the other engines skip them) — this is the path behind
-//!   [`crate::receiver::Engine::Streaming`], and it is differential-
-//!   tested to be **bit-identical** to the indexed engine.
+//!   exactly as the naive oracle skips them) — this is the path behind
+//!   [`crate::receiver::Engine::Auto`], and it is differential-tested to
+//!   be **bit-identical** to [`crate::interference_vector_naive`].
 //! * [`StreamInstance::with_nn_radii`] assigns every node its
-//!   nearest-neighbor distance as radius, entirely from the index —
-//!   the streaming analogue of the nearest-neighbor-forest radius
-//!   assignment, and the instance family behind the Θ(√(log n))
-//!   statistical gate (see [`sqrt_log_envelope`]).
+//!   nearest-neighbor distance as radius, entirely from the index — the
+//!   streaming analogue of the nearest-neighbor-forest radius
+//!   assignment.
 //!
-//! # The √(log n) statistical gate
+//! # Nearest-neighbour radii at scale
 //!
-//! Differential oracles stop where `O(n²)` stops being runnable. Above
-//! that, theory takes over: Devroye–Morin (arXiv 1202.5945) prove that
-//! for n uniform-random points, the maximum receiver-centric
-//! interference of nearest-neighbor-style radius assignments is
-//! Θ(√(log n)) w.h.p. — the lower bound holds for *any* graph that
-//! links every node to its nearest neighbor, and the NN-radius
-//! assignment is pointwise ≤ the MST-radius assignment the upper bound
-//! covers. [`sqrt_log_envelope`] pins the empirical constants; the
-//! `interference_kernel` bench asserts max I(v) lands inside the
-//! envelope across seeds at 10⁵–10⁷ nodes.
+//! Differential oracles stop where `O(n²)` stops being runnable. With
+//! nearest-neighbour radii two exact bounds take over: `v` lies in
+//! `D(u, r_u)` exactly when `v` is a nearest neighbour of `u`, and two
+//! nodes whose nearest neighbour is `v` subtend at least 60° at `v`, so
+//! `max I(v) <= 6`; and `Σ I(v) = n` when every nearest neighbour is
+//! unique. `core/tests/streaming_differential.rs::nn_radii_gate_at_1e5`
+//! asserts both. [`sqrt_log_envelope`] is the looser Θ(√(log n)) band
+//! `rim analyze --generate` reports against.
 
 use crate::parallel::{num_threads, par_fill_chunks, par_scatter_u32};
 use rim_geom::{GridCapacityError, SoaGrid, SoaPoints};
 use rim_udg::Topology;
 
-/// Target number of senders per parallel chunk (matches the batch
-/// engines' chunking heuristic).
+/// Target number of senders per parallel chunk.
 const STREAM_CHUNK: usize = 1024;
 
 /// Radius marker for nodes that transmit nothing (`deg = 0` in the
@@ -83,23 +79,14 @@ pub struct StreamInstance {
 
 impl StreamInstance {
     /// Builds a streaming instance carrying an existing topology's
-    /// radius assignment. Nodes with no neighbors are marked silent and
-    /// contribute nothing, exactly as in [`crate::interference_vector_naive`];
-    /// the counts are therefore bit-identical to every other engine on
-    /// the same topology.
-    // rim-lint: allow(panic-freedom) — Topology node counts passed the u32 capacity guard at grid build
+    /// radius assignment over [`crate::receiver::build_index`]'s grid.
+    /// Nodes with no neighbors are marked silent and contribute nothing,
+    /// exactly as in [`crate::interference_vector_naive`]; the counts are
+    /// therefore bit-identical to every other engine on the same
+    /// topology.
     pub fn from_topology(t: &Topology) -> Self {
         let _span = rim_obs::span("stream/build_from_topology");
-        // Same cell hint as `receiver::build_index`: the median positive
-        // radius balances bucket population against buckets per query.
-        let mut positive: Vec<f64> = t.radii().iter().copied().filter(|&r| r > 0.0).collect();
-        let hint = if positive.is_empty() {
-            1.0
-        } else {
-            positive.sort_unstable_by(f64::total_cmp);
-            positive[positive.len() / 2]
-        };
-        let grid = SoaGrid::from_points(t.nodes().points(), hint);
+        let grid = crate::receiver::build_index(t);
         let radii: Vec<f64> = (0..grid.len())
             .map(|k| {
                 let u = grid.item(k);
@@ -290,7 +277,7 @@ pub fn sqrt_log_envelope(n: usize) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::receiver::{interference_vector_naive, interference_vector_with, Engine};
+    use crate::receiver::interference_vector_naive;
     use rim_geom::Point;
     use rim_udg::{NodeSet, Topology};
 
@@ -377,7 +364,7 @@ mod tests {
     }
 
     #[test]
-    fn streaming_engine_agrees_with_indexed() {
+    fn streaming_engine_agrees_with_naive() {
         let pts: Vec<Point> = (0..300)
             .map(|i| {
                 let a = i as f64 * 0.7;
@@ -386,9 +373,8 @@ mod tests {
             .collect();
         let t = rim_udg::radius::induced_topology(&NodeSet::new(pts), &vec![0.5; 300]);
         let inst = StreamInstance::from_topology(&t);
-        let indexed = interference_vector_with(&t, Engine::Indexed);
         let got: Vec<usize> = inst.interference_counts().into_iter().map(|c| c as usize).collect();
-        assert_eq!(got, indexed);
+        assert_eq!(got, interference_vector_naive(&t));
     }
 
     #[test]

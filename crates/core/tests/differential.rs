@@ -114,7 +114,7 @@ fn gen_duplicates(rng: &mut SmallRng) -> Topology {
 /// a tolerance: the counts are integers and the predicate is identical.
 fn engines_match_oracle(t: &Topology) -> Result<(), String> {
     let oracle = interference_vector_naive(t);
-    for engine in [Engine::Indexed, Engine::Parallel, Engine::Auto] {
+    for engine in [Engine::Naive, Engine::Auto] {
         let got = interference_vector_with(t, engine);
         prop_ensure!(
             got == oracle,
@@ -258,7 +258,7 @@ fn differential_incremental_trace_replay() {
                      got:    {got:?}\n  oracle: {oracle:?}"
                 );
                 prop_ensure_eq!(
-                    interference_vector_with(&rebuilt, Engine::Indexed),
+                    interference_vector_with(&rebuilt, Engine::Auto),
                     oracle
                 );
                 prop_ensure_eq!(

@@ -2,17 +2,18 @@
 //!
 //! Library crates call `rim_obs` hooks unconditionally; this test holds
 //! the cost of those hooks — while no sink is installed — under 5% of
-//! the 4096-node indexed interference kernel. The kernel issues one
-//! `rim_obs::active()` check per disk query (inside
-//! `SoaGrid::for_each_in_disk`) plus a constant number of span and
-//! counter calls per batch, so the emulation below reproduces exactly
-//! that call pattern and times it against the kernel itself.
+//! the 4096-node interference kernel (the structure-of-arrays scatter on
+//! one worker). The kernel issues a constant number of span and counter
+//! calls per batch; the emulation below reproduces them and also charges
+//! one `rim_obs::active()` check per transmitter, the price of a
+//! per-query hook like the one in `SoaGrid::for_each_in_disk`, and times
+//! that against the kernel itself.
 //!
 //! CRUCIAL: nothing in this test binary may call
 //! `rim_obs::install_recorder()` — the whole point is measuring the
 //! uninstalled fast path.
 
-use rim_core::receiver::{interference_vector_with, Engine};
+use rim_core::StreamInstance;
 use rim_geom::Point;
 use rim_udg::{udg::unit_disk_graph_with_range, NodeSet, Topology};
 use std::hint::black_box;
@@ -50,22 +51,24 @@ fn disabled_obs_path_stays_under_five_percent_of_the_kernel() {
     let t = uniform_4096();
 
     // Warm up caches and verify the kernel actually does work.
-    let warm = interference_vector_with(&t, Engine::Indexed);
+    let warm = StreamInstance::from_topology(&t).interference_counts();
     assert!(warm.iter().copied().max().unwrap_or(0) > 0);
 
     let kernel = median_of(5, || {
         let start = Instant::now();
-        black_box(interference_vector_with(black_box(&t), Engine::Indexed));
+        black_box(StreamInstance::from_topology(black_box(&t)).interference_counts());
         start.elapsed()
     });
 
-    // The kernel's per-run obs footprint while disabled: one engine span,
-    // one index-build span, one counter update, and one `active()` branch
-    // per disk query (N transmitters).
+    // The kernel's per-run obs footprint while disabled: the build,
+    // index-build and scatter spans, the grid-build and disk-query
+    // counters, plus one `active()` branch per transmitter (N of them).
     let obs = median_of(5, || {
         let start = Instant::now();
-        let _engine_span = rim_obs::span(black_box("interference/indexed"));
+        let _build_span = rim_obs::span(black_box("stream/build_from_topology"));
         let _index_span = rim_obs::span(black_box("interference/index_build"));
+        rim_obs::counter_add(black_box("geom.index.grid_builds"), black_box(1));
+        let _scatter_span = rim_obs::span(black_box("interference/streaming"));
         for _ in 0..N {
             black_box(rim_obs::active());
         }

@@ -59,7 +59,7 @@ fn batch_arrival_changes_each_count_by_at_most_one() {
                 pairs.push((w, old_n));
             }
             let grown = Topology::from_pairs(grown_nodes, &pairs);
-            for engine in [Engine::Naive, Engine::Indexed, Engine::Parallel] {
+            for engine in [Engine::Naive, Engine::Auto] {
                 let after = interference_vector_with(&grown, engine);
                 for v in 0..old_n {
                     let delta = after[v] as isize - before[v] as isize;

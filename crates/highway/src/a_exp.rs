@@ -8,7 +8,7 @@
 //! matching the `√n` lower bound of Theorem 5.2.
 
 use crate::instance::HighwayInstance;
-use rim_core::receiver::graph_interference;
+use rim_core::receiver::{graph_interference_with, Engine};
 use rim_graph::AdjacencyList;
 use rim_udg::Topology;
 
@@ -127,7 +127,12 @@ pub fn a_exp_reference(instance: &HighwayInstance) -> AExpResult {
     let mut current_i = 0usize; // I(G_exp) so far
     for v in 1..n {
         g.add_edge(hub, v, nodes.dist(hub, v));
-        let new_i = graph_interference(&Topology::from_graph(nodes.clone(), g.clone()));
+        // The all-pairs scan keeps the reference independent of the
+        // fast kernel.
+        let new_i = graph_interference_with(
+            &Topology::from_graph(nodes.clone(), g.clone()),
+            Engine::Naive,
+        );
         debug_assert!(new_i >= current_i);
         if new_i > current_i {
             current_i = new_i;

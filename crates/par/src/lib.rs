@@ -7,7 +7,7 @@
 //! * [`par_map_ranges`] — the chunked scoped-thread *scatter executor*:
 //!   it carves `0..n` into contiguous ranges, runs one scoped thread per
 //!   range, and returns the per-range results in order. The interference
-//!   kernels (`rim_core::receiver`) and the topology-construction
+//!   kernel (`rim_core::stream`) and the topology-construction
 //!   pipeline (`rim_topology_control`) both scatter over it; scoped
 //!   threads let closures borrow topologies and spatial indices by
 //!   reference, so parallelism adds no copies.
@@ -20,7 +20,7 @@
 //! * [`par_scatter_u32`] — a sharded-accumulator counting kernel: each
 //!   worker scatters increments into its own private `u32` buffer and
 //!   the buffers are summed at the barrier, window by window on the same
-//!   workers, so counting kernels (the interference engines) never
+//!   workers, so counting kernels (the interference scatter) never
 //!   false-share a common output vector.
 //! * [`par_fill_chunks`] — an in-place parallel fill: contiguous
 //!   `chunks_mut` windows of one caller-owned slice, one scoped thread
@@ -42,7 +42,7 @@
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Instance size from which a query loop over all nodes (UDG
 /// construction, sender coverage, the topology-construction pipeline)
@@ -63,10 +63,16 @@ pub fn auto_threads(n: usize) -> usize {
 ///
 /// `std::thread::available_parallelism` fails only in exotic sandboxes,
 /// where falling back to sequential execution is the right behaviour.
+/// It reads the affinity mask and cgroup quota on every call (tens of
+/// µs, more than a small grid build), so the answer is computed once
+/// per process.
 pub fn num_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(usize::from)
-        .unwrap_or(1)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(usize::from)
+            .unwrap_or(1)
+    })
 }
 
 /// Splits `0..n` into `chunks` contiguous ranges (the first `n % chunks`

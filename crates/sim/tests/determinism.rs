@@ -77,10 +77,10 @@ fn churn_runs_are_deterministic_and_engine_invariant() {
     assert!(a.lines().count() >= 8, "checkpoints did not sample the run");
 
     // Claim 2: the churned end state reads the same under every engine
-    // (the parallel engine shards across worker threads internally).
+    // (the fast engine shards across worker threads internally).
     let (t, slots) = sim_a.engine().live_topology();
     let want = interference_vector_naive(&t);
-    for engine in [Engine::Indexed, Engine::Parallel] {
+    for engine in [Engine::Naive, Engine::Auto] {
         assert_eq!(
             interference_vector_with(&t, engine),
             want,
@@ -100,7 +100,7 @@ fn runs_are_deterministic_and_thread_count_invariant() {
     let cfg = config();
 
     // Claim 1: identical seed and thread count ⇒ byte-identical metrics.
-    let topology = Baseline::Gabriel.build_with(&ns, &udg, Engine::Indexed);
+    let topology = Baseline::Gabriel.build_with(&ns, &udg, Engine::Auto);
     let first = Simulator::new(topology.clone(), cfg).run();
     let second = Simulator::new(topology, cfg).run();
     assert!(first.generated > 0, "traffic must actually flow");
@@ -110,12 +110,12 @@ fn runs_are_deterministic_and_thread_count_invariant() {
         "same seed, same thread count: metrics must be byte-identical"
     );
 
-    // Claim 2: construction thread count must not leak into the run.
-    // The three engines use different thread counts internally, so the
-    // metrics AND the simulator's event counters must agree across them.
+    // Claim 2: the construction path must not leak into the run. The
+    // engines build the topology differently, so the metrics AND the
+    // simulator's event counters must agree across them.
     let rec = rim_obs::install_recorder();
     let mut outcomes: Vec<(String, u64)> = Vec::new();
-    for engine in [Engine::Naive, Engine::Indexed, Engine::Parallel] {
+    for engine in [Engine::Naive, Engine::Auto] {
         let topology = Baseline::Gabriel.build_with(&ns, &udg, engine);
         let before = rec.counter("sim.events");
         let metrics = Simulator::new(topology, cfg).run();

@@ -1,10 +1,12 @@
 //! The Gabriel graph, intersected with the UDG.
 //!
-//! Edge `{u, v}` survives iff no third node lies in the closed disk whose
-//! diameter is the segment `uv` — the classic planar structure used by
-//! geographic routing (GPSR et al.). It is connected on each UDG
-//! component (it contains the MST) and contains the Nearest Neighbor
-//! Forest.
+//! Edge `{u, v}` survives iff no node at positive distance from both
+//! endpoints lies in the closed disk whose diameter is the segment `uv`
+//! — the classic planar structure used by geographic routing (GPSR et
+//! al.). A node coincident with an endpoint never blocks, so coincident
+//! nodes stay linked to each other and to everything their position
+//! links to. It is connected on each UDG component (it contains the MST)
+//! and contains the Nearest Neighbor Forest.
 //!
 //! Two witness predicates compute the same answer: the brute-force
 //! [`is_gabriel_edge_naive`] scans all `n` nodes (the **permanent
@@ -20,41 +22,45 @@ use rim_geom::SoaGrid;
 use rim_graph::AdjacencyList;
 use rim_udg::{NodeSet, Topology};
 
-/// Returns `true` if the UDG edge `{u, v}` is a Gabriel edge: no other
-/// node `w` satisfies `|uw|² + |wv|² <= |uv|²` (closed-disk convention:
-/// a node *on* the diameter circle blocks the edge; deterministic and
-/// conservative). Brute-force `O(n)` scan — the retained witness oracle.
+/// Whether `w` blocks the Gabriel edge `{u, v}`: it lies in the closed
+/// disk with diameter `uv` (`|uw|² + |wv|² <= |uv|²`; a node *on* the
+/// diameter circle blocks) at positive distance from both endpoints.
+/// The distance tests also exclude `w == u` and `w == v`. Without them
+/// a node coincident with `u` would block every edge at `u` (`0 + |uv|²
+/// <= |uv|²`), and three coincident nodes would remove all of each
+/// other's links.
+fn blocks(nodes: &NodeSet, u: usize, v: usize, w: usize) -> bool {
+    let (d_uw, d_wv) = (nodes.dist_sq(u, w), nodes.dist_sq(w, v));
+    d_uw > 0.0 && d_wv > 0.0 && d_uw + d_wv <= nodes.dist_sq(u, v)
+}
+
+/// Returns `true` if the UDG edge `{u, v}` is a Gabriel edge: no node
+/// blocks it (see the module docs). Brute-force `O(n)` scan — the
+/// retained witness oracle.
 pub fn is_gabriel_edge_naive(nodes: &NodeSet, u: usize, v: usize) -> bool {
-    let d_uv = nodes.dist_sq(u, v);
-    (0..nodes.len()).all(|w| {
-        w == u || w == v || nodes.dist_sq(u, w) + nodes.dist_sq(w, v) > d_uv
-    })
+    (0..nodes.len()).all(|w| !blocks(nodes, u, v, w))
 }
 
 /// Index-backed witness test, exactly equal to
 /// [`is_gabriel_edge_naive`]: candidates come from the closed disk of
 /// radius `|uv|` around `u` (a superset of the diameter disk — see the
 /// module docs for the containment argument) and are filtered by the
-/// identical squared-distance predicate.
+/// identical predicate.
 pub fn is_gabriel_edge(nodes: &NodeSet, index: &SoaGrid, u: usize, v: usize) -> bool {
-    let d_uv = nodes.dist_sq(u, v);
     let mut blocked = false;
     index.for_each_in_disk(nodes.pos(u), nodes.dist(u, v), |w| {
-        if w != u && w != v && nodes.dist_sq(u, w) + nodes.dist_sq(w, v) <= d_uv {
-            blocked = true;
-        }
+        blocked = blocked || blocks(nodes, u, v, w);
     });
     !blocked
 }
 
 /// Builds the Gabriel graph restricted to UDG edges with an explicit
 /// [`Engine`]: `Naive` runs the all-node witness scan per edge
-/// (`O(n·m)`), `Indexed` one local disk query per edge, `Parallel` fans
-/// the indexed queries out over the shared executor. All engines return
-/// the same topology; `Auto` picks by instance size.
+/// (`O(n·m)`), `Auto` one local disk query per edge on
+/// [`rim_par::auto_threads`] workers. Both return the same topology.
 pub fn gabriel_graph_with(nodes: &NodeSet, udg: &AdjacencyList, engine: Engine) -> Topology {
-    match pipeline::resolve(engine, nodes.len()) {
-        Engine::Naive => {
+    match engine {
+        Engine::Naive | Engine::PhysicalNaive => {
             let mut g = AdjacencyList::new(nodes.len());
             for e in udg.edges() {
                 if is_gabriel_edge_naive(nodes, e.u, e.v) {
@@ -63,18 +69,15 @@ pub fn gabriel_graph_with(nodes: &NodeSet, udg: &AdjacencyList, engine: Engine) 
             }
             Topology::from_graph(nodes.clone(), g)
         }
-        Engine::Indexed | Engine::PhysicalNaive | Engine::PhysicalIndexed | Engine::Streaming => {
-            gabriel_graph_parallel(nodes, udg, 1)
-        }
-        Engine::Parallel | Engine::Auto => {
-            gabriel_graph_parallel(nodes, udg, rim_par::num_threads())
+        Engine::Auto | Engine::PhysicalIndexed => {
+            gabriel_graph_parallel(nodes, udg, rim_par::auto_threads(nodes.len()))
         }
     }
 }
 
 /// Index-backed construction across an explicit number of worker
-/// threads (`1` = the indexed engine, inline). The edge set is
-/// independent of `threads` by construction.
+/// threads (`1` = inline). The edge set is independent of `threads` by
+/// construction.
 pub fn gabriel_graph_parallel(nodes: &NodeSet, udg: &AdjacencyList, threads: usize) -> Topology {
     let index = witness_index(nodes, udg);
     let edges = udg.edges();
@@ -150,6 +153,34 @@ mod tests {
     }
 
     #[test]
+    fn three_coincident_nodes_keep_all_their_links() {
+        let ns = NodeSet::new(vec![Point::ORIGIN; 3]);
+        let udg = unit_disk_graph(&ns);
+        for e in [Engine::Naive, Engine::Auto] {
+            let t = gabriel_graph_with(&ns, &udg, e);
+            assert_eq!(t.num_edges(), 3, "engine {}", e.name());
+            assert!(t.preserves_connectivity_of(&udg));
+        }
+    }
+
+    #[test]
+    fn a_coincident_pair_links_to_its_neighbour() {
+        // Two nodes at the origin and one at (0.5, 0): each copy at the
+        // origin sits at distance 0 from an endpoint of the other's link
+        // to (0.5, 0), so neither blocks it.
+        let ns = NodeSet::new(vec![Point::ORIGIN, Point::ORIGIN, Point::new(0.5, 0.0)]);
+        let udg = unit_disk_graph(&ns);
+        let idx = witness_index(&ns, &udg);
+        for (u, v) in [(0, 1), (0, 2), (1, 2)] {
+            assert!(is_gabriel_edge_naive(&ns, u, v), "naive {{{u}, {v}}}");
+            assert!(is_gabriel_edge(&ns, &idx, u, v), "indexed {{{u}, {v}}}");
+        }
+        for e in [Engine::Naive, Engine::Auto] {
+            assert_eq!(gabriel_graph_with(&ns, &udg, e).num_edges(), 3, "engine {}", e.name());
+        }
+    }
+
+    #[test]
     fn every_engine_builds_the_same_graph() {
         let mut state = 5u64;
         let mut rnd = || {
@@ -160,7 +191,7 @@ mod tests {
         let ns = NodeSet::new(pts);
         let udg = unit_disk_graph(&ns);
         let oracle = gabriel_graph_with(&ns, &udg, Engine::Naive);
-        for e in [Engine::Indexed, Engine::Parallel, Engine::Auto] {
+        for e in Engine::ALL {
             let t = gabriel_graph_with(&ns, &udg, e);
             assert_eq!(oracle.edges(), t.edges(), "engine {}", e.name());
         }

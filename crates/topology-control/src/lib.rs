@@ -31,10 +31,10 @@
 //!
 //! Construction is engine-selectable: Gabriel/RNG witness predicates,
 //! LMST's per-node local MSTs, XTC's edge filter, and Yao's cone
-//! selection all run `naive | indexed | parallel | auto` (see
-//! [`pipeline`] and [`Baseline::build_with`]); every engine produces
-//! the same topology — a differential-tested invariant — and the naive
-//! witness scans are retained verbatim as oracles.
+//! selection all run `naive | auto` (see [`pipeline`] and
+//! [`Baseline::build_with`]); both produce the same topology — a
+//! differential-tested invariant — and the naive witness scans are
+//! retained verbatim as oracles.
 
 #![forbid(unsafe_code)]
 
@@ -123,8 +123,7 @@ impl Baseline {
         !matches!(self, Baseline::Nnf | Baseline::Kneigh9)
     }
 
-    /// Runs the algorithm with automatic engine selection
-    /// ([`Engine::Auto`]).
+    /// Runs the algorithm on the fast path ([`Engine::Auto`]).
     pub fn build(self, nodes: &NodeSet, udg: &AdjacencyList) -> Topology {
         self.build_with(nodes, udg, Engine::Auto)
     }

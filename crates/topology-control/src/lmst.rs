@@ -20,11 +20,10 @@
 //! (fresh allocations, `O(deg)` adjacency probes). The fast path feeds
 //! the *identical* local edge list to the same Kruskal through reusable
 //! scratch buffers and an `O(1)` per-node local-id map, so selections —
-//! and therefore the output — are equal by construction; `Parallel`
-//! fans the per-node stage out over the shared executor with one
-//! scratch per worker.
+//! and therefore the output — are equal by construction, and fans the
+//! per-node stage out over the shared executor with one scratch per
+//! worker.
 
-use crate::pipeline;
 use rim_core::receiver::Engine;
 use rim_graph::mst::kruskal;
 use rim_graph::{AdjacencyList, Edge};
@@ -148,33 +147,6 @@ impl Scratch {
     }
 }
 
-/// Per-node selections for the chosen engine; `threads` only applies to
-/// the parallel path.
-fn selections(
-    nodes: &NodeSet,
-    udg: &AdjacencyList,
-    engine: Engine,
-    threads: usize,
-) -> Vec<Vec<usize>> {
-    let n = nodes.len();
-    match engine {
-        Engine::Naive => (0..n).map(|u| local_selection_naive(nodes, udg, u)).collect(),
-        Engine::Indexed | Engine::PhysicalNaive | Engine::PhysicalIndexed | Engine::Streaming => {
-            let mut scratch = Scratch::new(n);
-            (0..n).map(|u| scratch.selection(nodes, udg, u)).collect()
-        }
-        Engine::Parallel | Engine::Auto => rim_par::par_map_ranges(n, threads, |range| {
-            let mut scratch = Scratch::new(n);
-            range
-                .map(|u| scratch.selection(nodes, udg, u))
-                .collect::<Vec<Vec<usize>>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect(),
-    }
-}
-
 /// Builds the LMST topology over the UDG with an explicit [`Engine`]
 /// (see the module docs for what each engine changes — never the
 /// output, a differential-tested invariant).
@@ -184,16 +156,21 @@ pub fn lmst_with(
     variant: LmstVariant,
     engine: Engine,
 ) -> Topology {
-    let resolved = pipeline::resolve(engine, nodes.len());
-    let threads = match resolved {
-        Engine::Parallel | Engine::Auto => rim_par::num_threads(),
-        _ => 1,
-    };
-    lmst_assemble(nodes, udg, variant, selections(nodes, udg, resolved, threads))
+    match engine {
+        Engine::Naive | Engine::PhysicalNaive => {
+            let selections = (0..nodes.len())
+                .map(|u| local_selection_naive(nodes, udg, u))
+                .collect();
+            lmst_assemble(nodes, udg, variant, selections)
+        }
+        Engine::Auto | Engine::PhysicalIndexed => {
+            lmst_parallel(nodes, udg, variant, rim_par::auto_threads(nodes.len()))
+        }
+    }
 }
 
 /// Scratch-buffer construction across an explicit number of worker
-/// threads (`1` = the indexed engine, inline). The edge set is
+/// threads (`1` = inline), one scratch per worker. The edge set is
 /// independent of `threads` by construction.
 pub fn lmst_parallel(
     nodes: &NodeSet,
@@ -201,12 +178,17 @@ pub fn lmst_parallel(
     variant: LmstVariant,
     threads: usize,
 ) -> Topology {
-    lmst_assemble(
-        nodes,
-        udg,
-        variant,
-        selections(nodes, udg, Engine::Parallel, threads),
-    )
+    let n = nodes.len();
+    let selections = rim_par::par_map_ranges(n, threads, |range| {
+        let mut scratch = Scratch::new(n);
+        range
+            .map(|u| scratch.selection(nodes, udg, u))
+            .collect::<Vec<Vec<usize>>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    lmst_assemble(nodes, udg, variant, selections)
 }
 
 /// Symmetrizes the selections into the output topology. Selection lists
@@ -343,7 +325,7 @@ mod tests {
         let udg = unit_disk_graph(&ns);
         for variant in [LmstVariant::Intersection, LmstVariant::Union] {
             let oracle = lmst_with(&ns, &udg, variant, Engine::Naive);
-            for e in [Engine::Indexed, Engine::Parallel, Engine::Auto] {
+            for e in Engine::ALL {
                 let t = lmst_with(&ns, &udg, variant, e);
                 assert_eq!(oracle.edges(), t.edges(), "engine {} {variant:?}", e.name());
             }

@@ -9,10 +9,16 @@
 //!   dominant witness-query radius.
 //! * [`filter_edges`] fans an edge predicate out over the shared chunked
 //!   scoped-thread executor ([`rim_par::par_map_ranges`]) and assembles
-//!   the kept edges *in input order*, so every engine produces the same
-//!   adjacency structure, not merely the same edge set.
-//! * [`resolve`] maps [`Engine::Auto`] to a concrete engine by instance
-//!   size, mirroring the interference kernels' policy.
+//!   the kept edges *in input order*, so every worker count produces the
+//!   same adjacency structure, not merely the same edge set.
+//!
+//! Every algorithm has two paths: [`crate::Engine::Naive`] (and its
+//! physical twin) runs the retained brute-force construction, and
+//! [`crate::Engine::Auto`] (and [`crate::Engine::PhysicalIndexed`]) runs
+//! the one fast path on [`rim_par::auto_threads`] workers — inline below
+//! [`rim_par::AUTO_PARALLEL_MIN`] nodes, on all cores from there. The
+//! physical engines only change how *interference* is evaluated, so here
+//! they mean what their disk twins mean.
 //!
 //! Correctness of the index-backed witnesses rests on a locality
 //! argument: any Gabriel witness `w` of `{u, v}` satisfies
@@ -24,39 +30,9 @@
 //! exact naive predicate is re-evaluated on the candidates it returns,
 //! so index-backed construction equals the brute-force scan bit for bit.
 
-use rim_core::receiver::Engine;
 use rim_geom::SoaGrid;
 use rim_graph::{AdjacencyList, Edge};
 use rim_udg::NodeSet;
-
-/// Below this node count the all-node witness scan beats an index build.
-pub(crate) const AUTO_NAIVE_MAX: usize = 64;
-
-/// Resolves [`Engine::Auto`] for a construction over `n` nodes: naive
-/// below [`AUTO_NAIVE_MAX`], parallel from [`rim_par::AUTO_PARALLEL_MIN`] when
-/// more than one core is available, indexed in between. The physical
-/// (SINR) engines only change how *interference* is evaluated, not how
-/// geometric constructions run, so they normalize to their disk-side
-/// strategy twins here.
-pub(crate) fn resolve(engine: Engine, n: usize) -> Engine {
-    match engine {
-        Engine::Auto => {
-            if n < AUTO_NAIVE_MAX {
-                Engine::Naive
-            } else if rim_par::auto_threads(n) > 1 {
-                Engine::Parallel
-            } else {
-                Engine::Indexed
-            }
-        }
-        Engine::PhysicalNaive => Engine::Naive,
-        Engine::PhysicalIndexed => Engine::Indexed,
-        // The streaming interference kernel has no witness-construction
-        // analogue; it normalizes to the indexed strategy likewise.
-        Engine::Streaming => Engine::Indexed,
-        e => e,
-    }
-}
 
 /// Builds the spatial index the witness predicates query: all node
 /// positions, with the median UDG edge length as the cell hint (witness
@@ -109,16 +85,6 @@ mod tests {
     use super::*;
     use rim_geom::Point;
     use rim_udg::udg::unit_disk_graph;
-
-    #[test]
-    fn auto_resolution_matches_size_policy() {
-        assert_eq!(resolve(Engine::Auto, 10), Engine::Naive);
-        let mid = resolve(Engine::Auto, 1000);
-        assert!(mid == Engine::Indexed, "mid-size must avoid thread spawn");
-        for e in [Engine::Naive, Engine::Indexed, Engine::Parallel] {
-            assert_eq!(resolve(e, 5000), e, "explicit engines pass through");
-        }
-    }
 
     #[test]
     fn filter_edges_is_thread_count_invariant() {

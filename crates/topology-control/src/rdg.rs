@@ -6,16 +6,47 @@
 //! the MST and the Nearest Neighbor Forest — Theorem 4.1 applies).
 //! The distributed protocol of \[10\] computes a local approximation of
 //! exactly this structure; we compute it centrally.
+//!
+//! The triangulation is over the distinct positions. Coincident nodes
+//! share their position's Delaunay edges and are linked to each other,
+//! so the graph contains the Gabriel graph on duplicates too.
 
 use rim_geom::delaunay::delaunay;
+use rim_geom::Point;
 use rim_graph::AdjacencyList;
 use rim_udg::{NodeSet, Topology};
+use std::collections::HashMap;
 
 /// Builds the Restricted Delaunay Graph (Delaunay ∩ UDG).
 pub fn restricted_delaunay(nodes: &NodeSet, udg: &AdjacencyList) -> Topology {
-    let d = delaunay(nodes.points());
+    // Group nodes by position, in order of first appearance. `+ 0.0`
+    // maps -0.0 to 0.0, so the key is equality of coordinates.
+    let key = |p: Point| ((p.x + 0.0).to_bits(), (p.y + 0.0).to_bits());
+    let mut site_of: HashMap<(u64, u64), usize> = HashMap::new();
+    let mut sites: Vec<Point> = Vec::new();
+    let mut members: Vec<Vec<usize>> = Vec::new();
+    for (u, &p) in nodes.points().iter().enumerate() {
+        let s = *site_of.entry(key(p)).or_insert_with(|| {
+            sites.push(p);
+            members.push(Vec::new());
+            sites.len() - 1
+        });
+        members[s].push(u);
+    }
+    let mut pairs: Vec<(usize, usize)> = Vec::new();
+    for group in &members {
+        for (i, &u) in group.iter().enumerate() {
+            pairs.extend(group[i + 1..].iter().map(|&v| (u, v)));
+        }
+    }
+    for (a, b) in delaunay(&sites).edges {
+        for &u in &members[a] {
+            pairs.extend(members[b].iter().map(|&v| (u.min(v), u.max(v))));
+        }
+    }
+    pairs.sort_unstable();
     let mut g = AdjacencyList::new(nodes.len());
-    for (u, v) in d.edges {
+    for (u, v) in pairs {
         if udg.has_edge(u, v) {
             g.add_edge(u, v, nodes.dist(u, v));
         }
@@ -76,6 +107,23 @@ mod tests {
         assert!(t.num_edges() <= 3 * ns.len().saturating_sub(2));
         // …and is much sparser than the dense UDG it came from.
         assert!(t.num_edges() < udg.num_edges());
+    }
+
+    #[test]
+    fn coincident_nodes_are_linked_and_keep_their_position_s_edges() {
+        let three = NodeSet::new(vec![Point::ORIGIN; 3]);
+        let t = restricted_delaunay(&three, &unit_disk_graph(&three));
+        assert_eq!(t.num_edges(), 3);
+        // Two nodes at the origin and one at (0.5, 0): both copies link
+        // to the third node and to each other.
+        let ns = NodeSet::new(vec![Point::ORIGIN, Point::ORIGIN, Point::new(0.5, 0.0)]);
+        let udg = unit_disk_graph(&ns);
+        let t = restricted_delaunay(&ns, &udg);
+        assert_eq!(t.num_edges(), 3);
+        assert!(t.preserves_connectivity_of(&udg));
+        for e in gabriel_graph(&ns, &udg).edges() {
+            assert!(t.graph().has_edge(e.u, e.v), "GG edge {{{}, {}}}", e.u, e.v);
+        }
     }
 
     #[test]

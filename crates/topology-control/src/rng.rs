@@ -45,16 +45,16 @@ pub fn is_rng_edge(nodes: &NodeSet, index: &SoaGrid, u: usize, v: usize) -> bool
 }
 
 /// Builds the RNG restricted to UDG edges with an explicit [`Engine`]:
-/// `Naive` scans all nodes per edge (`O(n·m)`), `Indexed` runs one local
-/// disk query per edge, `Parallel` fans the queries out over the shared
-/// executor. All engines return the same topology.
+/// `Naive` scans all nodes per edge (`O(n·m)`), `Auto` runs one local
+/// disk query per edge on [`rim_par::auto_threads`] workers. Both return
+/// the same topology.
 pub fn relative_neighborhood_graph_with(
     nodes: &NodeSet,
     udg: &AdjacencyList,
     engine: Engine,
 ) -> Topology {
-    match pipeline::resolve(engine, nodes.len()) {
-        Engine::Naive => {
+    match engine {
+        Engine::Naive | Engine::PhysicalNaive => {
             let mut g = AdjacencyList::new(nodes.len());
             for e in udg.edges() {
                 if is_rng_edge_naive(nodes, e.u, e.v) {
@@ -63,18 +63,15 @@ pub fn relative_neighborhood_graph_with(
             }
             Topology::from_graph(nodes.clone(), g)
         }
-        Engine::Indexed | Engine::PhysicalNaive | Engine::PhysicalIndexed | Engine::Streaming => {
-            relative_neighborhood_graph_parallel(nodes, udg, 1)
-        }
-        Engine::Parallel | Engine::Auto => {
-            relative_neighborhood_graph_parallel(nodes, udg, rim_par::num_threads())
+        Engine::Auto | Engine::PhysicalIndexed => {
+            relative_neighborhood_graph_parallel(nodes, udg, rim_par::auto_threads(nodes.len()))
         }
     }
 }
 
 /// Index-backed construction across an explicit number of worker
-/// threads (`1` = the indexed engine, inline). The edge set is
-/// independent of `threads` by construction.
+/// threads (`1` = inline). The edge set is independent of `threads` by
+/// construction.
 pub fn relative_neighborhood_graph_parallel(
     nodes: &NodeSet,
     udg: &AdjacencyList,
@@ -158,7 +155,7 @@ mod tests {
         let ns = NodeSet::new(pts);
         let udg = unit_disk_graph(&ns);
         let oracle = relative_neighborhood_graph_with(&ns, &udg, Engine::Naive);
-        for e in [Engine::Indexed, Engine::Parallel, Engine::Auto] {
+        for e in Engine::ALL {
             let t = relative_neighborhood_graph_with(&ns, &udg, e);
             assert_eq!(oracle.edges(), t.edges(), "engine {}", e.name());
         }

@@ -17,9 +17,8 @@
 //! "minimal assumptions" algorithms.
 //!
 //! The witness scan is already neighborhood-local (`O(deg²)` per node),
-//! so the `Naive` and `Indexed` engines share the serial path; the
-//! `Parallel` engine fans the per-edge test out over the shared
-//! executor.
+//! so `Naive` runs it serially and `Auto` fans the per-edge test out
+//! over the shared executor.
 
 use crate::pipeline;
 use rim_core::receiver::Engine;
@@ -47,16 +46,15 @@ pub fn keeps_edge(nodes: &NodeSet, udg: &AdjacencyList, u: usize, v: usize) -> b
 }
 
 /// Builds the XTC topology over the UDG with an explicit [`Engine`].
-/// The per-edge test is already local, so `Naive` and `Indexed` share
-/// the serial path; `Parallel` fans it out across workers. All engines
-/// return the same topology.
+/// The per-edge test is already local, so `Naive` runs it serially and
+/// `Auto` on [`rim_par::auto_threads`] workers. Both return the same
+/// topology.
 pub fn xtc_with(nodes: &NodeSet, udg: &AdjacencyList, engine: Engine) -> Topology {
-    match pipeline::resolve(engine, nodes.len()) {
-        Engine::Naive | Engine::Indexed | Engine::PhysicalNaive | Engine::PhysicalIndexed | Engine::Streaming => {
-            xtc_parallel(nodes, udg, 1)
-        }
-        Engine::Parallel | Engine::Auto => xtc_parallel(nodes, udg, rim_par::num_threads()),
-    }
+    let threads = match engine {
+        Engine::Naive | Engine::PhysicalNaive => 1,
+        Engine::Auto | Engine::PhysicalIndexed => rim_par::auto_threads(nodes.len()),
+    };
+    xtc_parallel(nodes, udg, threads)
 }
 
 /// XTC across an explicit number of worker threads (`1` = serial,
@@ -139,7 +137,7 @@ mod tests {
         let ns = NodeSet::new(pts);
         let udg = unit_disk_graph(&ns);
         let oracle = xtc_with(&ns, &udg, Engine::Naive);
-        for e in [Engine::Indexed, Engine::Parallel, Engine::Auto] {
+        for e in Engine::ALL {
             let t = xtc_with(&ns, &udg, e);
             assert_eq!(oracle.edges(), t.edges(), "engine {}", e.name());
         }

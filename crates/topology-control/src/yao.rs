@@ -6,13 +6,11 @@
 //! *either* endpoint selected it), the convention of the CBTC family. For
 //! `k >= 6` the result is connected on each UDG component and a spanner.
 //!
-//! The per-node cone selection is already neighborhood-local, so the
-//! `Naive` and `Indexed` engines share the serial path; the `Parallel`
-//! engine fans nodes out over the shared executor and merges the
-//! selected links through a sorted, deduplicated pair list — the same
-//! edge set for every thread count.
+//! The per-node cone selection is already neighborhood-local, so
+//! `Naive` runs it serially and `Auto` fans nodes out over the shared
+//! executor and merges the selected links through a sorted, deduplicated
+//! pair list — the same edge set for every thread count.
 
-use crate::pipeline;
 use rim_core::receiver::Engine;
 use rim_graph::AdjacencyList;
 use rim_udg::{NodeSet, Topology};
@@ -47,23 +45,18 @@ fn cone_selection(nodes: &NodeSet, udg: &AdjacencyList, u: usize, best: &mut [Op
 
 /// Builds the Yao graph with `k >= 1` cones, restricted to UDG edges,
 /// with an explicit [`Engine`]. Cone selection is already local, so
-/// `Naive` and `Indexed` share the serial path; `Parallel` fans the
-/// per-node stage out across workers. All engines return the same
-/// topology.
+/// `Naive` runs the per-node stage serially and `Auto` on
+/// [`rim_par::auto_threads`] workers. Both return the same topology.
 ///
 /// Cone `j` at node `u` covers angles `[2πj/k, 2π(j+1)/k)` measured from
 /// the positive x-axis. Ties within a cone break towards the smaller
 /// index.
 pub fn yao_graph_with(nodes: &NodeSet, udg: &AdjacencyList, k: usize, engine: Engine) -> Topology {
-    assert!(k >= 1, "need at least one cone");
-    match pipeline::resolve(engine, nodes.len()) {
-        Engine::Naive | Engine::Indexed | Engine::PhysicalNaive | Engine::PhysicalIndexed | Engine::Streaming => {
-            yao_graph_parallel(nodes, udg, k, 1)
-        }
-        Engine::Parallel | Engine::Auto => {
-            yao_graph_parallel(nodes, udg, k, rim_par::num_threads())
-        }
-    }
+    let threads = match engine {
+        Engine::Naive | Engine::PhysicalNaive => 1,
+        Engine::Auto | Engine::PhysicalIndexed => rim_par::auto_threads(nodes.len()),
+    };
+    yao_graph_parallel(nodes, udg, k, threads)
 }
 
 /// Yao construction across an explicit number of worker threads (`1` =
@@ -170,7 +163,7 @@ mod tests {
         let ns = NodeSet::new(pts);
         let udg = unit_disk_graph(&ns);
         let oracle = yao_graph_with(&ns, &udg, 6, Engine::Naive);
-        for e in [Engine::Indexed, Engine::Parallel, Engine::Auto] {
+        for e in Engine::ALL {
             let t = yao_graph_with(&ns, &udg, 6, e);
             let mut a: Vec<_> = oracle.edges().iter().map(|x| x.pair()).collect();
             let mut b: Vec<_> = t.edges().iter().map(|x| x.pair()).collect();

@@ -92,6 +92,19 @@ fn families() -> Vec<(&'static str, NodeSet)> {
     ]
 }
 
+/// The five families drawn from `seed`, smaller than [`families`] so
+/// that many seeds stay cheap in debug builds (the chain, which has no
+/// randomness, varies its length instead).
+fn seeded_families(seed: u64) -> Vec<(&'static str, NodeSet)> {
+    vec![
+        ("uniform", uniform(80, 2.5, seed)),
+        ("clustered", clustered(4, 15, 2.0, seed)),
+        ("exp-chain", exponential_chain(30 + seed as usize)),
+        ("collinear", collinear(60, seed)),
+        ("duplicate", duplicates(60, seed)),
+    ]
+}
+
 /// The engine-sensitive baselines under differential test.
 const PIPELINE_ALGOS: [Baseline; 5] = [
     Baseline::Gabriel,
@@ -107,16 +120,8 @@ fn every_engine_matches_the_naive_oracle_on_all_families() {
         let udg = unit_disk_graph(&ns);
         for algo in PIPELINE_ALGOS {
             let oracle = edge_set(&algo.build_with(&ns, &udg, Engine::Naive));
-            for engine in [Engine::Indexed, Engine::Parallel, Engine::Auto] {
-                let fast = edge_set(&algo.build_with(&ns, &udg, engine));
-                assert_eq!(
-                    oracle,
-                    fast,
-                    "family={family} algo={} engine={}",
-                    algo.name(),
-                    engine.name()
-                );
-            }
+            let fast = edge_set(&algo.build_with(&ns, &udg, Engine::Auto));
+            assert_eq!(oracle, fast, "family={family} algo={}", algo.name());
         }
     }
 }
@@ -152,10 +157,8 @@ fn lmst_union_variant_is_engine_invariant_too() {
     for (family, ns) in families() {
         let udg = unit_disk_graph(&ns);
         let oracle = edge_set(&lmst::lmst_with(&ns, &udg, LmstVariant::Union, Engine::Naive));
-        for engine in [Engine::Indexed, Engine::Parallel] {
-            let fast = edge_set(&lmst::lmst_with(&ns, &udg, LmstVariant::Union, engine));
-            assert_eq!(oracle, fast, "family={family} engine={}", engine.name());
-        }
+        let fast = edge_set(&lmst::lmst_with(&ns, &udg, LmstVariant::Union, Engine::Auto));
+        assert_eq!(oracle, fast, "family={family}");
     }
 }
 
@@ -166,7 +169,41 @@ fn engine_insensitive_baselines_ignore_the_selection() {
     let udg = unit_disk_graph(&ns);
     for algo in [Baseline::Nnf, Baseline::Emst, Baseline::Life, Baseline::Cbtc] {
         let a = edge_set(&algo.build_with(&ns, &udg, Engine::Naive));
-        let b = edge_set(&algo.build_with(&ns, &udg, Engine::Parallel));
+        let b = edge_set(&algo.build_with(&ns, &udg, Engine::Auto));
         assert_eq!(a, b, "algo={}", algo.name());
+    }
+}
+
+#[test]
+fn connectivity_guarantees_hold_on_all_families() {
+    for seed in 0..20u64 {
+        for (family, ns) in seeded_families(seed) {
+            let udg = unit_disk_graph(&ns);
+            for algo in Baseline::ALL.into_iter().filter(|b| b.guarantees_connectivity()) {
+                assert!(
+                    algo.build(&ns, &udg).preserves_connectivity_of(&udg),
+                    "family={family} seed={seed} algo={}",
+                    algo.name()
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn rdg_contains_the_gabriel_graph_on_all_families() {
+    for seed in 0..20u64 {
+        for (family, ns) in seeded_families(seed) {
+            let udg = unit_disk_graph(&ns);
+            let rdg = Baseline::Rdg.build(&ns, &udg);
+            for e in Baseline::Gabriel.build(&ns, &udg).edges() {
+                assert!(
+                    rdg.graph().has_edge(e.u, e.v),
+                    "family={family} seed={seed}: GG edge {{{}, {}}} missing from RDG",
+                    e.u,
+                    e.v
+                );
+            }
+        }
     }
 }

@@ -38,7 +38,24 @@ fn significant_lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
     })
 }
 
-/// Parses a nodes file: `x [y]` per line.
+/// Whether coordinate `c` keeps every squared distance, and every sum of
+/// two (the Gabriel witness test), a finite normal f64 — so that the
+/// instance's answers are those of the same instance at any power-of-two
+/// scale: true for 0 and for `|c|` in `[2^-459, 2^509]`.
+///
+/// * Upper bound: `|dx|, |dy| <= 2^510`, so `dx² + dy² <= 2^1021` and a
+///   sum of two squared distances stays `<= 2^1022`.
+/// * Lower bound: a nonzero `c` with `|c| >= 2^-459` is a multiple of
+///   its ulp, which is at least `2^-511`, so distinct coordinates differ
+///   by at least `2^-511`, whose square `2^-1022` is normal.
+fn coordinate_in_range(c: f64) -> bool {
+    let m = c.abs();
+    m <= 0.0 || (f64::from_bits((1023 - 459) << 52)..=f64::from_bits((1023 + 509) << 52)).contains(&m)
+}
+
+/// Parses a nodes file: `x [y]` per line. Rejects non-finite coordinates
+/// and nonzero ones whose magnitude lies outside `[2^-459, 2^509]`, where
+/// squared distances would overflow or underflow.
 pub fn parse_nodes(text: &str) -> Result<NodeSet, ParseError> {
     let mut pts = Vec::new();
     for (line, content) in significant_lines(text) {
@@ -69,6 +86,15 @@ pub fn parse_nodes(text: &str) -> Result<NodeSet, ParseError> {
             return Err(ParseError {
                 line,
                 message: "coordinates must be finite".into(),
+            });
+        }
+        if !coordinate_in_range(x) || !coordinate_in_range(y) {
+            return Err(ParseError {
+                line,
+                message: format!(
+                    "coordinates ({x:e}, {y:e}) must be 0 or between 2^-459 and 2^509 in \
+                     magnitude: squared distances would leave the f64 range"
+                ),
             });
         }
         pts.push(Point::new(x, y));
@@ -193,6 +219,26 @@ mod tests {
             .unwrap_err()
             .message
             .contains("duplicate"));
+    }
+
+    #[test]
+    fn coordinates_outside_the_squarable_range_are_rejected() {
+        let lo = 2f64.powi(-459);
+        let hi = 2f64.powi(509);
+        let below = f64::from_bits(lo.to_bits() - 1);
+        let above = f64::from_bits(hi.to_bits() + 1);
+        for c in [0.0, -0.0, lo, -lo, hi, -hi, 1.0] {
+            assert!(parse_nodes(&format!("0 0\n{c:e} {c:e}\n")).is_ok(), "{c:e}");
+        }
+        for c in [below, -below, above, -above, f64::MIN_POSITIVE, f64::MAX] {
+            let err = parse_nodes(&format!("0 0\n0.5 {c:e}\n")).unwrap_err();
+            assert_eq!(err.line, 2, "{c:e}");
+            let err = parse_nodes(&format!("{c:e}\n")).unwrap_err();
+            assert_eq!(err.line, 1, "{c:e}");
+        }
+        // The smallest accepted gap squares to a normal number.
+        let ns = parse_nodes(&format!("{lo:e}\n{:e}\n", f64::from_bits(lo.to_bits() + 1))).unwrap();
+        assert!(ns.dist_sq(0, 1).is_normal());
     }
 
     #[test]

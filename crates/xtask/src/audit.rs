@@ -973,10 +973,10 @@ pub fn audit_obs_noop_default(members: &[Member], out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// CLI end-to-end tests that must keep existing: the `--timing` →
-/// `--obs` migration is only safe while a test still drives per-stage
-/// timing output through the binary, and the `--obs jsonl` acceptance
-/// scenario must not quietly disappear either.
+/// CLI end-to-end tests that must keep existing: a test must keep
+/// driving per-stage timing output (`control --obs human`) through the
+/// binary, and the `--obs jsonl` acceptance scenario must not quietly
+/// disappear either.
 pub const RETAINED_CLI_E2E: &[&str] = &[
     "control_timing_reports_stages_on_stderr",
     "analyze_obs_jsonl_emits_spans_and_counters",

@@ -121,15 +121,14 @@ fn theorem_5_6_aapx_approximation_ratio() {
     }
 }
 
-/// Figure 7 again, pinned through each concrete engine: the theorem
-/// regressions must not depend on `Auto`'s size-based dispatch, so the
-/// indexed and parallel kernels are asserted against the same exact
-/// `n − 2` closed form (and `Naive` documents the oracle's verdict).
+/// Figure 7 again, pinned through each engine: the fast kernel is
+/// asserted against the same exact `n − 2` closed form at every size
+/// (and `Naive` documents the oracle's verdict).
 #[test]
 fn figure_7_linear_chain_interference_pinned_engines() {
     for n in [8usize, 32, 128] {
         let t = exponential_chain(n).linear_topology();
-        for engine in [Engine::Naive, Engine::Indexed, Engine::Parallel] {
+        for engine in [Engine::Naive, Engine::Auto] {
             assert_eq!(
                 graph_interference_with(&t, engine),
                 n - 2,
@@ -140,8 +139,9 @@ fn figure_7_linear_chain_interference_pinned_engines() {
     }
 }
 
-/// Theorems 5.1 + 5.2 pinned through the indexed engine: the `√n`
-/// sandwich must hold on the exact counts the spatial index produces —
+/// Theorems 5.1 + 5.2 pinned through the grid-indexed fast kernel
+/// (`Engine::Auto`): the `√n` sandwich must hold on the exact counts the
+/// spatial index produces —
 /// exponential chains are precisely the instances whose radius spread
 /// makes the grid split its overloaded cells.
 #[test]
@@ -149,20 +149,20 @@ fn theorem_5_1_and_5_2_aexp_sandwich_pinned_indexed() {
     for n in [16usize, 64, 144, 256] {
         let c = exponential_chain(n);
         let t = a_exp(&c).topology;
-        let i = graph_interference_with(&t, Engine::Indexed) as f64;
+        let i = graph_interference_with(&t, Engine::Auto) as f64;
         assert!(i >= exponential_chain_lower_bound(n).floor(), "n={n}: I={i}");
         assert!(i <= (2.0 * n as f64).sqrt() + 1.0, "n={n}: I={i}");
         assert_eq!(
-            graph_interference_with(&t, Engine::Indexed),
+            graph_interference_with(&t, Engine::Auto),
             graph_interference_with(&t, Engine::Naive),
-            "n={n}: indexed engine diverged from the oracle"
+            "n={n}: the fast kernel diverged from the oracle"
         );
     }
 }
 
-/// Theorem 4.1 pinned through the indexed engine: the `Ω(n)` NNF gap on
-/// the two-chain construction, with both sides of the ratio computed by
-/// the spatial-index kernel.
+/// Theorem 4.1 pinned through the grid-indexed fast kernel
+/// (`Engine::Auto`): the `Ω(n)` NNF gap on the two-chain construction,
+/// with both sides of the ratio computed by the spatial-index kernel.
 #[test]
 fn theorem_4_1_nnf_gap_pinned_indexed() {
     let mut prev_ratio = 0.0;
@@ -171,8 +171,8 @@ fn theorem_4_1_nnf_gap_pinned_indexed() {
         let udg = unit_disk_graph(&tc.nodes);
         let nnf = nearest_neighbor_forest(&tc.nodes, &udg);
         let witness = tc.witness_topology();
-        let i_nnf = graph_interference_with(&nnf, Engine::Indexed);
-        let i_wit = graph_interference_with(&witness, Engine::Indexed);
+        let i_nnf = graph_interference_with(&nnf, Engine::Auto);
+        let i_wit = graph_interference_with(&witness, Engine::Auto);
         assert!(i_nnf >= k - 1, "k={k}: I(NNF)={i_nnf}");
         assert!(i_wit <= 8, "k={k}: I(witness)={i_wit}");
         let ratio = i_nnf as f64 / i_wit as f64;
