@@ -358,6 +358,28 @@ fn node_files_at_extreme_scales_are_rejected() {
 }
 
 #[test]
+fn damaged_topology_files_exit_2_with_a_line_error() {
+    // CRLF line ends parse; the duplicated line 3 would be an error, but
+    // the token cut short on line 4 is reported first.
+    let dir = tmp_dir("damaged_topology");
+    let nodes = dir.join("nodes.txt");
+    let topo = dir.join("topo.txt");
+    std::fs::write(&nodes, "0 0\n0.5 0\n1 0\n").unwrap();
+    std::fs::write(&topo, "0 1\r\n1 2\r\n1 2\r\n2\r\n").unwrap();
+    let out = rim()
+        .args(["analyze", "--nodes"])
+        .arg(&nodes)
+        .arg("--topology")
+        .arg(&topo)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.starts_with("error:") && err.contains("line 4"), "{err}");
+    assert!(out.stdout.is_empty());
+}
+
+#[test]
 fn analyze_is_invariant_under_power_of_two_scaling_of_node_files() {
     // Scaling by 2^-k scales every coordinate, distance and square
     // exactly while the file is accepted. With diameter <= 1 the UDG is

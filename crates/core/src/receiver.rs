@@ -138,17 +138,24 @@ pub fn interference_vector_naive(t: &Topology) -> Vec<usize> {
 /// skewed spread overloads. Public so
 /// other layers computing coverage relations (e.g. the simulator's PHY
 /// tables) share the same heuristic.
-// rim-lint: allow(panic-freedom) — the median index is guarded by the is_empty branch
 pub fn build_index(t: &Topology) -> SoaGrid {
     let _span = rim_obs::span("interference/index_build");
     let mut radii: Vec<f64> = t.radii().iter().copied().filter(|&r| r > 0.0).collect();
     let hint = if radii.is_empty() {
         1.0 // edgeless: nobody transmits, any index shape works
     } else {
-        radii.sort_unstable_by(f64::total_cmp);
-        radii[radii.len() / 2]
+        upper_median(&mut radii)
     };
     SoaGrid::from_points(t.nodes().points(), hint)
+}
+
+/// The element at index `len / 2` of `values` sorted by
+/// [`f64::total_cmp`], found by selection in `O(len)` instead of a full
+/// sort. `total_cmp` is a total order on bit patterns, so the result is
+/// the very element the sort would put there. `values` must be
+/// non-empty; it is left partially reordered.
+pub(crate) fn upper_median(values: &mut [f64]) -> f64 {
+    *values.select_nth_unstable_by(values.len() / 2, f64::total_cmp).1
 }
 
 /// Per-node interference via an explicitly chosen [`Engine`]:
@@ -210,6 +217,31 @@ mod tests {
     use super::*;
     use rim_geom::Point;
     use rim_udg::NodeSet;
+
+    #[test]
+    fn upper_median_selects_what_the_sort_would() {
+        let mut state = 99u64;
+        let mut next = || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            state >> 33
+        };
+        for len in 1..80 {
+            // Half the values come from a small pool, so duplicates are
+            // everywhere; -0.0 and 0.0 differ in bits and in `total_cmp`
+            // order.
+            let pool = [0.0, -0.0, 0.5, 1.0, 1e-300, 3.0, 1e300];
+            let mut values: Vec<f64> = (0..len)
+                .map(|_| match next() % 2 {
+                    0 => pool[next() as usize % pool.len()],
+                    _ => next() as f64 / 7.0,
+                })
+                .collect();
+            let mut sorted = values.clone();
+            sorted.sort_unstable_by(f64::total_cmp);
+            let want = sorted[len / 2];
+            assert_eq!(upper_median(&mut values).to_bits(), want.to_bits(), "len={len}");
+        }
+    }
 
     /// The five-node example of Figure 2: node `u` is covered by its
     /// direct neighbor and by the distant node `v` whose radius reaches

@@ -75,7 +75,7 @@ pub fn coverage_vector(t: &Topology) -> Vec<usize> {
 
 /// [`coverage_vector`] over `threads` workers, each with its own stamp
 /// array for the two-disk union.
-// rim-lint: allow(panic-freedom) — the median index is guarded by the is_empty branch; `par_map_ranges` only yields edge indices below `edges.len()`, and stamps are indexed by node ids
+// rim-lint: allow(panic-freedom) — `par_map_ranges` only yields edge indices below `edges.len()`, and stamps are indexed by node ids
 pub(crate) fn coverage_vector_threads(t: &Topology, threads: usize) -> Vec<usize> {
     let edges = t.edges();
     if edges.is_empty() {
@@ -84,8 +84,7 @@ pub(crate) fn coverage_vector_threads(t: &Topology, threads: usize) -> Vec<usize
     let nodes = t.nodes();
     // Cell hint: the median link length — the dominant query radius.
     let mut lens: Vec<f64> = edges.iter().map(|e| e.weight).collect();
-    lens.sort_unstable_by(f64::total_cmp);
-    let hint = lens[lens.len() / 2];
+    let hint = crate::receiver::upper_median(&mut lens);
     let index = SoaGrid::from_points(nodes.points(), hint);
     let shards = rim_par::par_map_ranges(edges.len(), threads, |range| {
         // Stamp-based dedup of the two-disk union, reused across edges.

@@ -11,7 +11,7 @@
 //! fill — comes from [`crate::grid`].
 //!
 //! The same structure serves the `Point`-slice callers (UDG
-//! construction, topology control, the batch and physical engines), the
+//! construction, the batch and physical engines), the
 //! million-node streaming kernels and, under [`crate::DynGrid`], the
 //! incremental engine. Query semantics are the *closed* distance-level
 //! predicate `dist(p, c) <= r` (see the crate-level floating-point

@@ -11,14 +11,15 @@
 //! Two witness predicates compute the same answer: the brute-force
 //! [`is_gabriel_edge_naive`] scans all `n` nodes (the **permanent
 //! oracle** the differential suites test against), while
-//! [`is_gabriel_edge`] queries a [`SoaGrid`] for the closed disk of
-//! radius `|uv|` around `u` — any witness `w` has `|uw|² + |wv|² <=
-//! |uv|²`, hence `|uw| <= |uv|` even after rounding, so the query never
-//! misses one — and re-evaluates the exact predicate on the candidates.
+//! [`is_gabriel_edge`] scans only `u`'s UDG neighbour list and stops at
+//! the first blocker. `udg` must be the unit disk graph of `nodes` at
+//! some range: a witness `w` has `d_uw <= fl(d_uw + d_wv) <= d_uv` in
+//! squared distances (rounding is monotone), hence `|uw| <= |uv| <=
+//! range` and `w ∈ N(u)` (see [`crate::pipeline`]), so the list never
+//! misses one.
 
-use crate::pipeline::{self, witness_index};
+use crate::pipeline;
 use rim_core::receiver::Engine;
-use rim_geom::SoaGrid;
 use rim_graph::AdjacencyList;
 use rim_udg::{NodeSet, Topology};
 
@@ -41,23 +42,20 @@ pub fn is_gabriel_edge_naive(nodes: &NodeSet, u: usize, v: usize) -> bool {
     (0..nodes.len()).all(|w| !blocks(nodes, u, v, w))
 }
 
-/// Index-backed witness test, exactly equal to
-/// [`is_gabriel_edge_naive`]: candidates come from the closed disk of
-/// radius `|uv|` around `u` (a superset of the diameter disk — see the
-/// module docs for the containment argument) and are filtered by the
-/// identical predicate.
-pub fn is_gabriel_edge(nodes: &NodeSet, index: &SoaGrid, u: usize, v: usize) -> bool {
-    let mut blocked = false;
-    index.for_each_in_disk(nodes.pos(u), nodes.dist(u, v), |w| {
-        blocked = blocked || blocks(nodes, u, v, w);
-    });
-    !blocked
+/// Neighbour-list witness test, exactly equal to
+/// [`is_gabriel_edge_naive`] for a UDG edge `{u, v}` of the unit disk
+/// graph `udg` of `nodes`: every witness lies in `N(u)` (see the module
+/// docs), so the identical predicate runs over `u`'s list only and stops
+/// at the first blocker.
+pub fn is_gabriel_edge(nodes: &NodeSet, udg: &AdjacencyList, u: usize, v: usize) -> bool {
+    udg.neighbors(u).all(|w| !blocks(nodes, u, v, w))
 }
 
 /// Builds the Gabriel graph restricted to UDG edges with an explicit
 /// [`Engine`]: `Naive` runs the all-node witness scan per edge
-/// (`O(n·m)`), `Auto` one local disk query per edge on
+/// (`O(n·m)`), `Auto` scans `u`'s neighbour list per edge on
 /// [`rim_par::auto_threads`] workers. Both return the same topology.
+/// `udg` must be the unit disk graph of `nodes` at some range.
 pub fn gabriel_graph_with(nodes: &NodeSet, udg: &AdjacencyList, engine: Engine) -> Topology {
     match engine {
         Engine::Naive | Engine::PhysicalNaive => {
@@ -75,15 +73,11 @@ pub fn gabriel_graph_with(nodes: &NodeSet, udg: &AdjacencyList, engine: Engine) 
     }
 }
 
-/// Index-backed construction across an explicit number of worker
+/// Neighbour-list construction across an explicit number of worker
 /// threads (`1` = inline). The edge set is independent of `threads` by
 /// construction.
 pub fn gabriel_graph_parallel(nodes: &NodeSet, udg: &AdjacencyList, threads: usize) -> Topology {
-    let index = witness_index(nodes, udg);
-    let edges = udg.edges();
-    let g = pipeline::filter_edges(nodes.len(), &edges, threads, |e| {
-        is_gabriel_edge(nodes, &index, e.u, e.v)
-    });
+    let g = pipeline::filter_edges(udg, threads, |u, v| is_gabriel_edge(nodes, udg, u, v));
     Topology::from_graph(nodes.clone(), g)
 }
 
@@ -148,8 +142,7 @@ mod tests {
         ]);
         assert!(!is_gabriel_edge_naive(&ns, 0, 1));
         let udg = unit_disk_graph(&ns);
-        let idx = witness_index(&ns, &udg);
-        assert!(!is_gabriel_edge(&ns, &idx, 0, 1), "indexed witness must agree");
+        assert!(!is_gabriel_edge(&ns, &udg, 0, 1), "neighbour-list witness must agree");
     }
 
     #[test]
@@ -170,10 +163,9 @@ mod tests {
         // to (0.5, 0), so neither blocks it.
         let ns = NodeSet::new(vec![Point::ORIGIN, Point::ORIGIN, Point::new(0.5, 0.0)]);
         let udg = unit_disk_graph(&ns);
-        let idx = witness_index(&ns, &udg);
         for (u, v) in [(0, 1), (0, 2), (1, 2)] {
             assert!(is_gabriel_edge_naive(&ns, u, v), "naive {{{u}, {v}}}");
-            assert!(is_gabriel_edge(&ns, &idx, u, v), "indexed {{{u}, {v}}}");
+            assert!(is_gabriel_edge(&ns, &udg, u, v), "neighbour list {{{u}, {v}}}");
         }
         for e in [Engine::Naive, Engine::Auto] {
             assert_eq!(gabriel_graph_with(&ns, &udg, e).num_edges(), 3, "engine {}", e.name());

@@ -34,7 +34,10 @@
 //! selection all run `naive | auto` (see [`pipeline`] and
 //! [`Baseline::build_with`]); both produce the same topology — a
 //! differential-tested invariant — and the naive witness scans are
-//! retained verbatim as oracles.
+//! retained verbatim as oracles. The `auto` paths work straight off the
+//! UDG's sorted neighbour lists: every Gabriel or RNG witness of a UDG
+//! edge `{u, v}` lies in `N(u)`, every XTC witness in `N(u) ∩ N(v)`, and
+//! LMST runs Prim over `N[u]`; no spatial index is built.
 
 #![forbid(unsafe_code)]
 
@@ -129,6 +132,12 @@ impl Baseline {
     }
 
     /// Runs the algorithm with an explicit construction [`Engine`].
+    ///
+    /// `udg` must be the unit disk graph of `nodes` at some range, as
+    /// [`rim_udg::udg::unit_disk_graph_with_range`] builds it: `{u, v}`
+    /// is an edge exactly when `u != v` and `dist(u, v) <= range`, with
+    /// weight `dist(min, max)`. The fast paths look for witnesses only in
+    /// the UDG neighbour lists, which that contract makes complete.
     ///
     /// Gabriel, RNG, LMST, XTC and Yao honour the selection (identical
     /// output on every engine — only speed differs); the remaining

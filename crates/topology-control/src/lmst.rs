@@ -17,12 +17,24 @@
 //! reproduced paper applies to it.
 //!
 //! Engines: the naive path re-runs the original per-node construction
-//! (fresh allocations, `O(deg)` adjacency probes). The fast path feeds
-//! the *identical* local edge list to the same Kruskal through reusable
-//! scratch buffers and an `O(1)` per-node local-id map, so selections —
-//! and therefore the output — are equal by construction, and fans the
-//! per-node stage out over the shared executor with one scratch per
-//! worker.
+//! (fresh allocations, `O(deg)` adjacency probes, Kruskal over the local
+//! edge list). The fast path runs Prim from `u` over `N[u]` straight off
+//! the UDG's neighbour lists, with reusable per-worker scratch and no
+//! allocation per node, and fans the per-node stage out over the shared
+//! executor. `udg` must be the unit disk graph of `nodes` at some range.
+//!
+//! The two paths select the same nodes. Kruskal sorts the local edges by
+//! `(weight, local lo, local hi)` — the [`Edge`] order — and Prim orders
+//! its keys by the same triple. Distinct edges have distinct triples, so
+//! the order is strict, the local MST is unique, and both algorithms
+//! find it. The weights agree bit for bit: the UDG stores `dist(min,
+//! max)` for every pair, which equals the `nodes.dist(ga, gb)` Kruskal
+//! receives because `dist` is symmetric bit for bit. Prim also visits
+//! `u`'s tree neighbours in Kruskal's order: when it adds the child `c₂`
+//! of `u`, every child `c₁` with a smaller link has a key no larger than
+//! that link, so it was added first. Only those children matter, so Prim
+//! stops as soon as no node outside the tree still has its link to `u`
+//! as its key.
 
 use rim_core::receiver::Engine;
 use rim_graph::mst::kruskal;
@@ -64,86 +76,121 @@ fn local_selection_naive(nodes: &NodeSet, udg: &AdjacencyList, u: usize) -> Vec<
         .collect()
 }
 
+/// Prim's key for a node outside the tree: its lightest known link into
+/// the tree, as the Kruskal order `(weight, local lo, local hi)` (local
+/// ids: 0 = `u`, `i + 1` = the `i`-th neighbour of `u`).
+#[derive(Clone, Copy)]
+struct Key {
+    weight: f64,
+    lo: u32,
+    hi: u32,
+}
+
+impl Key {
+    /// The key of a node in the tree: it precedes every link, so no
+    /// relaxation replaces it.
+    const SETTLED: Key = Key {
+        weight: f64::NEG_INFINITY,
+        lo: 0,
+        hi: 0,
+    };
+
+    /// The strict total order of [`Edge::cmp_by_weight`].
+    fn precedes(&self, other: &Key) -> bool {
+        self.weight
+            .total_cmp(&other.weight)
+            .then(self.lo.cmp(&other.lo))
+            .then(self.hi.cmp(&other.hi))
+            .is_lt()
+    }
+}
+
 /// Reusable per-worker scratch for the fast local-MST stage: the
-/// global→local id map (sentinel-reset between nodes), a local
-/// adjacency mark row, and the local vertex/edge buffers. One instance
-/// serves a whole chunk of nodes without reallocating.
+/// global→local id map (reset after each node) and Prim's state over
+/// `N[u]`. One instance serves a whole chunk of nodes without
+/// reallocating once it has seen the chunk's largest neighbourhood.
 struct Scratch {
-    /// `local_id[g]` = local index of global node `g`, or `usize::MAX`.
-    local_id: Vec<usize>,
-    /// `adj[b]` = is local vertex `b` a UDG neighbor of the current `a`.
-    adj: Vec<bool>,
-    /// Local vertex ids: `locals[0] = u`, then the neighbors in order.
-    locals: Vec<usize>,
-    /// Local edge list handed to Kruskal.
-    edges: Vec<Edge>,
+    /// `local[g]` = local id of global node `g`: `i + 1` for the `i`-th
+    /// neighbour of `u`, and 0 for `u` itself and every node outside
+    /// `N(u)`.
+    local: Vec<u32>,
+    /// Global node of each local id.
+    ids: Vec<usize>,
+    /// Prim key of each local id; [`Key::SETTLED`] for `u` and for every
+    /// node already in the tree.
+    key: Vec<Key>,
+    /// Local ids not yet in the tree.
+    open: Vec<usize>,
+    /// `u`'s selection, in Kruskal's order.
+    sel: Vec<usize>,
 }
 
 impl Scratch {
     fn new(n: usize) -> Scratch {
         Scratch {
-            local_id: vec![usize::MAX; n],
-            adj: Vec::new(),
-            locals: Vec::new(),
-            edges: Vec::new(),
+            local: vec![0; n],
+            ids: Vec::new(),
+            key: Vec::new(),
+            open: Vec::new(),
+            sel: Vec::new(),
         }
     }
 
-    /// Computes `u`'s selection, producing the exact edge list (same
-    /// order, same weights) as [`local_selection_naive`] — adjacency is
-    /// answered by the mark row instead of `O(deg)` `has_edge` probes.
-    fn selection(&mut self, nodes: &NodeSet, udg: &AdjacencyList, u: usize) -> Vec<usize> {
-        self.locals.clear();
-        self.locals.push(u);
-        self.locals.extend(udg.neighbors(u));
-        let len = self.locals.len();
-        if len == 1 {
-            return Vec::new();
+    /// Computes `u`'s selection — the same nodes, in the same order, as
+    /// [`local_selection_naive`] (see the module docs) — by Prim from `u`
+    /// over `N[u]`: `u`'s links seed the keys, and each node that joins
+    /// the tree relaxes the keys of its UDG neighbours inside `N(u)`.
+    ///
+    /// Prim stops once no open node's key is its link to `u`: keys only
+    /// ever drop to links from nodes other than `u`, so no later node can
+    /// join the tree as a child of `u`.
+    // rim-lint: allow(panic-freedom) — `local` has one slot per node, local ids index `ids` and `key`, and `open` is non-empty while `rooted > 0`
+    fn selection(&mut self, nodes: &NodeSet, udg: &AdjacencyList, u: usize) -> &[usize] {
+        self.ids.clear();
+        self.key.clear();
+        self.open.clear();
+        self.sel.clear();
+        self.ids.push(u);
+        self.key.push(Key::SETTLED);
+        for (v, weight) in udg.neighbors_weighted(u) {
+            // rim-lint: allow(float-eq) — the UDG stores dist() outputs, bit-identical
+            debug_assert!(weight == nodes.dist(u, v), "udg is not the UDG of nodes");
+            let id = self.ids.len();
+            self.local[v] = id as u32;
+            self.ids.push(v);
+            self.key.push(Key { weight, lo: 0, hi: id as u32 });
+            self.open.push(id);
         }
-        for (i, &g) in self.locals.iter().enumerate() {
-            self.local_id[g] = i;
-        }
-        if self.adj.len() < len {
-            self.adj.resize(len, false);
-        }
-        self.edges.clear();
-        for a in 0..len {
-            let ga = self.locals[a];
-            // Edges incident to u (a == 0) exist unconditionally; for the
-            // others, mark ga's local neighbors for O(1) membership tests.
-            if ga != u {
-                for w in udg.neighbors(ga) {
-                    let id = self.local_id[w];
-                    if id != usize::MAX {
-                        self.adj[id] = true;
-                    }
+        // Open nodes whose key is still their link to u.
+        let mut rooted = self.open.len();
+        while rooted > 0 {
+            let mut best = 0;
+            for k in 1..self.open.len() {
+                if self.key[self.open[k]].precedes(&self.key[self.open[best]]) {
+                    best = k;
                 }
             }
-            for b in (a + 1)..len {
-                if ga == u || self.adj[b] {
-                    let gb = self.locals[b];
-                    self.edges.push(Edge::new(a, b, nodes.dist(ga, gb)));
-                }
+            let a = self.open.swap_remove(best);
+            if self.key[a].lo == 0 {
+                self.sel.push(self.ids[a]);
+                rooted -= 1;
             }
-            if ga != u {
-                for w in udg.neighbors(ga) {
-                    let id = self.local_id[w];
-                    if id != usize::MAX {
-                        self.adj[id] = false;
-                    }
+            self.key[a] = Key::SETTLED;
+            for (g, weight) in udg.neighbors_weighted(self.ids[a]) {
+                // Nodes outside N(u) map to u's settled slot: a no-op.
+                let b = self.local[g];
+                let link = Key { weight, lo: (a as u32).min(b), hi: (a as u32).max(b) };
+                let slot = &mut self.key[b as usize];
+                if link.precedes(slot) {
+                    rooted -= usize::from(slot.lo == 0);
+                    *slot = link;
                 }
             }
         }
-        let mst = kruskal(len, &self.edges);
-        let sel = mst
-            .iter()
-            .filter(|e| e.touches(0))
-            .map(|e| self.locals[e.other(0)])
-            .collect();
-        for &g in &self.locals {
-            self.local_id[g] = usize::MAX;
+        for &g in &self.ids[1..] {
+            self.local[g] = 0;
         }
-        sel
+        &self.sel
     }
 }
 
@@ -158,10 +205,10 @@ pub fn lmst_with(
 ) -> Topology {
     match engine {
         Engine::Naive | Engine::PhysicalNaive => {
-            let selections = (0..nodes.len())
+            let selections: Vec<Vec<usize>> = (0..nodes.len())
                 .map(|u| local_selection_naive(nodes, udg, u))
                 .collect();
-            lmst_assemble(nodes, udg, variant, selections)
+            lmst_assemble(nodes, variant, |u| &selections[u])
         }
         Engine::Auto | Engine::PhysicalIndexed => {
             lmst_parallel(nodes, udg, variant, rim_par::auto_threads(nodes.len()))
@@ -169,9 +216,9 @@ pub fn lmst_with(
     }
 }
 
-/// Scratch-buffer construction across an explicit number of worker
-/// threads (`1` = inline), one scratch per worker. The edge set is
-/// independent of `threads` by construction.
+/// Prim construction across an explicit number of worker threads (`1`
+/// = inline), one scratch and one flat selection buffer per worker. The
+/// edge set is independent of `threads` by construction.
 pub fn lmst_parallel(
     nodes: &NodeSet,
     udg: &AdjacencyList,
@@ -179,39 +226,48 @@ pub fn lmst_parallel(
     threads: usize,
 ) -> Topology {
     let n = nodes.len();
-    let selections = rim_par::par_map_ranges(n, threads, |range| {
+    let chunks = rim_par::par_map_ranges(n, threads, |range| {
         let mut scratch = Scratch::new(n);
-        range
-            .map(|u| scratch.selection(nodes, udg, u))
-            .collect::<Vec<Vec<usize>>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect();
-    lmst_assemble(nodes, udg, variant, selections)
+        let (mut flat, mut ends) = (Vec::new(), Vec::with_capacity(range.len()));
+        for u in range {
+            flat.extend_from_slice(scratch.selection(nodes, udg, u));
+            ends.push(flat.len());
+        }
+        (flat, ends)
+    });
+    let mut flat = Vec::new();
+    let mut start = Vec::with_capacity(n + 1);
+    start.push(0);
+    for (chunk, ends) in chunks {
+        start.extend(ends.iter().map(|end| flat.len() + end));
+        flat.extend(chunk);
+    }
+    lmst_assemble(nodes, variant, |u| &flat[start[u]..start[u + 1]])
 }
 
-/// Symmetrizes the selections into the output topology. Selection lists
-/// are sorted once so the agreement test is a `binary_search`, not a
-/// linear scan (quadratic blow-up on dense instances otherwise).
-fn lmst_assemble(
+/// Symmetrizes the selections `sel(u)` into the output topology by
+/// walking them in node order: the intersection keeps `{u, v}` for each
+/// `v > u` in `sel(u)` with `u ∈ sel(v)`, the union every selected pair.
+/// The `contains` scan is short: two of `u`'s tree neighbours at
+/// distinct positions subtend at least 60° at `u`, so a selection holds
+/// at most 6 of them, plus the nodes coincident with `u`, which it always
+/// selects.
+fn lmst_assemble<'a>(
     nodes: &NodeSet,
-    udg: &AdjacencyList,
     variant: LmstVariant,
-    mut selections: Vec<Vec<usize>>,
+    sel: impl Fn(usize) -> &'a [usize],
 ) -> Topology {
-    for s in &mut selections {
-        s.sort_unstable();
-    }
-    let selected = |u: usize, v: usize| selections[u].binary_search(&v).is_ok();
     let mut g = AdjacencyList::new(nodes.len());
-    for e in udg.edges() {
-        let keep = match variant {
-            LmstVariant::Intersection => selected(e.u, e.v) && selected(e.v, e.u),
-            LmstVariant::Union => selected(e.u, e.v) || selected(e.v, e.u),
-        };
-        if keep {
-            g.add_edge(e.u, e.v, e.weight);
+    for u in 0..nodes.len() {
+        for &v in sel(u) {
+            let keep = match variant {
+                LmstVariant::Intersection => v > u && sel(v).contains(&u),
+                LmstVariant::Union => true,
+            };
+            if keep {
+                let (a, b) = (u.min(v), u.max(v));
+                g.add_edge(a, b, nodes.dist(a, b));
+            }
         }
     }
     Topology::from_graph(nodes.clone(), g)
@@ -228,7 +284,7 @@ mod tests {
     use super::*;
     use crate::nnf::contains_nnf;
     use rim_geom::Point;
-    use rim_udg::udg::unit_disk_graph;
+    use rim_udg::udg::{unit_disk_graph, unit_disk_graph_with_range};
 
     fn random_field(n: usize, side: f64, seed: u64) -> NodeSet {
         let mut state = seed;
@@ -315,6 +371,34 @@ mod tests {
                     local_selection_naive(&ns, &udg, u),
                     "seed={seed} u={u}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn lattice_ties_select_like_kruskal() {
+        // Every link length of an integer lattice recurs many times, so
+        // the local MSTs are fixed by the (weight, lo, hi) tie order; the
+        // ids are scrambled so that order is not the geometric one.
+        let pts = (0..49)
+            .map(|i| (i * 19) % 49)
+            .map(|j| Point::new((j % 7) as f64, (j / 7) as f64))
+            .collect();
+        let ns = NodeSet::new(pts);
+        for range in [1.0, 1.5, 2.0, 2.5, 3.0] {
+            let udg = unit_disk_graph_with_range(&ns, range);
+            let mut scratch = Scratch::new(ns.len());
+            for u in 0..ns.len() {
+                assert_eq!(
+                    scratch.selection(&ns, &udg, u),
+                    local_selection_naive(&ns, &udg, u),
+                    "range={range} u={u}"
+                );
+            }
+            for variant in [LmstVariant::Intersection, LmstVariant::Union] {
+                let oracle = lmst_with(&ns, &udg, variant, Engine::Naive);
+                let fast = lmst_with(&ns, &udg, variant, Engine::Auto);
+                assert_eq!(oracle.edges(), fast.edges(), "range={range} {variant:?}");
             }
         }
     }

@@ -7,14 +7,13 @@
 //!
 //! As for the Gabriel graph, two witness predicates agree exactly: the
 //! brute-force [`is_rng_edge_naive`] oracle scans all `n` nodes, while
-//! [`is_rng_edge`] queries a [`SoaGrid`] for the closed disk of
-//! radius `|uv|` around `u` — a lune witness has `|uw| < |uv|`, so the
-//! disk contains it even at floating-point level — and re-applies the
-//! exact predicate to the candidates.
+//! [`is_rng_edge`] scans only `u`'s UDG neighbour list and stops at the
+//! first witness. `udg` must be the unit disk graph of `nodes` at some
+//! range: a lune witness has `d_uw < d_uv`, hence `|uw| <= |uv| <=
+//! range` and `w ∈ N(u)` (see [`crate::pipeline`]).
 
-use crate::pipeline::{self, witness_index};
+use crate::pipeline;
 use rim_core::receiver::Engine;
-use rim_geom::SoaGrid;
 use rim_graph::AdjacencyList;
 use rim_udg::{NodeSet, Topology};
 
@@ -29,25 +28,22 @@ pub fn is_rng_edge_naive(nodes: &NodeSet, u: usize, v: usize) -> bool {
     })
 }
 
-/// Index-backed lune test, exactly equal to [`is_rng_edge_naive`]:
-/// candidates come from the closed disk of radius `|uv|` around `u`
-/// (a superset of the lune) and are filtered by the identical
-/// squared-distance predicate.
-pub fn is_rng_edge(nodes: &NodeSet, index: &SoaGrid, u: usize, v: usize) -> bool {
+/// Neighbour-list lune test, exactly equal to [`is_rng_edge_naive`] for
+/// a UDG edge `{u, v}` of the unit disk graph `udg` of `nodes`: every
+/// lune witness lies in `N(u)` (see the module docs), so the identical
+/// squared-distance predicate runs over `u`'s list only and stops at the
+/// first witness.
+pub fn is_rng_edge(nodes: &NodeSet, udg: &AdjacencyList, u: usize, v: usize) -> bool {
     let d_uv = nodes.dist_sq(u, v);
-    let mut blocked = false;
-    index.for_each_in_disk(nodes.pos(u), nodes.dist(u, v), |w| {
-        if w != u && w != v && nodes.dist_sq(u, w).max(nodes.dist_sq(w, v)) < d_uv {
-            blocked = true;
-        }
-    });
-    !blocked
+    udg.neighbors(u)
+        .all(|w| w == v || nodes.dist_sq(u, w).max(nodes.dist_sq(w, v)) >= d_uv)
 }
 
 /// Builds the RNG restricted to UDG edges with an explicit [`Engine`]:
-/// `Naive` scans all nodes per edge (`O(n·m)`), `Auto` runs one local
-/// disk query per edge on [`rim_par::auto_threads`] workers. Both return
-/// the same topology.
+/// `Naive` scans all nodes per edge (`O(n·m)`), `Auto` scans `u`'s
+/// neighbour list per edge on [`rim_par::auto_threads`] workers. Both
+/// return the same topology. `udg` must be the unit disk graph of
+/// `nodes` at some range.
 pub fn relative_neighborhood_graph_with(
     nodes: &NodeSet,
     udg: &AdjacencyList,
@@ -69,7 +65,7 @@ pub fn relative_neighborhood_graph_with(
     }
 }
 
-/// Index-backed construction across an explicit number of worker
+/// Neighbour-list construction across an explicit number of worker
 /// threads (`1` = inline). The edge set is independent of `threads` by
 /// construction.
 pub fn relative_neighborhood_graph_parallel(
@@ -77,11 +73,7 @@ pub fn relative_neighborhood_graph_parallel(
     udg: &AdjacencyList,
     threads: usize,
 ) -> Topology {
-    let index = witness_index(nodes, udg);
-    let edges = udg.edges();
-    let g = pipeline::filter_edges(nodes.len(), &edges, threads, |e| {
-        is_rng_edge(nodes, &index, e.u, e.v)
-    });
+    let g = pipeline::filter_edges(udg, threads, |u, v| is_rng_edge(nodes, udg, u, v));
     Topology::from_graph(nodes.clone(), g)
 }
 
@@ -111,9 +103,8 @@ mod tests {
         assert!(is_rng_edge_naive(&ns, 0, 2));
         assert!(is_rng_edge_naive(&ns, 1, 2));
         let udg = unit_disk_graph(&ns);
-        let idx = witness_index(&ns, &udg);
-        assert!(!is_rng_edge(&ns, &idx, 0, 1), "indexed lune test must agree");
-        assert!(is_rng_edge(&ns, &idx, 0, 2));
+        assert!(!is_rng_edge(&ns, &udg, 0, 1), "neighbour-list lune test must agree");
+        assert!(is_rng_edge(&ns, &udg, 0, 2));
     }
 
     #[test]

@@ -16,9 +16,12 @@
 //! the neighbor rankings — which is why the paper lists it among the
 //! "minimal assumptions" algorithms.
 //!
-//! The witness scan is already neighborhood-local (`O(deg²)` per node),
-//! so `Naive` runs it serially and `Auto` fans the per-edge test out
-//! over the shared executor.
+//! A blocking `w` is a common UDG neighbour of `u` and `v`. The retained
+//! [`keeps_edge`] oracle (`Naive`, serial) scans `N(u)` and binary-searches
+//! each candidate in `v`'s list; the fast [`keeps_edge_merged`] (`Auto`,
+//! fanned out over the shared executor) merges the two sorted lists to
+//! find `N(u) ∩ N(v)` and stops at the first blocker. `udg` must be the
+//! unit disk graph of `nodes` at some range.
 
 use crate::pipeline;
 use rim_core::receiver::Engine;
@@ -45,25 +48,38 @@ pub fn keeps_edge(nodes: &NodeSet, udg: &AdjacencyList, u: usize, v: usize) -> b
     })
 }
 
-/// Builds the XTC topology over the UDG with an explicit [`Engine`].
-/// The per-edge test is already local, so `Naive` runs it serially and
-/// `Auto` on [`rim_par::auto_threads`] workers. Both return the same
-/// topology.
-pub fn xtc_with(nodes: &NodeSet, udg: &AdjacencyList, engine: Engine) -> Topology {
-    let threads = match engine {
-        Engine::Naive | Engine::PhysicalNaive => 1,
-        Engine::Auto | Engine::PhysicalIndexed => rim_par::auto_threads(nodes.len()),
-    };
-    xtc_parallel(nodes, udg, threads)
+/// [`keeps_edge`] with the common neighbours `N(u) ∩ N(v)` found by
+/// merging the two sorted neighbour lists: the same candidates, the same
+/// ranking test, and a stop at the first blocker.
+pub fn keeps_edge_merged(nodes: &NodeSet, udg: &AdjacencyList, u: usize, v: usize) -> bool {
+    let mut of_v = udg.neighbors(v).peekable();
+    udg.neighbors(u).all(|w| {
+        while of_v.next_if(|&x| x < w).is_some() {}
+        of_v.next_if_eq(&w).is_none()
+            || !(ranks_better(nodes, u, w, v) && ranks_better(nodes, v, w, u))
+    })
 }
 
-/// XTC across an explicit number of worker threads (`1` = serial,
+/// Builds the XTC topology over the UDG with an explicit [`Engine`]:
+/// `Naive` runs [`keeps_edge`] serially, `Auto` runs
+/// [`keeps_edge_merged`] on [`rim_par::auto_threads`] workers. Both
+/// return the same topology.
+pub fn xtc_with(nodes: &NodeSet, udg: &AdjacencyList, engine: Engine) -> Topology {
+    match engine {
+        Engine::Naive | Engine::PhysicalNaive => {
+            let g = pipeline::filter_edges(udg, 1, |u, v| keeps_edge(nodes, udg, u, v));
+            Topology::from_graph(nodes.clone(), g)
+        }
+        Engine::Auto | Engine::PhysicalIndexed => {
+            xtc_parallel(nodes, udg, rim_par::auto_threads(nodes.len()))
+        }
+    }
+}
+
+/// Merge-based XTC across an explicit number of worker threads (`1` =
 /// inline). The edge set is independent of `threads` by construction.
 pub fn xtc_parallel(nodes: &NodeSet, udg: &AdjacencyList, threads: usize) -> Topology {
-    let edges = udg.edges();
-    let g = pipeline::filter_edges(nodes.len(), &edges, threads, |e| {
-        keeps_edge(nodes, udg, e.u, e.v)
-    });
+    let g = pipeline::filter_edges(udg, threads, |u, v| keeps_edge_merged(nodes, udg, u, v));
     Topology::from_graph(nodes.clone(), g)
 }
 

@@ -3,18 +3,19 @@
 //! Per the workspace oracle policy (DESIGN.md §6/§7), the brute-force
 //! witness scans are retained verbatim and every fast engine must
 //! reproduce them **exactly** — same edge set, not approximately — on
-//! five instance families: uniform, clustered, exponential-chain,
-//! collinear, and duplicate-coordinate (the degenerate ones stress the
-//! grid's split cells and boundary ties).
+//! six instance families: uniform, clustered, exponential-chain,
+//! collinear, duplicate-coordinate (the degenerate ones stress boundary
+//! ties, zero-length links and witnesses at the UDG range), and a dense
+//! family whose neighbour lists run to 159 nodes.
 
 use rim_geom::Point;
 use rim_rng::SmallRng;
 use rim_topology_control::gabriel::{is_gabriel_edge, is_gabriel_edge_naive};
 use rim_topology_control::lmst::LmstVariant;
-use rim_topology_control::pipeline::witness_index;
 use rim_topology_control::rng::{is_rng_edge, is_rng_edge_naive};
+use rim_topology_control::xtc::{keeps_edge, keeps_edge_merged};
 use rim_topology_control::{lmst, Baseline, Engine};
-use rim_udg::udg::unit_disk_graph;
+use rim_udg::udg::{unit_disk_graph, unit_disk_graph_with_range};
 use rim_udg::{NodeSet, Topology};
 
 /// Canonical, order-independent edge-set view of a topology.
@@ -49,8 +50,8 @@ fn clustered(clusters: usize, per: usize, side: f64, seed: u64) -> NodeSet {
     NodeSet::new(pts)
 }
 
-/// Exponentially growing gaps on a line — the paper's chain family and
-/// the stress case that makes the witness index split overloaded cells.
+/// Exponentially growing gaps on a line — the paper's chain family, whose
+/// links span dozens of binary orders of magnitude.
 fn exponential_chain(n: usize) -> NodeSet {
     let scale = 2f64.powi(-(n as i32));
     NodeSet::on_line(
@@ -81,7 +82,7 @@ fn duplicates(n: usize, seed: u64) -> NodeSet {
     NodeSet::new((0..n).map(|_| distinct[rng.gen_range(0..distinct.len())]).collect())
 }
 
-/// The five families, by name (names show up in assertion messages).
+/// The six families, by name (names show up in assertion messages).
 fn families() -> Vec<(&'static str, NodeSet)> {
     vec![
         ("uniform", uniform(140, 2.5, 7)),
@@ -89,10 +90,21 @@ fn families() -> Vec<(&'static str, NodeSet)> {
         ("exp-chain", exponential_chain(40)),
         ("collinear", collinear(90, 3)),
         ("duplicate", duplicates(60, 19)),
+        ("dense", dense()),
     ]
 }
 
-/// The five families drawn from `seed`, smaller than [`families`] so
+/// A dense uniform square: 260 nodes on a side of 2.2, so neighbour
+/// lists hold up to 159 nodes (about 100 on average) and witnesses sit
+/// deep inside them.
+fn dense() -> NodeSet {
+    let ns = uniform(260, 2.2, 5);
+    let delta = unit_disk_graph(&ns).max_degree();
+    assert!(delta >= 150, "the dense family has Δ = {delta} only");
+    ns
+}
+
+/// The first five families drawn from `seed`, smaller than [`families`] so
 /// that many seeds stay cheap in debug builds (the chain, which has no
 /// randomness, varies its length instead).
 fn seeded_families(seed: u64) -> Vec<(&'static str, NodeSet)> {
@@ -127,25 +139,32 @@ fn every_engine_matches_the_naive_oracle_on_all_families() {
 }
 
 #[test]
-fn indexed_witness_predicates_match_the_naive_scans_edge_by_edge() {
+fn neighbour_list_witness_predicates_match_the_naive_scans_edge_by_edge() {
+    // Witness completeness at every range: the neighbour-list tests scan
+    // N(u) only, so a UDG at range 0.5, 1 or 2 must still hold every
+    // witness the all-node scans find.
     for (family, ns) in families() {
-        let udg = unit_disk_graph(&ns);
-        let index = witness_index(&ns, &udg);
-        for e in udg.edges() {
-            assert_eq!(
-                is_gabriel_edge_naive(&ns, e.u, e.v),
-                is_gabriel_edge(&ns, &index, e.u, e.v),
-                "family={family} gabriel witness {{{}, {}}}",
-                e.u,
-                e.v
-            );
-            assert_eq!(
-                is_rng_edge_naive(&ns, e.u, e.v),
-                is_rng_edge(&ns, &index, e.u, e.v),
-                "family={family} rng lune {{{}, {}}}",
-                e.u,
-                e.v
-            );
+        for range in [0.5, 1.0, 2.0] {
+            let udg = unit_disk_graph_with_range(&ns, range);
+            for e in udg.edges() {
+                let (u, v) = e.pair();
+                let at = format!("family={family} range={range} {{{u}, {v}}}");
+                assert_eq!(
+                    is_gabriel_edge_naive(&ns, u, v),
+                    is_gabriel_edge(&ns, &udg, u, v),
+                    "gabriel witness {at}"
+                );
+                assert_eq!(
+                    is_rng_edge_naive(&ns, u, v),
+                    is_rng_edge(&ns, &udg, u, v),
+                    "rng lune {at}"
+                );
+                assert_eq!(
+                    keeps_edge(&ns, &udg, u, v),
+                    keeps_edge_merged(&ns, &udg, u, v),
+                    "xtc merge {at}"
+                );
+            }
         }
     }
 }

@@ -12,7 +12,8 @@
 use crate::node_set::NodeSet;
 use crate::topology::Topology;
 use rim_geom::Point;
-use std::fmt;
+use rim_graph::AdjacencyList;
+use std::fmt::{self, Write as _};
 
 /// Parse error for the plain-text formats.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,10 +61,10 @@ pub fn parse_nodes(text: &str) -> Result<NodeSet, ParseError> {
     let mut pts = Vec::new();
     for (line, content) in significant_lines(text) {
         let mut it = content.split_whitespace();
+        // significant_lines yields non-blank lines, so the x token exists.
         let x: f64 = it
             .next()
-            // rim-lint: allow(no-unwrap-in-lib) — significant_lines yields non-blank lines
-            .unwrap()
+            .unwrap_or_default()
             .parse()
             .map_err(|e| ParseError {
                 line,
@@ -107,15 +108,20 @@ pub fn format_nodes(nodes: &NodeSet) -> String {
     let mut out = String::with_capacity(nodes.len() * 24);
     out.push_str("# rim nodes file: x y per line\n");
     for p in nodes.points() {
-        out.push_str(&format!("{} {}\n", p.x, p.y));
+        // Writing into a String cannot fail.
+        let _ = writeln!(out, "{} {}", p.x, p.y);
     }
     out
 }
 
 /// Parses a topology file (`u v` per line) against a node set.
+///
+/// Syntax, range and self-loop errors name the first offending line.
+/// Only a file free of them can fail on a duplicate edge, which then
+/// names the first line repeating an earlier pair.
 pub fn parse_topology(text: &str, nodes: &NodeSet) -> Result<Topology, ParseError> {
-    let mut pairs: Vec<(usize, usize)> = Vec::new();
-    let mut pair_lines: Vec<usize> = Vec::new();
+    let mut graph = AdjacencyList::new(nodes.len());
+    let mut duplicate = None;
     for (line, content) in significant_lines(text) {
         let mut it = content.split_whitespace();
         let parse_idx = |tok: Option<&str>, line: usize| -> Result<usize, ParseError> {
@@ -149,21 +155,17 @@ pub fn parse_topology(text: &str, nodes: &NodeSet) -> Result<Topology, ParseErro
                 message: format!("self-loop at node {u}"),
             });
         }
-        pairs.push((u, v));
-        pair_lines.push(line);
-    }
-    // Reject duplicates with a proper error instead of the panic that
-    // Topology::from_pairs would raise.
-    let mut seen = std::collections::HashSet::new();
-    for (&(u, v), &line) in pairs.iter().zip(&pair_lines) {
-        if !seen.insert((u.min(v), u.max(v))) {
-            return Err(ParseError {
+        if !graph.add_edge(u, v, nodes.dist(u, v)) && duplicate.is_none() {
+            duplicate = Some(ParseError {
                 line,
                 message: format!("duplicate edge ({u}, {v})"),
             });
         }
     }
-    Ok(Topology::from_pairs(nodes.clone(), &pairs))
+    match duplicate {
+        Some(err) => Err(err),
+        None => Ok(Topology::from_graph(nodes.clone(), graph)),
+    }
 }
 
 /// Renders a topology file.
@@ -171,7 +173,8 @@ pub fn format_topology(t: &Topology) -> String {
     let mut out = String::with_capacity(t.num_edges() * 12);
     out.push_str("# rim topology file: u v per line\n");
     for e in t.edges() {
-        out.push_str(&format!("{} {}\n", e.u, e.v));
+        // Writing into a String cannot fail.
+        let _ = writeln!(out, "{} {}", e.u, e.v);
     }
     out
 }
@@ -219,6 +222,59 @@ mod tests {
             .unwrap_err()
             .message
             .contains("duplicate"));
+    }
+
+    #[test]
+    fn the_first_repeated_pair_is_the_duplicate() {
+        let ns = NodeSet::on_line(&[0.0, 0.5, 1.0]);
+        let err = parse_topology("0 1\n2 1\n1 0\n0 1\n", &ns).unwrap_err();
+        assert_eq!((err.line, err.message.as_str()), (3, "duplicate edge (1, 0)"));
+    }
+
+    #[test]
+    fn syntax_and_range_errors_beat_an_earlier_duplicate() {
+        let ns = NodeSet::on_line(&[0.0, 0.5, 1.0]);
+        let err = parse_topology("0 1\n1 0\n0 7\n", &ns).unwrap_err();
+        assert_eq!(err.line, 3);
+        assert!(err.message.contains("out of range"), "{}", err.message);
+        let err = parse_topology("0 1\n1 0\n# ok\n2 x\n", &ns).unwrap_err();
+        assert_eq!(err.line, 4);
+        assert!(err.message.contains("bad node index"), "{}", err.message);
+    }
+
+    #[test]
+    fn formatting_matches_one_format_call_per_line() {
+        // The rendering written line by line into one buffer equals the
+        // concatenation of per-line `format!` strings, including negative
+        // zero, tiny and huge magnitudes, and long digit strings.
+        let mut state = 0x5eed_u64;
+        let mut next = || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state >> 11
+        };
+        let mut special = vec![0.0, -0.0, 1.0, -1.5, 1e-130, -3.25e200, 2f64.powi(-459)];
+        special.extend((0..200).map(|_| {
+            let mantissa = next() as f64 / (1u64 << 53) as f64 - 0.5;
+            mantissa * 2f64.powi((next() % 800) as i32 - 400)
+        }));
+        let points: Vec<Point> = special
+            .chunks(2)
+            .map(|c| Point::new(c[0], *c.last().unwrap()))
+            .collect();
+        let ns = NodeSet::new(points);
+        let mut old = String::from("# rim nodes file: x y per line\n");
+        for p in ns.points() {
+            old.push_str(&format!("{} {}\n", p.x, p.y));
+        }
+        assert_eq!(format_nodes(&ns), old);
+        let line = NodeSet::on_line(&(0..ns.len()).map(|i| i as f64).collect::<Vec<_>>());
+        let pairs: Vec<(usize, usize)> = (1..line.len()).map(|v| (v / 3, v)).collect();
+        let t = Topology::from_pairs(line, &pairs);
+        let mut old = String::from("# rim topology file: u v per line\n");
+        for e in t.edges() {
+            old.push_str(&format!("{} {}\n", e.u, e.v));
+        }
+        assert_eq!(format_topology(&t), old);
     }
 
     #[test]

@@ -360,7 +360,7 @@ pub fn audit_member(member: &Member, workspace_crates: &BTreeSet<String>, out: &
 /// fast engine would make the differential layer vacuous.
 ///
 /// The interference oracle guards the receiver-centric kernel; the
-/// witness-predicate oracles guard the index-backed Gabriel/RNG stages
+/// witness-predicate oracles guard the neighbour-list Gabriel/RNG stages
 /// of the topology pipeline; the SINR oracle guards the indexed
 /// physical-model kernel of `rim-phys`.
 pub const RETAINED_ORACLES: &[&str] = &[
@@ -477,9 +477,10 @@ pub fn audit_oracle_retained_graph(ws: &Workspace, out: &mut Vec<Diagnostic>) {
 
 /// Root functions whose entire call closure must be panic-free: the
 /// interference kernel, the dynamic-update entry points, the parallel
-/// executor, and the topology-pipeline stages. These run inside the
-/// long-lived services the ROADMAP plans (`rim-serve`, the churn
-/// simulator), where a panic is an availability bug, not a backtrace.
+/// executor, the topology-pipeline stages, and the file parsers. These
+/// run inside the long-lived services the ROADMAP plans (`rim-serve`,
+/// the churn simulator), where a panic is an availability bug, not a
+/// backtrace.
 pub const PANIC_FREE_ROOTS: &[&str] = &[
     "interference_vector_with",
     "insert_edge",
@@ -488,7 +489,10 @@ pub const PANIC_FREE_ROOTS: &[&str] = &[
     "par_map_ranges",
     "parallel_map",
     "filter_edges",
-    "witness_index",
+    "is_gabriel_edge",
+    "is_rng_edge",
+    "selection",
+    "keeps_edge_merged",
     "physical_interference_vector_with",
     "sinr_interference_with",
     "interference_counts",
@@ -511,6 +515,8 @@ pub const PANIC_FREE_ROOTS: &[&str] = &[
     "par_block_scatter",
     "gather_column",
     "par_fill_columns",
+    "parse_nodes",
+    "parse_topology",
 ];
 
 /// Finds the first occurrence of each panicking construct inside a

@@ -766,6 +766,8 @@ pub fn check_unit_mismatch(
 pub const DETERMINISM_ROOTS: &[&str] = &[
     "interference_vector_with",
     "filter_edges",
+    "selection",
+    "keeps_edge_merged",
     "lmst_with",
     "xtc_with",
     "yao_graph_with",

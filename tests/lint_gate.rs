@@ -237,6 +237,37 @@ fn pipeline_query_loops_stay_registered() {
 }
 
 #[test]
+fn neighbour_list_kernels_and_file_parsers_stay_registered() {
+    // The topology-control fast paths run off the UDG's neighbour lists:
+    // the adjacency-walking edge filter, the Gabriel and RNG witness
+    // scans of N(u), LMST's local Prim (`Scratch::selection`) and XTC's
+    // sorted-list merge. They must stay panic-free, and the kernels
+    // whose output the thread-invariance suite pins must stay bitwise
+    // deterministic. The node and topology file parsers face arbitrary
+    // input and must reject it with an error, never a panic.
+    for root in [
+        "filter_edges",
+        "is_gabriel_edge",
+        "is_rng_edge",
+        "selection",
+        "keeps_edge_merged",
+        "parse_nodes",
+        "parse_topology",
+    ] {
+        assert!(
+            rim_xtask::audit::PANIC_FREE_ROOTS.contains(&root),
+            "`{root}` must stay in PANIC_FREE_ROOTS"
+        );
+    }
+    for root in ["filter_edges", "selection", "keeps_edge_merged"] {
+        assert!(
+            rim_xtask::flow::DETERMINISM_ROOTS.contains(&root),
+            "`{root}` must stay in DETERMINISM_ROOTS"
+        );
+    }
+}
+
+#[test]
 fn graph_oracle_verdicts_agree_with_the_token_scan() {
     // Same workspace, both implementations: the graph-based audit is
     // stricter in general (it needs a call chain, not a mention), but on
