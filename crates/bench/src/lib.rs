@@ -1,7 +1,6 @@
 //! Shared harness for the experiment suite: experiment records, CSV
-//! export, a parallel sweep runner, a zero-dependency timing harness,
-//! and the per-figure data generators used by both the `figures` binary
-//! and the `[[bench]]` targets.
+//! export, a parallel sweep runner, and the per-figure data generators
+//! the `figures` binary runs.
 
 #![forbid(unsafe_code)]
 
@@ -13,4 +12,3 @@ pub mod experiments;
 pub mod record;
 pub mod stats;
 pub mod sweep;
-pub mod timing;

@@ -5,14 +5,14 @@
 //! Four pins:
 //! * **Checkpointed exact equality** — maintained counts vs
 //!   `interference_vector_naive` over the live topology, per family.
-//! * **Engine invariance under churn** — indexed / parallel / streaming
-//!   engines agree with the naive oracle on churned instances (spot
+//! * **Engine invariance under churn** — the `Auto` engine (the SoA
+//!   scatter) agrees with the naive oracle on churned instances (spot
 //!   checks; full engine matrices live in `rim-core`'s own suite).
 //! * **√(ln n) envelope** — on the uniform family, `I(G')` stays inside
 //!   the Devroye–Morin band across the *whole* trace (post-bootstrap).
-//! * **Long-trace smoke** — a ≥10⁵-edit run, gated behind
-//!   `RIM_CHURN_LONG=1` so `cargo test -q` stays fast; run it in
-//!   release mode.
+//! * **Long-trace smoke** — a ≥10⁵-edit run, `#[ignore]`d so
+//!   `cargo test -q` stays fast; run it in release mode with
+//!   `--ignored`.
 
 use rim_churn::{ChurnConfig, ChurnSim, Family};
 use rim_core::receiver::{interference_vector_naive, interference_vector_with, Engine};
@@ -113,16 +113,12 @@ fn uniform_family_holds_the_envelope_across_the_trace() {
 }
 
 /// ≥10⁵-edit smoke at a service-sized population. Opt in with
-/// `RIM_CHURN_LONG=1 cargo test --release -p rim-churn --test
-/// replay_differential long_trace -- --ignored --nocapture`; the
-/// million-edit tier lives in the `churn_workload` bench.
+/// `cargo test --release -p rim-churn --test replay_differential --
+/// --ignored`; the `churn-uniform` workload of `benchmark/` times the
+/// same engine over longer runs.
 #[test]
-#[ignore = "long-running; set RIM_CHURN_LONG=1 and run in release mode"]
+#[ignore = "long-running; run in release mode with --ignored"]
 fn long_trace_smoke() {
-    if std::env::var_os("RIM_CHURN_LONG").is_none() {
-        eprintln!("RIM_CHURN_LONG not set; skipping the 10^5-edit smoke");
-        return;
-    }
     let edits = 120_000u64;
     let mut s = ChurnSim::new(cfg(Family::Uniform, 4_096, 42), edits);
     while s.step().is_some() {

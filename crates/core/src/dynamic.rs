@@ -19,7 +19,7 @@
 //! * `I(G') = max_v I(v)` is answered in `O(1)` from a frequency
 //!   histogram over the coverage counts, maintained at every ±1 change.
 //!
-//! The index is a [`DynGrid`], rebuilt lazily: newly inserted nodes
+//! The index is a [`DynGrid`](rim_geom::DynGrid), rebuilt lazily: newly inserted nodes
 //! accumulate in its pending overlay, bucketed into the cells of the last
 //! build, so a query reads only the overlay entries of the cells it
 //! scans. Once the overlay outgrows a fraction of the merged set the grid

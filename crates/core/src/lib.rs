@@ -40,6 +40,7 @@
 //! * [`analysis`] — interference summaries used by the experiments.
 
 #![forbid(unsafe_code)]
+#![deny(missing_docs)]
 
 // Node ids double as indices throughout this workspace; indexed loops
 // over `0..n` mirror the paper's notation and often touch several arrays.

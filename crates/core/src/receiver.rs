@@ -7,7 +7,7 @@
 //!   literally and the fast kernel is differential-tested against it.
 //! * [`Engine::Auto`] — the structure-of-arrays scatter of
 //!   [`crate::stream`]: one closed-disk range query per transmitter over
-//!   a [`SoaGrid`] (overloaded cells split on skewed spreads), sharded
+//!   a [`SoaGrid`](rim_geom::SoaGrid) (overloaded cells split on skewed spreads), sharded
 //!   over the machine's cores with per-worker accumulators. It runs the
 //!   same code at every instance size.
 //!

@@ -1,13 +1,13 @@
 //! Streaming million-node interference kernel (UDG-free, SoA layout).
 //!
-//! A [`Topology`] carries the full adjacency structure with per-node
+//! A [`Topology`](rim_udg::Topology) carries the full adjacency structure with per-node
 //! `Vec`s of neighbors. At 10⁶–10⁷ uniform nodes that edge list is the
 //! memory wall — the UDG on a constant-density instance has Θ(n) edges
 //! with heavy constants, and building it is itself `O(n²)` in the naive
 //! form. But receiver-centric interference (Definition 3.1) never needs
 //! the edges: it needs each node's **position** and **radius**, nothing
 //! else. [`StreamInstance`] exploits that — it holds a bucket-permuted
-//! structure-of-arrays grid ([`SoaGrid`]) and one flat radius column
+//! structure-of-arrays grid ([`SoaGrid`](rim_geom::SoaGrid)) and one flat radius column
 //! aligned with the grid's bucket order, and computes `I(v)` for all `v`
 //! by scattering one closed-disk query per transmitter into a flat `u32`
 //! count buffer. No per-node allocation, no edge list, no `Vec<Vec<…>>`

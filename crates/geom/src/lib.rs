@@ -16,7 +16,7 @@
 //!   one structure serves every spread,
 //! * [`DynGrid`] — that grid plus a bucketed arrival overlay and per-cell
 //!   radius bounds, the incremental engine's index,
-//! * [`closest_pair`] — divide-and-conquer closest pair,
+//! * [`closest_pair()`] — divide-and-conquer closest pair,
 //! * [`convex_hull`] — Andrew's monotone chain.
 //!
 //! # Floating-point policy

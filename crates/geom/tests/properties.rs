@@ -2,9 +2,7 @@
 //! their brute-force counterparts on arbitrary inputs (seeded in-repo
 //! harness, `rim_rng::prop`).
 
-use rim_geom::{
-    closest_pair, closest_pair_brute_force, convex_hull, DynGrid, Point, SoaGrid, SoaPoints,
-};
+use rim_geom::{closest_pair, closest_pair_brute_force, convex_hull, DynGrid, Point, SoaGrid};
 use rim_rng::prop::{check, check_default};
 use rim_rng::{prop_ensure, prop_ensure_eq, SmallRng};
 

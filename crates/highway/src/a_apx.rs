@@ -6,7 +6,7 @@
 //! with `√Δ`:
 //!
 //! * `γ > √Δ` — the instance hides fragmented exponential chains; apply
-//!   [`a_gen`](crate::a_gen) for `O(√Δ)` interference, which is within
+//!   [`a_gen`](crate::a_gen()) for `O(√Δ)` interference, which is within
 //!   `O(Δ^{1/4})` of the `Ω(√γ) ⊇ Ω(Δ^{1/4})` lower bound (Lemma 5.5);
 //! * `γ <= √Δ` — connect linearly for interference exactly `γ`, again
 //!   within `O(Δ^{1/4})` of `Ω(√γ)`.

@@ -9,19 +9,20 @@
 //!   the linearly connected topology `G_lin`, and `Δ` computation;
 //! * [`exponential`] — the exponential node chain (Figure 6) and the
 //!   two-chain 2-D witness of Theorem 4.1 (Figures 3–5);
-//! * [`a_exp`] — the scan-line hub algorithm achieving `O(√n)`
+//! * [`a_exp`](mod@a_exp) — the scan-line hub algorithm achieving `O(√n)`
 //!   interference on the exponential chain (Theorem 5.1, Figure 8);
-//! * [`a_gen`] — the segment/hub algorithm achieving `O(√Δ)` on *any*
+//! * [`a_gen`](mod@a_gen) — the segment/hub algorithm achieving `O(√Δ)` on *any*
 //!   highway instance (Lemma 5.3, Theorem 5.4, Figure 9);
 //! * [`critical`] — critical node sets `C_v` and `γ = max_v |C_v|`
 //!   (Definition 5.2);
-//! * [`a_apx`] — the hybrid `O(Δ^{1/4})`-approximation (Theorem 5.6);
+//! * [`a_apx`](mod@a_apx) — the hybrid `O(Δ^{1/4})`-approximation (Theorem 5.6);
 //! * [`bounds`] — the `√n` (Theorem 5.2) and `Ω(√γ)` (Lemma 5.5) lower
 //!   bounds used as optimality certificates;
 //! * [`plane`] — `A_gen2`, our engineering take on the paper's stated
 //!   future work (adapting the approach to two dimensions).
 
 #![forbid(unsafe_code)]
+#![deny(missing_docs)]
 
 // Node ids double as indices throughout this workspace; indexed loops
 // over `0..n` mirror the paper's notation and often touch several arrays.

@@ -1,7 +1,7 @@
 //! Shared machinery of the near-linear construction pipeline.
 //!
 //! Every baseline that filters UDG edges through a witness predicate
-//! (Gabriel, RNG, XTC) funnels through [`filter_edges`]: it walks the
+//! (Gabriel, RNG, XTC) funnels through `filter_edges`: it walks the
 //! UDG's adjacency as `(u, v > u)` pairs — the order
 //! [`AdjacencyList::edges`] returns — fans the walk out over the shared
 //! chunked scoped-thread executor ([`rim_par::par_map_ranges`]) by node

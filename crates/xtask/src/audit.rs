@@ -1,5 +1,5 @@
-//! Workspace audits: manifest ↔ source dependency cross-checks and
-//! bench-target consistency.
+//! Workspace audits: manifest ↔ source dependency cross-checks, the
+//! retention audits, and the graph-driven rules.
 //!
 //! The workspace is hermetic by policy — every dependency is a path
 //! dependency on a sibling crate, and the external allowlist below is
@@ -32,17 +32,6 @@ pub struct Dep {
     pub value: String,
 }
 
-/// One `[[bench]]` target declaration.
-#[derive(Debug, Clone, Default)]
-pub struct BenchTarget {
-    /// `name = "…"` value.
-    pub name: String,
-    /// Whether `harness = false` was set.
-    pub harness_false: bool,
-    /// 1-based line of the `[[bench]]` header.
-    pub line: u32,
-}
-
 /// The manifest subset the audits need.
 #[derive(Debug, Default)]
 pub struct Manifest {
@@ -54,8 +43,6 @@ pub struct Manifest {
     pub dev_deps: Vec<Dep>,
     /// `[workspace.dependencies]` (root manifest only).
     pub workspace_deps: Vec<Dep>,
-    /// `[[bench]]` targets.
-    pub benches: Vec<BenchTarget>,
 }
 
 /// Parses the manifest subset used by this workspace.
@@ -70,12 +57,6 @@ pub fn parse_manifest(text: &str) -> Manifest {
         }
         if line.starts_with('[') {
             section = line.trim_matches(|c| c == '[' || c == ']').to_string();
-            if section == "bench" && line.starts_with("[[") {
-                m.benches.push(BenchTarget {
-                    line: line_no,
-                    ..BenchTarget::default()
-                });
-            }
             continue;
         }
         let Some(eq) = line.find('=') else { continue };
@@ -103,15 +84,6 @@ pub fn parse_manifest(text: &str) -> Manifest {
                     _ => m.workspace_deps.push(dep),
                 }
             }
-            "bench" => {
-                if let Some(b) = m.benches.last_mut() {
-                    if key == "name" {
-                        b.name = value.trim_matches('"').to_string();
-                    } else if key == "harness" && value == "false" {
-                        b.harness_false = true;
-                    }
-                }
-            }
             _ => {}
         }
     }
@@ -136,9 +108,6 @@ pub struct Member {
 pub fn crate_ident(name: &str) -> String {
     name.replace('-', "_")
 }
-
-/// Path roots that never correspond to a dependency.
-const BUILTIN_PATH_ROOTS: &[&str] = &["std", "core", "alloc", "crate", "super", "self", "test"];
 
 /// Runs all manifest/source audits for one member.
 pub fn audit_member(member: &Member, workspace_crates: &BTreeSet<String>, out: &mut Vec<Diagnostic>) {
@@ -200,158 +169,6 @@ pub fn audit_member(member: &Member, workspace_crates: &BTreeSet<String>, out: &
             }
         }
     }
-
-    // Used-but-undeclared, two detectors:
-    //   (a) `use <root>::…` roots must be builtin, self, or declared;
-    //   (b) inline `<workspace_crate>::` paths must be declared.
-    let self_ident = crate_ident(&m.package_name);
-    let declared: BTreeSet<String> = m.deps.iter().map(|d| crate_ident(&d.name)).collect();
-    let declared_dev: BTreeSet<String> = m
-        .deps
-        .iter()
-        .chain(&m.dev_deps)
-        .map(|d| crate_ident(&d.name))
-        .collect();
-    let workspace_idents: BTreeSet<String> =
-        workspace_crates.iter().map(|n| crate_ident(n)).collect();
-
-    // Local modules: edition-2018 uniform paths allow `use render::…`
-    // for a sibling `mod render;`, so module names are not deps.
-    let mut local_mods: BTreeSet<String> = BTreeSet::new();
-    for (_, tokens, _) in member.lib_sources.iter().chain(&member.test_sources) {
-        let code: Vec<&Token> = tokens
-            .iter()
-            .filter(|t| !matches!(t.kind, Kind::Comment | Kind::DocComment))
-            .collect();
-        for w in code.windows(2) {
-            if w[0].text == "mod" && w[1].kind == Kind::Ident {
-                local_mods.insert(w[1].text.clone());
-            }
-        }
-    }
-
-    let scan = |sources: &[(String, Vec<Token>, Vec<(usize, usize)>)],
-                test_scope: bool,
-                out: &mut Vec<Diagnostic>| {
-        for (path, tokens, test_ranges) in sources {
-            let code: Vec<(usize, &Token)> = tokens
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| !matches!(t.kind, Kind::Comment | Kind::DocComment))
-                .collect();
-            for w in code.windows(3) {
-                let (idx, a) = w[0];
-                let b = w[1].1;
-                let c = w[2].1;
-                let in_test = test_scope
-                    || test_ranges.iter().any(|&(s, e)| idx >= s && idx < e);
-                let allowed = if in_test { &declared_dev } else { &declared };
-                // (a) use-statement roots.
-                if a.text == "use" && b.kind == Kind::Ident && c.text == "::" {
-                    let root = &b.text;
-                    if !BUILTIN_PATH_ROOTS.contains(&root.as_str())
-                        && *root != self_ident
-                        && !allowed.contains(root)
-                        && !local_mods.contains(root)
-                    {
-                        out.push(Diagnostic {
-                            rule: "undeclared-dependency",
-                            file: path.clone(),
-                            line: b.line,
-                            message: format!(
-                                "`use {root}::…` but `{}` does not declare it under \
-                                 [{}dependencies]",
-                                rel,
-                                if in_test { "dev-" } else { "" }
-                            ),
-                        });
-                    }
-                }
-                // (b) inline workspace-crate paths.
-                if b.kind == Kind::Ident
-                    && c.text == "::"
-                    && a.text != "use"
-                    && a.text != "::"
-                    && workspace_idents.contains(&b.text)
-                    && b.text != self_ident
-                    && !allowed.contains(&b.text)
-                {
-                    out.push(Diagnostic {
-                        rule: "undeclared-dependency",
-                        file: path.clone(),
-                        line: b.line,
-                        message: format!(
-                            "path `{}::…` references a workspace crate `{}` does not declare",
-                            b.text, rel
-                        ),
-                    });
-                }
-            }
-        }
-    };
-    scan(&member.lib_sources, false, out);
-    scan(&member.test_sources, true, out);
-
-    // Bench-target consistency: every [[bench]] maps to benches/<name>.rs
-    // with harness = false, and every benches/*.rs has a [[bench]] entry
-    // (without one, Cargo would hand the file to the nonexistent default
-    // harness).
-    let bench_dir = member.dir.join("benches");
-    let mut bench_files: BTreeSet<String> = BTreeSet::new();
-    if bench_dir.is_dir() {
-        if let Ok(entries) = fs::read_dir(&bench_dir) {
-            for e in entries.flatten() {
-                let p = e.path();
-                if p.extension().is_some_and(|x| x == "rs") {
-                    if let Some(stem) = p.file_stem().and_then(|s| s.to_str()) {
-                        bench_files.insert(stem.to_string());
-                    }
-                }
-            }
-        }
-    }
-    for b in &m.benches {
-        if b.name.is_empty() {
-            out.push(Diagnostic {
-                rule: "bench-target",
-                file: rel.clone(),
-                line: b.line,
-                message: "[[bench]] entry has no name".to_string(),
-            });
-            continue;
-        }
-        if !b.harness_false {
-            out.push(Diagnostic {
-                rule: "bench-target",
-                file: rel.clone(),
-                line: b.line,
-                message: format!(
-                    "[[bench]] `{}` must set `harness = false` (the workspace uses its \
-                     own timing harness)",
-                    b.name
-                ),
-            });
-        }
-        if !bench_files.contains(&b.name) {
-            out.push(Diagnostic {
-                rule: "bench-target",
-                file: rel.clone(),
-                line: b.line,
-                message: format!("[[bench]] `{}` has no benches/{}.rs", b.name, b.name),
-            });
-        }
-    }
-    let declared_benches: BTreeSet<&str> = m.benches.iter().map(|b| b.name.as_str()).collect();
-    for f in &bench_files {
-        if !declared_benches.contains(f.as_str()) {
-            out.push(Diagnostic {
-                rule: "bench-target",
-                file: rel.clone(),
-                line: 1,
-                message: format!("benches/{f}.rs has no [[bench]] entry in {rel}"),
-            });
-        }
-    }
 }
 
 /// The permanent brute-force oracles. Every fast engine is
@@ -370,83 +187,17 @@ pub const RETAINED_ORACLES: &[&str] = &[
     "sinr_interference_naive",
 ];
 
-/// Workspace-level audit: for each retained oracle in
-/// [`RETAINED_ORACLES`] that is *defined* in library sources, there
-/// must be at least one caller in test scope (integration tests,
-/// benches, examples, or `#[cfg(test)]` modules).
+/// `naive-oracle-retained`: an oracle in [`RETAINED_ORACLES`] is
+/// retained iff at least one of its non-test definitions is reachable
+/// from a test-scope function (an integration test, example, or
+/// `#[cfg(test)]` module) in the workspace call graph. "The name
+/// appears in a test file" is not enough; an actual call chain must
+/// exist. Each oracle is checked on its own.
 ///
 /// The definition gate keeps the audit silent on workspaces that never
 /// had an oracle (e.g. the lint-test fixture); deleting a definition
-/// together with its callers instead trips `unused`/compile failures in
-/// the crates whose suites import it.
-pub fn audit_oracle_retained(members: &[Member], out: &mut Vec<Diagnostic>) {
-    for oracle in RETAINED_ORACLES {
-        audit_one_oracle(oracle, members, out);
-    }
-}
-
-/// The per-oracle check behind [`audit_oracle_retained`].
-fn audit_one_oracle(oracle: &str, members: &[Member], out: &mut Vec<Diagnostic>) {
-    // Definition site: `fn <oracle>` in lib sources.
-    let mut def: Option<(String, u32)> = None;
-    for member in members {
-        for (path, tokens, _) in &member.lib_sources {
-            let code: Vec<&Token> = tokens
-                .iter()
-                .filter(|t| !matches!(t.kind, Kind::Comment | Kind::DocComment))
-                .collect();
-            for w in code.windows(2) {
-                if w[0].text == "fn" && w[1].kind == Kind::Ident && w[1].text == oracle {
-                    def = Some((path.clone(), w[1].line));
-                }
-            }
-        }
-    }
-    let Some((def_file, def_line)) = def else { return };
-
-    // Callers in test scope: any identifier reference in tests/benches/
-    // examples files, or inside a `#[cfg(test)]` module of a lib source.
-    // (Identifier tokens never come from comments — the lexer classifies
-    // those separately — so doc mentions don't count as callers.)
-    let mut callers = 0usize;
-    for member in members {
-        for (_, tokens, _) in &member.test_sources {
-            callers += tokens
-                .iter()
-                .filter(|t| t.kind == Kind::Ident && t.text == oracle)
-                .count();
-        }
-        for (_, tokens, ranges) in &member.lib_sources {
-            callers += tokens
-                .iter()
-                .enumerate()
-                .filter(|(i, t)| {
-                    t.kind == Kind::Ident
-                        && t.text == oracle
-                        && ranges.iter().any(|&(s, e)| *i >= s && *i < e)
-                })
-                .count();
-        }
-    }
-    if callers == 0 {
-        out.push(Diagnostic {
-            rule: "naive-oracle-retained",
-            file: def_file,
-            line: def_line,
-            message: format!(
-                "`{oracle}` is defined but no test, bench, or example references \
-                 it; the differential-oracle suites must keep exercising the naive \
-                 reference implementations"
-            ),
-        });
-    }
-}
-
-/// Graph-backed successor of [`audit_oracle_retained`]: an oracle is
-/// retained iff at least one of its non-test definitions is reachable
-/// from a test-scope function in the workspace call graph. Stricter
-/// than the token scan — "the name appears in a test file" is not
-/// enough; an actual call chain must exist.
+/// together with its callers instead trips compile failures in the
+/// crates whose suites import it.
 pub fn audit_oracle_retained_graph(ws: &Workspace, out: &mut Vec<Diagnostic>) {
     let reach = ws.reachable_from_tests();
     for oracle in RETAINED_ORACLES {
@@ -457,7 +208,7 @@ pub fn audit_oracle_retained_graph(ws: &Workspace, out: &mut Vec<Diagnostic>) {
             .filter(|&i| !ws.fns[i].in_test && !ws.files[ws.fns[i].file_idx].is_test_source)
             .collect();
         if defs.is_empty() {
-            continue; // fixture-style workspaces: silent, like the token scan
+            continue; // fixture-style workspaces: silent
         }
         if !defs.iter().any(|&i| reach[i]) {
             let d = &ws.fns[defs[0]];
@@ -477,10 +228,10 @@ pub fn audit_oracle_retained_graph(ws: &Workspace, out: &mut Vec<Diagnostic>) {
 
 /// Root functions whose entire call closure must be panic-free: the
 /// interference kernel, the dynamic-update entry points, the parallel
-/// executor, the topology-pipeline stages, and the file parsers. These
-/// run inside the long-lived services the ROADMAP plans (`rim-serve`,
-/// the churn simulator), where a panic is an availability bug, not a
-/// backtrace.
+/// executor, the topology-pipeline stages, and the file and CLI spec
+/// parsers. These run inside the long-lived services the ROADMAP plans
+/// (`rim-serve`, the churn simulator), where a panic is an availability
+/// bug, not a backtrace.
 pub const PANIC_FREE_ROOTS: &[&str] = &[
     "interference_vector_with",
     "insert_edge",
@@ -517,25 +268,23 @@ pub const PANIC_FREE_ROOTS: &[&str] = &[
     "par_fill_columns",
     "parse_nodes",
     "parse_topology",
+    "parse_generate_spec",
+    "parse_trace_spec",
 ];
 
-/// Finds the first occurrence of each panicking construct inside a
-/// function body: `panic!`-family macros, `.unwrap()`/`.expect()`,
-/// slice indexing, and unchecked `.len() - …` arithmetic. One site per
-/// category keeps triage tractable — fixing or justifying the first
-/// site forces the author to look at the whole function.
+/// Finds the first occurrence of each token-level panicking construct
+/// inside a function body: `panic!`-family macros, `.unwrap()`/
+/// `.expect()`, and unchecked `.len() - …` arithmetic. Slice indexing is
+/// judged by the const-bounds pass instead (see
+/// [`audit_panic_freedom`]). One site per category keeps triage
+/// tractable — fixing or justifying the first site forces the author to
+/// look at the whole function.
 fn panic_sites(tokens: &[Token], (b0, b1): (usize, usize)) -> Vec<(u32, &'static str)> {
-    /// Keywords that may directly precede `[` without the bracket being
-    /// an index expression (`let [a, b] = …`, `in [0, 1]`, …).
-    const NOT_INDEX_PREFIX: &[&str] = &[
-        "let", "mut", "ref", "in", "as", "return", "if", "else", "while", "for", "match", "loop",
-        "break", "continue", "move", "box", "unsafe", "dyn", "impl", "fn", "where", "pub",
-    ];
     let code: Vec<&Token> = tokens[b0.min(tokens.len())..b1.min(tokens.len())]
         .iter()
         .filter(|t| !matches!(t.kind, Kind::Comment | Kind::DocComment))
         .collect();
-    let mut first: [Option<(u32, &'static str)>; 4] = [None; 4];
+    let mut first: [Option<(u32, &'static str)>; 3] = [None; 3];
     let record = |slot: &mut Option<(u32, &'static str)>, line: u32, what: &'static str| {
         if slot.is_none() {
             *slot = Some((line, what));
@@ -557,22 +306,13 @@ fn panic_sites(tokens: &[Token], (b0, b1): (usize, usize)) -> Vec<(u32, &'static
         {
             record(&mut first[1], code[i + 1].line, "`.unwrap()`/`.expect()`");
         }
-        if t.text == "[" && i > 0 {
-            let p = code[i - 1];
-            let indexes = (p.kind == Kind::Ident && !NOT_INDEX_PREFIX.contains(&p.text.as_str()))
-                || p.text == ")"
-                || p.text == "]";
-            if indexes {
-                record(&mut first[2], t.line, "slice indexing (`[…]` can panic out of bounds)");
-            }
-        }
         if t.kind == Kind::Ident
             && t.text == "len"
             && next == "("
             && code.get(i + 2).is_some_and(|n| n.text == ")")
             && code.get(i + 3).is_some_and(|n| n.text == "-")
         {
-            record(&mut first[3], t.line, "unchecked `.len() - …` (underflows at 0)");
+            record(&mut first[2], t.line, "unchecked `.len() - …` (underflows at 0)");
         }
     }
     let mut out: Vec<(u32, &'static str)> = first.iter().flatten().copied().collect();
@@ -586,10 +326,10 @@ fn panic_sites(tokens: &[Token], (b0, b1): (usize, usize)) -> Vec<(u32, &'static
 /// offending site or on the function's `fn` line (one justification
 /// per function, not one per index expression).
 ///
-/// Slice indexing is special-cased through the expression-level
-/// const-bounds pass ([`crate::flow::audit_indexing`]): an index the
-/// pass *proves* in range (a `len()`-derived loop bound, an
-/// `enumerate` index, a guarded or asserted bound, a `vec![_; n]`
+/// Slice indexing goes through the expression-level const-bounds pass
+/// ([`crate::flow::audit_indexing`]), which sees every fn with a body:
+/// an index the pass *proves* in range (a `len()`-derived loop bound,
+/// an `enumerate` index, a guarded or asserted bound, a `vec![_; n]`
 /// length) is no obligation at all, so those sites need no pragma.
 /// Only the first unproven index per function is reported, keeping the
 /// one-justification-per-function triage contract.
@@ -622,10 +362,7 @@ pub fn audit_panic_freedom(
         };
         let file = &ws.files[f.file_idx];
         let mut sites = panic_sites(file.tokens, f.body);
-        // Replace the token-level indexing category with the bounds
-        // pass's verdict when a parsed body is available.
         if let Some(body) = &flow.bodies[i] {
-            sites.retain(|(_, what)| !what.starts_with("slice indexing"));
             let audit = crate::flow::audit_indexing(body);
             if let Some(line) = audit.first_unproven() {
                 sites.push((
@@ -926,7 +663,7 @@ pub fn audit_dead_pub(
 /// histograms are no-ops by default) but must never install a recorder
 /// from library code — otherwise merely linking a crate would silently
 /// turn instrumentation on for the whole process.
-pub const OBS_SINK_INSTALLERS: &[&str] = &["rim-cli", "rim-bench", "rim-obs", "rim-xtask"];
+pub const OBS_SINK_INSTALLERS: &[&str] = &["rim-cli", "rim-obs", "rim-xtask"];
 
 /// Per-member audit: library code outside the installer allowlist must
 /// not call `rim_obs::install` / `rim_obs::install_recorder` (test
@@ -1094,10 +831,12 @@ mod tests {
 
     #[test]
     fn manifest_parser_reads_deps_and_benches() {
+        // Keys of other tables, `[[bench]]` arrays included, never leak
+        // into the package name or the dependency lists.
         let m = parse_manifest(
             "[package]\nname = \"demo\"\n\n[dependencies]\nrim-geom.workspace = true\n\
              rand = \"0.8\"\n\n[dev-dependencies]\nrim-rng.workspace = true\n\n\
-             [[bench]]\nname = \"fast\"\nharness = false\n\n[[bench]]\nname = \"slow\"\n",
+             [[bench]]\nname = \"fast\"\nharness = false\n",
         );
         assert_eq!(m.package_name, "demo");
         assert_eq!(
@@ -1105,9 +844,7 @@ mod tests {
             ["rim-geom", "rand"]
         );
         assert_eq!(m.dev_deps.len(), 1);
-        assert_eq!(m.benches.len(), 2);
-        assert!(m.benches[0].harness_false);
-        assert!(!m.benches[1].harness_false);
+        assert!(m.workspace_deps.is_empty());
     }
 
     #[test]
@@ -1160,36 +897,6 @@ mod tests {
         assert!(!out.iter().any(|d| d.rule == "unused-dependency"));
     }
 
-    #[test]
-    fn undeclared_dependency_fires_on_both_detectors() {
-        let manifest = "[package]\nname = \"demo\"\n";
-        let mut out = Vec::new();
-        audit_member(
-            &member_with(manifest, "use rand::Rng;\n"),
-            &workspace(),
-            &mut out,
-        );
-        assert!(out.iter().any(|d| d.rule == "undeclared-dependency"));
-        out.clear();
-        audit_member(
-            &member_with(manifest, "fn f() -> rim_geom::Point { rim_geom::Point::ORIGIN }\n"),
-            &workspace(),
-            &mut out,
-        );
-        assert!(out.iter().any(|d| d.rule == "undeclared-dependency"));
-        // std/self/crate roots and declared deps are fine.
-        out.clear();
-        audit_member(
-            &member_with(
-                "[package]\nname = \"demo\"\n[dependencies]\nrim-geom.workspace = true\n",
-                "use std::fs;\nuse crate::x;\nuse demo::y;\nuse rim_geom::Point;\n",
-            ),
-            &workspace(),
-            &mut out,
-        );
-        assert!(!out.iter().any(|d| d.rule == "undeclared-dependency"));
-    }
-
     fn member_with_sources(lib_src: &str, test_src: Option<&str>) -> Member {
         let (tokens, ranges) = rules::prepare(lib_src);
         let mut m = member_with("[package]\nname = \"demo\"\n", "");
@@ -1199,81 +906,6 @@ mod tests {
             m.test_sources = vec![("tests/diff.rs".to_string(), tokens, ranges)];
         }
         m
-    }
-
-    #[test]
-    fn oracle_audit_is_silent_without_a_definition() {
-        // Fixture-style workspaces never define the oracle: no finding.
-        let member = member_with_sources("pub fn other() {}\n", None);
-        let mut out = Vec::new();
-        audit_oracle_retained(&[member], &mut out);
-        assert!(out.is_empty(), "{out:#?}");
-    }
-
-    #[test]
-    fn oracle_audit_fires_when_tests_stop_calling_it() {
-        let lib = "pub fn interference_vector_naive() {}\n";
-        let member = member_with_sources(lib, Some("fn t() { fast_kernel(); }\n"));
-        let mut out = Vec::new();
-        audit_oracle_retained(&[member], &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].rule, "naive-oracle-retained");
-        assert_eq!(out[0].file, "src/lib.rs");
-        assert_eq!(out[0].line, 1);
-    }
-
-    #[test]
-    fn oracle_audit_clears_on_integration_test_callers() {
-        let lib = "pub fn interference_vector_naive() {}\n";
-        let member =
-            member_with_sources(lib, Some("fn t() { interference_vector_naive(); }\n"));
-        let mut out = Vec::new();
-        audit_oracle_retained(&[member], &mut out);
-        assert!(out.is_empty(), "{out:#?}");
-    }
-
-    #[test]
-    fn oracle_audit_counts_cfg_test_modules_but_not_lib_calls() {
-        // A call from ordinary library code is not a test caller…
-        let lib_only =
-            "pub fn interference_vector_naive() {}\npub fn f() { interference_vector_naive(); }\n";
-        let mut out = Vec::new();
-        audit_oracle_retained(&[member_with_sources(lib_only, None)], &mut out);
-        assert_eq!(out.len(), 1, "{out:#?}");
-        // …but a call from a #[cfg(test)] module is.
-        let with_mod = "pub fn interference_vector_naive() {}\n#[cfg(test)]\nmod tests {\n\
-                        fn t() { super::interference_vector_naive(); }\n}\n";
-        out.clear();
-        audit_oracle_retained(&[member_with_sources(with_mod, None)], &mut out);
-        assert!(out.is_empty(), "{out:#?}");
-        // Doc-comment mentions alone never count as callers.
-        let doc_only =
-            "/// see interference_vector_naive\npub fn interference_vector_naive() {}\n";
-        out.clear();
-        audit_oracle_retained(&[member_with_sources(doc_only, None)], &mut out);
-        assert_eq!(out.len(), 1, "{out:#?}");
-    }
-
-    #[test]
-    fn oracle_audit_tracks_each_retained_oracle_independently() {
-        // Both witness oracles defined; only Gabriel's has a test
-        // caller — exactly one finding, naming the RNG oracle.
-        let lib = "pub fn is_gabriel_edge_naive() {}\npub fn is_rng_edge_naive() {}\n";
-        let member = member_with_sources(lib, Some("fn t() { is_gabriel_edge_naive(); }\n"));
-        let mut out = Vec::new();
-        audit_oracle_retained(&[member], &mut out);
-        assert_eq!(out.len(), 1, "{out:#?}");
-        assert_eq!(out[0].rule, "naive-oracle-retained");
-        assert!(out[0].message.contains("is_rng_edge_naive"), "{}", out[0].message);
-        assert_eq!(out[0].line, 2);
-        // With callers for both, the audit is silent.
-        let member = member_with_sources(
-            lib,
-            Some("fn t() { is_gabriel_edge_naive(); is_rng_edge_naive(); }\n"),
-        );
-        out.clear();
-        audit_oracle_retained(&[member], &mut out);
-        assert!(out.is_empty(), "{out:#?}");
     }
 
     #[test]
@@ -1400,22 +1032,6 @@ mod tests {
         assert_eq!(out.len(), 2, "{out:#?}");
     }
 
-    #[test]
-    fn dev_dependency_scope_is_respected() {
-        // A dev-dep used from a src test module is fine; the same use
-        // outside a test module is undeclared for [dependencies].
-        let manifest =
-            "[package]\nname = \"demo\"\n[dev-dependencies]\nrim-rng.workspace = true\n";
-        let in_test = "#[cfg(test)]\nmod tests { use rim_rng::SmallRng; }\n";
-        let mut out = Vec::new();
-        audit_member(&member_with(manifest, in_test), &workspace(), &mut out);
-        assert!(!out.iter().any(|d| d.rule == "undeclared-dependency"));
-        out.clear();
-        let outside = "use rim_rng::SmallRng;\n";
-        audit_member(&member_with(manifest, outside), &workspace(), &mut out);
-        assert!(out.iter().any(|d| d.rule == "undeclared-dependency"));
-    }
-
     /// Builds the call-graph model over one synthetic member and runs a
     /// graph-driven audit against it, returning the findings.
     fn run_graph_audit(
@@ -1439,19 +1055,26 @@ mod tests {
     #[test]
     fn panic_sites_reports_first_of_each_category() {
         let (tokens, _) = rules::prepare(
-            "fn f() { panic!(); x.unwrap(); a[0]; b[1]; y.expect(\"\"); v.len() - 1; }\n",
+            "fn f() { panic!(); x.unwrap(); a[0]; y.expect(\"\"); v.len() - 1; todo!(); }\n",
         );
         let sites = panic_sites(&tokens, (0, tokens.len()));
-        // Four categories, each reported once (the second index and the
-        // `.expect` after the `.unwrap` fold into their category slots).
-        assert_eq!(sites.len(), 4, "{sites:#?}");
+        // Three token categories, each reported once (the `.expect`
+        // after the `.unwrap` and the `todo!` after the `panic!` fold
+        // into their category slots); indexing is the bounds pass's.
+        assert_eq!(sites.len(), 3, "{sites:#?}");
     }
 
     #[test]
     fn panic_sites_skips_non_index_brackets() {
-        let (tokens, _) =
-            rules::prepare("fn f() { let [a, b] = pair; for x in [1, 2] { g(x); } }\n");
-        assert!(panic_sites(&tokens, (0, tokens.len())).is_empty());
+        // Array patterns and literals are no indexing obligation for
+        // the bounds pass either.
+        let lib = "pub fn parallel_map(pair: [u32; 2]) -> u32 {\n\
+                   let [a, b] = pair;\nfor x in [1, 2] { g(x); }\na + b\n}\n\
+                   fn g(x: u32) -> u32 { x }\n";
+        let out = run_graph_audit(lib, None, |ws, p, out| {
+            audit_panic_freedom(ws, &crate::flow::analyze(ws), p, out)
+        });
+        assert!(out.is_empty(), "{out:#?}");
     }
 
     #[test]
@@ -1602,8 +1225,8 @@ mod tests {
 
     #[test]
     fn graph_oracle_audit_needs_a_real_call_chain() {
-        // A name-dropping test file satisfies the token scan but not the
-        // graph audit: no call edge, so the oracle is unreachable.
+        // A name-dropping test file is not enough: no call edge, so the
+        // oracle is unreachable.
         let lib = "pub fn interference_vector_naive() {}\n";
         let out = run_graph_audit(
             lib,
@@ -1626,6 +1249,57 @@ mod tests {
             "pub fn interference_vector_naive() {}\n\
              pub fn check() { interference_vector_naive(); }\n",
             Some("fn t() { check(); }\n"),
+            |ws, _, out| audit_oracle_retained_graph(ws, out),
+        );
+        assert!(out.is_empty(), "{out:#?}");
+    }
+
+    #[test]
+    fn graph_oracle_audit_counts_cfg_test_modules_but_not_lib_calls() {
+        // A call from ordinary library code is not a test caller…
+        let lib_only =
+            "pub fn interference_vector_naive() {}\npub fn f() { interference_vector_naive(); }\n";
+        let out = run_graph_audit(lib_only, None, |ws, _, out| {
+            audit_oracle_retained_graph(ws, out)
+        });
+        assert_eq!(out.len(), 1, "{out:#?}");
+        // …but a call from a #[cfg(test)] module is.
+        let with_mod = "pub fn interference_vector_naive() {}\n#[cfg(test)]\nmod tests {\n\
+                        fn t() { super::interference_vector_naive(); }\n}\n";
+        let out = run_graph_audit(with_mod, None, |ws, _, out| {
+            audit_oracle_retained_graph(ws, out)
+        });
+        assert!(out.is_empty(), "{out:#?}");
+        // Doc-comment mentions alone never count as callers.
+        let doc_only = "/// see interference_vector_naive\npub fn interference_vector_naive() {}\n";
+        let out = run_graph_audit(doc_only, None, |ws, _, out| {
+            audit_oracle_retained_graph(ws, out)
+        });
+        assert_eq!(out.len(), 1, "{out:#?}");
+    }
+
+    #[test]
+    fn graph_oracle_audit_tracks_each_retained_oracle_independently() {
+        // Both witness oracles defined; only Gabriel's has a test
+        // caller — exactly one finding, naming the RNG oracle.
+        let lib = "pub fn is_gabriel_edge_naive() {}\npub fn is_rng_edge_naive() {}\n";
+        let out = run_graph_audit(
+            lib,
+            Some("fn t() { is_gabriel_edge_naive(); }\n"),
+            |ws, _, out| audit_oracle_retained_graph(ws, out),
+        );
+        assert_eq!(out.len(), 1, "{out:#?}");
+        assert_eq!(out[0].rule, "naive-oracle-retained");
+        assert!(
+            out[0].message.contains("is_rng_edge_naive"),
+            "{}",
+            out[0].message
+        );
+        assert_eq!(out[0].line, 2);
+        // With callers for both, the audit is silent.
+        let out = run_graph_audit(
+            lib,
+            Some("fn t() { is_gabriel_edge_naive(); is_rng_edge_naive(); }\n"),
             |ws, _, out| audit_oracle_retained_graph(ws, out),
         );
         assert!(out.is_empty(), "{out:#?}");

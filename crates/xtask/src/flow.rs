@@ -122,9 +122,7 @@ impl Unit {
 
 /// Classifies an identifier (binding, field, parameter, or function
 /// name) into the unit lattice. This is the **single** naming
-/// convention table: the legacy token-window scanner in
-/// [`crate::rules`] and the dataflow pass both call it, so
-/// `norm2`/`r2`-style names are classified once.
+/// convention table, so `norm2`/`r2`-style names are classified once.
 pub fn ident_unit(name: &str) -> Unit {
     let lower = name.to_ascii_lowercase();
     let base = lower
@@ -207,9 +205,6 @@ pub struct Flow {
     /// Parameter `(name, unit)` pairs per fn, from the signature
     /// tokens.
     pub param_units: Vec<Vec<(String, Unit)>>,
-    /// Total expression-parser error nodes across all bodies (the
-    /// self-test pins this to zero for the workspace).
-    pub parse_errors: usize,
 }
 
 /// Parses every fn body and runs the interprocedural unit-signature
@@ -217,13 +212,10 @@ pub struct Flow {
 pub fn analyze(ws: &Workspace) -> Flow {
     let mut bodies = Vec::with_capacity(ws.fns.len());
     let mut param_units = Vec::with_capacity(ws.fns.len());
-    let mut parse_errors = 0usize;
     for f in &ws.fns {
         let tokens = ws.files[f.file_idx].tokens;
         if f.body.1 > f.body.0 {
-            let body = expr::parse_fn_body(tokens, f.body);
-            parse_errors += body.errors;
-            bodies.push(Some(body));
+            bodies.push(Some(expr::parse_fn_body(tokens, f.body)));
         } else {
             bodies.push(None);
         }
@@ -255,7 +247,7 @@ pub fn analyze(ws: &Workspace) -> Flow {
             break;
         }
     }
-    Flow { bodies, ret_units, param_units, parse_errors }
+    Flow { bodies, ret_units, param_units }
 }
 
 /// Extracts `(name, unit)` parameter pairs from a fn signature token
@@ -686,8 +678,7 @@ fn tail_unit(block: &Block, env: &mut BTreeMap<String, Unit>, ctx: &UnitCtx) -> 
 /// linear milliwatts (`_mw`) meeting log-domain dBm/dB (`_dbm`/`_db`)
 /// in a comparison or addition — the classic link-budget bug the
 /// `rim-phys` naming convention exists to prevent. Pragmas are accepted
-/// at the site or on the `fn` line, the same contract as the legacy
-/// token scanner it upgrades.
+/// at the site or on the `fn` line.
 pub fn check_unit_mismatch(
     ws: &Workspace,
     flow: &Flow,

@@ -3,17 +3,18 @@
 //!
 //! Run as `cargo run -p rim-xtask -- lint` (diagnostics; `--rule` /
 //! `--explain` filter and document rules, `--profile` reports
-//! per-rule wall-clock via `rim-obs` spans) or `-- graph --out
-//! results/callgraph.jsonl` (call-graph export; `--check` gates on
-//! staleness of the committed file). Six layers:
+//! per-rule wall-clock via `rim-obs` spans). Each check has one
+//! implementation, and checks rustc already makes (documentation of
+//! the model crates' public items via `#![deny(missing_docs)]`, paths to
+//! undeclared crates) are left to rustc. Six layers:
 //!
 //! * **Token rules** ([`rules`]) over a comment/string-aware token
 //!   stream ([`lexer`]): `float-eq`, `no-unwrap-in-lib`,
-//!   `forbid-unsafe`, `pub-doc-coverage`, and `unknown-pragma-rule`
-//!   (every pragma must name a rule registered in
-//!   [`rules::RULE_CATALOG`]). Intentional violations are silenced
-//!   in place with `// rim-lint: allow(<rule>)` (same + next line) or
-//!   `// rim-lint: allow-file(<rule>)` (whole file).
+//!   `forbid-unsafe`, and `unknown-pragma-rule` (every pragma must name
+//!   a rule registered in [`rules::RULE_CATALOG`]). Intentional
+//!   violations are silenced in place with `// rim-lint: allow(<rule>)`
+//!   (same + next line) or `// rim-lint: allow-file(<rule>)` (whole
+//!   file).
 //! * **Item trees** ([`parse`]): a brace-matched parser recovering
 //!   module/impl/trait nesting and `fn` items with opaque token-range
 //!   bodies; self-tested against every `.rs` file in the repository
@@ -23,30 +24,28 @@
 //!   recovery that the self-test requires to never trigger on the
 //!   workspace itself.
 //! * **Dataflow passes** ([`flow`]): units-of-measure inference
-//!   powering the dataflow `squared-distance-mismatch` (the legacy
-//!   token scanner is retained and the gate asserts agreement), the
-//!   `engine-determinism` rule (no atomic read-modify-write, RNG
+//!   powering `squared-distance-mismatch` and `power-domain-mismatch`,
+//!   the `engine-determinism` rule (no atomic read-modify-write, RNG
 //!   draw, wall-clock read, or sink installation reachable from the
 //!   determinism-pinned engine roots), and a const-bounds pass whose
 //!   in-range proofs discharge `panic-freedom` slice-indexing
 //!   obligations.
-//! * **Workspace call graph** ([`model`]): heuristic name resolution
-//!   restricted to each caller crate's dependency closure, feeding the
-//!   graph-driven rules `panic-freedom` (no panicking construct
-//!   reachable from the kernel/update/executor/pipeline roots),
-//!   `atomic-ordering` (every `Relaxed`/`SeqCst` in rim-par/rim-obs is
-//!   justified), `lock-discipline` (no `MutexGuard` held across the
-//!   parallel executor, no double-lock), `dead-pub` (no unreferenced
-//!   `pub` items), and the graph-backed `naive-oracle-retained` (each
-//!   brute-force oracle must be *reachable from a test* — see
+//! * **Workspace call graph** ([`model`]), built in process on every
+//!   run: heuristic name resolution restricted to each caller crate's
+//!   dependency closure, feeding the graph-driven rules `panic-freedom`
+//!   (no panicking construct reachable from the
+//!   kernel/update/executor/pipeline roots), `atomic-ordering` (every
+//!   `Relaxed`/`SeqCst` in rim-par/rim-obs is justified),
+//!   `lock-discipline` (no `MutexGuard` held across the parallel
+//!   executor, no double-lock), `dead-pub` (no unreferenced `pub`
+//!   items), and `naive-oracle-retained` (each brute-force oracle must
+//!   be *reachable from a test* — see
 //!   [`audit::audit_oracle_retained_graph`]).
-//! * **Workspace audits** ([`audit`]): declared-but-unused and
-//!   used-but-undeclared dependencies per crate, an (empty) external
-//!   dependency allowlist keeping the build hermetic,
-//!   `[[bench]]` ↔ `benches/*.rs` consistency, the
-//!   `obs-no-op-default` audit (only the CLI and the bench harness
-//!   may install an observability recorder; library crates record into
-//!   a no-op sink — see [`audit::audit_obs_noop_default`]), and the
+//! * **Workspace audits** ([`audit`]): declared-but-unused dependencies
+//!   per crate, an (empty) external dependency allowlist keeping the
+//!   build hermetic, the `obs-no-op-default` audit (only the CLI may
+//!   install an observability recorder; library crates record into a
+//!   no-op sink — see [`audit::audit_obs_noop_default`]), and the
 //!   `stage-timing-e2e-retained` audit (the CLI keeps end-to-end tests
 //!   for per-stage timing/`--obs` output — see
 //!   [`audit::audit_retained_cli_e2e`]).
@@ -144,13 +143,8 @@ fn is_lib_code(rel: &str) -> bool {
     !rel.ends_with("main.rs") && !rel.contains("src/bin/")
 }
 
-/// Do the model-crate doc requirements apply to this file?
-fn needs_doc_coverage(rel: &str) -> bool {
-    rel.starts_with("crates/core/src/") || rel.starts_with("crates/highway/src/")
-}
-
 /// Discovers and loads every workspace member: the root package plus
-/// `crates/*`, sorted. Shared by [`run_lint`] and the `graph` command.
+/// `crates/*`, sorted.
 pub fn load_workspace(root: &Path) -> Result<Vec<audit::Member>, String> {
     let mut member_dirs = vec![root.to_path_buf()];
     let crates_dir = root.join("crates");
@@ -205,9 +199,6 @@ pub fn run_lint(root: &Path) -> Result<Vec<Diagnostic>, String> {
                 }
                 if is_lib_source && is_crate_root(rel) {
                     rules::forbid_unsafe(&ctx, &mut out);
-                }
-                if needs_doc_coverage(rel) {
-                    rules::pub_doc_coverage(&ctx, &mut out);
                 }
             }
         }

@@ -1,19 +1,13 @@
 //! CLI entry point.
 //!
 //! ```text
-//! cargo run -p rim-xtask -- lint  [--format human|jsonl] [--root PATH]
-//!                                 [--rule NAME] [--explain RULE] [--profile]
-//! cargo run -p rim-xtask -- graph [--root PATH] [--out PATH] [--check]
+//! cargo run -p rim-xtask -- lint [--format human|jsonl] [--root PATH]
+//!                                [--rule NAME] [--explain RULE] [--profile]
 //! ```
 //!
 //! `lint` exit codes: `0` clean, `1` diagnostics found, `2` usage or
 //! I/O error; `--profile` installs the `rim-obs` recorder and prints
-//! per-rule wall-clock after the findings. `graph` writes the
-//! workspace call graph as JSONL (one `fn` record per definition, one
-//! `edge` record per resolved call) to `--out` (default
-//! `results/callgraph.jsonl`); `--check` instead compares the freshly
-//! built graph against the committed file and exits `1` if it is
-//! stale.
+//! per-rule wall-clock after the findings.
 
 #![forbid(unsafe_code)]
 
@@ -21,19 +15,16 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: cargo run -p rim-xtask -- <command>\n\
-  lint  [--format human|jsonl] [--root PATH] [--rule NAME] [--explain RULE] [--profile]\n\
-  graph [--root PATH] [--out PATH] [--check]";
+  lint [--format human|jsonl] [--root PATH] [--rule NAME] [--explain RULE] [--profile]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut format = "human".to_string();
     let mut root: Option<PathBuf> = None;
-    let mut out_path: Option<PathBuf> = None;
     let mut rule_filter: Option<String> = None;
     let mut explain: Option<String> = None;
     let mut command: Option<String> = None;
     let mut profile = false;
-    let mut check = false;
 
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
@@ -46,10 +37,6 @@ fn main() -> ExitCode {
                 Some(p) => root = Some(PathBuf::from(p)),
                 None => return usage_error("--root takes a path"),
             },
-            "--out" => match it.next() {
-                Some(p) => out_path = Some(PathBuf::from(p)),
-                None => return usage_error("--out takes a path"),
-            },
             "--rule" => match it.next() {
                 Some(r) => rule_filter = Some(r),
                 None => return usage_error("--rule takes a rule name"),
@@ -59,7 +46,6 @@ fn main() -> ExitCode {
                 None => return usage_error("--explain takes a rule name"),
             },
             "--profile" => profile = true,
-            "--check" => check = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return ExitCode::SUCCESS;
@@ -112,7 +98,6 @@ fn main() -> ExitCode {
 
     match command.as_deref() {
         Some("lint") => run_lint_command(&root, &format, rule_filter.as_deref(), profile),
-        Some("graph") => run_graph_command(&root, out_path, check),
         Some(c) => usage_error(&format!("unknown command `{c}`")),
         None => usage_error("missing command"),
     }
@@ -173,50 +158,6 @@ fn print_profile(snap: &rim_obs::Snapshot) {
     for (name, (count, total_ns)) in rows {
         eprintln!("  {:<40} {:>9.3} ms  ({count} span(s))", name, total_ns as f64 / 1e6);
     }
-}
-
-fn run_graph_command(root: &std::path::Path, out_path: Option<PathBuf>, check: bool) -> ExitCode {
-    let members = match rim_xtask::load_workspace(root) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let ws = rim_xtask::model::build(&members);
-    let jsonl = ws.export_jsonl();
-    let out_path = out_path.unwrap_or_else(|| root.join("results/callgraph.jsonl"));
-    if check {
-        let committed = std::fs::read_to_string(&out_path).unwrap_or_default();
-        return if committed == jsonl {
-            eprintln!("rim-xtask graph --check: {} is up to date", out_path.display());
-            ExitCode::SUCCESS
-        } else {
-            eprintln!(
-                "rim-xtask graph --check: {} is stale; regenerate with \
-                 `cargo run -p rim-xtask -- graph`",
-                out_path.display()
-            );
-            ExitCode::FAILURE
-        };
-    }
-    if let Some(parent) = out_path.parent() {
-        if let Err(e) = std::fs::create_dir_all(parent) {
-            eprintln!("error: {}: {e}", parent.display());
-            return ExitCode::from(2);
-        }
-    }
-    if let Err(e) = std::fs::write(&out_path, &jsonl) {
-        eprintln!("error: {}: {e}", out_path.display());
-        return ExitCode::from(2);
-    }
-    eprintln!(
-        "rim-xtask graph: {} fns, {} edges -> {}",
-        ws.fns.len(),
-        ws.edges.len(),
-        out_path.display()
-    );
-    ExitCode::SUCCESS
 }
 
 fn usage_error(msg: &str) -> ExitCode {

@@ -14,7 +14,7 @@
 //! * `name(…)` — plain calls prefer same-file candidates, then
 //!   same-crate, then every candidate (cross-crate via `use` import).
 //! * A bare mention of a known function name (passing `f` as a value)
-//!   adds a [`CallKind::Ref`] edge to the same-name candidates.
+//!   adds an edge to the same-name candidates, as a call would.
 //!
 //! Known false-negative classes (documented in DESIGN.md §9): calls
 //! through type aliases or renamed imports (`use f as g`), calls made
@@ -25,18 +25,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::audit::{crate_ident, Member};
-use crate::json_escape;
 use crate::lexer::{Kind, Token};
 use crate::parse::{parse_items, ItemKind, ItemTree};
-
-/// How a call-graph edge was witnessed in source.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CallKind {
-    /// `name(…)`, `path::name(…)`, or `.name(…)`.
-    Call,
-    /// A bare mention of the function name (value position).
-    Ref,
-}
 
 /// One function definition discovered in the workspace.
 #[derive(Debug, Clone)]
@@ -51,13 +41,9 @@ pub struct FnDef {
     pub qual: Option<String>,
     /// 1-based definition line.
     pub line: u32,
-    /// Unrestricted `pub`.
-    pub is_pub: bool,
     /// Defined in test scope: a `tests/`/`benches/`/`examples/` file, a
     /// `#[cfg(test)]` module, or carrying `#[test]` itself.
     pub in_test: bool,
-    /// Defined inside `impl Trait for Type` (called through the trait).
-    pub trait_impl: bool,
     /// Body token range within the file's token vector.
     pub body: (usize, usize),
     /// Signature token range: from the item's first token (attributes
@@ -70,7 +56,7 @@ pub struct FnDef {
 
 impl FnDef {
     /// `crate::file-stem::[Type::]name` — the stable display path used
-    /// in diagnostics and the JSONL export.
+    /// in diagnostics.
     pub fn path(&self) -> String {
         let stem = self
             .file
@@ -123,8 +109,6 @@ pub struct Edge {
     pub from: usize,
     /// Called function (index into [`Workspace::fns`]).
     pub to: usize,
-    /// How the edge was witnessed.
-    pub kind: CallKind,
 }
 
 /// The fully-resolved workspace model.
@@ -197,9 +181,7 @@ pub fn build<'a>(members: &'a [Member]) -> Workspace<'a> {
                     name: item.name.clone(),
                     qual: qual.clone(),
                     line: item.line,
-                    is_pub: item.is_pub,
                     in_test,
-                    trait_impl,
                     body: item.body,
                     sig: (item.span.0, item.body.0.max(item.span.0)),
                     file_idx,
@@ -272,7 +254,7 @@ pub fn build<'a>(members: &'a [Member]) -> Workspace<'a> {
 
     // Pass 2: extract and resolve call sites.
     let empty = BTreeSet::new();
-    let mut edge_set: BTreeSet<(usize, usize, bool)> = BTreeSet::new();
+    let mut edge_set: BTreeSet<(usize, usize)> = BTreeSet::new();
     for (caller_idx, caller) in fns.iter().enumerate() {
         let file = &files[caller.file_idx];
         let allowed = dep_closure.get(caller.krate.as_str()).unwrap_or(&empty);
@@ -280,19 +262,12 @@ pub fn build<'a>(members: &'a [Member]) -> Workspace<'a> {
             let targets = resolve(&site, caller, &fns, &by_name, allowed);
             for t in targets {
                 if t != caller_idx {
-                    edge_set.insert((caller_idx, t, site.kind == CallKind::Ref));
+                    edge_set.insert((caller_idx, t));
                 }
             }
         }
     }
-    let edges: Vec<Edge> = edge_set
-        .into_iter()
-        .map(|(from, to, is_ref)| Edge {
-            from,
-            to,
-            kind: if is_ref { CallKind::Ref } else { CallKind::Call },
-        })
-        .collect();
+    let edges: Vec<Edge> = edge_set.into_iter().map(|(from, to)| Edge { from, to }).collect();
     let mut succ = vec![Vec::new(); fns.len()];
     for e in &edges {
         succ[e.from].push(e.to);
@@ -310,8 +285,6 @@ struct CallSite {
     qualifier: Vec<String>,
     /// `.name(…)` — a method call.
     is_method: bool,
-    /// Call vs bare reference.
-    kind: CallKind,
 }
 
 /// Extracts call sites from the body token range `[b0, b1)`.
@@ -357,19 +330,14 @@ fn call_sites(
         if direct_call || turbofish_call {
             let is_method = prev == ".";
             let qualifier = if is_method { Vec::new() } else { walk_qualifier(i) };
-            out.push(CallSite {
-                name: t.text.clone(),
-                qualifier,
-                is_method,
-                kind: CallKind::Call,
-            });
+            out.push(CallSite { name: t.text.clone(), qualifier, is_method });
             continue;
         }
         // Bare reference to a known fn name in value position.
         if known.contains_key(&t.text) && next != "::" {
             let is_method = prev == ".";
             let qualifier = if is_method { Vec::new() } else { walk_qualifier(i) };
-            out.push(CallSite { name: t.text.clone(), qualifier, is_method, kind: CallKind::Ref });
+            out.push(CallSite { name: t.text.clone(), qualifier, is_method });
         }
     }
     out
@@ -500,43 +468,6 @@ impl<'a> Workspace<'a> {
     /// notion of "retained": a definition a test can actually reach.
     pub fn reachable_from_tests(&self) -> Vec<bool> {
         self.reachable_from((0..self.fns.len()).filter(|&i| self.fns[i].in_test))
-    }
-
-    /// Serializes the call graph as JSONL: one `{"type":"fn",…}` record
-    /// per definition (in index order) followed by one
-    /// `{"type":"edge",…}` record per edge. `test_reachable` carries
-    /// the verdict of [`Workspace::reachable_from_tests`], so
-    /// downstream consumers can reproduce retained-oracle checks
-    /// without re-deriving reachability.
-    pub fn export_jsonl(&self) -> String {
-        let test_reach = self.reachable_from_tests();
-        let mut out = String::new();
-        for (i, f) in self.fns.iter().enumerate() {
-            out.push_str(&format!(
-                "{{\"type\":\"fn\",\"id\":{},\"path\":\"{}\",\"crate\":\"{}\",\"file\":\"{}\",\
-                 \"line\":{},\"pub\":{},\"test\":{},\"test_reachable\":{}}}\n",
-                i,
-                json_escape(&f.path()),
-                json_escape(&f.krate),
-                json_escape(&f.file),
-                f.line,
-                f.is_pub,
-                f.in_test,
-                test_reach[i],
-            ));
-        }
-        for e in &self.edges {
-            out.push_str(&format!(
-                "{{\"type\":\"edge\",\"from\":{},\"to\":{},\"kind\":\"{}\"}}\n",
-                e.from,
-                e.to,
-                match e.kind {
-                    CallKind::Call => "call",
-                    CallKind::Ref => "ref",
-                }
-            ));
-        }
-        out
     }
 }
 
@@ -727,12 +658,7 @@ mod tests {
             &[],
         )];
         let ws = build(&members);
-        let driver = fn_idx(&ws, "driver");
-        let worker = fn_idx(&ws, "worker");
-        assert!(ws
-            .edges
-            .iter()
-            .any(|e| e.from == driver && e.to == worker && e.kind == CallKind::Ref));
+        assert!(has_edge(&ws, "driver", "worker"));
     }
 
     #[test]
@@ -774,22 +700,6 @@ mod tests {
         let ws = build(&members);
         let names: Vec<&str> = ws.pub_items.iter().map(|p| p.name.as_str()).collect();
         assert_eq!(names, vec!["S", "api"]);
-    }
-
-    #[test]
-    fn jsonl_export_lists_fns_then_edges() {
-        let members = vec![member(
-            "a",
-            &[("crates/a/src/lib.rs", "pub fn f() { g(); }\npub fn g() {}\n")],
-            &[],
-        )];
-        let ws = build(&members);
-        let jsonl = ws.export_jsonl();
-        let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(lines.len(), ws.fns.len() + ws.edges.len());
-        assert!(lines[0].contains("\"type\":\"fn\""));
-        assert!(lines[0].contains("\"path\":\"a::lib::f\""));
-        assert!(lines.last().is_some_and(|l| l.contains("\"type\":\"edge\"")));
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //!
 //! Every rule is lexical: no type information, no parse tree. Each
 //! heuristic is tuned so the *workspace's idioms* stay clean and the
-//! mistakes the rules exist to catch (exact float comparison, mixing a
-//! squared distance against an unsquared radius, panicking library
-//! paths) fire reliably. Intentional violations are silenced in place
+//! mistakes the rules exist to catch (exact float comparison, panicking
+//! library paths) fire reliably. Intentional violations are silenced in place
 //! with `// rim-lint: allow(<rule>)` pragmas, which keeps every
 //! exception visible at the site that needs it.
 
@@ -25,8 +24,7 @@ pub const RULE_CATALOG: &[(&str, &str)] = &[
         "squared-distance-mismatch",
         "a comparison or add/sub mixes a squared quantity with an unsquared \
          distance or radius; both sides must live at the same metric power \
-         (checked by the units-of-measure dataflow pass and a legacy token \
-         scanner kept in agreement)",
+         (checked by the units-of-measure dataflow pass)",
     ),
     (
         "power-domain-mismatch",
@@ -51,11 +49,6 @@ pub const RULE_CATALOG: &[(&str, &str)] = &[
     (
         "forbid-unsafe",
         "a crate root is missing `#![forbid(unsafe_code)]`",
-    ),
-    (
-        "pub-doc-coverage",
-        "a public item of the model crates (rim-core, rim-highway) has no \
-         doc comment",
     ),
     (
         "panic-freedom",
@@ -95,23 +88,14 @@ pub const RULE_CATALOG: &[(&str, &str)] = &[
         "a declared dependency is never referenced in the crate's sources",
     ),
     (
-        "undeclared-dependency",
-        "sources reference a crate the manifest does not declare",
-    ),
-    (
-        "bench-target",
-        "a `[[bench]]` entry and `benches/*.rs` are out of sync, or a bench \
-         target is missing `harness = false`",
-    ),
-    (
         "naive-oracle-retained",
         "a retained brute-force oracle is no longer reachable from any test; \
          the differential suites must keep exercising the naive references",
     ),
     (
         "obs-no-op-default",
-        "library code installs an observability recorder; only the CLI and \
-         the bench harness may enable a sink",
+        "library code installs an observability recorder; only the `rim` CLI \
+         and the linter's `--profile` may enable a sink",
     ),
     (
         "stage-timing-e2e-retained",
@@ -149,13 +133,6 @@ const FLOAT_HINT_IDENTS: &[&str] = &[
     "EPSILON",
     "MIN_POSITIVE",
 ];
-
-/// Identifiers that denote an *unsquared* metric quantity. Kept as an
-/// explicit list (rather than every power-1 name the unit inferencer
-/// knows) because the token scanner has no dataflow to rule out
-/// loop-variable shorthands like `d`; the dataflow pass in
-/// [`crate::flow`] covers the wider net.
-const PLAIN_DIST_IDENTS: &[&str] = &["dist", "distance", "radius", "r"];
 
 /// Counter-evidence that a comparison is on integers after all: an
 /// integer-typed name or literal in the window (`dist[v] == usize::MAX`
@@ -485,77 +462,6 @@ fn declared_float_idents(tokens: &[Token]) -> std::collections::BTreeSet<String>
     out
 }
 
-/// Is this operand window "squared"? True for idents the shared unit
-/// inferencer classifies at power 2 (`dist_sq`, `norm2`, `r2`, …),
-/// `powi(2)`, and self-multiplications like `r * r`.
-fn window_is_squared(window: &[&Token]) -> bool {
-    for (i, t) in window.iter().enumerate() {
-        if t.kind == Kind::Ident && crate::flow::ident_unit(&t.text).power() == Some(2) {
-            return true;
-        }
-        if t.kind == Kind::Ident && t.text == "powi" {
-            // …powi ( 2 )
-            let rest: Vec<&&Token> = window[i + 1..].iter().take(3).collect();
-            if rest.len() == 3 && rest[0].text == "(" && rest[1].text == "2" && rest[2].text == ")"
-            {
-                return true;
-            }
-        }
-        if t.kind == Kind::Punct && t.text == "*" {
-            // ident * ident with equal names (allowing a leading `.`-path tail).
-            let left = window[..i].iter().rev().find(|w| w.kind == Kind::Ident);
-            let right = window[i + 1..].iter().find(|w| w.kind == Kind::Ident);
-            if let (Some(l), Some(r)) = (left, right) {
-                if l.text == r.text {
-                    return true;
-                }
-            }
-        }
-    }
-    false
-}
-
-/// Is this operand window a *plain* (unsquared) metric quantity?
-fn window_is_plain_dist(window: &[&Token]) -> bool {
-    window
-        .iter()
-        .any(|t| t.kind == Kind::Ident && PLAIN_DIST_IDENTS.contains(&t.text.as_str()))
-}
-
-/// `squared-distance-mismatch`: a comparison with exactly one squared
-/// side and one plain-distance side. Comparing `dist_sq(u,v)` against
-/// `r` (or `dist` against `r * r`) silently changes which boundary
-/// points satisfy Def 3.1's closed predicate and breaks the scale of
-/// the comparison; both sides must live at the same power.
-pub fn squared_distance_mismatch(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
-    for (i, t) in ctx.tokens.iter().enumerate() {
-        if t.kind != Kind::Punct
-            || !matches!(t.text.as_str(), "<" | "<=" | ">" | ">=" | "==" | "!=")
-        {
-            continue;
-        }
-        let left = operand_window(ctx.tokens, i, -1);
-        let right = operand_window(ctx.tokens, i, 1);
-        let lsq = window_is_squared(&left);
-        let rsq = window_is_squared(&right);
-        let lpl = !lsq && window_is_plain_dist(&left);
-        let rpl = !rsq && window_is_plain_dist(&right);
-        if (lsq && rpl) || (rsq && lpl) {
-            ctx.emit(
-                out,
-                "squared-distance-mismatch",
-                t.line,
-                format!(
-                    "comparison `{}` mixes a squared quantity with an unsquared \
-                     distance/radius; compare both at the same power (the workspace \
-                     convention is distance-level, matching Def 3.1's closed predicate)",
-                    t.text
-                ),
-            );
-        }
-    }
-}
-
 /// `no-unwrap-in-lib`: `.unwrap()`, `.expect(…)`, and `panic!` in
 /// non-test library code. Library paths must return `Result`/`Option`
 /// or document why panicking is correct via a pragma.
@@ -649,104 +555,6 @@ pub fn forbid_unsafe(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Item keywords whose `pub` form must be documented.
-const DOC_ITEM_KEYWORDS: &[&str] = &[
-    "fn", "struct", "enum", "trait", "const", "static", "type", "mod", "union",
-];
-
-/// `pub-doc-coverage`: every public item in the model crates needs a
-/// doc comment. The caller restricts this rule to `rim-core` and
-/// `rim-highway` sources — the crates that encode the paper's
-/// definitions, where an undocumented export is an unexplained claim.
-pub fn pub_doc_coverage(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
-    for (i, t) in ctx.tokens.iter().enumerate() {
-        if t.kind != Kind::Ident || t.text != "pub" {
-            continue;
-        }
-        if ctx.in_test_mod(i) {
-            continue;
-        }
-        // Find what follows `pub`: skip a `(crate)`/`(super)` visibility
-        // qualifier (restricted visibility is not public API — skip the
-        // item entirely), then an optional `unsafe`/`async`/`extern`.
-        let mut j = i + 1;
-        let skip_trivia = |k: &mut usize| {
-            while *k < ctx.tokens.len()
-                && matches!(ctx.tokens[*k].kind, Kind::Comment | Kind::DocComment)
-            {
-                *k += 1;
-            }
-        };
-        skip_trivia(&mut j);
-        if j < ctx.tokens.len() && ctx.tokens[j].text == "(" {
-            continue; // pub(crate) / pub(super): not public API
-        }
-        while j < ctx.tokens.len()
-            && matches!(ctx.tokens[j].text.as_str(), "unsafe" | "async" | "extern")
-        {
-            j += 1;
-            skip_trivia(&mut j);
-        }
-        if j >= ctx.tokens.len() {
-            continue;
-        }
-        let kw = &ctx.tokens[j];
-        if kw.kind != Kind::Ident || !DOC_ITEM_KEYWORDS.contains(&kw.text.as_str()) {
-            continue; // pub use, pub in a pattern, …
-        }
-        let name = ctx
-            .tokens
-            .get(j + 1)
-            .map(|n| n.text.clone())
-            .unwrap_or_default();
-        // Walk backwards over attributes (`#[…]`) to the token before
-        // the item; documented iff that token is a doc comment.
-        let mut k = i as i64 - 1;
-        let documented = loop {
-            if k < 0 {
-                break false;
-            }
-            let prev = &ctx.tokens[k as usize];
-            match prev.kind {
-                Kind::DocComment => break true,
-                Kind::Comment => {
-                    k -= 1;
-                }
-                _ if prev.text == "]" => {
-                    // Skip the attribute group `#[ … ]`.
-                    let mut depth = 0i32;
-                    while k >= 0 {
-                        match ctx.tokens[k as usize].text.as_str() {
-                            "]" => depth += 1,
-                            "[" => {
-                                depth -= 1;
-                                if depth == 0 {
-                                    break;
-                                }
-                            }
-                            _ => {}
-                        }
-                        k -= 1;
-                    }
-                    k -= 1; // the `#`
-                    if k >= 0 && ctx.tokens[k as usize].text == "#" {
-                        k -= 1;
-                    }
-                }
-                _ => break false,
-            }
-        };
-        if !documented {
-            ctx.emit(
-                out,
-                "pub-doc-coverage",
-                t.line,
-                format!("public item `{} {}` has no doc comment", kw.text, name),
-            );
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -826,22 +634,52 @@ mod tests {
 
     // ---- squared-distance-mismatch ----
 
+    /// Runs the dataflow pass (`flow::check_unit_mismatch`, the rule's
+    /// one implementation) over a one-file library crate.
+    fn sq_mismatch(lib: &str) -> Vec<Diagnostic> {
+        let (tokens, ranges) = prepare(lib);
+        let members = [crate::audit::Member {
+            dir: std::path::PathBuf::from("/nonexistent"),
+            manifest_rel: "Cargo.toml".to_string(),
+            manifest: crate::audit::parse_manifest("[package]\nname = \"demo\"\n"),
+            lib_sources: vec![("src/lib.rs".to_string(), tokens, ranges)],
+            test_sources: Vec::new(),
+        }];
+        let ws = crate::model::build(&members);
+        let pragmas = ws
+            .files
+            .iter()
+            .map(|f| (f.rel.to_string(), Pragmas::parse(f.tokens)))
+            .collect();
+        let mut out = Vec::new();
+        crate::flow::check_unit_mismatch(&ws, &crate::flow::analyze(&ws), &pragmas, &mut out);
+        out
+    }
+
     #[test]
     fn sq_mismatch_fires_on_mixed_powers() {
-        assert_eq!(run(squared_distance_mismatch, "if a.dist_sq(b) <= r { }").len(), 1);
-        assert_eq!(run(squared_distance_mismatch, "if dist < r * r { }").len(), 1);
-        assert_eq!(run(squared_distance_mismatch, "if d.powi(2) <= radius { }").len(), 1);
+        for lib in [
+            "pub fn a(p: P, q: P, r: f64) -> bool { p.dist_sq(q) <= r }",
+            "pub fn b(dist: f64, r: f64) -> bool { dist < r * r }",
+            "pub fn c(d: f64, radius: f64) -> bool { d.powi(2) <= radius }",
+        ] {
+            let out = sq_mismatch(lib);
+            assert_eq!(out.len(), 1, "{lib}: {out:#?}");
+            assert_eq!(out[0].rule, "squared-distance-mismatch", "{lib}");
+        }
     }
 
     #[test]
     fn sq_mismatch_clean_on_consistent_powers() {
-        assert_eq!(run(squared_distance_mismatch, "if a.dist(b) <= r { }").len(), 0);
-        assert_eq!(run(squared_distance_mismatch, "if a.dist_sq(b) <= r * r { }").len(), 0);
-        assert_eq!(
-            run(squared_distance_mismatch, "if a.dist_sq(b) <= r_sq { }").len(),
-            0
-        );
-        assert_eq!(run(squared_distance_mismatch, "if n < m { }").len(), 0);
+        for lib in [
+            "pub fn e(p: P, q: P, r: f64) -> bool { p.dist(q) <= r }",
+            "pub fn f(p: P, q: P, r: f64) -> bool { p.dist_sq(q) <= r * r }",
+            "pub fn g(p: P, q: P, r_sq: f64) -> bool { p.dist_sq(q) <= r_sq }",
+            "pub fn h(n: usize, m: usize) -> bool { n < m }",
+        ] {
+            let out = sq_mismatch(lib);
+            assert!(out.is_empty(), "{lib}: {out:#?}");
+        }
     }
 
     // ---- no-unwrap-in-lib ----
@@ -876,30 +714,6 @@ mod tests {
         assert_eq!(run(forbid_unsafe, "fn f() {}").len(), 1);
         // A comment mentioning it does not count.
         assert_eq!(run(forbid_unsafe, "// #![forbid(unsafe_code)]\nfn f() {}").len(), 1);
-    }
-
-    // ---- pub-doc-coverage ----
-
-    #[test]
-    fn doc_coverage_requires_doc_comments() {
-        assert_eq!(run(pub_doc_coverage, "/// Documented.\npub fn f() {}").len(), 0);
-        assert_eq!(run(pub_doc_coverage, "pub fn f() {}").len(), 1);
-        // Attributes between the doc comment and the item are fine.
-        let attr = "/// Doc.\n#[derive(Debug)]\npub struct S;";
-        assert_eq!(run(pub_doc_coverage, attr).len(), 0);
-        // pub(crate) is not public API.
-        assert_eq!(run(pub_doc_coverage, "pub(crate) fn f() {}").len(), 0);
-        // pub use re-exports are exempt.
-        assert_eq!(run(pub_doc_coverage, "pub use crate::x::Y;").len(), 0);
-        // Undocumented method inside an impl fires too.
-        let m = "/// S.\npub struct S;\nimpl S {\n pub fn f(&self) {}\n}";
-        assert_eq!(run(pub_doc_coverage, m).len(), 1);
-    }
-
-    #[test]
-    fn doc_coverage_skips_test_mods() {
-        let src = "#[cfg(test)]\nmod tests { pub fn helper() {} }";
-        assert_eq!(run(pub_doc_coverage, src).len(), 0);
     }
 
     #[test]
@@ -946,6 +760,6 @@ mod tests {
         assert!(!p.allows("float-eq", 3));
         assert!(p.allows("no-unwrap-in-lib", 1));
         assert!(p.allows("forbid-unsafe", 999));
-        assert!(!p.allows("pub-doc-coverage", 1));
+        assert!(!p.allows("dead-pub", 1));
     }
 }

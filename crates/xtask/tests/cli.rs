@@ -1,7 +1,6 @@
 //! End-to-end coverage of the `rim-xtask` command line: rule-name
-//! validation for `--rule`/`--explain`, the `graph` exporter producing
-//! a non-empty JSONL file, the `graph --check` staleness gate, and the
-//! `lint --profile` per-rule timing report.
+//! validation for `--rule`/`--explain`, the `--rule` filter on a clean
+//! workspace, and the `lint --profile` per-rule timing report.
 
 use std::path::Path;
 use std::process::Command;
@@ -45,71 +44,6 @@ fn rule_filter_keeps_the_workspace_clean_run() {
         .expect("spawn");
     assert!(out.status.success(), "{out:?}");
     assert!(String::from_utf8_lossy(&out.stderr).contains("clean"), "{out:?}");
-}
-
-#[test]
-fn graph_writes_nonempty_jsonl() {
-    let dir = std::env::temp_dir().join(format!("rim-xtask-graph-{}", std::process::id()));
-    let out_path = dir.join("callgraph.jsonl");
-    let out = bin()
-        .arg("graph")
-        .arg("--root")
-        .arg(workspace_root())
-        .arg("--out")
-        .arg(&out_path)
-        .output()
-        .expect("spawn");
-    assert!(out.status.success(), "{out:?}");
-    let text = std::fs::read_to_string(&out_path).expect("graph file written");
-    let _ = std::fs::remove_dir_all(&dir);
-    assert!(text.lines().count() > 400, "suspiciously small graph export");
-    assert!(text.lines().any(|l| l.contains("\"type\":\"fn\"")));
-    assert!(text.lines().any(|l| l.contains("\"type\":\"edge\"")));
-    assert!(
-        text.lines().any(|l| l.contains("interference_vector_naive")),
-        "the retained oracle must appear in the export"
-    );
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("rim-xtask graph:"), "{err}");
-}
-
-#[test]
-fn graph_check_passes_on_fresh_and_fails_on_stale() {
-    let dir = std::env::temp_dir().join(format!("rim-xtask-check-{}", std::process::id()));
-    let out_path = dir.join("callgraph.jsonl");
-    let write = bin()
-        .arg("graph")
-        .arg("--root")
-        .arg(workspace_root())
-        .arg("--out")
-        .arg(&out_path)
-        .output()
-        .expect("spawn");
-    assert!(write.status.success(), "{write:?}");
-    // Freshly written file: --check must pass.
-    let fresh = bin()
-        .args(["graph", "--check", "--root"])
-        .arg(workspace_root())
-        .arg("--out")
-        .arg(&out_path)
-        .output()
-        .expect("spawn");
-    assert!(fresh.status.success(), "{fresh:?}");
-    assert!(String::from_utf8_lossy(&fresh.stderr).contains("up to date"), "{fresh:?}");
-    // Corrupted file: --check must fail and must not rewrite it.
-    std::fs::write(&out_path, "{\"type\":\"fn\"}\n").expect("truncate");
-    let stale = bin()
-        .args(["graph", "--check", "--root"])
-        .arg(workspace_root())
-        .arg("--out")
-        .arg(&out_path)
-        .output()
-        .expect("spawn");
-    assert_eq!(stale.status.code(), Some(1), "{stale:?}");
-    assert!(String::from_utf8_lossy(&stale.stderr).contains("stale"), "{stale:?}");
-    let after = std::fs::read_to_string(&out_path).expect("file still there");
-    let _ = std::fs::remove_dir_all(&dir);
-    assert_eq!(after, "{\"type\":\"fn\"}\n", "--check must not rewrite the file");
 }
 
 #[test]

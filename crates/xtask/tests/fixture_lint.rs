@@ -18,11 +18,8 @@ fn fixture_fires_every_rule_at_known_sites() {
     let want = [
         ("external-dependency", "Cargo.toml", 11),
         ("unused-dependency", "Cargo.toml", 11),
-        ("bench-target", "Cargo.toml", 13),
         ("forbid-unsafe", "crates/core/src/lib.rs", 1),
-        ("undeclared-dependency", "crates/core/src/lib.rs", 1),
         ("dead-pub", "crates/core/src/lib.rs", 8),
-        ("pub-doc-coverage", "crates/core/src/lib.rs", 8),
         ("unknown-pragma-rule", "crates/core/src/lib.rs", 10),
         ("float-eq", "src/lib.rs", 5),
         ("squared-distance-mismatch", "src/lib.rs", 10),

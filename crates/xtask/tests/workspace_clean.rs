@@ -1,7 +1,7 @@
 //! The workspace gates itself: linting the real repository must be
 //! clean. Introducing an `f64 ==`, a panicking library path, or an
-//! undeclared/external dependency makes this test (and therefore
-//! `cargo test -q`) fail.
+//! external dependency makes this test (and therefore `cargo test -q`)
+//! fail.
 
 use std::path::Path;
 

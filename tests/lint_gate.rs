@@ -10,28 +10,56 @@
 //!
 //! The gate also pins the call-graph layer itself: the graph must stay
 //! populated (a degenerate parse would silently disable every
-//! graph-driven rule), the graph-based oracle-retention verdicts must
-//! agree with the legacy token scan, and a full lint run must stay
-//! inside a wall-clock budget so the gate remains cheap enough to run
-//! on every `cargo test`.
+//! graph-driven rule), the registries of panic-free and determinism
+//! roots keep their hot-path entries, and the one full lint run must
+//! stay inside a wall-clock budget so the gate remains cheap enough to
+//! run on every `cargo test`.
 
 use std::path::Path;
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 fn root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
 }
 
+/// The binary's one full lint run: the rendered diagnostics and the
+/// wall time of the run itself. Both gates below read it, so the
+/// workspace is linted once however the test harness schedules them.
+fn full_lint() -> &'static (Vec<String>, Duration) {
+    static RUN: OnceLock<(Vec<String>, Duration)> = OnceLock::new();
+    RUN.get_or_init(|| {
+        let start = Instant::now();
+        let diags = rim_xtask::run_lint(root()).expect("lint must run on the workspace");
+        let elapsed = start.elapsed();
+        (diags.iter().map(|d| d.human()).collect(), elapsed)
+    })
+}
+
 #[test]
 fn workspace_lint_is_clean() {
-    let diags = rim_xtask::run_lint(root()).expect("lint must run on the workspace");
-    let rendered: Vec<String> = diags.iter().map(|d| d.human()).collect();
+    let (rendered, _) = full_lint();
     assert!(
-        diags.is_empty(),
+        rendered.is_empty(),
         "`cargo run -p rim-xtask -- lint` would report {} diagnostic(s):\n{}\n\
          fix the findings or annotate intentional sites with `// rim-lint: allow(<rule>)`",
-        diags.len(),
+        rendered.len(),
         rendered.join("\n")
+    );
+}
+
+#[test]
+fn lint_runtime_stays_within_budget() {
+    // The whole point of an in-tree linter is that it rides along with
+    // `cargo test`. Parsing every file, building the call graph, running
+    // the expression-level dataflow passes, and running all rules must
+    // stay comfortably interactive even in debug builds; 45s is over 20x
+    // the current debug-profile cost, so this only trips on accidental
+    // quadratic blowups, not on slow CI machines.
+    let (_, elapsed) = full_lint();
+    assert!(
+        *elapsed < Duration::from_secs(45),
+        "full lint took {elapsed:?}; the gate must stay cheap"
     );
 }
 
@@ -82,10 +110,6 @@ fn call_graph_stays_populated() {
         ws.edges.len(),
         ws.fns.len()
     );
-    // The JSONL export carries one record per fn and per edge.
-    let jsonl = ws.export_jsonl();
-    assert_eq!(jsonl.lines().count(), ws.fns.len() + ws.edges.len());
-    assert!(jsonl.lines().all(|l| l.starts_with('{') && l.ends_with('}')));
     // Every retained oracle must be defined *and* reachable from a test
     // in the graph — the reachability side of `naive-oracle-retained`.
     let reach = ws.reachable_from_tests();
@@ -243,8 +267,9 @@ fn neighbour_list_kernels_and_file_parsers_stay_registered() {
     // scans of N(u), LMST's local Prim (`Scratch::selection`) and XTC's
     // sorted-list merge. They must stay panic-free, and the kernels
     // whose output the thread-invariance suite pins must stay bitwise
-    // deterministic. The node and topology file parsers face arbitrary
-    // input and must reject it with an error, never a panic.
+    // deterministic. The node and topology file parsers and the CLI's
+    // `--generate`/`--trace` spec parsers face arbitrary input and must
+    // reject it with an error, never a panic.
     for root in [
         "filter_edges",
         "is_gabriel_edge",
@@ -253,6 +278,8 @@ fn neighbour_list_kernels_and_file_parsers_stay_registered() {
         "keeps_edge_merged",
         "parse_nodes",
         "parse_topology",
+        "parse_generate_spec",
+        "parse_trace_spec",
     ] {
         assert!(
             rim_xtask::audit::PANIC_FREE_ROOTS.contains(&root),
@@ -265,96 +292,4 @@ fn neighbour_list_kernels_and_file_parsers_stay_registered() {
             "`{root}` must stay in DETERMINISM_ROOTS"
         );
     }
-}
-
-#[test]
-fn graph_oracle_verdicts_agree_with_the_token_scan() {
-    // Same workspace, both implementations: the graph-based audit is
-    // stricter in general (it needs a call chain, not a mention), but on
-    // the real workspace the two must agree rule-for-rule — here, both
-    // clean. A divergence means either the token scan is matching a
-    // mention without a call, or call resolution lost an edge.
-    let members = rim_xtask::load_workspace(root()).expect("workspace loads");
-    let mut legacy = Vec::new();
-    rim_xtask::audit::audit_oracle_retained(&members, &mut legacy);
-    let ws = rim_xtask::model::build(&members);
-    let mut graph = Vec::new();
-    rim_xtask::audit::audit_oracle_retained_graph(&ws, &mut graph);
-    let legacy: Vec<String> = legacy.iter().map(|d| d.human()).collect();
-    let graph: Vec<String> = graph.iter().map(|d| d.human()).collect();
-    assert!(legacy.is_empty(), "token scan found: {legacy:#?}");
-    assert!(graph.is_empty(), "graph audit found: {graph:#?}");
-}
-
-#[test]
-fn committed_call_graph_export_is_fresh() {
-    // `results/callgraph.jsonl` is a committed artifact; `graph --check`
-    // in the CLI and this test both fail when a source change alters the
-    // graph without the export being regenerated
-    // (`cargo run -p rim-xtask -- graph`).
-    let members = rim_xtask::load_workspace(root()).expect("workspace loads");
-    let ws = rim_xtask::model::build(&members);
-    let path = root().join("results/callgraph.jsonl");
-    let committed = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("{} must be committed: {e}", path.display()));
-    assert!(
-        committed == ws.export_jsonl(),
-        "{} is stale; regenerate with `cargo run -p rim-xtask -- graph`",
-        path.display()
-    );
-}
-
-#[test]
-fn squared_distance_verdicts_agree_between_scanner_and_dataflow() {
-    // The units-of-measure dataflow pass replaced the token-window
-    // scanner in `run_lint`, but the scanner is retained as a second
-    // opinion: on the real workspace both must be clean. A divergence
-    // means the unit inferencer regressed (false positive) or the
-    // scanner's heuristics drifted from the lattice (false negative).
-    let members = rim_xtask::load_workspace(root()).expect("workspace loads");
-    let mut legacy = Vec::new();
-    for member in &members {
-        for sources in [&member.lib_sources, &member.test_sources] {
-            for (rel, tokens, ranges) in sources {
-                let pragmas = rim_xtask::rules::Pragmas::parse(tokens);
-                let ctx = rim_xtask::rules::FileCtx {
-                    path: rel,
-                    tokens,
-                    pragmas: &pragmas,
-                    test_mod_ranges: ranges,
-                };
-                rim_xtask::rules::squared_distance_mismatch(&ctx, &mut legacy);
-            }
-        }
-    }
-    let ws = rim_xtask::model::build(&members);
-    let flow = rim_xtask::flow::analyze(&ws);
-    let pragma_map = ws
-        .files
-        .iter()
-        .map(|f| (f.rel.to_string(), rim_xtask::rules::Pragmas::parse(f.tokens)))
-        .collect();
-    let mut dataflow = Vec::new();
-    rim_xtask::flow::check_unit_mismatch(&ws, &flow, &pragma_map, &mut dataflow);
-    let legacy: Vec<String> = legacy.iter().map(|d| d.human()).collect();
-    let dataflow: Vec<String> = dataflow.iter().map(|d| d.human()).collect();
-    assert!(legacy.is_empty(), "token scanner found: {legacy:#?}");
-    assert!(dataflow.is_empty(), "dataflow pass found: {dataflow:#?}");
-}
-
-#[test]
-fn lint_runtime_stays_within_budget() {
-    // The whole point of an in-tree linter is that it rides along with
-    // `cargo test`. Parsing every file, building the call graph, running
-    // the expression-level dataflow passes, and running all rules must
-    // stay comfortably interactive even in debug builds; 45s is ~20x the
-    // current debug-profile cost, so this only trips on accidental
-    // quadratic blowups, not on slow CI machines.
-    let start = Instant::now();
-    rim_xtask::run_lint(root()).expect("lint must run on the workspace");
-    let elapsed = start.elapsed();
-    assert!(
-        elapsed < Duration::from_secs(45),
-        "full lint took {elapsed:?}; the gate must stay cheap"
-    );
 }
