@@ -13,7 +13,7 @@
 //!          radii    n × f64,
 //!          alive    n × u8,
 //!          m u64, edges m × (u32, u32),
-//!          indexed_len u64, radius_bound f64, fixed_radii u8
+//!          indexed_len u64, radius_bound f64, reserved u8 (= 0)
 //! trailer  fnv1a-64 checksum of everything above          u64
 //! ```
 //!
@@ -26,7 +26,7 @@
 //! fields above). A flipped bit anywhere fails the checksum; a
 //! structurally invalid body with a valid checksum fails the decoder's
 //! own checks (node and edge counts must fit in the bytes that follow,
-//! `fixed_radii` must be 0 — churn radii are link-derived) or the
+//! the reserved byte must be 0) or the
 //! engine's [`rim_core::DynamicInterference::from_state`] validation.
 //! Decode never panics and never allocates more than the file holds.
 
@@ -89,7 +89,7 @@ pub fn encode_snapshot(sim: &ChurnSim) -> Vec<u8> {
     }
     out.extend_from_slice(&(s.indexed_len as u64).to_le_bytes());
     out.extend_from_slice(&s.radius_bound.to_bits().to_le_bytes());
-    out.push(u8::from(s.fixed_radii));
+    out.push(0); // reserved
     let sum = fnv1a64(&out);
     out.extend_from_slice(&sum.to_le_bytes());
     out
@@ -228,7 +228,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<ChurnSim, String> {
     let indexed_len = rd.count("indexed prefix")?;
     let radius_bound = rd.f64()?;
     if rd.u8()? != 0 {
-        return Err("physical-mode engine state: churn radii are link-derived".to_string());
+        return Err("reserved engine byte is not 0".to_string());
     }
     if rd.at != body.len() {
         return Err(format!(
@@ -243,7 +243,6 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<ChurnSim, String> {
         edges,
         indexed_len,
         radius_bound,
-        fixed_radii: false,
     })?;
     if engine.live_count() as u64 != live {
         return Err(format!(

@@ -166,7 +166,7 @@ struct Damaged {
 /// Byte offsets of the engine-state fields of a snapshot with `n` slots
 /// and `m` edges: the node count, a slot's x, radius and liveness, the
 /// edge count, an edge endpoint, `indexed_len`, `radius_bound` and the
-/// `fixed_radii` byte.
+/// reserved byte.
 fn field_offsets(n: usize, m: usize, slot: usize, edge: usize) -> [usize; 9] {
     let nodes = 8 + 1 + 16 + 32 + 17 + 64; // header up to the node count
     let after_nodes = nodes + 8 + 25 * n;

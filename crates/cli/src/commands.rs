@@ -4,13 +4,13 @@ use crate::args::{Args, UsageError};
 use rim_churn::{decode_snapshot, encode_snapshot, ChurnConfig, ChurnSim};
 use rim_core::analysis::InterferenceSummary;
 use rim_core::optimal::{min_interference_topology, SolverLimits};
-use rim_core::physical::{
-    dbm_to_mw, mw_to_dbm, physical_interference_vector_with, sinr_interference_with, PhysModel,
-    PhysParams,
-};
 use rim_core::receiver::{graph_interference, Engine};
 use rim_core::sender::sender_graph_interference;
 use rim_highway::HighwayInstance;
+use rim_phys::{
+    dbm_to_mw, mw_to_dbm, physical_interference_vector, sinr_interference_indexed, PhysModel,
+    PhysParams,
+};
 use rim_sim::{MacConfig, SimConfig, Simulator, TrafficConfig};
 use rim_topology_control::Baseline;
 use rim_udg::io;
@@ -31,7 +31,7 @@ commands:
             [--engine naive|auto]   (construction pipeline)
             [--obs human|jsonl]   (spans/counters/histograms on stderr)
   analyze   --nodes FILE --topology FILE
-            [--engine naive|auto|physical-naive|physical-indexed]
+            [--engine naive|auto]
             [--generate uniform:N]   (skip the files: stream N uniform nodes
               with nearest-neighbor radii through the SoA kernel;
               takes [--seed K] [--side S], no edge list is ever built)
@@ -130,31 +130,73 @@ pub fn generate(args: &Args) -> Result<(), UsageError> {
     let kind = args.required("kind")?;
     let n: usize = args.opt_parse("n", 100)?;
     let seed: u64 = args.opt_parse("seed", 0)?;
-    let nodes = match kind.as_str() {
+    // Each generator asserts on its inputs, so the flags are checked
+    // first; `scale` names the flag that sets the instance's extent.
+    let (nodes, scale) = match kind.as_str() {
         "uniform-square" => {
-            let side: f64 = args.opt_parse("side", 2.0)?;
-            rim_workloads::uniform_square(n, side, seed)
+            let side = positive_length("side", args.opt_parse("side", 2.0)?)?;
+            (rim_workloads::uniform_square(n, side, seed), "side")
         }
         "uniform-highway" => {
-            let span: f64 = args.opt_parse("span", 4.0)?;
-            rim_workloads::uniform_highway(n, span, seed).node_set()
+            let span = positive_length("span", args.opt_parse("span", 4.0)?)?;
+            let highway = rim_workloads::uniform_highway(n, span, seed);
+            (highway.node_set(), "span")
         }
         "clusters" => {
-            let side: f64 = args.opt_parse("side", 3.0)?;
+            let side = positive_length("side", args.opt_parse("side", 3.0)?)?;
             let k = (n / 25).max(1);
-            rim_workloads::gaussian_clusters(k, n / k, side, 0.2, seed)
+            let clusters = rim_workloads::gaussian_clusters(k, n / k, side, 0.2, seed);
+            (clusters, "side")
         }
         "grid" => {
             let side = (n as f64).sqrt().ceil() as usize;
-            rim_workloads::grid_lattice(side, side, 0.5, 0.05, seed)
+            let grid = rim_workloads::grid_lattice(side, side, 0.5, 0.05, seed);
+            (grid, "n")
         }
-        "exp-chain" => rim_highway::exponential_chain(n).node_set(),
-        "fig1" => rim_workloads::fig1_instance(n.max(3), 0.1, seed).1,
+        "exp-chain" => {
+            if !(1..=rim_highway::MAX_CHAIN_NODES).contains(&n) {
+                return Err(UsageError(format!(
+                    "--n must be between 1 and {} for an exponential chain, got {n}",
+                    rim_highway::MAX_CHAIN_NODES
+                )));
+            }
+            (rim_highway::exponential_chain(n).node_set(), "n")
+        }
+        "fig1" => (rim_workloads::fig1_instance(n.max(3), 0.1, seed).1, "n"),
         other => return Err(UsageError(format!("unknown --kind {other}"))),
     };
+    check_generated(&nodes, scale)?;
     let out = args.opt("out", "-");
     args.finish()?;
     write_out(&out, &io::format_nodes(&nodes))
+}
+
+/// Checks a length flag of a generator, which asserts on it: it must be
+/// finite and positive.
+fn positive_length(key: &str, value: f64) -> Result<f64, UsageError> {
+    if value > 0.0 && value.is_finite() {
+        Ok(value)
+    } else {
+        Err(UsageError(format!(
+            "--{key} must be positive and finite, got {value}"
+        )))
+    }
+}
+
+/// Checks every generated coordinate with the predicate
+/// [`io::parse_nodes`] applies, so `rim generate` never writes a nodes
+/// file `rim` refuses; `scale` is the flag to blame.
+fn check_generated(nodes: &NodeSet, scale: &str) -> Result<(), UsageError> {
+    for (i, p) in nodes.points().iter().enumerate() {
+        if !(io::coordinate_in_range(p.x) && io::coordinate_in_range(p.y)) {
+            return Err(UsageError(format!(
+                "--{scale}: generated node {i} at ({:e}, {:e}) is outside the coordinate \
+                 range node files accept",
+                p.x, p.y
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// `rim control` — run a topology-control algorithm.
@@ -254,9 +296,7 @@ fn analyze_generated(spec: &str, args: &Args) -> Result<(), UsageError> {
     let side: f64 = args.opt_parse("side", (n.max(1) as f64).sqrt())?;
     let mode = obs_mode(args)?;
     args.finish()?;
-    if side <= 0.0 || !side.is_finite() {
-        return Err(UsageError(format!("--side must be positive, got {side}")));
-    }
+    positive_length("side", side)?;
     if !side_keeps_distances_in_range(side) {
         return Err(UsageError(format!(
             "--side {side:e} is outside [2^-405, 2^511]: squared distances between \
@@ -318,8 +358,10 @@ pub fn analyze(args: &Args) -> Result<(), UsageError> {
             let beta_db: f64 = args.opt_parse("beta-db", 10.0)?;
             let sigma_db: f64 = args.opt_parse("sigma-db", 0.0)?;
             let phy_seed: u64 = args.opt_parse("phy-seed", 0)?;
-            let params =
-                PhysParams::from_link_budget(alpha, theta_dbm, noise_dbm, beta_db, sigma_db, phy_seed);
+            let params = PhysParams::from_link_budget(
+                alpha, power_dbm, theta_dbm, noise_dbm, beta_db, sigma_db, phy_seed,
+            )
+            .map_err(|e| UsageError(format!("bad value for --{}: {}", e.figure, e.reason)))?;
             let power_mw = vec![dbm_to_mw(power_dbm); topology.num_nodes()];
             Some(PhysModel::with_params(&topology, params, &power_mw))
         }
@@ -338,8 +380,8 @@ pub fn analyze(args: &Args) -> Result<(), UsageError> {
     // Physical section computed inside the root span so its kernels show
     // up in the --obs report.
     let phys_report = phys.as_ref().map(|m| {
-        let cov = physical_interference_vector_with(m, true);
-        let sinr_mw = sinr_interference_with(m, true);
+        let cov = physical_interference_vector(m);
+        let sinr_mw = sinr_interference_indexed(m);
         let worst_cov = cov.iter().copied().max().unwrap_or(0);
         let worst_mw = sinr_mw.iter().copied().fold(0.0f64, f64::max);
         (worst_cov, worst_mw)
@@ -421,6 +463,9 @@ pub fn simulate(args: &Args) -> Result<(), UsageError> {
     let slots: u64 = args.opt_parse("slots", 20_000)?;
     let flows: usize = args.opt_parse("flows", 8)?;
     let period: u64 = args.opt_parse("period", 40)?;
+    if period == 0 {
+        return Err(UsageError("--period must be at least 1 slot".into()));
+    }
     let seed: u64 = args.opt_parse("seed", 0)?;
     let mac = match args.opt("mac", "csma").as_str() {
         "csma" => MacConfig::csma(),

@@ -173,8 +173,10 @@ fn analyze_rejects_unknown_engine() {
     let topo = dir.join("topo.txt");
     std::fs::write(&nodes, "0.0\n0.4\n").unwrap();
     std::fs::write(&topo, "0 1\n").unwrap();
-    // The engines folded into `auto` are gone, not aliased.
-    for engine in ["warp", "indexed", "parallel", "streaming"] {
+    // The engines folded into `auto` are gone, not aliased, and so are
+    // the physical twins (the disk limit lives on as `--phy disk`).
+    let gone = ["warp", "indexed", "parallel", "streaming", "physical-naive", "physical-indexed"];
+    for engine in gone {
         let out = rim()
             .args(["analyze", "--engine", engine, "--nodes"])
             .arg(&nodes)
@@ -597,30 +599,8 @@ fn analyze_physical_engines_and_phy_sections() {
         .unwrap()
         .success());
 
-    // The physical engines must report the same interference numbers as
-    // the disk engines — the disk-limit theorem, end to end.
-    let mut reports = Vec::new();
-    for engine in ["naive", "physical-naive", "physical-indexed"] {
-        let out = rim()
-            .args(["analyze", "--engine", engine, "--nodes"])
-            .arg(&nodes)
-            .arg("--topology")
-            .arg(&topo)
-            .output()
-            .unwrap();
-        assert!(out.status.success(), "engine {engine}");
-        let text = String::from_utf8(out.stdout).unwrap();
-        assert!(text.contains(&format!("interference engine:      {engine}")));
-        let numbers: Vec<String> = text
-            .lines()
-            .filter(|l| l.starts_with("receiver interference") || l.starts_with("mean node"))
-            .map(String::from)
-            .collect();
-        reports.push(numbers);
-    }
-    assert!(reports.windows(2).all(|w| w[0] == w[1]), "engines disagree: {reports:?}");
-
-    // `--phy disk`: the physical section's interference equals the disk I.
+    // `--phy disk`: the physical section's interference equals the disk
+    // I — the disk-limit theorem, end to end.
     let out = rim()
         .args(["analyze", "--phy", "disk", "--nodes"])
         .arg(&nodes)
@@ -678,6 +658,111 @@ fn analyze_physical_engines_and_phy_sections() {
         .unwrap();
     assert!(!out.status.success(), "--alpha must be rejected outside logdist mode");
     assert!(String::from_utf8_lossy(&out.stderr).contains("--alpha"));
+}
+
+/// Damaged values for a real-valued flag: non-finite, negative, signed
+/// zero, past the f64 range either way, and the extremes inside it.
+const DAMAGED_REALS: [&str; 10] = [
+    "nan", "inf", "-inf", "-1", "0", "-0", "1e400", "1e-400", "1e300", "1e-300",
+];
+
+/// Runs `rim` and checks the outcome every damaged flag must have: exit
+/// 0, or exit 2 with an `error:` line naming `--{flag}` — never a panic
+/// or an abort. Returns whether it succeeded, and its stdout.
+fn run_damaged(args: &[&str], flag: &str) -> (bool, String) {
+    let out = rim().args(args).output().unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let names_flag = |l: &str| l.starts_with("error:") && l.contains(&format!("--{flag}"));
+    match out.status.code() {
+        Some(0) => (true, stdout),
+        Some(2) => {
+            assert!(err.lines().any(names_flag), "{args:?}: the error must name --{flag}:\n{err}");
+            (false, stdout)
+        }
+        code => panic!("{args:?} exited with {code:?}:\n{err}"),
+    }
+}
+
+#[test]
+fn damaged_real_valued_flags_exit_0_or_2_naming_the_flag() {
+    let dir = tmp_dir("flag_damage");
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let loads = |file: &str| {
+        let out = rim().args(["control", "--algo", "mst", "--nodes", file]).output().unwrap();
+        assert!(out.status.success(), "{file}: {}", String::from_utf8_lossy(&out.stderr));
+    };
+
+    // `rim generate`: every file it writes must load. Counts stay cheap.
+    for (kind, flag, valid) in [
+        ("uniform-square", "side", "2"),
+        ("clusters", "side", "3"),
+        ("uniform-highway", "span", "4"),
+    ] {
+        for (i, &value) in DAMAGED_REALS.iter().chain([&valid]).enumerate() {
+            let file = path(&format!("{kind}_{i}.txt"));
+            let n = ["40", "0", "1", "2", "7"][i % 5];
+            let flag_arg = format!("--{flag}");
+            let args = ["generate", "--kind", kind, "--n", n, &flag_arg, value, "--out", &file];
+            let (ok, _) = run_damaged(&args, flag);
+            assert!(ok || value != valid, "{args:?} must succeed");
+            if ok {
+                loads(&file);
+            }
+        }
+    }
+    // Exponential chains past 460 nodes have gaps node files refuse.
+    for n in ["0", "1", "2", "460", "461", "470", "512", "513", "2000"] {
+        let file = path(&format!("chain_{n}.txt"));
+        let args = ["generate", "--kind", "exp-chain", "--n", n, "--out", &file];
+        let (ok, _) = run_damaged(&args, "n");
+        assert_eq!(ok, (1..=460).contains(&n.parse::<u32>().unwrap()), "{args:?}");
+        if ok {
+            loads(&file);
+        }
+    }
+
+    // One small instance for `simulate` and `analyze --phy logdist`.
+    let (nodes, topo) = (path("nodes.txt"), path("topo.txt"));
+    assert!(rim()
+        .args(["generate", "--kind", "uniform-square", "--n", "30", "--side", "1.2", "--seed",
+               "3", "--out", &nodes])
+        .status()
+        .unwrap()
+        .success());
+    assert!(rim()
+        .args(["control", "--algo", "mst", "--nodes", &nodes, "--out", &topo])
+        .status()
+        .unwrap()
+        .success());
+    for (i, &value) in DAMAGED_REALS.iter().chain([&"40"]).enumerate() {
+        let (slots, flows) = (["0", "1", "300"][i % 3], ["0", "1", "4"][i % 3]);
+        let args = ["simulate", "--nodes", &nodes, "--topology", &topo, "--slots", slots,
+                    "--flows", flows, "--period", value];
+        let (ok, _) = run_damaged(&args, "period");
+        assert!(ok || value != "40", "{args:?} must succeed");
+    }
+    // A link budget that exits 0 prints only finite numbers.
+    for (flag, valid) in [
+        ("alpha", "3"),
+        ("power-dbm", "0"),
+        ("theta-dbm", "-85"),
+        ("noise-dbm", "-100"),
+        ("beta-db", "10"),
+        ("sigma-db", "4"),
+    ] {
+        for &value in DAMAGED_REALS.iter().chain([&valid]) {
+            let flag_arg = format!("--{flag}");
+            let args = ["analyze", "--nodes", &nodes, "--topology", &topo, "--phy", "logdist",
+                        &flag_arg, value];
+            let (ok, stdout) = run_damaged(&args, flag);
+            assert!(ok || value != valid, "{args:?} must succeed");
+            for token in stdout.split(|c: char| c.is_whitespace() || "(),=:".contains(c)) {
+                let finite = token.parse::<f64>().map_or(true, f64::is_finite);
+                assert!(finite, "{args:?} printed `{token}`:\n{stdout}");
+            }
+        }
+    }
 }
 
 #[test]

@@ -30,14 +30,6 @@
 //! of the churn simulator. The equivalence with the batch
 //! [`crate::receiver`] kernels is property-tested, including full
 //! edit-trace replays.
-//!
-//! **Physical (fixed-radii) mode.** Under the SINR model a node's
-//! coverage radius `ρ_u` comes from its transmit power, not from its
-//! farthest neighbor, so edge updates never move the radius — they only
-//! flip whether the node transmits at all. [`DynamicInterference::new_physical`]
-//! pins the per-node radii and routes every edge update through the
-//! same symmetric-difference patch with `new_r = old_r`, which reduces
-//! to a pure gating patch over the fixed disk.
 
 use rim_geom::{DynGrid, Point};
 use rim_graph::AdjacencyList;
@@ -72,9 +64,6 @@ pub struct DynamicInterference {
     /// only loosens the bound (still correct, just a wider range); it is
     /// re-tightened to the exact maximum at every index rebuild.
     radius_bound: f64,
-    /// Physical mode: radii are power-derived constants (coverage radii
-    /// `ρ_u`), so edge updates only flip transmit gating.
-    fixed_radii: bool,
 }
 
 impl DynamicInterference {
@@ -94,7 +83,6 @@ impl DynamicInterference {
             grid,
             hist: CoverageHistogram { freq: vec![n as u32], max: 0 },
             radius_bound: 0.0,
-            fixed_radii: false,
         }
     }
 
@@ -105,41 +93,6 @@ impl DynamicInterference {
             d.insert_edge(e.u, e.v);
         }
         d
-    }
-
-    /// Starts from the empty edge set over `nodes` in **physical mode**:
-    /// node `u`'s coverage radius is pinned at `coverage_radii[u]`
-    /// (power-derived, e.g. [`crate::physical::PhysModel::coverage_radius`])
-    /// and edge updates only flip whether `u` transmits.
-    pub fn new_physical(nodes: NodeSet, coverage_radii: &[f64]) -> Self {
-        assert_eq!(nodes.len(), coverage_radii.len(), "one coverage radius per node");
-        let mut d = DynamicInterference::new(nodes);
-        for &r in coverage_radii {
-            assert!(r >= 0.0 && r.is_finite(), "coverage radii must be finite and >= 0");
-        }
-        d.radii.copy_from_slice(coverage_radii);
-        d.fixed_radii = true;
-        d
-    }
-
-    /// Starts physical-mode maintenance from a [`crate::physical::PhysModel`]
-    /// and the topology it was instantiated over: pins each node's
-    /// coverage radius `ρ_u` and replays the topology's edges. The
-    /// resulting counts equal `coverage_vector_naive(m)` (differential-
-    /// tested), and stay equal under subsequent edge edits.
-    pub fn from_physical(t: &Topology, m: &crate::physical::PhysModel) -> Self {
-        assert_eq!(t.num_nodes(), m.len(), "model and topology must agree on the node set");
-        let radii: Vec<f64> = (0..m.len()).map(|u| m.coverage_radius(u)).collect();
-        let mut d = DynamicInterference::new_physical(t.nodes().clone(), &radii);
-        for e in t.edges() {
-            d.insert_edge(e.u, e.v);
-        }
-        d
-    }
-
-    /// Whether this structure runs in physical (fixed-radii) mode.
-    pub fn is_physical(&self) -> bool {
-        self.fixed_radii
     }
 
     /// Number of nodes.
@@ -205,15 +158,6 @@ impl DynamicInterference {
         &self.graph
     }
 
-    /// Materializes the current state as a [`Topology`] over *every*
-    /// slot, dead ones included (they appear as isolated vertices). This
-    /// is the raw slot view; for comparing against batch kernels — which
-    /// would charge coverage *to* an isolated dead slot — use
-    /// [`DynamicInterference::live_topology`].
-    pub fn as_topology(&self) -> Topology {
-        Topology::from_graph(NodeSet::new(self.points.clone()), self.graph.clone())
-    }
-
     /// Materializes the live state as a compacted [`Topology`], plus the
     /// slot id behind each compacted node (ascending slot order). Dead
     /// slots are dropped entirely, so a batch recompute over the result
@@ -240,9 +184,9 @@ impl DynamicInterference {
     /// one grid build, edges renamed list by list, each radius carried
     /// over (a link-derived radius is the longest incident link), the
     /// radius bound set to the largest radius, and coverage recomputed
-    /// with one disk query per transmitter. In link mode that is exactly
-    /// the state `from_topology(&self.live_topology().0)` reaches by
-    /// replaying every edge through two disk queries.
+    /// with one disk query per transmitter. That is exactly the state
+    /// `from_topology(&self.live_topology().0)` reaches by replaying
+    /// every edge through two disk queries.
     // rim-lint: allow(panic-freedom) — dense[] covers every slot; edges connect live slots
     pub fn compacted(&self) -> Self {
         let mut dense = vec![u32::MAX; self.len()];
@@ -267,7 +211,7 @@ impl DynamicInterference {
         let graph = AdjacencyList::from_sorted_symmetric_lists(lists);
         let radius_bound = radii.iter().copied().fold(0.0, f64::max);
         let n = points.len();
-        Self::assemble(points, graph, radii, vec![true; n], n, radius_bound, self.fixed_radii)
+        Self::assemble(points, graph, radii, vec![true; n], n, radius_bound)
     }
 
     /// Writes to `out` the `k` live slots nearest to `p`, leaving out
@@ -306,15 +250,8 @@ impl DynamicInterference {
             return false;
         }
         rim_obs::counter_add("dynamic.edge_inserts", 1);
-        if self.fixed_radii {
-            // Physical mode: the radius is power-derived and does not
-            // move; only the transmit gating of the endpoints can flip.
-            self.set_radius(u, self.radii[u]);
-            self.set_radius(v, self.radii[v]);
-        } else {
-            self.set_radius(u, self.radii[u].max(d));
-            self.set_radius(v, self.radii[v].max(d));
-        }
+        self.set_radius(u, self.radii[u].max(d));
+        self.set_radius(v, self.radii[v].max(d));
         true
     }
 
@@ -324,15 +261,10 @@ impl DynamicInterference {
             return false;
         }
         rim_obs::counter_add("dynamic.edge_removes", 1);
-        if self.fixed_radii {
-            self.set_radius(u, self.radii[u]);
-            self.set_radius(v, self.radii[v]);
-        } else {
-            let ru = self.graph.max_incident_weight(u).unwrap_or(0.0);
-            let rv = self.graph.max_incident_weight(v).unwrap_or(0.0);
-            self.set_radius(u, ru);
-            self.set_radius(v, rv);
-        }
+        let ru = self.graph.max_incident_weight(u).unwrap_or(0.0);
+        let rv = self.graph.max_incident_weight(v).unwrap_or(0.0);
+        self.set_radius(u, ru);
+        self.set_radius(v, rv);
         true
     }
 
@@ -366,20 +298,6 @@ impl DynamicInterference {
         self.cov.push(covered_by);
         self.hist.enter(covered_by as usize);
         self.maybe_rebuild_index();
-        v
-    }
-
-    /// Appends a new isolated node at `p` with a pinned coverage radius
-    /// — the physical-mode arrival (the radius is power-derived, known
-    /// at arrival time, and independent of future edges). The node stays
-    /// silent until its first edge, so only its *received* coverage is
-    /// charged here, exactly as in [`DynamicInterference::insert_node`].
-    pub fn insert_node_with_radius(&mut self, p: Point, coverage_r: f64) -> usize {
-        assert!(coverage_r >= 0.0 && coverage_r.is_finite(), "coverage radius must be finite and >= 0");
-        let v = self.insert_node(p);
-        if let Some(r) = self.radii.last_mut() {
-            *r = coverage_r;
-        }
         v
     }
 
@@ -522,15 +440,14 @@ impl DynamicInterference {
                 .collect(),
             indexed_len: self.grid.merged_len(),
             radius_bound: self.radius_bound,
-            fixed_radii: self.fixed_radii,
         }
     }
 
     /// Rebuilds a structure from a previously exported [`DynState`],
     /// validating every field (a corrupted snapshot yields an error, not
-    /// a panic or a silently wrong structure). In link mode every radius
-    /// must be bit-equal to its slot's longest link (0 without links),
-    /// the invariant the edge updates maintain.
+    /// a panic or a silently wrong structure). Every radius must be
+    /// bit-equal to its slot's longest link (0 without links), the
+    /// invariant the edge updates maintain.
     ///
     /// Restoration is exact because the grid is a pure function of
     /// `points[..indexed_len]` and the arrival order of the rest —
@@ -583,23 +500,13 @@ impl DynamicInterference {
                 return Err(format!("duplicate edge ({u}, {v})"));
             }
         }
-        if !s.fixed_radii {
-            for (u, &r) in s.radii.iter().enumerate() {
-                let longest = graph.max_incident_weight(u).unwrap_or(0.0);
-                if r.to_bits() != longest.to_bits() {
-                    return Err(format!("radius {r} of slot {u} is not its longest link {longest}"));
-                }
+        for (u, &r) in s.radii.iter().enumerate() {
+            let longest = graph.max_incident_weight(u).unwrap_or(0.0);
+            if r.to_bits() != longest.to_bits() {
+                return Err(format!("radius {r} of slot {u} is not its longest link {longest}"));
             }
         }
-        Ok(Self::assemble(
-            s.points,
-            graph,
-            s.radii,
-            s.alive,
-            s.indexed_len,
-            s.radius_bound,
-            s.fixed_radii,
-        ))
+        Ok(Self::assemble(s.points, graph, s.radii, s.alive, s.indexed_len, s.radius_bound))
     }
 
     /// The structure over already-consistent parts: the grid over
@@ -614,7 +521,6 @@ impl DynamicInterference {
         alive: Vec<bool>,
         indexed_len: usize,
         radius_bound: f64,
-        fixed_radii: bool,
     ) -> Self {
         let n = points.len();
         let merged = &points[..indexed_len];
@@ -647,7 +553,6 @@ impl DynamicInterference {
             grid,
             hist,
             radius_bound,
-            fixed_radii,
         }
     }
 }
@@ -698,7 +603,7 @@ impl CoverageHistogram {
 pub struct DynState {
     /// Every slot's position, dead slots included (ids are stable).
     pub points: Vec<Point>,
-    /// Per-slot radius: link-derived, or pinned when `fixed_radii`.
+    /// Per-slot radius: the slot's longest link, 0 without links.
     pub radii: Vec<f64>,
     /// Per-slot liveness; dead slots have no edges, no disk, and no
     /// histogram entry.
@@ -710,8 +615,6 @@ pub struct DynState {
     pub indexed_len: usize,
     /// Monotone upper bound on every radius since the last index rebuild.
     pub radius_bound: f64,
-    /// Physical (fixed-radii) mode flag.
-    pub fixed_radii: bool,
 }
 
 /// Raises a fresh grid's per-cell bounds to every transmitter's radius.
@@ -1089,25 +992,6 @@ mod tests {
         assert!(DynamicInterference::from_state(bad).is_err(), "radius below the longest link");
     }
 
-    #[test]
-    fn physical_mode_departure_keeps_pinned_radii() {
-        let ns = NodeSet::on_line(&[0.0, 0.2, 0.5]);
-        let radii = [0.6, 0.3, 0.45];
-        let mut d = DynamicInterference::new_physical(ns, &radii);
-        d.insert_edge(0, 1);
-        d.insert_edge(1, 2);
-        check_physical_consistent(&d, &radii);
-        assert!(d.remove_node(1));
-        // Survivors keep their pinned radii and their gating.
-        // rim-lint: allow(float-eq) — pinned radii must be bit-identical
-        assert!(d.radius(0) == 0.6 && d.radius(2) == 0.45);
-        assert_eq!(d.graph_interference(), 0, "both survivors lost their only link");
-        let s = d.export_state();
-        let r = DynamicInterference::from_state(s).expect("physical state restores");
-        assert!(r.is_physical());
-        assert_eq!(r.live_count(), 2);
-    }
-
     /// Six points: a duplicate pair (slots 2 and 3) and one far from the
     /// rest.
     fn knn_points() -> Vec<Point> {
@@ -1259,81 +1143,5 @@ mod tests {
         let d = DynamicInterference::new(NodeSet::new(vec![]));
         assert!(d.is_empty());
         assert_eq!(d.graph_interference(), 0);
-    }
-
-    /// Hand-written physical-mode oracle: `v` is covered by `u` iff `u`
-    /// has a neighbor and `dist(u,v) <= ρ_u`, with `ρ_u` the *pinned*
-    /// radius (never link-derived).
-    fn check_physical_consistent(d: &DynamicInterference, radii: &[f64]) {
-        let t = d.as_topology();
-        let n = d.len();
-        let mut want = vec![0usize; n];
-        for u in 0..n {
-            if d.graph().degree(u) == 0 {
-                continue;
-            }
-            for v in 0..n {
-                if v != u && t.nodes().pos(u).dist(&t.nodes().pos(v)) <= radii[u] {
-                    want[v] += 1;
-                }
-            }
-        }
-        let got: Vec<usize> = (0..n).map(|v| d.interference_at(v)).collect();
-        assert_eq!(got, want, "physical dynamic counts diverged from the oracle");
-        assert_eq!(d.graph_interference(), want.iter().copied().max().unwrap_or(0));
-    }
-
-    #[test]
-    fn physical_mode_pins_radii_across_edits() {
-        let ns = NodeSet::on_line(&[0.0, 0.2, 0.5, 0.9]);
-        let radii = [0.6, 0.1, 0.45, 0.3];
-        let mut d = DynamicInterference::new_physical(ns, &radii);
-        assert!(d.is_physical());
-        check_physical_consistent(&d, &radii);
-        assert!(d.insert_edge(0, 3)); // both gates open; radii stay pinned
-        check_physical_consistent(&d, &radii);
-        // rim-lint: allow(float-eq) — pinned radius must be bit-identical
-        assert!(d.radius(0) == 0.6, "edge insertion must not move a pinned radius");
-        assert!(d.insert_edge(1, 2));
-        check_physical_consistent(&d, &radii);
-        assert!(d.remove_edge(0, 3)); // gates close again
-        check_physical_consistent(&d, &radii);
-        assert!(d.remove_edge(1, 2));
-        check_physical_consistent(&d, &radii);
-        assert_eq!(d.graph_interference(), 0);
-    }
-
-    #[test]
-    fn from_physical_matches_the_batch_coverage_kernel() {
-        let t = Topology::from_pairs(
-            NodeSet::on_line(&[0.0, 0.3, 0.6, 0.9]),
-            &[(0, 1), (1, 2), (2, 3)],
-        );
-        let m = crate::physical::PhysModel::disk_equivalent(&t);
-        let mut d = DynamicInterference::from_physical(&t, &m);
-        let want = crate::physical::coverage_vector_naive(&m);
-        let got: Vec<usize> = (0..d.len()).map(|v| d.interference_at(v)).collect();
-        assert_eq!(got, want, "from_physical must reproduce the batch kernel");
-        // Edits keep agreeing with the hand oracle.
-        let radii: Vec<f64> = (0..m.len()).map(|u| m.coverage_radius(u)).collect();
-        d.remove_edge(1, 2);
-        check_physical_consistent(&d, &radii);
-        d.insert_edge(0, 2);
-        check_physical_consistent(&d, &radii);
-    }
-
-    #[test]
-    fn physical_node_arrival_carries_its_radius() {
-        let ns = NodeSet::on_line(&[0.0, 0.3]);
-        let mut d = DynamicInterference::new_physical(ns, &[0.4, 0.4]);
-        d.insert_edge(0, 1);
-        let v = d.insert_node_with_radius(Point::on_line(0.35), 2.0);
-        assert_eq!(d.interference_at(v), 2, "lands inside both pinned disks");
-        check_physical_consistent(&d, &[0.4, 0.4, 2.0]);
-        // Its first edge opens a disk of the pinned radius 2.0, not the
-        // link length.
-        d.insert_edge(v, 0);
-        check_physical_consistent(&d, &[0.4, 0.4, 2.0]);
-        assert_eq!(d.interference_at(1), 2, "the newcomer's big disk reaches node 1");
     }
 }

@@ -27,8 +27,6 @@
 //!   needs no edge list, from a topology or straight from points with
 //!   nearest-neighbour radii at 10⁶–10⁷ nodes,
 //! * [`parallel`] — the scoped-thread executor the kernels share,
-//! * [`physical`] — SINR physical-layer glue (`rim-phys` re-exports and
-//!   the disk-limit adapter behind the physical engines),
 //! * [`sender`] — the link-coverage measure of \[2\] for comparison,
 //! * [`dynamic`] — incrementally maintained interference under link
 //!   insertions/removals,
@@ -56,9 +54,6 @@ pub mod gathering;
 pub mod optimal;
 /// Dependency-free data parallelism on `std::thread::scope`.
 pub mod parallel;
-/// Physical-layer (SINR) model glue: `rim-phys` re-exports plus the
-/// disk-limit adapter behind the physical engines.
-pub mod physical;
 /// The receiver-centric interference measure (Definitions 3.1 and 3.2).
 pub mod receiver;
 /// Streaming million-node interference kernel (UDG-free, SoA layout).

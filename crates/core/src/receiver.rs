@@ -14,17 +14,10 @@
 //! Both evaluate the identical predicate `deg(u) > 0 && dist(u,v) <=
 //! r_u` at distance level, so they agree *exactly* — not approximately
 //! — on every input.
-//!
-//! Two further engines route through the physical-layer (SINR) model of
-//! `rim-phys` in its disk-equivalent instantiation:
-//! [`Engine::PhysicalNaive`] and [`Engine::PhysicalIndexed`] compute the
-//! same counts via transmit powers and log-distance path loss, and the
-//! disk-limit theorem (`DESIGN.md` §11) makes them agree bit-for-bit
-//! with the disk kernels — a differential-tested contract.
 
 use crate::parallel::num_threads;
 use crate::stream::StreamInstance;
-use rim_geom::SoaGrid;
+use rim_geom::{Point, SoaGrid};
 use rim_udg::Topology;
 
 /// Strategy selector for the batch interference kernels.
@@ -36,13 +29,6 @@ use rim_udg::Topology;
 pub enum Engine {
     /// All-pairs `O(n²)` scan — the oracle every other engine must match.
     Naive,
-    /// Disk-equivalent physical (SINR) model, all-pairs coverage scan —
-    /// exercises the `rim-phys` path-loss pipeline end to end while the
-    /// disk-limit theorem keeps the counts bit-identical to [`Engine::Naive`].
-    PhysicalNaive,
-    /// Disk-equivalent physical model with one coverage-disk query per
-    /// transmitter over the shared [`SoaGrid`].
-    PhysicalIndexed,
     /// The one fast path: the structure-of-arrays scatter
     /// ([`StreamInstance::from_topology`]) on all cores, at every size.
     #[default]
@@ -52,19 +38,12 @@ pub enum Engine {
 impl Engine {
     /// All selectable engines, in oracle-first order (useful for tests
     /// and help text).
-    pub const ALL: [Engine; 4] = [
-        Engine::Naive,
-        Engine::PhysicalNaive,
-        Engine::PhysicalIndexed,
-        Engine::Auto,
-    ];
+    pub const ALL: [Engine; 2] = [Engine::Naive, Engine::Auto];
 
     /// The CLI-facing name of this engine.
     pub fn name(self) -> &'static str {
         match self {
             Engine::Naive => "naive",
-            Engine::PhysicalNaive => "physical-naive",
-            Engine::PhysicalIndexed => "physical-indexed",
             Engine::Auto => "auto",
         }
     }
@@ -76,12 +55,8 @@ impl std::str::FromStr for Engine {
     fn from_str(s: &str) -> Result<Engine, String> {
         match s {
             "naive" => Ok(Engine::Naive),
-            "physical-naive" => Ok(Engine::PhysicalNaive),
-            "physical-indexed" => Ok(Engine::PhysicalIndexed),
             "auto" => Ok(Engine::Auto),
-            other => Err(format!(
-                "unknown engine `{other}` (expected naive|auto|physical-naive|physical-indexed)"
-            )),
+            other => Err(format!("unknown engine `{other}` (expected naive|auto)")),
         }
     }
 }
@@ -132,21 +107,21 @@ pub fn interference_vector_naive(t: &Topology) -> Vec<usize> {
     out
 }
 
-/// Builds the spatial index the fast kernel scatters over: the median
-/// positive radius makes a good cell hint (it balances bucket population
-/// against buckets touched per query), and the grid splits the cells a
-/// skewed spread overloads. Public so
-/// other layers computing coverage relations (e.g. the simulator's PHY
-/// tables) share the same heuristic.
-pub fn build_index(t: &Topology) -> SoaGrid {
+/// Builds the spatial index a disk scatter over `points` runs on, given
+/// the query radii it will ask: the median positive radius makes a good
+/// cell hint (it balances bucket population against buckets touched per
+/// query), and the grid splits the cells a skewed spread overloads.
+/// Public so other layers computing coverage relations (the simulator's
+/// PHY tables, the SINR model's cutoff disks) share the same heuristic.
+pub fn build_index(points: &[Point], radii: impl IntoIterator<Item = f64>) -> SoaGrid {
     let _span = rim_obs::span("interference/index_build");
-    let mut radii: Vec<f64> = t.radii().iter().copied().filter(|&r| r > 0.0).collect();
-    let hint = if radii.is_empty() {
-        1.0 // edgeless: nobody transmits, any index shape works
+    let mut positive: Vec<f64> = radii.into_iter().filter(|&r| r > 0.0).collect();
+    let hint = if positive.is_empty() {
+        1.0 // nobody transmits past distance 0: any index shape works
     } else {
-        upper_median(&mut radii)
+        upper_median(&mut positive)
     };
-    SoaGrid::from_points(t.nodes().points(), hint)
+    SoaGrid::from_points(points, hint)
 }
 
 /// The element at index `len / 2` of `values` sorted by
@@ -166,14 +141,10 @@ pub fn interference_vector_with(t: &Topology, engine: Engine) -> Vec<usize> {
     }
     let _span = rim_obs::span(match engine {
         Engine::Naive => "interference/naive",
-        Engine::PhysicalNaive => "interference/physical_naive",
-        Engine::PhysicalIndexed => "interference/physical_indexed",
         Engine::Auto => "interference/auto",
     });
     match engine {
         Engine::Naive => interference_vector_naive(t),
-        Engine::PhysicalNaive => crate::physical::disk_limit_vector(t, false),
-        Engine::PhysicalIndexed => crate::physical::disk_limit_vector(t, true),
         Engine::Auto => StreamInstance::from_topology(t)
             .interference_counts_sharded(num_threads())
             .into_iter()
@@ -373,7 +344,14 @@ mod tests {
         for e in Engine::ALL {
             assert_eq!(e.name().parse::<Engine>(), Ok(e));
         }
-        for gone in ["grid", "indexed", "parallel", "streaming"] {
+        for gone in [
+            "grid",
+            "indexed",
+            "parallel",
+            "streaming",
+            "physical-naive",
+            "physical-indexed",
+        ] {
             assert!(gone.parse::<Engine>().is_err(), "{gone}");
         }
         assert_eq!(Engine::default(), Engine::Auto);

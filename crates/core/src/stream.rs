@@ -14,13 +14,16 @@
 //! anywhere in the hot path. This scatter is the workspace's one fast
 //! receiver kernel.
 //!
-//! Radii come from either source:
+//! Radii come from one of three sources:
 //!
 //! * [`StreamInstance::from_topology`] copies an existing topology's
 //!   radius assignment (silent nodes, `deg = 0`, are marked and skipped
 //!   exactly as the naive oracle skips them) — this is the path behind
 //!   [`crate::receiver::Engine::Auto`], and it is differential-tested to
 //!   be **bit-identical** to [`crate::interference_vector_naive`].
+//! * [`StreamInstance::with_radii`] takes any per-node radius, or none
+//!   for a silent node — the constructor `from_topology` calls, and the
+//!   one `rim-phys` scatters its power-derived coverage radii through.
 //! * [`StreamInstance::with_nn_radii`] assigns every node its
 //!   nearest-neighbor distance as radius, entirely from the index — the
 //!   streaming analogue of the nearest-neighbor-forest radius
@@ -38,7 +41,7 @@
 //! `rim analyze --generate` reports against.
 
 use crate::parallel::{num_threads, par_fill_chunks, par_scatter_u32};
-use rim_geom::{GridCapacityError, SoaGrid, SoaPoints};
+use rim_geom::{GridCapacityError, Point, SoaGrid, SoaPoints};
 use rim_udg::Topology;
 
 /// Target number of senders per parallel chunk.
@@ -79,23 +82,29 @@ pub struct StreamInstance {
 
 impl StreamInstance {
     /// Builds a streaming instance carrying an existing topology's
-    /// radius assignment over [`crate::receiver::build_index`]'s grid.
-    /// Nodes with no neighbors are marked silent and contribute nothing,
-    /// exactly as in [`crate::interference_vector_naive`]; the counts are
-    /// therefore bit-identical to every other engine on the same
-    /// topology.
+    /// radius assignment ([`StreamInstance::with_radii`]). Nodes with no
+    /// neighbors are marked silent and contribute nothing, exactly as in
+    /// [`crate::interference_vector_naive`]; the counts are therefore
+    /// bit-identical to every other engine on the same topology.
     pub fn from_topology(t: &Topology) -> Self {
         let _span = rim_obs::span("stream/build_from_topology");
-        let grid = crate::receiver::build_index(t);
-        let radii: Vec<f64> = (0..grid.len())
-            .map(|k| {
-                let u = grid.item(k);
-                if t.graph().degree(u) == 0 {
-                    SILENT
-                } else {
-                    t.radius(u)
-                }
-            })
+        let radii: Vec<Option<f64>> = (0..t.num_nodes())
+            .map(|u| (t.graph().degree(u) > 0).then(|| t.radius(u)))
+            .collect();
+        Self::with_radii(t.nodes().points(), &radii)
+    }
+
+    /// Builds a streaming instance over [`crate::receiver::build_index`]'s
+    /// grid in which node `u` transmits with radius `r` when `radii[u]`
+    /// is `Some(r)`, `r >= 0`, and is silent when it is `None`. The
+    /// counts are exactly `I(v) = #{u != v : radii[u] = Some(r),
+    /// dist(u, v) <= r}`.
+    // rim-lint: allow(panic-freedom) — grid items are a permutation of `0..points.len()`, and the lengths are asserted equal
+    pub fn with_radii(points: &[Point], radii: &[Option<f64>]) -> Self {
+        assert_eq!(points.len(), radii.len(), "one radius (or none) per point");
+        let grid = crate::receiver::build_index(points, radii.iter().flatten().copied());
+        let radii = (0..grid.len())
+            .map(|k| radii[grid.item(k)].unwrap_or(SILENT))
             .collect();
         StreamInstance { grid, radii }
     }

@@ -16,7 +16,6 @@
 //!   one structure serves every spread,
 //! * [`DynGrid`] — that grid plus a bucketed arrival overlay and per-cell
 //!   radius bounds, the incremental engine's index,
-//! * [`closest_pair()`] — divide-and-conquer closest pair,
 //! * [`convex_hull`] — Andrew's monotone chain.
 //!
 //! # Floating-point policy
@@ -39,7 +38,6 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod bbox;
-pub mod closest_pair;
 pub mod delaunay;
 pub mod disk;
 pub mod dyn_grid;
@@ -50,7 +48,6 @@ pub mod soa;
 pub mod soa_grid;
 
 pub use bbox::Aabb;
-pub use closest_pair::{closest_pair, closest_pair_brute_force};
 pub use delaunay::{delaunay, Delaunay};
 pub use disk::Disk;
 pub use dyn_grid::DynGrid;

@@ -11,7 +11,7 @@
 //! fill — comes from [`crate::grid`].
 //!
 //! The same structure serves the `Point`-slice callers (UDG
-//! construction, the batch and physical engines), the
+//! construction, the simulator's coverage lists, the SINR kernels), the
 //! million-node streaming kernels and, under [`crate::DynGrid`], the
 //! incremental engine. Query semantics are the *closed* distance-level
 //! predicate `dist(p, c) <= r` (see the crate-level floating-point

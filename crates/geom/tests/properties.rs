@@ -2,7 +2,7 @@
 //! their brute-force counterparts on arbitrary inputs (seeded in-repo
 //! harness, `rim_rng::prop`).
 
-use rim_geom::{closest_pair, closest_pair_brute_force, convex_hull, DynGrid, Point, SoaGrid};
+use rim_geom::{convex_hull, DynGrid, Point, SoaGrid};
 use rim_rng::prop::{check, check_default};
 use rim_rng::{prop_ensure, prop_ensure_eq, SmallRng};
 
@@ -446,31 +446,6 @@ fn dyn_grid_nearest_k_matches_brute_force() {
         },
     );
     assert_splits("dyn_grid_nearest_k_matches_brute_force", split, 512);
-}
-
-#[test]
-fn closest_pair_matches_brute_force() {
-    check_default(
-        "closest_pair_matches_brute_force",
-        |rng| arb_points(rng, 80),
-        |pts| {
-            let fast = closest_pair(pts);
-            let brute = closest_pair_brute_force(pts);
-            match (fast, brute) {
-                (None, None) => Ok(()),
-                (Some((_, _, df)), Some((_, _, db))) => {
-                    prop_ensure!(
-                        df.total_cmp(&db).is_eq(),
-                        "closest-pair distance {} != brute {}",
-                        df,
-                        db
-                    );
-                    Ok(())
-                }
-                _ => Err("existence mismatch".into()),
-            }
-        },
-    );
 }
 
 #[test]

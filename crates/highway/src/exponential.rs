@@ -5,6 +5,13 @@ use crate::instance::HighwayInstance;
 use rim_geom::Point;
 use rim_udg::{NodeSet, Topology};
 
+/// The most nodes [`exponential_chain`] builds. The limit is set by
+/// distance *squaring*, not representability: the smallest gap is
+/// `2^{-(n-1)}`, and `Point::dist` squares it, so past 512 nodes the
+/// square drops below the smallest normal f64 and nearby nodes collapse
+/// to distance zero.
+pub const MAX_CHAIN_NODES: usize = 512;
+
 /// Builds the exponential node chain with `n` nodes, scaled so the whole
 /// chain spans less than 1 (the paper's assumption: every node can reach
 /// every other, hence `Δ = n − 1`).
@@ -14,11 +21,7 @@ use rim_udg::{NodeSet, Topology};
 /// every coordinate and every gap stays exactly representable.
 pub fn exponential_chain(n: usize) -> HighwayInstance {
     assert!(n >= 1, "chain needs at least one node");
-    // The limit is set by distance *squaring*, not representability:
-    // the smallest gap is `2^{-(n-1)}`, and `Point::dist` squares it,
-    // so past n = 512 the square drops below the smallest normal f64
-    // and nearby nodes collapse to distance zero.
-    assert!(n <= 512, "chain too long for f64 dynamic range");
+    assert!(n <= MAX_CHAIN_NODES, "chain too long for f64 dynamic range");
     let scale = 2f64.powi(-(n as i32 - 1));
     HighwayInstance::new(
         (0..n)

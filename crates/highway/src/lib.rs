@@ -49,5 +49,5 @@ pub use a_apx::{a_apx, ApxChoice};
 pub use a_exp::a_exp;
 pub use a_gen::a_gen;
 pub use critical::gamma;
-pub use exponential::{exponential_chain, two_chains};
+pub use exponential::{exponential_chain, two_chains, MAX_CHAIN_NODES};
 pub use instance::HighwayInstance;

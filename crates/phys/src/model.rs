@@ -1,7 +1,9 @@
 //! The physical model: parameters, per-node derived state, and the
 //! disk-equivalent construction.
 
-use crate::pathloss::{coverage_range, db_to_linear, standard_normal};
+use crate::pathloss::{
+    coverage_range, db_to_linear, dbm_to_mw, standard_normal, standard_normal_max,
+};
 use rim_geom::Point;
 use rim_rng::SmallRng;
 use rim_udg::Topology;
@@ -52,26 +54,120 @@ impl Default for PhysParams {
     }
 }
 
+/// Headroom every received power keeps below `f64::MAX`: a SINR sum
+/// adds fewer than `2^32` of them (the grid's id range), and twice that
+/// leaves room for the sum's rounding.
+const SUM_HEADROOM: f64 = (1u64 << 33) as f64;
+
+/// A link budget [`PhysParams::from_link_budget`] rejects: the figure
+/// at fault, by its flag name (`alpha`, `power-dbm`, `theta-dbm`,
+/// `noise-dbm`, `beta-db` or `sigma-db`), and why.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LinkBudgetError {
+    /// The rejected figure.
+    pub figure: &'static str,
+    /// Why it was rejected.
+    pub reason: String,
+}
+
+impl std::fmt::Display for LinkBudgetError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}: {}", self.figure, self.reason)
+    }
+}
+
+impl std::error::Error for LinkBudgetError {}
+
+/// `to_linear(level)`, if `level` is finite and its linear value is
+/// positive and finite.
+fn linear(
+    figure: &'static str,
+    level: f64,
+    to_linear: fn(f64) -> f64,
+) -> Result<f64, LinkBudgetError> {
+    let value = to_linear(level);
+    if level.is_finite() && value > 0.0 && value.is_finite() {
+        Ok(value)
+    } else {
+        Err(LinkBudgetError {
+            figure,
+            reason: "must be finite, with a positive, finite linear value".to_string(),
+        })
+    }
+}
+
 impl PhysParams {
-    /// Builds parameters from radio-style log-domain figures:
-    /// sensitivity and noise floor in dBm, SINR threshold in dB.
+    /// Builds parameters from radio-style log-domain figures — every
+    /// node's transmit power, the sensitivity and the noise floor in
+    /// dBm, the SINR threshold and the shadowing spread in dB — and
+    /// rejects any budget under which a model quantity would leave the
+    /// f64 range:
+    ///
+    /// * `alpha` must be finite and positive, and the near-field path
+    ///   gain `near_field^-α` finite with room to sum received powers;
+    /// * every dBm and dB figure must be finite, with a positive,
+    ///   finite linear value, and `sigma_db >= 0`;
+    /// * the strongest received power — the transmit power, raised by
+    ///   the largest shadowing draw [`standard_normal`] can return and
+    ///   received at the near-field distance — must leave the same
+    ///   room, so every effective power, received power and SINR sum of
+    ///   the model is finite. (A tiny `alpha` can still make a coverage
+    ///   radius infinite: that node covers every other.)
+    ///
+    /// This is the one place link-budget figures from outside the
+    /// program are checked; [`PhysModel::with_params`] asserts only the
+    /// powers it is handed.
     pub fn from_link_budget(
         alpha: f64,
+        power_dbm: f64,
         theta_dbm: f64,
         noise_dbm: f64,
         beta_db: f64,
         sigma_db: f64,
         shadow_seed: u64,
-    ) -> PhysParams {
-        PhysParams {
+    ) -> Result<PhysParams, LinkBudgetError> {
+        let near_field = PhysParams::default().near_field;
+        let near_gain = near_field.powf(-alpha);
+        if !(alpha.is_finite() && alpha > 0.0 && (near_gain * SUM_HEADROOM).is_finite()) {
+            return Err(LinkBudgetError {
+                figure: "alpha",
+                reason: format!(
+                    "must be finite and > 0, with a finite path gain at the near-field \
+                     distance {near_field}"
+                ),
+            });
+        }
+        let power_mw = linear("power-dbm", power_dbm, dbm_to_mw)?;
+        let theta_mw = linear("theta-dbm", theta_dbm, dbm_to_mw)?;
+        let noise_mw = linear("noise-dbm", noise_dbm, dbm_to_mw)?;
+        let beta = linear("beta-db", beta_db, db_to_linear)?;
+        if !(sigma_db.is_finite() && sigma_db >= 0.0) {
+            return Err(LinkBudgetError {
+                figure: "sigma-db",
+                reason: "must be finite and >= 0".to_string(),
+            });
+        }
+        let strongest_mw = power_mw * db_to_linear(sigma_db * standard_normal_max());
+        for (figure, tx_mw) in [("power-dbm", power_mw), ("sigma-db", strongest_mw)] {
+            if !(tx_mw * near_gain * SUM_HEADROOM).is_finite() {
+                return Err(LinkBudgetError {
+                    figure,
+                    reason: format!(
+                        "transmit powers up to {tx_mw:e} mW would be received past the f64 \
+                         range at the near-field distance {near_field} for this alpha"
+                    ),
+                });
+            }
+        }
+        Ok(PhysParams {
             alpha,
-            theta_mw: crate::pathloss::dbm_to_mw(theta_dbm),
-            noise_mw: crate::pathloss::dbm_to_mw(noise_dbm),
-            beta: db_to_linear(beta_db),
+            theta_mw,
+            noise_mw,
+            beta,
             sigma_db,
             shadow_seed,
             ..PhysParams::default()
-        }
+        })
     }
 }
 
@@ -176,6 +272,11 @@ impl PhysModel {
     /// The model parameters.
     pub fn params(&self) -> &PhysParams {
         &self.params
+    }
+
+    /// Every node's position, in node order.
+    pub fn points(&self) -> &[Point] {
+        &self.points
     }
 
     /// Position of node `u`.

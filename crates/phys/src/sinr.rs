@@ -1,33 +1,26 @@
 //! Coverage and SINR kernels over a [`PhysModel`], plus the
-//! precomputed [`SinrTable`] the simulator's reception check uses.
+//! precomputed [`SinrTable`] SINR-threshold reception uses.
 //!
 //! Exactness contract (mirrors `rim-core::receiver`): the naive and
-//! indexed kernels evaluate the *same closed predicate at distance
-//! level* (`dist(u,v) <= ρ_u`, resp. `<= c_u`) and accumulate per
-//! receiver in the *same ascending-sender order*, so their outputs are
-//! bit-identical — for the integer coverage counts trivially, and for
-//! the floating-point SINR sums because the additions into each
-//! `out[v]` slot happen in the identical sequence with identical
-//! addends.
+//! fast kernels evaluate the *same closed predicate at distance level*
+//! (`dist(u,v) <= ρ_u`, resp. `<= c_u`), so their outputs are
+//! bit-identical. The coverage counts are integers, so
+//! [`physical_interference_vector`] runs the disk model's own scatter
+//! ([`StreamInstance`]) over the radii `ρ_u`. The SINR kernels
+//! accumulate per receiver in the *same ascending-sender order*, so the
+//! additions into each `out[v]` slot happen in the identical sequence
+//! with identical addends.
 
 use crate::model::PhysModel;
+use rim_core::parallel::num_threads;
+use rim_core::receiver::build_index;
+use rim_core::StreamInstance;
 use rim_geom::SoaGrid;
 
-/// Builds the spatial index the physical kernels scatter over: the
-/// median positive cutoff radius makes a good cell hint, same
-/// heuristic as the disk engines' `build_index`.
-// rim-lint: allow(panic-freedom) — the median index is guarded by the is_empty branch
-pub fn build_phys_index(m: &PhysModel) -> SoaGrid {
-    let _span = rim_obs::span("phys/index_build");
-    let mut cutoffs: Vec<f64> = (0..m.len()).map(|u| m.cutoff(u)).filter(|&c| c > 0.0).collect();
-    let hint = if cutoffs.is_empty() {
-        1.0 // all-silent model: nothing will be queried, any shape works
-    } else {
-        cutoffs.sort_unstable_by(f64::total_cmp);
-        cutoffs[cutoffs.len() / 2]
-    };
-    let points: Vec<rim_geom::Point> = (0..m.len()).map(|u| m.pos(u)).collect();
-    SoaGrid::from_points(&points, hint)
+/// The grid the cutoff-disk kernels scan: the disk kernels' index
+/// heuristic ([`build_index`]) over the cutoff radii `c_u`.
+fn build_phys_index(m: &PhysModel) -> SoaGrid {
+    build_index(m.points(), (0..m.len()).map(|u| m.cutoff(u)))
 }
 
 /// Physical coverage counts, reference `O(n²)` implementation:
@@ -51,37 +44,20 @@ pub fn coverage_vector_naive(m: &PhysModel) -> Vec<usize> {
     out
 }
 
-/// Physical coverage counts via one closed-disk query of radius `ρ_u`
-/// per transmitter — same predicate at distance level as the naive
-/// kernel, so the counts agree exactly.
-pub fn coverage_vector_indexed(m: &PhysModel, index: &SoaGrid) -> Vec<usize> {
-    let n = m.len();
-    let mut out = vec![0usize; n];
-    let mut queries = 0u64;
-    for u in 0..n {
-        if !m.transmits(u) {
-            continue;
-        }
-        queries += 1;
-        index.for_each_in_disk(m.pos(u), m.coverage_radius(u), |v| {
-            if v != u {
-                out[v] += 1;
-            }
-        });
-    }
-    rim_obs::counter_add("phys.coverage_queries", queries);
-    out
-}
-
-/// Physical coverage counts via an explicit engine choice; the two
-/// engines agree bit-for-bit (differential-tested).
-pub fn physical_interference_vector_with(m: &PhysModel, indexed: bool) -> Vec<usize> {
-    let _span = rim_obs::span(if indexed { "phys/coverage_indexed" } else { "phys/coverage_naive" });
-    if indexed {
-        coverage_vector_indexed(m, &build_phys_index(m))
-    } else {
-        coverage_vector_naive(m)
-    }
+/// Physical coverage counts, the fast kernel: the disk model's
+/// structure-of-arrays scatter ([`StreamInstance::with_radii`]) on all
+/// cores, with transmitter `u` at radius `ρ_u` and every node that
+/// does not transmit silent. Equal to [`coverage_vector_naive`] on
+/// every model (differential-tested).
+pub fn physical_interference_vector(m: &PhysModel) -> Vec<usize> {
+    let _span = rim_obs::span("phys/coverage");
+    let radii: Vec<Option<f64>> =
+        (0..m.len()).map(|u| m.transmits(u).then(|| m.coverage_radius(u))).collect();
+    StreamInstance::with_radii(m.points(), &radii)
+        .interference_counts_sharded(num_threads())
+        .into_iter()
+        .map(|c| c as usize)
+        .collect()
 }
 
 /// Per-node interference power (mW), reference `O(n²)` implementation:
@@ -114,14 +90,17 @@ pub fn sinr_interference_naive(m: &PhysModel) -> Vec<f64> {
 }
 
 /// Per-node interference power via one closed-disk query of the
-/// conservative cutoff radius `c_u` per transmitter.
+/// conservative cutoff radius `c_u` per transmitter, over a grid built
+/// for the cutoffs.
 ///
 /// Correctness of the cutoff: `c_u` is *model semantics*, not an
 /// approximation knob — both kernels drop exactly the contributions
 /// below the noise floor, so the indexed sums equal the naive oracle's
 /// bit-for-bit (identical addends, identical per-receiver order; see
 /// the module docs and `DESIGN.md` §11).
-pub fn sinr_interference_indexed(m: &PhysModel, index: &SoaGrid) -> Vec<f64> {
+pub fn sinr_interference_indexed(m: &PhysModel) -> Vec<f64> {
+    let _span = rim_obs::span("phys/sinr_indexed");
+    let index = build_phys_index(m);
     let n = m.len();
     let mut out = vec![0.0f64; n];
     let mut queries = 0u64;
@@ -139,17 +118,6 @@ pub fn sinr_interference_indexed(m: &PhysModel, index: &SoaGrid) -> Vec<f64> {
     }
     rim_obs::counter_add("phys.cutoff_queries", queries);
     out
-}
-
-/// Per-node interference power via an explicit engine choice; the two
-/// engines agree bit-for-bit (differential-tested).
-pub fn sinr_interference_with(m: &PhysModel, indexed: bool) -> Vec<f64> {
-    let _span = rim_obs::span(if indexed { "phys/sinr_indexed" } else { "phys/sinr_naive" });
-    if indexed {
-        sinr_interference_indexed(m, &build_phys_index(m))
-    } else {
-        sinr_interference_naive(m)
-    }
 }
 
 /// Precomputed SINR reception state: for each receiver, every
@@ -235,23 +203,22 @@ mod tests {
     #[test]
     fn indexed_kernels_match_naive_bitwise() {
         let m = chain_model();
-        let index = build_phys_index(&m);
-        assert_eq!(coverage_vector_naive(&m), coverage_vector_indexed(&m, &index));
+        assert_eq!(coverage_vector_naive(&m), physical_interference_vector(&m));
         let naive: Vec<u64> = sinr_interference_naive(&m).iter().map(|x| x.to_bits()).collect();
-        let fast: Vec<u64> =
-            sinr_interference_indexed(&m, &index).iter().map(|x| x.to_bits()).collect();
+        let fast: Vec<u64> = sinr_interference_indexed(&m).iter().map(|x| x.to_bits()).collect();
         assert_eq!(naive, fast);
     }
 
     #[test]
-    fn dispatch_agrees_with_kernels() {
-        let m = chain_model();
-        assert_eq!(physical_interference_vector_with(&m, true), coverage_vector_naive(&m));
-        assert_eq!(physical_interference_vector_with(&m, false), coverage_vector_naive(&m));
-        let with: Vec<u64> =
-            sinr_interference_with(&m, true).iter().map(|x| x.to_bits()).collect();
-        let naive: Vec<u64> = sinr_interference_naive(&m).iter().map(|x| x.to_bits()).collect();
-        assert_eq!(with, naive);
+    fn disk_limit_vector_matches_the_oracle_on_a_chain() {
+        let t = Topology::from_pairs(
+            NodeSet::on_line(&[0.0, 0.3, 0.6, 0.9]),
+            &[(0, 1), (1, 2), (2, 3)],
+        );
+        let m = PhysModel::disk_equivalent(&t);
+        let oracle = rim_core::interference_vector_naive(&t);
+        assert_eq!(coverage_vector_naive(&m), oracle);
+        assert_eq!(physical_interference_vector(&m), oracle);
     }
 
     #[test]
@@ -259,6 +226,7 @@ mod tests {
         let t = Topology::empty(NodeSet::on_line(&[0.0, 0.5, 1.0]));
         let m = PhysModel::with_params(&t, PhysParams::default(), &[1.0, 1.0, 1.0]);
         assert_eq!(coverage_vector_naive(&m), vec![0, 0, 0]);
+        assert_eq!(physical_interference_vector(&m), vec![0, 0, 0]);
         assert!(sinr_interference_naive(&m).iter().all(|&p_mw| p_mw == 0.0)); // rim-lint: allow(float-eq) — exact zero: no addend was ever summed
     }
 

@@ -3,8 +3,8 @@
 //! whole power domain.
 
 use rim_phys::{
-    coverage_vector_naive, sinr_interference_naive, sinr_interference_with, PhysModel, PhysParams,
-    SinrTable,
+    coverage_vector_naive, sinr_interference_indexed, sinr_interference_naive, PhysModel,
+    PhysParams, SinrTable,
 };
 use rim_geom::Point;
 use rim_rng::prop::check;
@@ -163,8 +163,8 @@ fn power_of_two_rescaling_is_exact() {
                 coverage_vector_naive(&base) == coverage_vector_naive(&scaled),
                 "coverage counts changed under a 2^{k} rescale"
             );
-            let sums = sinr_interference_with(&base, false);
-            let scaled_sums = sinr_interference_with(&scaled, true);
+            let sums = sinr_interference_naive(&base);
+            let scaled_sums = sinr_interference_indexed(&scaled);
             for (v, (&s, &ss)) in sums.iter().zip(&scaled_sums).enumerate() {
                 prop_ensure!(
                     // rim-lint: allow(float-eq) — comparing u64 bit patterns; exactness is the property

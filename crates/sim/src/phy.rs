@@ -1,9 +1,7 @@
-//! PHY layer: precomputed coverage under the disk interference model,
-//! plus the physical-model variant built from SINR coverage radii
-//! (`rim_core::physical`; SINR-threshold reception itself lives in
-//! [`rim_core::physical::SinrTable`]).
+//! PHY layer: precomputed coverage under the disk interference model.
+//! SINR-threshold reception is a refinement on top of it and lives in
+//! `rim-phys` (`SinrTable`).
 
-use rim_core::physical::{build_phys_index, PhysModel};
 use rim_core::receiver::build_index;
 use rim_udg::Topology;
 
@@ -33,7 +31,7 @@ impl Coverage {
     pub fn of(t: &Topology) -> Self {
         let n = t.num_nodes();
         let nodes = t.nodes();
-        let index = build_index(t);
+        let index = build_index(nodes.points(), t.radii().iter().copied());
         let mut coverers = vec![Vec::new(); n];
         let mut covered = vec![Vec::new(); n];
         for u in 0..n {
@@ -41,31 +39,6 @@ impl Coverage {
                 continue; // never transmits
             }
             index.for_each_in_disk(nodes.pos(u), t.radius(u), |v| {
-                if v != u {
-                    coverers[v].push(u as u32);
-                    covered[u].push(v as u32);
-                }
-            });
-            covered[u].sort_unstable();
-        }
-        Coverage { coverers, covered }
-    }
-
-    /// Builds the coverage relation under a physical (SINR) model:
-    /// transmitter `u` covers `v` iff `|uv| <= ρ_u`, with `ρ_u` the
-    /// power-derived coverage radius. For [`PhysModel::disk_equivalent`]
-    /// the lists equal [`Coverage::of`]'s exactly (the disk-limit
-    /// theorem, `DESIGN.md` §11) — a differential-tested contract.
-    pub fn of_physical(m: &PhysModel) -> Self {
-        let n = m.len();
-        let index = build_phys_index(m);
-        let mut coverers = vec![Vec::new(); n];
-        let mut covered = vec![Vec::new(); n];
-        for u in 0..n {
-            if !m.transmits(u) {
-                continue; // silent
-            }
-            index.for_each_in_disk(m.pos(u), m.coverage_radius(u), |v| {
                 if v != u {
                     coverers[v].push(u as u32);
                     covered[u].push(v as u32);
@@ -169,22 +142,12 @@ mod tests {
     }
 
     #[test]
-    fn physical_coverage_matches_disk_coverage_in_the_disk_limit() {
-        let t = chain();
-        let m = PhysModel::disk_equivalent(&t);
-        let disk = Coverage::of(&t);
-        let phys = Coverage::of_physical(&m);
-        assert_eq!(phys.coverers, disk.coverers, "coverer lists must be identical");
-        assert_eq!(phys.covered, disk.covered, "covered lists must be identical");
-    }
-
-    #[test]
     fn sinr_reception_agrees_with_boolean_reception_on_the_chain() {
         // In the disk limit (β = 1, noise ≈ 0) SINR reception over a
         // uniform chain reduces to the boolean rule: a frame u → v on a
         // link survives iff no other coverer of v transmits. Check every
         // transmit pattern of the four nodes, for every link, both ways.
-        use rim_core::physical::SinrTable;
+        use rim_phys::{PhysModel, SinrTable};
         let t = chain();
         let m = PhysModel::disk_equivalent(&t);
         let disk = Coverage::of(&t);

@@ -62,14 +62,6 @@ impl Simulator {
     /// under [`MacConfig::Tdma`] — the conflict-free link schedule.
     pub fn new(topology: Topology, cfg: SimConfig) -> Self {
         let coverage = Coverage::of(&topology);
-        Simulator::with_coverage(topology, cfg, coverage)
-    }
-
-    /// Prepares a simulator over an explicitly supplied coverage
-    /// relation — e.g. [`Coverage::of_physical`] for runs under a
-    /// physical (SINR) model instead of the disk abstraction. Routing
-    /// and scheduling still follow the topology's links.
-    pub fn with_coverage(topology: Topology, cfg: SimConfig, coverage: Coverage) -> Self {
         let _span = rim_obs::span("sim/prepare");
         let next_hop = routing_table(topology.graph());
         let tdma_frame = if matches!(cfg.mac, MacConfig::Tdma) {

@@ -58,7 +58,7 @@ pub fn is_gabriel_edge(nodes: &NodeSet, udg: &AdjacencyList, u: usize, v: usize)
 /// `udg` must be the unit disk graph of `nodes` at some range.
 pub fn gabriel_graph_with(nodes: &NodeSet, udg: &AdjacencyList, engine: Engine) -> Topology {
     match engine {
-        Engine::Naive | Engine::PhysicalNaive => {
+        Engine::Naive => {
             let mut g = AdjacencyList::new(nodes.len());
             for e in udg.edges() {
                 if is_gabriel_edge_naive(nodes, e.u, e.v) {
@@ -67,9 +67,7 @@ pub fn gabriel_graph_with(nodes: &NodeSet, udg: &AdjacencyList, engine: Engine) 
             }
             Topology::from_graph(nodes.clone(), g)
         }
-        Engine::Auto | Engine::PhysicalIndexed => {
-            gabriel_graph_parallel(nodes, udg, rim_par::auto_threads(nodes.len()))
-        }
+        Engine::Auto => gabriel_graph_parallel(nodes, udg, rim_par::auto_threads(nodes.len())),
     }
 }
 

@@ -204,15 +204,13 @@ pub fn lmst_with(
     engine: Engine,
 ) -> Topology {
     match engine {
-        Engine::Naive | Engine::PhysicalNaive => {
+        Engine::Naive => {
             let selections: Vec<Vec<usize>> = (0..nodes.len())
                 .map(|u| local_selection_naive(nodes, udg, u))
                 .collect();
             lmst_assemble(nodes, variant, |u| &selections[u])
         }
-        Engine::Auto | Engine::PhysicalIndexed => {
-            lmst_parallel(nodes, udg, variant, rim_par::auto_threads(nodes.len()))
-        }
+        Engine::Auto => lmst_parallel(nodes, udg, variant, rim_par::auto_threads(nodes.len())),
     }
 }
 

@@ -9,13 +9,10 @@
 //! count produces the same adjacency structure, not merely the same edge
 //! set.
 //!
-//! Every algorithm has two paths: [`crate::Engine::Naive`] (and its
-//! physical twin) runs the retained brute-force construction, and
-//! [`crate::Engine::Auto`] (and [`crate::Engine::PhysicalIndexed`]) runs
+//! Every algorithm has two paths: [`crate::Engine::Naive`] runs the
+//! retained brute-force construction, and [`crate::Engine::Auto`] runs
 //! the one fast path on [`rim_par::auto_threads`] workers — inline below
-//! [`rim_par::AUTO_PARALLEL_MIN`] nodes, on all cores from there. The
-//! physical engines only change how *interference* is evaluated, so here
-//! they mean what their disk twins mean.
+//! [`rim_par::AUTO_PARALLEL_MIN`] nodes, on all cores from there.
 //!
 //! The fast paths read everything off the UDG's own sorted neighbour
 //! lists, and build no spatial index. Their correctness rests on the

@@ -50,7 +50,7 @@ pub fn relative_neighborhood_graph_with(
     engine: Engine,
 ) -> Topology {
     match engine {
-        Engine::Naive | Engine::PhysicalNaive => {
+        Engine::Naive => {
             let mut g = AdjacencyList::new(nodes.len());
             for e in udg.edges() {
                 if is_rng_edge_naive(nodes, e.u, e.v) {
@@ -59,7 +59,7 @@ pub fn relative_neighborhood_graph_with(
             }
             Topology::from_graph(nodes.clone(), g)
         }
-        Engine::Auto | Engine::PhysicalIndexed => {
+        Engine::Auto => {
             relative_neighborhood_graph_parallel(nodes, udg, rim_par::auto_threads(nodes.len()))
         }
     }

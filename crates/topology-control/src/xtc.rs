@@ -66,13 +66,11 @@ pub fn keeps_edge_merged(nodes: &NodeSet, udg: &AdjacencyList, u: usize, v: usiz
 /// return the same topology.
 pub fn xtc_with(nodes: &NodeSet, udg: &AdjacencyList, engine: Engine) -> Topology {
     match engine {
-        Engine::Naive | Engine::PhysicalNaive => {
+        Engine::Naive => {
             let g = pipeline::filter_edges(udg, 1, |u, v| keeps_edge(nodes, udg, u, v));
             Topology::from_graph(nodes.clone(), g)
         }
-        Engine::Auto | Engine::PhysicalIndexed => {
-            xtc_parallel(nodes, udg, rim_par::auto_threads(nodes.len()))
-        }
+        Engine::Auto => xtc_parallel(nodes, udg, rim_par::auto_threads(nodes.len())),
     }
 }
 

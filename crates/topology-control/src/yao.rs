@@ -53,8 +53,8 @@ fn cone_selection(nodes: &NodeSet, udg: &AdjacencyList, u: usize, best: &mut [Op
 /// index.
 pub fn yao_graph_with(nodes: &NodeSet, udg: &AdjacencyList, k: usize, engine: Engine) -> Topology {
     let threads = match engine {
-        Engine::Naive | Engine::PhysicalNaive => 1,
-        Engine::Auto | Engine::PhysicalIndexed => rim_par::auto_threads(nodes.len()),
+        Engine::Naive => 1,
+        Engine::Auto => rim_par::auto_threads(nodes.len()),
     };
     yao_graph_parallel(nodes, udg, k, threads)
 }

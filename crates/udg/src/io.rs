@@ -42,14 +42,16 @@ fn significant_lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
 /// Whether coordinate `c` keeps every squared distance, and every sum of
 /// two (the Gabriel witness test), a finite normal f64 — so that the
 /// instance's answers are those of the same instance at any power-of-two
-/// scale: true for 0 and for `|c|` in `[2^-459, 2^509]`.
+/// scale: true for 0 and for `|c|` in `[2^-459, 2^509]`. The one range
+/// check for node coordinates: [`parse_nodes`] applies it to every file,
+/// and `rim generate` to every node it writes.
 ///
 /// * Upper bound: `|dx|, |dy| <= 2^510`, so `dx² + dy² <= 2^1021` and a
 ///   sum of two squared distances stays `<= 2^1022`.
 /// * Lower bound: a nonzero `c` with `|c| >= 2^-459` is a multiple of
 ///   its ulp, which is at least `2^-511`, so distinct coordinates differ
 ///   by at least `2^-511`, whose square `2^-1022` is normal.
-fn coordinate_in_range(c: f64) -> bool {
+pub fn coordinate_in_range(c: f64) -> bool {
     let m = c.abs();
     m <= 0.0 || (f64::from_bits((1023 - 459) << 52)..=f64::from_bits((1023 + 509) << 52)).contains(&m)
 }

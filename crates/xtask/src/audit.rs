@@ -178,13 +178,15 @@ pub fn audit_member(member: &Member, workspace_crates: &BTreeSet<String>, out: &
 ///
 /// The interference oracle guards the receiver-centric kernel; the
 /// witness-predicate oracles guard the neighbour-list Gabriel/RNG stages
-/// of the topology pipeline; the SINR oracle guards the indexed
-/// physical-model kernel of `rim-phys`.
+/// of the topology pipeline; the SINR and coverage oracles guard
+/// `rim-phys`'s cutoff-disk kernel and its coverage counts, which run
+/// the receiver kernel's scatter on power-derived radii.
 pub const RETAINED_ORACLES: &[&str] = &[
     "interference_vector_naive",
     "is_gabriel_edge_naive",
     "is_rng_edge_naive",
     "sinr_interference_naive",
+    "coverage_vector_naive",
 ];
 
 /// `naive-oracle-retained`: an oracle in [`RETAINED_ORACLES`] is
@@ -228,8 +230,9 @@ pub fn audit_oracle_retained_graph(ws: &Workspace, out: &mut Vec<Diagnostic>) {
 
 /// Root functions whose entire call closure must be panic-free: the
 /// interference kernel, the dynamic-update entry points, the parallel
-/// executor, the topology-pipeline stages, and the file and CLI spec
-/// parsers. These run inside the long-lived services the ROADMAP plans
+/// executor, the topology-pipeline stages, the file and CLI spec
+/// parsers, and the checks of the CLI's real-valued flags and link
+/// budgets. These run inside the long-lived services the ROADMAP plans
 /// (`rim-serve`, the churn simulator), where a panic is an availability
 /// bug, not a backtrace.
 pub const PANIC_FREE_ROOTS: &[&str] = &[
@@ -244,8 +247,8 @@ pub const PANIC_FREE_ROOTS: &[&str] = &[
     "is_rng_edge",
     "selection",
     "keeps_edge_merged",
-    "physical_interference_vector_with",
-    "sinr_interference_with",
+    "physical_interference_vector",
+    "sinr_interference_indexed",
     "interference_counts",
     "interference_counts_sharded",
     "par_scatter_u32",
@@ -270,6 +273,9 @@ pub const PANIC_FREE_ROOTS: &[&str] = &[
     "parse_topology",
     "parse_generate_spec",
     "parse_trace_spec",
+    "from_link_budget",
+    "positive_length",
+    "check_generated",
 ];
 
 /// Finds the first occurrence of each token-level panicking construct
@@ -915,6 +921,7 @@ mod tests {
             "is_gabriel_edge_naive",
             "is_rng_edge_naive",
             "sinr_interference_naive",
+            "coverage_vector_naive",
         ] {
             assert!(RETAINED_ORACLES.contains(&name), "{name} missing");
         }

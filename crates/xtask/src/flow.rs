@@ -763,8 +763,8 @@ pub const DETERMINISM_ROOTS: &[&str] = &[
     "xtc_with",
     "yao_graph_with",
     "gabriel_graph_with",
-    "physical_interference_vector_with",
-    "sinr_interference_with",
+    "physical_interference_vector",
+    "sinr_interference_indexed",
     "interference_counts_sharded",
     "par_scatter_u32",
     "nn_radii",

@@ -333,11 +333,12 @@ fn call_sites(
             out.push(CallSite { name: t.text.clone(), qualifier, is_method });
             continue;
         }
-        // Bare reference to a known fn name in value position.
-        if known.contains_key(&t.text) && next != "::" {
-            let is_method = prev == ".";
-            let qualifier = if is_method { Vec::new() } else { walk_qualifier(i) };
-            out.push(CallSite { name: t.text.clone(), qualifier, is_method });
+        // Bare reference to a known fn name in value position. `.name`
+        // without a call is a field access: Rust cannot name a method
+        // through a value, so it never refers to a fn.
+        if known.contains_key(&t.text) && next != "::" && prev != "." {
+            let qualifier = walk_qualifier(i);
+            out.push(CallSite { name: t.text.clone(), qualifier, is_method: false });
         }
     }
     out
@@ -625,12 +626,14 @@ mod tests {
 
     #[test]
     fn method_calls_resolve_to_impl_fns_only() {
+        // `p.x` reads a field that shares a method's name: no edge.
         let members = vec![member(
             "a",
             &[(
                 "crates/a/src/lib.rs",
-                "pub struct S;\nimpl S { pub fn step(&self) {} }\n\
-                 pub fn run(s: &S) { s.step(); }\n",
+                "pub struct S;\nimpl S { pub fn step(&self) {} pub fn x(&self) -> f64 { 0.0 } }\n\
+                 pub struct P { pub x: f64 }\n\
+                 pub fn run(s: &S, p: &P) -> f64 { s.step(); p.x }\n",
             )],
             &[],
         )];

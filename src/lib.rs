@@ -34,6 +34,7 @@
 //! | [`graph`] | adjacency lists, MST, shortest paths, connectivity |
 //! | [`udg`] | node sets, unit disk graphs, radius-induced topologies |
 //! | [`interference`] | the receiver-centric model, the sender-centric comparison model, robustness, exact optimum |
+//! | [`phys`] | the SINR physical model over the disk model: path loss, shadowing, SINR reception |
 //! | [`topology_control`] | NNF, MST, Gabriel, RNG, Yao, XTC, LIFE/LISE |
 //! | [`highway`] | exponential chains, `A_exp`, `A_gen`, `A_apx`, `γ`, bounds |
 //! | [`proto`] | localized message-passing protocols (XTC/LMST/NNF) |
@@ -49,6 +50,7 @@ pub use rim_geom as geom;
 pub use rim_graph as graph;
 pub use rim_highway as highway;
 pub use rim_obs as obs;
+pub use rim_phys as phys;
 pub use rim_proto as proto;
 pub use rim_viz as viz;
 pub use rim_sim as sim;

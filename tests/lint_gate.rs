@@ -124,22 +124,34 @@ fn call_graph_stays_populated() {
 
 #[test]
 fn physical_engine_obligations_stay_registered() {
-    // The SINR layer's standing obligations: the naive SINR oracle is a
-    // retained differential reference (so `naive-oracle-retained` fails
-    // the gate if the physical differential suite stops calling it), and
-    // both physical kernel entry points carry the panic-freedom closure
-    // check. Dropping any of these from the registries would silently
-    // un-audit rim-phys; pin them here.
-    for oracle in ["interference_vector_naive", "sinr_interference_naive"] {
+    // The SINR layer's standing obligations: the naive SINR and coverage
+    // oracles are retained differential references (so
+    // `naive-oracle-retained` fails the gate if the physical differential
+    // suite stops calling them), both physical kernel entry points carry
+    // the panic-freedom closure check and are determinism roots, and the
+    // link-budget check that guards them against outside input is
+    // panic-free. Dropping any of these from the registries would
+    // silently un-audit rim-phys; pin them here.
+    for oracle in [
+        "interference_vector_naive",
+        "sinr_interference_naive",
+        "coverage_vector_naive",
+    ] {
         assert!(
             rim_xtask::audit::RETAINED_ORACLES.contains(&oracle),
             "`{oracle}` must stay in RETAINED_ORACLES"
         );
     }
-    for root in ["physical_interference_vector_with", "sinr_interference_with"] {
+    for root in ["physical_interference_vector", "sinr_interference_indexed", "from_link_budget"] {
         assert!(
             rim_xtask::audit::PANIC_FREE_ROOTS.contains(&root),
             "`{root}` must stay in PANIC_FREE_ROOTS"
+        );
+    }
+    for root in ["physical_interference_vector", "sinr_interference_indexed"] {
+        assert!(
+            rim_xtask::flow::DETERMINISM_ROOTS.contains(&root),
+            "`{root}` must stay in DETERMINISM_ROOTS"
         );
     }
     assert!(
@@ -267,9 +279,10 @@ fn neighbour_list_kernels_and_file_parsers_stay_registered() {
     // scans of N(u), LMST's local Prim (`Scratch::selection`) and XTC's
     // sorted-list merge. They must stay panic-free, and the kernels
     // whose output the thread-invariance suite pins must stay bitwise
-    // deterministic. The node and topology file parsers and the CLI's
-    // `--generate`/`--trace` spec parsers face arbitrary input and must
-    // reject it with an error, never a panic.
+    // deterministic. The node and topology file parsers, the CLI's
+    // `--generate`/`--trace` spec parsers and `rim generate`'s length
+    // and coordinate checks face arbitrary input and must reject it with
+    // an error, never a panic.
     for root in [
         "filter_edges",
         "is_gabriel_edge",
@@ -280,6 +293,8 @@ fn neighbour_list_kernels_and_file_parsers_stay_registered() {
         "parse_topology",
         "parse_generate_spec",
         "parse_trace_spec",
+        "positive_length",
+        "check_generated",
     ] {
         assert!(
             rim_xtask::audit::PANIC_FREE_ROOTS.contains(&root),
