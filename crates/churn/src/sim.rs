@@ -4,7 +4,7 @@
 //! The hot path is [`ChurnSim::apply_edit`]: resolve the op against the
 //! sorted live-id list and mutate [`DynamicInterference`]
 //! (`O(affected)`). Arrivals and relinks find their partners with the
-//! engine's own nearest-live query, [`DynamicInterference::nearest_live_k`],
+//! engine's own nearest-live query, [`DynamicInterference::k_nearest_live`],
 //! so the sim keeps no index of its own. Departures tombstone their
 //! slot; once dead slots outnumber live ones the sim **compacts** —
 //! re-packs the engine's live state with fresh dense ids in one pass
@@ -258,7 +258,7 @@ impl ChurnSim {
     /// A node arrives: one link to the nearest live node (if any), then
     /// id-list bookkeeping.
     fn arrive(&mut self, p: Point) {
-        self.engine.nearest_live_k(p, 1, None, &mut self.nearby);
+        self.engine.k_nearest_live(p, 1, None, &mut self.nearby);
         let v = self.engine.insert_node(p);
         if let Some(&(_, w)) = self.nearby.first() {
             self.engine.insert_edge(v, w);
@@ -280,7 +280,7 @@ impl ChurnSim {
     fn relink(&mut self, v: u32, k: usize) {
         let a = v as usize;
         let p = self.engine.position(a);
-        self.engine.nearest_live_k(p, k, Some(a), &mut self.nearby);
+        self.engine.k_nearest_live(p, k, Some(a), &mut self.nearby);
         if let Some(&(_, b)) = self.nearby.last() {
             if self.engine.graph().has_edge(a, b) {
                 self.engine.remove_edge(a, b);

@@ -49,7 +49,7 @@ fn nearest_live_matches_brute_force_on_churned_states() {
                 Some((dx, dy)) => (Point::new(base.x + dx, base.y + dy), None),
                 None => (base, engine.is_live(slot).then_some(slot)),
             };
-            engine.nearest_live_k(p, case.k, exclude, &mut got);
+            engine.k_nearest_live(p, case.k, exclude, &mut got);
             let mut want: Vec<(f64, usize)> = (0..engine.len())
                 .filter(|&v| engine.is_live(v) && Some(v) != exclude)
                 .map(|v| (engine.position(v).dist(&p), v))

@@ -306,10 +306,14 @@ fn analyze_generated(spec: &str, args: &Args) -> Result<(), UsageError> {
     let rec = obs_install(mode);
     let (max, total) = {
         let _root = rim_obs::span("analyze_generated");
-        let soa = rim_workloads::uniform_soa(n, side, seed);
-        let inst = rim_core::StreamInstance::try_with_nn_radii(soa)
-            .map_err(|e| UsageError(e.to_string()))?;
-        inst.interference_max_sum(rim_core::parallel::num_threads())
+        // Every point-sized buffer is reserved fallibly, so a count that
+        // does not fit in memory is an error naming the bytes, not an
+        // abort.
+        let cannot_hold =
+            |e: rim_geom::GridCapacityError| UsageError(format!("--generate {spec}: {e}"));
+        let soa = rim_workloads::try_uniform_soa(n, side, seed).map_err(cannot_hold)?;
+        let inst = rim_core::StreamInstance::try_with_nn_radii(soa).map_err(cannot_hold)?;
+        inst.interference_max_sum(rim_core::parallel::num_threads()).map_err(cannot_hold)?
     };
     emit_obs(mode, rec);
     // `total as f64` is exact below 2^53; nearest-neighbour radii give

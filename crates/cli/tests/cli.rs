@@ -832,6 +832,40 @@ fn analyze_generate_rejects_counts_past_the_u32_grid() {
     assert!(err.contains("4294967295"), "{err}");
 }
 
+/// Counts that fit the grid's u32 ids but not the address space the
+/// child is given (`ulimit -v`, set in a shell for the child alone) exit
+/// 2 with an `error:` line naming the count and the bytes; they used to
+/// abort with exit 134.
+///
+/// * `uniform:4294967295` asks 34 GB for its first coordinate column.
+/// * `uniform:6000000` fits its two 48 MB coordinate columns under a cap
+///   of 96 MB + 19 MB (the binary itself takes a few MB), but not the
+///   grid's 24 MB cell column next to them.
+#[cfg(unix)]
+#[test]
+fn analyze_generate_exits_2_when_memory_runs_out() {
+    let cases = [
+        (4_294_967_295usize, 4usize << 20, 34_359_738_360usize),
+        (6_000_000, (16 * 6_000_000 + (19 << 20)) >> 10, 24_000_000),
+    ];
+    for (count, limit_kib, bytes) in cases {
+        let script =
+            format!("ulimit -v {limit_kib} && exec \"$0\" analyze --generate uniform:{count}");
+        let out = Command::new("sh")
+            .args(["-c", &script, env!("CARGO_BIN_EXE_rim")])
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "uniform:{count}: {err}");
+        assert!(out.stdout.is_empty(), "uniform:{count} printed a report");
+        let line = err.lines().find(|l| l.starts_with("error:")).unwrap_or_default();
+        assert!(
+            line.contains(&format!("{count} points")) && line.contains(&format!("{bytes} bytes")),
+            "uniform:{count}: {err}"
+        );
+    }
+}
+
 #[test]
 fn analyze_generate_rejects_sides_that_leave_the_f64_range() {
     // Past 2^511 squared distances overflow; below 2^-405 the squares of

@@ -26,7 +26,7 @@
 //! is rebuilt in one `O(n)` pass — classic amortization, no query ever
 //! misses a node. Every build (rebuild, compaction, restore) re-tightens
 //! the per-cell radius bounds to the current radii. The same grid answers
-//! [`DynamicInterference::nearest_live_k`], the nearest-live-node query
+//! [`DynamicInterference::k_nearest_live`], the nearest-live-node query
 //! of the churn simulator. The equivalence with the batch
 //! [`crate::receiver`] kernels is property-tested, including full
 //! edit-trace replays.
@@ -221,7 +221,7 @@ impl DynamicInterference {
     /// overlay; dead slots are skipped. Fewer than `k` entries come back
     /// when fewer live slots qualify. `out` is a caller-owned buffer, so
     /// a query allocates nothing once it has held `k` entries.
-    pub fn nearest_live_k(
+    pub fn k_nearest_live(
         &self,
         p: Point,
         k: usize,
@@ -229,7 +229,7 @@ impl DynamicInterference {
         out: &mut Vec<(f64, usize)>,
     ) {
         let alive = &self.alive;
-        self.grid.nearest_k_where(
+        self.grid.k_nearest_where(
             p,
             k,
             |id| Some(id) != exclude && alive.get(id).copied().unwrap_or(false),
@@ -1008,10 +1008,10 @@ mod tests {
     /// A nearest-live answer: `(dist, id)` pairs.
     type Knn = Vec<(f64, usize)>;
 
-    /// `nearest_live_k` into a fresh buffer.
+    /// `k_nearest_live` into a fresh buffer.
     fn knn(d: &DynamicInterference, p: Point, k: usize, exclude: Option<usize>) -> Knn {
         let mut out = Vec::new();
-        d.nearest_live_k(p, k, exclude, &mut out);
+        d.k_nearest_live(p, k, exclude, &mut out);
         out
     }
 

@@ -6,7 +6,9 @@
 //! module stays as the long-standing `rim_core::parallel::…` path so the
 //! interference kernels (and external callers) keep compiling unchanged.
 
-pub use rim_par::{num_threads, par_fill_chunks, par_map_ranges, par_scatter_u32};
+pub use rim_par::{
+    num_threads, par_fill_chunk_pairs, par_fill_chunks, par_map_ranges, par_scatter_u32,
+};
 
 #[cfg(test)]
 mod tests {

@@ -1,4 +1,4 @@
-//! Streaming million-node interference kernel (UDG-free, SoA layout).
+//! Streaming million-node interference kernels (UDG-free, SoA layout).
 //!
 //! A [`Topology`](rim_udg::Topology) carries the full adjacency structure with per-node
 //! `Vec`s of neighbors. At 10⁶–10⁷ uniform nodes that edge list is the
@@ -8,13 +8,11 @@
 //! the edges: it needs each node's **position** and **radius**, nothing
 //! else. [`StreamInstance`] exploits that — it holds a bucket-permuted
 //! structure-of-arrays grid ([`SoaGrid`](rim_geom::SoaGrid)) and one flat radius column
-//! aligned with the grid's bucket order, and computes `I(v)` for all `v`
-//! by scattering one closed-disk query per transmitter into a flat `u32`
-//! count buffer. No per-node allocation, no edge list, no `Vec<Vec<…>>`
-//! anywhere in the hot path. This scatter is the workspace's one fast
-//! receiver kernel.
+//! aligned with the grid's bucket order. No per-node allocation, no edge
+//! list, no `Vec<Vec<…>>` anywhere in the hot path.
 //!
-//! Radii come from one of three sources:
+//! Radii come from one of three sources, and the source decides how the
+//! counts `I(v)` are taken:
 //!
 //! * [`StreamInstance::from_topology`] copies an existing topology's
 //!   radius assignment (silent nodes, `deg = 0`, are marked and skipped
@@ -24,24 +22,40 @@
 //! * [`StreamInstance::with_radii`] takes any per-node radius, or none
 //!   for a silent node — the constructor `from_topology` calls, and the
 //!   one `rim-phys` scatters its power-derived coverage radii through.
+//!   Both count by the **SoA scatter**: one closed-disk query per
+//!   transmitter, scattered into `u32` count buffers sharded over the
+//!   workers.
 //! * [`StreamInstance::with_nn_radii`] assigns every node its
 //!   nearest-neighbor distance as radius, entirely from the index — the
 //!   streaming analogue of the nearest-neighbor-forest radius
-//!   assignment.
+//!   assignment. Such an instance counts without the scatter (next
+//!   section).
 //!
 //! # Nearest-neighbour radii at scale
 //!
-//! Differential oracles stop where `O(n²)` stops being runnable. With
-//! nearest-neighbour radii two exact bounds take over: `v` lies in
-//! `D(u, r_u)` exactly when `v` is a nearest neighbour of `u`, and two
-//! nodes whose nearest neighbour is `v` subtend at least 60° at `v`, so
-//! `max I(v) <= 6`; and `Σ I(v) = n` when every nearest neighbour is
-//! unique. `core/tests/streaming_differential.rs::nn_radii_gate_at_1e5`
-//! asserts both. [`sqrt_log_envelope`] is the looser Θ(√(log n)) band
+//! With nearest-neighbour radii, `v` lies in `D(u, r_u)` exactly when `v`
+//! is a nearest neighbour of `u`, so the ring search that finds `r_u`
+//! ([`SoaGrid::nearest_at`](rim_geom::SoaGrid::nearest_at)) has already
+//! scanned every node `u` covers. The radius pass keeps, beside each
+//! radius, the bucket position of the sender's nearest neighbour when it
+//! is the only node in the disk, and the count is the in-degree of that
+//! column: one sequential sweep, no disk query. A sender whose disk may
+//! hold more — a distance tie, coincident nodes, a subnormal squared
+//! distance — is marked, and the count runs the scatter's own disk query
+//! for it alone; `core.nn_tie_fallbacks` counts those senders. The counts
+//! equal the scatter's bit for bit (`core/tests/streaming_differential.rs`
+//! pins them against it and against the naive oracle).
+//!
+//! Differential oracles stop where `O(n²)` stops being runnable. Two
+//! exact bounds take over: two nodes whose nearest neighbour is `v`
+//! subtend at least 60° at `v`, so `max I(v) <= 6`; and `Σ I(v) = n` when
+//! every nearest neighbour is unique.
+//! `core/tests/streaming_differential.rs::nn_radii_gate_at_1e5` asserts
+//! both. [`sqrt_log_envelope`] is the looser Θ(√(log n)) band
 //! `rim analyze --generate` reports against.
 
-use crate::parallel::{num_threads, par_fill_chunks, par_scatter_u32};
-use rim_geom::{GridCapacityError, Point, SoaGrid, SoaPoints};
+use crate::parallel::{num_threads, par_fill_chunk_pairs, par_scatter_u32};
+use rim_geom::{try_filled, GridCapacityError, Point, SoaGrid, SoaPoints};
 use rim_udg::Topology;
 
 /// Target number of senders per parallel chunk.
@@ -51,6 +65,11 @@ const STREAM_CHUNK: usize = 1024;
 /// source topology). Negative radii cannot arise from distances, so the
 /// kernel can test `r < 0.0` without a separate mask column.
 const SILENT: f64 = -1.0;
+
+/// Nearest-position marker of a sender whose disk may hold more than its
+/// nearest neighbour (see [`rim_geom::Nearest::unique`]). Grids hold at
+/// most `u32::MAX` points, so no position is `u32::MAX`.
+const TIED: u32 = u32::MAX;
 
 /// A positions-plus-radii interference instance in streaming layout:
 /// SoA coordinates, bucket-permuted grid, and a radius column aligned
@@ -78,6 +97,10 @@ pub struct StreamInstance {
     /// not transmit) — aligned with the grid columns so the kernel's
     /// sender loop is one sequential sweep.
     radii: Vec<f64>,
+    /// For nearest-neighbour radii, the bucket position of the only node
+    /// in each sender's disk, or `TIED`; empty for any other radii, whose
+    /// counts come from the scatter.
+    nearest: Vec<u32>,
 }
 
 impl StreamInstance {
@@ -99,14 +122,22 @@ impl StreamInstance {
     /// is `Some(r)`, `r >= 0`, and is silent when it is `None`. The
     /// counts are exactly `I(v) = #{u != v : radii[u] = Some(r),
     /// dist(u, v) <= r}`.
+    ///
+    /// Panics, in every build profile, when the lengths differ or a
+    /// radius is NaN or negative: the scatter would count such a disk as
+    /// empty, a silent wrong answer.
     // rim-lint: allow(panic-freedom) — grid items are a permutation of `0..points.len()`, and the lengths are asserted equal
     pub fn with_radii(points: &[Point], radii: &[Option<f64>]) -> Self {
         assert_eq!(points.len(), radii.len(), "one radius (or none) per point");
+        assert!(
+            radii.iter().flatten().all(|&r| r >= 0.0),
+            "transmission radii must be >= 0 and not NaN"
+        );
         let grid = crate::receiver::build_index(points, radii.iter().flatten().copied());
         let radii = (0..grid.len())
             .map(|k| radii[grid.item(k)].unwrap_or(SILENT))
             .collect();
-        StreamInstance { grid, radii }
+        StreamInstance { grid, radii, nearest: Vec::new() }
     }
 
     /// Builds a streaming instance straight from points, assigning every
@@ -125,33 +156,38 @@ impl StreamInstance {
     }
 
     /// Fallible variant of [`StreamInstance::with_nn_radii`]: errors when
-    /// the store exceeds the grid's `u32` item capacity. The radius pass
-    /// runs on [`num_threads`] workers.
+    /// the store exceeds the grid's `u32` item capacity or a point-sized
+    /// column does not fit in memory. The radius pass runs on
+    /// [`num_threads`] workers.
     pub fn try_with_nn_radii(points: SoaPoints) -> Result<Self, GridCapacityError> {
         Self::try_with_nn_radii_sharded(points, num_threads())
     }
 
     /// [`StreamInstance::try_with_nn_radii`] with the grid build and the
     /// radius pass split over `threads` workers. The grid is the same for
-    /// every worker count and each radius is a pure function of its
-    /// bucket position, so the instance is identical for every
-    /// `threads >= 1`.
+    /// every worker count and each radius and nearest position is a pure
+    /// function of its bucket position, so the instance is identical for
+    /// every `threads >= 1`.
     pub fn try_with_nn_radii_sharded(
         points: SoaPoints,
         threads: usize,
     ) -> Result<Self, GridCapacityError> {
         let _span = rim_obs::span("stream/build_nn");
-        // About one point per cell, so both the NN search and the
-        // interference scatter touch O(1) buckets.
+        let n = points.len();
+        // About one point per cell, so the nearest-neighbour search
+        // touches O(1) buckets.
         let grid = {
             let _span = rim_obs::span("stream/soa_build");
             SoaGrid::try_build_unit_density(&points, threads)?
         };
-        // The grid holds its own bucket-ordered copy of the coordinates;
-        // freeing the input first keeps it out of the peak.
-        drop(points);
-        let radii = nn_radii(&grid, threads);
-        Ok(StreamInstance { grid, radii })
+        // The grid holds its own bucket-ordered copy of the coordinates:
+        // the input's x column becomes the radius column, and its y
+        // column is freed before the pointer column is allocated.
+        let (mut radii, ys) = points.into_columns();
+        drop(ys);
+        let mut nearest = try_filled(n, n, TIED)?;
+        nn_radii(&grid, threads, &mut radii, &mut nearest);
+        Ok(StreamInstance { grid, radii, nearest })
     }
 
     /// Number of nodes in the instance.
@@ -174,7 +210,8 @@ impl StreamInstance {
 
     /// Per-node interference with the scatter sharded over `threads`
     /// workers, each accumulating into a private `u32` buffer merged at
-    /// the barrier ([`rim_par::par_scatter_u32`]). The output is
+    /// the barrier ([`rim_par::par_scatter_u32`]); a nearest-neighbour
+    /// instance counts on the calling thread instead. The output is
     /// **thread-count-invariant**: every worker scatters a disjoint
     /// sender range and integer addition commutes, so the merged counts
     /// are bit-identical for any `threads >= 1`.
@@ -184,24 +221,41 @@ impl StreamInstance {
     }
 
     /// The largest and the total interference, `(max_v I(v), Σ_v I(v))`,
-    /// with the scatter sharded over `threads` workers as in
-    /// [`StreamInstance::interference_counts_sharded`]. Both reduce the
-    /// counts in the grid's bucket order, so no per-node vector is ever
-    /// built; they equal the max and sum of the per-node counts for any
-    /// `threads >= 1`.
-    pub fn interference_max_sum(&self, threads: usize) -> (u32, u64) {
+    /// counted as [`StreamInstance::interference_counts_sharded`] counts.
+    /// Both reduce the counts in the grid's bucket order, so no per-node
+    /// vector is ever built; they equal the max and sum of the per-node
+    /// counts for any `threads >= 1`. Errors when the count column of a
+    /// nearest-neighbour instance does not fit in memory.
+    pub fn interference_max_sum(&self, threads: usize) -> Result<(u32, u64), GridCapacityError> {
         let _span = rim_obs::span("interference/streaming_sharded");
-        let counts = self.position_counts(threads);
+        let counts = if self.nearest.is_empty() {
+            self.scatter_counts(threads)
+        } else {
+            let mut counts = try_filled(self.len(), self.len(), 0)?;
+            self.nn_in_degree(&mut counts);
+            counts
+        };
         let max = counts.iter().copied().max().unwrap_or(0);
-        (max, counts.iter().map(|&c| u64::from(c)).sum())
+        Ok((max, counts.iter().map(|&c| u64::from(c)).sum()))
     }
 
-    /// Shared scatter body: senders are swept in bucket order (the radius
+    /// Counts in bucket-position space: the in-degree of the nearest
+    /// column for nearest-neighbour radii, the scatter otherwise.
+    fn position_counts(&self, chunks: usize) -> Vec<u32> {
+        if self.nearest.is_empty() {
+            return self.scatter_counts(chunks);
+        }
+        let mut counts = vec![0; self.len()];
+        self.nn_in_degree(&mut counts);
+        counts
+    }
+
+    /// The SoA scatter: senders are swept in bucket order (the radius
     /// column and both coordinate columns stream sequentially), and
     /// counts are accumulated *in bucket-position space* — so neighbor
     /// hits also write near each other.
     // rim-lint: allow(panic-freedom) — `radii` and the scatter buffers all have length `n` = grid.len(), and positions stay below it
-    fn position_counts(&self, chunks: usize) -> Vec<u32> {
+    fn scatter_counts(&self, chunks: usize) -> Vec<u32> {
         let n = self.len();
         if n == 0 {
             return Vec::new();
@@ -228,6 +282,29 @@ impl StreamInstance {
         })
     }
 
+    /// Adds every nearest-neighbour sender's hits to `counts` (zeroed,
+    /// one slot per bucket position): one for its only nearest
+    /// neighbour, or, for a `TIED` sender, the hits of the scatter's own
+    /// disk query. Sequential, so the counts cannot depend on the thread
+    /// count. Counts `core.nn_tie_fallbacks`.
+    fn nn_in_degree(&self, counts: &mut [u32]) {
+        let _span = rim_obs::span("stream/nn_in_degree");
+        let mut fallbacks = 0u64;
+        for (k, (&near, &r)) in self.nearest.iter().zip(&self.radii).enumerate() {
+            if let Some(count) = counts.get_mut(near as usize) {
+                *count += 1;
+            } else if r >= 0.0 {
+                fallbacks += 1;
+                self.grid.for_each_pos_in_disk(self.grid.point_at(k), r, |j| {
+                    if let Some(count) = counts.get_mut(j).filter(|_| j != k) {
+                        *count += 1;
+                    }
+                });
+            }
+        }
+        rim_obs::counter_add("core.nn_tie_fallbacks", fallbacks);
+    }
+
     /// Un-permutes counts from bucket positions back to node ids.
     // rim-lint: allow(panic-freedom) — grid items are a permutation of `0..n`
     fn by_node(&self, pos_counts: Vec<u32>) -> Vec<u32> {
@@ -239,26 +316,32 @@ impl StreamInstance {
     }
 
     /// Graph interference `I(G')` (Definition 3.2) of this instance,
-    /// using the sharded kernel with the machine's thread count.
+    /// counted as [`StreamInstance::interference_counts_sharded`] counts
+    /// with the machine's thread count.
     pub fn max_interference(&self) -> u32 {
-        self.interference_max_sum(num_threads()).0
+        let _span = rim_obs::span("interference/streaming_sharded");
+        self.position_counts(num_threads()).into_iter().max().unwrap_or(0)
     }
 }
 
-/// The nearest-neighbor radius column of `grid`, in bucket order, filled
-/// in place by `threads` workers over contiguous position windows
-/// ([`par_fill_chunks`]). A store with fewer than two points has no
-/// neighbors, so every node is `SILENT`.
-fn nn_radii(grid: &SoaGrid, threads: usize) -> Vec<f64> {
+/// Fills the nearest-neighbour `radii` and `nearest` columns of `grid`,
+/// in bucket order, by `threads` workers over contiguous position
+/// windows ([`par_fill_chunk_pairs`]): each position gets its
+/// [`SoaGrid::nearest_at`] distance and, when that neighbour is alone in
+/// the disk, its position, else `TIED`. A store with fewer than two
+/// points has no neighbors, so every node is `SILENT`.
+fn nn_radii(grid: &SoaGrid, threads: usize, radii: &mut [f64], nearest: &mut [u32]) {
     let _span = rim_obs::span("stream/nn_radii");
-    let mut radii = vec![SILENT; grid.len()];
     let threads = threads.min((grid.len() / STREAM_CHUNK).max(1));
-    par_fill_chunks(&mut radii, threads, |first, window| {
-        for (k, r) in (first..).zip(window.iter_mut()) {
-            *r = grid.nearest_dist_at(k).unwrap_or(SILENT);
+    par_fill_chunk_pairs(radii, nearest, threads, |first, radii, nearest| {
+        for (k, (r, near)) in (first..).zip(radii.iter_mut().zip(nearest)) {
+            (*r, *near) = match grid.nearest_at(k) {
+                Some(nb) if nb.unique => (nb.dist, u32::try_from(nb.pos).unwrap_or(TIED)),
+                Some(nb) => (nb.dist, TIED),
+                None => (SILENT, TIED),
+            };
         }
     });
-    radii
 }
 
 /// The Θ(√(log n)) acceptance envelope for max receiver-centric
@@ -319,6 +402,20 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "radii must be >= 0 and not NaN")]
+    fn with_radii_rejects_a_nan_radius() {
+        let pts = [Point::ORIGIN, Point::new(1.0, 0.0)];
+        StreamInstance::with_radii(&pts, &[Some(f64::NAN), Some(1.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "radii must be >= 0 and not NaN")]
+    fn with_radii_rejects_a_negative_radius() {
+        let pts = [Point::ORIGIN, Point::new(1.0, 0.0)];
+        StreamInstance::with_radii(&pts, &[None, Some(-0.5)]);
+    }
+
+    #[test]
     fn coincident_zero_radius_links_count() {
         let ns = NodeSet::new(vec![Point::ORIGIN, Point::ORIGIN, Point::ORIGIN]);
         let t = Topology::from_pairs(ns, &[(0, 1)]);
@@ -364,7 +461,7 @@ mod tests {
                     .expect("fits the grid");
             let items: Vec<usize> = (0..n).map(|k| inst.grid.item(k)).collect();
             let radii: Vec<u64> = inst.radii.iter().map(|r| r.to_bits()).collect();
-            (items, radii)
+            (items, radii, inst.nearest)
         };
         let one = build(1);
         for threads in 2..=8 {

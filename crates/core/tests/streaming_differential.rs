@@ -6,7 +6,10 @@
 //! sharded accumulator variant must be
 //! invariant in the worker count. The nearest-neighbor path
 //! ([`StreamInstance::with_nn_radii`]) is pinned the same way, against
-//! brute-force nearest-neighbor radii.
+//! brute-force nearest-neighbor radii, and its in-degree count against
+//! the scatter over the same radii ([`StreamInstance::with_radii`]) on
+//! instances far above the parallel gates, ties and underflowing squared
+//! distances included.
 //!
 //! The family generators are deliberately duplicated from
 //! `differential.rs` rather than shared: each suite stays a
@@ -17,7 +20,7 @@ use rim_core::receiver::{
     interference_at, interference_vector_naive, interference_vector_with, Engine,
 };
 use rim_core::{sqrt_log_envelope, StreamInstance};
-use rim_geom::{Point, SoaPoints};
+use rim_geom::{Point, SoaGrid, SoaPoints, PAR_BUILD_MIN};
 use rim_rng::prop::check;
 use rim_rng::{prop_ensure, SmallRng};
 use rim_udg::radius::induced_topology;
@@ -152,7 +155,7 @@ fn reduction_matches(
         counts.iter().copied().max().unwrap_or(0) as u32,
         counts.iter().sum::<usize>() as u64,
     );
-    let got = inst.interference_max_sum(threads);
+    let got = inst.interference_max_sum(threads).map_err(|e| e.to_string())?;
     prop_ensure!(got == want, "(max, sum) with {threads} worker(s): got {got:?}, want {want:?}");
     Ok(())
 }
@@ -376,8 +379,15 @@ fn nn_radii_gate_at_1e5() {
     for _ in 0..n {
         soa.push(rng.gen_range(0.0..side), rng.gen_range(0.0..side));
     }
+    let radii = nn_radii_by_node(&soa);
+    let pts: Vec<Point> = (0..n).map(|i| soa.get(i)).collect();
     let inst = StreamInstance::with_nn_radii(soa);
     let counts = inst.interference_counts_sharded(4);
+    assert_eq!(
+        counts,
+        StreamInstance::with_radii(&pts, &radii).interference_counts_sharded(4),
+        "the in-degree count diverged from the scatter"
+    );
     let max = counts.iter().copied().max().unwrap_or(0);
     assert!(max <= 6, "max I = {max} breaks the 60-degree bound");
     let total: u64 = counts.iter().map(|&c| u64::from(c)).sum();
@@ -388,4 +398,85 @@ fn nn_radii_gate_at_1e5() {
         "max I = {max} outside [{lo:.2}, {hi:.2}] at n = {n}"
     );
     assert_eq!(counts, inst.interference_counts_sharded(1), "sharding changed the counts");
+}
+
+/// Every node's nearest-neighbour distance, in node order, as the ring
+/// search finds it (`None` without a neighbour): the radii
+/// [`StreamInstance::with_nn_radii`] assigns, for
+/// [`StreamInstance::with_radii`] to scatter.
+fn nn_radii_by_node(soa: &SoaPoints) -> Vec<Option<f64>> {
+    let grid = SoaGrid::try_build_unit_density(soa, 1).expect("fits the grid");
+    let mut radii = vec![None; soa.len()];
+    for k in 0..grid.len() {
+        radii[grid.item(k)] = grid.nearest_at(k).map(|near| near.dist);
+    }
+    radii
+}
+
+/// The in-degree count of a nearest-neighbour instance, built and
+/// counted on 1–8 workers, must equal the SoA scatter over the same
+/// radii, and so must its `(max, Σ)` reduction.
+fn nn_count_matches_scatter(name: &str, pts: &[Point]) {
+    let soa = SoaPoints::from_points(pts);
+    let scatter = StreamInstance::with_radii(pts, &nn_radii_by_node(&soa)).interference_counts();
+    let total: u64 = scatter.iter().map(|&c| u64::from(c)).sum();
+    let want = (scatter.iter().copied().max().unwrap_or(0), total);
+    for threads in 1..=8 {
+        let inst = StreamInstance::try_with_nn_radii_sharded(soa.clone(), threads)
+            .expect("fits the grid");
+        assert!(
+            inst.interference_counts_sharded(threads) == scatter,
+            "{name}: in-degree count with {threads} worker(s) diverged from the scatter"
+        );
+        if threads == 1 {
+            assert_eq!(inst.interference_max_sum(threads), Ok(want), "{name}");
+        }
+    }
+}
+
+/// Five families just above the grid build's parallel gate, so 2–8
+/// workers build the grid and run the radius pass: uniform points, an
+/// exact lattice (four-way distance ties everywhere), coincident
+/// triples, an exponential spread over twelve octaves (split cells) and
+/// collinear points. The lattice and the triples send most senders
+/// through the tie fallback.
+#[test]
+fn nn_in_degree_matches_the_scatter_above_the_parallel_gate() {
+    let n = PAR_BUILD_MIN + 1_003;
+    let side = (n as f64).sqrt();
+    let mut rng = SmallRng::seed_from_u64(23);
+    let uniform: Vec<Point> =
+        (0..n).map(|_| Point::new(rng.gen_range(0.0..side), rng.gen_range(0.0..side))).collect();
+    let width = side as usize;
+    let lattice: Vec<Point> =
+        (0..n).map(|i| Point::new((i % width) as f64, (i / width) as f64)).collect();
+    let triples: Vec<Point> = (0..n).map(|i| uniform[i / 3]).collect();
+    let spread: Vec<Point> = (0..n)
+        .map(|_| Point::on_line(side * 2f64.powf(-12.0 * rng.gen_range(0.0..1.0))))
+        .collect();
+    let collinear: Vec<Point> = (0..n).map(|_| Point::on_line(rng.gen_range(0.0..side))).collect();
+    for (name, pts) in [
+        ("uniform", uniform),
+        ("lattice", lattice),
+        ("coincident triples", triples),
+        ("exponential spread", spread),
+        ("collinear", collinear),
+    ] {
+        nn_count_matches_scatter(name, &pts);
+    }
+}
+
+/// A few hundred uniform points scaled by 2⁻⁵¹⁰ … 2⁻⁵⁴⁰: squared
+/// distances turn subnormal or underflow to zero, where no sender may be
+/// counted through its pointer alone.
+#[test]
+fn nn_in_degree_matches_the_scatter_where_squares_underflow() {
+    let mut rng = SmallRng::seed_from_u64(29);
+    for k in (510..=540).step_by(10) {
+        let scale = 2f64.powi(-k);
+        let pts: Vec<Point> = (0..200)
+            .map(|_| Point::new(rng.gen_range(0.0..17.0) * scale, rng.gen_range(0.0..17.0) * scale))
+            .collect();
+        nn_count_matches_scatter(&format!("2^-{k}"), &pts);
+    }
 }

@@ -222,7 +222,7 @@ impl DynGrid {
     /// distance is at most `R`: no unoffered point can tie or beat it. Once
     /// a round spans the whole grid, a last round of infinite `R` offers
     /// every point. Returns the candidates scanned over all rounds.
-    pub fn nearest_k_where<F: Fn(usize) -> bool>(
+    pub fn k_nearest_where<F: Fn(usize) -> bool>(
         &self,
         c: Point,
         k: usize,
@@ -410,7 +410,7 @@ mod tests {
         assert_eq!(disk(&g, Point::new(5.0, -3.0), 0.0), vec![0, 1]);
         assert_eq!(disk(&g, Point::ORIGIN, 100.0), vec![0, 1, 2]);
         let mut out = Vec::new();
-        g.nearest_k_where(Point::new(8.0, 0.0), 2, |_| true, &mut out);
+        g.k_nearest_where(Point::new(8.0, 0.0), 2, |_| true, &mut out);
         assert_eq!(out.iter().map(|e| e.1).collect::<Vec<_>>(), vec![2, 0]);
     }
 
@@ -426,15 +426,15 @@ mod tests {
         let mut out = Vec::new();
         for (qi, &q) in all.iter().enumerate().step_by(5) {
             for k in [1, 2, 4, 9] {
-                g.nearest_k_where(q, k, keep, &mut out);
+                g.k_nearest_where(q, k, keep, &mut out);
                 assert_eq!(out, brute_knn(&all, q, k, keep), "query {qi} k={k}");
             }
         }
         // A query far outside the grid, and one keeping almost nothing.
         let far = Point::new(-40.0, 90.0);
-        g.nearest_k_where(far, 3, keep, &mut out);
+        g.k_nearest_where(far, 3, keep, &mut out);
         assert_eq!(out, brute_knn(&all, far, 3, keep));
-        g.nearest_k_where(all[0], 4, |i| i == 350, &mut out);
+        g.k_nearest_where(all[0], 4, |i| i == 350, &mut out);
         assert_eq!(out, brute_knn(&all, all[0], 4, |i| i == 350));
     }
 
@@ -453,7 +453,7 @@ mod tests {
         let g = grid(&pts[..200], &pts[200..]);
         let mut out = Vec::new();
         for q in 0..pts.len() {
-            g.nearest_k_where(pts[q], 1, |i| i != q, &mut out);
+            g.k_nearest_where(pts[q], 1, |i| i != q, &mut out);
             assert_eq!(out, brute_knn(&pts, pts[q], 1, |i| i != q), "q={q}");
         }
     }
@@ -467,10 +467,10 @@ mod tests {
         let g = DynGrid::build(&pts, 2f64.powi(-31));
         let mut out = Vec::new();
         for q in 1..pts.len() {
-            g.nearest_k_where(pts[q], 1, |i| i != q, &mut out);
+            g.k_nearest_where(pts[q], 1, |i| i != q, &mut out);
             assert_eq!(out.first().map(|e| e.1), Some(q - 1), "q={q}");
         }
-        g.nearest_k_where(pts[0], 1, |i| i != 0, &mut out);
+        g.k_nearest_where(pts[0], 1, |i| i != 0, &mut out);
         assert_eq!(out.first().map(|e| e.1), Some(1));
     }
 
@@ -508,9 +508,9 @@ mod tests {
         let p = Point::new(1.0, 1.0);
         let g = grid(&[p, Point::new(3.0, 3.0), p], &[p, Point::new(1.0, 2.0)]);
         let mut out = Vec::new();
-        g.nearest_k_where(p, 3, |i| i != 2, &mut out);
+        g.k_nearest_where(p, 3, |i| i != 2, &mut out);
         assert_eq!(out, vec![(0.0, 0), (0.0, 3), (1.0, 4)]);
-        g.nearest_k_where(p, 0, |_| true, &mut out);
+        g.k_nearest_where(p, 0, |_| true, &mut out);
         assert!(out.is_empty());
     }
 }

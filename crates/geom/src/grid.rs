@@ -38,24 +38,65 @@ pub fn fits_u32_index(n: usize) -> bool {
     n <= MAX_INDEXED_POINTS
 }
 
-/// Error returned when a grid build would overflow its `u32` item ids.
+/// Error returned when a grid, or a kernel over one, cannot hold its
+/// points: their count would overflow the `u32` item ids, or one of its
+/// point-sized buffers cannot be allocated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GridCapacityError {
     /// Number of points the caller asked to index.
     pub points: usize,
+    /// Size in bytes of the allocation that failed; `None` when the
+    /// count itself overflows the item ids.
+    pub bytes: Option<usize>,
 }
 
 impl std::fmt::Display for GridCapacityError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "cannot index {} points: grid item ids are u32 (max {})",
-            self.points, MAX_INDEXED_POINTS
-        )
+        match self.bytes {
+            None => write!(
+                f,
+                "cannot index {} points: grid item ids are u32 (max {})",
+                self.points, MAX_INDEXED_POINTS
+            ),
+            Some(bytes) => write!(
+                f,
+                "cannot hold {} points: allocating {bytes} bytes failed",
+                self.points
+            ),
+        }
     }
 }
 
 impl std::error::Error for GridCapacityError {}
+
+/// Reserves room for exactly `len` more items in `v` with
+/// `try_reserve_exact`, so that running out of memory while holding
+/// `points` points is an error naming the bytes asked for, not an abort.
+pub(crate) fn try_reserve_points<T>(
+    v: &mut Vec<T>,
+    points: usize,
+    len: usize,
+) -> Result<(), GridCapacityError> {
+    v.try_reserve_exact(len).map_err(|_| GridCapacityError {
+        points,
+        bytes: Some(len.saturating_mul(std::mem::size_of::<T>())),
+    })
+}
+
+/// A vector of `len` copies of `value`, reserved as
+/// [`try_reserve_points`] reserves: the fallible allocation of every
+/// point-sized buffer of a grid build over `points` points, and of the
+/// streaming kernels' columns over such a grid.
+pub fn try_filled<T: Clone>(
+    points: usize,
+    len: usize,
+    value: T,
+) -> Result<Vec<T>, GridCapacityError> {
+    let mut v = Vec::new();
+    try_reserve_points(&mut v, points, len)?;
+    v.resize(len, value);
+    Ok(v)
+}
 
 /// Points from which a grid build runs its cell ids, bucket scatter and
 /// column gather on [`rim_par`] workers: the measured crossover of a
@@ -216,12 +257,17 @@ fn cell_coord(v: f64, o: f64, cell: f64, last: usize) -> usize {
     (((v - o) / cell) as usize).min(last)
 }
 
+/// The sorted buckets of [`bucket_scatter`]: CSR `starts`, the
+/// bucket-major permutation and the largest bucket size.
+pub(crate) type Buckets = (Vec<u32>, Vec<u32>, usize);
+
 /// Bucket scatter of the grid build: given each point's cell id,
 /// produces the CSR `starts` array (length `ncells + 1`), the
 /// bucket-major point permutation (`order[k]` = original point id),
 /// insertion-stable within every bucket, and the largest bucket size.
 /// The output is the stable sort of the points by cell id, the same for
-/// every `threads`.
+/// every `threads`. Errors when a point-sized buffer cannot be
+/// allocated ([`try_filled`]).
 ///
 /// Small tables scatter directly, on one core. Past
 /// [`DIRECT_SCATTER_CELLS`] the cursor and destination arrays no longer
@@ -229,13 +275,13 @@ fn cell_coord(v: f64, o: f64, cell: f64, last: usize) -> usize {
 /// to one cache miss per point; the scatter then runs
 /// [`par_block_scatter`], a stable counting sort by coarse cell block on
 /// up to `threads` workers, whose every pass works on a cursor window
-/// small enough to stay cache-resident. The cell ids are consumed, so
-/// that path frees them as soon as it no longer reads them.
+/// small enough to stay cache-resident. The cell ids are consumed: that
+/// path writes the permutation over them once it no longer reads them.
 pub(crate) fn bucket_scatter(
     cells: Vec<u32>,
     ncells: usize,
     threads: usize,
-) -> (Vec<u32>, Vec<u32>, usize) {
+) -> Result<Buckets, GridCapacityError> {
     if ncells <= DIRECT_SCATTER_CELLS {
         direct_scatter(&cells, ncells)
     } else {
@@ -245,7 +291,7 @@ pub(crate) fn bucket_scatter(
 
 /// The one-pass counting sort of small cell tables.
 // rim-lint: allow(panic-freedom) — cell ids are < ncells by construction; prefix sums cover ncells + 1 slots
-fn direct_scatter(cells: &[u32], ncells: usize) -> (Vec<u32>, Vec<u32>, usize) {
+fn direct_scatter(cells: &[u32], ncells: usize) -> Result<Buckets, GridCapacityError> {
     let mut counts = vec![0u32; ncells + 1];
     for &c in cells {
         counts[c as usize + 1] += 1;
@@ -256,13 +302,13 @@ fn direct_scatter(cells: &[u32], ncells: usize) -> (Vec<u32>, Vec<u32>, usize) {
         counts[i] += counts[i - 1];
     }
     let starts = counts.clone();
-    let mut order = vec![0u32; cells.len()];
+    let mut order = try_filled(cells.len(), cells.len(), 0u32)?;
     let mut cursor = counts;
     for (i, &c) in cells.iter().enumerate() {
         order[cursor[c as usize] as usize] = i as u32;
         cursor[c as usize] += 1;
     }
-    (starts, order, largest as usize)
+    Ok((starts, order, largest as usize))
 }
 
 /// The stable counting sort of large cell tables, on up to `threads`
@@ -283,13 +329,15 @@ fn direct_scatter(cells: &[u32], ncells: usize) -> (Vec<u32>, Vec<u32>, usize) {
 /// Every block lists its points in index order (see step 2), so every
 /// cell does, and the blocks follow each other in id order: the output
 /// is the stable sort by cell id, whatever the worker count. One worker
-/// runs the same three steps.
+/// runs the same three steps. Step 3 writes the permutation over the
+/// cell ids, which steps 1 and 2 have consumed, so the sort allocates no
+/// second `u32` column.
 // rim-lint: allow(panic-freedom) — block cells are < ncells and block entries < n; group indices are < workers and a group's blocks lie in its windows, which its cursors never leave
 fn par_block_scatter(
     cells: Vec<u32>,
     ncells: usize,
     threads: usize,
-) -> (Vec<u32>, Vec<u32>, usize) {
+) -> Result<Buckets, GridCapacityError> {
     let n = cells.len();
     let mut shift = 0u32;
     while (ncells - 1) >> shift >= COARSE_BLOCKS {
@@ -298,7 +346,7 @@ fn par_block_scatter(
     let nblocks = ((ncells - 1) >> shift) + 1;
     // Cells `[b << shift, min((b + 1) << shift, ncells))` form block `b`.
     let block_cells = |b: usize| (b << shift).min(ncells)..((b + 1) << shift).min(ncells);
-    let (by_block, block_lo, workers) = partition_by_block(cells, shift, nblocks, threads);
+    let (by_block, block_lo, workers) = partition_by_block(&cells, shift, nblocks, threads)?;
     // Step 3: contiguous block groups of about n / workers points.
     let mut groups = vec![nblocks; workers + 1];
     for (g, first) in groups.iter_mut().enumerate().take(workers) {
@@ -306,7 +354,7 @@ fn par_block_scatter(
     }
     let group_cells: Vec<usize> =
         groups.windows(2).map(|g| block_cells(g[1]).start - block_cells(g[0]).start).collect();
-    let mut starts = vec![0u32; ncells + 1];
+    let mut starts = try_filled(n, ncells + 1, 0u32)?;
     let largest = par_fill_columns(&mut starts, workers, &group_cells, |g, pieces| {
         let (Some(window), first) = (pieces.first_mut(), block_cells(groups[g]).start) else {
             return 0;
@@ -334,7 +382,8 @@ fn par_block_scatter(
     starts[ncells] = n as u32;
     let group_points: Vec<usize> =
         groups.windows(2).map(|g| block_lo[g[1]] - block_lo[g[0]]).collect();
-    let mut order = vec![0u32; n];
+    // Every position receives exactly one point id below.
+    let mut order = cells;
     par_fill_columns(&mut order, workers, &group_points, |g, pieces| {
         let (Some(window), first) = (pieces.first_mut(), block_lo[groups[g]]) else {
             return;
@@ -351,7 +400,7 @@ fn par_block_scatter(
             }
         }
     });
-    (starts, order, largest as usize)
+    Ok((starts, order, largest as usize))
 }
 
 /// Steps 1 and 2 of [`par_block_scatter`]: the points, each packed with
@@ -360,15 +409,14 @@ fn par_block_scatter(
 /// position (`nblocks + 1` entries); and the worker count used. Each
 /// worker counts, then fills, its own `(block, worker)` slices
 /// ([`rim_par::par_fill_columns`]), visiting its contiguous range in
-/// index order, so each block lists its points in index order. The cell
-/// ids are freed on return.
+/// index order, so each block lists its points in index order.
 // rim-lint: allow(panic-freedom) — cell ids are < ncells, so blocks are < nblocks; worker indices are < workers; a worker's slice of a block holds exactly its points in that block
 fn partition_by_block(
-    cells: Vec<u32>,
+    cells: &[u32],
     shift: u32,
     nblocks: usize,
     threads: usize,
-) -> (Vec<u64>, Vec<usize>, usize) {
+) -> Result<(Vec<u64>, Vec<usize>, usize), GridCapacityError> {
     let hists = par_map_ranges(cells.len(), threads, |range| {
         let mut hist = vec![0usize; nblocks];
         for &c in &cells[range.clone()] {
@@ -387,7 +435,7 @@ fn partition_by_block(
         }
         block_lo[b + 1] = lo;
     }
-    let mut by_block = vec![0u64; cells.len()];
+    let mut by_block = try_filled(cells.len(), cells.len(), 0u64)?;
     par_fill_columns(&mut by_block, workers, &lens, |w, slices| {
         let mut slots: Vec<_> = slices.iter_mut().map(|s| s.iter_mut()).collect();
         for i in hists[w].0.clone() {
@@ -397,7 +445,7 @@ fn partition_by_block(
             }
         }
     });
-    (by_block, block_lo, workers)
+    Ok((by_block, block_lo, workers))
 }
 
 /// Cell-table size up to which the one-pass scatter stays cache-friendly.
@@ -427,7 +475,7 @@ mod tests {
 
     /// Nearest-neighbour distance of point `i` via the grid's ring search.
     fn nearest_dist(g: &SoaGrid, i: usize) -> Option<f64> {
-        (0..g.len()).find(|&k| g.item(k) == i).and_then(|k| g.nearest_dist_at(k))
+        (0..g.len()).find(|&k| g.item(k) == i).and_then(|k| g.nearest_at(k)).map(|near| near.dist)
     }
 
     #[test]
@@ -452,13 +500,13 @@ mod tests {
         let g = grid(&[], 1.0);
         assert!(g.is_empty());
         assert_eq!(g.query_disk(Point::ORIGIN, 10.0), Vec::<usize>::new());
-        assert_eq!(g.nearest_dist_at(0), None);
+        assert_eq!(g.nearest_at(0), None);
         assert!(SoaGrid::from_points(&[], 1.0).query_disk(Point::ORIGIN, 10.0).is_empty());
 
         let g = grid(&[Point::new(3.0, 4.0)], 1.0);
         assert_eq!(g.query_disk(Point::ORIGIN, 5.0), vec![0]);
         assert_eq!(g.query_disk(Point::ORIGIN, 4.9), Vec::<usize>::new());
-        assert_eq!(g.nearest_dist_at(0), None);
+        assert_eq!(g.nearest_at(0), None);
     }
 
     #[test]
@@ -534,7 +582,7 @@ mod tests {
             );
             assert_eq!(g.query_disk(Point::new(2.5, -1.5), 0.0).len(), 9);
             assert!(g.query_disk(Point::ORIGIN, 1.0).is_empty());
-            assert_eq!(g.nearest_dist_at(4), Some(0.0));
+            assert_eq!(g.nearest_at(4).map(|near| near.dist), Some(0.0));
             // Nine coincident points stay below the split budget; the
             // split tests cover overloaded coincident cells.
             assert_eq!(g.split_cells(), 0);
@@ -547,7 +595,7 @@ mod tests {
         for cell in [0.0, 0.5, f64::INFINITY] {
             let g = grid(&pts, cell);
             assert_eq!(g.query_disk(Point::new(7.0, 7.0), 0.0), vec![0]);
-            assert_eq!(g.nearest_dist_at(0), None);
+            assert_eq!(g.nearest_at(0), None);
             let idx = SoaGrid::from_points(&pts, cell);
             assert_eq!(idx.query_disk(Point::new(7.0, 7.0), 0.0), vec![0]);
         }
@@ -615,10 +663,13 @@ mod tests {
         assert!(fits_u32_index(0));
         assert!(fits_u32_index(MAX_INDEXED_POINTS));
         assert!(!fits_u32_index(MAX_INDEXED_POINTS + 1));
-        let err = GridCapacityError {
-            points: MAX_INDEXED_POINTS + 1,
-        };
+        let err = GridCapacityError { points: MAX_INDEXED_POINTS + 1, bytes: None };
         assert!(err.to_string().contains("4294967295"), "{err}");
+        // A failed allocation names the count and the bytes asked for.
+        let huge = try_filled::<u64>(7, 1 << 60, 0).unwrap_err();
+        assert_eq!(huge, GridCapacityError { points: 7, bytes: Some(1 << 63) });
+        assert!(huge.to_string().contains("7 points"), "{huge}");
+        assert!(huge.to_string().contains(&format!("{} bytes", 1usize << 63)), "{huge}");
         // In-capacity builds succeed through the fallible path.
         let g = SoaGrid::try_build(&SoaPoints::from_points(&[Point::ORIGIN]), 1.0).unwrap();
         assert_eq!(g.len(), 1);
@@ -679,10 +730,10 @@ mod tests {
         ];
         for (name, cells, ncells) in cases {
             let want = stable_sort(&cells, ncells);
-            assert_eq!(direct_scatter(&cells, ncells), want, "{name}: direct");
+            assert_eq!(direct_scatter(&cells, ncells), Ok(want.clone()), "{name}: direct");
             for threads in 1..=8 {
                 let got = bucket_scatter(cells.clone(), ncells, threads);
-                assert_eq!(got, want, "{name}: threads={threads}");
+                assert_eq!(got, Ok(want.clone()), "{name}: threads={threads}");
             }
         }
     }

@@ -51,8 +51,8 @@ pub use bbox::Aabb;
 pub use delaunay::{delaunay, Delaunay};
 pub use disk::Disk;
 pub use dyn_grid::DynGrid;
-pub use grid::{fits_u32_index, GridCapacityError, MAX_INDEXED_POINTS, PAR_BUILD_MIN};
+pub use grid::{fits_u32_index, try_filled, GridCapacityError, MAX_INDEXED_POINTS, PAR_BUILD_MIN};
 pub use hull::convex_hull;
 pub use point::Point;
 pub use soa::SoaPoints;
-pub use soa_grid::SoaGrid;
+pub use soa_grid::{Nearest, SoaGrid};

@@ -14,6 +14,7 @@
 //! [`Point`]; conversion helpers are exact in both directions.
 
 use crate::bbox::Aabb;
+use crate::grid::{try_reserve_points, GridCapacityError};
 use crate::point::Point;
 
 /// A set of points stored as two parallel coordinate columns.
@@ -40,6 +41,16 @@ impl SoaPoints {
             xs: Vec::with_capacity(n),
             ys: Vec::with_capacity(n),
         }
+    }
+
+    /// [`SoaPoints::with_capacity`], reserved with `try_reserve_exact`:
+    /// errors, naming `n` and the bytes of the column that did not fit,
+    /// when memory runs out.
+    pub fn try_with_capacity(n: usize) -> Result<Self, GridCapacityError> {
+        let mut soa = SoaPoints::new();
+        try_reserve_points(&mut soa.xs, n, n)?;
+        try_reserve_points(&mut soa.ys, n, n)?;
+        Ok(soa)
     }
 
     /// Columnar copy of an existing point slice.
@@ -86,6 +97,11 @@ impl SoaPoints {
     #[inline]
     pub fn ys(&self) -> &[f64] {
         &self.ys
+    }
+
+    /// The two columns, `(xs, ys)`, handed over without a copy.
+    pub fn into_columns(self) -> (Vec<f64>, Vec<f64>) {
+        (self.xs, self.ys)
     }
 
     /// Bounding box of the stored points (empty box for an empty store).

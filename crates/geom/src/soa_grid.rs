@@ -29,7 +29,7 @@
 //! nested cell holds fewer points, and a one-cell shape is not split. The
 //! nested buckets re-permute the parent cell's run of the columns in
 //! place, stably, so a scan that reads a run flat stays exact
-//! ([`SoaGrid::nearest_dist_at`] does). Disk queries descend, scanning at
+//! ([`SoaGrid::nearest_at`] does). Disk queries descend, scanning at
 //! every level the range of the same slackened radius through that
 //! level's monotone cell coordinate. A cell's index into the shared
 //! `starts` vector is its *cell id*, the key of [`crate::DynGrid`]'s
@@ -37,8 +37,8 @@
 
 use crate::bbox::Aabb;
 use crate::grid::{
-    bucket_scatter, fits_u32_index, GridCapacityError, GridShape, MAX_SPLIT_DEPTH, PAR_BUILD_MIN,
-    SPLIT_BUDGET,
+    bucket_scatter, fits_u32_index, try_filled, GridCapacityError, GridShape, MAX_SPLIT_DEPTH,
+    PAR_BUILD_MIN, SPLIT_BUDGET,
 };
 use crate::point::Point;
 use crate::soa::SoaPoints;
@@ -94,7 +94,8 @@ pub(crate) struct Level {
 impl SoaGrid {
     /// Builds a grid over `points` with the given `cell` size hint, or
     /// errors when `points` has more entries than `u32` bucket item ids
-    /// can address. The hint is sanitized and budget-clamped (see
+    /// can address or a point-sized column of the build cannot be
+    /// allocated. The hint is sanitized and budget-clamped (see
     /// [`crate::grid`]): degenerate hints fall back to the bounding-box
     /// diagonal, and cell counts stay `O(n)`. From the build gate of
     /// [`crate::grid`] on, the build runs on [`rim_par::num_threads`]
@@ -171,7 +172,8 @@ impl SoaGrid {
     /// it records `geom.grid.build_threads`, opens the stage spans
     /// `geom/grid_cells`, `geom/grid_scatter` and `geom/grid_gather`,
     /// and a build that splits records `geom.grid.split_cells` and
-    /// `geom.grid.split_depth`.
+    /// `geom.grid.split_depth`. Every point-sized buffer is allocated
+    /// with [`try_filled`], so running out of memory is an error.
     fn try_build_with(
         n: usize,
         shape: GridShape,
@@ -180,7 +182,7 @@ impl SoaGrid {
         threads: usize,
     ) -> Result<Self, GridCapacityError> {
         if !fits_u32_index(n) {
-            return Err(GridCapacityError { points: n });
+            return Err(GridCapacityError { points: n, bytes: None });
         }
         let threads = if n >= PAR_BUILD_MIN { threads.max(1) } else { 1 };
         rim_obs::counter_add("geom.index.grid_builds", 1);
@@ -189,7 +191,7 @@ impl SoaGrid {
         }
         let cells = {
             let _span = rim_obs::span("geom/grid_cells");
-            let mut cells = vec![0u32; n];
+            let mut cells = try_filled(n, n, 0u32)?;
             par_fill_chunks(&mut cells, threads, |first, window| {
                 for (i, c) in (first..).zip(window.iter_mut()) {
                     *c = (shape.row(y(i)) * shape.nx + shape.col(x(i))) as u32;
@@ -199,13 +201,13 @@ impl SoaGrid {
         };
         let (starts, items, largest) = {
             let _span = rim_obs::span("geom/grid_scatter");
-            bucket_scatter(cells, shape.ncells(), threads)
+            bucket_scatter(cells, shape.ncells(), threads)?
         };
         // Gather the coordinate columns into bucket order: after this,
         // every bucket scan is a sequential read of both columns.
         let (sxs, sys) = {
             let _span = rim_obs::span("geom/grid_gather");
-            (gather_column(&items, &x, threads), gather_column(&items, &y, threads))
+            (gather_column(&items, &x, threads)?, gather_column(&items, &y, threads)?)
         };
         let mut grid = SoaGrid {
             shape,
@@ -217,7 +219,7 @@ impl SoaGrid {
             split: Vec::new(),
         };
         if largest > SPLIT_BUDGET {
-            grid.split_overloaded();
+            grid.split_overloaded()?;
         }
         if rim_obs::active() && grid.split_cells() > 0 {
             rim_obs::counter_add("geom.grid.split_cells", grid.split_cells() as u64);
@@ -230,7 +232,8 @@ impl SoaGrid {
     /// level: the top level's cells, then each nested grid's as the loop
     /// reaches it, so the cell ids of a level are contiguous.
     // rim-lint: allow(panic-freedom) — a level's cell ids are followed by its end offset in `starts`
-    fn split_overloaded(&mut self) {
+    fn split_overloaded(&mut self) -> Result<(), GridCapacityError> {
+        // Zeroed lazily: only split cells write their entry.
         self.split = vec![0; self.starts.len()];
         // `at` is the level's index in `subs`, `None` for the top level.
         let (mut level, mut at): (_, Option<usize>) = (Some(self.top()), None);
@@ -239,7 +242,7 @@ impl SoaGrid {
                 for g in lv.first..lv.first + lv.shape.ncells() {
                     let (lo, hi) = (self.starts[g] as usize, self.starts[g + 1] as usize);
                     if hi - lo > SPLIT_BUDGET {
-                        if let Some(sub) = self.split_cell(lo, hi, lv.depth + 1) {
+                        if let Some(sub) = self.split_cell(lo, hi, lv.depth + 1)? {
                             self.subs.push(sub);
                             self.split[g] = self.subs.len() as u32;
                             if let Some(parent) = at.and_then(|i| self.subs.get_mut(i)) {
@@ -252,6 +255,7 @@ impl SoaGrid {
             let next = at.map_or(0, |i| i + 1);
             (level, at) = (self.subs.get(next).copied(), Some(next));
         }
+        Ok(())
     }
 
     /// Re-buckets positions `lo..hi`, one overloaded cell's run, into a
@@ -259,19 +263,24 @@ impl SoaGrid {
     /// `starts`. Returns `None`, leaving the run as it is, when the
     /// nested shape has a single cell.
     // rim-lint: allow(panic-freedom) — `lo <= hi <= len()` come from `starts`; scatter positions are below `hi - lo`
-    fn split_cell(&mut self, lo: usize, hi: usize, depth: usize) -> Option<Level> {
+    fn split_cell(
+        &mut self,
+        lo: usize,
+        hi: usize,
+        depth: usize,
+    ) -> Result<Option<Level>, GridCapacityError> {
         let (xs, ys) = (&self.sxs[lo..hi], &self.sys[lo..hi]);
         let bbox = xs.iter().zip(ys).fold(Aabb::EMPTY, |b, (&x, &y)| b.expand(Point::new(x, y)));
         let shape = GridShape::nested(&bbox, hi - lo);
         if shape.ncells() < 2 {
-            return None;
+            return Ok(None);
         }
         let cells: Vec<u32> = xs
             .iter()
             .zip(ys)
             .map(|(&x, &y)| (shape.row(y) * shape.nx + shape.col(x)) as u32)
             .collect();
-        let (starts, order, _) = bucket_scatter(cells, shape.ncells(), 1);
+        let (starts, order, _) = bucket_scatter(cells, shape.ncells(), 1)?;
         let items: Vec<u32> = order.iter().map(|&o| self.items[lo + o as usize]).collect();
         let sxs: Vec<f64> = order.iter().map(|&o| self.sxs[lo + o as usize]).collect();
         let sys: Vec<f64> = order.iter().map(|&o| self.sys[lo + o as usize]).collect();
@@ -281,7 +290,7 @@ impl SoaGrid {
         let first = self.starts.len();
         self.starts.extend(starts.iter().map(|&s| s + lo as u32));
         self.split.resize(self.starts.len(), 0);
-        Some(Level { shape, first, depth, splits: false })
+        Ok(Some(Level { shape, first, depth, splits: false }))
     }
 
     /// Number of indexed points.
@@ -502,19 +511,21 @@ impl SoaGrid {
         out
     }
 
-    /// Distance from the point at *bucket-order position* `k` to its
-    /// nearest other indexed point — the streaming nearest-neighbor
-    /// radius assignment. Returns `None` for a store with fewer than two
-    /// points or an out-of-range position.
+    /// The nearest other indexed point of the point at *bucket-order
+    /// position* `k` — the streaming nearest-neighbour radius assignment
+    /// and the sender it covers. Returns `None` for a store with fewer
+    /// than two points or an out-of-range position.
     ///
-    /// The value is `sqrt(min dist_sq)` over all other points, bit-equal
-    /// to [`Point::dist`] of the closest pair. The search reads the 3×3
-    /// block of cells around the point's own cell, then widens by one
-    /// Chebyshev ring at a time, keeping the minimum `dist_sq`; no square
+    /// [`Nearest::dist`] is `sqrt(min dist_sq)` over all other points,
+    /// bit-equal to [`Point::dist`] of the closest pair. The search reads
+    /// the 3×3 block of cells around the point's own cell, then widens by
+    /// one Chebyshev ring at a time, keeping the two smallest `dist_sq`
+    /// and the first position of the smallest in scan order; no square
     /// root is taken until the end. After ring `R` it stops once
     /// `best_sq ≤ (R·cell·(1 − 2⁻²⁰))²`. If the block covers the whole
     /// grid, or more rings would cost more than a scan of every point,
-    /// it falls back to a full scan.
+    /// it falls back to a full scan, which starts all three trackers
+    /// afresh.
     ///
     /// Why the stop is exact: every point is bucketed by its cell coordinate,
     /// i.e. `floor(a)` with `a = fl(fl(x − o)/cell)`, clamped to `nx − 1`.
@@ -532,8 +543,31 @@ impl SoaGrid {
     /// monotone, so `p`'s computed `dx²`, and with it its `dist_sq`, is at
     /// least the threshold and cannot undercut `best_sq`, even where
     /// squares underflow. Rows follow the same argument.
+    ///
+    /// Why [`Nearest::unique`] is exact: it holds when `best_sq ≥
+    /// f64::MIN_POSITIVE` and `sqrt(second) > dist`, and then the
+    /// closed disk `D(c, dist)` holds exactly `c` and `pos` — the hits
+    /// the disk scatter finds for this sender.
+    ///
+    /// * Every hit was scanned. While `best_sq` is normal, so are the
+    ///   stop and every unscanned point's `dx²`, and rounding is relative:
+    ///   `best_sq ≤ fl(stop²) ≤ (R·cell)²·(1 − 2⁻²⁰)²·(1 + 6u)`, while the
+    ///   reserve above puts every unscanned point at `dist_sq ≥
+    ///   (R·cell)²·(1 − 1.0001·2⁻²¹)²·(1 − 6u) ≥ best_sq·(1 + 2⁻²¹)`. The
+    ///   exact roots of the two differ by a relative `2⁻²²`, far more than
+    ///   an ulp, so the rounded root of every unscanned point exceeds
+    ///   `dist` strictly. (The `≥` above is all the radius needs; the hit
+    ///   set needs this strict `>`.)
+    /// * Every scanned point other than `pos` has `dist_sq ≥ second`, so
+    ///   its root is at least `sqrt(second) > dist`.
+    ///
+    /// Every other case — a distance tie (`second = best_sq`, or a
+    /// `second` whose root rounds to `dist`), coincident points
+    /// (`best_sq = 0`) and a subnormal `best_sq`, where relative rounding
+    /// no longer bounds the stop — reports `unique = false`, and a caller
+    /// that needs the hits runs the disk query itself.
     // rim-lint: allow(panic-freedom) — `k` is range-checked; ring cells are clamped to the grid
-    pub fn nearest_dist_at(&self, k: usize) -> Option<f64> {
+    pub fn nearest_at(&self, k: usize) -> Option<Nearest> {
         if self.len() < 2 || k >= self.len() {
             return None;
         }
@@ -541,22 +575,22 @@ impl SoaGrid {
         let s = &self.shape;
         let (ix, iy) = (s.col(c.x), s.row(c.y));
         let (last_x, last_y) = (s.nx - 1, s.ny - 1);
-        let mut best_sq = f64::INFINITY;
+        let mut two = TwoNearest::new(k);
         // Own cell and ring 1, as three contiguous row runs.
         let (x0, x1) = (ix.saturating_sub(1), (ix + 1).min(last_x));
         for y in iy.saturating_sub(1)..=(iy + 1).min(last_y) {
-            self.min_sq_in_cells(y, x0, x1, c, k, &mut best_sq);
+            self.scan_cells(y, x0, x1, c, &mut two);
         }
         let mut ring = 1;
         loop {
             let stop = ring as f64 * s.cell * RING_SHRINK;
-            if best_sq <= stop * stop {
+            if two.best_sq <= stop * stop {
                 break;
             }
             let covers = ix <= ring && iy <= ring && ix + ring >= last_x && iy + ring >= last_y;
             if covers || ring * ring > self.len() {
-                best_sq = f64::INFINITY;
-                self.min_sq_in_range(0, self.len(), c, k, &mut best_sq);
+                two = TwoNearest::new(k);
+                self.scan_range(0, self.len(), c, &mut two);
                 break;
             }
             ring += 1;
@@ -564,67 +598,115 @@ impl SoaGrid {
             // single cells of its left and right columns in between.
             let (x0, x1) = (ix.saturating_sub(ring), (ix + ring).min(last_x));
             if let Some(y) = iy.checked_sub(ring) {
-                self.min_sq_in_cells(y, x0, x1, c, k, &mut best_sq);
+                self.scan_cells(y, x0, x1, c, &mut two);
             }
             if iy + ring <= last_y {
-                self.min_sq_in_cells(iy + ring, x0, x1, c, k, &mut best_sq);
+                self.scan_cells(iy + ring, x0, x1, c, &mut two);
             }
             let left = ix.checked_sub(ring);
             let right = (ix + ring <= last_x).then_some(ix + ring);
             if left.is_some() || right.is_some() {
                 for y in iy.saturating_sub(ring - 1)..=(iy + ring - 1).min(last_y) {
                     for x in left.into_iter().chain(right) {
-                        self.min_sq_in_cells(y, x, x, c, k, &mut best_sq);
+                        self.scan_cells(y, x, x, c, &mut two);
                     }
                 }
             }
         }
-        Some(best_sq.sqrt())
+        let dist = two.best_sq.sqrt();
+        Some(Nearest {
+            dist,
+            pos: two.pos,
+            unique: two.best_sq >= f64::MIN_POSITIVE && two.second_sq.sqrt() > dist,
+        })
     }
 
-    /// Lowers `best_sq` to the smallest `dist_sq` from `c` over the
-    /// points in cells `x0..=x1` of row `y`, skipping position `skip`.
+    /// Feeds the points in cells `x0..=x1` of row `y` to `two`.
     #[inline]
     // rim-lint: allow(panic-freedom) — callers clamp `y <= ny - 1` and `x0 <= x1 <= nx - 1`; `starts` has `ncells + 1` entries
-    fn min_sq_in_cells(
-        &self,
-        y: usize,
-        x0: usize,
-        x1: usize,
-        c: Point,
-        skip: usize,
-        best_sq: &mut f64,
-    ) {
+    fn scan_cells(&self, y: usize, x0: usize, x1: usize, c: Point, two: &mut TwoNearest) {
         let row = y * self.shape.nx;
         let lo = self.starts[row + x0] as usize;
         let hi = self.starts[row + x1 + 1] as usize;
-        self.min_sq_in_range(lo, hi, c, skip, best_sq);
+        self.scan_range(lo, hi, c, two);
     }
 
-    /// Lowers `best_sq` to the smallest `dist_sq` from `c` over positions
-    /// `lo..hi`, skipping position `skip`.
+    /// Feeds positions `lo..hi` to `two`, by their `dist_sq` from `c`.
+    /// The updates are selects, not branches: the search loop stays as
+    /// cheap as a plain minimum.
     #[inline]
     // rim-lint: allow(panic-freedom) — `lo <= hi <= len()` comes from `starts` or the caller
-    fn min_sq_in_range(&self, lo: usize, hi: usize, c: Point, skip: usize, best_sq: &mut f64) {
+    fn scan_range(&self, lo: usize, hi: usize, c: Point, two: &mut TwoNearest) {
         for (i, (&x, &y)) in self.sxs[lo..hi].iter().zip(&self.sys[lo..hi]).enumerate() {
-            let d_sq = Point::new(x, y).dist_sq(&c);
-            if d_sq < *best_sq && lo + i != skip {
-                *best_sq = d_sq;
+            let pos = lo + i;
+            let d_sq = if pos == two.skip { f64::INFINITY } else { Point::new(x, y).dist_sq(&c) };
+            // The larger of the old minimum and `d_sq` may be the new
+            // second; the smaller is the new minimum.
+            let above = if d_sq > two.best_sq { d_sq } else { two.best_sq };
+            two.second_sq = if above < two.second_sq { above } else { two.second_sq };
+            if d_sq < two.best_sq {
+                two.best_sq = d_sq;
+                two.pos = pos;
             }
+        }
+    }
+}
+
+/// The nearest other indexed point of a point, as
+/// [`SoaGrid::nearest_at`] finds it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Nearest {
+    /// Distance to the nearest other point, `sqrt(min dist_sq)`:
+    /// bit-equal to [`Point::dist`] of the closest pair.
+    pub dist: f64,
+    /// Bucket-order position of a point at that distance: the first one
+    /// the search scanned at the smallest `dist_sq`.
+    pub pos: usize,
+    /// Whether `pos` is the only other point `q` with `dist(q, c) <=
+    /// dist`. `false` for distance ties, coincident points and subnormal
+    /// squared distances, whatever the hits (see
+    /// [`SoaGrid::nearest_at`]).
+    pub unique: bool,
+}
+
+/// The two smallest `dist_sq` a ring search has seen, and the first
+/// position of the smallest.
+struct TwoNearest {
+    best_sq: f64,
+    second_sq: f64,
+    pos: usize,
+    /// The query point's own position, which is never a candidate.
+    skip: usize,
+}
+
+impl TwoNearest {
+    /// Nothing seen yet, around the point at position `skip` of a store
+    /// of at least two points. `pos` starts at another position, so it is
+    /// an argmin even when every squared distance overflows.
+    fn new(skip: usize) -> Self {
+        TwoNearest {
+            best_sq: f64::INFINITY,
+            second_sq: f64::INFINITY,
+            pos: usize::from(skip == 0),
+            skip,
         }
     }
 }
 
 /// Column `v` in bucket order, `out[k] = v(items[k])`, gathered by
 /// `threads` workers over contiguous position windows.
-fn gather_column(items: &[u32], v: impl Fn(usize) -> f64 + Sync, threads: usize) -> Vec<f64> {
-    let mut out = vec![0.0; items.len()];
+fn gather_column(
+    items: &[u32],
+    v: impl Fn(usize) -> f64 + Sync,
+    threads: usize,
+) -> Result<Vec<f64>, GridCapacityError> {
+    let mut out = try_filled(items.len(), items.len(), 0.0)?;
     par_fill_chunks(&mut out, threads, |first, window| {
         for (slot, &i) in window.iter_mut().zip(items.get(first..).unwrap_or_default()) {
             *slot = v(i as usize);
         }
     });
-    out
+    Ok(out)
 }
 
 /// Records a disk query's candidate and hit counts as the histograms
@@ -653,7 +735,7 @@ const QUERY_SLACK: f64 = 1.0 / (1u64 << 40) as f64;
 const UNDERFLOW_SLACK: f64 = f64::from_bits((1023 - 500) << 52);
 
 /// Stop factor of the ring search, `1 − 2⁻²⁰` (see
-/// [`SoaGrid::nearest_dist_at`]).
+/// [`SoaGrid::nearest_at`]).
 const RING_SHRINK: f64 = 1.0 - 1.0 / (1u64 << 20) as f64;
 
 #[cfg(test)]
@@ -719,13 +801,15 @@ mod tests {
         let grid = SoaGrid::try_build(&soa, 0.4).unwrap();
         for k in 0..grid.len() {
             let c = grid.point_at(k);
-            let want = (0..pts.len())
+            let min_sq = (0..pts.len())
                 .filter(|&j| j != grid.item(k))
                 .map(|j| pts[j].dist_sq(&c))
-                .fold(f64::INFINITY, f64::min)
-                .sqrt();
-            let got = grid.nearest_dist_at(k).expect("n >= 2");
-            assert_eq!(got.to_bits(), want.to_bits(), "position {k}");
+                .fold(f64::INFINITY, f64::min);
+            let got = grid.nearest_at(k).expect("n >= 2");
+            assert_eq!(got.dist.to_bits(), min_sq.sqrt().to_bits(), "position {k}");
+            let at_pos = grid.point_at(got.pos).dist_sq(&c);
+            assert_eq!(at_pos.to_bits(), min_sq.to_bits(), "position {k}");
+            assert!(got.unique, "position {k}: random points have no ties");
         }
     }
 
@@ -733,14 +817,22 @@ mod tests {
     fn nearest_dist_handles_duplicates_and_small_stores() {
         let empty = SoaGrid::from_points(&[], 1.0);
         assert!(empty.is_empty());
-        assert_eq!(empty.nearest_dist_at(0), None);
+        assert_eq!(empty.nearest_at(0), None);
         let one = SoaGrid::from_points(&[Point::new(1.0, 1.0)], 1.0);
-        assert_eq!(one.nearest_dist_at(0), None);
-        // Coincident points: nearest distance is exactly zero.
+        assert_eq!(one.nearest_at(0), None);
+        // Coincident points: nearest distance is exactly zero, and a zero
+        // minimum is never reported unique.
         let dup = SoaGrid::from_points(&[Point::new(2.0, 2.0), Point::new(2.0, 2.0)], 1.0);
-        assert_eq!(dup.nearest_dist_at(0), Some(0.0));
-        assert_eq!(dup.nearest_dist_at(1), Some(0.0));
-        assert_eq!(dup.nearest_dist_at(2), None);
+        assert_eq!(dup.nearest_at(0), Some(Nearest { dist: 0.0, pos: 1, unique: false }));
+        assert_eq!(dup.nearest_at(1), Some(Nearest { dist: 0.0, pos: 0, unique: false }));
+        assert_eq!(dup.nearest_at(2), None);
+        // Two points at one distance tie; one nearer point does not.
+        let line = [Point::ORIGIN, Point::new(1.0, 0.0), Point::new(-1.0, 0.0)];
+        let grid = SoaGrid::from_points(&line, 0.5);
+        let at = |i: usize| (0..3).find(|&k| grid.item(k) == i).expect("indexed");
+        let (mid, right) = (grid.nearest_at(at(0)).unwrap(), grid.nearest_at(at(1)).unwrap());
+        assert_eq!((mid.dist, mid.unique), (1.0, false));
+        assert_eq!((right.dist, right.pos, right.unique), (1.0, at(0), true));
     }
 
     #[test]
@@ -754,7 +846,8 @@ mod tests {
         got.sort_unstable();
         assert_eq!(got, vec![0, 1, 2]);
         let k = (0..grid.len()).find(|&k| grid.item(k) == 1).expect("point 1 is indexed");
-        assert_eq!(grid.nearest_dist_at(k), Some(0.0));
+        let near = grid.nearest_at(k).expect("three points");
+        assert_eq!((near.dist, near.unique), (0.0, false));
     }
 
     #[test]
@@ -831,7 +924,7 @@ mod tests {
         assert_eq!((grid.split_cells(), grid.split_depth()), (1, 1));
         assert_eq!(sorted(grid.query_disk(Point::ORIGIN, 0.0)), (0..40).collect::<Vec<_>>());
         assert_eq!(grid.query_disk(Point::new(1.0, 0.0), 1.0).len(), 41);
-        assert_eq!(grid.nearest_dist_at(0), Some(0.0));
+        assert_eq!(grid.nearest_at(0).map(|near| near.dist), Some(0.0));
     }
 
     #[test]
@@ -925,8 +1018,9 @@ mod tests {
                 let g = SoaGrid::from_points_threads(&pts, hint, threads);
                 assert!(layout(&g) == want, "{name}: threads={threads}");
                 for k in (0..n).step_by(4_099) {
-                    let (c, d) = (g.point_at(k), g.nearest_dist_at(k));
-                    assert_eq!(d, one.nearest_dist_at(k), "{name}: k={k}");
+                    let (c, near) = (g.point_at(k), g.nearest_at(k));
+                    assert_eq!(near, one.nearest_at(k), "{name}: k={k}");
+                    let d = near.map(|near| near.dist);
                     for r in [0.0, d.unwrap_or(0.0), 4.0 * d.unwrap_or(0.0)] {
                         assert_eq!(g.query_disk(c, r), one.query_disk(c, r), "{name}: k={k} r={r}");
                     }

@@ -97,7 +97,7 @@ fn nearest_k_scans_a_multiple_of_k() {
         let mut candidates = 0;
         for _ in 0..QUERIES {
             let q = exp_chain_point(&mut rng);
-            candidates += grid.nearest_k_where(q, k, |id| id % 5 != 0, &mut out);
+            candidates += grid.k_nearest_where(q, k, |id| id % 5 != 0, &mut out);
             assert_eq!(out.len(), k);
         }
         assert_output_sensitive(&format!("nearest k={k}"), candidates, 0, k);

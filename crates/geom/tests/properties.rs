@@ -149,7 +149,7 @@ fn split_grid_nearest_matches_brute_force() {
             let grid = dyn_grid(pts, *merged, *cell);
             split += u32::from(SoaGrid::from_points(&pts[..*merged], *cell).split_cells() > 0);
             let mut got = Vec::new();
-            grid.nearest_k_where(*q, 1, |_| true, &mut got);
+            grid.k_nearest_where(*q, 1, |_| true, &mut got);
             let want = (0..pts.len())
                 .map(|i| (pts[i].dist(q), i))
                 .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
@@ -175,7 +175,7 @@ fn splitting_stops_at_coincident_points() {
         assert_eq!(grid.query_disk(Point::ORIGIN, 0.0).len(), 300, "cell={cell}");
         assert_eq!(grid.query_disk(stack, 0.25).len(), 501, "cell={cell}");
         let k = (0..grid.len()).find(|&k| grid.item(k) == 500).expect("indexed");
-        assert_eq!(grid.nearest_dist_at(k), Some(0.25), "cell={cell}");
+        assert_eq!(grid.nearest_at(k).map(|near| near.dist), Some(0.25), "cell={cell}");
     }
     let all_coincident = SoaGrid::from_points(&vec![stack; 400], 0.5);
     assert_eq!(all_coincident.split_cells(), 0);
@@ -271,6 +271,11 @@ fn arb_cell(rng: &mut SmallRng) -> f64 {
     2f64.powi(rng.gen_range(0u32..41) as i32 - 20)
 }
 
+/// The ring search's distance is the brute-force one bit for bit, its
+/// position is a brute-force argmin, and it reports the nearest point
+/// unique exactly when it is the only other point in the closed disk
+/// and the squared minimum is normal (never for coincident points or a
+/// subnormal minimum, whatever the disk holds).
 #[test]
 fn soa_ring_nearest_matches_brute_force_bitwise() {
     check(
@@ -281,15 +286,32 @@ fn soa_ring_nearest_matches_brute_force_bitwise() {
             let grid = SoaGrid::from_points(pts, *cell);
             for k in 0..grid.len() {
                 let i = grid.item(k);
-                let want = (0..pts.len())
+                let c = pts[i];
+                let min_sq = (0..pts.len())
                     .filter(|&j| j != i)
-                    .map(|j| pts[j].dist_sq(&pts[i]))
-                    .fold(f64::INFINITY, f64::min)
-                    .sqrt();
-                let got = grid.nearest_dist_at(k).ok_or("no nearest neighbour")?;
+                    .map(|j| pts[j].dist_sq(&c))
+                    .fold(f64::INFINITY, f64::min);
+                let want = min_sq.sqrt();
+                let got = grid.nearest_at(k).ok_or("no nearest neighbour")?;
                 prop_ensure!(
-                    got.to_bits() == want.to_bits(),
-                    "position {k} (point {i}): ring search {got:e}, brute force {want:e}"
+                    // rim-lint: allow(float-eq) — comparing u64 bit patterns; exactness is the property
+                    got.dist.to_bits() == want.to_bits(),
+                    "position {k} (point {i}): ring search {:e}, brute force {want:e}",
+                    got.dist
+                );
+                let at = grid.item(got.pos);
+                prop_ensure!(
+                    // rim-lint: allow(float-eq) — comparing u64 bit patterns; exactness is the property
+                    at != i && pts[at].dist_sq(&c).to_bits() == min_sq.to_bits(),
+                    "position {k} (point {i}): point {at} is not a nearest neighbour"
+                );
+                let hits =
+                    (0..pts.len()).filter(|&j| j != i && pts[j].dist(&c) <= got.dist).count();
+                let normal = min_sq >= f64::MIN_POSITIVE && min_sq.is_finite();
+                prop_ensure!(
+                    got.unique == (normal && hits == 1),
+                    "position {k} (point {i}): unique = {} with {hits} point(s) in the disk",
+                    got.unique
                 );
             }
             Ok(())
@@ -431,7 +453,7 @@ fn dyn_grid_nearest_k_matches_brute_force() {
             split += u32::from(SoaGrid::from_points(&pts[..*merged], *cell).split_cells() > 0);
             let keep = |i: usize| if *sparse { i % m == 0 } else { i % m != 0 || *m == 1 };
             let mut got = Vec::new();
-            grid.nearest_k_where(*query, *k, keep, &mut got);
+            grid.k_nearest_where(*query, *k, keep, &mut got);
             let mut want: Vec<(f64, usize)> = (0..pts.len())
                 .filter(|&i| keep(i))
                 .map(|i| (pts[i].dist(query), i))

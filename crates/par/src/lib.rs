@@ -24,9 +24,10 @@
 //!   false-share a common output vector.
 //! * [`par_fill_chunks`] — an in-place parallel fill: contiguous
 //!   `chunks_mut` windows of one caller-owned slice, one scoped thread
-//!   each, so per-element kernels (nearest-neighbour radii, the grid
-//!   build's cell ids and column gather) write their column directly with
-//!   no per-worker buffers to concatenate.
+//!   each, so per-element kernels (the grid build's cell ids and column
+//!   gather) write their column directly with no per-worker buffers to
+//!   concatenate; [`par_fill_chunk_pairs`] fills two columns cut at the
+//!   same offsets (nearest-neighbour radii and positions).
 //! * [`par_fill_columns`] — an in-place parallel fill through caller-cut
 //!   pieces, each worker owning one column of a `rows × workers` table of
 //!   them: the partition step of the grid build's parallel stable
@@ -192,20 +193,39 @@ where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
-    let n = out.len();
+    // A column of `()` occupies no memory.
+    let mut none = vec![(); out.len()];
+    par_fill_chunk_pairs(out, &mut none, chunks, |first, piece, _| fill(first, piece));
+}
+
+/// [`par_fill_chunks`] over two columns at once: `a` and `b` are cut at
+/// the same offsets, and `fill(offset, a_piece, b_piece)` runs on each
+/// pair of pieces in its own scoped thread, so one pass writes two
+/// columns of different types (the streaming kernel's radii and nearest
+/// positions). The pieces follow `a`'s cut and pair up while `b` lasts,
+/// so the columns should have equal lengths. The same determinism and
+/// panic rules hold as for [`par_fill_chunks`].
+pub fn par_fill_chunk_pairs<A, B, F>(a: &mut [A], b: &mut [B], chunks: usize, fill: F)
+where
+    A: Send,
+    B: Send,
+    F: Fn(usize, &mut [A], &mut [B]) + Sync,
+{
+    let n = a.len();
     let chunks = chunks.clamp(1, n.max(1));
     if chunks == 1 {
-        fill(0, out);
+        fill(0, a, b);
         return;
     }
     rim_obs::counter_add("par.fill_chunks", chunks as u64);
     let len = n.div_ceil(chunks);
     let fill = &fill;
     std::thread::scope(|s| {
-        let handles: Vec<_> = out
+        let handles: Vec<_> = a
             .chunks_mut(len)
+            .zip(b.chunks_mut(len))
             .enumerate()
-            .map(|(i, piece)| s.spawn(move || fill(i * len, piece)))
+            .map(|(i, (pa, pb))| s.spawn(move || fill(i * len, pa, pb)))
             .collect();
         for h in handles {
             h.join()
@@ -445,6 +465,24 @@ mod tests {
                     }
                 });
                 assert_eq!(out, (0..n).collect::<Vec<_>>(), "n={n} chunks={chunks}");
+            }
+        }
+    }
+
+    #[test]
+    fn fill_chunk_pairs_cut_both_columns_at_the_same_offsets() {
+        for n in [0usize, 1, 7, 64, 1000] {
+            for chunks in [0usize, 1, 2, 3, 8, 200] {
+                let (mut a, mut b) = (vec![usize::MAX; n], vec![u8::MAX; n]);
+                par_fill_chunk_pairs(&mut a, &mut b, chunks, |offset, pa, pb| {
+                    assert_eq!(pa.len(), pb.len(), "pieces pair up");
+                    for (i, (x, y)) in pa.iter_mut().zip(pb).enumerate() {
+                        assert_eq!((*x, *y), (usize::MAX, u8::MAX), "slot written twice");
+                        (*x, *y) = (offset + i, ((offset + i) % 251) as u8);
+                    }
+                });
+                assert_eq!(a, (0..n).collect::<Vec<_>>(), "n={n} chunks={chunks}");
+                assert!(b.iter().enumerate().all(|(i, &y)| usize::from(y) == i % 251));
             }
         }
     }

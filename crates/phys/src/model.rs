@@ -115,8 +115,8 @@ impl PhysParams {
     ///   radius infinite: that node covers every other.)
     ///
     /// This is the one place link-budget figures from outside the
-    /// program are checked; [`PhysModel::with_params`] asserts only the
-    /// powers it is handed.
+    /// program are checked; [`PhysModel::with_params`] asserts that the
+    /// parameters and powers it is handed meet the same bounds.
     pub fn from_link_budget(
         alpha: f64,
         power_dbm: f64,
@@ -196,13 +196,41 @@ impl PhysModel {
     /// drawn from a [`SmallRng`] seeded with `shadow_seed` — one draw
     /// per node in index order, so the same seed always yields the
     /// same fading landscape.
+    ///
+    /// Panics unless `params` and the powers meet the bounds
+    /// [`PhysParams::from_link_budget`] guarantees: `alpha`,
+    /// `near_field`, `theta_mw`, `noise_mw` and `beta` finite and > 0,
+    /// `sigma_db` finite and >= 0, every power finite and >= 0, and the
+    /// strongest received power of each (raised by the largest shadowing
+    /// draw, at the near-field distance) with room to sum `2^32` of
+    /// them. The fields are `pub`, so a struct literal can break them,
+    /// and a NaN coverage radius would otherwise count as silence.
     pub fn with_params(t: &Topology, params: PhysParams, tx_power_mw: &[f64]) -> PhysModel {
         assert_eq!(t.num_nodes(), tx_power_mw.len(), "one transmit power per node");
+        assert!(params.alpha.is_finite() && params.alpha > 0.0, "alpha must be finite and > 0");
+        for (field, value) in [
+            ("near_field", params.near_field),
+            ("theta_mw", params.theta_mw),
+            ("noise_mw", params.noise_mw),
+            ("beta", params.beta),
+        ] {
+            assert!(value.is_finite() && value > 0.0, "{field} must be finite and > 0");
+        }
+        assert!(
+            params.sigma_db.is_finite() && params.sigma_db >= 0.0,
+            "sigma_db must be finite and >= 0"
+        );
+        let near_gain = params.near_field.powf(-params.alpha);
+        let strongest_draw = db_to_linear(params.sigma_db * standard_normal_max());
         let mut rng = SmallRng::seed_from_u64(params.shadow_seed);
         let effective_mw: Vec<f64> = tx_power_mw
             .iter()
             .map(|&p_mw| {
                 assert!(p_mw >= 0.0 && p_mw.is_finite(), "powers must be finite and >= 0");
+                assert!(
+                    (p_mw * strongest_draw * near_gain * SUM_HEADROOM).is_finite(),
+                    "received powers must leave room to sum 2^32 of them"
+                );
                 if params.sigma_db > 0.0 {
                     p_mw * db_to_linear(params.sigma_db * standard_normal(&mut rng))
                 } else {
@@ -376,6 +404,27 @@ mod tests {
         for u in 0..4 {
             assert_eq!(plain.power_mw(u).to_bits(), 1.0f64.to_bits(), "σ=0 leaves powers");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "alpha must be finite and > 0")]
+    fn with_params_rejects_a_nan_path_loss_exponent() {
+        let params = PhysParams { alpha: f64::NAN, ..PhysParams::default() };
+        PhysModel::with_params(&chain(), params, &[1.0; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "theta_mw must be finite and > 0")]
+    fn with_params_rejects_a_zero_threshold() {
+        // θ = N = 0 made every coverage radius of a zero power 0/0 = NaN.
+        let params = PhysParams { theta_mw: 0.0, noise_mw: 0.0, ..PhysParams::default() };
+        PhysModel::with_params(&chain(), params, &[0.0, 1.0, 1.0, 1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "room to sum")]
+    fn with_params_rejects_powers_past_the_headroom() {
+        PhysModel::with_params(&chain(), PhysParams::default(), &[1e300; 4]);
     }
 
     #[test]

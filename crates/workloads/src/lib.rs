@@ -94,12 +94,30 @@ pub fn uniform_square_stream(n: usize, side: f64, seed: u64) -> UniformStream {
 /// store: two flat `f64` columns and nothing else, the input layout of
 /// the streaming interference kernel (`rim_core::stream`). Coordinates
 /// are bit-identical to [`uniform_square`] with the same arguments.
+/// Panics when the columns do not fit in memory; [`try_uniform_soa`]
+/// returns the error instead.
 pub fn uniform_soa(n: usize, side: f64, seed: u64) -> rim_geom::SoaPoints {
-    let mut soa = rim_geom::SoaPoints::with_capacity(n);
+    match try_uniform_soa(n, side, seed) {
+        Ok(soa) => soa,
+        // rim-lint: allow(panic-freedom) — documented contract; try_uniform_soa is the checked path
+        // rim-lint: allow(no-unwrap-in-lib) — documented contract; try_uniform_soa is the checked path
+        Err(e) => panic!("{e}"),
+    }
+}
+
+/// [`uniform_soa`], with both columns reserved by
+/// [`rim_geom::SoaPoints::try_with_capacity`]: errors, naming `n` and
+/// the bytes asked for, when memory runs out before a point is drawn.
+pub fn try_uniform_soa(
+    n: usize,
+    side: f64,
+    seed: u64,
+) -> Result<rim_geom::SoaPoints, rim_geom::GridCapacityError> {
+    let mut soa = rim_geom::SoaPoints::try_with_capacity(n)?;
     for p in uniform_square_stream(n, side, seed) {
         soa.push(p.x, p.y);
     }
-    soa
+    Ok(soa)
 }
 
 /// `k` Gaussian clusters of `per_cluster` points each; cluster centers

@@ -253,12 +253,14 @@ pub const PANIC_FREE_ROOTS: &[&str] = &[
     "interference_counts_sharded",
     "par_scatter_u32",
     "nn_radii",
+    "nn_in_degree",
     "par_fill_chunks",
+    "par_fill_chunk_pairs",
     "remove_node",
     "apply_edit",
     "encode_snapshot",
     "decode_snapshot",
-    "nearest_live_k",
+    "k_nearest_live",
     "push_overlay",
     "scan_split",
     "for_each_reaching",

@@ -164,12 +164,13 @@ fn physical_engine_obligations_stay_registered() {
 fn streaming_kernel_obligations_stay_registered() {
     // The million-node streaming path's standing obligations: the
     // counting entry points and the (max, Σ) reduction, the
-    // nearest-neighbor radius pass, the grid build's parallel scatter
-    // and column gather, and the sharded scatter, in-place fill and
-    // column-partition primitives carry the panic-freedom closure check,
-    // the thread-count-invariant kernels are determinism roots, and the
-    // naive oracle the streaming differential suite pins against stays
-    // retained. Dropping any of these would silently un-audit the
+    // nearest-neighbor radius and position pass and the in-degree count
+    // over its positions, the grid build's parallel scatter and column
+    // gather, and the sharded scatter, in-place fill (one column or two)
+    // and column-partition primitives carry the panic-freedom closure
+    // check, the thread-count-invariant kernels are determinism roots,
+    // and the naive oracle the streaming differential suite pins against
+    // stays retained. Dropping any of these would silently un-audit the
     // SoA/streaming layer.
     const PARALLEL_BUILD: [&str; 3] = ["par_block_scatter", "gather_column", "par_fill_columns"];
     for root in [
@@ -178,7 +179,9 @@ fn streaming_kernel_obligations_stay_registered() {
         "interference_max_sum",
         "par_scatter_u32",
         "nn_radii",
+        "nn_in_degree",
         "par_fill_chunks",
+        "par_fill_chunk_pairs",
     ]
     .into_iter()
     .chain(PARALLEL_BUILD)
@@ -193,7 +196,9 @@ fn streaming_kernel_obligations_stay_registered() {
         "interference_max_sum",
         "par_scatter_u32",
         "nn_radii",
+        "nn_in_degree",
         "par_fill_chunks",
+        "par_fill_chunk_pairs",
     ]
     .into_iter()
     .chain(PARALLEL_BUILD)
@@ -225,7 +230,7 @@ fn churn_hot_path_obligations_stay_registered() {
     for root in [
         "remove_node",
         "apply_edit",
-        "nearest_live_k",
+        "k_nearest_live",
         "push_overlay",
         "encode_snapshot",
         "decode_snapshot",
@@ -238,7 +243,7 @@ fn churn_hot_path_obligations_stay_registered() {
             "`{root}` must stay in PANIC_FREE_ROOTS"
         );
     }
-    for root in ["remove_node", "apply_edit", "nearest_live_k", "push_overlay", "encode_snapshot"]
+    for root in ["remove_node", "apply_edit", "k_nearest_live", "push_overlay", "encode_snapshot"]
         .into_iter()
         .chain(GRID_PATHS)
     {
