@@ -6,7 +6,6 @@
 //! the same functions so `cargo bench` exercises identical code paths.
 
 use crate::record::Row;
-use crate::sweep::parallel_map;
 use rim_core::optimal::{min_interference_topology, SolverLimits};
 use rim_core::receiver::{graph_interference, interference_vector};
 use rim_core::robustness::arrival_impact;
@@ -16,12 +15,27 @@ use rim_highway::a_gen::a_gen_with_spacing;
 use rim_highway::bounds::{exponential_chain_lower_bound, optimum_lower_bound};
 use rim_highway::exponential::two_chains;
 use rim_highway::{a_apx, a_exp, a_gen, exponential_chain, gamma, HighwayInstance};
+use rim_par::parallel_map;
 use rim_sim::{MacConfig, SimConfig, Simulator, TrafficConfig};
 use rim_topology_control::emst::euclidean_mst;
 use rim_topology_control::nnf::nearest_neighbor_forest;
 use rim_topology_control::Baseline;
 use rim_udg::udg::unit_disk_graph;
 use rim_udg::{NodeSet, Topology};
+use std::num::NonZeroU64;
+
+/// Prints each case's progress line once its sweep has returned, in
+/// input order (the sweep's threads finish in any order), so `figures`
+/// prints the same stdout on every run.
+fn announce(cases: Vec<(String, Row)>) -> Vec<Row> {
+    cases
+        .into_iter()
+        .map(|(line, row)| {
+            println!("  {line}");
+            row
+        })
+        .collect()
+}
 
 /// F1 (Figure 1): robustness of the two interference measures under a
 /// single node arrival, as the cluster size grows.
@@ -242,6 +256,10 @@ fn sim_topologies() -> Vec<(&'static str, Topology)> {
     ]
 }
 
+/// Slots between packets of one CBR flow in the MAC experiments.
+// rim-lint: allow(no-unwrap-in-lib) — a const, so a zero would fail the build
+const CBR_PERIOD: NonZeroU64 = NonZeroU64::new(25).unwrap();
+
 /// S1: MAC simulation across topologies — does lower `I` mean fewer
 /// collisions, fewer retransmissions, less energy per packet?
 /// Averaged over three seeds.
@@ -253,23 +271,23 @@ pub fn sim_experiment(seed: u64) -> Vec<Row> {
                 mac: MacConfig::csma(),
                 traffic: TrafficConfig::Cbr {
                     flows: 10,
-                    period: 25,
+                    period: CBR_PERIOD,
                 },
                 alpha: 2.0,
                 seed: seed.wrapping_add(k),
             };
-            parallel_map(sim_topologies(), move |(name, t)| {
+            announce(parallel_map(sim_topologies(), move |(name, t)| {
                 let i = graph_interference(&t);
                 let m = Simulator::new(t, cfg).run();
-                println!("  S1[{name} seed+{k}]");
-                Row::new("S1", "topology", i as f64)
+                let row = Row::new("S1", "topology", i as f64)
                     .col("I", i as f64)
                     .col("delivery", m.delivery_ratio())
                     .col("collision_rate", m.collision_rate())
                     .col("tx_per_delivery", m.transmissions_per_delivery())
                     .col("energy_per_delivery", m.energy_per_delivery())
-                    .col("mean_delay", m.mean_delay())
-            })
+                    .col("mean_delay", m.mean_delay());
+                (format!("S1[{name} seed+{k}]"), row)
+            }))
         })
         .collect();
     crate::stats::mean_rows(&runs)
@@ -284,7 +302,7 @@ pub fn sim_tdma_vs_csma(seed: u64) -> Vec<Row> {
         jobs.push((name, "csma", MacConfig::csma(), t.clone()));
         jobs.push((name, "tdma", MacConfig::Tdma, t));
     }
-    parallel_map(jobs, move |(name, mac_name, mac, t)| {
+    announce(parallel_map(jobs, move |(name, mac_name, mac, t)| {
         let i = graph_interference(&t);
         let frame = rim_sim::tdma_schedule(&t).frame_length();
         let cfg = SimConfig {
@@ -292,20 +310,20 @@ pub fn sim_tdma_vs_csma(seed: u64) -> Vec<Row> {
             mac,
             traffic: TrafficConfig::Cbr {
                 flows: 10,
-                period: 25,
+                period: CBR_PERIOD,
             },
             alpha: 2.0,
             seed,
         };
         let m = Simulator::new(t, cfg).run();
-        println!("  S2[{name}/{mac_name}]");
-        Row::new("S2", "topology", i as f64)
+        let row = Row::new("S2", "topology", i as f64)
             .col("is_tdma", f64::from(u8::from(mac_name == "tdma")))
             .col("frame", frame as f64)
             .col("delivery", m.delivery_ratio())
             .col("collision_rate", m.collision_rate())
-            .col("mean_delay", m.mean_delay())
-    })
+            .col("mean_delay", m.mean_delay());
+        (format!("S2[{name}/{mac_name}]"), row)
+    }))
 }
 
 /// X1 extension: TDMA frame length across topologies of the same
@@ -323,16 +341,16 @@ pub fn tdma_frames(seed: u64) -> Vec<Row> {
         ("a_gen", a_gen(&chain).topology),
         ("mst", euclidean_mst(&nodes, &udg)),
     ];
-    parallel_map(topologies, |(name, t)| {
+    announce(parallel_map(topologies, |(name, t)| {
         let i = graph_interference(&t);
         let s = rim_sim::tdma_schedule(&t);
         assert_eq!(s.verify(&t), None, "invalid schedule for {name}");
-        println!("  X1[{name}]");
-        Row::new("X1", "I", i as f64)
+        let row = Row::new("X1", "I", i as f64)
             .col("links", s.num_links() as f64)
             .col("frame_length", s.frame_length() as f64)
-            .col("links_per_slot", s.num_links() as f64 / s.frame_length().max(1) as f64)
-    })
+            .col("links_per_slot", s.num_links() as f64 / s.frame_length().max(1) as f64);
+        (format!("X1[{name}]"), row)
+    }))
 }
 
 /// M1: topology control under mobility — rebuild on every random-
@@ -573,7 +591,7 @@ pub fn ablation_threshold(seed: u64) -> Vec<Row> {
 pub fn baselines_2d(seed: u64) -> Vec<Row> {
     let nodes = rim_workloads::uniform_square(150, 3.0, seed);
     let udg = unit_disk_graph(&nodes);
-    parallel_map(Baseline::ALL.to_vec(), move |b| {
+    announce(parallel_map(Baseline::ALL.to_vec(), move |b| {
         let t = b.build(&nodes, &udg);
         let bc = rim_graph::biconnectivity::biconnectivity(t.graph());
         let connected = t.preserves_connectivity_of(&udg);
@@ -584,16 +602,16 @@ pub fn baselines_2d(seed: u64) -> Vec<Row> {
         } else {
             f64::INFINITY
         };
-        println!("  B2D[{}]", b.name());
-        Row::new("B2D", "baseline", b as usize as f64)
+        let row = Row::new("B2D", "baseline", b as usize as f64)
             .col("edges", t.num_edges() as f64)
             .col("I_recv", graph_interference(&t) as f64)
             .col("I_send", sender_graph_interference(&t) as f64)
             .col("energy", t.energy(2.0))
             .col("bridges", bc.bridges.len() as f64)
             .col("stretch", stretch)
-            .col("connected", f64::from(u8::from(connected)))
-    })
+            .col("connected", f64::from(u8::from(connected)));
+        (format!("B2D[{}]", b.name()), row)
+    }))
 }
 
 #[cfg(test)]

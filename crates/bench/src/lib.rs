@@ -1,6 +1,6 @@
 //! Shared harness for the experiment suite: experiment records, CSV
-//! export, a parallel sweep runner, and the per-figure data generators
-//! the `figures` binary runs.
+//! export, and the per-figure data generators the `figures` binary runs
+//! (their sweeps fan out over `rim_par::parallel_map`).
 
 #![forbid(unsafe_code)]
 
@@ -11,4 +11,3 @@
 pub mod experiments;
 pub mod record;
 pub mod stats;
-pub mod sweep;

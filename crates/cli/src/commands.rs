@@ -16,6 +16,7 @@ use rim_topology_control::Baseline;
 use rim_udg::io;
 use rim_udg::udg::unit_disk_graph;
 use rim_udg::{NodeSet, Topology};
+use std::num::NonZeroU64;
 use std::str::FromStr;
 
 /// Full usage text for `rim help`.
@@ -466,10 +467,8 @@ pub fn simulate(args: &Args) -> Result<(), UsageError> {
     let topology = load_topology(args, &nodes)?;
     let slots: u64 = args.opt_parse("slots", 20_000)?;
     let flows: usize = args.opt_parse("flows", 8)?;
-    let period: u64 = args.opt_parse("period", 40)?;
-    if period == 0 {
-        return Err(UsageError("--period must be at least 1 slot".into()));
-    }
+    let period = NonZeroU64::new(args.opt_parse("period", 40)?)
+        .ok_or_else(|| UsageError("--period must be at least 1 slot".into()))?;
     let seed: u64 = args.opt_parse("seed", 0)?;
     let mac = match args.opt("mac", "csma").as_str() {
         "csma" => MacConfig::csma(),

@@ -841,20 +841,36 @@ fn analyze_generate_rejects_counts_past_the_u32_grid() {
 /// * `uniform:6000000` fits its two 48 MB coordinate columns under a cap
 ///   of 96 MB + 19 MB (the binary itself takes a few MB), but not the
 ///   grid's 24 MB cell column next to them.
+///
+/// Three more caps used to kill the run: `uniform:140000` (a parallel
+/// grid build) under 11 MiB and `uniform:4000000` under 24 MiB plus 16 B
+/// per point left room for the columns but not a helper thread's stack
+/// (exit 101, "failed to spawn thread"), and `uniform:2000000` under
+/// 64 MiB aborted on a 62 KB block-scatter table (exit 134). Each must
+/// exit 2 naming the count, or 0 with the uncapped report; which buffer
+/// fails first depends on the memory layout, so these leave the bytes
+/// unchecked.
 #[cfg(unix)]
 #[test]
 fn analyze_generate_exits_2_when_memory_runs_out() {
+    let capped = |count: usize, limit_kib: usize| {
+        let script =
+            format!("ulimit -v {limit_kib} && exec \"$0\" analyze --generate uniform:{count}");
+        // A backtrace printed while memory is exhausted can block on
+        // std's backtrace lock; without one, a failure aborts instead of
+        // hanging the test.
+        Command::new("sh")
+            .args(["-c", &script, env!("CARGO_BIN_EXE_rim")])
+            .env("RUST_BACKTRACE", "0")
+            .output()
+            .unwrap()
+    };
     let cases = [
         (4_294_967_295usize, 4usize << 20, 34_359_738_360usize),
         (6_000_000, (16 * 6_000_000 + (19 << 20)) >> 10, 24_000_000),
     ];
     for (count, limit_kib, bytes) in cases {
-        let script =
-            format!("ulimit -v {limit_kib} && exec \"$0\" analyze --generate uniform:{count}");
-        let out = Command::new("sh")
-            .args(["-c", &script, env!("CARGO_BIN_EXE_rim")])
-            .output()
-            .unwrap();
+        let out = capped(count, limit_kib);
         let err = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "uniform:{count}: {err}");
         assert!(out.stdout.is_empty(), "uniform:{count} printed a report");
@@ -863,6 +879,28 @@ fn analyze_generate_exits_2_when_memory_runs_out() {
             line.contains(&format!("{count} points")) && line.contains(&format!("{bytes} bytes")),
             "uniform:{count}: {err}"
         );
+    }
+    let layout_dependent = [
+        (140_000usize, 11usize << 10),
+        (4_000_000, (16 * 4_000_000 + (24 << 20)) >> 10),
+        (2_000_000, 64 << 10),
+    ];
+    for (count, limit_kib) in layout_dependent {
+        let out = capped(count, limit_kib);
+        let err = String::from_utf8_lossy(&out.stderr);
+        match out.status.code() {
+            Some(0) => {
+                let spec = format!("uniform:{count}");
+                let full = rim().args(["analyze", "--generate", &spec]).output().unwrap();
+                assert_eq!(out.stdout, full.stdout, "{spec} under {limit_kib} KiB");
+            }
+            Some(2) => {
+                let line = err.lines().find(|l| l.starts_with("error:")).unwrap_or_default();
+                assert!(line.contains(&format!("{count} points")), "uniform:{count}: {err}");
+                assert!(out.stdout.is_empty(), "uniform:{count} printed a report");
+            }
+            code => panic!("uniform:{count} under {limit_kib} KiB exited {code:?}: {err}"),
+        }
     }
 }
 

@@ -26,7 +26,7 @@
 //! * [`stream`] — the fast kernel: a structure-of-arrays scatter that
 //!   needs no edge list, from a topology or straight from points with
 //!   nearest-neighbour radii at 10⁶–10⁷ nodes,
-//! * [`parallel`] — the scoped-thread executor the kernels share,
+//! * [`parallel`] — the machine's worker count, from `rim-par`,
 //! * [`sender`] — the link-coverage measure of \[2\] for comparison,
 //! * [`dynamic`] — incrementally maintained interference under link
 //!   insertions/removals,
@@ -52,7 +52,7 @@ pub mod dynamic;
 pub mod gathering;
 /// Exact minimum-interference connected topologies (branch and bound).
 pub mod optimal;
-/// Dependency-free data parallelism on `std::thread::scope`.
+/// The machine's worker count ([`rim_par::num_threads`]).
 pub mod parallel;
 /// The receiver-centric interference measure (Definitions 3.1 and 3.2).
 pub mod receiver;

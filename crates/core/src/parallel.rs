@@ -1,14 +1,10 @@
-//! Data parallelism — re-exported from the shared [`rim_par`] executor.
+//! The machine's worker count, from the shared [`rim_par`] executor.
 //!
-//! The chunked scoped-thread scatter executor originally lived here;
-//! once the topology-construction pipeline and the bench sweeps needed
-//! the same primitives it was hoisted into the `rim-par` crate. This
-//! module stays as the long-standing `rim_core::parallel::…` path so the
-//! interference kernels (and external callers) keep compiling unchanged.
+//! Callers outside `rim-core` size their parallel runs with
+//! `rim_core::parallel::num_threads`; the kernels inside `rim-core`
+//! call `rim_par` directly.
 
-pub use rim_par::{
-    num_threads, par_fill_chunk_pairs, par_fill_chunks, par_map_ranges, par_scatter_u32,
-};
+pub use rim_par::num_threads;
 
 #[cfg(test)]
 mod tests {
@@ -16,8 +12,7 @@ mod tests {
 
     #[test]
     fn reexported_executor_works() {
-        let sums = par_map_ranges(100, 4, |r| r.sum::<usize>());
-        assert_eq!(sums.iter().sum::<usize>(), (0..100).sum::<usize>());
         assert!(num_threads() >= 1);
+        assert_eq!(num_threads(), rim_par::num_threads());
     }
 }

@@ -15,9 +15,9 @@
 //! r_u` at distance level, so they agree *exactly* — not approximately
 //! — on every input.
 
-use crate::parallel::num_threads;
 use crate::stream::StreamInstance;
 use rim_geom::{Point, SoaGrid};
+use rim_par::num_threads;
 use rim_udg::Topology;
 
 /// Strategy selector for the batch interference kernels.

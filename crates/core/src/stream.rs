@@ -54,8 +54,8 @@
 //! both. [`sqrt_log_envelope`] is the looser Θ(√(log n)) band
 //! `rim analyze --generate` reports against.
 
-use crate::parallel::{num_threads, par_fill_chunk_pairs, par_scatter_u32};
 use rim_geom::{try_filled, GridCapacityError, Point, SoaGrid, SoaPoints};
+use rim_par::{num_threads, par_fill_chunk_pairs, par_scatter_u32};
 use rim_udg::Topology;
 
 /// Target number of senders per parallel chunk.

@@ -266,8 +266,8 @@ pub(crate) type Buckets = (Vec<u32>, Vec<u32>, usize);
 /// bucket-major point permutation (`order[k]` = original point id),
 /// insertion-stable within every bucket, and the largest bucket size.
 /// The output is the stable sort of the points by cell id, the same for
-/// every `threads`. Errors when a point-sized buffer cannot be
-/// allocated ([`try_filled`]).
+/// every `threads`. Errors when a point-sized buffer or one of the
+/// blocked sort's tables cannot be allocated ([`try_filled`]).
 ///
 /// Small tables scatter directly, on one core. Past
 /// [`DIRECT_SCATTER_CELLS`] the cursor and destination arrays no longer
@@ -348,12 +348,14 @@ fn par_block_scatter(
     let block_cells = |b: usize| (b << shift).min(ncells)..((b + 1) << shift).min(ncells);
     let (by_block, block_lo, workers) = partition_by_block(&cells, shift, nblocks, threads)?;
     // Step 3: contiguous block groups of about n / workers points.
-    let mut groups = vec![nblocks; workers + 1];
+    let mut groups = try_filled(n, workers + 1, nblocks)?;
     for (g, first) in groups.iter_mut().enumerate().take(workers) {
         *first = block_lo[..nblocks].partition_point(|&lo| lo < g * n / workers);
     }
-    let group_cells: Vec<usize> =
-        groups.windows(2).map(|g| block_cells(g[1]).start - block_cells(g[0]).start).collect();
+    let mut group_cells = Vec::new();
+    try_reserve_points(&mut group_cells, n, workers)?;
+    group_cells
+        .extend(groups.windows(2).map(|g| block_cells(g[1]).start - block_cells(g[0]).start));
     let mut starts = try_filled(n, ncells + 1, 0u32)?;
     let largest = par_fill_columns(&mut starts, workers, &group_cells, |g, pieces| {
         let (Some(window), first) = (pieces.first_mut(), block_cells(groups[g]).start) else {
@@ -380,8 +382,9 @@ fn par_block_scatter(
     .max()
     .unwrap_or(0);
     starts[ncells] = n as u32;
-    let group_points: Vec<usize> =
-        groups.windows(2).map(|g| block_lo[g[1]] - block_lo[g[0]]).collect();
+    let mut group_points = Vec::new();
+    try_reserve_points(&mut group_points, n, workers)?;
+    group_points.extend(groups.windows(2).map(|g| block_lo[g[1]] - block_lo[g[0]]));
     // Every position receives exactly one point id below.
     let mut order = cells;
     par_fill_columns(&mut order, workers, &group_points, |g, pieces| {
@@ -418,15 +421,18 @@ fn partition_by_block(
     threads: usize,
 ) -> Result<(Vec<u64>, Vec<usize>, usize), GridCapacityError> {
     let hists = par_map_ranges(cells.len(), threads, |range| {
-        let mut hist = vec![0usize; nblocks];
+        let mut hist = try_filled(cells.len(), nblocks, 0usize)?;
         for &c in &cells[range.clone()] {
             hist[(c >> shift) as usize] += 1;
         }
-        (range, hist)
-    });
+        Ok((range, hist))
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, GridCapacityError>>()?;
     let workers = hists.len();
-    let mut lens = Vec::with_capacity(nblocks * workers);
-    let mut block_lo = vec![0usize; nblocks + 1];
+    let mut lens = Vec::new();
+    try_reserve_points(&mut lens, cells.len(), nblocks * workers)?;
+    let mut block_lo = try_filled(cells.len(), nblocks + 1, 0usize)?;
     for b in 0..nblocks {
         let mut lo = block_lo[b];
         for (_, hist) in &hists {
@@ -437,11 +443,13 @@ fn partition_by_block(
     }
     let mut by_block = try_filled(cells.len(), cells.len(), 0u64)?;
     par_fill_columns(&mut by_block, workers, &lens, |w, slices| {
-        let mut slots: Vec<_> = slices.iter_mut().map(|s| s.iter_mut()).collect();
         for i in hists[w].0.clone() {
             let c = cells[i];
-            if let Some(slot) = slots[(c >> shift) as usize].next() {
+            // Each block's slice shrinks to its part not yet written.
+            let Some(slice) = slices.get_mut((c >> shift) as usize) else { continue };
+            if let Some((slot, rest)) = std::mem::take(slice).split_first_mut() {
                 *slot = u64::from(c) << 32 | i as u64;
+                *slice = rest;
             }
         }
     });

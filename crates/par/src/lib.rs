@@ -1,43 +1,51 @@
 //! `rim-par` — the workspace's shared data-parallel executor.
 //!
 //! The workspace is hermetic — no rayon — so every layer that fans work
-//! out over threads shares the two primitives in this crate instead of
-//! growing its own pool:
+//! out over threads goes through this crate, and the crate has one
+//! executor. A call hands it its pieces; each piece sits in its own
+//! slot, and the calling thread and up to `threads − 1` scoped helpers
+//! claim slots off an atomic cursor until none is left, so uneven pieces
+//! balance themselves and the caller works instead of waiting. Scoped
+//! threads let pieces borrow topologies, spatial indices and output
+//! columns by reference, so parallelism adds no copies. The primitives
+//! only cut their input into pieces:
 //!
-//! * [`par_map_ranges`] — the chunked scoped-thread *scatter executor*:
-//!   it carves `0..n` into contiguous ranges, runs one scoped thread per
-//!   range, and returns the per-range results in order. The interference
-//!   kernel (`rim_core::stream`) and the topology-construction
-//!   pipeline (`rim_topology_control`) both scatter over it; scoped
-//!   threads let closures borrow topologies and spatial indices by
-//!   reference, so parallelism adds no copies.
-//! * [`parallel_map`] — an order-preserving map over heterogeneous work
-//!   items with *dynamic* self-scheduling: workers claim items off an
-//!   atomic cursor, so a slow item (a long simulation, a big sweep
-//!   point) never idles the other workers the way a static split would.
-//!   This replaces the Mutex-queue worker pool `rim_bench::sweep` used
-//!   to carry; the only locks left are uncontended per-slot ones.
-//! * [`par_scatter_u32`] — a sharded-accumulator counting kernel: each
-//!   worker scatters increments into its own private `u32` buffer and
-//!   the buffers are summed at the barrier, window by window on the same
-//!   workers, so counting kernels (the interference scatter) never
-//!   false-share a common output vector.
-//! * [`par_fill_chunks`] — an in-place parallel fill: contiguous
-//!   `chunks_mut` windows of one caller-owned slice, one scoped thread
-//!   each, so per-element kernels (the grid build's cell ids and column
-//!   gather) write their column directly with no per-worker buffers to
-//!   concatenate; [`par_fill_chunk_pairs`] fills two columns cut at the
-//!   same offsets (nearest-neighbour radii and positions).
-//! * [`par_fill_columns`] — an in-place parallel fill through caller-cut
-//!   pieces, each worker owning one column of a `rows × workers` table of
-//!   them: the partition step of the grid build's parallel stable
-//!   counting sort.
+//! * [`par_map_ranges`] — contiguous ranges of `0..n`, one result per
+//!   range in range order: the UDG build, sender coverage and the
+//!   topology-construction pipeline scatter over it.
+//! * [`parallel_map`] — one piece per item of a heterogeneous work list
+//!   (the figure sweeps), results in input order.
+//! * [`par_fill_chunks`] / [`par_fill_chunk_pairs`] — contiguous
+//!   `chunks_mut` windows of one caller-owned column (the grid build's
+//!   cell ids and column gather), or of two cut at the same offsets
+//!   (nearest-neighbour radii and positions): each piece writes its
+//!   window in place, with no per-worker buffers to concatenate.
+//! * [`par_fill_columns`] — caller-cut pieces of one slice, grouped into
+//!   per-worker columns: the partition step of the grid build's parallel
+//!   stable counting sort.
+//! * [`par_scatter_u32`] — a sharded-accumulator counting kernel over
+//!   [`par_map_ranges`] and [`par_fill_chunks`]: each range scatters
+//!   increments into its own private `u32` buffer, and the buffers are
+//!   summed window by window, so counting kernels never false-share a
+//!   common output vector.
 //!
-//! Determinism contract: every primitive returns results in input order,
-//! and none changes *what* is computed — only where. Callers that
-//! need bit-identical output across thread counts (the topology
-//! pipeline's invariance tests) get it for free as long as their
-//! per-item closures are pure.
+//! One spawn path means one answer to each failure:
+//!
+//! * Helpers start through `std::thread::Builder::spawn_scoped`. When
+//!   the OS refuses one (no room for its stack, a thread limit), spawning
+//!   stops and the threads already running, the caller at least, drain
+//!   the rest: fewer helpers, same result.
+//! * A panic in a piece is resumed on the caller with its own payload,
+//!   as a sequential loop would raise it.
+//!
+//! Determinism contract: every primitive returns results in input order
+//! and changes only which thread runs a piece, never what it computes.
+//! Callers that need bit-identical output across thread counts (the
+//! topology pipeline's invariance tests) get it as long as their
+//! per-piece closures are pure.
+//!
+//! Under `--obs`, each call that fans out counts its `par.pieces`,
+//! `par.helpers_started` and `par.helpers_refused`.
 
 #![forbid(unsafe_code)]
 
@@ -76,27 +84,87 @@ pub fn num_threads() -> usize {
     })
 }
 
-/// Splits `0..n` into `chunks` contiguous ranges (the first `n % chunks`
-/// ranges are one element longer) and runs `work` on each range in its
-/// own scoped thread, returning results in range order.
+/// Recovers a slot's lock even when a piece panicked elsewhere: no piece
+/// runs while a slot is locked, and each locked update is one complete
+/// move, so the slot is valid whatever happened around it.
+fn relock<T>(r: std::sync::LockResult<T>) -> T {
+    r.unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// The crate's one executor: runs `work(i, piece)` on every piece and
+/// returns the results in piece order.
 ///
-/// With `chunks <= 1` (or `n == 0`) the work runs inline on the calling
-/// thread — the sequential path stays allocation- and thread-free. A
-/// panic in any worker is resumed on the caller, as a plain sequential
-/// loop would.
+/// Piece `i` sits in slot `i`, and the calling thread and up to
+/// `threads − 1` scoped helpers claim slots off an atomic cursor until
+/// none is left. With one thread or at most one piece the pieces run
+/// inline, thread-free. Spawning stops at the first helper the OS
+/// refuses; the threads already running drain the rest. Each helper is
+/// joined, and a panic in any piece is resumed on the caller with that
+/// piece's own payload (a piece on the caller unwinds straight through
+/// the scope, which still joins the helpers first).
+fn run_pieces<P, R, F>(pieces: Vec<P>, threads: usize, work: F) -> Vec<R>
+where
+    P: Send,
+    R: Send,
+    F: Fn(usize, P) -> R + Sync,
+{
+    let helpers = threads.min(pieces.len()).saturating_sub(1);
+    if helpers == 0 {
+        return pieces.into_iter().enumerate().map(|(i, p)| work(i, p)).collect();
+    }
+    rim_obs::counter_add("par.pieces", pieces.len() as u64);
+    let slots: Vec<_> =
+        pieces.into_iter().map(|p| (Mutex::new(Some(p)), Mutex::new(None))).collect();
+    let cursor = AtomicUsize::new(0);
+    let drain = || loop {
+        // A ticket decides which thread runs a piece, never what the
+        // piece computes. Relaxed: a ticket publishes nothing, and each
+        // slot's Mutex publishes its piece and its result.
+        // rim-lint: allow(engine-determinism)
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        let Some((piece, result)) = slots.get(i) else { break };
+        let claimed = relock(piece.lock()).take();
+        if let Some(p) = claimed {
+            let r = work(i, p);
+            *relock(result.lock()) = Some(r);
+        }
+    };
+    std::thread::scope(|s| {
+        let mut started = Vec::with_capacity(helpers);
+        for _ in 0..helpers {
+            match std::thread::Builder::new().spawn_scoped(s, drain) {
+                Ok(h) => started.push(h),
+                Err(_) => {
+                    rim_obs::counter_add("par.helpers_refused", 1);
+                    break;
+                }
+            }
+        }
+        rim_obs::counter_add("par.helpers_started", started.len() as u64);
+        drain();
+        for h in started {
+            if let Err(payload) = h.join() {
+                std::panic::resume_unwind(payload);
+            }
+        }
+    });
+    slots.into_iter().filter_map(|(_, result)| relock(result.into_inner())).collect()
+}
+
+/// Splits `0..n` into `chunks` contiguous ranges (the first `n % chunks`
+/// ranges are one element longer) and runs `work` on each range,
+/// returning results in range order.
+///
+/// `chunks` is clamped to `1..=max(n, 1)`, so `n == 0` runs `work(0..0)`
+/// once. With one chunk the work runs inline on the calling thread.
 pub fn par_map_ranges<R, F>(n: usize, chunks: usize, work: F) -> Vec<R>
 where
     R: Send,
     F: Fn(Range<usize>) -> R + Sync,
 {
     let chunks = chunks.clamp(1, n.max(1));
-    if chunks == 1 {
-        return vec![work(0..n)];
-    }
-    rim_obs::counter_add("par.scatter_chunks", chunks as u64);
-    let base = n / chunks;
-    let extra = n % chunks;
-    let bounds: Vec<Range<usize>> = (0..chunks)
+    let (base, extra) = (n / chunks, n % chunks);
+    let ranges: Vec<Range<usize>> = (0..chunks)
         .scan(0usize, |lo, i| {
             let len = base + usize::from(i < extra);
             let r = *lo..*lo + len;
@@ -104,20 +172,7 @@ where
             Some(r)
         })
         .collect();
-    let workref = &work;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = bounds
-            .into_iter()
-            .map(|r| s.spawn(move || workref(r)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-            })
-            .collect()
-    })
+    run_pieces(ranges, chunks, |_, r| work(r))
 }
 
 /// Runs a counting *scatter* in parallel with per-worker accumulators:
@@ -177,61 +232,41 @@ where
     out
 }
 
-/// Fills `out` in place in parallel: the slice is split into `chunks`
-/// contiguous `chunks_mut` pieces, and `fill(offset, piece)` runs on each
-/// piece in its own scoped thread, where `offset` is the index of the
-/// piece's first element in `out`.
+/// Fills `out` in place in parallel: the slice is cut into at most
+/// `chunks` contiguous `chunks_mut` pieces of one length (the last may
+/// be shorter), and `fill(offset, piece)` runs on each piece, where
+/// `offset` is the index of the piece's first element in `out`.
 ///
 /// Nothing is allocated per piece and nothing is concatenated: each
-/// worker writes straight into its own disjoint window of the caller's
-/// buffer. When every element is a pure function of its index, the
-/// result is identical for every `chunks`; with `chunks <= 1` (or an
-/// empty slice) `fill(0, out)` runs inline on the calling thread. A
-/// panic in any worker is resumed on the caller.
+/// piece is a disjoint window of the caller's buffer. When every
+/// element is a pure function of its index, the result is identical for
+/// every `chunks`; with `chunks <= 1` `fill(0, out)` runs inline on the
+/// calling thread, and an empty slice has no pieces.
 pub fn par_fill_chunks<T, F>(out: &mut [T], chunks: usize, fill: F)
 where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
-    // A column of `()` occupies no memory.
-    let mut none = vec![(); out.len()];
-    par_fill_chunk_pairs(out, &mut none, chunks, |first, piece, _| fill(first, piece));
+    let len = out.len().div_ceil(chunks.max(1)).max(1);
+    run_pieces(out.chunks_mut(len).collect(), chunks, |i, piece| fill(i * len, piece));
 }
 
 /// [`par_fill_chunks`] over two columns at once: `a` and `b` are cut at
 /// the same offsets, and `fill(offset, a_piece, b_piece)` runs on each
-/// pair of pieces in its own scoped thread, so one pass writes two
-/// columns of different types (the streaming kernel's radii and nearest
-/// positions). The pieces follow `a`'s cut and pair up while `b` lasts,
-/// so the columns should have equal lengths. The same determinism and
-/// panic rules hold as for [`par_fill_chunks`].
+/// pair of pieces, so one pass writes two columns of different types
+/// (the streaming kernel's radii and nearest positions). The pieces
+/// follow `a`'s cut and pair up while `b` lasts, so the columns should
+/// have equal lengths. The same determinism rule holds as for
+/// [`par_fill_chunks`].
 pub fn par_fill_chunk_pairs<A, B, F>(a: &mut [A], b: &mut [B], chunks: usize, fill: F)
 where
     A: Send,
     B: Send,
     F: Fn(usize, &mut [A], &mut [B]) + Sync,
 {
-    let n = a.len();
-    let chunks = chunks.clamp(1, n.max(1));
-    if chunks == 1 {
-        fill(0, a, b);
-        return;
-    }
-    rim_obs::counter_add("par.fill_chunks", chunks as u64);
-    let len = n.div_ceil(chunks);
-    let fill = &fill;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = a
-            .chunks_mut(len)
-            .zip(b.chunks_mut(len))
-            .enumerate()
-            .map(|(i, (pa, pb))| s.spawn(move || fill(i * len, pa, pb)))
-            .collect();
-        for h in handles {
-            h.join()
-                .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-        }
-    });
+    let len = a.len().div_ceil(chunks.max(1)).max(1);
+    let pieces: Vec<_> = a.chunks_mut(len).zip(b.chunks_mut(len)).collect();
+    run_pieces(pieces, chunks, |i, (pa, pb)| fill(i * len, pa, pb));
 }
 
 /// Fills disjoint pieces of `out` in parallel, each worker through its
@@ -240,19 +275,19 @@ where
 /// `lens` cuts `out` into consecutive pieces, and piece `j` belongs to
 /// worker `j % workers`. Read row-major as a `rows × workers` table,
 /// piece `(r, w)` has length `lens[r * workers + w]` and worker `w` owns
-/// column `w`: `fill(w, pieces)` gets its pieces in row order, on its own
-/// scoped thread. This is the partition step of a parallel stable
-/// counting sort: rows are key ranges, and worker `w` scatters its
-/// contiguous share of the input into its column, so every row lists the
-/// workers' items in worker order. With one row, worker `w` simply owns
-/// the `w`-th of `workers` caller-sized windows.
+/// column `w`: `fill(w, pieces)` gets its pieces in row order. This is
+/// the partition step of a parallel stable counting sort: rows are key
+/// ranges, and worker `w` scatters its contiguous share of the input
+/// into its column, so every row lists the workers' items in worker
+/// order. With one row, worker `w` simply owns the `w`-th of `workers`
+/// caller-sized windows.
 ///
 /// The pieces cover a prefix of `out` when the lengths sum to less than
 /// its length; pieces past its end come out short or empty. With
 /// `workers <= 1` every piece belongs to worker 0, which runs inline on
 /// the calling thread. When every element a worker writes is a pure
-/// function of its inputs, the result does not depend on thread
-/// scheduling. A panic in any worker is resumed on the caller.
+/// function of its inputs, the result does not depend on which thread
+/// runs which column.
 pub fn par_fill_columns<T, R, F>(out: &mut [T], workers: usize, lens: &[usize], fill: F) -> Vec<R>
 where
     T: Send,
@@ -272,96 +307,23 @@ where
             column.push(piece);
         }
     }
-    if workers == 1 {
-        return columns.into_iter().map(|mut pieces| fill(0, &mut pieces)).collect();
-    }
-    rim_obs::counter_add("par.fill_columns", workers as u64);
-    let fill = &fill;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = columns
-            .into_iter()
-            .enumerate()
-            .map(|(w, mut pieces)| s.spawn(move || fill(w, &mut pieces)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-            })
-            .collect()
-    })
+    run_pieces(columns, workers, |w, mut pieces| fill(w, &mut pieces))
 }
 
-/// Recovers a lock even when a sibling worker panicked: the enclosing
-/// scope re-raises the panic anyway, so the inner value is safe to use.
-fn relock<T>(r: std::sync::LockResult<T>) -> T {
-    r.unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Applies `f` to every item of `params` in parallel, preserving order.
+/// Applies `f` to every item of `params` on up to [`num_threads`]
+/// threads, preserving order.
 ///
-/// Work is self-scheduled: each worker claims the next unclaimed index
-/// off an atomic cursor, so heterogeneous item costs balance themselves
-/// (no static split, no central queue lock — input and output slots each
-/// sit behind their own uncontended `Mutex`). `f` must be `Sync` (it is
-/// shared across threads) and items are consumed by value. Panics in
-/// workers propagate to the caller.
-// `i >= n` is checked before indexing, and a missing output slot only
-// re-raises a worker panic the scope already propagated.
-// rim-lint: allow(panic-freedom)
+/// Every item is a piece of its own, so heterogeneous item costs balance
+/// themselves: a slow item (a long simulation, a big sweep point) never
+/// idles the other threads the way a static split would. `f` must be
+/// `Sync` (it is shared across threads) and items are consumed by value.
 pub fn parallel_map<P, R, F>(params: Vec<P>, f: F) -> Vec<R>
 where
     P: Send,
     R: Send,
     F: Fn(P) -> R + Sync,
 {
-    let n = params.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = num_threads().min(n);
-    if threads <= 1 {
-        return params.into_iter().map(f).collect();
-    }
-    let input: Vec<Mutex<Option<P>>> = params.into_iter().map(|p| Mutex::new(Some(p))).collect();
-    let output: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut claimed = 0u64;
-                loop {
-                    // Relaxed: the cursor is a pure claim ticket; the Mutex
-                    // around each slot publishes the claimed payload.
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    claimed += 1;
-                    let item = relock(input[i].lock()).take();
-                    if let Some(p) = item {
-                        let r = f(p);
-                        *relock(output[i].lock()) = Some(r);
-                    }
-                }
-                // Per-worker load: the spread of this histogram is the
-                // balance signal for the dynamic self-scheduler. Every
-                // worker also exits through exactly one wasted cursor
-                // claim (the `i >= n` overshoot), so the counter is a
-                // proxy for end-of-queue cursor contention.
-                rim_obs::record("par.tasks_per_worker", claimed);
-                rim_obs::counter_add("par.cursor_overshoot", 1);
-            });
-        }
-    });
-    output
-        .into_iter()
-        // Each index is claimed and written exactly once; a missing slot
-        // means a worker panicked, which the scope above already
-        // re-raised. rim-lint: allow(no-unwrap-in-lib)
-        .map(|m| relock(m.into_inner()).expect("worker failed to produce a result"))
-        .collect()
+    run_pieces(params, num_threads(), |_, p| f(p))
 }
 
 #[cfg(test)]
@@ -542,5 +504,58 @@ mod tests {
         });
         assert_eq!(out.len(), 64);
         assert_eq!(out[1], (0..10).map(|i| i % 2).sum::<u64>());
+    }
+
+    /// A call of one primitive whose pieces each run the hook it is handed.
+    type Call = fn(&(dyn Fn() + Sync));
+
+    /// Runs `call` and returns the `String` payload the calling thread
+    /// caught. The hook panics with a payload naming its side on one side
+    /// (the calling thread when `on_caller` holds, a helper otherwise)
+    /// and on the other blocks until the panicking side has started (for
+    /// at most a minute, in case no helper could be spawned), so neither
+    /// side can drain every piece itself.
+    fn caught(on_caller: bool, call: Call) -> Option<String> {
+        let caller = std::thread::current().id();
+        let (started, wait) = std::sync::mpsc::sync_channel::<()>(8);
+        let wait = Mutex::new(wait);
+        let hook = move || {
+            if (std::thread::current().id() == caller) == on_caller {
+                let _ = started.try_send(());
+                std::panic::panic_any(format!("piece on caller: {on_caller}"));
+            }
+            let _ = relock(wait.lock()).recv_timeout(std::time::Duration::from_secs(60));
+        };
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| call(&hook)));
+        result.err().map(|payload| match payload.downcast::<String>() {
+            Ok(own) => *own,
+            Err(other) => format!("not a piece's payload: {:?}", other.downcast_ref::<&str>()),
+        })
+    }
+
+    #[test]
+    fn every_primitive_resumes_a_panicking_pieces_own_payload() {
+        let calls: [(&str, Call); 6] = [
+            ("par_map_ranges", |hook| drop(par_map_ranges(2, 2, |_| hook()))),
+            ("par_scatter_u32", |hook| drop(par_scatter_u32(1, 2, 2, |_, _| hook()))),
+            ("par_fill_chunks", |hook| par_fill_chunks(&mut [0u8; 2], 2, |_, _| hook())),
+            ("par_fill_chunk_pairs", |hook| {
+                par_fill_chunk_pairs(&mut [0u8; 2], &mut [0u8; 2], 2, |_, _, _| hook())
+            }),
+            ("par_fill_columns", |hook| {
+                drop(par_fill_columns(&mut [0u8; 2], 2, &[1, 1], |_, _| hook()))
+            }),
+            ("parallel_map", |hook| drop(parallel_map(vec![0u8, 1], |_| hook()))),
+        ];
+        for (name, call) in calls {
+            // `parallel_map` runs on `num_threads()`: inline on one core.
+            if name == "parallel_map" && num_threads() == 1 {
+                continue;
+            }
+            for on_caller in [false, true] {
+                let want = format!("piece on caller: {on_caller}");
+                assert_eq!(caught(on_caller, call), Some(want), "{name}");
+            }
+        }
     }
 }

@@ -9,6 +9,7 @@ use rim_rng::SmallRng;
 use rim_graph::shortest_path::routing_table;
 use rim_udg::Topology;
 use std::collections::VecDeque;
+use std::num::NonZeroU64;
 
 /// Simulation parameters.
 #[derive(Debug, Clone, Copy)]
@@ -28,12 +29,14 @@ pub struct SimConfig {
 
 impl Default for SimConfig {
     fn default() -> Self {
+        // rim-lint: allow(no-unwrap-in-lib) — a const, so a zero would fail the build
+        const PERIOD: NonZeroU64 = NonZeroU64::new(20).unwrap();
         SimConfig {
             slots: 10_000,
             mac: MacConfig::csma(),
             traffic: TrafficConfig::Cbr {
                 flows: 4,
-                period: 20,
+                period: PERIOD,
             },
             alpha: 2.0,
             seed: 0,
@@ -256,7 +259,7 @@ mod tests {
         let cfg = SimConfig {
             slots: 2_000,
             mac: MacConfig::csma(),
-            traffic: TrafficConfig::Cbr { flows: 1, period: 10 },
+            traffic: TrafficConfig::Cbr { flows: 1, period: NonZeroU64::new(10).unwrap() },
             alpha: 2.0,
             seed: 1,
         };
@@ -274,7 +277,7 @@ mod tests {
         let cfg = SimConfig {
             slots: 5_000,
             mac: MacConfig::csma(),
-            traffic: TrafficConfig::Cbr { flows: 1, period: 50 },
+            traffic: TrafficConfig::Cbr { flows: 1, period: NonZeroU64::new(50).unwrap() },
             alpha: 2.0,
             seed: 7,
         };
@@ -311,7 +314,7 @@ mod tests {
         let cfg = SimConfig {
             slots: 500,
             mac: MacConfig::SlottedAloha { p: 1.0 },
-            traffic: TrafficConfig::Cbr { flows: 16, period: 2 },
+            traffic: TrafficConfig::Cbr { flows: 16, period: NonZeroU64::new(2).unwrap() },
             alpha: 2.0,
             seed: 3,
         };
@@ -343,7 +346,7 @@ mod tests {
         let cfg = SimConfig {
             slots: 20_000,
             mac: MacConfig::Tdma,
-            traffic: TrafficConfig::Cbr { flows: 6, period: 40 },
+            traffic: TrafficConfig::Cbr { flows: 6, period: NonZeroU64::new(40).unwrap() },
             alpha: 2.0,
             seed: 5,
         };

@@ -1,6 +1,7 @@
 //! Traffic generation: constant-bit-rate flows and Poisson arrivals.
 
 use rim_rng::SmallRng;
+use std::num::NonZeroU64;
 
 /// What traffic the network carries.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -10,8 +11,9 @@ pub enum TrafficConfig {
     Cbr {
         /// Number of concurrent flows.
         flows: usize,
-        /// Slots between packets of one flow.
-        period: u64,
+        /// Slots between packets of one flow; at least one, since a flow's
+        /// first emission is drawn from `0..period`.
+        period: NonZeroU64,
     },
     /// Network-wide Poisson arrivals: in every slot, a packet is created
     /// with probability `rate` (at most one per slot), with a fresh
@@ -68,8 +70,8 @@ pub fn make_flows(cfg: &TrafficConfig, n: usize, rng: &mut SmallRng) -> Vec<Flow
                 Flow {
                     src,
                     dst,
-                    phase: rng.gen_range(0..period),
-                    period,
+                    phase: rng.gen_range(0..period.get()),
+                    period: period.get(),
                 }
             })
             .collect(),
@@ -98,7 +100,8 @@ mod tests {
     #[test]
     fn cbr_flow_materialization() {
         let mut rng = SmallRng::seed_from_u64(2);
-        let flows = make_flows(&TrafficConfig::Cbr { flows: 5, period: 10 }, 8, &mut rng);
+        let period = NonZeroU64::new(10).unwrap();
+        let flows = make_flows(&TrafficConfig::Cbr { flows: 5, period }, 8, &mut rng);
         assert_eq!(flows.len(), 5);
         for f in &flows {
             assert_ne!(f.src, f.dst);

@@ -7,6 +7,7 @@ use rim_rng::{prop_ensure, prop_ensure_eq, SmallRng};
 use rim_sim::schedule::tdma_schedule;
 use rim_sim::{MacConfig, SimConfig, Simulator, TrafficConfig};
 use rim_udg::{NodeSet, Topology};
+use std::num::NonZeroU64;
 
 /// Random connected line topology (consecutive-link chains with random
 /// gap lengths).
@@ -37,7 +38,7 @@ fn arb_traffic(rng: &mut SmallRng) -> TrafficConfig {
     if rng.gen() {
         TrafficConfig::Cbr {
             flows: rng.gen_range(1usize..6),
-            period: rng.gen_range(5u64..50),
+            period: NonZeroU64::new(rng.gen_range(5u64..50)).unwrap(),
         }
     } else {
         TrafficConfig::Poisson {

@@ -242,6 +242,7 @@ pub const PANIC_FREE_ROOTS: &[&str] = &[
     "insert_node",
     "par_map_ranges",
     "parallel_map",
+    "run_pieces",
     "filter_edges",
     "is_gabriel_edge",
     "is_rng_edge",

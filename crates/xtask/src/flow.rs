@@ -767,6 +767,7 @@ pub const DETERMINISM_ROOTS: &[&str] = &[
     "sinr_interference_indexed",
     "interference_counts_sharded",
     "par_scatter_u32",
+    "run_pieces",
     "nn_radii",
     "nn_in_degree",
     "par_fill_chunks",

@@ -7,6 +7,7 @@
 //! ```
 
 use rim::prelude::*;
+use std::num::NonZeroU64;
 
 fn main() {
     let nodes = rim::workloads::uniform_square(60, 2.2, 2025);
@@ -22,7 +23,7 @@ fn main() {
         mac: MacConfig::csma(),
         traffic: TrafficConfig::Cbr {
             flows: 12,
-            period: 40,
+            period: NonZeroU64::new(40).unwrap(),
         },
         alpha: 2.0,
         seed: 7,

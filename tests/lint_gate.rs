@@ -166,9 +166,10 @@ fn streaming_kernel_obligations_stay_registered() {
     // counting entry points and the (max, Σ) reduction, the
     // nearest-neighbor radius and position pass and the in-degree count
     // over its positions, the grid build's parallel scatter and column
-    // gather, and the sharded scatter, in-place fill (one column or two)
-    // and column-partition primitives carry the panic-freedom closure
-    // check, the thread-count-invariant kernels are determinism roots,
+    // gather, the sharded scatter, in-place fill (one column or two)
+    // and column-partition primitives, and `run_pieces`, the one
+    // executor they all run on, carry the panic-freedom closure check,
+    // the thread-count-invariant kernels are determinism roots,
     // and the naive oracle the streaming differential suite pins against
     // stays retained. Dropping any of these would silently un-audit the
     // SoA/streaming layer.
@@ -182,6 +183,7 @@ fn streaming_kernel_obligations_stay_registered() {
         "nn_in_degree",
         "par_fill_chunks",
         "par_fill_chunk_pairs",
+        "run_pieces",
     ]
     .into_iter()
     .chain(PARALLEL_BUILD)
@@ -199,6 +201,7 @@ fn streaming_kernel_obligations_stay_registered() {
         "nn_in_degree",
         "par_fill_chunks",
         "par_fill_chunk_pairs",
+        "run_pieces",
     ]
     .into_iter()
     .chain(PARALLEL_BUILD)

@@ -5,6 +5,7 @@ use rim::highway::bounds::exponential_chain_lower_bound;
 use rim::highway::exponential::two_chains;
 use rim::prelude::*;
 use rim::topology_control::nnf::{contains_nnf, nearest_neighbor_forest};
+use std::num::NonZeroU64;
 
 /// Theorem 4.1 — the Nearest Neighbor Forest is `Ω(n)` worse than the
 /// optimal connected topology on the two-chain construction.
@@ -230,7 +231,7 @@ fn lower_interference_means_fewer_collisions() {
         mac: MacConfig::aloha(),
         traffic: TrafficConfig::Cbr {
             flows: 10,
-            period: 25,
+            period: NonZeroU64::new(25).unwrap(),
         },
         alpha: 2.0,
         seed: 17,
