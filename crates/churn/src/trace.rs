@@ -279,7 +279,7 @@ impl ChurnTrace {
                 (p.x + r * a.cos(), p.y + r * a.sin())
             }
             // 2^-24 spans ~7 orders of magnitude of pairwise gaps.
-            Family::ExpChain => (side * (2.0f64).powf(-(u1 * 24.0)), 0.0),
+            Family::ExpChain => (side * (-(u1 * 24.0)).exp2(), 0.0),
             Family::Collinear => (u1 * side, 0.0),
             Family::Duplicate => (
                 (u1 * 16.0).floor() / 16.0 * side,

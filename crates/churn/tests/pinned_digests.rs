@@ -58,7 +58,7 @@ fn checkpoint_and_snapshot_digests_are_pinned() {
     let pinned: [(Family, u64, u64); 5] = [
         (Family::Uniform, 0xcfc803073e84669e, 0x08be11a197d6ea05),
         (Family::Clustered, 0x76c013ed4e1f1c21, 0x49ea0a2bc44d9cb9),
-        (Family::ExpChain, 0x5ffa138b9fe82e05, 0x58437d27e3633743),
+        (Family::ExpChain, 0x5ffa138b9fe82e05, 0xf3be1be7cd8868cb),
         (Family::Collinear, 0xfa1f43d8fa7d3bab, 0x31e61708ef75ff6f),
         (Family::Duplicate, 0x70d44a8fa9554431, 0x841aac7076c2d5d9),
     ];

@@ -6,6 +6,7 @@ use rim_core::analysis::InterferenceSummary;
 use rim_core::optimal::{min_interference_topology, SolverLimits};
 use rim_core::receiver::{graph_interference, Engine};
 use rim_core::sender::sender_graph_interference;
+use rim_graph::traversal::{components, same_partition};
 use rim_highway::HighwayInstance;
 use rim_phys::{
     dbm_to_mw, mw_to_dbm, physical_interference_vector, sinr_interference_indexed, PhysModel,
@@ -14,7 +15,7 @@ use rim_phys::{
 use rim_sim::{MacConfig, SimConfig, Simulator, TrafficConfig};
 use rim_topology_control::Baseline;
 use rim_udg::io;
-use rim_udg::udg::unit_disk_graph;
+use rim_udg::udg::{udg_census, unit_disk_graph};
 use rim_udg::{NodeSet, Topology};
 use std::num::NonZeroU64;
 use std::str::FromStr;
@@ -377,9 +378,11 @@ pub fn analyze(args: &Args) -> Result<(), UsageError> {
         }
     };
     args.finish()?;
+    // Only counts and components of the UDG are reported, so its
+    // adjacency is never built.
     let udg = {
         let _s = rim_obs::span("udg");
-        unit_disk_graph(&nodes)
+        udg_census(&nodes, 1.0)
     };
     let summary = InterferenceSummary::with_engine(&topology, engine);
     // Physical section computed inside the root span so its kernels show
@@ -393,7 +396,11 @@ pub fn analyze(args: &Args) -> Result<(), UsageError> {
     });
     let (forest, connected) = {
         let _s = rim_obs::span("analyze/connectivity");
-        (topology.is_forest(), topology.preserves_connectivity_of(&udg))
+        let labels = components(topology.graph());
+        // A graph is a forest iff it has one edge fewer than nodes per
+        // component.
+        let parts = labels.iter().max().map_or(0, |&m| m + 1);
+        (topology.num_edges() + parts == nodes.len(), same_partition(&udg.labels, &labels))
     };
     let sender = {
         let _s = rim_obs::span("analyze/sender");
@@ -404,7 +411,7 @@ pub fn analyze(args: &Args) -> Result<(), UsageError> {
     emit_obs(mode, rec);
     println!("nodes:                    {}", nodes.len());
     println!("interference engine:      {}", engine.name());
-    println!("udg edges / max degree:   {} / {}", udg.num_edges(), udg.max_degree());
+    println!("udg edges / max degree:   {} / {}", udg.edges, udg.max_degree);
     println!("topology edges:           {}", topology.num_edges());
     println!("is forest:                {forest}");
     println!("preserves connectivity:   {connected}");

@@ -95,6 +95,80 @@ fn generate_control_analyze_pipeline() {
 }
 
 #[test]
+fn analyze_reports_udg_counts_and_both_partition_mismatches() {
+    // `analyze` counts the UDG without building it and compares component
+    // labels; these reports are the ones the adjacency-building `analyze`
+    // printed. NNF splits UDG components, and a link longer than the range
+    // joins two, so both directions of the partition check fail once.
+    let dir = tmp_dir("analyze_partitions");
+    let nodes = dir.join("nodes.txt");
+    let topo = dir.join("nnf.txt");
+    let analyze = |nodes: &PathBuf, topo: &PathBuf| {
+        let mut cmd = rim();
+        let out = cmd.arg("analyze").arg("--nodes").arg(nodes).arg("--topology").arg(topo).output();
+        let out = out.unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let generate =
+        ["generate", "--kind", "uniform-square", "--n", "300", "--side", "8", "--seed", "4"];
+    assert!(rim().args(generate).arg("--out").arg(&nodes).status().unwrap().success());
+    let control = ["control", "--algo", "nnf", "--nodes"];
+    assert!(rim().args(control).arg(&nodes).arg("--out").arg(&topo).status().unwrap().success());
+    assert_eq!(
+        analyze(&nodes, &topo),
+        "nodes:                    300\n\
+         interference engine:      auto\n\
+         udg edges / max degree:   1963 / 24\n\
+         topology edges:           208\n\
+         is forest:                true\n\
+         preserves connectivity:   false\n\
+         receiver interference I:  5\n\
+         mean node interference:   1.620\n\
+         sender-centric measure:   9\n\
+         energy (alpha = 2):       30.6368\n\
+         worst node:               59 (I = 5)\n"
+    );
+    // Two UDG components, {0, 1} and {2, 3}, joined by the 2.5-long link
+    // {1, 2}; the chord {0, 2} then closes a cycle.
+    std::fs::write(&nodes, "0 0\n0.5 0\n3 0\n3.5 0\n").unwrap();
+    std::fs::write(&topo, "0 1\n1 2\n2 3\n").unwrap();
+    let head = "nodes:                    4\n\
+                interference engine:      auto\n\
+                udg edges / max degree:   2 / 1\n";
+    assert_eq!(
+        analyze(&nodes, &topo),
+        format!(
+            "{head}\
+             topology edges:           3\n\
+             is forest:                true\n\
+             preserves connectivity:   false\n\
+             receiver interference I:  2\n\
+             mean node interference:   1.500\n\
+             sender-centric measure:   4\n\
+             energy (alpha = 2):       13.0000\n\
+             worst node:               1 (I = 2)\n"
+        )
+    );
+    std::fs::write(&topo, "0 1\n1 2\n2 3\n0 2\n").unwrap();
+    assert_eq!(
+        analyze(&nodes, &topo),
+        format!(
+            "{head}\
+             topology edges:           4\n\
+             is forest:                false\n\
+             preserves connectivity:   false\n\
+             receiver interference I:  3\n\
+             mean node interference:   2.000\n\
+             sender-centric measure:   4\n\
+             energy (alpha = 2):       24.5000\n\
+             worst node:               2 (I = 3)\n"
+        )
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn control_engines_agree_byte_for_byte() {
     let dir = tmp_dir("control_engines");
     let nodes = dir.join("nodes.txt");

@@ -19,7 +19,7 @@
 //! is twofold: coverage is charged at the *sender* side, and the measure
 //! can jump by `Θ(n)` when one node is added ([`crate::robustness`]).
 
-use rim_geom::SoaGrid;
+use rim_geom::{Point, SoaGrid};
 use rim_udg::Topology;
 
 /// Coverage of the (hypothetical or actual) link `{u, v}`: how many nodes
@@ -54,28 +54,29 @@ pub fn sender_graph_interference(t: &Topology) -> usize {
 /// Per-edge coverages, in the order of [`Topology::edges`], batched over
 /// a spatial index.
 ///
-/// This model's membership predicate compares *squared* distances against
-/// the squared link length (both sides raw `dist_sq` values — a
-/// consistent-power comparison). The index answers *distance-level*
-/// closed-disk queries, but those are a guaranteed superset of the
-/// squared predicate: correctly-rounded `sqrt` is monotone, so
-/// `dist_sq(w,u) <= d_sq` implies `dist(w,u) <= d` with `d =
-/// sqrt(d_sq)`. Each query therefore only *filters candidates*; the
-/// original squared predicate of [`edge_coverage`] decides membership,
-/// keeping the two bit-identical on every input (boundary ties
-/// included). Expected cost `O(n + Σ_e Cov(e))` instead of `O(n·m)`.
+/// Each link `{u, v}` of length `d` walks the index once, over the runs
+/// of [`SoaGrid::for_each_link_run`]: the box spanning both endpoints'
+/// disk queries of radius `d`. Every candidate is tested once, without a
+/// branch, by [`edge_coverage`]'s own predicate, `dist_sq(w, u) <= d_sq
+/// || dist_sq(w, v) <= d_sq` on raw squared distances, so each node is
+/// counted once and the two agree bit for bit, boundary ties included.
+/// The box misses no covered node: correctly rounded `sqrt` is
+/// monotone, so `dist_sq(w, u) <= d_sq` implies `dist(w, u) <= d` with
+/// `d = sqrt(d_sq)`, which makes `w` a hit of the distance-level disk
+/// query `D(u, d)`, and the box holds that query's cells (likewise for
+/// `v`). Expected cost `O(n + Σ_e |box(e)|)` instead of `O(n·m)`.
 ///
 /// From [`rim_par::AUTO_PARALLEL_MIN`] nodes on, the edges are sharded
 /// over [`rim_par::num_threads`] workers; each coverage is a pure
 /// function of its edge, so the vector is the same for every worker
-/// count.
+/// count. Each shard counts its scanned candidates and its covered
+/// nodes once, as `core.sender_candidates` and `core.sender_hits`.
 pub fn coverage_vector(t: &Topology) -> Vec<usize> {
     coverage_vector_threads(t, rim_par::auto_threads(t.num_nodes()))
 }
 
-/// [`coverage_vector`] over `threads` workers, each with its own stamp
-/// array for the two-disk union.
-// rim-lint: allow(panic-freedom) — `par_map_ranges` only yields edge indices below `edges.len()`, and stamps are indexed by node ids
+/// [`coverage_vector`] over `threads` workers.
+// rim-lint: allow(panic-freedom) — `par_map_ranges` only yields edge indices below `edges.len()`
 pub(crate) fn coverage_vector_threads(t: &Topology, threads: usize) -> Vec<usize> {
     let edges = t.edges();
     if edges.is_empty() {
@@ -87,34 +88,29 @@ pub(crate) fn coverage_vector_threads(t: &Topology, threads: usize) -> Vec<usize
     let hint = crate::receiver::upper_median(&mut lens);
     let index = SoaGrid::from_points(nodes.points(), hint);
     let shards = rim_par::par_map_ranges(edges.len(), threads, |range| {
-        // Stamp-based dedup of the two-disk union, reused across edges.
-        let mut stamp = vec![0u32; nodes.len()];
-        let mut version = 0u32;
-        edges[range]
+        let (mut candidates, mut hits) = (0u64, 0u64);
+        let coverages = edges[range]
             .iter()
             .map(|e| {
-                version += 1;
-                let pu = nodes.pos(e.u);
-                let pv = nodes.pos(e.v);
+                let (pu, pv) = (nodes.pos(e.u), nodes.pos(e.v));
                 let d_sq = nodes.dist_sq(e.u, e.v);
-                let d = nodes.dist(e.u, e.v);
                 let mut count = 0usize;
-                for center in [pu, pv] {
-                    index.for_each_in_disk(center, d, |w| {
-                        if stamp[w] == version {
-                            return; // already counted for this edge
-                        }
-                        let pw = nodes.pos(w);
+                index.for_each_link_run(pu, pv, d_sq.sqrt(), |xs, ys| {
+                    candidates += xs.len() as u64;
+                    for (&x, &y) in xs.iter().zip(ys) {
+                        let w = Point::new(x, y);
                         // The model's exact predicate, on squares.
-                        if pw.dist_sq(&pu) <= d_sq || pw.dist_sq(&pv) <= d_sq {
-                            stamp[w] = version;
-                            count += 1;
-                        }
-                    });
-                }
+                        count += usize::from((w.dist_sq(&pu) <= d_sq) | (w.dist_sq(&pv) <= d_sq));
+                    }
+                });
+                hits += count as u64;
                 count
             })
-            .collect::<Vec<usize>>()
+            .collect::<Vec<usize>>();
+        // One counter update per shard, not per link.
+        rim_obs::counter_add("core.sender_candidates", candidates);
+        rim_obs::counter_add("core.sender_hits", hits);
+        coverages
     });
     shards.concat()
 }
@@ -163,8 +159,8 @@ mod tests {
     #[test]
     fn batched_coverage_matches_per_edge_oracle() {
         // Pseudo-random clustered instance with duplicate coordinates —
-        // boundary ties at d = 0 and shared positions stress the stamp
-        // dedup and the candidate-filter superset argument.
+        // boundary ties at d = 0 and shared positions stress the union
+        // count and the box's completeness argument.
         let mut state = 99u64;
         let mut rnd = || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -265,6 +261,58 @@ mod tests {
                     "family={family} threads={threads}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn box_scan_matches_the_oracle_on_degenerate_links() {
+        use rim_geom::Point;
+        // Zero-length links between coincident nodes; links of length
+        // about 10⁻⁹ at coordinates about 10⁶, a few ulps apart, where the
+        // box's slack is all that separates the endpoints' cells; and
+        // offsets whose squares underflow, so nodes in other cells are at
+        // squared distance 0.
+        let mut pts = vec![Point::new(3.0, 4.0); 3];
+        pts.extend(
+            (0..40).map(|i| Point::new(1e6 + f64::from(i) * 1e-9, 1e6 - f64::from(i % 7) * 1e-9)),
+        );
+        pts.extend((0..6).map(|i| Point::on_line(f64::from(i) * 1e-170)));
+        pts.push(Point::on_line(1e-167));
+        let mut pairs = vec![(0, 1), (1, 2)];
+        pairs.extend((3..42).map(|i| (i, i + 1)));
+        pairs.extend([(3, 10), (43, 44), (44, 45), (45, 46), (46, 47), (47, 48), (43, 49)]);
+        let t = Topology::from_pairs(NodeSet::new(pts), &pairs);
+        let want: Vec<usize> = t.edges().iter().map(|e| edge_coverage(&t, e.u, e.v)).collect();
+        assert!(want.iter().any(|&c| c >= 6), "the underflowing links cover their neighbours");
+        for threads in 1..=8 {
+            assert_eq!(coverage_vector_threads(&t, threads), want, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn box_scan_matches_the_oracle_on_a_split_grid() {
+        use rim_geom::Point;
+        // A dense cluster in one cell of a sparse field: the grid built on
+        // the median link length splits it, and long links sweep it.
+        let field = NodeSet::new(
+            (0..200)
+                .map(|i| {
+                    let (a, b) = (f64::from(i * 37 % 200), f64::from(i * 91 % 200));
+                    if i < 120 {
+                        Point::new(5.0 + a * 1e-4, 5.0 + b * 1e-4)
+                    } else {
+                        Point::new(a * 0.05, b * 0.05)
+                    }
+                })
+                .collect(),
+        );
+        let t = nearest_neighbour_topology(field);
+        let mut lens: Vec<f64> = t.edges().iter().map(|e| e.weight).collect();
+        let hint = crate::receiver::upper_median(&mut lens);
+        assert!(SoaGrid::from_points(t.nodes().points(), hint).split_cells() > 0);
+        let want: Vec<usize> = t.edges().iter().map(|e| edge_coverage(&t, e.u, e.v)).collect();
+        for threads in [1, 3] {
+            assert_eq!(coverage_vector_threads(&t, threads), want, "threads={threads}");
         }
     }
 

@@ -31,7 +31,7 @@
 //! order.
 
 use crate::point::Point;
-use crate::soa_grid::{reach, record_query, Level, SoaGrid};
+use crate::soa_grid::{reach, reach_box, record_query, Level, SoaGrid};
 use std::cmp::Ordering;
 
 /// End of an overlay chain.
@@ -143,7 +143,7 @@ impl DynGrid {
             f(id, d);
             r
         };
-        self.base.walk_cells(self.base.top(), c, reach(r), &mut |g0, g1| {
+        self.base.walk_cells(self.base.top(), &reach_box(c, c, r), &mut |g0, g1| {
             candidates += self.scan_run(g0, g1, c, r, &mut visit).0;
         });
         record_query(candidates, hits);
@@ -176,7 +176,7 @@ impl DynGrid {
     // rim-lint: allow(panic-freedom) — cell coordinates are clamped to the level, so ids are below its end, and `bounds` has one entry per cell id
     fn reaching<F: FnMut(usize, f64)>(&self, lv: Level, c: Point, outer: f64, leaf: &mut F) {
         let s = &lv.shape;
-        let Some((x0, x1, y0, y1)) = s.span(c, reach(outer)) else {
+        let Some((x0, x1, y0, y1)) = s.span(&reach_box(c, c, outer)) else {
             return;
         };
         let (cx, cy) = (s.col(c.x), s.row(c.y));
@@ -185,8 +185,9 @@ impl DynGrid {
                 let g = lv.first + y * s.nx + x;
                 let b = self.bounds[g];
                 // −∞, never raised: the cell holds no transmitter. The
-                // range test is `span(c, reach(b))`: `col` is monotone, so
-                // only the bound facing the cell can exclude it.
+                // range test is the span of the disk box of radius `b`:
+                // `col` is monotone, so only the bound facing the cell can
+                // exclude it.
                 let rb = reach(b);
                 let scanned = b >= 0.0
                     && match x.cmp(&cx) {
@@ -246,7 +247,7 @@ impl DynGrid {
                 }
                 entry.min(r)
             };
-            self.base.walk_cells(self.base.top(), c, reach(r), &mut |g0, g1| {
+            self.base.walk_cells(self.base.top(), &reach_box(c, c, r), &mut |g0, g1| {
                 let (visited, b) = self.scan_run(g0, g1, c, bound, &mut offer);
                 (candidates, bound) = (candidates + visited, b);
             });
@@ -256,7 +257,7 @@ impl DynGrid {
             }
             inner = r;
             let s = &self.base.shape;
-            let spans_grid = s.span(c, reach(r)) == Some((0, s.nx - 1, 0, s.ny - 1));
+            let spans_grid = s.span(&reach_box(c, c, r)) == Some((0, s.nx - 1, 0, s.ny - 1));
             r = if spans_grid { f64::INFINITY } else { 2.0 * r };
         }
     }

@@ -220,14 +220,15 @@ impl GridShape {
         self.nx * self.ny
     }
 
-    /// The cell range `(x0, x1, y0, y1)` that a disk query around `c`
-    /// with slackened radius `reach` scans (see
-    /// [`crate::SoaGrid::for_each_pos_in_disk`]), or `None` when it is
-    /// empty (a negative radius).
+    /// The cell range `(x0, x1, y0, y1)` that a scan of the coordinate
+    /// box `b` reads: the clamped cell coordinates of its corners, so it
+    /// holds the cell of every point inside `b`. `None` when it is empty
+    /// (a disk query of negative radius). A disk query scans the box
+    /// `c ± reach` (see [`crate::SoaGrid::for_each_pos_in_disk`]).
     #[inline]
-    pub fn span(&self, c: Point, reach: f64) -> Option<(usize, usize, usize, usize)> {
-        let (x0, x1) = (self.col(c.x - reach), self.col(c.x + reach));
-        let (y0, y1) = (self.row(c.y - reach), self.row(c.y + reach));
+    pub fn span(&self, b: &Aabb) -> Option<(usize, usize, usize, usize)> {
+        let (x0, x1) = (self.col(b.min.x), self.col(b.max.x));
+        let (y0, y1) = (self.row(b.min.y), self.row(b.max.y));
         (x0 <= x1 && y0 <= y1).then_some((x0, x1, y0, y1))
     }
 

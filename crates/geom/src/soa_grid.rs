@@ -353,6 +353,9 @@ impl SoaGrid {
     /// square is normal, and below `2⁻⁵¹¹` the square may underflow, so
     /// `reach = r·(1 + 2⁻⁴⁰) + 2⁻⁵⁰⁰` covers both with room to spare.
     /// Split cells are descended into with the same rule at every level.
+    /// Each run is filtered without a branch per candidate (a stack
+    /// buffer of hit offsets, see `filter_run`); hits and their order are
+    /// those of a plain `if` over the run.
     #[inline]
     // rim-lint: allow(panic-freedom) — cell coordinates are clamped to the grid; `starts` has `ncells + 1` entries and bounds the column slices
     pub fn for_each_pos_in_disk<F: FnMut(usize)>(&self, c: Point, r: f64, mut f: F) -> usize {
@@ -362,7 +365,7 @@ impl SoaGrid {
         }
         let s = &self.shape;
         let mut candidates = 0;
-        let Some((cx0, cx1, cy0, cy1)) = s.span(c, reach(r)) else {
+        let Some((cx0, cx1, cy0, cy1)) = s.span(&reach_box(c, c, r)) else {
             return candidates; // negative radius
         };
         for cy in cy0..=cy1 {
@@ -371,34 +374,94 @@ impl SoaGrid {
             let row = cy * s.nx;
             let lo = self.starts[row + cx0] as usize;
             let hi = self.starts[row + cx1 + 1] as usize;
-            candidates += hi - lo;
-            for (i, (&x, &y)) in self.sxs[lo..hi].iter().zip(&self.sys[lo..hi]).enumerate() {
-                // Same formula as Point::dist — sqrt of dx² + dy², then a
-                // distance-level closed comparison — so hits agree with
-                // the naive scan bit for bit.
-                if Point::new(x, y).dist(&c) <= r {
-                    f(lo + i);
-                }
-            }
+            candidates += self.filter_run(lo, hi, c, r, &mut f);
         }
         candidates
     }
 
     /// The split-aware disk scan: every run of leaf cells
-    /// [`SoaGrid::walk_cells`] yields is one slice scan.
-    // rim-lint: allow(panic-freedom) — walked cell ids are followed by their end offset in `starts`, which bounds the column slices
+    /// [`SoaGrid::walk_cells`] yields is one [`SoaGrid::filter_run`].
+    // rim-lint: allow(panic-freedom) — walked cell ids are followed by their end offset in `starts`
     fn scan_split<F: FnMut(usize)>(&self, c: Point, r: f64, f: &mut F) -> usize {
         let mut candidates = 0;
-        self.walk_cells(self.top(), c, reach(r), &mut |g0, g1| {
+        self.walk_cells(self.top(), &reach_box(c, c, r), &mut |g0, g1| {
             let (lo, hi) = (self.starts[g0] as usize, self.starts[g1 + 1] as usize);
-            candidates += hi - lo;
-            for (i, (&x, &y)) in self.sxs[lo..hi].iter().zip(&self.sys[lo..hi]).enumerate() {
-                if Point::new(x, y).dist(&c) <= r {
-                    f(lo + i);
-                }
-            }
+            candidates += self.filter_run(lo, hi, c, r, f);
         });
         candidates
+    }
+
+    /// Calls `f(k)` for every position `k` in `lo..hi` whose point has
+    /// `dist(p, c) <= r`, in position order, and returns `hi − lo`, the
+    /// candidates scanned.
+    ///
+    /// The run is read in blocks of [`SCAN_BLOCK`] positions. Every
+    /// candidate's offset is written to a stack buffer whose cursor then
+    /// advances by the predicate's 0 or 1, so the loop takes no branch
+    /// per candidate (about a third of a unit-disk query's candidates are
+    /// hits, in no order a predictor can learn); `f` then runs on the
+    /// block's hits. The predicate is `Point::dist`'s — sqrt of `dx² +
+    /// dy²`, then a closed comparison at distance level (crate docs) — so
+    /// hits agree with the naive scan bit for bit.
+    #[inline]
+    // rim-lint: allow(panic-freedom) — `lo <= hi <= len()` come from `starts`; the cursor is at most the offset being written, below SCAN_BLOCK
+    fn filter_run<F: FnMut(usize)>(
+        &self,
+        lo: usize,
+        hi: usize,
+        c: Point,
+        r: f64,
+        f: &mut F,
+    ) -> usize {
+        let (xs, ys) = (&self.sxs[lo..hi], &self.sys[lo..hi]);
+        let mut hits = [0u8; SCAN_BLOCK];
+        for (first, (bx, by)) in
+            (lo..).step_by(SCAN_BLOCK).zip(xs.chunks(SCAN_BLOCK).zip(ys.chunks(SCAN_BLOCK)))
+        {
+            let mut m = 0;
+            for (i, (&x, &y)) in bx.iter().zip(by).enumerate() {
+                // `m <= i < SCAN_BLOCK`: the `%` changes nothing but
+                // spares a bounds check.
+                hits[m % SCAN_BLOCK] = i as u8;
+                m += usize::from(Point::new(x, y).dist(&c) <= r);
+            }
+            for &i in hits.iter().take(m) {
+                f(first + usize::from(i));
+            }
+        }
+        hi - lo
+    }
+
+    /// Calls `run(xs, ys)` with the coordinate columns of every run of
+    /// leaf cells that the disk queries of radius `r` around `a` and
+    /// around `b` scan, walked once: the runs of the box
+    /// `[min(a.x, b.x) − reach, max(a.x, b.x) + reach] × [min(a.y, b.y) −
+    /// reach, max(a.y, b.y) + reach]`, with `reach` the disk query's
+    /// slackened radius. Every indexed point lies in at most one run, and
+    /// every point with `dist(p, a) <= r` or `dist(p, b) <= r` lies in
+    /// one; the runs also hold points of the box's corners that neither
+    /// disk covers, so the caller decides membership.
+    ///
+    /// Why the box holds both disks' cell ranges: rounding is monotone,
+    /// so `fl(min(a.x, b.x) − reach) ≤ fl(a.x − reach)` and
+    /// `fl(max(a.x, b.x) + reach) ≥ fl(a.x + reach)` (the `min` and `max`
+    /// are exact), and the cell coordinate is monotone, so the box's cell
+    /// range contains the range of `a`'s disk query, which holds every
+    /// point at computed distance at most `r` from `a`
+    /// ([`SoaGrid::for_each_pos_in_disk`]); likewise for `b` and for the
+    /// rows, at every level of split cells.
+    // rim-lint: allow(panic-freedom) — walked cell ids are followed by their end offset in `starts`, which bounds the column slices
+    pub fn for_each_link_run<F: FnMut(&[f64], &[f64])>(
+        &self,
+        a: Point,
+        b: Point,
+        r: f64,
+        mut run: F,
+    ) {
+        self.walk_cells(self.top(), &reach_box(a, b, r), &mut |g0, g1| {
+            let (lo, hi) = (self.starts[g0] as usize, self.starts[g1 + 1] as usize);
+            run(&self.sxs[lo..hi], &self.sys[lo..hi]);
+        });
     }
 
     /// Calls `f(i)` for every *original point index* `i` with
@@ -427,17 +490,11 @@ impl SoaGrid {
     }
 
     /// Calls `run(g0, g1)` for every run `g0..=g1` of consecutive leaf
-    /// cells, within one row of one level, that a disk query around `c`
-    /// with slackened radius `reach` scans, starting at level `lv` and
-    /// descending into split cells. Visit order is deterministic.
-    pub(crate) fn walk_cells<F: FnMut(usize, usize)>(
-        &self,
-        lv: Level,
-        c: Point,
-        reach: f64,
-        run: &mut F,
-    ) {
-        let Some((x0, x1, y0, y1)) = lv.shape.span(c, reach) else {
+    /// cells, within one row of one level, that a scan of the coordinate
+    /// box `b` reads, starting at level `lv` and descending into split
+    /// cells. Visit order is deterministic.
+    pub(crate) fn walk_cells<F: FnMut(usize, usize)>(&self, lv: Level, b: &Aabb, run: &mut F) {
+        let Some((x0, x1, y0, y1)) = lv.shape.span(b) else {
             return; // negative radius
         };
         for y in y0..=y1 {
@@ -452,7 +509,7 @@ impl SoaGrid {
                     if from < g {
                         run(from, g - 1);
                     }
-                    self.walk_cells(sub, c, reach, run);
+                    self.walk_cells(sub, b, run);
                     from = g + 1;
                 }
             }
@@ -727,6 +784,23 @@ pub(crate) fn reach(r: f64) -> f64 {
     r + r * QUERY_SLACK + UNDERFLOW_SLACK
 }
 
+/// The coordinate box that disk queries of radius `r` around `a` and `b`
+/// scan together (see [`SoaGrid::for_each_link_run`]); `a = b` gives one
+/// disk query's box `c ± reach(r)`, computed as `c.x − reach` and so on.
+/// A negative radius may give an empty box.
+#[inline]
+pub(crate) fn reach_box(a: Point, b: Point, r: f64) -> Aabb {
+    let reach = reach(r);
+    Aabb {
+        min: Point::new(a.x.min(b.x) - reach, a.y.min(b.y) - reach),
+        max: Point::new(a.x.max(b.x) + reach, a.y.max(b.y) + reach),
+    }
+}
+
+/// Positions per block of [`SoaGrid::filter_run`], the length of its
+/// stack buffer of hit offsets; offsets fit a `u8`.
+const SCAN_BLOCK: usize = 128;
+
 /// Relative slack of a disk query's cell range.
 const QUERY_SLACK: f64 = 1.0 / (1u64 << 40) as f64;
 
@@ -972,7 +1046,7 @@ mod tests {
                 Point::new(c.x + p.x * 0.05, c.y + p.y * 0.05)
             })
             .collect();
-        let chain = unit.iter().map(|p| Point::on_line(64.0 * 2f64.powf(-24.0 * p.x))).collect();
+        let chain = unit.iter().map(|p| Point::on_line(64.0 * (-24.0 * p.x).exp2())).collect();
         let collinear = unit.iter().map(|p| Point::on_line(p.y * side)).collect();
         let sites = lcg_points(n / 64 + 1, side);
         let stacked = (0..n).map(|i| sites[i % sites.len()]).collect();
@@ -1035,6 +1109,143 @@ mod tests {
         for threads in [1, 3] {
             let by_soa = SoaGrid::try_build_unit_density(&soa, threads).unwrap();
             assert!(layout(&by_soa) == layout(&by_slice), "threads={threads}");
+        }
+    }
+
+    /// The scalar disk scan that the branch-free filter replaced, with its
+    /// own cell ranges: `col`/`row` of `c ± reach(r)` at every level, cell
+    /// by cell, and an `if` per candidate. Pushes the hits' positions and
+    /// returns the candidates scanned.
+    fn scalar_scan(g: &SoaGrid, lv: Level, c: Point, r: f64, hits: &mut Vec<usize>) -> usize {
+        let (s, slack) = (&lv.shape, reach(r));
+        let (x0, x1) = (s.col(c.x - slack), s.col(c.x + slack));
+        let (y0, y1) = (s.row(c.y - slack), s.row(c.y + slack));
+        if x0 > x1 || y0 > y1 {
+            return 0;
+        }
+        let mut candidates = 0;
+        for y in y0..=y1 {
+            for x in x0..=x1 {
+                let cell = lv.first + y * s.nx + x;
+                if let Some(sub) = g.split_of(cell) {
+                    candidates += scalar_scan(g, sub, c, r, hits);
+                    continue;
+                }
+                for k in g.starts[cell] as usize..g.starts[cell + 1] as usize {
+                    candidates += 1;
+                    if g.point_at(k).dist(&c) <= r {
+                        hits.push(k);
+                    }
+                }
+            }
+        }
+        candidates
+    }
+
+    /// Asserts that `for_each_pos_in_disk` reports the scalar scan's hits,
+    /// in its order, and its candidate count, for every query.
+    fn assert_scans_agree(name: &str, g: &SoaGrid, queries: &[(Point, f64)]) {
+        for &(c, r) in queries {
+            let mut want = Vec::new();
+            let want_candidates = scalar_scan(g, g.top(), c, r, &mut want);
+            let mut got = Vec::new();
+            let candidates = g.for_each_pos_in_disk(c, r, |k| got.push(k));
+            assert_eq!(got, want, "{name}: c={c:?} r={r}");
+            assert_eq!(candidates, want_candidates, "{name}: c={c:?} r={r}");
+        }
+    }
+
+    #[test]
+    fn branch_free_filter_matches_the_scalar_scan() {
+        // Flat: 20 × 20 cells of 20 points each, so a row run of the wide
+        // query spans 400 positions, more than two filter blocks.
+        let lattice: Vec<Point> = (0..8000)
+            .map(|i| Point::new((i % 400) as f64 * 0.0025 + 0.001, (i / 400) as f64 * 0.05 + 0.01))
+            .collect();
+        let flat = SoaGrid::from_points(&lattice, 0.05);
+        assert_eq!(flat.split_cells(), 0);
+        let (a, b) = (lattice[4321], lattice[777]);
+        let on_rim = a.dist(&b);
+        let below = f64::from_bits(on_rim.to_bits() - 1);
+        let mut queries = vec![(a, 1.0), (a, 0.05), (a, on_rim), (a, below), (b, 0.0)];
+        queries.extend(lcg_points(20, 1.2).iter().map(|&p| (p, 0.3)));
+        assert_scans_agree("lattice", &flat, &queries);
+        let mut boundary = Vec::new();
+        flat.for_each_pos_in_disk(a, on_rim, |k| boundary.push(flat.item(k)));
+        assert!(boundary.contains(&777), "a point at distance exactly r is a hit");
+
+        // Split: an exponential chain and a crowded cluster.
+        let chain: Vec<Point> =
+            (0..48).map(|i| Point::on_line((2f64.powi(i) - 1.0) / 2f64.powi(48))).collect();
+        let g = SoaGrid::from_points(&chain, chain[1].x - chain[0].x);
+        assert!(g.split_cells() > 0);
+        let queries: Vec<(Point, f64)> = [0usize, 5, 30, 47]
+            .iter()
+            .flat_map(|&q| {
+                [0.0, 2f64.powi(-40), chain[q].dist(&chain[q / 2]), 0.25].map(|r| (chain[q], r))
+            })
+            .collect();
+        assert_scans_agree("exp-chain", &g, &queries);
+        let mut crowded = lcg_points(100, 1.0);
+        crowded.extend(lcg_points(200, 1e-6).iter().map(|p| Point::new(p.x + 0.3, p.y + 0.3)));
+        let g = SoaGrid::from_points(&crowded, 0.1);
+        assert!(g.split_cells() > 0);
+        let queries = [(crowded[150], 5e-7), (crowded[3], 0.2), (Point::new(0.3, 0.3), 0.5)];
+        assert_scans_agree("crowded", &g, &queries);
+
+        // `r = 0` on a stack of 300 coincident points: one unsplit cell
+        // whose run is all hits, over three blocks.
+        let mut stack = vec![Point::new(0.5, 0.5); 300];
+        stack.extend(lcg_points(50, 1.0));
+        let g = SoaGrid::from_points(&stack, 0.25);
+        assert_scans_agree("stack", &g, &[(stack[0], 0.0), (stack[0], 0.25), (stack[320], 0.0)]);
+        assert_eq!(g.query_disk(stack[0], 0.0).len(), 300);
+
+        // Offsets whose squares underflow: every point is at computed
+        // distance 0 from the middle one, across cells.
+        let tiny = [Point::ORIGIN, Point::new(1e-170, 0.0), Point::new(1e-167, 0.0)];
+        let g = SoaGrid::from_points(&tiny, 1e-167 / 1040.0);
+        assert_scans_agree("underflow", &g, &[(tiny[1], 0.0), (tiny[0], 0.0), (tiny[2], 1e-300)]);
+        assert_eq!(g.query_disk(tiny[1], 0.0).len(), 3);
+
+        // Coordinates near 2⁵⁰⁹, where squared offsets approach the top
+        // of the `f64` range.
+        let huge: Vec<Point> = lcg_points(400, 2.0)
+            .iter()
+            .map(|p| Point::new((p.x - 1.0) * 2f64.powi(509), (p.y - 1.0) * 2f64.powi(509)))
+            .collect();
+        let g = SoaGrid::from_points(&huge, 2f64.powi(506));
+        let far = huge[0].dist(&huge[1]);
+        let queries = [(huge[0], far), (huge[7], 2f64.powi(507)), (huge[9], 2f64.powi(510))];
+        assert_scans_agree("huge", &g, &queries);
+    }
+
+    #[test]
+    fn link_runs_hold_both_disks() {
+        // The runs of a link's box hold every point within `r` of either
+        // endpoint once, on flat and split grids.
+        let mut pts = lcg_points(400, 4.0);
+        pts.extend(lcg_points(100, 1e-5).iter().map(|p| Point::new(p.x + 1.0, p.y + 2.0)));
+        for (n, hint) in [(400, 0.3), (500, 0.05)] {
+            let pts = &pts[..n];
+            let g = SoaGrid::from_points(pts, hint);
+            assert_eq!(g.split_cells() > 0, n > 400);
+            for (a, b) in [(0, 1), (17, 250), (3, 3), (399, n - 1), (420, 421)] {
+                let (pa, pb) = (pts[a % n], pts[b % n]);
+                for r in [0.0, pa.dist(&pb), 0.2] {
+                    let covered = |p: Point| p.dist(&pa) <= r || p.dist(&pb) <= r;
+                    let (mut scanned, mut hits) = (0, 0);
+                    g.for_each_link_run(pa, pb, r, |xs, ys| {
+                        scanned += xs.len();
+                        for (&x, &y) in xs.iter().zip(ys) {
+                            hits += usize::from(covered(Point::new(x, y)));
+                        }
+                    });
+                    let want = pts.iter().filter(|&&p| covered(p)).count();
+                    assert_eq!(hits, want, "n={n} link ({a}, {b}) r={r}");
+                    assert!(scanned <= n);
+                }
+            }
         }
     }
 

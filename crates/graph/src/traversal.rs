@@ -91,16 +91,20 @@ pub fn is_connected(g: &AdjacencyList) -> bool {
 /// we verify both directions to catch constructor bugs).
 pub fn preserves_connectivity(reference: &AdjacencyList, sub: &AdjacencyList) -> bool {
     assert_eq!(reference.num_vertices(), sub.num_vertices());
-    let a = components(reference);
-    let b = components(sub);
-    // Same-component in reference must imply same-component in sub and
-    // vice versa; since labels are normalized by first appearance, the two
-    // labelings must be identical as partitions.
+    same_partition(&components(reference), &components(sub))
+}
+
+/// Returns `true` if the labelings `a` and `b` put the same vertices
+/// together: `a[i] == a[j]` iff `b[i] == b[j]`. Labels are component
+/// labels as [`components`] returns them, each below the vertex count.
+pub fn same_partition(a: &[usize], b: &[usize]) -> bool {
+    assert_eq!(a.len(), b.len());
+    // Same label in `a` must imply same label in `b` and vice versa: the
+    // label maps must be bijective.
     let n = a.len();
     let mut map_ab = vec![usize::MAX; n];
     let mut map_ba = vec![usize::MAX; n];
-    for i in 0..n {
-        let (x, y) = (a[i], b[i]);
+    for (&x, &y) in a.iter().zip(b) {
         if map_ab[x] == usize::MAX {
             map_ab[x] = y;
         } else if map_ab[x] != y {
@@ -159,6 +163,16 @@ mod tests {
         assert!(is_connected(&AdjacencyList::new(0)));
         assert!(is_connected(&AdjacencyList::new(1)));
         assert!(!is_connected(&AdjacencyList::new(2)));
+    }
+
+    #[test]
+    fn partitions_compare_groupings_not_label_values() {
+        assert!(same_partition(&[0, 0, 1], &[1, 1, 0]));
+        assert!(same_partition(&[], &[]));
+        // `b` groups other vertices, merges `a`'s groups, or splits one.
+        assert!(!same_partition(&[0, 0, 1], &[0, 1, 1]));
+        assert!(!same_partition(&[0, 1], &[0, 0]));
+        assert!(!same_partition(&[0, 0], &[0, 1]));
     }
 
     #[test]

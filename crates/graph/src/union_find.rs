@@ -38,6 +38,7 @@ impl UnionFind {
     }
 
     /// Representative of `x`'s set (with path halving).
+    // rim-lint: allow(panic-freedom) — elements are caller-validated against len(); parents are elements
     pub fn find(&mut self, mut x: usize) -> usize {
         loop {
             let p = self.parent[x] as usize;
@@ -51,6 +52,7 @@ impl UnionFind {
     }
 
     /// Merges the sets of `a` and `b`; returns `true` if they were distinct.
+    // rim-lint: allow(panic-freedom) — roots come from find(), so they are elements below len()
     pub fn union(&mut self, a: usize, b: usize) -> bool {
         let (mut ra, mut rb) = (self.find(a), self.find(b));
         if ra == rb {

@@ -12,7 +12,9 @@
 //!
 //! * [`NodeSet`] — an immutable set of node positions with cached pairwise
 //!   helpers,
-//! * [`unit_disk_graph`] — UDG construction (grid-accelerated),
+//! * [`unit_disk_graph`] — UDG construction (grid-accelerated), and
+//!   [`udg_census`], its edge count, maximum degree and components
+//!   without the adjacency,
 //! * [`Topology`] — an edge set plus the radii it induces, with the
 //!   validity predicates used throughout the workspace,
 //! * [`radius`] — radius assignments and the symmetric graphs they induce
@@ -28,4 +30,4 @@ pub mod udg;
 
 pub use node_set::NodeSet;
 pub use topology::Topology;
-pub use udg::{max_degree, unit_disk_graph};
+pub use udg::{max_degree, udg_census, unit_disk_graph, UdgCensus};

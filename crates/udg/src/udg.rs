@@ -1,7 +1,7 @@
 //! Unit Disk Graph construction.
 
 use crate::node_set::NodeSet;
-use rim_graph::AdjacencyList;
+use rim_graph::{AdjacencyList, UnionFind};
 use rim_geom::SoaGrid;
 
 /// Builds the Unit Disk Graph of `nodes`: an edge `{u, v}` (weighted by
@@ -55,6 +55,81 @@ pub(crate) fn unit_disk_graph_threads(
             .collect::<Vec<_>>()
     });
     AdjacencyList::from_sorted_symmetric_lists(chunks.into_iter().flatten().collect())
+}
+
+/// What `rim analyze` reports of a Unit Disk Graph, counted without
+/// building its adjacency (see [`udg_census`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UdgCensus {
+    /// Number of edges.
+    pub edges: usize,
+    /// Maximum node degree `Δ`; 0 without edges.
+    pub max_degree: usize,
+    /// Component label per node, numbered in order of first appearance
+    /// as [`rim_graph::traversal::components`] numbers them.
+    pub labels: Vec<usize>,
+}
+
+/// The edge count, maximum degree and connected components of the UDG
+/// with range `max_range` — the same graph as
+/// [`unit_disk_graph_with_range`], without its adjacency lists.
+///
+/// The same per-node closed-disk queries run over a [`SoaGrid`], node by
+/// node in bucket order, on [`rim_par::auto_threads`] workers: a node's
+/// hits other than itself are its degree, and each pair `{k, j}` of
+/// bucket positions with `j > k` is fed once to a union-find. Sums,
+/// maxima and first-appearance labels do not depend on the order of the
+/// pairs, so the census is the same for every worker count.
+pub fn udg_census(nodes: &NodeSet, max_range: f64) -> UdgCensus {
+    udg_census_threads(nodes, max_range, rim_par::auto_threads(nodes.len()))
+}
+
+/// [`udg_census`] over `threads` workers.
+// rim-lint: allow(panic-freedom) — the range assert guards a caller contract; `par_map_ranges` yields positions below `nodes.len()`, and union-find roots are node ids
+pub(crate) fn udg_census_threads(nodes: &NodeSet, max_range: f64, threads: usize) -> UdgCensus {
+    assert!(max_range > 0.0 && max_range.is_finite());
+    let n = nodes.len();
+    let index = SoaGrid::from_points(nodes.points(), max_range);
+    let chunks = rim_par::par_map_ranges(n, threads, |range| {
+        let (mut degrees, mut max_degree) = (0usize, 0usize);
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        for k in range {
+            let mut hits = 0usize;
+            index.for_each_pos_in_disk(index.point_at(k), max_range, |j| {
+                hits += 1;
+                if j > k {
+                    pairs.push((k as u32, j as u32));
+                }
+            });
+            // The query point is its own hit, at distance 0.
+            let degree = hits.saturating_sub(1);
+            degrees += degree;
+            max_degree = max_degree.max(degree);
+        }
+        (degrees, max_degree, pairs)
+    });
+    let mut sets = UnionFind::new(n);
+    let (mut degrees, mut max_degree) = (0, 0);
+    for (sum, max, pairs) in chunks {
+        degrees += sum;
+        max_degree = max_degree.max(max);
+        for (k, j) in pairs {
+            sets.union(index.item(k as usize), index.item(j as usize));
+        }
+    }
+    let mut label_of_root = vec![usize::MAX; n];
+    let mut next = 0;
+    let labels = (0..n)
+        .map(|u| {
+            let root = sets.find(u);
+            if label_of_root[root] == usize::MAX {
+                label_of_root[root] = next;
+                next += 1;
+            }
+            label_of_root[root]
+        })
+        .collect();
+    UdgCensus { edges: degrees / 2, max_degree, labels }
 }
 
 /// Builds the standard Unit Disk Graph (`max_range = 1`).
@@ -203,6 +278,37 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn census_matches_the_built_graph_for_every_worker_count() {
+        use rim_graph::traversal::{components, num_components, same_partition};
+        let mut components_seen = 0;
+        for (family, ns) in families() {
+            let g = unit_disk_graph_threads(&ns, 1.0, 1);
+            let labels = components(&g);
+            components_seen += num_components(&g);
+            for threads in 1..=8 {
+                let census = udg_census_threads(&ns, 1.0, threads);
+                let at = format!("family={family} threads={threads}");
+                assert_eq!(census.edges, g.num_edges(), "{at}");
+                assert_eq!(census.max_degree, g.max_degree(), "{at}");
+                assert_eq!(census.labels, labels, "{at}");
+                assert!(same_partition(&census.labels, &labels), "{at}");
+            }
+        }
+        assert!(components_seen > 5, "the families must hold several components");
+    }
+
+    #[test]
+    fn census_of_small_instances() {
+        let ns = NodeSet::on_line(&[0.0, 0.5, 0.5, 3.0, 3.75, 9.0]);
+        let census = udg_census(&ns, 1.0);
+        assert_eq!((census.edges, census.max_degree), (4, 2));
+        assert_eq!(census.labels, vec![0, 0, 0, 1, 1, 2]);
+        let none = udg_census(&NodeSet::new(vec![]), 1.0);
+        assert_eq!((none.edges, none.max_degree, none.labels.len()), (0, 0, 0));
+        assert_eq!(udg_census(&NodeSet::on_line(&[2.0]), 1.0).labels, vec![0]);
     }
 
     #[test]

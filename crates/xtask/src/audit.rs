@@ -267,7 +267,9 @@ pub const PANIC_FREE_ROOTS: &[&str] = &[
     "for_each_reaching",
     "raise_bound",
     "unit_disk_graph_with_range",
+    "udg_census",
     "coverage_vector",
+    "for_each_link_run",
     "interference_max_sum",
     "par_block_scatter",
     "gather_column",
@@ -556,7 +558,7 @@ pub fn audit_lock_discipline(
                                 out,
                             );
                         }
-                        if let Some(g) = pending_let.clone() {
+                        if let Some(g) = pending_let.clone().filter(|_| binds_guard(&code, i)) {
                             active.push((g, recv, t.line));
                         }
                     }
@@ -582,6 +584,54 @@ pub fn audit_lock_discipline(
             }
         }
     }
+}
+
+/// Whether the `.lock()` call whose `lock` token sits at `code[i]`
+/// inside a `let` initializer leaves a live guard in the binding: the
+/// call, bare or wrapped in `relock(…)`, optionally followed by
+/// `.unwrap()` or `.expect(…)`, is the whole initializer, or the
+/// initializer starts with a borrow, which extends its temporaries. Any
+/// other form — a projection such as `.0`, a further method call — makes
+/// the guard a temporary dropped at the `;`.
+fn binds_guard(code: &[&Token], i: usize) -> bool {
+    let text = |k: usize| code.get(k).map_or("", |t| t.text.as_str());
+    // The receiver path `a.b.c` before `.lock`.
+    let mut start = i - 2;
+    while start >= 2 && text(start - 1) == "." && code[start - 2].kind == Kind::Ident {
+        start -= 2;
+    }
+    let wrapped = start >= 2 && text(start - 1) == "(" && text(start - 2) == "relock";
+    let init = if wrapped { start - 2 } else { start };
+    if init == 0 || text(init - 1) != "=" {
+        // Inside a larger initializer: guarded only by a leading borrow.
+        let eq = (0..i).rev().find(|&k| text(k) == "=" || text(k) == "let");
+        return eq.is_some_and(|k| text(k) == "=" && text(k + 1) == "&");
+    }
+    // After `lock ( )`, and the wrapper's `)`.
+    let mut k = i + 3;
+    if wrapped {
+        if text(k) != ")" {
+            return false;
+        }
+        k += 1;
+    }
+    if text(k) == "." && matches!(text(k + 1), "unwrap" | "expect") && text(k + 2) == "(" {
+        let mut depth = 0usize;
+        k += 2;
+        loop {
+            match text(k) {
+                "(" => depth += 1,
+                ")" => depth -= 1,
+                "" => return false,
+                _ => {}
+            }
+            k += 1;
+            if depth == 0 {
+                break;
+            }
+        }
+    }
+    text(k) == ";"
 }
 
 /// Definition/positional contexts that must not count as references
@@ -1211,6 +1261,41 @@ mod tests {
                     *relock(m.lock()) += 1;\n*relock(m.lock()) += 1;\n}\n";
         let out = run_graph_audit(temp, None, audit_lock_discipline);
         assert!(out.is_empty(), "{out:#?}");
+    }
+
+    #[test]
+    fn lock_discipline_binds_only_whole_initializer_guards() {
+        // A projection or a further call leaves a temporary guard, dropped
+        // at the `;`, so locking again is fine…
+        for init in [
+            "relock(slot.lock()).0.take()",
+            "slot.lock().unwrap().take()",
+            "self.slot.lock().expect(\"poisoned\").len()",
+        ] {
+            let src = format!(
+                "pub fn f(slot: &std::sync::Mutex<(Option<u32>, u32)>) {{\n\
+                 let piece = {init};\nrelock(slot.lock()).1 = 2;\n}}\n"
+            );
+            let out = run_graph_audit(&src, None, audit_lock_discipline);
+            assert!(out.is_empty(), "{init}: {out:#?}");
+        }
+        // …while a guard that is the whole initializer, bare or wrapped,
+        // or one behind a borrow that extends it, is still caught.
+        for init in [
+            "relock(m.lock())",
+            "m.lock()",
+            "self.m.lock().unwrap()",
+            "m.lock().expect(\"poisoned\")",
+            "&mut *m.lock().unwrap()",
+        ] {
+            let src = format!(
+                "pub fn f(m: &std::sync::Mutex<u32>) {{\n\
+                 let g = {init};\nlet h = m.lock();\n}}\n"
+            );
+            let out = run_graph_audit(&src, None, audit_lock_discipline);
+            assert_eq!(out.len(), 1, "{init}: {out:#?}");
+            assert!(out[0].message.contains("self-deadlocks"), "{}", out[0].message);
+        }
     }
 
     #[test]

@@ -781,7 +781,9 @@ pub const DETERMINISM_ROOTS: &[&str] = &[
     "for_each_reaching",
     "raise_bound",
     "unit_disk_graph_with_range",
+    "udg_census",
     "coverage_vector",
+    "for_each_link_run",
     "interference_max_sum",
     "par_block_scatter",
     "gather_column",

@@ -263,12 +263,13 @@ fn churn_hot_path_obligations_stay_registered() {
 
 #[test]
 fn pipeline_query_loops_stay_registered() {
-    // The two node-sized query loops of the topology-control pipeline
-    // that fan out over worker threads — the UDG build and the sender
-    // coverage vector — must stay panic-free and bitwise deterministic
-    // for every worker count. Dropping either registration would
-    // silently un-audit them.
-    for root in ["unit_disk_graph_with_range", "coverage_vector"] {
+    // The node-sized query loops of the topology-control pipeline that
+    // fan out over worker threads — the UDG build, `analyze`'s UDG census
+    // and the sender coverage vector with its one box scan per link —
+    // must stay panic-free and bitwise deterministic for every worker
+    // count. Dropping any registration would silently un-audit them.
+    for root in ["unit_disk_graph_with_range", "udg_census", "coverage_vector", "for_each_link_run"]
+    {
         assert!(
             rim_xtask::audit::PANIC_FREE_ROOTS.contains(&root),
             "`{root}` must stay in PANIC_FREE_ROOTS"
