@@ -253,14 +253,27 @@ pub fn control(args: &Args) -> Result<(), UsageError> {
             }
         };
         // Note on the generated file whether the mandatory requirement holds.
-        let mut content = io::format_topology(&topology);
-        content.push_str(&format!(
-            "# algo = {algo}, edges = {}, preserves connectivity = {}\n",
-            topology.num_edges(),
+        let connected = {
+            let _s = rim_obs::span("control/connectivity");
             topology.preserves_connectivity_of(&udg)
-        ));
-        let _s = rim_obs::span("write");
-        write_out(&out, &content)
+        };
+        let content = {
+            let _s = rim_obs::span("format");
+            let mut content = io::format_topology(&topology);
+            content.push_str(&format!(
+                "# algo = {algo}, edges = {}, preserves connectivity = {connected}\n",
+                topology.num_edges(),
+            ));
+            content
+        };
+        let written = {
+            let _s = rim_obs::span("write");
+            write_out(&out, &content)
+        };
+        // Freeing the graphs' per-node lists is part of the run's time.
+        let _s = rim_obs::span("free");
+        drop((content, topology, udg, nodes));
+        written
     })();
     // The report goes to stderr so `--out -` topology output stays
     // machine-readable on stdout.
@@ -313,7 +326,10 @@ fn analyze_generated(spec: &str, args: &Args) -> Result<(), UsageError> {
         // abort.
         let cannot_hold =
             |e: rim_geom::GridCapacityError| UsageError(format!("--generate {spec}: {e}"));
-        let soa = rim_workloads::try_uniform_soa(n, side, seed).map_err(cannot_hold)?;
+        let soa = {
+            let _s = rim_obs::span("generate");
+            rim_workloads::try_uniform_soa(n, side, seed).map_err(cannot_hold)?
+        };
         let inst = rim_core::StreamInstance::try_with_nn_radii(soa).map_err(cannot_hold)?;
         inst.interference_max_sum(rim_core::parallel::num_threads()).map_err(cannot_hold)?
     };
@@ -347,11 +363,12 @@ pub fn analyze(args: &Args) -> Result<(), UsageError> {
     let mode = obs_mode(args)?;
     let rec = obs_install(mode);
     let root = rim_obs::span("analyze");
-    let nodes = {
+    let (nodes, topology) = {
         let _s = rim_obs::span("load");
-        load_nodes(args)?
+        let nodes = load_nodes(args)?;
+        let topology = load_topology(args, &nodes)?;
+        (nodes, topology)
     };
-    let topology = load_topology(args, &nodes)?;
     let phy = args.opt("phy", "off");
     let phys = match phy.as_str() {
         "off" => None,

@@ -1214,3 +1214,49 @@ fn churn_rejects_snapshots_with_oversized_counts() {
         assert!(err.contains("4294967296"), "{err}");
     }
 }
+
+#[test]
+fn top_level_spans_cover_the_root_span() {
+    // Under `--obs jsonl`, the spans directly below each command's root
+    // account for at least 95 % of it, so a run record says where the
+    // time went: `control` and `analyze` on a 6000-node uniform file
+    // (unit density, as the benchmark's pipeline), `analyze --generate`
+    // on 200k generated nodes.
+    let dir = tmp_dir("span_coverage");
+    let nodes = dir.join("nodes.txt");
+    let topo = dir.join("gg.txt");
+    let (nodes_arg, topo_arg) = (nodes.to_str().unwrap(), topo.to_str().unwrap());
+    let out = rim()
+        .args(["generate", "--kind", "uniform-square", "--n", "6000", "--side", "38.73"])
+        .args(["--seed", "11", "--out", nodes_arg])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let runs: [(&str, Vec<&str>); 3] = [
+        ("control", vec!["control", "--algo", "gg", "--nodes", nodes_arg, "--out", topo_arg]),
+        ("analyze", vec!["analyze", "--nodes", nodes_arg, "--topology", topo_arg]),
+        ("analyze_generated", vec!["analyze", "--generate", "uniform:200000", "--seed", "2"]),
+    ];
+    for (root_name, args) in runs {
+        let out = rim().args(&args).args(["--obs", "jsonl"]).output().unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let err = String::from_utf8(out.stderr).unwrap();
+        let snap = rim_obs::Snapshot::from_jsonl(&err).unwrap();
+        let root = snap
+            .spans
+            .iter()
+            .position(|s| s.name == root_name && s.parent.is_none())
+            .unwrap_or_else(|| panic!("no root span {root_name}: {err}"));
+        let root_ns = snap.spans[root].wall_ns.unwrap();
+        let top: u64 = snap
+            .spans
+            .iter()
+            .filter(|s| s.parent == Some(root))
+            .map(|s| s.wall_ns.unwrap())
+            .sum();
+        assert!(
+            top as f64 >= 0.95 * root_ns as f64,
+            "{root_name}: top-level spans cover {top} of {root_ns} ns:\n{err}"
+        );
+    }
+}

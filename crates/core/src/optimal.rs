@@ -115,7 +115,7 @@ pub fn min_interference_topology(
     // Incumbent: the MST of the UDG (tight assignment, always feasible).
     let mst_topology = Topology::from_graph(
         nodes.clone(),
-        AdjacencyList::from_edges(n, &kruskal(n, &udg.edges())),
+        AdjacencyList::from_edges(n, kruskal(n, &udg.edges())),
     );
     let best_radii: Vec<f64> = mst_topology.radii().to_vec();
     let best = naive_interference(&mst_topology);

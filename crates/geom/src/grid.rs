@@ -21,7 +21,7 @@
 
 use crate::bbox::Aabb;
 use crate::point::Point;
-use rim_par::{par_fill_columns, par_map_ranges};
+use rim_par::{par_fill_columns, par_map_ranges, AllocError};
 
 /// Largest number of points a grid-backed index can hold: bucket items
 /// are stored as `u32` ids, so any build beyond this would silently
@@ -83,10 +83,11 @@ pub(crate) fn try_reserve_points<T>(
     })
 }
 
-/// A vector of `len` copies of `value`, reserved as
-/// [`try_reserve_points`] reserves: the fallible allocation of every
-/// point-sized buffer of a grid build over `points` points, and of the
-/// streaming kernels' columns over such a grid.
+/// A vector of `len` copies of `value`, reserved with
+/// `try_reserve_exact`, so that running out of memory while holding
+/// `points` points is an error naming the bytes asked for: the fallible
+/// allocation of every point-sized buffer of a grid build over `points`
+/// points, and of the streaming kernels' columns over such a grid.
 pub fn try_filled<T: Clone>(
     points: usize,
     len: usize,
@@ -379,6 +380,7 @@ fn par_block_scatter(
         }
         largest
     })
+    .map_err(|e| piece_lists_failed(n, e))?
     .into_iter()
     .max()
     .unwrap_or(0);
@@ -403,7 +405,8 @@ fn par_block_scatter(
                 *k += 1;
             }
         }
-    });
+    })
+    .map_err(|e| piece_lists_failed(n, e))?;
     Ok((starts, order, largest as usize))
 }
 
@@ -453,8 +456,15 @@ fn partition_by_block(
                 *slice = rest;
             }
         }
-    });
+    })
+    .map_err(|e| piece_lists_failed(cells.len(), e))?;
     Ok((by_block, block_lo, workers))
+}
+
+/// The capacity error of a build over `points` points whose workers'
+/// piece lists could not be allocated.
+fn piece_lists_failed(points: usize, e: AllocError) -> GridCapacityError {
+    GridCapacityError { points, bytes: Some(e.bytes) }
 }
 
 /// Cell-table size up to which the one-pass scatter stays cache-friendly.

@@ -1,6 +1,8 @@
 //! A compact undirected graph over vertices `0..n`.
 
-use crate::edge::Edge;
+use crate::edge::{key_pair, pair_key, Edge};
+use std::borrow::Borrow;
+use std::fmt;
 
 /// An undirected graph with weighted edges, stored as per-vertex
 /// neighbor lists.
@@ -15,6 +17,45 @@ pub struct AdjacencyList {
     num_edges: usize,
 }
 
+/// Why [`AdjacencyList::try_from_edges`] refused an edge list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EdgeListError {
+    /// Edge `index` (0-based, in input order) is a self-loop or names a
+    /// vertex outside `0..n`: the first such edge.
+    Invalid {
+        /// Position of the edge in the input.
+        index: usize,
+        /// One endpoint.
+        u: usize,
+        /// The other endpoint.
+        v: usize,
+    },
+    /// Edge `index` repeats the pair of an earlier edge, in either
+    /// orientation: the first edge in input order to do so. Only a list
+    /// free of invalid edges fails this way.
+    Duplicate {
+        /// Position of the repeating edge in the input.
+        index: usize,
+        /// Smaller endpoint.
+        u: usize,
+        /// Larger endpoint.
+        v: usize,
+    },
+}
+
+impl fmt::Display for EdgeListError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            EdgeListError::Invalid { index, u, v } => {
+                write!(f, "edge {index} ({u}, {v}) is a self-loop or leaves the vertex range")
+            }
+            EdgeListError::Duplicate { u, v, .. } => write!(f, "duplicate edge ({u}, {v})"),
+        }
+    }
+}
+
+impl std::error::Error for EdgeListError {}
+
 impl AdjacencyList {
     /// Creates an empty graph with `n` vertices.
     pub fn new(n: usize) -> Self {
@@ -25,18 +66,72 @@ impl AdjacencyList {
         }
     }
 
-    /// Builds a graph from an edge list. Duplicate edges are rejected with
-    /// a panic (they indicate a bug in a topology constructor).
-    pub fn from_edges(n: usize, edges: &[Edge]) -> Self {
-        let mut g = AdjacencyList::new(n);
-        for e in edges {
-            assert!(
-                g.add_edge(e.u, e.v, e.weight),
-                "duplicate edge {:?}",
-                e.pair()
-            );
+    /// Builds a graph from an edge list, in any order: the bulk
+    /// constructor (see [`AdjacencyList::try_from_edges`]). A self-loop,
+    /// an out-of-range vertex or a duplicate edge is a bug in the
+    /// topology constructor that produced the list, so it panics.
+    pub fn from_edges<I>(n: usize, edges: I) -> Self
+    where
+        I: IntoIterator,
+        I::Item: Borrow<Edge>,
+        I::IntoIter: Clone,
+    {
+        assert!(n <= u32::MAX as usize, "too many vertices");
+        match Self::try_from_edges(n, edges) {
+            Ok(g) => g,
+            // rim-lint: allow(panic-freedom, no-unwrap-in-lib) — a refused list is a bug in the constructor that made it; untrusted input goes through `try_from_edges`
+            Err(err) => panic!("{err}"),
         }
-        g
+    }
+
+    /// Builds a graph over `n <= u32::MAX` vertices from an edge list in
+    /// any order, in bulk: one pass counts the degrees, each list is
+    /// reserved at its exact size, a second pass pushes both copies of
+    /// every edge, and each list is sorted by neighbour unless it already
+    /// is (it is when the edges arrive in `(u, v)` order). The result
+    /// equals [`AdjacencyList::add_edge`] called on each edge in turn,
+    /// weights bit for bit.
+    ///
+    /// Fails, without panicking, on the first self-loop or out-of-range
+    /// vertex in input order, and otherwise on the first edge that
+    /// repeats an earlier pair. The edges are walked twice, through
+    /// clones of one iterator.
+    // rim-lint: allow(panic-freedom) — the counting pass checks every endpoint below `n = adj.len()`, and the push pass walks a clone of the same iterator
+    pub fn try_from_edges<I>(n: usize, edges: I) -> Result<Self, EdgeListError>
+    where
+        I: IntoIterator,
+        I::Item: Borrow<Edge>,
+        I::IntoIter: Clone,
+    {
+        let edges = edges.into_iter();
+        let mut degree = vec![0usize; n];
+        let mut num_edges = 0;
+        for (index, e) in edges.clone().enumerate() {
+            let &Edge { u, v, .. } = e.borrow();
+            if u == v || u >= n || v >= n || u.max(v) > u32::MAX as usize {
+                return Err(EdgeListError::Invalid { index, u, v });
+            }
+            degree[u] += 1;
+            degree[v] += 1;
+            num_edges += 1;
+        }
+        let mut adj: Vec<Vec<(u32, f64)>> = degree.into_iter().map(Vec::with_capacity).collect();
+        for e in edges.clone() {
+            let &Edge { u, v, weight } = e.borrow();
+            adj[u].push((v as u32, weight));
+            adj[v].push((u as u32, weight));
+        }
+        let mut repeated = false;
+        for list in &mut adj {
+            if !list.windows(2).all(|p| p[0].0 < p[1].0) {
+                list.sort_unstable_by_key(|&(v, _)| v);
+                repeated |= list.windows(2).any(|p| p[0].0 == p[1].0);
+            }
+        }
+        match repeated.then(|| first_repeat(edges)).flatten() {
+            Some(err) => Err(err),
+            None => Ok(AdjacencyList { adj, num_edges }),
+        }
     }
 
     /// Builds a graph from complete per-vertex neighbour lists: `lists[u]`
@@ -180,6 +275,32 @@ impl AdjacencyList {
     }
 }
 
+/// The first edge of `edges` that repeats the pair of an earlier one,
+/// found by sorting `(pair key, position)`: the answer is the smallest
+/// second position among the runs of equal keys. Only the error path of
+/// [`AdjacencyList::try_from_edges`] runs it, on vertex ids checked
+/// below 2³².
+fn first_repeat<I>(edges: I) -> Option<EdgeListError>
+where
+    I: Iterator,
+    I::Item: Borrow<Edge>,
+{
+    let mut keyed: Vec<(u64, usize)> = edges
+        .enumerate()
+        .map(|(index, e)| (pair_key(e.borrow().u, e.borrow().v), index))
+        .collect();
+    keyed.sort_unstable();
+    let (key, index) = keyed
+        .windows(2)
+        .filter_map(|p| match p {
+            [(a, _), second @ (b, _)] if a == b => Some(*second),
+            _ => None,
+        })
+        .min_by_key(|&(_, index)| index)?;
+    let (u, v) = key_pair(key);
+    Some(EdgeListError::Duplicate { index, u, v })
+}
+
 /// The first breach of the [`AdjacencyList::from_sorted_symmetric_lists`]
 /// contract in `lists`, if any.
 // rim-lint: allow(panic-freedom) — `v < n` is checked before `lists[v]` is read
@@ -256,7 +377,7 @@ mod tests {
     fn edges_are_listed_once_in_order() {
         let g = AdjacencyList::from_edges(
             4,
-            &[
+            [
                 Edge::new(3, 2, 1.0),
                 Edge::new(0, 1, 2.0),
                 Edge::new(1, 3, 0.25),
@@ -334,6 +455,6 @@ mod tests {
     #[test]
     #[should_panic]
     fn from_edges_rejects_duplicates() {
-        AdjacencyList::from_edges(3, &[Edge::new(0, 1, 1.0), Edge::new(1, 0, 1.0)]);
+        AdjacencyList::from_edges(3, [Edge::new(0, 1, 1.0), Edge::new(1, 0, 1.0)]);
     }
 }

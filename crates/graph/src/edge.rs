@@ -66,6 +66,20 @@ impl Edge {
     }
 }
 
+/// Packs the vertex pair `{a, b}` (ids below 2³²) as `min << 32 | max`.
+/// Sorted keys list the pairs in `(u, v)` order with `u < v`, and equal
+/// pairs, in either orientation, have equal keys.
+#[inline]
+pub fn pair_key(a: usize, b: usize) -> u64 {
+    (a.min(b) as u64) << 32 | a.max(b) as u64
+}
+
+/// The pair `(u, v)`, `u <= v`, packed by [`pair_key`].
+#[inline]
+pub fn key_pair(key: u64) -> (usize, usize) {
+    ((key >> 32) as usize, (key & u64::from(u32::MAX)) as usize)
+}
+
 impl Eq for Edge {}
 
 impl PartialOrd for Edge {
@@ -110,6 +124,18 @@ mod tests {
             edges.iter().map(Edge::pair).collect::<Vec<_>>(),
             vec![(1, 2), (0, 1), (0, 2), (0, 3)]
         );
+    }
+
+    #[test]
+    fn pair_keys_sort_like_normalized_pairs() {
+        let pairs = [(3, 1), (0, u32::MAX as usize), (1, 3), (0, 2), (2, 0), (7, 5)];
+        let mut keys: Vec<u64> = pairs.iter().map(|&(a, b)| pair_key(a, b)).collect();
+        keys.sort_unstable();
+        let decoded: Vec<(usize, usize)> = keys.into_iter().map(key_pair).collect();
+        let mut want: Vec<(usize, usize)> =
+            pairs.iter().map(|&(a, b)| (a.min(b), a.max(b))).collect();
+        want.sort_unstable();
+        assert_eq!(decoded, want);
     }
 
     #[test]

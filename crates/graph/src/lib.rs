@@ -31,6 +31,6 @@ pub mod traversal;
 pub mod tree;
 pub mod union_find;
 
-pub use adjacency::AdjacencyList;
+pub use adjacency::{AdjacencyList, EdgeListError};
 pub use edge::Edge;
 pub use union_find::UnionFind;

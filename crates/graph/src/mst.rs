@@ -30,6 +30,55 @@ pub fn kruskal(n: usize, edges: &[Edge]) -> Vec<Edge> {
     out
 }
 
+/// The minimum spanning forest of `g`: the same edges, in the same
+/// order, as [`kruskal`] over `g.edges()`, the retained oracle.
+///
+/// Kruskal runs on 16-byte keys read straight off the neighbour lists
+/// instead of on a copied [`Edge`] list: `(order(weight), u, v)` with
+/// `u < v`, packed into a `u128`. `order` maps the weight bits to an
+/// unsigned integer whose order is `f64::total_cmp`'s, so the keys sort
+/// in the strict [`Edge::cmp_by_weight`] order and the forest is
+/// Kruskal's. On the non-negative weights of a distance graph `order`
+/// only sets the sign bit.
+pub fn minimum_spanning_forest(g: &AdjacencyList) -> Vec<Edge> {
+    let n = g.num_vertices();
+    let mut keys: Vec<u128> = Vec::with_capacity(g.num_edges());
+    for u in 0..n {
+        for (v, weight) in g.neighbors_weighted(u).filter(|&(v, _)| v > u) {
+            keys.push(u128::from(total_order_bits(weight)) << 64 | (u as u128) << 32 | v as u128);
+        }
+    }
+    keys.sort_unstable();
+    let mut uf = UnionFind::new(n);
+    let mut out = Vec::with_capacity(n.saturating_sub(1));
+    for key in keys {
+        let (u, v) = ((key >> 32) as u32 as usize, key as u32 as usize);
+        if uf.union(u, v) {
+            out.push(Edge { u, v, weight: weight_of_order_bits((key >> 64) as u64) });
+            if out.len() + 1 == n {
+                break;
+            }
+        }
+    }
+    out
+}
+
+/// The bits of `w` as an unsigned integer in `f64::total_cmp` order:
+/// negative weights have every bit flipped, the others the sign bit.
+fn total_order_bits(w: f64) -> u64 {
+    let bits = w.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// The inverse of [`total_order_bits`].
+fn weight_of_order_bits(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 { key & !(1 << 63) } else { !key })
+}
+
 /// Computes a minimum spanning forest of an adjacency-list graph (Prim,
 /// run from every unvisited vertex). Returns the chosen edges.
 pub fn prim(g: &AdjacencyList) -> Vec<Edge> {
@@ -134,9 +183,43 @@ mod tests {
     }
 
     #[test]
+    fn forest_of_packed_keys_is_kruskals_on_ties_and_signed_weights() {
+        // Many equal weights (ties decided by the endpoints), both zeros,
+        // negative and subnormal weights: the key order must be the
+        // `Edge` order throughout.
+        let mut state = 99u64;
+        let mut rnd = || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (state >> 33) as usize
+        };
+        let pool = [0.0, -0.0, 1.0, 1.0, 2.5, -3.0, f64::MIN_POSITIVE / 4.0, 1e300, -1e-300];
+        for trial in 0..40 {
+            let n = 2 + trial % 17;
+            let mut g = AdjacencyList::new(n);
+            for _ in 0..3 * n {
+                let (a, b) = (rnd() % n, rnd() % n);
+                if a != b {
+                    g.add_edge(a, b, pool[rnd() % pool.len()]);
+                }
+            }
+            let want = kruskal(n, &g.edges());
+            let got = minimum_spanning_forest(&g);
+            let bits = |f: &[Edge]| -> Vec<(usize, usize, u64)> {
+                f.iter().map(|e| (e.u, e.v, e.weight.to_bits())).collect()
+            };
+            assert_eq!(bits(&got), bits(&want), "trial {trial}");
+        }
+        for w in [0.0, -0.0, 1.5, -1.5, f64::MAX, -f64::MAX, 5e-324] {
+            assert_eq!(weight_of_order_bits(total_order_bits(w)).to_bits(), w.to_bits());
+        }
+    }
+
+    #[test]
     fn empty_inputs() {
         assert!(kruskal(0, &[]).is_empty());
         assert!(kruskal(5, &[]).is_empty());
         assert!(prim(&AdjacencyList::new(3)).is_empty());
+        assert!(minimum_spanning_forest(&AdjacencyList::new(0)).is_empty());
+        assert!(minimum_spanning_forest(&AdjacencyList::new(3)).is_empty());
     }
 }

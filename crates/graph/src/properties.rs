@@ -91,7 +91,7 @@ mod tests {
     fn degree_stats_on_star() {
         let g = AdjacencyList::from_edges(
             4,
-            &[Edge::new(0, 1, 1.0), Edge::new(0, 2, 1.0), Edge::new(0, 3, 1.0)],
+            [Edge::new(0, 1, 1.0), Edge::new(0, 2, 1.0), Edge::new(0, 3, 1.0)],
         );
         let s = degree_stats(&g);
         assert_eq!(s.min, 1);
@@ -104,16 +104,16 @@ mod tests {
         // Triangle with unit edges; dropping one edge makes the detour 2x.
         let reference = AdjacencyList::from_edges(
             3,
-            &[Edge::new(0, 1, 1.0), Edge::new(1, 2, 1.0), Edge::new(0, 2, 1.0)],
+            [Edge::new(0, 1, 1.0), Edge::new(1, 2, 1.0), Edge::new(0, 2, 1.0)],
         );
-        let sub = AdjacencyList::from_edges(3, &[Edge::new(0, 1, 1.0), Edge::new(1, 2, 1.0)]);
+        let sub = AdjacencyList::from_edges(3, [Edge::new(0, 1, 1.0), Edge::new(1, 2, 1.0)]);
         assert!((stretch_factor(&reference, &sub) - 2.0).abs() < 1e-12);
         assert_eq!(stretch_factor(&reference, &reference), 1.0);
     }
 
     #[test]
     fn stretch_detects_broken_connectivity() {
-        let reference = AdjacencyList::from_edges(2, &[Edge::new(0, 1, 1.0)]);
+        let reference = AdjacencyList::from_edges(2, [Edge::new(0, 1, 1.0)]);
         let sub = AdjacencyList::new(2);
         assert!(stretch_factor(&reference, &sub).is_infinite());
     }
@@ -121,7 +121,7 @@ mod tests {
     #[test]
     fn sparseness_basics() {
         assert_eq!(sparseness(&AdjacencyList::new(0)), 0.0);
-        let g = AdjacencyList::from_edges(4, &[Edge::new(0, 1, 1.0), Edge::new(2, 3, 1.0)]);
+        let g = AdjacencyList::from_edges(4, [Edge::new(0, 1, 1.0), Edge::new(2, 3, 1.0)]);
         assert_eq!(sparseness(&g), 0.5);
     }
 }

@@ -136,7 +136,7 @@ mod tests {
         //    \__3.0_____________/     and isolated vertex 3
         AdjacencyList::from_edges(
             4,
-            &[Edge::new(0, 1, 1.0), Edge::new(1, 2, 1.0), Edge::new(0, 2, 3.0)],
+            [Edge::new(0, 1, 1.0), Edge::new(1, 2, 1.0), Edge::new(0, 2, 3.0)],
         )
     }
 
@@ -184,7 +184,7 @@ mod tests {
 
     #[test]
     fn zero_weight_edges_are_fine() {
-        let g = AdjacencyList::from_edges(3, &[Edge::new(0, 1, 0.0), Edge::new(1, 2, 0.0)]);
+        let g = AdjacencyList::from_edges(3, [Edge::new(0, 1, 0.0), Edge::new(1, 2, 0.0)]);
         let sp = dijkstra(&g, 0);
         assert_eq!(sp.dist[2], 0.0);
         assert_eq!(sp.path_to(2), Some(vec![0, 1, 2]));

@@ -134,7 +134,7 @@ mod tests {
         // Star with center 0.
         let g = AdjacencyList::from_edges(
             4,
-            &[Edge::new(0, 1, 1.0), Edge::new(0, 2, 1.0), Edge::new(0, 3, 1.0)],
+            [Edge::new(0, 1, 1.0), Edge::new(0, 2, 1.0), Edge::new(0, 3, 1.0)],
         );
         assert_eq!(bfs_order(&g, 0), vec![0, 1, 2, 3]);
         assert_eq!(bfs_order(&g, 2), vec![2, 0, 1, 3]);
@@ -180,18 +180,18 @@ mod tests {
         // Reference: two components {0,1,2} and {3,4}.
         let reference = AdjacencyList::from_edges(
             5,
-            &[Edge::new(0, 1, 1.0), Edge::new(1, 2, 1.0), Edge::new(0, 2, 1.0), Edge::new(3, 4, 1.0)],
+            [Edge::new(0, 1, 1.0), Edge::new(1, 2, 1.0), Edge::new(0, 2, 1.0), Edge::new(3, 4, 1.0)],
         );
         // Spanning forest of the same components.
-        let good = AdjacencyList::from_edges(5, &[Edge::new(0, 1, 1.0), Edge::new(1, 2, 1.0), Edge::new(3, 4, 1.0)]);
+        let good = AdjacencyList::from_edges(5, [Edge::new(0, 1, 1.0), Edge::new(1, 2, 1.0), Edge::new(3, 4, 1.0)]);
         assert!(preserves_connectivity(&reference, &good));
         // Dropping an edge splits {0,1,2}.
-        let bad = AdjacencyList::from_edges(5, &[Edge::new(0, 1, 1.0), Edge::new(3, 4, 1.0)]);
+        let bad = AdjacencyList::from_edges(5, [Edge::new(0, 1, 1.0), Edge::new(3, 4, 1.0)]);
         assert!(!preserves_connectivity(&reference, &bad));
         // Connecting the two reference components is also a violation.
         let merged = AdjacencyList::from_edges(
             5,
-            &[Edge::new(0, 1, 1.0), Edge::new(1, 2, 1.0), Edge::new(2, 3, 1.0), Edge::new(3, 4, 1.0)],
+            [Edge::new(0, 1, 1.0), Edge::new(1, 2, 1.0), Edge::new(2, 3, 1.0), Edge::new(3, 4, 1.0)],
         );
         assert!(!preserves_connectivity(&reference, &merged));
     }

@@ -153,7 +153,7 @@ mod tests {
 
         let star = AdjacencyList::from_edges(
             4,
-            &[Edge::new(0, 1, 1.0), Edge::new(0, 2, 3.0), Edge::new(0, 3, 5.0)],
+            [Edge::new(0, 1, 1.0), Edge::new(0, 2, 3.0), Edge::new(0, 3, 5.0)],
         );
         assert_eq!(weighted_diameter(&star), 8.0); // 2 -> 0 -> 3
 

@@ -2,7 +2,7 @@
 //! harness, `rim_rng::prop`).
 
 #![allow(clippy::needless_range_loop)] // node-id-indexed loops by design
-use rim_graph::adjacency::AdjacencyList;
+use rim_graph::adjacency::{AdjacencyList, EdgeListError};
 use rim_graph::edge::Edge;
 use rim_graph::mst::{kruskal, prim, total_weight};
 use rim_graph::shortest_path::{dijkstra, hop_distances};
@@ -107,4 +107,68 @@ fn edges_roundtrip_through_adjacency() {
         prop_ensure_eq!(got, want);
         Ok(())
     });
+}
+
+/// A random edge list in random order and orientation, with repeated
+/// pairs (in either orientation) about half the time.
+fn arb_edge_list(rng: &mut SmallRng) -> (usize, Vec<Edge>) {
+    let n = rng.gen_range(2usize..24);
+    let mut edges = Vec::new();
+    for _ in 0..rng.gen_range(0usize..70) {
+        let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+        if a != b {
+            // `Edge::new` normalizes; the raw fields keep the orientation.
+            let weight = rng.gen_range(0.0f64..4.0);
+            edges.push(Edge { u: a, v: b, weight });
+        }
+    }
+    if rng.gen_bool(0.5) {
+        // Drop repeats, keeping each pair's first edge, so the list is
+        // accepted.
+        let mut seen = std::collections::HashSet::new();
+        edges.retain(|e| seen.insert((e.u.min(e.v), e.u.max(e.v))));
+    }
+    (n, edges)
+}
+
+#[test]
+fn bulk_build_equals_repeated_add_edge() {
+    check_default("bulk_build_equals_repeated_add_edge", arb_edge_list, |(n, edges)| {
+        let mut want = AdjacencyList::new(*n);
+        let first_repeat = edges.iter().position(|e| !want.add_edge(e.u, e.v, e.weight));
+        match (AdjacencyList::try_from_edges(*n, edges), first_repeat) {
+            (Ok(g), None) => {
+                prop_ensure_eq!(g.num_edges(), want.num_edges());
+                for u in 0..*n {
+                    let bits = |g: &AdjacencyList| -> Vec<(usize, u64)> {
+                        g.neighbors_weighted(u).map(|(v, w)| (v, w.to_bits())).collect()
+                    };
+                    prop_ensure_eq!(bits(&g), bits(&want));
+                }
+                prop_ensure_eq!(g.edges(), want.edges());
+            }
+            (Err(EdgeListError::Duplicate { index, u, v }), Some(first)) => {
+                let e = edges[first];
+                prop_ensure_eq!((index, u, v), (first, e.u.min(e.v), e.u.max(e.v)));
+            }
+            (got, want) => return Err(format!("bulk build {got:?}, add_edge repeat {want:?}")),
+        }
+        Ok(())
+    });
+}
+
+#[test]
+fn bulk_build_names_the_first_invalid_edge() {
+    let ok = Edge::new(0, 1, 1.0);
+    let cases = [
+        (vec![ok, Edge { u: 2, v: 2, weight: 0.0 }, Edge { u: 0, v: 9, weight: 0.0 }], 1),
+        (vec![ok, ok, Edge { u: 0, v: 3, weight: 0.0 }], 2),
+        (vec![Edge { u: usize::MAX, v: 0, weight: 0.0 }], 0),
+    ];
+    for (edges, at) in cases {
+        match AdjacencyList::try_from_edges(3, &edges) {
+            Err(EdgeListError::Invalid { index, .. }) => assert_eq!(index, at, "{edges:?}"),
+            other => panic!("{edges:?} gave {other:?}"),
+        }
+    }
 }

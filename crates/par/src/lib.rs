@@ -98,10 +98,11 @@ fn relock<T>(r: std::sync::LockResult<T>) -> T {
 /// `threads − 1` scoped helpers claim slots off an atomic cursor until
 /// none is left. With one thread or at most one piece the pieces run
 /// inline, thread-free. Spawning stops at the first helper the OS
-/// refuses; the threads already running drain the rest. Each helper is
-/// joined, and a panic in any piece is resumed on the caller with that
-/// piece's own payload (a piece on the caller unwinds straight through
-/// the scope, which still joins the helpers first).
+/// refuses, or that would find no room left for its stack (see
+/// [`room_for_a_helper`]); the threads already running drain the rest.
+/// Each helper is joined, and a panic in any piece is resumed on the
+/// caller with that piece's own payload (a piece on the caller unwinds
+/// straight through the scope, which still joins the helpers first).
 fn run_pieces<P, R, F>(pieces: Vec<P>, threads: usize, work: F) -> Vec<R>
 where
     P: Send,
@@ -132,6 +133,10 @@ where
     std::thread::scope(|s| {
         let mut started = Vec::with_capacity(helpers);
         for _ in 0..helpers {
+            if !room_for_a_helper() {
+                rim_obs::counter_add("par.helpers_refused", 1);
+                break;
+            }
             match std::thread::Builder::new().spawn_scoped(s, drain) {
                 Ok(h) => started.push(h),
                 Err(_) => {
@@ -149,6 +154,20 @@ where
         }
     });
     slots.into_iter().filter_map(|(_, result)| relock(result.into_inner())).collect()
+}
+
+/// Address space a helper needs beyond its spawn: its 2 MiB default
+/// stack, its signal stack and its first allocations, with room to spare.
+const HELPER_ROOM: usize = 3 << 20;
+
+/// Whether a fallible reservation of [`HELPER_ROOM`] bytes, released at
+/// once, still fits. std maps a new thread's signal stack and makes its
+/// first allocations inside the thread, where a failure aborts the
+/// process instead of refusing the spawn; under an address-space cap
+/// that is nearly used up, skipping the helper keeps the run alive, with
+/// the same results from fewer threads.
+fn room_for_a_helper() -> bool {
+    Vec::<u8>::new().try_reserve_exact(HELPER_ROOM).is_ok()
 }
 
 /// Splits `0..n` into `chunks` contiguous ranges (the first `n % chunks`
@@ -288,16 +307,29 @@ where
 /// the calling thread. When every element a worker writes is a pure
 /// function of its inputs, the result does not depend on which thread
 /// runs which column.
-pub fn par_fill_columns<T, R, F>(out: &mut [T], workers: usize, lens: &[usize], fill: F) -> Vec<R>
+///
+/// The workers' piece lists are reserved with `try_reserve_exact`, so
+/// running out of memory for them is an [`AllocError`], not an abort.
+pub fn par_fill_columns<T, R, F>(
+    out: &mut [T],
+    workers: usize,
+    lens: &[usize],
+    fill: F,
+) -> Result<Vec<R>, AllocError>
 where
     T: Send,
     R: Send,
     F: Fn(usize, &mut [&mut [T]]) -> R + Sync,
 {
     let workers = workers.max(1);
-    let mut columns: Vec<Vec<&mut [T]>> = (0..workers)
-        .map(|_| Vec::with_capacity(lens.len() / workers + 1))
-        .collect();
+    let mut columns: Vec<Vec<&mut [T]>> = Vec::new();
+    try_reserve(&mut columns, workers)?;
+    for _ in 0..workers {
+        // Worker `w` owns pieces `w, w + workers, …`: at most this many.
+        let mut column = Vec::new();
+        try_reserve(&mut column, lens.len() / workers + 1)?;
+        columns.push(column);
+    }
     let mut rest = out;
     for (j, &len) in lens.iter().enumerate() {
         let cut = len.min(rest.len());
@@ -307,7 +339,30 @@ where
             column.push(piece);
         }
     }
-    run_pieces(columns, workers, |w, mut pieces| fill(w, &mut pieces))
+    Ok(run_pieces(columns, workers, |w, mut pieces| fill(w, &mut pieces)))
+}
+
+/// An allocation of `bytes` bytes that failed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AllocError {
+    /// Size of the failed request.
+    pub bytes: usize,
+}
+
+impl std::fmt::Display for AllocError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "allocating {} bytes failed", self.bytes)
+    }
+}
+
+impl std::error::Error for AllocError {}
+
+/// Reserves room for exactly `len` more items in `v`, or names the bytes
+/// asked for.
+fn try_reserve<T>(v: &mut Vec<T>, len: usize) -> Result<(), AllocError> {
+    v.try_reserve_exact(len).map_err(|_| AllocError {
+        bytes: len.saturating_mul(std::mem::size_of::<T>()),
+    })
 }
 
 /// Applies `f` to every item of `params` on up to [`num_threads`]
@@ -467,7 +522,8 @@ mod tests {
                     }
                 }
                 pieces.iter().map(|p| p.len()).collect::<Vec<_>>()
-            });
+            })
+            .unwrap();
             let mut want = Vec::new();
             for (j, &len) in lens.iter().enumerate() {
                 want.extend(std::iter::repeat((j % cols, j / cols)).take(len));
@@ -490,8 +546,17 @@ mod tests {
             pieces.iter().map(|p| p.len()).collect::<Vec<_>>()
         });
         assert_eq!(out, vec![1, 1, 1, 2, 2]);
-        assert_eq!(lens, vec![vec![3, 0], vec![2, 0]]);
-        assert_eq!(par_fill_columns(&mut [0u8; 0], 3, &[], |w, _| w), vec![0, 1, 2]);
+        assert_eq!(lens, Ok(vec![vec![3, 0], vec![2, 0]]));
+        assert_eq!(par_fill_columns(&mut [0u8; 0], 3, &[], |w, _| w), Ok(vec![0, 1, 2]));
+    }
+
+    #[test]
+    fn fill_columns_reports_piece_lists_it_cannot_allocate() {
+        // A list past the address space fails without aborting and
+        // names its size, saturated.
+        let err = try_reserve(&mut Vec::<&mut [u8]>::new(), usize::MAX / 2).unwrap_err();
+        assert_eq!(err.bytes, usize::MAX);
+        assert!(err.to_string().contains("bytes failed"), "{err}");
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! "asymmetric edge addition"). For `α <= 2π/3` the construction
 //! preserves connectivity.
 
+use rim_graph::edge::pair_key;
 use rim_graph::AdjacencyList;
 use rim_udg::{NodeSet, Topology};
 
@@ -59,16 +60,11 @@ fn cone_selection(nodes: &NodeSet, udg: &AdjacencyList, u: usize, alpha: f64) ->
 /// Builds the CBTC(α) topology over the UDG (union symmetrization).
 pub fn cbtc(nodes: &NodeSet, udg: &AdjacencyList, alpha: f64) -> Topology {
     assert!(alpha > 0.0 && alpha <= std::f64::consts::TAU);
-    let n = nodes.len();
-    let mut g = AdjacencyList::new(n);
-    for u in 0..n {
-        for v in cone_selection(nodes, udg, u, alpha) {
-            if !g.has_edge(u, v) {
-                g.add_edge(u, v, nodes.dist(u, v));
-            }
-        }
+    let mut keys = Vec::new();
+    for u in 0..nodes.len() {
+        keys.extend(cone_selection(nodes, udg, u, alpha).into_iter().map(|v| pair_key(u, v)));
     }
-    Topology::from_graph(nodes.clone(), g)
+    Topology::from_pair_keys(nodes.clone(), keys)
 }
 
 #[cfg(test)]

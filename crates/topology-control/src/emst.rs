@@ -5,13 +5,16 @@
 //! Forest (the lightest edge at every vertex is in every MST under our
 //! deterministic tie-breaking), so Theorem 4.1 applies to it.
 
-use rim_graph::mst::kruskal;
+use rim_graph::mst::minimum_spanning_forest;
 use rim_graph::AdjacencyList;
 use rim_udg::{NodeSet, Topology};
 
-/// Builds the Euclidean minimum spanning forest of the UDG.
+/// Builds the Euclidean minimum spanning forest of the UDG: Kruskal on
+/// packed keys read off the UDG's lists
+/// ([`minimum_spanning_forest`]), the forest of
+/// [`rim_graph::mst::kruskal`] over `udg.edges()`.
 pub fn euclidean_mst(nodes: &NodeSet, udg: &AdjacencyList) -> Topology {
-    let forest = kruskal(nodes.len(), &udg.edges());
+    let forest = minimum_spanning_forest(udg);
     Topology::from_graph(nodes.clone(), AdjacencyList::from_edges(nodes.len(), &forest))
 }
 

@@ -32,13 +32,11 @@ pub fn kneigh(nodes: &NodeSet, udg: &AdjacencyList, k: usize) -> Topology {
     assert!(k >= 1);
     let n = nodes.len();
     let lists: Vec<Vec<usize>> = (0..n).map(|u| k_nearest(nodes, udg, u, k)).collect();
-    let mut g = AdjacencyList::new(n);
-    for e in udg.edges() {
-        if lists[e.u].contains(&e.v) && lists[e.v].contains(&e.u) {
-            g.add_edge(e.u, e.v, e.weight);
-        }
-    }
-    Topology::from_graph(nodes.clone(), g)
+    let edges = udg.edges();
+    let mutual = edges
+        .iter()
+        .filter(|e| lists[e.u].contains(&e.v) && lists[e.v].contains(&e.u));
+    Topology::from_graph(nodes.clone(), AdjacencyList::from_edges(n, mutual))
 }
 
 #[cfg(test)]

@@ -42,18 +42,18 @@ fn edges_by_coverage(nodes: &NodeSet, udg: &AdjacencyList) -> Vec<(usize, Edge)>
 /// as Kruskal's optimality for bottleneck spanning trees).
 pub fn life(nodes: &NodeSet, udg: &AdjacencyList) -> Topology {
     let mut uf = UnionFind::new(nodes.len());
-    let mut g = AdjacencyList::new(nodes.len());
-    for (_, e) in edges_by_coverage(nodes, udg) {
-        if uf.union(e.u, e.v) {
-            g.add_edge(e.u, e.v, e.weight);
-        }
-    }
-    Topology::from_graph(nodes.clone(), g)
+    let forest: Vec<Edge> = edges_by_coverage(nodes, udg)
+        .into_iter()
+        .map(|(_, e)| e)
+        .filter(|e| uf.union(e.u, e.v))
+        .collect();
+    Topology::from_graph(nodes.clone(), AdjacencyList::from_edges(nodes.len(), &forest))
 }
 
 /// Builds the LISE spanner: smallest coverage threshold such that taking
 /// all UDG edges with coverage below it `t`-spans every UDG edge
-/// (`t >= 1`, weighted stretch).
+/// (`t >= 1`, weighted stretch). Each insertion depends on the graph
+/// built so far, so LISE assembles its graph edge by edge.
 pub fn lise(nodes: &NodeSet, udg: &AdjacencyList, t: f64) -> Topology {
     assert!(t >= 1.0, "stretch must be at least 1");
     let ordered = edges_by_coverage(nodes, udg);

@@ -37,6 +37,7 @@
 //! as its key.
 
 use rim_core::receiver::Engine;
+use rim_graph::edge::pair_key;
 use rim_graph::mst::kruskal;
 use rim_graph::{AdjacencyList, Edge};
 use rim_udg::{NodeSet, Topology};
@@ -244,8 +245,10 @@ pub fn lmst_parallel(
 }
 
 /// Symmetrizes the selections `sel(u)` into the output topology by
-/// walking them in node order: the intersection keeps `{u, v}` for each
-/// `v > u` in `sel(u)` with `u ∈ sel(v)`, the union every selected pair.
+/// walking them in node order and emitting each kept pair once, as a
+/// pair key: the intersection keeps `{u, v}` for each `v > u` in
+/// `sel(u)` with `u ∈ sel(v)`; the union keeps every selected pair,
+/// emitted from its smaller end when both ends selected each other.
 /// The `contains` scan is short: two of `u`'s tree neighbours at
 /// distinct positions subtend at least 60° at `u`, so a selection holds
 /// at most 6 of them, plus the nodes coincident with `u`, which it always
@@ -255,20 +258,19 @@ fn lmst_assemble<'a>(
     variant: LmstVariant,
     sel: impl Fn(usize) -> &'a [usize],
 ) -> Topology {
-    let mut g = AdjacencyList::new(nodes.len());
+    let mut keys = Vec::new();
     for u in 0..nodes.len() {
         for &v in sel(u) {
             let keep = match variant {
                 LmstVariant::Intersection => v > u && sel(v).contains(&u),
-                LmstVariant::Union => true,
+                LmstVariant::Union => v > u || !sel(v).contains(&u),
             };
             if keep {
-                let (a, b) = (u.min(v), u.max(v));
-                g.add_edge(a, b, nodes.dist(a, b));
+                keys.push(pair_key(u, v));
             }
         }
     }
-    Topology::from_graph(nodes.clone(), g)
+    Topology::from_pair_keys(nodes.clone(), keys)
 }
 
 /// Builds the LMST topology over the UDG ([`Engine::Auto`]) — the

@@ -5,6 +5,7 @@
 //! Theorem 4.1 shows that any algorithm whose output *contains* this
 //! forest is `Ω(n)` worse than optimal in the worst case.
 
+use rim_graph::edge::pair_key;
 use rim_graph::AdjacencyList;
 use rim_udg::{NodeSet, Topology};
 
@@ -22,15 +23,10 @@ pub fn nearest_neighbor(nodes: &NodeSet, udg: &AdjacencyList, u: usize) -> Optio
 /// Builds the Nearest Neighbor Forest: the union over all nodes of the
 /// link to their nearest UDG neighbor (mutual pairs yield one edge).
 pub fn nearest_neighbor_forest(nodes: &NodeSet, udg: &AdjacencyList) -> Topology {
-    let mut g = AdjacencyList::new(nodes.len());
-    for u in 0..nodes.len() {
-        if let Some(v) = nearest_neighbor(nodes, udg, u) {
-            if !g.has_edge(u, v) {
-                g.add_edge(u, v, nodes.dist(u, v));
-            }
-        }
-    }
-    Topology::from_graph(nodes.clone(), g)
+    let keys = (0..nodes.len())
+        .filter_map(|u| nearest_neighbor(nodes, udg, u).map(|v| pair_key(u, v)))
+        .collect();
+    Topology::from_pair_keys(nodes.clone(), keys)
 }
 
 /// Returns `true` if `t` contains the Nearest Neighbor Forest of the UDG —

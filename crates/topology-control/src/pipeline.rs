@@ -7,7 +7,10 @@
 //! chunked scoped-thread executor ([`rim_par::par_map_ranges`]) by node
 //! range, and assembles the kept edges *in walk order*, so every worker
 //! count produces the same adjacency structure, not merely the same edge
-//! set.
+//! set. Every other fast construction collects its links as packed pair
+//! keys ([`rim_graph::edge::pair_key`]) and builds through
+//! [`rim_udg::Topology::from_pair_keys`]: both end in the one bulk
+//! [`AdjacencyList::from_edges`].
 //!
 //! Every algorithm has two paths: [`crate::Engine::Naive`] runs the
 //! retained brute-force construction, and [`crate::Engine::Auto`] runs
@@ -34,8 +37,9 @@ use rim_graph::{AdjacencyList, Edge};
 /// with `u < v`. Walks the adjacency as `(u, v > u)` across `threads`
 /// workers of the shared chunked executor, each owning a contiguous node
 /// range with about the same number of pairs (inline when `threads <=
-/// 1`), and adds survivors to a fresh adjacency list *in walk order* —
-/// so the result is independent of the thread count by construction.
+/// 1`), and hands the survivors *in walk order* to the bulk
+/// [`AdjacencyList::from_edges`] — so the result is independent of the
+/// thread count by construction, and every list arrives sorted.
 // rim-lint: allow(panic-freedom) — `bounds` has at least two entries, and `par_map_ranges` only yields chunk ranges within `0..bounds.len() - 1`
 pub(crate) fn filter_edges<F>(udg: &AdjacencyList, threads: usize, keep: F) -> AdjacencyList
 where
@@ -56,14 +60,9 @@ where
         }
         out
     });
-    let mut g = AdjacencyList::new(n);
-    let mut kept_count = 0u64;
-    for e in kept.iter().flatten() {
-        kept_count += 1;
-        g.add_edge(e.u, e.v, e.weight);
-    }
+    let g = AdjacencyList::from_edges(n, kept.iter().flatten());
     rim_obs::counter_add("control.edges_in", udg.num_edges() as u64);
-    rim_obs::counter_add("control.edges_kept", kept_count);
+    rim_obs::counter_add("control.edges_kept", g.num_edges() as u64);
     g
 }
 

@@ -13,6 +13,7 @@
 
 use rim_geom::delaunay::delaunay;
 use rim_geom::Point;
+use rim_graph::edge::{key_pair, pair_key};
 use rim_graph::AdjacencyList;
 use rim_udg::{NodeSet, Topology};
 use std::collections::HashMap;
@@ -33,25 +34,22 @@ pub fn restricted_delaunay(nodes: &NodeSet, udg: &AdjacencyList) -> Topology {
         });
         members[s].push(u);
     }
-    let mut pairs: Vec<(usize, usize)> = Vec::new();
+    let mut keys: Vec<u64> = Vec::new();
     for group in &members {
         for (i, &u) in group.iter().enumerate() {
-            pairs.extend(group[i + 1..].iter().map(|&v| (u, v)));
+            keys.extend(group[i + 1..].iter().map(|&v| pair_key(u, v)));
         }
     }
     for (a, b) in delaunay(&sites).edges {
         for &u in &members[a] {
-            pairs.extend(members[b].iter().map(|&v| (u.min(v), u.max(v))));
+            keys.extend(members[b].iter().map(|&v| pair_key(u, v)));
         }
     }
-    pairs.sort_unstable();
-    let mut g = AdjacencyList::new(nodes.len());
-    for (u, v) in pairs {
-        if udg.has_edge(u, v) {
-            g.add_edge(u, v, nodes.dist(u, v));
-        }
-    }
-    Topology::from_graph(nodes.clone(), g)
+    keys.retain(|&key| {
+        let (u, v) = key_pair(key);
+        udg.has_edge(u, v)
+    });
+    Topology::from_pair_keys(nodes.clone(), keys)
 }
 
 #[cfg(test)]

@@ -8,10 +8,11 @@
 //!
 //! The per-node cone selection is already neighborhood-local, so
 //! `Naive` runs it serially and `Auto` fans nodes out over the shared
-//! executor and merges the selected links through a sorted, deduplicated
-//! pair list — the same edge set for every thread count.
+//! executor and merges the selected links through sorted, deduplicated
+//! pair keys — the same edge set for every thread count.
 
 use rim_core::receiver::Engine;
+use rim_graph::edge::pair_key;
 use rim_graph::AdjacencyList;
 use rim_udg::{NodeSet, Topology};
 
@@ -62,8 +63,8 @@ pub fn yao_graph_with(nodes: &NodeSet, udg: &AdjacencyList, k: usize, engine: En
 /// Yao construction across an explicit number of worker threads (`1` =
 /// serial, inline): each worker selects cones for a contiguous node
 /// range, and the directed selections are merged into the undirected
-/// union via a sorted pair list. The edge set is independent of
-/// `threads` by construction.
+/// union as sorted, deduplicated pair keys. The edge set is independent
+/// of `threads` by construction.
 pub fn yao_graph_parallel(
     nodes: &NodeSet,
     udg: &AdjacencyList,
@@ -73,23 +74,14 @@ pub fn yao_graph_parallel(
     assert!(k >= 1, "need at least one cone");
     let chunks = rim_par::par_map_ranges(nodes.len(), threads, |range| {
         let mut best: Vec<Option<usize>> = vec![None; k];
-        let mut out: Vec<(usize, usize)> = Vec::new();
+        let mut out: Vec<u64> = Vec::new();
         for u in range {
             cone_selection(nodes, udg, u, &mut best);
-            for &sel in best.iter().flatten() {
-                out.push((u.min(sel), u.max(sel)));
-            }
+            out.extend(best.iter().flatten().map(|&sel| pair_key(u, sel)));
         }
         out
     });
-    let mut pairs: Vec<(usize, usize)> = chunks.into_iter().flatten().collect();
-    pairs.sort_unstable();
-    pairs.dedup();
-    let mut g = AdjacencyList::new(nodes.len());
-    for (u, v) in pairs {
-        g.add_edge(u, v, nodes.dist(u, v));
-    }
-    Topology::from_graph(nodes.clone(), g)
+    Topology::from_pair_keys(nodes.clone(), chunks.concat())
 }
 
 /// Builds the Yao graph with `k >= 1` cones, restricted to UDG edges

@@ -9,6 +9,8 @@
 //! family whose neighbour lists run to 159 nodes.
 
 use rim_geom::Point;
+use rim_graph::mst::{kruskal, minimum_spanning_forest};
+use rim_graph::Edge;
 use rim_rng::SmallRng;
 use rim_topology_control::gabriel::{is_gabriel_edge, is_gabriel_edge_naive};
 use rim_topology_control::lmst::LmstVariant;
@@ -224,5 +226,43 @@ fn rdg_contains_the_gabriel_graph_on_all_families() {
                 );
             }
         }
+    }
+}
+
+#[test]
+fn emst_is_kruskals_forest_on_every_family_and_lattice_ties() {
+    // The packed-key Kruskal must pick the oracle's forest edge for edge
+    // and in order: on the families (coincident nodes give zero-length
+    // ties), on ten seeds of the small ones, and on a scrambled integer
+    // lattice at several ranges, whose few link lengths each recur
+    // hundreds of times, so the endpoints decide most ties.
+    let mut cases: Vec<(String, NodeSet, f64)> =
+        families().into_iter().map(|(f, ns)| (f.to_string(), ns, 1.0)).collect();
+    for seed in 0..10u64 {
+        let seeded = seeded_families(seed).into_iter();
+        cases.extend(seeded.map(|(f, ns)| (format!("{f}/{seed}"), ns, 1.0)));
+    }
+    let lattice = NodeSet::new(
+        (0..225)
+            .map(|i| (i * 37) % 225)
+            .map(|j| Point::new((j % 15) as f64 * 0.5, (j / 15) as f64 * 0.5))
+            .collect(),
+    );
+    for range in [0.5, 0.75, 1.0, 1.5] {
+        cases.push((format!("lattice@{range}"), lattice.clone(), range));
+    }
+    for (family, ns, range) in cases {
+        let udg = unit_disk_graph_with_range(&ns, range);
+        let want = kruskal(ns.len(), &udg.edges());
+        let bits = |f: &[Edge]| -> Vec<(usize, usize, u64)> {
+            f.iter().map(|e| (e.u, e.v, e.weight.to_bits())).collect()
+        };
+        assert_eq!(bits(&minimum_spanning_forest(&udg)), bits(&want), "family={family}");
+        let t = Baseline::Emst.build(&ns, &udg);
+        let mut got: Vec<Edge> = t.edges();
+        got.sort_unstable();
+        let mut sorted_want = want.clone();
+        sorted_want.sort_unstable();
+        assert_eq!(bits(&got), bits(&sorted_want), "family={family}");
     }
 }

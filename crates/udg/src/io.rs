@@ -10,9 +10,10 @@
 //!   so a topology file is only meaningful next to its node file.
 
 use crate::node_set::NodeSet;
-use crate::topology::Topology;
+use crate::topology::{key_edges, Topology};
 use rim_geom::Point;
-use rim_graph::AdjacencyList;
+use rim_graph::edge::pair_key;
+use rim_graph::{AdjacencyList, EdgeListError};
 use std::fmt::{self, Write as _};
 
 /// Parse error for the plain-text formats.
@@ -32,11 +33,108 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-fn significant_lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
-    text.lines().enumerate().filter_map(|(i, raw)| {
-        let line = raw.split('#').next().unwrap_or("").trim();
-        (!line.is_empty()).then_some((i + 1, line))
-    })
+/// A cursor over the lines and tokens of a file: the one tokenizer of
+/// both file formats. Lines end at `\n` only, and `#` ends a line's
+/// content. Tokens split exactly where [`str::split_whitespace`] splits,
+/// at every character for which [`char::is_whitespace`] holds: the scan
+/// classifies ASCII bytes directly (`' '`, `\t`, `\x0B`, `\x0C` and `\r`
+/// separate, and every other byte below 0x80 but `\n` and `#` belongs to
+/// a token) and decodes a `char` only at a byte of 0x80 or more, so
+/// Unicode whitespace such as U+0085, U+00A0 or U+3000 separates tokens
+/// too.
+struct Scanner<'a> {
+    text: &'a str,
+    /// Byte offset of the cursor, on the current line.
+    pos: usize,
+    /// 1-based number of the current line; 0 before the first.
+    line: usize,
+}
+
+impl<'a> Scanner<'a> {
+    fn new(text: &'a str) -> Self {
+        Scanner { text, pos: 0, line: 0 }
+    }
+
+    /// Moves to the next line holding a token and returns its number,
+    /// with the cursor on its first token; `None` past the last line.
+    fn next_line(&mut self) -> Option<usize> {
+        loop {
+            if self.line > 0 {
+                // Past the rest of the current line.
+                if self.text.as_bytes().get(self.pos) != Some(&b'\n') {
+                    self.pos += self.text.get(self.pos..)?.find('\n')?;
+                }
+                self.pos += 1;
+            }
+            self.line += 1;
+            if self.skip_space() {
+                return Some(self.line);
+            }
+        }
+    }
+
+    /// The next token of the current line, or `None` once it ends.
+    fn token(&mut self) -> Option<&'a str> {
+        if !self.skip_space() {
+            return None;
+        }
+        let (bytes, start) = (self.text.as_bytes(), self.pos);
+        let mut end = start;
+        while let Some(&b) = bytes.get(end) {
+            let ends = if b < 0x80 {
+                matches!(b, b' ' | b'\t'..=b'\r' | b'#')
+            } else {
+                wide_space_at(self.text, end) > 0
+            };
+            if ends {
+                break;
+            }
+            end += 1;
+        }
+        self.pos = end;
+        // Both ends are character boundaries: the start follows whole
+        // whitespace characters, and the end is the text's end, an ASCII
+        // byte or the start of a whitespace character.
+        self.text.get(start..end)
+    }
+
+    /// Moves past the separators at the cursor, and tells whether a token
+    /// starts there: the line neither ends nor turns into a comment.
+    fn skip_space(&mut self) -> bool {
+        let bytes = self.text.as_bytes();
+        let mut at = self.pos;
+        let starts = loop {
+            match bytes.get(at) {
+                Some(b' ' | b'\t' | b'\x0b' | b'\x0c' | b'\r') => at += 1,
+                Some(&b) if b >= 0x80 => match wide_space_at(self.text, at) {
+                    0 => break true,
+                    width => at += width,
+                },
+                None | Some(b'\n' | b'#') => break false,
+                Some(_) => break true,
+            }
+        };
+        self.pos = at;
+        starts
+    }
+}
+
+/// An upper bound on the lines of `text` holding a token: its `\n`
+/// count plus one. The count runs 255 bytes at a time into a `u8`, which
+/// vectorizes.
+fn max_lines(text: &str) -> usize {
+    let newlines = |chunk: &[u8]| chunk.iter().fold(0u8, |k, &b| k + u8::from(b == b'\n'));
+    1 + text.as_bytes().chunks(255).map(|chunk| usize::from(newlines(chunk))).sum::<usize>()
+}
+
+/// Byte length of the non-ASCII whitespace character starting at byte
+/// `at` of `text`, or 0 if none starts there (also inside a multi-byte
+/// character, where `get` finds no character boundary).
+fn wide_space_at(text: &str, at: usize) -> usize {
+    text.get(at..)
+        .and_then(|rest| rest.chars().next())
+        .filter(|c| c.is_whitespace())
+        .map_or(0, char::len_utf8)
 }
 
 /// Whether coordinate `c` keeps every squared distance, and every sum of
@@ -61,25 +159,28 @@ pub fn coordinate_in_range(c: f64) -> bool {
 /// squared distances would overflow or underflow.
 pub fn parse_nodes(text: &str) -> Result<NodeSet, ParseError> {
     let mut pts = Vec::new();
-    for (line, content) in significant_lines(text) {
-        let mut it = content.split_whitespace();
-        // significant_lines yields non-blank lines, so the x token exists.
-        let x: f64 = it
-            .next()
+    // The reservation is only a hint: if it does not fit, the vector
+    // grows as nodes arrive.
+    let _ = pts.try_reserve_exact(max_lines(text));
+    let mut scan = Scanner::new(text);
+    while let Some(line) = scan.next_line() {
+        // next_line stops on lines holding a token, so the x token exists.
+        let x: f64 = scan
+            .token()
             .unwrap_or_default()
             .parse()
             .map_err(|e| ParseError {
                 line,
                 message: format!("bad x coordinate: {e}"),
             })?;
-        let y: f64 = match it.next() {
+        let y: f64 = match scan.token() {
             Some(tok) => tok.parse().map_err(|e| ParseError {
                 line,
                 message: format!("bad y coordinate: {e}"),
             })?,
             None => 0.0,
         };
-        if it.next().is_some() {
+        if scan.token().is_some() {
             return Err(ParseError {
                 line,
                 message: "expected at most two coordinates".into(),
@@ -121,64 +222,117 @@ pub fn format_nodes(nodes: &NodeSet) -> String {
 /// Syntax, range and self-loop errors name the first offending line.
 /// Only a file free of them can fail on a duplicate edge, which then
 /// names the first line repeating an earlier pair.
+///
+/// The pairs are collected as [`pair_key`]s in file order and handed to
+/// the bulk [`AdjacencyList::try_from_edges`]; the `(u, v)`-ordered
+/// files [`format_topology`] writes give it lists that are sorted
+/// already. A repeated pair makes it refuse, and only then is the file
+/// walked again, to the refused pair's line.
 pub fn parse_topology(text: &str, nodes: &NodeSet) -> Result<Topology, ParseError> {
-    let mut graph = AdjacencyList::new(nodes.len());
-    let mut duplicate = None;
-    for (line, content) in significant_lines(text) {
-        let mut it = content.split_whitespace();
-        let parse_idx = |tok: Option<&str>, line: usize| -> Result<usize, ParseError> {
-            let tok = tok.ok_or(ParseError {
-                line,
-                message: "expected two node indices".into(),
-            })?;
-            let idx: usize = tok.parse().map_err(|e| ParseError {
-                line,
-                message: format!("bad node index: {e}"),
-            })?;
-            if idx >= nodes.len() {
-                return Err(ParseError {
-                    line,
-                    message: format!("node index {idx} out of range (n = {})", nodes.len()),
-                });
-            }
-            Ok(idx)
-        };
-        let u = parse_idx(it.next(), line)?;
-        let v = parse_idx(it.next(), line)?;
-        if it.next().is_some() {
-            return Err(ParseError {
-                line,
-                message: "expected exactly two node indices".into(),
-            });
-        }
-        if u == v {
-            return Err(ParseError {
-                line,
-                message: format!("self-loop at node {u}"),
-            });
-        }
-        if !graph.add_edge(u, v, nodes.dist(u, v)) && duplicate.is_none() {
-            duplicate = Some(ParseError {
-                line,
-                message: format!("duplicate edge ({u}, {v})"),
-            });
-        }
+    let n = nodes.len();
+    let mut keys = Vec::new();
+    let _ = keys.try_reserve_exact(max_lines(text));
+    for pair in topology_pairs(text, n) {
+        let (_, u, v) = pair?;
+        keys.push(pair_key(u, v));
     }
-    match duplicate {
-        Some(err) => Err(err),
-        None => Ok(Topology::from_graph(nodes.clone(), graph)),
-    }
+    let index = match AdjacencyList::try_from_edges(n, key_edges(nodes, &keys)) {
+        Ok(graph) => return Ok(Topology::from_graph(nodes.clone(), graph)),
+        // The pairs are in range and loop-free, so the builder refused
+        // the first one, in file order, that repeats an earlier pair.
+        Err(EdgeListError::Duplicate { index, .. } | EdgeListError::Invalid { index, .. }) => index,
+    };
+    // Named as written on its line.
+    let (line, u, v) = topology_pairs(text, n).nth(index).and_then(Result::ok).unwrap_or_default();
+    Err(ParseError {
+        line,
+        message: format!("duplicate edge ({u}, {v})"),
+    })
 }
 
-/// Renders a topology file.
+/// The pairs `(line, u, v)` of a topology file in file order, each
+/// checked for syntax, range and self-loops, as `u v` stand on the line.
+fn topology_pairs(
+    text: &str,
+    n: usize,
+) -> impl Iterator<Item = Result<(usize, usize, usize), ParseError>> + '_ {
+    let mut scan = Scanner::new(text);
+    std::iter::from_fn(move || {
+        let line = scan.next_line()?;
+        Some(pair_on_line(&mut scan, line, n))
+    })
+}
+
+/// The pair on `line` of a topology file, the scanner on its first token.
+fn pair_on_line(
+    scan: &mut Scanner<'_>,
+    line: usize,
+    n: usize,
+) -> Result<(usize, usize, usize), ParseError> {
+    let mut index = || -> Result<usize, ParseError> {
+        let tok = scan.token().ok_or_else(|| ParseError {
+            line,
+            message: "expected two node indices".into(),
+        })?;
+        let idx: usize = tok.parse().map_err(|e| ParseError {
+            line,
+            message: format!("bad node index: {e}"),
+        })?;
+        if idx >= n {
+            return Err(ParseError {
+                line,
+                message: format!("node index {idx} out of range (n = {n})"),
+            });
+        }
+        Ok(idx)
+    };
+    let u = index()?;
+    let v = index()?;
+    if scan.token().is_some() {
+        return Err(ParseError {
+            line,
+            message: "expected exactly two node indices".into(),
+        });
+    }
+    if u == v {
+        return Err(ParseError {
+            line,
+            message: format!("self-loop at node {u}"),
+        });
+    }
+    Ok((line, u, v))
+}
+
+/// Renders a topology file: one `u v` line per link, `u < v`, in `(u, v)`
+/// order, the integers written without `fmt`.
 pub fn format_topology(t: &Topology) -> String {
-    let mut out = String::with_capacity(t.num_edges() * 12);
+    let g = t.graph();
+    let mut out = String::with_capacity(t.num_edges() * 12 + 40);
     out.push_str("# rim topology file: u v per line\n");
-    for e in t.edges() {
-        // Writing into a String cannot fail.
-        let _ = writeln!(out, "{} {}", e.u, e.v);
+    for u in 0..g.num_vertices() {
+        for v in g.neighbors(u).filter(|&v| v > u) {
+            push_decimal(&mut out, u);
+            out.push(' ');
+            push_decimal(&mut out, v);
+            out.push('\n');
+        }
     }
     out
+}
+
+/// Appends the decimal digits of `x`, as `{x}` formats it.
+fn push_decimal(out: &mut String, mut x: usize) {
+    let mut digits = [b'0'; 20];
+    let mut start = digits.len();
+    while start > 0 {
+        start -= 1;
+        digits[start] += (x % 10) as u8;
+        x /= 10;
+        if x == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[start..]).unwrap_or_default());
 }
 
 #[cfg(test)]
@@ -224,6 +378,33 @@ mod tests {
             .unwrap_err()
             .message
             .contains("duplicate"));
+    }
+
+    #[test]
+    fn tokens_split_where_split_whitespace_splits() {
+        // Every whitespace character below U+3001 but the line end `\n`,
+        // and look-alikes that are not whitespace (U+001C, U+200B,
+        // U+FEFF), between, before and after tokens holding multi-byte
+        // characters; `#` ends the line.
+        let odd: Vec<char> = (0..0x3001u32)
+            .filter_map(char::from_u32)
+            .filter(|c| c.is_whitespace())
+            .filter(|c| !matches!(c, '\n'))
+            .chain(['\u{1c}', '\u{200b}', '\u{feff}', 'é', '#'])
+            .collect();
+        for &a in &odd {
+            for &b in &['\x0b', '\u{a0}', 'x', '#'] {
+                let line = format!("{a}1{b}2{a}é{a}3{b}");
+                let want: Vec<&str> =
+                    line.split('#').next().unwrap().split_whitespace().collect();
+                let mut scan = Scanner::new(&line);
+                let got: Vec<&str> = match scan.next_line() {
+                    Some(_) => std::iter::from_fn(|| scan.token()).collect(),
+                    None => Vec::new(),
+                };
+                assert_eq!(got, want, "{line:?}");
+            }
+        }
     }
 
     #[test]

@@ -8,22 +8,22 @@
 
 use crate::node_set::NodeSet;
 use crate::topology::Topology;
-use rim_graph::AdjacencyList;
+use rim_graph::{AdjacencyList, Edge};
 
 /// Builds the symmetric graph induced by a radius assignment:
 /// edge `{u, v}` iff `|uv| <= min(r_u, r_v)`.
 pub fn induced_graph(nodes: &NodeSet, radii: &[f64]) -> AdjacencyList {
     assert_eq!(nodes.len(), radii.len());
-    let mut g = AdjacencyList::new(nodes.len());
+    let mut edges = Vec::new();
     for u in 0..nodes.len() {
         for v in (u + 1)..nodes.len() {
             let d = nodes.dist(u, v);
             if d <= radii[u] && d <= radii[v] {
-                g.add_edge(u, v, d);
+                edges.push(Edge::new(u, v, d));
             }
         }
     }
-    g
+    AdjacencyList::from_edges(nodes.len(), &edges)
 }
 
 /// Builds the [`Topology`] induced by a radius assignment.

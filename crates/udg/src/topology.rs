@@ -1,6 +1,7 @@
 //! Resulting topologies: symmetric edge sets plus the radii they induce.
 
 use crate::node_set::NodeSet;
+use rim_graph::edge::key_pair;
 use rim_graph::traversal::preserves_connectivity;
 use rim_graph::{AdjacencyList, Edge};
 
@@ -33,13 +34,21 @@ impl Topology {
     /// assert!(t.is_forest());
     /// ```
     pub fn from_pairs(nodes: NodeSet, pairs: &[(usize, usize)]) -> Self {
-        let mut graph = AdjacencyList::new(nodes.len());
-        for &(u, v) in pairs {
-            assert!(
-                graph.add_edge(u, v, nodes.dist(u, v)),
-                "duplicate edge ({u}, {v})"
-            );
-        }
+        let edges = pairs.iter().map(|&(u, v)| Edge::new(u, v, nodes.dist(u, v)));
+        let graph = AdjacencyList::from_edges(nodes.len(), edges);
+        Self::from_graph(nodes, graph)
+    }
+
+    /// Builds a topology from pairs packed by [`rim_graph::edge::pair_key`],
+    /// in any order and with repeats: the keys are sorted and deduplicated,
+    /// and each distinct pair becomes one link weighted by the distance
+    /// between its endpoints.
+    ///
+    /// Panics on a self-loop or an out-of-range index.
+    pub fn from_pair_keys(nodes: NodeSet, mut keys: Vec<u64>) -> Self {
+        keys.sort_unstable();
+        keys.dedup();
+        let graph = AdjacencyList::from_edges(nodes.len(), key_edges(&nodes, &keys));
         Self::from_graph(nodes, graph)
     }
 
@@ -137,6 +146,19 @@ impl Topology {
     }
 }
 
+/// The links of the pair keys `keys`, each weighted by the distance
+/// between its endpoints. Sorted keys give the edges in `(u, v)` order,
+/// so the bulk builder's lists come out sorted.
+pub(crate) fn key_edges<'a>(
+    nodes: &'a NodeSet,
+    keys: &'a [u64],
+) -> impl Iterator<Item = Edge> + Clone + 'a {
+    keys.iter().map(|&key| {
+        let (u, v) = key_pair(key);
+        Edge { u, v, weight: nodes.dist(u, v) }
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,6 +229,16 @@ mod tests {
         let t = Topology::from_pairs(NodeSet::on_line(&[0.0, 2.0]), &[(0, 1)]);
         assert!(t.respects_range(2.0));
         assert!(!t.respects_range(1.0));
+    }
+
+    #[test]
+    fn pair_keys_build_the_topology_of_their_distinct_pairs() {
+        use rim_graph::edge::pair_key;
+        let keys = vec![pair_key(3, 2), pair_key(0, 1), pair_key(2, 3), pair_key(4, 1)];
+        let t = Topology::from_pair_keys(line5(), keys);
+        let want = Topology::from_pairs(line5(), &[(0, 1), (1, 4), (2, 3)]);
+        assert_eq!(t.edges(), want.edges());
+        assert_eq!(t.radii(), want.radii());
     }
 
     #[test]

@@ -21,9 +21,10 @@ pub fn unit_disk_graph_with_range(nodes: &NodeSet, max_range: f64) -> AdjacencyL
 
 /// [`unit_disk_graph_with_range`] over `threads` workers.
 ///
-/// Each node's query yields its *whole* neighbour list, which is sorted
-/// and handed to [`AdjacencyList::from_sorted_symmetric_lists`]. The
-/// lists are symmetric because membership is `dist(p_v, p_u) <= range`
+/// Each node's query yields its *whole* neighbour list as bare ids, which
+/// are sorted, then weighted into a list of exact size; the lists go to
+/// [`AdjacencyList::from_sorted_symmetric_lists`]. They are symmetric
+/// because membership is `dist(p_v, p_u) <= range`
 /// and `dist` is symmetric bit for bit (the coordinate differences only
 /// change sign); every weight is `dist(min, max)` of the pair, so both
 /// copies of an edge carry the same bits.
@@ -40,17 +41,19 @@ pub(crate) fn unit_disk_graph_threads(
     }
     let index = SoaGrid::from_points(nodes.points(), max_range);
     let chunks = rim_par::par_map_ranges(n, threads, |range| {
-        let mut scratch: Vec<(u32, f64)> = Vec::new();
+        let mut ids: Vec<u32> = Vec::new();
         range
             .map(|u| {
-                scratch.clear();
+                ids.clear();
                 index.for_each_in_disk(nodes.pos(u), max_range, |v| {
                     if v != u {
-                        scratch.push((v as u32, nodes.dist(u.min(v), u.max(v))));
+                        ids.push(v as u32);
                     }
                 });
-                scratch.sort_unstable_by_key(|&(v, _)| v);
-                scratch.clone()
+                ids.sort_unstable();
+                ids.iter()
+                    .map(|&v| (v, nodes.dist(u.min(v as usize), u.max(v as usize))))
+                    .collect::<Vec<_>>()
             })
             .collect::<Vec<_>>()
     });
