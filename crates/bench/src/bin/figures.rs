@@ -14,7 +14,7 @@
 #![forbid(unsafe_code)]
 
 use rim_bench::experiments as ex;
-use rim_bench::record::{render_table, write_csv, Row};
+use rim_bench::record::{render_table, to_csv};
 use std::path::{Path, PathBuf};
 
 /// Renders the paper's visual figures as SVG files.
@@ -109,110 +109,10 @@ fn main() {
     }
     let want = |id: &str| selected.is_empty() || selected.iter().any(|s| s == id);
 
-    type Experiment = (&'static str, &'static str, fn() -> Vec<Row>);
-    let experiments: Vec<Experiment> = vec![
-        (
-            "F1",
-            "Figure 1 — one arrival: sender-centric explodes, receiver-centric stays constant",
-            || ex::fig1_robustness(&[10, 20, 50, 100, 200, 400], 99),
-        ),
-        (
-            "F1T",
-            "Growth trajectory — both measures over a whole arrival sequence",
-            || ex::fig1_growth(40, 99),
-        ),
-        ("F2", "Figure 2 — five-node sample, I(u) = 2", ex::fig2_sample),
-        (
-            "T41",
-            "Theorem 4.1 / Figures 3-5 — NNF is Ω(n)× worse than the witness tree",
-            || ex::thm41_nnf_vs_witness(&[4, 8, 16, 32, 64, 128]),
-        ),
-        (
-            "F7",
-            "Figures 6-7 — linear exponential chain: I = n − 2",
-            || ex::fig7_linear_chain(&[4, 8, 16, 32, 64, 128, 256]),
-        ),
-        (
-            "F8",
-            "Figure 8 / Theorem 5.1 — A_exp: √n ≤ I ≤ √(2n)+1",
-            || ex::fig8_aexp(&[9, 16, 36, 64, 100, 196, 400]),
-        ),
-        (
-            "T52",
-            "Theorem 5.2 — exact optimum vs √n lower bound (branch & bound)",
-            || ex::thm52_lower_bound(&[4, 5, 6, 7, 8, 9, 10]),
-        ),
-        (
-            "F9",
-            "Figure 9 / Theorem 5.4 — A_gen: I = O(√Δ) on uniform highways",
-            || ex::fig9_agen(&[50, 100, 200, 400, 800, 1600], 17),
-        ),
-        (
-            "T56",
-            "Theorem 5.6 — A_apx vs exact optimum (small instances)",
-            || ex::thm56_ratio_small(12, 1000),
-        ),
-        (
-            "T56L",
-            "Theorem 5.6 — A_apx vs √(γ/2) certificate (large instances)",
-            || ex::thm56_ratio_large(7),
-        ),
-        (
-            "S1",
-            "Intro claim — MAC simulation: lower I ⇒ fewer collisions/retransmissions",
-            || ex::sim_experiment(2025),
-        ),
-        (
-            "S2",
-            "Extension — CSMA vs collision-free TDMA on the same traffic",
-            || ex::sim_tdma_vs_csma(2025),
-        ),
-        (
-            "X1",
-            "Extension — TDMA frame length tracks interference",
-            || ex::tdma_frames(0),
-        ),
-        (
-            "S3",
-            "Per-node claim — I(v) correlates with observed collision rate at v",
-            || ex::per_node_correlation(41),
-        ),
-        (
-            "M1",
-            "Mobility — interference stability and churn under random waypoint",
-            || ex::mobility(77),
-        ),
-        (
-            "P1",
-            "Localized protocols — rounds/messages of distributed XTC/LMST/NNF",
-            || ex::protocol_stats(31),
-        ),
-        (
-            "X2",
-            "Extension — A_gen2 in the plane (the paper's future work)",
-            || ex::plane_extension(&[100, 200, 400, 800], 23),
-        ),
-        (
-            "A1",
-            "Ablation — hub spacing in A_gen (paper: ⌈√Δ⌉)",
-            || ex::ablation_hub_spacing(11),
-        ),
-        (
-            "A2",
-            "Ablation — A_apx switching threshold γ > c·√Δ (paper: c = 1)",
-            || ex::ablation_threshold(13),
-        ),
-        (
-            "B2D",
-            "Baselines on a 2-D field — receiver vs sender measures",
-            || ex::baselines_2d(23),
-        ),
-    ];
-
     if selected.iter().any(|s| s == "SVG-ONLY") {
         return;
     }
-    for (id, title, run) in experiments {
+    for ex::Experiment { id, title, run } in ex::EXPERIMENTS {
         if !want(id) {
             continue;
         }
@@ -222,7 +122,7 @@ fn main() {
         if let Some(dir) = &csv_dir {
             std::fs::create_dir_all(dir).expect("create csv dir");
             let path = dir.join(format!("{}.csv", id.to_lowercase()));
-            write_csv(&path, &rows).expect("write csv");
+            std::fs::write(&path, to_csv(&rows)).expect("write csv");
             println!("(wrote {})", path.display());
         }
     }

@@ -1,9 +1,10 @@
 //! Data generators for every figure/theorem experiment of the paper.
 //!
 //! Each function regenerates the data series behind one paper artifact
-//! (see `DESIGN.md`'s experiment index) and returns [`Row`]s that the
-//! `figures` binary prints and exports. The benches in `benches/` reuse
-//! the same functions so `cargo bench` exercises identical code paths.
+//! (see `DESIGN.md`'s experiment index) and returns [`Row`]s.
+//! [`EXPERIMENTS`] binds each to its id and parameters: the `figures`
+//! binary prints and exports that list, and `tests/results_pinned.rs`
+//! checks it against the committed `results/<id>.csv`.
 
 use crate::record::Row;
 use rim_core::optimal::{min_interference_topology, SolverLimits};
@@ -23,6 +24,117 @@ use rim_topology_control::Baseline;
 use rim_udg::udg::unit_disk_graph;
 use rim_udg::{NodeSet, Topology};
 use std::num::NonZeroU64;
+
+/// One experiment of the suite: the generator of one paper artifact with
+/// its parameters fixed.
+pub struct Experiment {
+    /// Experiment id; `results/<id>.csv` (lowercased) holds its rows.
+    pub id: &'static str,
+    /// One-line title naming the paper artifact.
+    pub title: &'static str,
+    /// Generates the rows.
+    pub run: fn() -> Vec<Row>,
+}
+
+/// Every experiment, in the order `figures` runs them.
+pub const EXPERIMENTS: &[Experiment] = &[
+    Experiment {
+        id: "F1",
+        title: "Figure 1 — one arrival: sender-centric explodes, receiver-centric stays constant",
+        run: || fig1_robustness(&[10, 20, 50, 100, 200, 400], 99),
+    },
+    Experiment {
+        id: "F1T",
+        title: "Growth trajectory — both measures over a whole arrival sequence",
+        run: || fig1_growth(40, 99),
+    },
+    Experiment { id: "F2", title: "Figure 2 — five-node sample, I(u) = 2", run: fig2_sample },
+    Experiment {
+        id: "T41",
+        title: "Theorem 4.1 / Figures 3-5 — NNF is Ω(n)× worse than the witness tree",
+        run: || thm41_nnf_vs_witness(&[4, 8, 16, 32, 64, 128]),
+    },
+    Experiment {
+        id: "F7",
+        title: "Figures 6-7 — linear exponential chain: I = n − 2",
+        run: || fig7_linear_chain(&[4, 8, 16, 32, 64, 128, 256]),
+    },
+    Experiment {
+        id: "F8",
+        title: "Figure 8 / Theorem 5.1 — A_exp: √n ≤ I ≤ √(2n)+1",
+        run: || fig8_aexp(&[9, 16, 36, 64, 100, 196, 400]),
+    },
+    Experiment {
+        id: "T52",
+        title: "Theorem 5.2 — exact optimum vs √n lower bound (branch & bound)",
+        run: || thm52_lower_bound(&[4, 5, 6, 7, 8, 9, 10]),
+    },
+    Experiment {
+        id: "F9",
+        title: "Figure 9 / Theorem 5.4 — A_gen: I = O(√Δ) on uniform highways",
+        run: || fig9_agen(&[50, 100, 200, 400, 800, 1600], 17),
+    },
+    Experiment {
+        id: "T56",
+        title: "Theorem 5.6 — A_apx vs exact optimum (small instances)",
+        run: || thm56_ratio_small(12, 1000),
+    },
+    Experiment {
+        id: "T56L",
+        title: "Theorem 5.6 — A_apx vs √(γ/2) certificate (large instances)",
+        run: || thm56_ratio_large(7),
+    },
+    Experiment {
+        id: "S1",
+        title: "Intro claim — MAC simulation: lower I ⇒ fewer collisions/retransmissions",
+        run: || sim_experiment(2025),
+    },
+    Experiment {
+        id: "S2",
+        title: "Extension — CSMA vs collision-free TDMA on the same traffic",
+        run: || sim_tdma_vs_csma(2025),
+    },
+    Experiment {
+        id: "X1",
+        title: "Extension — TDMA frame length tracks interference",
+        run: || tdma_frames(0),
+    },
+    Experiment {
+        id: "S3",
+        title: "Per-node claim — I(v) correlates with observed collision rate at v",
+        run: || per_node_correlation(41),
+    },
+    Experiment {
+        id: "M1",
+        title: "Mobility — interference stability and churn under random waypoint",
+        run: || mobility(77),
+    },
+    Experiment {
+        id: "P1",
+        title: "Localized protocols — rounds/messages of distributed XTC/LMST/NNF",
+        run: || protocol_stats(31),
+    },
+    Experiment {
+        id: "X2",
+        title: "Extension — A_gen2 in the plane (the paper's future work)",
+        run: || plane_extension(&[100, 200, 400, 800], 23),
+    },
+    Experiment {
+        id: "A1",
+        title: "Ablation — hub spacing in A_gen (paper: ⌈√Δ⌉)",
+        run: || ablation_hub_spacing(11),
+    },
+    Experiment {
+        id: "A2",
+        title: "Ablation — A_apx switching threshold γ > c·√Δ (paper: c = 1)",
+        run: || ablation_threshold(13),
+    },
+    Experiment {
+        id: "B2D",
+        title: "Baselines on a 2-D field — receiver vs sender measures",
+        run: || baselines_2d(23),
+    },
+];
 
 /// Prints each case's progress line once its sweep has returned, in
 /// input order (the sweep's threads finish in any order), so `figures`

@@ -1,8 +1,6 @@
 //! Experiment result records and CSV export.
 
 use std::fmt::Write as _;
-use std::io::Write as _;
-use std::path::Path;
 
 /// One measured row of an experiment: a named experiment id, the swept
 /// parameter, and the measured columns.
@@ -68,25 +66,25 @@ pub fn render_table(rows: &[Row]) -> String {
     out
 }
 
-/// Writes rows as CSV (`experiment,param,value,col1,col2,…` with a
+/// Renders rows as CSV (`experiment,param,value,col1,col2,…` with a
 /// header derived from the first row).
-pub fn write_csv(path: &Path, rows: &[Row]) -> std::io::Result<()> {
-    let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
+pub fn to_csv(rows: &[Row]) -> String {
+    let mut out = String::new();
     if let Some(head) = rows.first() {
-        write!(f, "experiment,{}", head.param)?;
+        let _ = write!(out, "experiment,{}", head.param);
         for (name, _) in &head.columns {
-            write!(f, ",{name}")?;
+            let _ = write!(out, ",{name}");
         }
-        writeln!(f)?;
+        let _ = writeln!(out);
     }
     for row in rows {
-        write!(f, "{},{}", row.experiment, row.value)?;
+        let _ = write!(out, "{},{}", row.experiment, row.value);
         for &(_, v) in &row.columns {
-            write!(f, ",{v}")?;
+            let _ = write!(out, ",{v}");
         }
-        writeln!(f)?;
+        let _ = writeln!(out);
     }
-    f.flush()
+    out
 }
 
 #[cfg(test)]
@@ -113,13 +111,8 @@ mod tests {
 
     #[test]
     fn csv_roundtrip_shape() {
-        let dir = std::env::temp_dir().join("rim_bench_test_csv");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("out.csv");
-        let rows = vec![Row::new("X", "n", 1.0).col("y", 2.0)];
-        write_csv(&path, &rows).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text.lines().count(), 2);
-        assert!(text.starts_with("experiment,n,y"));
+        let rows = vec![Row::new("X", "n", 1.0).col("y", 2.0), Row::new("X", "n", 0.5).col("y", -0.0)];
+        assert_eq!(to_csv(&rows), "experiment,n,y\nX,1,2\nX,0.5,-0\n");
+        assert_eq!(to_csv(&[]), "");
     }
 }

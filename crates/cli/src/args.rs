@@ -92,17 +92,6 @@ impl Args {
         }
     }
 
-    /// Required parsed flag.
-    #[cfg_attr(not(test), allow(dead_code))] // exercised by unit tests; kept for parity
-    pub fn required_parse<T: std::str::FromStr>(&self, key: &str) -> Result<T, UsageError>
-    where
-        T::Err: std::fmt::Display,
-    {
-        let raw = self.required(key)?;
-        raw.parse()
-            .map_err(|e| UsageError(format!("bad value for --{key}: {e}")))
-    }
-
     /// Rejects any flag that no accessor asked about (typo protection).
     pub fn finish(&self) -> Result<(), UsageError> {
         let consumed = self.consumed.borrow();
@@ -141,7 +130,7 @@ mod tests {
         assert!(parse(&["cmd", "--n"]).is_err());
         assert!(parse(&["cmd", "--n", "1", "--n", "2"]).is_err());
         let a = parse(&["cmd", "--n", "x"]).unwrap();
-        assert!(a.required_parse::<usize>("n").is_err());
+        assert!(a.opt_parse::<usize>("n", 0).is_err());
     }
 
     #[test]

@@ -625,6 +625,7 @@ pub fn churn(args: &Args) -> Result<(), UsageError> {
     // function of (config, edit index); only the summary carries wall
     // clock.
     let mut records = vec![sim.checkpoint_record()];
+    let mut recorded_at = sim.counts().edits;
     let mut edit_ns: Vec<u64> = Vec::with_capacity(budget.min(2_000_000) as usize);
     let t0 = std::time::Instant::now();
     {
@@ -640,6 +641,7 @@ pub fn churn(args: &Args) -> Result<(), UsageError> {
                     oracle_check(&sim)?;
                 }
                 records.push(sim.checkpoint_record());
+                recorded_at = sim.counts().edits;
             }
         }
     }
@@ -648,8 +650,9 @@ pub fn churn(args: &Args) -> Result<(), UsageError> {
         oracle_check(&sim)?;
     }
     // The final state is always recorded, even when the cadence does not
-    // land on the last edit (resumed budgets rarely divide evenly).
-    if sim.counts().edits % every != 0 || records.len() == 1 {
+    // land on the last edit (resumed budgets rarely divide evenly), but a
+    // state already recorded is not repeated.
+    if sim.counts().edits != recorded_at {
         records.push(sim.checkpoint_record());
     }
     emit_obs(mode, rec);

@@ -1148,6 +1148,27 @@ fn churn_snapshot_resume_matches_uninterrupted_run() {
 }
 
 #[test]
+fn churn_without_edits_prints_one_checkpoint() {
+    let dir = tmp_dir("churn_no_edits");
+    let snap = dir.join("s.bin");
+    let fresh = rim().args(["churn", "--trace", "uniform:64", "--edits", "0"]).output().unwrap();
+    let part = rim()
+        .args(["churn", "--trace", "uniform:64", "--edits", "50", "--snapshot"])
+        .arg(&snap)
+        .output()
+        .unwrap();
+    assert!(part.status.success(), "{}", String::from_utf8_lossy(&part.stderr));
+    let resumed = rim().args(["churn", "--edits", "0", "--resume"]).arg(&snap).output().unwrap();
+    for out in [fresh, resumed] {
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let text = String::from_utf8(out.stdout).unwrap();
+        let kinds: Vec<bool> = text.lines().map(|l| l.contains("churn_checkpoint")).collect();
+        assert_eq!(kinds, [true, false], "one checkpoint, then the summary:\n{text}");
+        assert!(text.lines().last().unwrap().contains("churn_summary"), "{text}");
+    }
+}
+
+#[test]
 fn churn_rejects_bad_specs_and_corrupt_snapshots() {
     for (args, needle) in [
         (vec!["churn", "--trace", "hexagonal:10"], "bad --trace spec"),

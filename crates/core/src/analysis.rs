@@ -1,7 +1,6 @@
-//! Interference summaries and sanity bounds for experiment reporting.
+//! Interference summaries for experiment reporting.
 
-use crate::receiver::{interference_vector, interference_vector_with, Engine};
-use rim_graph::AdjacencyList;
+use crate::receiver::{interference_vector_with, Engine};
 use rim_udg::Topology;
 
 /// Summary statistics of a topology's interference distribution.
@@ -54,23 +53,25 @@ impl InterferenceSummary {
     }
 }
 
-/// Checks the structural sandwich of Section 3: for every node,
-/// `deg_topology(v) <= I(v)`, and `I(v) <= Δ(UDG)` (each node is covered
-/// at least by its topology neighbors, and at most by its UDG neighbors).
-///
-/// Returns the first violating node, or `None` if the bounds hold —
-/// they always must; a violation indicates an implementation bug.
-pub fn check_interference_bounds(t: &Topology, udg: &AdjacencyList) -> Option<usize> {
-    let iv = interference_vector(t);
-    let delta = udg.max_degree();
-    (0..t.num_nodes()).find(|&v| iv[v] < t.graph().degree(v) || iv[v] > delta)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::receiver::interference_vector;
+    use rim_graph::AdjacencyList;
     use rim_udg::udg::unit_disk_graph;
     use rim_udg::NodeSet;
+
+    /// Checks the structural sandwich of Section 3: for every node,
+    /// `deg_topology(v) <= I(v)`, and `I(v) <= Δ(UDG)` (each node is covered
+    /// at least by its topology neighbors, and at most by its UDG neighbors).
+    ///
+    /// Returns the first violating node, or `None` if the bounds hold —
+    /// they always must; a violation indicates an implementation bug.
+    fn check_interference_bounds(t: &Topology, udg: &AdjacencyList) -> Option<usize> {
+        let iv = interference_vector(t);
+        let delta = udg.max_degree();
+        (0..t.num_nodes()).find(|&v| iv[v] < t.graph().degree(v) || iv[v] > delta)
+    }
 
     fn chain() -> Topology {
         Topology::from_pairs(NodeSet::on_line(&[0.0, 0.2, 0.4, 0.6]), &[(0, 1), (1, 2), (2, 3)])

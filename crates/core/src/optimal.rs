@@ -243,36 +243,36 @@ fn naive_interference(t: &Topology) -> usize {
     crate::receiver::graph_interference_with(t, crate::receiver::Engine::Naive)
 }
 
-/// Independent test oracle: minimum interference over **all** subgraphs of
-/// the UDG (edge-subset enumeration, `O(2^m)`), used to validate the
-/// branch-and-bound solver on tiny instances.
-pub fn min_interference_exhaustive(nodes: &NodeSet, max_range: f64) -> Option<usize> {
-    let udg = unit_disk_graph_with_range(nodes, max_range);
-    let edges = udg.edges();
-    let m = edges.len();
-    assert!(m <= 20, "exhaustive oracle limited to 20 edges, got {m}");
-    let mut best: Option<usize> = None;
-    for mask in 0..(1u32 << m) {
-        let chosen: Vec<(usize, usize)> = (0..m)
-            .filter(|&i| mask & (1 << i) != 0)
-            .map(|i| edges[i].pair())
-            .collect();
-        let t = Topology::from_pairs(nodes.clone(), &chosen);
-        if !t.preserves_connectivity_of(&udg) {
-            continue;
-        }
-        let i = naive_interference(&t);
-        if best.is_none_or(|b| i < b) {
-            best = Some(i);
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rim_geom::Point;
+
+    /// Independent test oracle: minimum interference over **all** subgraphs of
+    /// the UDG (edge-subset enumeration, `O(2^m)`), used to validate the
+    /// branch-and-bound solver on tiny instances.
+    fn min_interference_exhaustive(nodes: &NodeSet, max_range: f64) -> Option<usize> {
+        let udg = unit_disk_graph_with_range(nodes, max_range);
+        let edges = udg.edges();
+        let m = edges.len();
+        assert!(m <= 20, "exhaustive oracle limited to 20 edges, got {m}");
+        let mut best: Option<usize> = None;
+        for mask in 0..(1u32 << m) {
+            let chosen: Vec<(usize, usize)> = (0..m)
+                .filter(|&i| mask & (1 << i) != 0)
+                .map(|i| edges[i].pair())
+                .collect();
+            let t = Topology::from_pairs(nodes.clone(), &chosen);
+            if !t.preserves_connectivity_of(&udg) {
+                continue;
+            }
+            let i = naive_interference(&t);
+            if best.is_none_or(|b| i < b) {
+                best = Some(i);
+            }
+        }
+        best
+    }
 
     #[test]
     fn trivial_instances() {

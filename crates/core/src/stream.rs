@@ -88,7 +88,7 @@ const TIED: u32 = u32::MAX;
 /// ]);
 /// let inst = StreamInstance::with_nn_radii(pts);
 /// assert_eq!(inst.interference_counts(), vec![1, 2, 0]);
-/// assert_eq!(inst.max_interference(), 2);
+/// assert_eq!(inst.interference_max_sum(1), Ok((2, 3)));
 /// ```
 #[derive(Debug, Clone)]
 pub struct StreamInstance {
@@ -315,13 +315,6 @@ impl StreamInstance {
         out
     }
 
-    /// Graph interference `I(G')` (Definition 3.2) of this instance,
-    /// counted as [`StreamInstance::interference_counts_sharded`] counts
-    /// with the machine's thread count.
-    pub fn max_interference(&self) -> u32 {
-        let _span = rim_obs::span("interference/streaming_sharded");
-        self.position_counts(num_threads()).into_iter().max().unwrap_or(0)
-    }
 }
 
 /// Fills the nearest-neighbour `radii` and `nearest` columns of `grid`,
@@ -437,10 +430,13 @@ mod tests {
                 "threads={threads}"
             );
         }
-        assert_eq!(
-            inst.max_interference(),
-            reference.iter().copied().max().unwrap_or(0)
-        );
+        let sum = reference.iter().map(|&c| u64::from(c)).sum();
+        for threads in [1, 4] {
+            assert_eq!(
+                inst.interference_max_sum(threads),
+                Ok((reference.iter().copied().max().unwrap_or(0), sum))
+            );
+        }
     }
 
     #[test]
@@ -488,7 +484,7 @@ mod tests {
         let empty = StreamInstance::with_nn_radii(SoaPoints::new());
         assert!(empty.is_empty());
         assert_eq!(empty.interference_counts(), Vec::<u32>::new());
-        assert_eq!(empty.max_interference(), 0);
+        assert_eq!(empty.interference_max_sum(1), Ok((0, 0)));
         let one = StreamInstance::with_nn_radii(SoaPoints::from_points(&[Point::ORIGIN]));
         assert_eq!(one.interference_counts(), vec![0]);
     }

@@ -70,14 +70,6 @@ impl Aabb {
     pub fn height(&self) -> f64 {
         (self.max.y - self.min.y).max(0.0)
     }
-
-    /// Squared distance from `p` to the box (0 if inside).
-    #[inline]
-    pub fn dist_sq_to(&self, p: &Point) -> f64 {
-        let dx = (self.min.x - p.x).max(0.0).max(p.x - self.max.x);
-        let dy = (self.min.y - p.y).max(0.0).max(p.y - self.max.y);
-        dx * dx + dy * dy
-    }
 }
 
 #[cfg(test)]
@@ -109,15 +101,6 @@ mod tests {
         let b = e.expand(Point::new(1.0, 1.0));
         assert!(!b.is_empty());
         assert!(b.contains(&Point::new(1.0, 1.0)));
-    }
-
-    #[test]
-    fn dist_sq_inside_is_zero() {
-        let b = Aabb::new(Point::ORIGIN, Point::new(2.0, 2.0));
-        assert_eq!(b.dist_sq_to(&Point::new(1.0, 1.0)), 0.0);
-        assert_eq!(b.dist_sq_to(&Point::new(3.0, 1.0)), 1.0);
-        assert_eq!(b.dist_sq_to(&Point::new(3.0, 3.0)), 2.0);
-        assert_eq!(b.dist_sq_to(&Point::new(-1.0, -1.0)), 2.0);
     }
 
     #[test]

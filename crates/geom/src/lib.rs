@@ -7,7 +7,6 @@
 //!
 //! * [`Point`] — a point in the plane (`f64` coordinates) with distance
 //!   helpers that prefer squared distances in hot paths,
-//! * [`Disk`] — a closed disk `D(c, r)` with containment predicates,
 //! * [`Aabb`] — axis-aligned bounding boxes,
 //! * [`SoaPoints`] / [`SoaGrid`] — structure-of-arrays point storage and
 //!   the bucket grid with bucket-major coordinate columns, the one grid
@@ -39,7 +38,6 @@
 
 pub mod bbox;
 pub mod delaunay;
-pub mod disk;
 pub mod dyn_grid;
 pub mod grid;
 pub mod hull;
@@ -49,7 +47,6 @@ pub mod soa_grid;
 
 pub use bbox::Aabb;
 pub use delaunay::{delaunay, Delaunay};
-pub use disk::Disk;
 pub use dyn_grid::DynGrid;
 pub use grid::{fits_u32_index, try_filled, GridCapacityError, MAX_INDEXED_POINTS, PAR_BUILD_MIN};
 pub use hull::convex_hull;

@@ -48,18 +48,6 @@ impl Point {
         self.dist_sq(other).sqrt()
     }
 
-    /// Chebyshev (`L∞`) distance to `other`; used for grid bucketing.
-    #[inline]
-    pub fn dist_linf(&self, other: &Point) -> f64 {
-        (self.x - other.x).abs().max((self.y - other.y).abs())
-    }
-
-    /// Midpoint of `self` and `other`.
-    #[inline]
-    pub fn midpoint(&self, other: &Point) -> Point {
-        Point::new((self.x + other.x) * 0.5, (self.y + other.y) * 0.5)
-    }
-
     /// Squared length of the vector from the origin to this point.
     #[inline]
     pub fn norm_sq(&self) -> f64 {
@@ -180,20 +168,6 @@ mod tests {
         let p = Point::on_line(7.5);
         assert_eq!(p.y, 0.0);
         assert_eq!(p.x, 7.5);
-    }
-
-    #[test]
-    fn linf_distance() {
-        let a = Point::new(0.0, 0.0);
-        let b = Point::new(1.0, -3.0);
-        assert_eq!(a.dist_linf(&b), 3.0);
-    }
-
-    #[test]
-    fn midpoint_is_halfway() {
-        let a = Point::new(0.0, 0.0);
-        let b = Point::new(2.0, 4.0);
-        assert_eq!(a.midpoint(&b), Point::new(1.0, 2.0));
     }
 
     #[test]

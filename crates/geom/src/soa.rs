@@ -112,12 +112,6 @@ impl SoaPoints {
         }
         bbox
     }
-
-    /// Materializes the row layout (used by adapters that feed SoA data
-    /// into the existing `Point`-based APIs; allocates one `Vec`).
-    pub fn to_points(&self) -> Vec<Point> {
-        (0..self.len()).map(|i| self.get(i)).collect()
-    }
 }
 
 impl From<&[Point]> for SoaPoints {
@@ -138,7 +132,6 @@ mod tests {
         for (i, p) in pts.iter().enumerate() {
             assert_eq!(soa.get(i), *p);
         }
-        assert_eq!(soa.to_points(), pts.to_vec());
     }
 
     #[test]

@@ -8,11 +8,11 @@
 //! * [`AdjacencyList`] — a compact undirected graph over `0..n` vertices,
 //! * [`Edge`] — weighted undirected edges with deterministic ordering,
 //! * [`UnionFind`] — disjoint sets with union by rank + path compression,
-//! * [`traversal`] — BFS/DFS, connected components, connectivity checks,
+//! * [`traversal`] — connected components, connectivity checks,
 //! * [`mst`] — Kruskal and Prim minimum spanning trees/forests,
 //! * [`shortest_path`] — Dijkstra, hop counts, next-hop routing tables,
-//! * [`tree`] — tree predicates, tree paths, diameters,
-//! * [`properties`] — degree statistics and stretch factors,
+//! * [`tree`] — the forest predicate,
+//! * [`properties`] — stretch factors,
 //! * [`biconnectivity`] — bridges and cut vertices (robustness reports).
 
 #![forbid(unsafe_code)]

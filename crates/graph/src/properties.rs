@@ -2,46 +2,11 @@
 //!
 //! The paper's related-work section contrasts *implicit* interference
 //! proxies — sparseness, low degree, the spanner property — with the
-//! explicit interference measure. These helpers compute the proxies so
-//! the experiments can report them side by side.
+//! explicit interference measure. [`stretch_factor`] measures the spanner
+//! property so the experiments can report it beside interference.
 
 use crate::adjacency::AdjacencyList;
 use crate::shortest_path::dijkstra;
-
-/// Degree statistics of a graph.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DegreeStats {
-    /// Minimum degree (0 for the empty graph).
-    pub min: usize,
-    /// Maximum degree.
-    pub max: usize,
-    /// Mean degree.
-    pub mean: f64,
-}
-
-/// Computes min/max/mean degree.
-pub fn degree_stats(g: &AdjacencyList) -> DegreeStats {
-    let n = g.num_vertices();
-    if n == 0 {
-        return DegreeStats {
-            min: 0,
-            max: 0,
-            mean: 0.0,
-        };
-    }
-    let mut min = usize::MAX;
-    let mut max = 0;
-    for u in 0..n {
-        let d = g.degree(u);
-        min = min.min(d);
-        max = max.max(d);
-    }
-    DegreeStats {
-        min,
-        max,
-        mean: 2.0 * g.num_edges() as f64 / n as f64,
-    }
-}
 
 /// The (weighted) stretch factor of `sub` relative to `reference`:
 /// the maximum over connected pairs of `dist_sub(u,v) / dist_ref(u,v)`.
@@ -73,31 +38,10 @@ pub fn stretch_factor(reference: &AdjacencyList, sub: &AdjacencyList) -> f64 {
     worst
 }
 
-/// Sparseness: edges per vertex (`m / n`); 0 for the empty graph.
-pub fn sparseness(g: &AdjacencyList) -> f64 {
-    if g.num_vertices() == 0 {
-        0.0
-    } else {
-        g.num_edges() as f64 / g.num_vertices() as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::edge::Edge;
-
-    #[test]
-    fn degree_stats_on_star() {
-        let g = AdjacencyList::from_edges(
-            4,
-            [Edge::new(0, 1, 1.0), Edge::new(0, 2, 1.0), Edge::new(0, 3, 1.0)],
-        );
-        let s = degree_stats(&g);
-        assert_eq!(s.min, 1);
-        assert_eq!(s.max, 3);
-        assert!((s.mean - 1.5).abs() < 1e-12);
-    }
 
     #[test]
     fn stretch_of_subgraph() {
@@ -116,12 +60,5 @@ mod tests {
         let reference = AdjacencyList::from_edges(2, [Edge::new(0, 1, 1.0)]);
         let sub = AdjacencyList::new(2);
         assert!(stretch_factor(&reference, &sub).is_infinite());
-    }
-
-    #[test]
-    fn sparseness_basics() {
-        assert_eq!(sparseness(&AdjacencyList::new(0)), 0.0);
-        let g = AdjacencyList::from_edges(4, [Edge::new(0, 1, 1.0), Edge::new(2, 3, 1.0)]);
-        assert_eq!(sparseness(&g), 0.5);
     }
 }

@@ -19,24 +19,6 @@ pub struct ShortestPaths {
     pub parent: Vec<usize>,
 }
 
-impl ShortestPaths {
-    /// Reconstructs the path from the source to `t` (inclusive), or `None`
-    /// if `t` is unreachable.
-    pub fn path_to(&self, t: usize) -> Option<Vec<usize>> {
-        if self.dist[t].is_infinite() {
-            return None;
-        }
-        let mut path = vec![t];
-        let mut cur = t;
-        while self.parent[cur] != usize::MAX {
-            cur = self.parent[cur];
-            path.push(cur);
-        }
-        path.reverse();
-        Some(path)
-    }
-}
-
 /// Dijkstra from `source` over non-negative edge weights.
 ///
 /// Parents record the first relaxation achieving the minimum distance,
@@ -145,9 +127,9 @@ mod tests {
         let g = sample_graph();
         let sp = dijkstra(&g, 0);
         assert_eq!(sp.dist[2], 2.0);
-        assert_eq!(sp.path_to(2), Some(vec![0, 1, 2]));
+        assert_eq!(sp.parent[..3], [usize::MAX, 0, 1]);
         assert!(sp.dist[3].is_infinite());
-        assert_eq!(sp.path_to(3), None);
+        assert_eq!(sp.parent[3], usize::MAX);
     }
 
     #[test]
@@ -187,6 +169,6 @@ mod tests {
         let g = AdjacencyList::from_edges(3, [Edge::new(0, 1, 0.0), Edge::new(1, 2, 0.0)]);
         let sp = dijkstra(&g, 0);
         assert_eq!(sp.dist[2], 0.0);
-        assert_eq!(sp.path_to(2), Some(vec![0, 1, 2]));
+        assert_eq!(sp.parent, [usize::MAX, 0, 1]);
     }
 }

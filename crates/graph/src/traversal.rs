@@ -1,48 +1,6 @@
-//! Breadth/depth-first traversal, components and connectivity.
+//! Connected components and connectivity.
 
 use crate::adjacency::AdjacencyList;
-
-/// Vertices reachable from `start` in BFS order.
-pub fn bfs_order(g: &AdjacencyList, start: usize) -> Vec<usize> {
-    let mut visited = vec![false; g.num_vertices()];
-    let mut queue = std::collections::VecDeque::new();
-    let mut order = Vec::new();
-    visited[start] = true;
-    queue.push_back(start);
-    while let Some(u) = queue.pop_front() {
-        order.push(u);
-        for v in g.neighbors(u) {
-            if !visited[v] {
-                visited[v] = true;
-                queue.push_back(v);
-            }
-        }
-    }
-    order
-}
-
-/// Vertices reachable from `start` in iterative DFS (preorder).
-pub fn dfs_order(g: &AdjacencyList, start: usize) -> Vec<usize> {
-    let mut visited = vec![false; g.num_vertices()];
-    let mut stack = vec![start];
-    let mut order = Vec::new();
-    while let Some(u) = stack.pop() {
-        if visited[u] {
-            continue;
-        }
-        visited[u] = true;
-        order.push(u);
-        // Push in reverse so smaller neighbors are visited first.
-        let mut ns: Vec<usize> = g.neighbors(u).collect();
-        ns.reverse();
-        for v in ns {
-            if !visited[v] {
-                stack.push(v);
-            }
-        }
-    }
-    order
-}
 
 /// Component label for every vertex; labels are `0..k` in order of first
 /// appearance (vertex 0 is always in component 0 when `n > 0`).
@@ -127,24 +85,6 @@ mod tests {
     fn path(n: usize) -> AdjacencyList {
         let edges: Vec<Edge> = (1..n).map(|i| Edge::new(i - 1, i, 1.0)).collect();
         AdjacencyList::from_edges(n, &edges)
-    }
-
-    #[test]
-    fn bfs_visits_in_level_order() {
-        // Star with center 0.
-        let g = AdjacencyList::from_edges(
-            4,
-            [Edge::new(0, 1, 1.0), Edge::new(0, 2, 1.0), Edge::new(0, 3, 1.0)],
-        );
-        assert_eq!(bfs_order(&g, 0), vec![0, 1, 2, 3]);
-        assert_eq!(bfs_order(&g, 2), vec![2, 0, 1, 3]);
-    }
-
-    #[test]
-    fn dfs_preorder_on_path() {
-        let g = path(5);
-        assert_eq!(dfs_order(&g, 0), vec![0, 1, 2, 3, 4]);
-        assert_eq!(dfs_order(&g, 2), vec![2, 1, 0, 3, 4]);
     }
 
     #[test]

@@ -29,19 +29,6 @@ pub fn linear_radii(instance: &HighwayInstance) -> Vec<f64> {
         .collect()
 }
 
-/// The critical node set `C_v` for every `v` (as index lists).
-pub fn critical_sets(instance: &HighwayInstance) -> Vec<Vec<usize>> {
-    let n = instance.len();
-    let radii = linear_radii(instance);
-    (0..n)
-        .map(|v| {
-            (0..n)
-                .filter(|&u| u != v && (instance.x(u) - instance.x(v)).abs() <= radii[u])
-                .collect()
-        })
-        .collect()
-}
-
 /// Sizes `|C_v|` for every node, computed without materializing the sets.
 pub fn critical_counts(instance: &HighwayInstance) -> Vec<usize> {
     let n = instance.len();
@@ -78,6 +65,19 @@ mod tests {
     use super::*;
     use crate::exponential::exponential_chain;
     use rim_core::receiver::graph_interference;
+
+    /// The critical node set `C_v` for every `v` (as index lists).
+    fn critical_sets(instance: &HighwayInstance) -> Vec<Vec<usize>> {
+        let n = instance.len();
+        let radii = linear_radii(instance);
+        (0..n)
+            .map(|v| {
+                (0..n)
+                    .filter(|&u| u != v && (instance.x(u) - instance.x(v)).abs() <= radii[u])
+                    .collect()
+            })
+            .collect()
+    }
 
     #[test]
     fn gamma_equals_linear_interference() {

@@ -2,7 +2,7 @@
 //!
 //! Library crates call the free functions in this module ([`counter_add`],
 //! [`record`], [`span`]) unconditionally; they compile down to an atomic
-//! load and a branch while no sink is installed, so instrumentation never
+//! load and a branch while no recorder is installed, so instrumentation never
 //! taxes library users (`crates/core/tests/obs_overhead.rs` holds the
 //! disabled path under 5% of the 4096-node interference kernel). Only the
 //! CLI and the bench harness may enable collection by calling
@@ -19,9 +19,10 @@
 //! * **Histograms** — log2-bucketed value distributions ([`record`]),
 //!   see [`hist::Histogram`].
 //!
-//! The enabled sink is [`recorder::Recorder`], a sharded mutex registry
-//! reusing the per-slot-lock discipline of `rim-par`; snapshots export as
-//! a human-readable tree or JSONL (see [`recorder::Snapshot`]).
+//! Collection goes to one process-wide [`recorder::Recorder`], a sharded
+//! mutex registry reusing the per-slot-lock discipline of `rim-par`;
+//! snapshots export as a human-readable tree or JSONL (see
+//! [`recorder::Snapshot`]).
 
 #![forbid(unsafe_code)]
 
@@ -36,13 +37,13 @@ pub use recorder::{Recorder, Snapshot, SpanRecord};
 
 use std::sync::OnceLock;
 
-/// Opaque handle for an open span, produced by [`ObsSink::span_enter`].
+/// Handle for an open span, produced by [`Recorder::span_enter`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpanId(usize);
+pub(crate) struct SpanId(usize);
 
 impl SpanId {
-    /// Sentinel for "no span recorded" (disabled sink, no-op sink).
-    pub const NONE: SpanId = SpanId(usize::MAX);
+    /// Sentinel for "no span recorded" (collection disabled).
+    pub(crate) const NONE: SpanId = SpanId(usize::MAX);
 
     pub(crate) fn new(index: usize) -> SpanId {
         SpanId(index)
@@ -50,89 +51,48 @@ impl SpanId {
 
     /// Arena index of the span, or `None` for the [`SpanId::NONE`]
     /// sentinel.
-    pub fn index(self) -> Option<usize> {
+    pub(crate) fn index(self) -> Option<usize> {
         (self.0 != usize::MAX).then_some(self.0)
     }
 }
 
-/// Destination for observability events. Implementations must be cheap
-/// and non-blocking enough to sit on hot paths; the two in-repo ones are
-/// [`NoopSink`] and [`Recorder`].
-pub trait ObsSink: Send + Sync {
-    /// Adds `delta` to the named monotonic counter.
-    fn counter_add(&self, name: &'static str, delta: u64);
-    /// Records one sample into the named histogram.
-    fn record_value(&self, name: &'static str, value: u64);
-    /// Opens a span; the returned id must later be passed to
-    /// [`ObsSink::span_exit`].
-    fn span_enter(&self, name: &'static str) -> SpanId;
-    /// Closes a previously opened span.
-    fn span_exit(&self, id: SpanId);
-}
-
-/// Sink that drops everything — the behaviour every library crate gets
-/// by default (no sink installed is equivalent to this sink).
-pub struct NoopSink;
-
-impl ObsSink for NoopSink {
-    fn counter_add(&self, _name: &'static str, _delta: u64) {}
-    fn record_value(&self, _name: &'static str, _value: u64) {}
-    fn span_enter(&self, _name: &'static str) -> SpanId {
-        SpanId::NONE
-    }
-    fn span_exit(&self, _id: SpanId) {}
-}
-
-static SINK: OnceLock<&'static dyn ObsSink> = OnceLock::new();
 static RECORDER: OnceLock<Recorder> = OnceLock::new();
 
-/// Installs `sink` as the process-wide sink. The first installation wins
-/// and is permanent for the life of the process; returns `false` when a
-/// sink was already installed.
-pub fn install(sink: &'static dyn ObsSink) -> bool {
-    SINK.set(sink).is_ok()
-}
-
 /// Installs (idempotently) the process-wide [`Recorder`] and returns it.
-/// Only the CLI and the bench harness may call this — library crates are
-/// held to the no-op default by the `obs-no-op-default` lint audit.
+/// The first installation is permanent for the life of the process. Only
+/// the CLI and the bench harness may call this — library crates are held
+/// to the no-op default by the `obs-no-op-default` lint audit.
 pub fn install_recorder() -> &'static Recorder {
-    let rec = RECORDER.get_or_init(Recorder::new);
-    let _ = SINK.set(rec);
-    rec
+    RECORDER.get_or_init(Recorder::new)
 }
 
 /// The installed recorder, if [`install_recorder`] has run.
+#[inline]
 pub fn global() -> Option<&'static Recorder> {
     RECORDER.get()
 }
 
-/// Whether an enabled sink is installed. Kernels batching per-item work
+/// Whether a recorder is installed. Kernels batching per-item work
 /// (e.g. per-query candidate counts) branch on this once instead of
 /// paying a call per item.
 #[inline]
 pub fn active() -> bool {
-    SINK.get().is_some()
-}
-
-#[inline]
-fn sink() -> Option<&'static dyn ObsSink> {
-    SINK.get().copied()
+    global().is_some()
 }
 
 /// Adds `delta` to the named counter (no-op while disabled).
 #[inline]
 pub fn counter_add(name: &'static str, delta: u64) {
-    if let Some(s) = sink() {
-        s.counter_add(name, delta);
+    if let Some(r) = global() {
+        r.counter_add(name, delta);
     }
 }
 
 /// Records one histogram sample (no-op while disabled).
 #[inline]
 pub fn record(name: &'static str, value: u64) {
-    if let Some(s) = sink() {
-        s.record_value(name, value);
+    if let Some(r) = global() {
+        r.record_value(name, value);
     }
 }
 
@@ -144,8 +104,8 @@ pub struct SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if self.id != SpanId::NONE {
-            if let Some(s) = sink() {
-                s.span_exit(self.id);
+            if let Some(r) = global() {
+                r.span_exit(self.id);
             }
         }
     }
@@ -156,8 +116,8 @@ impl Drop for SpanGuard {
 /// it lives to the end of the scope.
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
-    match sink() {
-        Some(s) => SpanGuard { id: s.span_enter(name) },
+    match global() {
+        Some(r) => SpanGuard { id: r.span_enter(name) },
         None => SpanGuard { id: SpanId::NONE },
     }
 }
@@ -168,13 +128,15 @@ mod tests {
 
     #[test]
     fn noop_sink_returns_the_sentinel() {
-        let s = NoopSink;
-        s.counter_add("x", 1);
-        s.record_value("x", 1);
-        let id = s.span_enter("x");
-        assert_eq!(id, SpanId::NONE);
-        assert_eq!(id.index(), None);
-        s.span_exit(id);
+        // No test of this binary installs the recorder, so every call
+        // takes the no-op default: nothing is recorded and spans carry
+        // the sentinel.
+        counter_add("x", 1);
+        record("x", 1);
+        let guard = span("x");
+        assert_eq!(guard.id, SpanId::NONE);
+        assert_eq!(guard.id.index(), None);
+        assert!(!active() && global().is_none());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The default [`ObsSink`] implementation: a sharded in-memory registry.
+//! The process-wide recorder: a sharded in-memory registry.
 //!
 //! Counters and histograms live in a fixed array of mutex-guarded shards
 //! (the same per-slot-mutex discipline `rim-par` uses for its output
@@ -9,7 +9,7 @@
 //! global structure.
 
 use crate::hist::Histogram;
-use crate::{ObsSink, SpanId};
+use crate::SpanId;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -62,7 +62,8 @@ thread_local! {
     static THREAD_ID: u64 = NEXT_THREAD.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Thread-safe metrics registry; the enabled [`ObsSink`].
+/// Thread-safe metrics registry; the one [`crate::install_recorder`]
+/// enables.
 pub struct Recorder {
     shards: [Shard; SHARDS],
     spans: Mutex<Vec<SpanSlot>>,
@@ -104,11 +105,6 @@ impl Recorder {
         out
     }
 
-    /// Number of spans entered but not yet exited.
-    pub fn open_span_count(&self) -> usize {
-        relock(self.spans.lock()).iter().filter(|s| s.wall_ns.is_none()).count()
-    }
-
     /// A consistent copy of everything recorded so far.
     pub fn snapshot(&self) -> Snapshot {
         let mut histograms = BTreeMap::new();
@@ -135,25 +131,27 @@ impl Recorder {
             mismatched_exits: self.mismatched_exits.load(Ordering::Relaxed),
         }
     }
-}
 
-impl ObsSink for Recorder {
+    /// Adds `delta` to the named monotonic counter.
     // rim-lint: allow(panic-freedom) — `shard_of` reduces modulo `SHARDS`
-    fn counter_add(&self, name: &'static str, delta: u64) {
+    pub(crate) fn counter_add(&self, name: &'static str, delta: u64) {
         let shard = &self.shards[shard_of(name)];
         *relock(shard.counters.lock()).entry(name).or_insert(0) += delta;
     }
 
+    /// Records one sample into the named histogram.
     // rim-lint: allow(panic-freedom) — `shard_of` reduces modulo `SHARDS`
-    fn record_value(&self, name: &'static str, value: u64) {
+    pub(crate) fn record_value(&self, name: &'static str, value: u64) {
         let shard = &self.shards[shard_of(name)];
         relock(shard.hists.lock()).entry(name).or_default().record(value);
     }
 
+    /// Opens a span; the returned id must later be passed to
+    /// [`Recorder::span_exit`].
     // The arena is non-empty right after the push, and the span clock feeds
     // wall_ns in the observability snapshot only; engine results never read it.
     // rim-lint: allow(panic-freedom, engine-determinism)
-    fn span_enter(&self, name: &'static str) -> SpanId {
+    pub(crate) fn span_enter(&self, name: &'static str) -> SpanId {
         let parent = SPAN_STACK.with(|s| s.borrow().last().copied());
         let thread = THREAD_ID.with(|id| *id);
         let idx = {
@@ -165,7 +163,8 @@ impl ObsSink for Recorder {
         SpanId::new(idx)
     }
 
-    fn span_exit(&self, id: SpanId) {
+    /// Closes a previously opened span.
+    pub(crate) fn span_exit(&self, id: SpanId) {
         let Some(idx) = id.index() else { return };
         let well_formed = SPAN_STACK.with(|s| {
             let mut stack = s.borrow_mut();
@@ -282,7 +281,6 @@ mod tests {
         assert_eq!(snap.spans[1].parent, Some(0));
         assert_eq!(snap.spans[2].parent, Some(0));
         assert!(snap.spans.iter().all(|s| s.wall_ns.is_some()));
-        assert_eq!(rec.open_span_count(), 0);
     }
 
     #[test]
@@ -297,7 +295,7 @@ mod tests {
         rec.span_exit(inner);
         let snap = rec.snapshot();
         assert_eq!(snap.mismatched_exits, 1);
-        assert_eq!(rec.open_span_count(), 0);
+        assert!(snap.spans.iter().all(|s| s.wall_ns.is_some()));
         // Double exit of an already-closed span is counted too.
         rec.span_exit(inner);
         assert_eq!(rec.snapshot().mismatched_exits, 2);

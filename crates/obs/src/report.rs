@@ -436,7 +436,6 @@ fn parse_object(line: &str) -> Result<Object, String> {
 mod tests {
     use super::*;
     use crate::recorder::Recorder;
-    use crate::ObsSink;
 
     fn sample_snapshot() -> Snapshot {
         let rec = Recorder::new();

@@ -71,11 +71,6 @@ impl<T> EventQueue<T> {
         }
     }
 
-    /// Timestamp of the next event, if any.
-    pub fn next_slot(&self) -> Option<u64> {
-        self.heap.peek().map(|Reverse((slot, _, _))| *slot)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -97,7 +92,6 @@ mod tests {
         q.push(5, "c");
         q.push(1, "a");
         q.push(3, "b");
-        assert_eq!(q.next_slot(), Some(1));
         assert_eq!(q.pop_due(10), Some((1, "a")));
         assert_eq!(q.pop_due(10), Some((3, "b")));
         assert_eq!(q.pop_due(10), Some((5, "c")));

@@ -16,7 +16,7 @@
 //! | Relative Neighborhood Graph | [`rng`] | yes |
 //! | Yao Graph | [`yao`] | yes |
 //! | XTC (Wattenhofer & Zollinger) | [`xtc`] | yes |
-//! | LIFE / LISE (Burkhart et al., the noted exception) | [`life`] | no |
+//! | LIFE (Burkhart et al., the noted exception) | [`life`] | no |
 //! | LMST (Li–Hou–Sha, reference \[9\]) | [`lmst`] | yes |
 //! | CBTC(2π/3) (reference \[18\]) | [`cbtc`] | yes |
 //! | KNeigh (k-nearest, symmetric) | [`kneigh`] | yes (given reciprocity) |

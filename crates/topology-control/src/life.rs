@@ -1,21 +1,17 @@
-//! LIFE and LISE — the interference-aware constructions of Burkhart et
-//! al. (MobiHoc 2004), reference \[2\] of the paper.
+//! LIFE (Low-Interference Forest Establisher) — the interference-aware
+//! construction of Burkhart et al. (MobiHoc 2004), reference \[2\] of the
+//! paper.
 //!
-//! These are the noted exception in Section 4: they do **not** necessarily
-//! contain the Nearest Neighbor Forest, because they greedily minimize the
-//! *sender-centric* link-coverage measure instead of link length.
-//! The paper remarks that they nevertheless "perform badly for our
-//! (receiver-centric) model" — a claim the benchmark harness reproduces.
-//!
-//! * **LIFE** (Low-Interference Forest Establisher): Kruskal over UDG
-//!   edges ordered by coverage; the result is a spanning forest whose
-//!   maximum link coverage is minimal among all spanning forests.
-//! * **LISE** (Low-Interference Spanner Establisher): adds edges in
-//!   coverage order until every UDG edge is `t`-spanned, yielding a
-//!   spanner with minimum-possible maximum coverage.
+//! It is the noted exception in Section 4: it does **not** necessarily
+//! contain the Nearest Neighbor Forest, because it greedily minimizes the
+//! *sender-centric* link-coverage measure instead of link length. The
+//! paper remarks that such constructions nevertheless "perform badly for
+//! our (receiver-centric) model" — a claim the benchmark harness
+//! reproduces. LIFE is Kruskal over UDG edges ordered by coverage; the
+//! result is a spanning forest whose maximum link coverage is minimal
+//! among all spanning forests.
 
 use rim_core::sender::coverage_vector;
-use rim_graph::shortest_path::dijkstra;
 use rim_graph::{AdjacencyList, Edge, UnionFind};
 use rim_udg::{NodeSet, Topology};
 
@@ -48,30 +44,6 @@ pub fn life(nodes: &NodeSet, udg: &AdjacencyList) -> Topology {
         .filter(|e| uf.union(e.u, e.v))
         .collect();
     Topology::from_graph(nodes.clone(), AdjacencyList::from_edges(nodes.len(), &forest))
-}
-
-/// Builds the LISE spanner: smallest coverage threshold such that taking
-/// all UDG edges with coverage below it `t`-spans every UDG edge
-/// (`t >= 1`, weighted stretch). Each insertion depends on the graph
-/// built so far, so LISE assembles its graph edge by edge.
-pub fn lise(nodes: &NodeSet, udg: &AdjacencyList, t: f64) -> Topology {
-    assert!(t >= 1.0, "stretch must be at least 1");
-    let ordered = edges_by_coverage(nodes, udg);
-    let mut g = AdjacencyList::new(nodes.len());
-    let mut idx = 0;
-    // Process edges in coverage order; an edge already t-spanned by the
-    // current graph is skipped, otherwise it is inserted together with
-    // every not-yet-processed edge of equal coverage... (simple version:
-    // insert greedily, checking spanning on demand).
-    while idx < ordered.len() {
-        let e = ordered[idx].1;
-        idx += 1;
-        let sp = dijkstra(&g, e.u);
-        if sp.dist[e.v] > t * e.weight {
-            g.add_edge(e.u, e.v, e.weight);
-        }
-    }
-    Topology::from_graph(nodes.clone(), g)
 }
 
 #[cfg(test)]
@@ -118,7 +90,7 @@ mod tests {
 
     #[test]
     fn life_need_not_contain_the_nnf() {
-        // Section 4 notes LIFE/LISE as the exception that may omit
+        // Section 4 notes LIFE as the exception that may omit
         // nearest-neighbor links. Explicit witness: u's nearest neighbor
         // is v, but the link {u, v} has high coverage because a cluster
         // sits right behind v — while a chain of short, low-coverage hops
@@ -149,32 +121,5 @@ mod tests {
         );
         assert!(!crate::nnf::contains_nnf(&t, &udg));
         assert!(t.preserves_connectivity_of(&udg));
-    }
-
-    #[test]
-    fn lise_spans_every_udg_edge() {
-        let ns = cluster_plus_outlier();
-        let udg = unit_disk_graph(&ns);
-        let t = lise(&ns, &udg, 2.0);
-        assert!(t.preserves_connectivity_of(&udg));
-        for e in udg.edges() {
-            let sp = dijkstra(t.graph(), e.u);
-            assert!(
-                sp.dist[e.v] <= 2.0 * e.weight + 1e-12,
-                "edge ({}, {}) not 2-spanned",
-                e.u,
-                e.v
-            );
-        }
-    }
-
-    #[test]
-    fn lise_with_stretch_one_keeps_shortest_paths() {
-        let ns = NodeSet::on_line(&[0.0, 0.4, 0.8]);
-        let udg = unit_disk_graph(&ns);
-        let t = lise(&ns, &udg, 1.0);
-        // d(0,2) over the topology must equal the direct UDG distance.
-        let sp = dijkstra(t.graph(), 0);
-        assert!((sp.dist[2] - 0.8).abs() < 1e-12);
     }
 }

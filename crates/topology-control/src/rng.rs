@@ -77,12 +77,6 @@ pub fn relative_neighborhood_graph_parallel(
     Topology::from_graph(nodes.clone(), g)
 }
 
-/// Builds the RNG restricted to UDG edges ([`Engine::Auto`]) — the
-/// default entry point.
-pub fn relative_neighborhood_graph(nodes: &NodeSet, udg: &AdjacencyList) -> Topology {
-    relative_neighborhood_graph_with(nodes, udg, Engine::Auto)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,7 +111,7 @@ mod tests {
         let pts: Vec<Point> = (0..60).map(|_| Point::new(rnd() * 1.8, rnd() * 1.8)).collect();
         let ns = NodeSet::new(pts);
         let udg = unit_disk_graph(&ns);
-        let r = relative_neighborhood_graph(&ns, &udg);
+        let r = relative_neighborhood_graph_with(&ns, &udg, Engine::Auto);
         let g = gabriel_graph(&ns, &udg);
         for e in r.edges() {
             assert!(g.graph().has_edge(e.u, e.v), "RNG edge missing from GG");
@@ -130,7 +124,7 @@ mod tests {
     fn collinear_chain_keeps_consecutive_edges_only() {
         let ns = NodeSet::on_line(&[0.0, 0.3, 0.6, 0.9]);
         let udg = unit_disk_graph(&ns);
-        let t = relative_neighborhood_graph(&ns, &udg);
+        let t = relative_neighborhood_graph_with(&ns, &udg, Engine::Auto);
         assert_eq!(t.num_edges(), 3);
         assert!(t.graph().has_edge(0, 1) && t.graph().has_edge(1, 2) && t.graph().has_edge(2, 3));
     }

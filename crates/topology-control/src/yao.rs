@@ -84,12 +84,6 @@ pub fn yao_graph_parallel(
     Topology::from_pair_keys(nodes.clone(), chunks.concat())
 }
 
-/// Builds the Yao graph with `k >= 1` cones, restricted to UDG edges
-/// ([`Engine::Auto`]) — the default entry point.
-pub fn yao_graph(nodes: &NodeSet, udg: &AdjacencyList, k: usize) -> Topology {
-    yao_graph_with(nodes, udg, k, Engine::Auto)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,7 +97,7 @@ mod tests {
         // by u, but the farther one may still select u from its side.
         let ns = NodeSet::on_line(&[0.0, 0.3, 0.8]);
         let udg = unit_disk_graph(&ns);
-        let t = yao_graph(&ns, &udg, 4);
+        let t = yao_graph_with(&ns, &udg, 4, Engine::Auto);
         assert!(t.graph().has_edge(0, 1));
         // Node 2's west cone selects node 1 (closer than 0), so {0,2}
         // only appears if node 0 selected 2 — it did not (1 is closer).
@@ -121,7 +115,7 @@ mod tests {
         let pts: Vec<Point> = (0..80).map(|_| Point::new(rnd() * 2.0, rnd() * 2.0)).collect();
         let ns = NodeSet::new(pts);
         let udg = unit_disk_graph(&ns);
-        let t = yao_graph(&ns, &udg, 6);
+        let t = yao_graph_with(&ns, &udg, 6, Engine::Auto);
         assert!(t.preserves_connectivity_of(&udg));
         assert!(contains_nnf(&t, &udg));
         // Union convention still bounds *selected* out-degree by k, so the
@@ -135,7 +129,7 @@ mod tests {
         // union equals the Nearest Neighbor Forest.
         let ns = NodeSet::on_line(&[0.0, 0.25, 0.6, 0.61]);
         let udg = unit_disk_graph(&ns);
-        let yao = yao_graph(&ns, &udg, 1);
+        let yao = yao_graph_with(&ns, &udg, 1, Engine::Auto);
         let nnf = crate::nnf::nearest_neighbor_forest(&ns, &udg);
         let mut a: Vec<_> = yao.edges().iter().map(|e| e.pair()).collect();
         let mut b: Vec<_> = nnf.edges().iter().map(|e| e.pair()).collect();

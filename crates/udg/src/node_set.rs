@@ -101,14 +101,6 @@ impl NodeSet {
         NodeSet::new(points)
     }
 
-    /// Returns a new node set with node `i` removed; the indices of later
-    /// nodes shift down by one.
-    #[must_use]
-    pub fn without_node(&self, i: usize) -> NodeSet {
-        let mut points = self.points.clone();
-        points.remove(i);
-        NodeSet { points }
-    }
 }
 
 impl From<Vec<Point>> for NodeSet {
@@ -158,9 +150,6 @@ mod tests {
         let grown = ns.with_node(Point::on_line(2.0));
         assert_eq!(grown.len(), 3);
         assert_eq!(grown.pos(2), Point::on_line(2.0));
-        let shrunk = grown.without_node(1);
-        assert_eq!(shrunk.len(), 2);
-        assert_eq!(shrunk.pos(1), Point::on_line(2.0));
         // Original unchanged.
         assert_eq!(ns.len(), 2);
     }

@@ -140,9 +140,10 @@ impl Topology {
 
     /// Total transmission energy `Σ_u r_u^alpha` for a path-loss exponent
     /// `alpha` (commonly 2..4) — the classic energy proxy that motivates
-    /// topology control.
+    /// topology control. The sum starts at `+0.0` (`Iterator::sum` starts
+    /// at `-0.0`), so an empty topology has energy `+0.0`.
     pub fn energy(&self, alpha: f64) -> f64 {
-        self.radii.iter().map(|&r| r.powf(alpha)).sum()
+        self.radii.iter().fold(0.0, |total, &r| total + r.powf(alpha))
     }
 }
 
@@ -222,6 +223,14 @@ mod tests {
 
         let cycle = Topology::from_pairs(ns, &[(0, 1), (0, 2), (1, 2)]);
         assert!(!cycle.is_forest());
+    }
+
+    #[test]
+    fn energy_of_an_empty_topology_is_positive_zero() {
+        let empty = Topology::empty(NodeSet::new(Vec::new()));
+        assert_eq!(empty.energy(2.0).to_bits(), 0.0f64.to_bits());
+        let silent = Topology::empty(NodeSet::on_line(&[0.0, 1.0]));
+        assert_eq!(silent.energy(2.0).to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

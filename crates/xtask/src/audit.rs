@@ -13,6 +13,7 @@ use std::path::{Path, PathBuf};
 
 use crate::lexer::{Kind, Token};
 use crate::model::Workspace;
+use crate::parse::ItemKind;
 use crate::rules;
 use crate::Diagnostic;
 
@@ -643,59 +644,111 @@ const DEAD_PUB_DEF_PREFIX: &[&str] = &[
     "impl", "for",
 ];
 
-/// `dead-pub`: an unrestricted-`pub` item with zero references anywhere
-/// in the workspace — tests, benches, examples, and binaries included —
-/// is either API that never earned a caller or a leftover from a
-/// refactor. References are counted by name: any identifier occurrence
-/// outside definition position and outside `use` statements keeps an
-/// item alive, and doc-comment mentions count too (doctest-style
-/// examples are callers in spirit). Name collisions make this
-/// deliberately conservative: a live `foo` anywhere keeps every `foo`
-/// alive.
+/// Identifiers of `tokens` that can name an item defined elsewhere, with
+/// their token indices: code outside comments, doc comments and `use`
+/// statements, and not in definition position.
+fn references(tokens: &[Token]) -> Vec<(usize, &str)> {
+    let mut out = Vec::new();
+    let mut in_use = false;
+    let mut prev = "";
+    for (i, t) in tokens.iter().enumerate() {
+        if matches!(t.kind, Kind::Comment | Kind::DocComment) {
+            continue;
+        }
+        let after = std::mem::replace(&mut prev, t.text.as_str());
+        match t.text.as_str() {
+            "use" => in_use = true,
+            ";" => in_use = false,
+            text if !in_use && t.kind == Kind::Ident && !DEAD_PUB_DEF_PREFIX.contains(&after) => {
+                out.push((i, text));
+            }
+            _ => {}
+        }
+    }
+    out
+}
+
+/// Lexes `benchmark/src` and `benchmark/tests` under `root`: the timing
+/// harness is a separate workspace the lint does not load, but its calls
+/// into the library are uses for `dead-pub`. Empty when there is none.
+pub fn load_bench_callers(root: &Path) -> Result<Vec<Vec<Token>>, String> {
+    let mut out = Vec::new();
+    for sub in ["benchmark/src", "benchmark/tests"] {
+        for f in rust_files(&root.join(sub)) {
+            let src = fs::read_to_string(&f).map_err(|e| format!("{}: {e}", f.display()))?;
+            out.push(crate::lexer::lex(&src));
+        }
+    }
+    Ok(out)
+}
+
+/// `dead-pub`: an unrestricted-`pub` item that nothing calls is either
+/// API that never earned a caller or a leftover from a refactor. Uses are
+/// counted by name across the workspace (tests, examples and binaries
+/// included) and `bench`, the lexed `benchmark/` sources (see
+/// [`load_bench_callers`]): an identifier outside definition position
+/// and outside `use` statements keeps every item of that name alive, so
+/// name collisions make the rule conservative. Three kinds of mention
+/// are not uses:
+///
+/// * doc comments, prose and examples alike: a doc example on an item
+///   is that item's own test;
+/// * `#[cfg(test)]` and `#[test]` items of the item's own file (other
+///   files' test modules, `tests/` and `examples/` count);
+/// * the item's own definition and the `impl` blocks of a type of that
+///   name in its crate, so recursion and a type's own method signatures
+///   keep nothing alive.
 pub fn audit_dead_pub(
     ws: &Workspace,
+    bench: &[Vec<Token>],
     pragmas: &BTreeMap<String, rules::Pragmas>,
     out: &mut Vec<Diagnostic>,
 ) {
-    let mut live: BTreeSet<&str> = BTreeSet::new();
-    for file in &ws.files {
-        // Doc-comment words.
-        for t in file.tokens {
-            if t.kind == Kind::DocComment {
-                for word in t.text.split(|c: char| !c.is_alphanumeric() && c != '_') {
-                    if !word.is_empty() {
-                        live.insert(word);
-                    }
-                }
+    type Span = (usize, usize);
+    let names: BTreeSet<&str> = ws.pub_items.iter().map(|p| p.name.as_str()).collect();
+    // Name → `(file, token index)` of each use; `file` is `None` in
+    // `benchmark/`.
+    let mut uses: BTreeMap<&str, Vec<(Option<usize>, usize)>> = BTreeMap::new();
+    // Per file, the spans of its `#[cfg(test)]`/`#[test]` items.
+    let mut tests: Vec<Vec<Span>> = Vec::with_capacity(ws.files.len());
+    // `(crate, Self-type)` → `(file, span)` of each impl block.
+    let mut impls: BTreeMap<(&str, &str), Vec<(usize, Span)>> = BTreeMap::new();
+    for (fi, file) in ws.files.iter().enumerate() {
+        let mut file_tests = Vec::new();
+        file.tree.walk(&mut |item, _| {
+            if item.is_test_marked() {
+                file_tests.push(item.span);
+            }
+            if let (ItemKind::Impl, Some(ty)) = (item.kind, &item.impl_of) {
+                impls.entry((file.krate, ty.as_str())).or_default().push((fi, item.span));
+            }
+        });
+        tests.push(file_tests);
+        for (idx, name) in references(file.tokens) {
+            if names.contains(name) {
+                uses.entry(name).or_default().push((Some(fi), idx));
             }
         }
-        let code: Vec<&Token> = file
-            .tokens
-            .iter()
-            .filter(|t| !matches!(t.kind, Kind::Comment | Kind::DocComment))
-            .collect();
-        let mut in_use = false;
-        for (i, t) in code.iter().enumerate() {
-            if t.text == "use" {
-                in_use = true;
-                continue;
+    }
+    for tokens in bench {
+        for (idx, name) in references(tokens) {
+            if names.contains(name) {
+                uses.entry(name).or_default().push((None, idx));
             }
-            if t.text == ";" {
-                in_use = false;
-                continue;
-            }
-            if in_use || t.kind != Kind::Ident {
-                continue;
-            }
-            let prev = i.checked_sub(1).map(|p| code[p].text.as_str()).unwrap_or("");
-            if DEAD_PUB_DEF_PREFIX.contains(&prev) {
-                continue;
-            }
-            live.insert(t.text.as_str());
         }
     }
     for p in &ws.pub_items {
-        if live.contains(p.name.as_str()) {
+        let own_impls = impls.get(&(p.krate.as_str(), p.name.as_str()));
+        let used = uses.get(p.name.as_str()).is_some_and(|found| {
+            found.iter().any(|&(file, idx)| {
+                let Some(fi) = file else { return true };
+                let inside = |(s, e): Span| s <= idx && idx < e;
+                let own_file = fi == p.file_idx;
+                !(own_file && (inside(p.span) || tests[fi].iter().copied().any(inside)))
+                    && !own_impls.is_some_and(|v| v.iter().any(|&(f, span)| f == fi && inside(span)))
+            })
+        });
+        if used {
             continue;
         }
         let allowed = pragmas
@@ -707,9 +760,10 @@ pub fn audit_dead_pub(
                 file: p.file.clone(),
                 line: p.line,
                 message: format!(
-                    "`pub {} {}` has no references anywhere in the workspace (tests \
-                     and benches included); demote it to `pub(crate)`, delete it, or \
-                     justify with `// rim-lint: allow(dead-pub)`",
+                    "`pub {} {}` has no caller in the workspace or `benchmark/` \
+                     (its doc comments, its own file's tests and its own definition \
+                     do not count); delete it, demote it to `pub(crate)`, or justify \
+                     with `// rim-lint: allow(dead-pub)`",
                     p.kind, p.name
                 ),
             });
@@ -725,51 +779,33 @@ pub fn audit_dead_pub(
 pub const OBS_SINK_INSTALLERS: &[&str] = &["rim-cli", "rim-obs", "rim-xtask"];
 
 /// Per-member audit: library code outside the installer allowlist must
-/// not call `rim_obs::install` / `rim_obs::install_recorder` (test
-/// modules and `tests/`/`benches/`/`examples/` files are free to — a
-/// test that asserts on counters has to enable them).
+/// not name `rim_obs::install_recorder`, bare or qualified (test modules
+/// and `tests/`/`benches/`/`examples/` files are free to — a test that
+/// asserts on counters has to enable them).
 pub fn audit_obs_noop_default(members: &[Member], out: &mut Vec<Diagnostic>) {
     for member in members {
         if OBS_SINK_INSTALLERS.contains(&member.manifest.package_name.as_str()) {
             continue;
         }
         for (path, tokens, test_ranges) in &member.lib_sources {
-            let code: Vec<(usize, &Token)> = tokens
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| !matches!(t.kind, Kind::Comment | Kind::DocComment))
-                .collect();
-            for (pos, &(idx, t)) in code.iter().enumerate() {
-                if test_ranges.iter().any(|&(s, e)| idx >= s && idx < e) {
+            for (idx, t) in tokens.iter().enumerate() {
+                if t.kind != Kind::Ident
+                    || t.text != "install_recorder"
+                    || test_ranges.iter().any(|&(s, e)| idx >= s && idx < e)
+                {
                     continue;
                 }
-                // `rim_obs::install(…)` / `rim_obs::install_recorder()`.
-                let qualified = t.kind == Kind::Ident
-                    && t.text == "rim_obs"
-                    && code.get(pos + 1).is_some_and(|&(_, b)| b.text == "::")
-                    && code.get(pos + 2).is_some_and(|&(_, c)| {
-                        c.kind == Kind::Ident
-                            && (c.text == "install" || c.text == "install_recorder")
-                    });
-                // A bare `install_recorder` (e.g. via `use rim_obs::…`)
-                // counts too, unless it is the path segment the
-                // qualified pattern already reported.
-                let bare = t.kind == Kind::Ident
-                    && t.text == "install_recorder"
-                    && !(pos >= 1 && code[pos - 1].1.text == "::");
-                if qualified || bare {
-                    out.push(Diagnostic {
-                        rule: "obs-no-op-default",
-                        file: path.clone(),
-                        line: t.line,
-                        message: format!(
-                            "`{}` constructs an enabled observability sink from library \
-                             code; only {:?} may install a recorder — everything else \
-                             must stay no-op by default",
-                            member.manifest.package_name, OBS_SINK_INSTALLERS
-                        ),
-                    });
-                }
+                out.push(Diagnostic {
+                    rule: "obs-no-op-default",
+                    file: path.clone(),
+                    line: t.line,
+                    message: format!(
+                        "`{}` constructs an enabled observability sink from library \
+                         code; only {:?} may install a recorder — everything else \
+                         must stay no-op by default",
+                        member.manifest.package_name, OBS_SINK_INSTALLERS
+                    ),
+                });
             }
         }
     }
@@ -1003,10 +1039,10 @@ mod tests {
         assert_eq!(out[0].rule, "obs-no-op-default");
         assert!(out[0].message.contains("rim-core"));
 
-        // The raw `install` entry point counts too.
+        // A bare call through an import counts too.
         let bad = named_member(
             "rim-sim",
-            "pub fn init() { rim_obs::install(&SINK); }\n",
+            "pub fn init() { install_recorder(); }\n",
             None,
         );
         out.clear();
@@ -1305,16 +1341,73 @@ mod tests {
                    // rim-lint: allow(dead-pub) — staged API for the next PR\n\
                    pub fn staged() {}\n\
                    fn caller() { used(); }\n";
-        let out = run_graph_audit(lib, None, audit_dead_pub);
-        assert_eq!(out.len(), 1, "{out:#?}");
-        assert_eq!(out[0].rule, "dead-pub");
+        let out = run_graph_audit(lib, None, |ws, p, out| audit_dead_pub(ws, &[], p, out));
+        // A doc-comment mention is no caller: `documented` is flagged too.
+        assert_eq!(out.len(), 2, "{out:#?}");
+        assert!(out.iter().all(|d| d.rule == "dead-pub"));
         assert!(out[0].message.contains("orphan"), "{}", out[0].message);
+        assert!(out[1].message.contains("documented"), "{}", out[1].message);
+    }
+
+    /// Names `dead-pub` flags in a one-crate workspace of `lib_files`,
+    /// with `bench` as the `benchmark/` sources.
+    fn dead_pub_names(lib_files: &[(&str, &str)], bench: &[&str]) -> Vec<String> {
+        let mut member = member_with("[package]\nname = \"demo\"\n", "");
+        member.lib_sources = lib_files
+            .iter()
+            .map(|(rel, src)| {
+                let (tokens, ranges) = rules::prepare(src);
+                (rel.to_string(), tokens, ranges)
+            })
+            .collect();
+        let members = [member];
+        let ws = crate::model::build(&members);
+        let bench: Vec<Vec<Token>> = bench.iter().map(|src| crate::lexer::lex(src)).collect();
+        let mut out = Vec::new();
+        audit_dead_pub(&ws, &bench, &BTreeMap::new(), &mut out);
+        out.iter()
+            .map(|d| d.message.split('`').nth(1).and_then(|item| item.rsplit(' ').next()))
+            .map(|name| name.unwrap_or_default().to_string())
+            .collect()
+    }
+
+    #[test]
+    fn dead_pub_ignores_only_the_defining_files_tests() {
+        // Both are called from `src/lib.rs`'s own test module; only
+        // `shared` is also called from another file's test module.
+        let lib = "pub fn lonely() {}\npub fn shared() {}\n\
+                   #[cfg(test)]\nmod tests {\n#[test]\nfn t() { super::lonely(); super::shared(); }\n}\n\
+                   #[test]\nfn u() { lonely(); }\n";
+        let other = "#[cfg(test)]\nmod tests {\n#[test]\nfn t() { crate::shared(); }\n}\n";
+        let flagged = dead_pub_names(&[("src/lib.rs", lib), ("src/other.rs", other)], &[]);
+        assert_eq!(flagged, ["lonely"]);
+    }
+
+    #[test]
+    fn dead_pub_ignores_own_definitions_and_impl_blocks() {
+        // `Disk` is named only in its own impl block, `depth` only by its
+        // own recursion; `Named` has a caller outside its definition.
+        let lib = "pub struct Disk { pub r: f64 }\n\
+                   impl Disk {\npub fn grow(self) -> Disk { Disk { r: self.r * 2.0 } }\n}\n\
+                   pub fn depth(n: u32) -> u32 { if n == 0 { 0 } else { depth(n - 1) } }\n\
+                   pub struct Named;\nfn user() -> Named { Named }\n";
+        assert_eq!(dead_pub_names(&[("src/lib.rs", lib)], &[]), ["Disk", "grow", "depth"]);
+    }
+
+    #[test]
+    fn dead_pub_counts_benchmark_callers() {
+        let lib = "pub fn timed() {}\npub fn untimed() {}\n";
+        let bench = "fn main() { demo::timed(); }\n";
+        assert_eq!(dead_pub_names(&[("src/lib.rs", lib)], &[bench]), ["untimed"]);
+        assert_eq!(dead_pub_names(&[("src/lib.rs", lib)], &[]), ["timed", "untimed"]);
     }
 
     #[test]
     fn dead_pub_counts_test_and_bench_references() {
         let lib = "pub fn only_tested() {}\n";
-        let out = run_graph_audit(lib, Some("fn t() { only_tested(); }\n"), audit_dead_pub);
+        let out = run_graph_audit(lib, Some("fn t() { only_tested(); }\n"), |ws, p, out| {
+            audit_dead_pub(ws, &[], p, out)
+        });
         assert!(out.is_empty(), "{out:#?}");
     }
 

@@ -37,8 +37,8 @@
 //!   kernel/update/executor/pipeline roots), `atomic-ordering` (every
 //!   `Relaxed`/`SeqCst` in rim-par/rim-obs is justified),
 //!   `lock-discipline` (no `MutexGuard` held across the parallel
-//!   executor, no double-lock), `dead-pub` (no unreferenced `pub`
-//!   items), and `naive-oracle-retained` (each brute-force oracle must
+//!   executor, no double-lock), `dead-pub` (no `pub` item without a
+//!   caller), and `naive-oracle-retained` (each brute-force oracle must
 //!   be *reachable from a test* — see
 //!   [`audit::audit_oracle_retained_graph`]).
 //! * **Workspace audits** ([`audit`]): declared-but-unused dependencies
@@ -245,7 +245,8 @@ pub fn run_lint(root: &Path) -> Result<Vec<Diagnostic>, String> {
     }
     {
         let _span = rim_obs::span("lint.rule.dead_pub");
-        audit::audit_dead_pub(&ws, &pragma_map, &mut out);
+        let bench = audit::load_bench_callers(root)?;
+        audit::audit_dead_pub(&ws, &bench, &pragma_map, &mut out);
     }
     {
         let _span = rim_obs::span("lint.rule.retention_audits");

@@ -85,6 +85,11 @@ pub struct PubItem {
     pub name: String,
     /// 1-based definition line.
     pub line: u32,
+    /// Index into [`Workspace::files`].
+    pub file_idx: usize,
+    /// `[start, end)` token range of the whole item: references inside
+    /// it (recursion, a method naming its own type) are not uses.
+    pub span: (usize, usize),
 }
 
 /// One parsed source file.
@@ -210,6 +215,8 @@ pub fn build<'a>(members: &'a [Member]) -> Workspace<'a> {
                     kind,
                     name: item.name.clone(),
                     line: item.line,
+                    file_idx,
+                    span: item.span,
                 });
             }
         });

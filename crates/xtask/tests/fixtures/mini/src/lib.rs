@@ -36,14 +36,3 @@ pub fn interference_vector_with(n: u64) -> u64 {
 pub fn budget(signal_mw: f64, noise_dbm: f64) -> bool {
     signal_mw < noise_dbm
 }
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn fixture_items_are_exercised() {
-        let _ = (super::check(1.0), super::nearby(1.0, 2.0), super::quiet(2.0));
-        let _ = (super::boom(Some(3)), super::ok());
-        let _ = super::interference_vector_with(1);
-        let _ = super::budget(1.0, -90.0);
-    }
-}

@@ -30,12 +30,12 @@
 //!
 //! | Re-export | Contents |
 //! |---|---|
-//! | [`geom`] | points, disks, spatial indices |
+//! | [`geom`] | points, spatial indices |
 //! | [`graph`] | adjacency lists, MST, shortest paths, connectivity |
 //! | [`udg`] | node sets, unit disk graphs, radius-induced topologies |
 //! | [`interference`] | the receiver-centric model, the sender-centric comparison model, robustness, exact optimum |
 //! | [`phys`] | the SINR physical model over the disk model: path loss, shadowing, SINR reception |
-//! | [`topology_control`] | NNF, MST, Gabriel, RNG, Yao, XTC, LIFE/LISE |
+//! | [`topology_control`] | NNF, MST, Gabriel, RNG, Yao, XTC, LIFE |
 //! | [`highway`] | exponential chains, `A_exp`, `A_gen`, `A_apx`, `γ`, bounds |
 //! | [`proto`] | localized message-passing protocols (XTC/LMST/NNF) |
 //! | [`viz`] | SVG rendering of topologies and arc diagrams |
