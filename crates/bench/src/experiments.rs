@@ -407,35 +407,40 @@ pub fn sim_experiment(seed: u64) -> Vec<Row> {
 
 /// S2: CSMA vs collision-free TDMA on the same topologies and traffic —
 /// the scheduled MAC turns interference into frame length instead of
-/// collisions.
+/// collisions. Averaged over S1's three seeds.
 pub fn sim_tdma_vs_csma(seed: u64) -> Vec<Row> {
-    let mut jobs: Vec<(&'static str, &'static str, MacConfig, Topology)> = Vec::new();
-    for (name, t) in sim_topologies() {
-        jobs.push((name, "csma", MacConfig::csma(), t.clone()));
-        jobs.push((name, "tdma", MacConfig::Tdma, t));
-    }
-    announce(parallel_map(jobs, move |(name, mac_name, mac, t)| {
-        let i = graph_interference(&t);
-        let frame = rim_sim::tdma_schedule(&t).frame_length();
-        let cfg = SimConfig {
-            slots: 30_000,
-            mac,
-            traffic: TrafficConfig::Cbr {
-                flows: 10,
-                period: CBR_PERIOD,
-            },
-            alpha: 2.0,
-            seed,
-        };
-        let m = Simulator::new(t, cfg).run();
-        let row = Row::new("S2", "topology", i as f64)
-            .col("is_tdma", f64::from(u8::from(mac_name == "tdma")))
-            .col("frame", frame as f64)
-            .col("delivery", m.delivery_ratio())
-            .col("collision_rate", m.collision_rate())
-            .col("mean_delay", m.mean_delay());
-        (format!("S2[{name}/{mac_name}]"), row)
-    }))
+    let runs: Vec<Vec<Row>> = (0..3)
+        .map(|k| {
+            let mut jobs: Vec<(&'static str, &'static str, MacConfig, Topology)> = Vec::new();
+            for (name, t) in sim_topologies() {
+                jobs.push((name, "csma", MacConfig::csma(), t.clone()));
+                jobs.push((name, "tdma", MacConfig::Tdma, t));
+            }
+            announce(parallel_map(jobs, move |(name, mac_name, mac, t)| {
+                let i = graph_interference(&t);
+                let frame = rim_sim::tdma_schedule(&t).frame_length();
+                let cfg = SimConfig {
+                    slots: 30_000,
+                    mac,
+                    traffic: TrafficConfig::Cbr {
+                        flows: 10,
+                        period: CBR_PERIOD,
+                    },
+                    alpha: 2.0,
+                    seed: seed.wrapping_add(k),
+                };
+                let m = Simulator::new(t, cfg).run();
+                let row = Row::new("S2", "topology", i as f64)
+                    .col("is_tdma", f64::from(u8::from(mac_name == "tdma")))
+                    .col("frame", frame as f64)
+                    .col("delivery", m.delivery_ratio())
+                    .col("collision_rate", m.collision_rate())
+                    .col("mean_delay", m.mean_delay());
+                (format!("S2[{name}/{mac_name} seed+{k}]"), row)
+            }))
+        })
+        .collect();
+    crate::stats::mean_rows(&runs)
 }
 
 /// X1 extension: TDMA frame length across topologies of the same

@@ -17,6 +17,7 @@ use rim_topology_control::Baseline;
 use rim_udg::io;
 use rim_udg::udg::{udg_census, unit_disk_graph};
 use rim_udg::{NodeSet, Topology};
+use std::borrow::Cow;
 use std::num::NonZeroU64;
 use std::str::FromStr;
 
@@ -395,11 +396,22 @@ pub fn analyze(args: &Args) -> Result<(), UsageError> {
         }
     };
     args.finish()?;
+    let labels = {
+        let _s = rim_obs::span("analyze/connectivity");
+        components(topology.graph())
+    };
     // Only counts and components of the UDG are reported, so its
-    // adjacency is never built.
+    // adjacency is never built. A topology within range 1 is a subgraph
+    // of the UDG, so its components seed the census; a longer link could
+    // join two UDG components, so then every node starts alone.
     let udg = {
         let _s = rim_obs::span("udg");
-        udg_census(&nodes, 1.0)
+        let seed: Cow<[usize]> = if topology.respects_range(1.0) {
+            Cow::Borrowed(&labels)
+        } else {
+            Cow::Owned((0..nodes.len()).collect())
+        };
+        udg_census(&nodes, 1.0, &seed)
     };
     let summary = InterferenceSummary::with_engine(&topology, engine);
     // Physical section computed inside the root span so its kernels show
@@ -413,7 +425,6 @@ pub fn analyze(args: &Args) -> Result<(), UsageError> {
     });
     let (forest, connected) = {
         let _s = rim_obs::span("analyze/connectivity");
-        let labels = components(topology.graph());
         // A graph is a forest iff it has one edge fewer than nodes per
         // component.
         let parts = labels.iter().max().map_or(0, |&m| m + 1);

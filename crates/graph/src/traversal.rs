@@ -4,6 +4,7 @@ use crate::adjacency::AdjacencyList;
 
 /// Component label for every vertex; labels are `0..k` in order of first
 /// appearance (vertex 0 is always in component 0 when `n > 0`).
+// rim-lint: allow(panic-freedom) — `label` has one slot per vertex, and the adjacency lists hold vertex ids only
 pub fn components(g: &AdjacencyList) -> Vec<usize> {
     let n = g.num_vertices();
     let mut label = vec![usize::MAX; n];
@@ -47,14 +48,28 @@ pub fn is_connected(g: &AdjacencyList) -> bool {
 /// topology-control output must keep every connected component of the UDG
 /// connected (it cannot create new connections since it is a subgraph, but
 /// we verify both directions to catch constructor bugs).
+///
+/// Only `sub`'s components are labelled. When every edge of `sub` is an
+/// edge of `reference`, `reference`'s partition is `sub`'s merged along
+/// the `reference` edges that cross it, so the two agree exactly when
+/// one scan of `reference`'s lists finds no such edge. Otherwise (a
+/// constructor bug, or a topology with a link the reference lacks) the
+/// answer compares `reference`'s own components.
 pub fn preserves_connectivity(reference: &AdjacencyList, sub: &AdjacencyList) -> bool {
     assert_eq!(reference.num_vertices(), sub.num_vertices());
-    same_partition(&components(reference), &components(sub))
+    let n = sub.num_vertices();
+    let labels = components(sub);
+    let nested = (0..n).all(|u| sub.neighbors(u).all(|v| v < u || reference.has_edge(u, v)));
+    if !nested {
+        return same_partition(&components(reference), &labels);
+    }
+    (0..n).all(|u| reference.neighbors(u).all(|v| labels[v] == labels[u]))
 }
 
 /// Returns `true` if the labelings `a` and `b` put the same vertices
 /// together: `a[i] == a[j]` iff `b[i] == b[j]`. Labels are component
 /// labels as [`components`] returns them, each below the vertex count.
+// rim-lint: allow(panic-freedom) — labels are below the vertex count, the documented contract, and size both maps
 pub fn same_partition(a: &[usize], b: &[usize]) -> bool {
     assert_eq!(a.len(), b.len());
     // Same label in `a` must imply same label in `b` and vice versa: the

@@ -6,7 +6,9 @@ use rim_graph::adjacency::{AdjacencyList, EdgeListError};
 use rim_graph::edge::Edge;
 use rim_graph::mst::{kruskal, prim, total_weight};
 use rim_graph::shortest_path::{dijkstra, hop_distances};
-use rim_graph::traversal::{components, is_connected, num_components};
+use rim_graph::traversal::{
+    components, is_connected, num_components, preserves_connectivity, same_partition,
+};
 use rim_graph::tree::is_forest;
 use rim_graph::union_find::UnionFind;
 use rim_rng::prop::check_default;
@@ -171,4 +173,50 @@ fn bulk_build_names_the_first_invalid_edge() {
             other => panic!("{edges:?} gave {other:?}"),
         }
     }
+}
+
+/// A random graph and a second one on its vertices: a random subset of
+/// its edges, plus, in about half the cases, up to three edges it lacks
+/// (joining its components or not).
+fn arb_reference_and_sub(rng: &mut SmallRng) -> (usize, Vec<Edge>, Vec<Edge>) {
+    let (n, reference) = arb_graph(rng);
+    let keep = rng.gen_range(0.5f64..1.0);
+    let mut sub: Vec<Edge> =
+        reference.iter().filter(|_| rng.gen_range(0.0f64..1.0) < keep).copied().collect();
+    if rng.gen_range(0u32..2) == 1 {
+        for _ in 0..rng.gen_range(1usize..4) {
+            let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            let pair = (a.min(b), a.max(b));
+            if a != b && !reference.iter().chain(&sub).any(|f| f.pair() == pair) {
+                sub.push(Edge::new(pair.0, pair.1, 1.0));
+            }
+        }
+    }
+    (n, reference, sub)
+}
+
+/// The reference for `preserves_connectivity`: label both graphs, one BFS
+/// each, and compare the partitions.
+fn preserves_connectivity_two_bfs(reference: &AdjacencyList, sub: &AdjacencyList) -> bool {
+    same_partition(&components(reference), &components(sub))
+}
+
+#[test]
+fn connectivity_check_matches_the_two_bfs_oracle() {
+    // The one-BFS check against the two-BFS reference, on nested pairs
+    // and on pairs where `sub` has edges `reference` lacks; all four
+    // outcomes (nested or not, preserving or not) must occur.
+    let mut seen = [[0u32; 2]; 2];
+    let name = "connectivity_check_matches_the_two_bfs_oracle";
+    check_default(name, arb_reference_and_sub, |(n, reference, sub)| {
+        let r = AdjacencyList::from_edges(*n, reference);
+        let s = AdjacencyList::from_edges(*n, sub);
+        let oracle = preserves_connectivity_two_bfs(&r, &s);
+        prop_ensure_eq!(preserves_connectivity(&r, &s), oracle);
+        prop_ensure_eq!(preserves_connectivity(&s, &r), preserves_connectivity_two_bfs(&s, &r));
+        let nested = sub.iter().all(|e| r.has_edge(e.u, e.v));
+        seen[usize::from(nested)][usize::from(oracle)] += 1;
+        Ok(())
+    });
+    assert!(seen.iter().flatten().all(|&c| c > 0), "outcomes seen: {seen:?}");
 }

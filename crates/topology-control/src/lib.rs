@@ -35,9 +35,10 @@
 //! [`Baseline::build_with`]); both produce the same topology — a
 //! differential-tested invariant — and the naive witness scans are
 //! retained verbatim as oracles. The `auto` paths work straight off the
-//! UDG's sorted neighbour lists: every Gabriel or RNG witness of a UDG
-//! edge `{u, v}` lies in `N(u)`, every XTC witness in `N(u) ∩ N(v)`, and
-//! LMST runs Prim over `N[u]`; no spatial index is built.
+//! UDG's sorted neighbour lists: every Gabriel, RNG or XTC witness of a
+//! UDG edge `{u, v}` lies in `N(u)`, LMST decides `u`'s links from the
+//! coordinates of `N(u)`, and Yao finds cones by sign tests; no spatial
+//! index is built.
 
 #![forbid(unsafe_code)]
 

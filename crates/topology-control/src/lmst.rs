@@ -18,25 +18,34 @@
 //!
 //! Engines: the naive path re-runs the original per-node construction
 //! (fresh allocations, `O(deg)` adjacency probes, Kruskal over the local
-//! edge list). The fast path runs Prim from `u` over `N[u]` straight off
-//! the UDG's neighbour lists, with reusable per-worker scratch and no
-//! allocation per node, and fans the per-node stage out over the shared
-//! executor. `udg` must be the unit disk graph of `nodes` at some range.
+//! edge list). The fast path decides each of `u`'s links from the
+//! coordinates of `N(u)` alone, with reusable per-worker scratch, no
+//! allocation per node and no lookup in other nodes' lists, and fans
+//! the per-node stage out over the shared executor. `udg` must be the
+//! unit disk graph of `nodes` at some range.
 //!
 //! The two paths select the same nodes. Kruskal sorts the local edges by
-//! `(weight, local lo, local hi)` — the [`Edge`] order — and Prim orders
-//! its keys by the same triple. Distinct edges have distinct triples, so
-//! the order is strict, the local MST is unique, and both algorithms
-//! find it. The weights agree bit for bit: the UDG stores `dist(min,
-//! max)` for every pair, which equals the `nodes.dist(ga, gb)` Kruskal
-//! receives because `dist` is symmetric bit for bit. Prim also visits
-//! `u`'s tree neighbours in Kruskal's order: when it adds the child `c₂`
-//! of `u`, every child `c₁` with a smaller link has a key no larger than
-//! that link, so it was added first. Only those children matter, so Prim
-//! stops as soon as no node outside the tree still has its link to `u`
-//! as its key.
+//! `(weight, local lo, local hi)` — the [`Edge`] order, local ids 0 =
+//! `u`, then the neighbours in index order. Distinct edges have distinct
+//! triples, so the order `≺` is strict and the local MST unique: the
+//! link `(u, v)` is on it exactly when no path joins `u` to `v` through
+//! links that all precede `(u, v)`. Such a path leaves `u` by a link
+//! `(u, w) ≺ (u, v)` and goes on inside `N(u)`; a link `(a, b)` there has
+//! local lo at least 1, so it precedes `(u, v)` exactly when `dist(a, b)
+//! < |uv|` strictly. That distance is at most the range, so `(a, b)` is
+//! a UDG edge and the local graph holds it. Hence `v` is selected
+//! exactly when no path of links shorter than `|uv|` inside `N(u)` joins
+//! `v` to a neighbour `w` with `(u, w) ≺ (u, v)`: the fast path sorts
+//! `N(u)` by `(weight, id)` once, tests each `v` against the earlier
+//! neighbours directly, and searches further, through later neighbours,
+//! only for the few that no earlier one reaches in one step. The
+//! weights agree bit for bit: the UDG stores `dist(min, max)`, `dist`
+//! is symmetric bit for bit, and the fast path compares the same
+//! `dist` of the same coordinates. It emits the selection in Kruskal's
+//! order.
 
 use rim_core::receiver::Engine;
+use rim_geom::Point;
 use rim_graph::edge::pair_key;
 use rim_graph::mst::kruskal;
 use rim_graph::{AdjacencyList, Edge};
@@ -77,122 +86,81 @@ fn local_selection_naive(nodes: &NodeSet, udg: &AdjacencyList, u: usize) -> Vec<
         .collect()
 }
 
-/// Prim's key for a node outside the tree: its lightest known link into
-/// the tree, as the Kruskal order `(weight, local lo, local hi)` (local
-/// ids: 0 = `u`, `i + 1` = the `i`-th neighbour of `u`).
-#[derive(Clone, Copy)]
-struct Key {
-    weight: f64,
-    lo: u32,
-    hi: u32,
-}
-
-impl Key {
-    /// The key of a node in the tree: it precedes every link, so no
-    /// relaxation replaces it.
-    const SETTLED: Key = Key {
-        weight: f64::NEG_INFINITY,
-        lo: 0,
-        hi: 0,
-    };
-
-    /// The strict total order of [`Edge::cmp_by_weight`].
-    fn precedes(&self, other: &Key) -> bool {
-        self.weight
-            .total_cmp(&other.weight)
-            .then(self.lo.cmp(&other.lo))
-            .then(self.hi.cmp(&other.hi))
-            .is_lt()
-    }
-}
-
-/// Reusable per-worker scratch for the fast local-MST stage: the
-/// global→local id map (reset after each node) and Prim's state over
-/// `N[u]`. One instance serves a whole chunk of nodes without
-/// reallocating once it has seen the chunk's largest neighbourhood.
-struct Scratch {
-    /// `local[g]` = local id of global node `g`: `i + 1` for the `i`-th
-    /// neighbour of `u`, and 0 for `u` itself and every node outside
-    /// `N(u)`.
-    local: Vec<u32>,
-    /// Global node of each local id.
-    ids: Vec<usize>,
-    /// Prim key of each local id; [`Key::SETTLED`] for `u` and for every
-    /// node already in the tree.
-    key: Vec<Key>,
-    /// Local ids not yet in the tree.
-    open: Vec<usize>,
+/// Reusable per-worker scratch for the fast selection: `u`'s neighbours
+/// in Kruskal's order with their coordinates, and the marks and stack of
+/// the light-edge search. One instance serves a whole chunk of nodes
+/// without reallocating once it has seen the chunk's largest
+/// neighbourhood.
+#[derive(Default)]
+struct Neighbourhood {
+    /// `(weight, id)` of each link of `u`, sorted: Kruskal's order on
+    /// `u`'s links, whose local ids follow the global ones.
+    links: Vec<(f64, usize)>,
+    /// Coordinates of `links[i].1`.
+    pts: Vec<Point>,
+    /// Neighbours the light-edge search has reached.
+    seen: Vec<bool>,
+    /// Neighbours the light-edge search has yet to expand.
+    stack: Vec<usize>,
     /// `u`'s selection, in Kruskal's order.
     sel: Vec<usize>,
 }
 
-impl Scratch {
-    fn new(n: usize) -> Scratch {
-        Scratch {
-            local: vec![0; n],
-            ids: Vec::new(),
-            key: Vec::new(),
-            open: Vec::new(),
-            sel: Vec::new(),
+/// `u`'s selection — the same nodes, in the same order, as
+/// [`local_selection_naive`] (see the module docs) — from the
+/// coordinates of `N(u)` alone: the `k`-th link `(u, v)` in Kruskal's
+/// order is selected unless a path of links lighter than `|uv|` joins
+/// `v` to one of the `k − 1` earlier neighbours. Most links meet such a
+/// neighbour in one step; only the others search further, through
+/// later neighbours.
+// rim-lint: allow(panic-freedom) — `links`, `pts` and `seen` have one entry per neighbour, and `k`, `a` and `m` index them
+fn lmst_selection<'a>(
+    nb: &'a mut Neighbourhood,
+    nodes: &NodeSet,
+    udg: &AdjacencyList,
+    u: usize,
+) -> &'a [usize] {
+    nb.links.clear();
+    nb.links.extend(udg.neighbors_weighted(u).map(|(v, weight)| (weight, v)));
+    nb.links.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    nb.pts.clear();
+    nb.pts.extend(nb.links.iter().map(|&(_, v)| nodes.pos(v)));
+    nb.sel.clear();
+    let d = nb.links.len();
+    for k in 0..d {
+        let (dk, v) = nb.links[k];
+        // rim-lint: allow(float-eq) — the UDG stores dist() outputs, bit-identical
+        debug_assert!(dk == nodes.dist(u, v), "udg is not the UDG of nodes");
+        let pk = nb.pts[k];
+        if nb.pts[..k].iter().any(|p| p.dist(&pk) < dk) {
+            continue;
         }
-    }
-
-    /// Computes `u`'s selection — the same nodes, in the same order, as
-    /// [`local_selection_naive`] (see the module docs) — by Prim from `u`
-    /// over `N[u]`: `u`'s links seed the keys, and each node that joins
-    /// the tree relaxes the keys of its UDG neighbours inside `N(u)`.
-    ///
-    /// Prim stops once no open node's key is its link to `u`: keys only
-    /// ever drop to links from nodes other than `u`, so no later node can
-    /// join the tree as a child of `u`.
-    // rim-lint: allow(panic-freedom) — `local` has one slot per node, local ids index `ids` and `key`, and `open` is non-empty while `rooted > 0`
-    fn selection(&mut self, nodes: &NodeSet, udg: &AdjacencyList, u: usize) -> &[usize] {
-        self.ids.clear();
-        self.key.clear();
-        self.open.clear();
-        self.sel.clear();
-        self.ids.push(u);
-        self.key.push(Key::SETTLED);
-        for (v, weight) in udg.neighbors_weighted(u) {
-            // rim-lint: allow(float-eq) — the UDG stores dist() outputs, bit-identical
-            debug_assert!(weight == nodes.dist(u, v), "udg is not the UDG of nodes");
-            let id = self.ids.len();
-            self.local[v] = id as u32;
-            self.ids.push(v);
-            self.key.push(Key { weight, lo: 0, hi: id as u32 });
-            self.open.push(id);
-        }
-        // Open nodes whose key is still their link to u.
-        let mut rooted = self.open.len();
-        while rooted > 0 {
-            let mut best = 0;
-            for k in 1..self.open.len() {
-                if self.key[self.open[k]].precedes(&self.key[self.open[best]]) {
-                    best = k;
-                }
-            }
-            let a = self.open.swap_remove(best);
-            if self.key[a].lo == 0 {
-                self.sel.push(self.ids[a]);
-                rooted -= 1;
-            }
-            self.key[a] = Key::SETTLED;
-            for (g, weight) in udg.neighbors_weighted(self.ids[a]) {
-                // Nodes outside N(u) map to u's settled slot: a no-op.
-                let b = self.local[g];
-                let link = Key { weight, lo: (a as u32).min(b), hi: (a as u32).max(b) };
-                let slot = &mut self.key[b as usize];
-                if link.precedes(slot) {
-                    rooted -= usize::from(slot.lo == 0);
-                    *slot = link;
+        // No earlier neighbour is one light link away: search through
+        // the later ones for a path that reaches one.
+        nb.seen.clear();
+        nb.seen.resize(d, false);
+        nb.seen[k] = true;
+        nb.stack.clear();
+        nb.stack.push(k);
+        let mut joined = false;
+        'search: while let Some(a) = nb.stack.pop() {
+            let pa = nb.pts[a];
+            for m in 0..d {
+                if !nb.seen[m] && nb.pts[m].dist(&pa) < dk {
+                    if m < k {
+                        joined = true;
+                        break 'search;
+                    }
+                    nb.seen[m] = true;
+                    nb.stack.push(m);
                 }
             }
         }
-        for &g in &self.ids[1..] {
-            self.local[g] = 0;
+        if !joined {
+            nb.sel.push(v);
         }
-        &self.sel
     }
+    &nb.sel
 }
 
 /// Builds the LMST topology over the UDG with an explicit [`Engine`]
@@ -215,7 +183,7 @@ pub fn lmst_with(
     }
 }
 
-/// Prim construction across an explicit number of worker threads (`1`
+/// Fast construction across an explicit number of worker threads (`1`
 /// = inline), one scratch and one flat selection buffer per worker. The
 /// edge set is independent of `threads` by construction.
 pub fn lmst_parallel(
@@ -226,10 +194,10 @@ pub fn lmst_parallel(
 ) -> Topology {
     let n = nodes.len();
     let chunks = rim_par::par_map_ranges(n, threads, |range| {
-        let mut scratch = Scratch::new(n);
+        let mut nb = Neighbourhood::default();
         let (mut flat, mut ends) = (Vec::new(), Vec::with_capacity(range.len()));
         for u in range {
-            flat.extend_from_slice(scratch.selection(nodes, udg, u));
+            flat.extend_from_slice(lmst_selection(&mut nb, nodes, udg, u));
             ends.push(flat.len());
         }
         (flat, ends)
@@ -359,18 +327,51 @@ mod tests {
         assert!(t.graph().has_edge(1, 2));
     }
 
+    /// The differential suite's families, drawn small: uniform fields,
+    /// clusters, an exponential chain, a collinear walk, seven coincident
+    /// sites and a dense square (neighbour lists of 100 and more).
+    fn families() -> Vec<(String, NodeSet)> {
+        let mut rng = rim_rng::SmallRng::seed_from_u64(17);
+        let mut coord = |hi: f64| rng.gen_range(0.0..hi);
+        let centres: Vec<Point> = (0..5).map(|_| Point::new(coord(2.0), coord(2.0))).collect();
+        let clustered: Vec<Point> =
+            (0..100).map(|i| centres[i % 5] + Point::new(coord(0.3), coord(0.3))).collect();
+        let sites: Vec<Point> = (0..7).map(|_| Point::new(coord(2.0), coord(2.0))).collect();
+        let mut x = 0.0;
+        let collinear: Vec<f64> = (0..90)
+            .map(|_| {
+                x += coord(0.9);
+                x
+            })
+            .collect();
+        let chain: Vec<f64> = (0..40).map(|i| (2f64.powi(i) - 1.0) * 2f64.powi(-40)).collect();
+        let mut cases: Vec<(String, NodeSet)> = [3u64, 8, 21]
+            .iter()
+            .map(|&seed| (format!("uniform/{seed}"), random_field(80, 2.0, seed)))
+            .collect();
+        cases.extend([
+            ("clustered".to_string(), NodeSet::new(clustered)),
+            ("exp-chain".to_string(), NodeSet::on_line(&chain)),
+            ("collinear".to_string(), NodeSet::on_line(&collinear)),
+            ("coincident".to_string(), NodeSet::new((0..60).map(|i| sites[i * 5 % 7]).collect())),
+            ("dense".to_string(), random_field(160, 1.6, 5)),
+        ]);
+        cases
+    }
+
     #[test]
     fn scratch_selection_equals_naive_selection() {
-        for seed in [3u64, 8, 21] {
-            let ns = random_field(80, 2.0, seed);
-            let udg = unit_disk_graph(&ns);
-            let mut scratch = Scratch::new(ns.len());
-            for u in 0..ns.len() {
-                assert_eq!(
-                    scratch.selection(&ns, &udg, u),
-                    local_selection_naive(&ns, &udg, u),
-                    "seed={seed} u={u}"
-                );
+        for (family, ns) in families() {
+            for range in [0.5, 1.0] {
+                let udg = unit_disk_graph_with_range(&ns, range);
+                let mut nb = Neighbourhood::default();
+                for u in 0..ns.len() {
+                    assert_eq!(
+                        lmst_selection(&mut nb, &ns, &udg, u),
+                        local_selection_naive(&ns, &udg, u),
+                        "family={family} range={range} u={u}"
+                    );
+                }
             }
         }
     }
@@ -387,10 +388,10 @@ mod tests {
         let ns = NodeSet::new(pts);
         for range in [1.0, 1.5, 2.0, 2.5, 3.0] {
             let udg = unit_disk_graph_with_range(&ns, range);
-            let mut scratch = Scratch::new(ns.len());
+            let mut nb = Neighbourhood::default();
             for u in 0..ns.len() {
                 assert_eq!(
-                    scratch.selection(&ns, &udg, u),
+                    lmst_selection(&mut nb, &ns, &udg, u),
                     local_selection_naive(&ns, &udg, u),
                     "range={range} u={u}"
                 );

@@ -28,8 +28,11 @@
 //! both cases `dist(u, w) <= dist(u, v) <= range`, and `w ∈ N(u)`: the
 //! scan of `u`'s list sees every witness, applies the exact naive
 //! predicate to it, and stops at the first one, so the result equals
-//! the brute-force scan bit for bit. An XTC witness is a common UDG
-//! neighbour by definition, and LMST's local graph is `N[u]` itself.
+//! the brute-force scan bit for bit. An XTC blocker `w` of `{u, v}` has
+//! `w ≺_u v` and `w ≺_v u`, so `d_uw <= d_uv` and `d_vw <= d_uv`: it
+//! lies in `N(u)`, and in `N(v)` without a probe. LMST's local graph is
+//! `N[u]` itself, and each of its links that can bar `(u, v)` from the
+//! local MST is shorter than `|uv|`, so it is a UDG edge.
 
 use rim_graph::{AdjacencyList, Edge};
 

@@ -18,10 +18,14 @@
 //!
 //! A blocking `w` is a common UDG neighbour of `u` and `v`. The retained
 //! [`keeps_edge`] oracle (`Naive`, serial) scans `N(u)` and binary-searches
-//! each candidate in `v`'s list; the fast [`keeps_edge_merged`] (`Auto`,
-//! fanned out over the shared executor) merges the two sorted lists to
-//! find `N(u) ∩ N(v)` and stops at the first blocker. `udg` must be the
-//! unit disk graph of `nodes` at some range.
+//! each candidate in `v`'s list; the fast [`keeps_edge_one_list`]
+//! (`Auto`, fanned out over the shared executor) scans `N(u)` with both
+//! ranking tests and no search of `v`'s list, and stops at the first
+//! blocker. `udg` must be the unit disk graph of `nodes` at some range:
+//! then `w ≺_v u` already puts `w` in `N(v)`, since `dist_sq(v, w) <=
+//! dist_sq(v, u)` and `sqrt` is monotone, so `dist(v, w) <= |uv| <=
+//! range`. The ranking tests alone find exactly the blockers the
+//! oracle's adjacency probe admits, as in RNG's lune scan.
 
 use crate::pipeline;
 use rim_core::receiver::Engine;
@@ -48,21 +52,26 @@ pub fn keeps_edge(nodes: &NodeSet, udg: &AdjacencyList, u: usize, v: usize) -> b
     })
 }
 
-/// [`keeps_edge`] with the common neighbours `N(u) ∩ N(v)` found by
-/// merging the two sorted neighbour lists: the same candidates, the same
-/// ranking test, and a stop at the first blocker.
-pub fn keeps_edge_merged(nodes: &NodeSet, udg: &AdjacencyList, u: usize, v: usize) -> bool {
-    let mut of_v = udg.neighbors(v).peekable();
+/// [`keeps_edge`] for a UDG edge `{u, v}` of the unit disk graph `udg`
+/// of `nodes`, without probing `v`'s list: a `w ∈ N(u)` with `w ≺_v u`
+/// lies in `N(v)` (see the module docs), so the oracle's ranking tests,
+/// with `dist_sq(u, v)` computed once, find exactly its blockers. `w =
+/// v` ranks behind itself from `u`, so it never blocks.
+pub fn keeps_edge_one_list(nodes: &NodeSet, udg: &AdjacencyList, u: usize, v: usize) -> bool {
+    let d_uv = nodes.dist_sq(u, v);
     udg.neighbors(u).all(|w| {
-        while of_v.next_if(|&x| x < w).is_some() {}
-        of_v.next_if_eq(&w).is_none()
-            || !(ranks_better(nodes, u, w, v) && ranks_better(nodes, v, w, u))
+        let d_uw = nodes.dist_sq(u, w);
+        if !(d_uw < d_uv || (d_uw == d_uv && w < v)) {
+            return true;
+        }
+        let d_vw = nodes.dist_sq(v, w);
+        !(d_vw < d_uv || (d_vw == d_uv && w < u))
     })
 }
 
 /// Builds the XTC topology over the UDG with an explicit [`Engine`]:
 /// `Naive` runs [`keeps_edge`] serially, `Auto` runs
-/// [`keeps_edge_merged`] on [`rim_par::auto_threads`] workers. Both
+/// [`keeps_edge_one_list`] on [`rim_par::auto_threads`] workers. Both
 /// return the same topology.
 pub fn xtc_with(nodes: &NodeSet, udg: &AdjacencyList, engine: Engine) -> Topology {
     match engine {
@@ -74,10 +83,10 @@ pub fn xtc_with(nodes: &NodeSet, udg: &AdjacencyList, engine: Engine) -> Topolog
     }
 }
 
-/// Merge-based XTC across an explicit number of worker threads (`1` =
-/// inline). The edge set is independent of `threads` by construction.
+/// Fast XTC across an explicit number of worker threads (`1` = inline).
+/// The edge set is independent of `threads` by construction.
 pub fn xtc_parallel(nodes: &NodeSet, udg: &AdjacencyList, threads: usize) -> Topology {
-    let g = pipeline::filter_edges(udg, threads, |u, v| keeps_edge_merged(nodes, udg, u, v));
+    let g = pipeline::filter_edges(udg, threads, |u, v| keeps_edge_one_list(nodes, udg, u, v));
     Topology::from_graph(nodes.clone(), g)
 }
 

@@ -15,7 +15,8 @@ use rim_rng::SmallRng;
 use rim_topology_control::gabriel::{is_gabriel_edge, is_gabriel_edge_naive};
 use rim_topology_control::lmst::LmstVariant;
 use rim_topology_control::rng::{is_rng_edge, is_rng_edge_naive};
-use rim_topology_control::xtc::{keeps_edge, keeps_edge_merged};
+use rim_topology_control::xtc::{keeps_edge, keeps_edge_one_list};
+use rim_topology_control::yao::yao_graph_with;
 use rim_topology_control::{lmst, Baseline, Engine};
 use rim_udg::udg::{unit_disk_graph, unit_disk_graph_with_range};
 use rim_udg::{NodeSet, Topology};
@@ -163,8 +164,8 @@ fn neighbour_list_witness_predicates_match_the_naive_scans_edge_by_edge() {
                 );
                 assert_eq!(
                     keeps_edge(&ns, &udg, u, v),
-                    keeps_edge_merged(&ns, &udg, u, v),
-                    "xtc merge {at}"
+                    keeps_edge_one_list(&ns, &udg, u, v),
+                    "xtc blockers {at}"
                 );
             }
         }
@@ -180,6 +181,57 @@ fn lmst_union_variant_is_engine_invariant_too() {
         let oracle = edge_set(&lmst::lmst_with(&ns, &udg, LmstVariant::Union, Engine::Naive));
         let fast = edge_set(&lmst::lmst_with(&ns, &udg, LmstVariant::Union, Engine::Auto));
         assert_eq!(oracle, fast, "family={family}");
+    }
+}
+
+/// Instances whose links lie on or next to the cone boundaries of every
+/// `k` under test: a triangular lattice (links at multiples of 60°), a
+/// horizontal and a vertical line, and rings around one node at
+/// multiples of 15°, each coordinate nudged by −1, 0 or +1 ulp.
+fn boundary_families() -> Vec<(String, NodeSet)> {
+    let lattice = (0..120)
+        .map(|i| {
+            let (a, b) = ((i % 12) as f64, (i / 12) as f64);
+            Point::new(0.5 * a + 0.25 * b, 0.5 * b * 3f64.sqrt() / 2.0)
+        })
+        .collect();
+    let line: Vec<f64> = (0..40).map(|i| 0.3 * i as f64).collect();
+    let vertical = line.iter().map(|&y| Point::new(1.5, y)).collect();
+    let nudge = |x: f64, steps: i32| match steps {
+        -1 => x.next_down(),
+        1 => x.next_up(),
+        _ => x,
+    };
+    let mut cases = vec![
+        ("triangular".to_string(), NodeSet::new(lattice)),
+        ("horizontal".to_string(), NodeSet::on_line(&line)),
+        ("vertical".to_string(), NodeSet::new(vertical)),
+    ];
+    for r in [0.25, 0.7, 1.0] {
+        let centre = Point::new(0.3, 0.7);
+        let mut pts = vec![centre];
+        for j in 0..24 {
+            let phi = std::f64::consts::TAU * j as f64 / 24.0;
+            let (x, y) = (centre.x + r * phi.cos(), centre.y + r * phi.sin());
+            for (sx, sy) in [(-1, -1), (-1, 1), (0, 0), (1, -1), (1, 1), (0, 1), (1, 0)] {
+                pts.push(Point::new(nudge(x, sx), nudge(y, sy)));
+            }
+        }
+        cases.push((format!("ring r={r}"), NodeSet::new(pts)));
+    }
+    cases
+}
+
+#[test]
+fn yao_sign_tests_match_the_atan2_oracle_on_cone_boundaries() {
+    let families = families().into_iter().map(|(f, ns)| (f.to_string(), ns));
+    for (family, ns) in boundary_families().into_iter().chain(families) {
+        let udg = unit_disk_graph(&ns);
+        for k in [1, 2, 3, 4, 6, 8] {
+            let oracle = edge_set(&yao_graph_with(&ns, &udg, k, Engine::Naive));
+            let fast = edge_set(&yao_graph_with(&ns, &udg, k, Engine::Auto));
+            assert_eq!(oracle, fast, "family={family} k={k}");
+        }
     }
 }
 

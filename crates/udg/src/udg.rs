@@ -1,4 +1,11 @@
-//! Unit Disk Graph construction.
+//! Unit Disk Graph construction, and its census without the adjacency.
+//!
+//! [`unit_disk_graph_with_range`] builds the neighbour lists from one
+//! closed-disk query per node. [`udg_census`] runs the same queries but
+//! keeps only what `rim analyze` prints: the edge count, the maximum
+//! degree and the components. Given the components of a topology inside
+//! the UDG as its seed, it unions only the UDG pairs that cross them,
+//! none when the topology preserves connectivity.
 
 use crate::node_set::NodeSet;
 use rim_graph::{AdjacencyList, UnionFind};
@@ -77,31 +84,48 @@ pub struct UdgCensus {
 /// with range `max_range` — the same graph as
 /// [`unit_disk_graph_with_range`], without its adjacency lists.
 ///
+/// `seed` labels every node with a class of a partition each of whose
+/// classes lies inside one UDG component, labels below the node count:
+/// the components of a topology that respects `max_range` (a subgraph of
+/// the UDG, see [`crate::Topology::respects_range`]), or singletons
+/// `0..n`, which always qualify. The UDG's partition is then the seed's
+/// merged along the UDG pairs that cross it.
+///
 /// The same per-node closed-disk queries run over a [`SoaGrid`], node by
 /// node in bucket order, on [`rim_par::auto_threads`] workers: a node's
 /// hits other than itself are its degree, and each pair `{k, j}` of
-/// bucket positions with `j > k` is fed once to a union-find. Sums,
-/// maxima and first-appearance labels do not depend on the order of the
-/// pairs, so the census is the same for every worker count.
-pub fn udg_census(nodes: &NodeSet, max_range: f64) -> UdgCensus {
-    udg_census_threads(nodes, max_range, rim_par::auto_threads(nodes.len()))
+/// bucket positions with `j > k` in different seed classes is stored and
+/// fed once to a union-find over the classes. Sums, maxima and
+/// first-appearance labels do not depend on the order of the pairs, so
+/// the census is the same for every worker count and every valid seed.
+pub fn udg_census(nodes: &NodeSet, max_range: f64, seed: &[usize]) -> UdgCensus {
+    udg_census_threads(nodes, max_range, seed, rim_par::auto_threads(nodes.len()))
 }
 
 /// [`udg_census`] over `threads` workers.
-// rim-lint: allow(panic-freedom) — the range assert guards a caller contract; `par_map_ranges` yields positions below `nodes.len()`, and union-find roots are node ids
-pub(crate) fn udg_census_threads(nodes: &NodeSet, max_range: f64, threads: usize) -> UdgCensus {
+// rim-lint: allow(panic-freedom) — the range and seed asserts guard a caller contract; `par_map_ranges` yields positions below `nodes.len()`, and seed labels and union-find roots are below it too
+pub(crate) fn udg_census_threads(
+    nodes: &NodeSet,
+    max_range: f64,
+    seed: &[usize],
+    threads: usize,
+) -> UdgCensus {
     assert!(max_range > 0.0 && max_range.is_finite());
     let n = nodes.len();
+    assert_eq!(seed.len(), n, "one seed label per node");
     let index = SoaGrid::from_points(nodes.points(), max_range);
+    // Seed classes in bucket order, beside the coordinates the hits read.
+    let class: Vec<usize> = (0..n).map(|k| seed[index.item(k)]).collect();
     let chunks = rim_par::par_map_ranges(n, threads, |range| {
         let (mut degrees, mut max_degree) = (0usize, 0usize);
-        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        let mut crossing: Vec<(usize, usize)> = Vec::new();
         for k in range {
             let mut hits = 0usize;
+            let ck = class[k];
             index.for_each_pos_in_disk(index.point_at(k), max_range, |j| {
                 hits += 1;
-                if j > k {
-                    pairs.push((k as u32, j as u32));
+                if j > k && class[j] != ck {
+                    crossing.push((ck, class[j]));
                 }
             });
             // The query point is its own hit, at distance 0.
@@ -109,22 +133,23 @@ pub(crate) fn udg_census_threads(nodes: &NodeSet, max_range: f64, threads: usize
             degrees += degree;
             max_degree = max_degree.max(degree);
         }
-        (degrees, max_degree, pairs)
+        (degrees, max_degree, crossing)
     });
     let mut sets = UnionFind::new(n);
     let (mut degrees, mut max_degree) = (0, 0);
-    for (sum, max, pairs) in chunks {
+    for (sum, max, crossing) in chunks {
         degrees += sum;
         max_degree = max_degree.max(max);
-        for (k, j) in pairs {
-            sets.union(index.item(k as usize), index.item(j as usize));
+        for (a, b) in crossing {
+            sets.union(a, b);
         }
     }
     let mut label_of_root = vec![usize::MAX; n];
     let mut next = 0;
-    let labels = (0..n)
-        .map(|u| {
-            let root = sets.find(u);
+    let labels = seed
+        .iter()
+        .map(|&c| {
+            let root = sets.find(c);
             if label_of_root[root] == usize::MAX {
                 label_of_root[root] = next;
                 next += 1;
@@ -291,13 +316,29 @@ mod tests {
             let g = unit_disk_graph_threads(&ns, 1.0, 1);
             let labels = components(&g);
             components_seen += num_components(&g);
-            for threads in 1..=8 {
-                let census = udg_census_threads(&ns, 1.0, threads);
-                let at = format!("family={family} threads={threads}");
-                assert_eq!(census.edges, g.num_edges(), "{at}");
-                assert_eq!(census.max_degree, g.max_degree(), "{at}");
-                assert_eq!(census.labels, labels, "{at}");
-                assert!(same_partition(&census.labels, &labels), "{at}");
+            // Seeds: singletons, the UDG's own components, and the
+            // components of two subgraphs that split them.
+            let sub = |keep: fn(usize, usize) -> bool| {
+                let kept = g.edges().into_iter().filter(|e| keep(e.u, e.v));
+                components(&AdjacencyList::from_edges(ns.len(), kept))
+            };
+            let seeds = [
+                ("singletons", (0..ns.len()).collect()),
+                ("udg", labels.clone()),
+                ("thinned", sub(|u, v| (u + 2 * v) % 3 != 0)),
+                ("sparse", sub(|u, v| (u ^ v) % 7 == 1)),
+            ];
+            let classes = |seed: &[usize]| seed.iter().max().map_or(0, |m| m + 1);
+            assert!(classes(&seeds[3].1) > num_components(&g), "family={family}: no split");
+            for (name, seed) in &seeds {
+                for threads in 1..=8 {
+                    let census = udg_census_threads(&ns, 1.0, seed, threads);
+                    let at = format!("family={family} seed={name} threads={threads}");
+                    assert_eq!(census.edges, g.num_edges(), "{at}");
+                    assert_eq!(census.max_degree, g.max_degree(), "{at}");
+                    assert_eq!(census.labels, labels, "{at}");
+                    assert!(same_partition(&census.labels, &labels), "{at}");
+                }
             }
         }
         assert!(components_seen > 5, "the families must hold several components");
@@ -306,12 +347,22 @@ mod tests {
     #[test]
     fn census_of_small_instances() {
         let ns = NodeSet::on_line(&[0.0, 0.5, 0.5, 3.0, 3.75, 9.0]);
-        let census = udg_census(&ns, 1.0);
+        let singletons: Vec<usize> = (0..ns.len()).collect();
+        let census = udg_census(&ns, 1.0, &singletons);
         assert_eq!((census.edges, census.max_degree), (4, 2));
         assert_eq!(census.labels, vec![0, 0, 0, 1, 1, 2]);
-        let none = udg_census(&NodeSet::new(vec![]), 1.0);
+        // A topology that splits a UDG component seeds the same census.
+        let split = crate::Topology::from_pairs(ns.clone(), &[(0, 2)]);
+        assert!(split.respects_range(1.0));
+        let seed = rim_graph::traversal::components(split.graph());
+        assert_eq!(udg_census(&ns, 1.0, &seed), census);
+        // A long link joins two UDG components: its topology is no
+        // subgraph of the UDG, so singletons seed the census instead.
+        let long = crate::Topology::from_pairs(ns.clone(), &[(0, 1), (1, 3)]);
+        assert!(!long.respects_range(1.0));
+        let none = udg_census(&NodeSet::new(vec![]), 1.0, &[]);
         assert_eq!((none.edges, none.max_degree, none.labels.len()), (0, 0, 0));
-        assert_eq!(udg_census(&NodeSet::on_line(&[2.0]), 1.0).labels, vec![0]);
+        assert_eq!(udg_census(&NodeSet::on_line(&[2.0]), 1.0, &[0]).labels, vec![0]);
     }
 
     #[test]

@@ -247,8 +247,9 @@ pub const PANIC_FREE_ROOTS: &[&str] = &[
     "filter_edges",
     "is_gabriel_edge",
     "is_rng_edge",
-    "selection",
-    "keeps_edge_merged",
+    "lmst_selection",
+    "keeps_edge_one_list",
+    "sector_selection",
     "physical_interference_vector",
     "sinr_interference_indexed",
     "interference_counts",
@@ -270,6 +271,8 @@ pub const PANIC_FREE_ROOTS: &[&str] = &[
     "unit_disk_graph_with_range",
     "udg_census",
     "coverage_vector",
+    "worst_link_coverage",
+    "preserves_connectivity",
     "for_each_link_run",
     "interference_max_sum",
     "par_block_scatter",

@@ -757,8 +757,9 @@ pub fn check_unit_mismatch(
 pub const DETERMINISM_ROOTS: &[&str] = &[
     "interference_vector_with",
     "filter_edges",
-    "selection",
-    "keeps_edge_merged",
+    "lmst_selection",
+    "keeps_edge_one_list",
+    "sector_selection",
     "lmst_with",
     "xtc_with",
     "yao_graph_with",
@@ -783,6 +784,8 @@ pub const DETERMINISM_ROOTS: &[&str] = &[
     "unit_disk_graph_with_range",
     "udg_census",
     "coverage_vector",
+    "worst_link_coverage",
+    "preserves_connectivity",
     "for_each_link_run",
     "interference_max_sum",
     "par_block_scatter",

@@ -264,12 +264,19 @@ fn churn_hot_path_obligations_stay_registered() {
 #[test]
 fn pipeline_query_loops_stay_registered() {
     // The node-sized query loops of the topology-control pipeline that
-    // fan out over worker threads — the UDG build, `analyze`'s UDG census
-    // and the sender coverage vector with its one box scan per link —
-    // must stay panic-free and bitwise deterministic for every worker
-    // count. Dropping any registration would silently un-audit them.
-    for root in ["unit_disk_graph_with_range", "udg_census", "coverage_vector", "for_each_link_run"]
-    {
+    // fan out over worker threads — the UDG build, `analyze`'s UDG census,
+    // the sender coverage vector with its one box scan per link and the
+    // worst link found by bound — and the connectivity check must stay
+    // panic-free and bitwise deterministic for every worker count.
+    // Dropping any registration would silently un-audit them.
+    for root in [
+        "unit_disk_graph_with_range",
+        "udg_census",
+        "coverage_vector",
+        "worst_link_coverage",
+        "preserves_connectivity",
+        "for_each_link_run",
+    ] {
         assert!(
             rim_xtask::audit::PANIC_FREE_ROOTS.contains(&root),
             "`{root}` must stay in PANIC_FREE_ROOTS"
@@ -285,8 +292,9 @@ fn pipeline_query_loops_stay_registered() {
 fn neighbour_list_kernels_and_file_parsers_stay_registered() {
     // The topology-control fast paths run off the UDG's neighbour lists:
     // the adjacency-walking edge filter, the Gabriel and RNG witness
-    // scans of N(u), LMST's local Prim (`Scratch::selection`) and XTC's
-    // sorted-list merge. They must stay panic-free, and the kernels
+    // scans of N(u), LMST's local MSTs from coordinates, XTC's one-list
+    // blocker scan and Yao's sign-test cones. They must stay panic-free,
+    // and the kernels
     // whose output the thread-invariance suite pins must stay bitwise
     // deterministic. The node and topology file parsers, the CLI's
     // `--generate`/`--trace` spec parsers and `rim generate`'s length
@@ -296,8 +304,9 @@ fn neighbour_list_kernels_and_file_parsers_stay_registered() {
         "filter_edges",
         "is_gabriel_edge",
         "is_rng_edge",
-        "selection",
-        "keeps_edge_merged",
+        "lmst_selection",
+        "keeps_edge_one_list",
+        "sector_selection",
         "parse_nodes",
         "parse_topology",
         "parse_generate_spec",
@@ -310,7 +319,7 @@ fn neighbour_list_kernels_and_file_parsers_stay_registered() {
             "`{root}` must stay in PANIC_FREE_ROOTS"
         );
     }
-    for root in ["filter_edges", "selection", "keeps_edge_merged"] {
+    for root in ["filter_edges", "lmst_selection", "keeps_edge_one_list", "sector_selection"] {
         assert!(
             rim_xtask::flow::DETERMINISM_ROOTS.contains(&root),
             "`{root}` must stay in DETERMINISM_ROOTS"
