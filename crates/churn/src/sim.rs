@@ -7,11 +7,13 @@
 //! engine's own nearest-live query, [`DynamicInterference::k_nearest_live`],
 //! so the sim keeps no index of its own. Departures tombstone their
 //! slot; once dead slots outnumber live ones the sim **compacts** —
-//! re-packs the engine's live state with fresh dense ids in one pass
-//! ([`DynamicInterference::compacted`]) — so a sustained run's footprint
-//! tracks the live population, not the edit count. Compaction is a
-//! deterministic function of the edit sequence, so replays (and
-//! snapshot restores) reproduce it exactly.
+//! moves the engine's live slots down to dense ids in place, carrying
+//! their maintained counts ([`DynamicInterference::compact`]) — so a
+//! sustained run's footprint tracks the live population, not the edit
+//! count. Compaction is a deterministic function of the edit sequence,
+//! so replays (and snapshot restores) reproduce it exactly. It and the
+//! engine's index rebuild are the two stalls of an edit stream, traced
+//! as the `churn.compact` and `dynamic.index_rebuild` spans.
 //!
 //! Everything observable is deterministic: op resolution uses the
 //! sorted id list, nearest-neighbor queries tie-break on `(distance,
@@ -44,7 +46,7 @@ pub struct OpCounts {
     pub links_added: u64,
     /// Relinks that removed an edge.
     pub links_removed: u64,
-    /// Tombstone compactions (engine rebuilds from the live topology).
+    /// Tombstone compactions (the engine re-packed over its live slots).
     pub compactions: u64,
 }
 
@@ -305,7 +307,7 @@ impl ChurnSim {
         self.counts.compactions += 1;
         rim_obs::counter_add("churn.compactions", 1);
         let _span = rim_obs::span("churn.compact");
-        self.engine = self.engine.compacted();
+        self.engine.compact();
         // Compaction keeps ascending slot order, which is exactly the
         // order of live_ids — so dense ids 0..live map one-to-one onto
         // the old list and pick resolution is unchanged.

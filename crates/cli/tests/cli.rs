@@ -1081,6 +1081,34 @@ fn churn_obs_reports_grid_splits_on_the_exp_chain_only() {
 }
 
 #[test]
+fn churn_obs_spans_both_stall_classes() {
+    // Compactions and index rebuilds are the two stalls of an edit
+    // stream: each one is a span, as many as its counter counts.
+    fn records<'a>(jsonl: &'a str, kind: &str, name: &str) -> Vec<&'a str> {
+        let (kind, name) = (format!("\"kind\":\"{kind}\""), format!("\"name\":\"{name}\""));
+        jsonl.lines().filter(|l| l.contains(&kind) && l.contains(&name)).collect()
+    }
+    let out = rim()
+        .args(["churn", "--trace", "uniform:96", "--edits", "3000", "--seed", "5", "--obs", "jsonl"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let err = String::from_utf8(out.stderr).unwrap();
+    let stalls = [
+        ("churn.compact", "churn.compactions"),
+        ("dynamic.index_rebuild", "dynamic.index_rebuilds"),
+    ];
+    for (span, counter) in stalls {
+        let count: usize = match records(&err, "counter", counter).as_slice() {
+            [line] => line.trim_end_matches('}').rsplit(':').next().unwrap().parse().unwrap(),
+            other => panic!("{counter}: {other:?}"),
+        };
+        assert!(count > 0, "{counter}: {err}");
+        assert_eq!(records(&err, "span", span).len(), count, "{span}");
+    }
+}
+
+#[test]
 fn churn_checkpoints_are_deterministic_and_verified() {
     let run = || {
         rim()

@@ -25,9 +25,17 @@
 //! scans. Once the overlay outgrows a fraction of the merged set the grid
 //! is rebuilt in one `O(n)` pass — classic amortization, no query ever
 //! misses a node. Every build (rebuild, compaction, restore) re-tightens
-//! the per-cell radius bounds to the current radii. The same grid answers
+//! the per-cell radius bounds to the current radii, filled in one pass
+//! over the grid's bucket-order id column. The same grid answers
 //! [`DynamicInterference::k_nearest_live`], the nearest-live-node query
-//! of the churn simulator. The equivalence with the batch
+//! of the churn simulator.
+//!
+//! Departed nodes leave tombstones, which
+//! [`DynamicInterference::compact`] drops in place: the live slots move
+//! down to dense ids with the counts they hold, which are exact, so a
+//! compaction costs one grid build and one pass over the slots and the
+//! lists — no disk query. Only a restore from a [`DynState`], which
+//! carries no counts, recomputes them. The equivalence with the batch
 //! [`crate::receiver`] kernels is property-tested, including full
 //! edit-trace replays.
 
@@ -45,8 +53,8 @@ pub struct DynamicInterference {
     /// Liveness per slot. Departed nodes are tombstoned — the slot keeps
     /// its position (ids stay stable, the spatial index never needs a
     /// deletion path) but is dead: it accepts no edges, receives no
-    /// coverage, and leaves the histogram. Long-churn callers compact
-    /// with [`DynamicInterference::compacted`].
+    /// coverage, and leaves the histogram. Long-churn callers drop the
+    /// tombstones with [`DynamicInterference::compact`].
     alive: Vec<bool>,
     /// Number of live slots (`alive.iter().filter(|a| **a).count()`).
     live: usize,
@@ -178,40 +186,46 @@ impl DynamicInterference {
         (Topology::from_graph(NodeSet::new(pts), g), slots)
     }
 
-    /// The live state re-packed as a fresh structure over dense slot ids
-    /// `0..live_count()`, in ascending slot order — how long-churn callers
-    /// drop tombstones. It is built in one pass: every slot merged into
-    /// one grid build, edges renamed list by list, each radius carried
-    /// over (a link-derived radius is the longest incident link), the
-    /// radius bound set to the largest radius, and coverage recomputed
-    /// with one disk query per transmitter. That is exactly the state
+    /// Drops the tombstones in place, renumbering the live slots densely
+    /// as `0..live_count()` in ascending slot order — how long-churn
+    /// callers keep the footprint at the live population. Each live slot
+    /// moves down to its dense id with its position, radius, coverage
+    /// count and transmit flag; the adjacency lists are renamed in place
+    /// ([`AdjacencyList::compact_vertices`]); the histogram stays as it
+    /// is; the grid is rebuilt over the live points with its radius
+    /// bounds filled in one pass; and the radius bound drops to the
+    /// largest radius. Nothing is recomputed, because nothing changes:
+    /// the maintained counts of live slots are exact, dead slots hold no
+    /// coverage and no histogram entry, a live slot transmits exactly
+    /// when it has a link, and dead radii are 0. The result is the state
     /// `from_topology(&self.live_topology().0)` reaches by replaying
-    /// every edge through two disk queries.
-    // rim-lint: allow(panic-freedom) — dense[] covers every slot; edges connect live slots
-    pub fn compacted(&self) -> Self {
-        let mut dense = vec![u32::MAX; self.len()];
-        let mut points = Vec::with_capacity(self.live);
-        let mut radii = Vec::with_capacity(self.live);
-        for v in (0..self.len()).filter(|&v| self.alive[v]) {
-            dense[v] = points.len() as u32;
-            points.push(self.points[v]);
-            radii.push(self.radii[v]);
+    /// every edge through two disk queries (property-tested).
+    // rim-lint: allow(panic-freedom) — `dense[v]` and the moves run over `v < len()` of per-slot vectors of one length, and the cursor `live` never passes `v`
+    pub fn compact(&mut self) {
+        let n = self.len();
+        let mut dense = vec![u32::MAX; n];
+        let mut live = 0;
+        // Every slot is copied down and only a live one advances the
+        // cursor, so the loop takes no branch on liveness (about half the
+        // slots are dead, in no order a predictor can learn).
+        for v in 0..n {
+            let keep = self.alive[v];
+            dense[v] = if keep { live as u32 } else { u32::MAX };
+            self.points[live] = self.points[v];
+            self.radii[live] = self.radii[v];
+            self.cov[live] = self.cov[v];
+            self.was_transmitting[live] = self.was_transmitting[v];
+            live += usize::from(keep);
         }
-        // Renaming keeps slot order, so every list stays sorted and the
-        // lists stay symmetric.
-        let lists: Vec<Vec<(u32, f64)>> = (0..self.len())
-            .filter(|&v| self.alive[v])
-            .map(|v| {
-                self.graph
-                    .neighbors_weighted(v)
-                    .map(|(w, weight)| (dense[w], weight))
-                    .collect()
-            })
-            .collect();
-        let graph = AdjacencyList::from_sorted_symmetric_lists(lists);
-        let radius_bound = radii.iter().copied().fold(0.0, f64::max);
-        let n = points.len();
-        Self::assemble(points, graph, radii, vec![true; n], n, radius_bound)
+        self.points.truncate(live);
+        self.radii.truncate(live);
+        self.cov.truncate(live);
+        self.was_transmitting.truncate(live);
+        self.alive.truncate(live);
+        self.alive.fill(true);
+        self.graph.compact_vertices(&dense);
+        self.rebuild_grid();
+        self.radius_bound = self.radii.iter().copied().fold(0.0, f64::max);
     }
 
     /// Writes to `out` the `k` live slots nearest to `p`, leaving out
@@ -328,7 +342,9 @@ impl DynamicInterference {
         }
         // v is now silent (degree 0 ⇒ not transmitting); what remains is
         // the coverage it was *receiving*, which leaves the histogram
-        // with the node.
+        // with the node. Its emptied list is freed now, one free per
+        // departure, so a compaction frees no lists.
+        self.graph.release_isolated(v);
         self.hist.leave(self.cov[v] as usize);
         self.cov[v] = 0;
         self.alive[v] = false;
@@ -343,8 +359,8 @@ impl DynamicInterference {
         let merged = self.grid.merged_len();
         if self.points.len().saturating_sub(merged) > (merged / 2).max(64) {
             rim_obs::counter_add("dynamic.index_rebuilds", 1);
-            self.grid = DynGrid::build(&self.points, initial_cell_hint(&self.points));
-            raise_bounds(&mut self.grid, &self.points, &self.radii, &self.was_transmitting);
+            let _span = rim_obs::span("dynamic.index_rebuild");
+            self.rebuild_grid();
             // Re-tighten the radius bound to the exact maximum while we
             // are paying O(n) anyway.
             self.radius_bound = self
@@ -354,6 +370,14 @@ impl DynamicInterference {
                 .max_by(f64::total_cmp)
                 .unwrap_or(0.0);
         }
+    }
+
+    /// Rebuilds the grid over every slot, merged, with the radius bound
+    /// of each cell filled from the transmitters in it.
+    fn rebuild_grid(&mut self) {
+        self.grid = DynGrid::build(&self.points, initial_cell_hint(&self.points));
+        let (radii, tx) = (&self.radii, &self.was_transmitting);
+        self.grid.fill_bounds(|u| transmit_radius(radii, tx, u));
     }
 
     /// Adjusts `u`'s radius and patches the coverage counts over the
@@ -511,8 +535,11 @@ impl DynamicInterference {
 
     /// The structure over already-consistent parts: the grid over
     /// `points[..indexed_len]` with the rest replayed into its overlay,
-    /// and coverage from one disk query per transmitter — the counting
-    /// rule the incremental patches maintain.
+    /// the radius bounds filled over the merged prefix in one pass and
+    /// raised for each transmitter in the overlay, and coverage from one
+    /// disk query per transmitter — the counting rule the incremental
+    /// patches maintain. A snapshot carries no counts, so restore is the
+    /// one path that recomputes them.
     // rim-lint: allow(panic-freedom) — callers pass per-slot vectors of one length and indexed_len <= points.len(); grid ids are slots
     fn assemble(
         points: Vec<Point>,
@@ -529,7 +556,10 @@ impl DynamicInterference {
             grid.push_overlay(p);
         }
         let was_transmitting: Vec<bool> = (0..n).map(|u| alive[u] && graph.degree(u) > 0).collect();
-        raise_bounds(&mut grid, &points, &radii, &was_transmitting);
+        grid.fill_bounds(|u| transmit_radius(&radii, &was_transmitting, u));
+        for u in (indexed_len..n).filter(|&u| was_transmitting[u]) {
+            grid.raise_bound(points[u], radii[u]);
+        }
         let mut cov = vec![0u32; n];
         for u in (0..n).filter(|&u| was_transmitting[u]) {
             grid.for_each_within(points[u], radii[u], |w, _| {
@@ -617,10 +647,12 @@ pub struct DynState {
     pub radius_bound: f64,
 }
 
-/// Raises a fresh grid's per-cell bounds to every transmitter's radius.
-fn raise_bounds(grid: &mut DynGrid, points: &[Point], radii: &[f64], transmitting: &[bool]) {
-    for ((&p, &r), _) in points.iter().zip(radii).zip(transmitting).filter(|(_, &tx)| tx) {
-        grid.raise_bound(p, r);
+/// The radius slot `u` raises its grid cells' bounds to: its radius
+/// while it transmits, −∞ (nothing) while it is silent.
+fn transmit_radius(radii: &[f64], transmitting: &[bool], u: usize) -> f64 {
+    match (transmitting.get(u), radii.get(u)) {
+        (Some(true), Some(&r)) => r,
+        _ => f64::NEG_INFINITY,
     }
 }
 
@@ -1127,15 +1159,15 @@ mod tests {
                 d.remove_node(4 + i / 2);
             }
         }
-        let c = d.compacted();
         let (t, slots) = d.live_topology();
-        let replayed = DynamicInterference::from_topology(&t);
-        assert_eq!(c.export_state(), replayed.export_state());
-        assert_eq!(c.coverage_histogram(), replayed.coverage_histogram());
-        let got: Vec<usize> = (0..c.len()).map(|v| c.interference_at(v)).collect();
         let want: Vec<usize> = slots.iter().map(|&v| d.interference_at(v)).collect();
+        d.compact();
+        let replayed = DynamicInterference::from_topology(&t);
+        assert_eq!(d.export_state(), replayed.export_state());
+        assert_eq!(d.coverage_histogram(), replayed.coverage_histogram());
+        let got: Vec<usize> = (0..d.len()).map(|v| d.interference_at(v)).collect();
         assert_eq!(got, want);
-        check_consistent(&c);
+        check_consistent(&d);
     }
 
     #[test]

@@ -18,13 +18,15 @@
 //!
 //! **Radius bounds.** [`DynGrid::raise_bound`] raises the bound of a
 //! point's leaf cell and of every cell above it, so a split cell's bound
-//! covers its nested cells; bounds only grow until the next build. The
-//! arrival-coverage query ([`DynGrid::for_each_reaching`]) scans a cell
-//! only if a disk query of the cell's bound around the newcomer `c`
-//! would scan it (same `reach` slack, same cell coordinate). It misses no
-//! transmitter `u` with `dist(u, c) <= r_u`: each cell above `u` has a
-//! bound `b >= r_u`, so `u` is a hit of the disk query of radius `b`,
-//! whose completeness puts the cell in its range.
+//! covers its nested cells; bounds only grow until the next build.
+//! [`DynGrid::fill_bounds`] leaves the same bounds for every merged point
+//! at once, in one pass over the id column. The arrival-coverage query
+//! ([`DynGrid::for_each_reaching`]) scans a cell only if a disk query of
+//! the cell's bound around the newcomer `c` would scan it (same `reach`
+//! slack, same cell coordinate). It misses no transmitter `u` with
+//! `dist(u, c) <= r_u`: each cell above `u` has a bound `b >= r_u`, so
+//! `u` is a hit of the disk query of radius `b`, whose completeness puts
+//! the cell in its range.
 //!
 //! Ids follow the append order: `0..merged_len()` are the merged points in
 //! their original order, `merged_len()..len()` the overlay in arrival
@@ -124,6 +126,34 @@ impl DynGrid {
                 *b = b.max(r);
             }
         });
+    }
+
+    /// Raises the bound of every cell to the largest `radius(id)` over the
+    /// merged points bucketed in it or in a cell nested in it, in one
+    /// pass: the bounds [`DynGrid::raise_bound`] on each merged point
+    /// would leave, bit for bit. A leaf cell reads its run of the id
+    /// column; a split cell takes the largest bound of its nested grid.
+    /// Levels are filled last to first, and a nested grid follows the
+    /// level of the cell it splits, so it is complete when that cell
+    /// reads it. `radius` returns −∞ for a point that raises nothing.
+    /// Overlay entries are not read: each needs its own `raise_bound`.
+    /// `O(merged points + cells)`.
+    // rim-lint: allow(panic-freedom) — a level's cell ids are followed by its end offset in `starts`, which bounds the id column; `bounds` has one entry per cell id
+    pub fn fill_bounds(&mut self, radius: impl Fn(usize) -> f64) {
+        let (g, bounds) = (&self.base, &mut self.bounds);
+        for lv in g.levels().rev() {
+            for cell in lv.first..lv.first + lv.shape.ncells() {
+                let b = match g.split_of(cell) {
+                    Some(sub) => bounds[sub.first..sub.first + sub.shape.ncells()]
+                        .iter()
+                        .fold(f64::NEG_INFINITY, |b, &r| b.max(r)),
+                    None => g.items[g.starts[cell] as usize..g.starts[cell + 1] as usize]
+                        .iter()
+                        .fold(f64::NEG_INFINITY, |b, &id| b.max(radius(id as usize))),
+                };
+                bounds[cell] = bounds[cell].max(b);
+            }
+        }
     }
 
     /// Calls `f(id, dist(p_id, c))` for every point, merged or pending,
@@ -502,6 +532,59 @@ mod tests {
         // A cell never raised holds no transmitter and is never scanned.
         let fresh = grid(&pts[..300], &[]);
         assert_eq!(fresh.for_each_reaching(pts[0], 15.0, |_, _| {}), 0);
+    }
+
+    #[test]
+    fn one_pass_bounds_equal_per_point_raises() {
+        let mut rnd = lcg(17);
+        let uniform: Vec<Point> =
+            (0..400).map(|_| Point::new(rnd() * 20.0, rnd() * 20.0)).collect();
+        let chain: Vec<Point> =
+            (0..300).map(|_| Point::on_line(64.0 * (-24.0 * rnd()).exp2())).collect();
+        let cluster: Vec<Point> = (0..300)
+            .map(|i| {
+                let s = if i % 2 == 0 { 1.0 } else { 1e-5 };
+                Point::new(0.5 + rnd() * s, 0.5 + rnd() * s)
+            })
+            .collect();
+        let sites: Vec<Point> = (0..5).map(|_| Point::new(rnd() * 2.0, rnd() * 2.0)).collect();
+        // Stacks of 59 coincident points, each beside one other point:
+        // the site's cell splits and the stack stays one leaf.
+        let stacked: Vec<Point> = (0..300)
+            .map(|i| sites[i % sites.len()] + Point::new(if i < 5 { 0.01 } else { 0.0 }, 0.0))
+            .collect();
+        for (name, pts, splits) in [
+            ("uniform", uniform, false),
+            ("exp-chain", chain, true),
+            ("cluster", cluster, true),
+            ("coincident", stacked, true),
+        ] {
+            // Every third point is silent (−∞), every seventh transmits
+            // at radius 0, as a zero-length link does.
+            let radius: Vec<f64> = (0..pts.len())
+                .map(|i| match (i % 3, i % 7) {
+                    (0, _) => f64::NEG_INFINITY,
+                    (_, 0) => 0.0,
+                    _ => rnd() * 0.5,
+                })
+                .collect();
+            // All merged, then a fifth of the points in the overlay.
+            for merged in [pts.len(), pts.len() * 4 / 5] {
+                let (base, overlay) = pts.split_at(merged);
+                let mut raised = grid(base, overlay);
+                let mut filled = grid(base, overlay);
+                assert_eq!(raised.base.split_cells() > 0, splits, "{name}");
+                for (i, &p) in pts.iter().enumerate() {
+                    raised.raise_bound(p, radius[i]);
+                }
+                filled.fill_bounds(|id| radius[id]);
+                for (i, &p) in pts.iter().enumerate().skip(merged) {
+                    filled.raise_bound(p, radius[i]);
+                }
+                let bits = |g: &DynGrid| g.bounds.iter().map(|b| b.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&filled), bits(&raised), "{name}: {merged} merged");
+            }
+        }
     }
 
     #[test]

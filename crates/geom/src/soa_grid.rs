@@ -526,6 +526,13 @@ impl SoaGrid {
         Level { shape: self.shape, first: 0, depth: 0, splits: !self.subs.is_empty() }
     }
 
+    /// Every level: the top one, then the nested grids in build order, in
+    /// which a split cell's nested grid comes after the level holding the
+    /// cell.
+    pub(crate) fn levels(&self) -> impl DoubleEndedIterator<Item = Level> + '_ {
+        std::iter::once(self.top()).chain(self.subs.iter().copied())
+    }
+
     /// The nested grid that splits cell `g`, if any.
     #[inline]
     pub(crate) fn split_of(&self, g: usize) -> Option<Level> {

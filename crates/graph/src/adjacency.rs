@@ -262,6 +262,44 @@ impl AdjacencyList {
         out
     }
 
+    /// Frees the storage of `u`'s neighbour list if `u` is isolated: an
+    /// emptied list keeps the capacity its edges grew. A structure that
+    /// retires `u` for good calls this, so a later
+    /// [`AdjacencyList::compact_vertices`] that drops `u` frees nothing.
+    pub fn release_isolated(&mut self, u: usize) {
+        if let Some(list) = self.adj.get_mut(u).filter(|list| list.is_empty()) {
+            *list = Vec::new();
+        }
+    }
+
+    /// Drops every vertex `u` with `dense[u] == u32::MAX` and renames
+    /// each other vertex `u` to `dense[u]`, in place. `dense` has one
+    /// entry per vertex and numbers the kept vertices `0..k` in ascending
+    /// order, and every dropped vertex is isolated. Renaming is then
+    /// monotone, so each list stays sorted, the lists stay symmetric and
+    /// `num_edges` is unchanged: each kept list is renamed where it lies
+    /// and moved down to its new index, with no new list and no sort.
+    /// Debug builds assert the result's list contract.
+    // rim-lint: allow(panic-freedom) — `dense` has one entry per vertex (asserted) and neighbours are vertices; a kept vertex moves down to an index at most its own
+    pub fn compact_vertices(&mut self, dense: &[u32]) {
+        assert_eq!(dense.len(), self.adj.len(), "one dense id per vertex");
+        let mut kept = 0;
+        for u in 0..self.adj.len() {
+            let to = dense[u];
+            if to == u32::MAX {
+                continue;
+            }
+            let mut list = std::mem::take(&mut self.adj[u]);
+            for (v, _) in &mut list {
+                *v = dense[*v as usize];
+            }
+            self.adj[to as usize] = list;
+            kept += 1;
+        }
+        self.adj.truncate(kept);
+        debug_assert_eq!(list_contract_violation(&self.adj), None);
+    }
+
     /// Largest incident edge weight of `u`, or `None` if isolated.
     ///
     /// In the interference model this is exactly the transmission radius
@@ -450,6 +488,57 @@ mod tests {
     #[should_panic(expected = "not mirrored")]
     fn sorted_symmetric_lists_reject_unequal_weights() {
         AdjacencyList::from_sorted_symmetric_lists(vec![vec![(1, 0.5)], vec![(0, 0.25)]]);
+    }
+
+    #[test]
+    fn compact_vertices_renames_the_lists_in_place() {
+        let mut state = 7u64;
+        let mut rnd = |m: usize| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) as usize % m
+        };
+        let mut g = AdjacencyList::new(16);
+        for _ in 0..90 {
+            let (u, v) = (rnd(16), rnd(16));
+            if u != v {
+                g.add_edge(u, v, 0.125 * (u * 16 + v) as f64);
+            }
+        }
+        // Dropped vertices are isolated first, as departures are.
+        let dropped = [0, 5, 6, 11, 15];
+        for &u in &dropped {
+            for v in g.neighbors(u).collect::<Vec<_>>() {
+                g.remove_edge(u, v);
+            }
+            g.release_isolated(u);
+            assert_eq!(g.adj[u].capacity(), 0);
+        }
+        // A vertex with edges keeps its list.
+        let linked = g.edges()[0].u;
+        g.release_isolated(linked);
+        assert!(g.degree(linked) > 0);
+        let mut dense = vec![u32::MAX; 16];
+        for (i, u) in (0..16).filter(|u| !dropped.contains(u)).enumerate() {
+            dense[u] = i as u32;
+        }
+        let mut want = AdjacencyList::new(11);
+        for e in g.edges() {
+            want.add_edge(dense[e.u] as usize, dense[e.v] as usize, e.weight);
+        }
+        let edges = g.num_edges();
+        assert!(edges > 12, "{edges} edges");
+        g.compact_vertices(&dense);
+        assert_eq!((g.num_vertices(), g.num_edges()), (11, edges));
+        assert_eq!(list_contract_violation(&g.adj), None, "sorted and symmetric");
+        assert_eq!(g.edges(), want.edges());
+        // Keeping every vertex changes nothing; dropping every one
+        // leaves the empty graph.
+        let before = g.edges();
+        g.compact_vertices(&(0..11).collect::<Vec<u32>>());
+        assert_eq!(g.edges(), before);
+        let mut empty = AdjacencyList::new(3);
+        empty.compact_vertices(&[u32::MAX; 3]);
+        assert_eq!((empty.num_vertices(), empty.num_edges()), (0, 0));
     }
 
     #[test]

@@ -285,7 +285,47 @@ pub const PANIC_FREE_ROOTS: &[&str] = &[
     "from_link_budget",
     "positive_length",
     "check_generated",
+    "compact",
+    "fill_bounds",
 ];
+
+/// Flags every entry of the root registry `registry` — the `const`
+/// listing `roots`, such as [`PANIC_FREE_ROOTS`] — that names no non-test
+/// `fn` of the workspace, under `rule`. Roots are resolved by bare name,
+/// so an entry left behind by a rename seeds nothing and silently
+/// un-audits the function it meant. The finding points at the entry's
+/// string in the registry's definition (at the definition when the entry
+/// is not written there). A linted workspace that does not define the
+/// registry, such as a fixture, has nothing to check.
+pub fn audit_root_registry(
+    ws: &Workspace,
+    registry: &str,
+    roots: &[&str],
+    rule: &'static str,
+    out: &mut Vec<Diagnostic>,
+) {
+    let defined = ws.files.iter().find_map(|f| {
+        let at = f.tokens.windows(2).position(|w| w[0].text == "const" && w[1].text == registry)?;
+        Some((f, f.tokens.get(at..)?))
+    });
+    let Some((file, tokens)) = defined else { return };
+    for root in roots {
+        if ws.defs_named(root).iter().any(|&i| ws.fns.get(i).is_some_and(|f| !f.in_test)) {
+            continue;
+        }
+        let quoted = format!("\"{root}\"");
+        let at = tokens.iter().find(|t| t.kind == Kind::Str && t.text == quoted);
+        out.push(Diagnostic {
+            rule,
+            file: file.rel.to_string(),
+            line: at.or(tokens.first()).map_or(1, |t| t.line),
+            message: format!(
+                "`{registry}` entry `{root}` names no workspace `fn`, so `{rule}` audits \
+                 nothing from it; name the function it is meant to cover or remove it"
+            ),
+        });
+    }
+}
 
 /// Finds the first occurrence of each token-level panicking construct
 /// inside a function body: `panic!`-family macros, `.unwrap()`/
@@ -354,6 +394,7 @@ pub fn audit_panic_freedom(
     pragmas: &BTreeMap<String, rules::Pragmas>,
     out: &mut Vec<Diagnostic>,
 ) {
+    audit_root_registry(ws, "PANIC_FREE_ROOTS", PANIC_FREE_ROOTS, "panic-freedom", out);
     // Per-root reachability, so each finding names the root that pulls
     // the function onto a hot path.
     let masks: Vec<(&str, Vec<bool>)> = PANIC_FREE_ROOTS
@@ -1149,6 +1190,32 @@ mod tests {
         let mut out = Vec::new();
         run(&ws, &pragmas, &mut out);
         out
+    }
+
+    #[test]
+    fn root_registry_flags_entries_that_name_no_function() {
+        let lib = "pub const PANIC_FREE_ROOTS: &[&str] = &[\n    \"present\",\n    \
+                   \"renamed_away\",\n    \"test_only\",\n];\npub fn present() {}\n";
+        let test_src = "#[test]\nfn test_only() {}\n";
+        let roots = ["present", "renamed_away", "test_only"];
+        let out = run_graph_audit(lib, Some(test_src), |ws, _, out| {
+            audit_root_registry(ws, "PANIC_FREE_ROOTS", &roots, "panic-freedom", out);
+            // An entry missing from the registry's text is reported at
+            // the definition.
+            audit_root_registry(ws, "PANIC_FREE_ROOTS", &["no_such_fn"], "panic-freedom", out);
+        });
+        let got: Vec<(u32, bool)> = out
+            .iter()
+            .map(|d| (d.line, d.rule == "panic-freedom" && d.file == "src/lib.rs"))
+            .collect();
+        assert_eq!(got, [(3, true), (4, true), (1, true)], "{out:#?}");
+        assert!(out[0].message.contains("`renamed_away`"), "{}", out[0].message);
+        assert!(out[2].message.contains("`no_such_fn`"), "{}", out[2].message);
+        // A workspace that does not define the registry is not checked.
+        let out = run_graph_audit("pub fn present() {}\n", None, |ws, _, out| {
+            audit_root_registry(ws, "PANIC_FREE_ROOTS", &roots, "panic-freedom", out);
+        });
+        assert!(out.is_empty(), "{out:#?}");
     }
 
     #[test]

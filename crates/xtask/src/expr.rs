@@ -97,7 +97,7 @@ pub enum ExprKind {
     For(Vec<String>, Box<Expr>, Block),
     /// `match scrutinee { arms… }`.
     Match(Box<Expr>, Vec<Arm>),
-    /// Block expression (incl. `unsafe { … }`).
+    /// Block expression (incl. `unsafe { … }` and `const { … }`).
     Block(Block),
     /// `(a, b, …)`; a 1-tuple `(e,)` or plain parenthesisation
     /// collapses to the inner expression.
@@ -881,7 +881,9 @@ impl<'a> Parser<'a> {
                 Expr { line, kind: ExprKind::For(idents, Box::new(iter), body) }
             }
             "match" => self.parse_match(),
-            "unsafe" => {
+            // An inline `const { … }` is a block like `unsafe { … }`;
+            // `const` starts no other expression.
+            "unsafe" | "const" => {
                 self.bump();
                 let b = self.parse_block();
                 Expr { line, kind: ExprKind::Block(b) }

@@ -791,6 +791,8 @@ pub const DETERMINISM_ROOTS: &[&str] = &[
     "par_block_scatter",
     "gather_column",
     "par_fill_columns",
+    "compact",
+    "fill_bounds",
 ];
 
 /// Atomic read-modify-write methods (order-sensitive cross-thread
@@ -859,6 +861,13 @@ pub fn audit_engine_determinism(
     pragmas: &BTreeMap<String, Pragmas>,
     out: &mut Vec<Diagnostic>,
 ) {
+    crate::audit::audit_root_registry(
+        ws,
+        "DETERMINISM_ROOTS",
+        DETERMINISM_ROOTS,
+        "engine-determinism",
+        out,
+    );
     let masks: Vec<(&str, Vec<bool>)> = DETERMINISM_ROOTS
         .iter()
         .map(|root| {

@@ -99,6 +99,23 @@ fn match_guard_ending_in_a_cast_parses() {
     }
 }
 
+#[test]
+fn inline_const_blocks_parse_like_unsafe_blocks() {
+    // An inline `const { … }` block is a block expression, as `unsafe {
+    // … }` is, not a struct literal named `const`.
+    for src in [
+        "const { assert!(N >= rim_par::AUTO_PARALLEL_MIN) };",
+        "let n = const { 1 << 4 } + 1;",
+        "f(const { N * 2 }); const { assert!(N > 0) }",
+    ] {
+        let body = expr::parse_source_body(src);
+        assert_eq!(body.errors, 0, "{src}: {:#?}", body.block);
+    }
+    let body = expr::parse_source_body("let n = const { 1 << 4 } + 1;");
+    let unsafe_body = expr::parse_source_body("let n = unsafe { 1 << 4 } + 1;");
+    assert_eq!(format!("{:?}", body.block), format!("{:?}", unsafe_body.block));
+}
+
 /// Vocabulary for token-soup fuzzing: everything the grammar reacts
 /// to, plus some it must survive.
 const SOUP: &[&str] = &[

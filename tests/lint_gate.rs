@@ -222,14 +222,16 @@ fn churn_hot_path_obligations_stay_registered() {
     // The churn layer's standing obligations: the whole edit hot path
     // (op application, tombstoning departures, the engine's
     // nearest-live query, its grid's overlay insert, the split-aware
-    // cell scan, the arrival-coverage query and the per-cell radius
-    // bound raise) plus both snapshot codec entry points are panic-free
-    // roots, and the replay-equality surface (apply_edit, remove_node,
-    // the nearest-live query, the grid paths, the snapshot encoder) must
-    // not reach RNG draws, wall-clock reads, or atomic RMW — bit-exact
-    // (seed, trace) replay and snapshot restore depend on it. Dropping
-    // any of these would silently un-audit rim-churn.
-    const GRID_PATHS: [&str; 3] = ["scan_split", "for_each_reaching", "raise_bound"];
+    // cell scan, the arrival-coverage query, the per-cell radius bound
+    // raise and its one-pass fill, and the in-place compaction) plus both
+    // snapshot codec entry points are panic-free roots, and the
+    // replay-equality surface (apply_edit, remove_node, the nearest-live
+    // query, the grid paths, the snapshot encoder) must not reach RNG
+    // draws, wall-clock reads, or atomic RMW — bit-exact (seed, trace)
+    // replay and snapshot restore depend on it. Dropping any of these
+    // would silently un-audit rim-churn.
+    const GRID_PATHS: [&str; 5] =
+        ["scan_split", "for_each_reaching", "raise_bound", "fill_bounds", "compact"];
     for root in [
         "remove_node",
         "apply_edit",
