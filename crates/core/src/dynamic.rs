@@ -225,7 +225,6 @@ impl DynamicInterference {
         self.alive.fill(true);
         self.graph.compact_vertices(&dense);
         self.rebuild_grid();
-        self.radius_bound = self.radii.iter().copied().fold(0.0, f64::max);
     }
 
     /// Writes to `out` the `k` live slots nearest to `p`, leaving out
@@ -361,23 +360,17 @@ impl DynamicInterference {
             rim_obs::counter_add("dynamic.index_rebuilds", 1);
             let _span = rim_obs::span("dynamic.index_rebuild");
             self.rebuild_grid();
-            // Re-tighten the radius bound to the exact maximum while we
-            // are paying O(n) anyway.
-            self.radius_bound = self
-                .radii
-                .iter()
-                .copied()
-                .max_by(f64::total_cmp)
-                .unwrap_or(0.0);
         }
     }
 
     /// Rebuilds the grid over every slot, merged, with the radius bound
-    /// of each cell filled from the transmitters in it.
+    /// of each cell filled from the transmitters in it, and re-tightens
+    /// `radius_bound` to the largest radius while it pays `O(n)` anyway.
     fn rebuild_grid(&mut self) {
         self.grid = DynGrid::build(&self.points, initial_cell_hint(&self.points));
         let (radii, tx) = (&self.radii, &self.was_transmitting);
         self.grid.fill_bounds(|u| transmit_radius(radii, tx, u));
+        self.radius_bound = self.radii.iter().copied().fold(0.0, f64::max);
     }
 
     /// Adjusts `u`'s radius and patches the coverage counts over the

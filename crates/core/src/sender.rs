@@ -30,7 +30,7 @@
 
 use rim_geom::{Point, SoaGrid};
 use rim_graph::Edge;
-use rim_udg::Topology;
+use rim_udg::{NodeSet, Topology};
 
 /// Coverage of the (hypothetical or actual) link `{u, v}`: how many nodes
 /// lie in `D(u, |uv|) ∪ D(v, |uv|)`, endpoints included.
@@ -81,12 +81,7 @@ pub(crate) fn worst_link_coverage(t: &Topology, threads: usize) -> usize {
         return 0;
     }
     let nodes = t.nodes();
-    // The grid of `coverage_vector`: cells of the median link length.
-    let hint = {
-        let mut lens: Vec<f64> = edges.iter().map(|e| e.weight).collect();
-        crate::receiver::upper_median(&mut lens)
-    };
-    let index = SoaGrid::from_points(nodes.points(), hint);
+    let index = link_index(nodes, &edges);
     let bounds = rim_par::par_map_ranges(edges.len(), threads, |range| {
         edges[range]
             .iter()
@@ -101,19 +96,7 @@ pub(crate) fn worst_link_coverage(t: &Topology, threads: usize) -> usize {
             .collect::<Vec<usize>>()
     })
     .concat();
-    // `coverage_vector`'s count of one link, on the same runs.
-    let coverage = |e: &Edge| {
-        let (pu, pv) = (nodes.pos(e.u), nodes.pos(e.v));
-        let d_sq = nodes.dist_sq(e.u, e.v);
-        let mut count = 0usize;
-        index.for_each_link_run(pu, pv, d_sq.sqrt(), |xs, ys| {
-            for (&x, &y) in xs.iter().zip(ys) {
-                let w = Point::new(x, y);
-                count += usize::from((w.dist_sq(&pu) <= d_sq) | (w.dist_sq(&pv) <= d_sq));
-            }
-        });
-        count
-    };
+    let coverage = |e: &Edge| link_coverage(&index, nodes, e).0;
     let first = (0..edges.len()).max_by_key(|&i| bounds[i]).unwrap_or(0);
     let mut best = coverage(&edges[first]);
     let mut exact = 1u64;
@@ -159,26 +142,14 @@ pub(crate) fn coverage_vector_threads(t: &Topology, threads: usize) -> Vec<usize
         return Vec::new();
     }
     let nodes = t.nodes();
-    // Cell hint: the median link length — the dominant query radius.
-    let mut lens: Vec<f64> = edges.iter().map(|e| e.weight).collect();
-    let hint = crate::receiver::upper_median(&mut lens);
-    let index = SoaGrid::from_points(nodes.points(), hint);
+    let index = link_index(nodes, &edges);
     let shards = rim_par::par_map_ranges(edges.len(), threads, |range| {
         let (mut candidates, mut hits) = (0u64, 0u64);
         let coverages = edges[range]
             .iter()
             .map(|e| {
-                let (pu, pv) = (nodes.pos(e.u), nodes.pos(e.v));
-                let d_sq = nodes.dist_sq(e.u, e.v);
-                let mut count = 0usize;
-                index.for_each_link_run(pu, pv, d_sq.sqrt(), |xs, ys| {
-                    candidates += xs.len() as u64;
-                    for (&x, &y) in xs.iter().zip(ys) {
-                        let w = Point::new(x, y);
-                        // The model's exact predicate, on squares.
-                        count += usize::from((w.dist_sq(&pu) <= d_sq) | (w.dist_sq(&pv) <= d_sq));
-                    }
-                });
+                let (count, scanned) = link_coverage(&index, nodes, e);
+                candidates += scanned as u64;
                 hits += count as u64;
                 count
             })
@@ -191,10 +162,33 @@ pub(crate) fn coverage_vector_threads(t: &Topology, threads: usize) -> Vec<usize
     shards.concat()
 }
 
+/// The grid both link scans read over `nodes`: cells of the median
+/// length of `edges`, the dominant query radius.
+fn link_index(nodes: &NodeSet, edges: &[Edge]) -> SoaGrid {
+    let mut lens: Vec<f64> = edges.iter().map(|e| e.weight).collect();
+    SoaGrid::from_points(nodes.points(), crate::receiver::upper_median(&mut lens))
+}
+
+/// The coverage of link `e` over its box runs in `index`, and the
+/// candidates scanned: every candidate is tested once, without a branch,
+/// by [`edge_coverage`]'s predicate on raw squared distances.
+fn link_coverage(index: &SoaGrid, nodes: &NodeSet, e: &Edge) -> (usize, usize) {
+    let (pu, pv) = (nodes.pos(e.u), nodes.pos(e.v));
+    let d_sq = nodes.dist_sq(e.u, e.v);
+    let (mut count, mut scanned) = (0, 0);
+    index.for_each_link_run(pu, pv, d_sq.sqrt(), |xs, ys| {
+        scanned += xs.len();
+        for (&x, &y) in xs.iter().zip(ys) {
+            let w = Point::new(x, y);
+            count += usize::from((w.dist_sq(&pu) <= d_sq) | (w.dist_sq(&pv) <= d_sq));
+        }
+    });
+    (count, scanned)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rim_udg::NodeSet;
 
     #[test]
     fn isolated_pair_covers_itself() {

@@ -34,25 +34,26 @@
 //! # Nearest-neighbour radii at scale
 //!
 //! With nearest-neighbour radii, `v` lies in `D(u, r_u)` exactly when `v`
-//! is a nearest neighbour of `u`, so the ring search that finds `r_u`
+//! is a nearest neighbour of `u`, so the grid search that finds `r_u`
 //! ([`SoaGrid::nearest_at`](rim_geom::SoaGrid::nearest_at)) has already
 //! scanned every node `u` covers. The radius pass keeps, beside each
 //! radius, the bucket position of the sender's nearest neighbour when it
 //! is the only node in the disk, and the count is the in-degree of that
-//! column: one sequential sweep, no disk query. A sender whose disk may
-//! hold more — a distance tie, coincident nodes, a subnormal squared
-//! distance — is marked, and the count runs the scatter's own disk query
-//! for it alone; `core.nn_tie_fallbacks` counts those senders. The counts
-//! equal the scatter's bit for bit (`core/tests/streaming_differential.rs`
-//! pins them against it and against the naive oracle).
+//! column: one sequential sweep, no disk query. A sender whose disk holds
+//! more, a distance tie, is marked, and the count runs the scatter's own
+//! disk query for it alone; `core.nn_tie_fallbacks` counts those senders.
+//! The counts equal the scatter's bit for bit
+//! (`core/tests/streaming_differential.rs` pins them against it and
+//! against the naive oracle).
 //!
-//! Differential oracles stop where `O(n²)` stops being runnable. Two
-//! exact bounds take over: two nodes whose nearest neighbour is `v`
-//! subtend at least 60° at `v`, so `max I(v) <= 6`; and `Σ I(v) = n` when
-//! every nearest neighbour is unique.
+//! Differential oracles stop where `O(n²)` stops being runnable. Exact
+//! bounds take over: `Σ I(v) = n` exactly when every nearest neighbour
+//! is unique, and two nodes whose nearest neighbour is `v` subtend at
+//! least 60° at `v`, so `max I(v) <= 6`, or more than 60° when nearest
+//! neighbours are unique, so then `max I(v) <= 5`.
 //! `core/tests/streaming_differential.rs::nn_radii_gate_at_1e5` asserts
-//! both. [`sqrt_log_envelope`] is the looser Θ(√(log n)) band
-//! `rim analyze --generate` reports against.
+//! `Σ I(v) = n` and `max I(v) <= 5`. [`sqrt_log_envelope`] is the looser
+//! Θ(√(log n)) band `rim analyze --generate` reports against.
 
 use rim_geom::{try_filled, GridCapacityError, Point, SoaGrid, SoaPoints};
 use rim_par::{num_threads, par_fill_chunk_pairs, par_scatter_u32};
@@ -66,9 +67,10 @@ const STREAM_CHUNK: usize = 1024;
 /// kernel can test `r < 0.0` without a separate mask column.
 const SILENT: f64 = -1.0;
 
-/// Nearest-position marker of a sender whose disk may hold more than its
-/// nearest neighbour (see [`rim_geom::Nearest::unique`]). Grids hold at
-/// most `u32::MAX` points, so no position is `u32::MAX`.
+/// Nearest-position marker of a sender whose disk holds more than its
+/// nearest neighbour, or whose distance is infinite (see
+/// [`rim_geom::Nearest::unique`]). Grids hold at most `u32::MAX` points,
+/// so no position is `u32::MAX`.
 const TIED: u32 = u32::MAX;
 
 /// A positions-plus-radii interference instance in streaming layout:

@@ -264,7 +264,7 @@ impl DynGrid {
         if k == 0 || self.is_empty() {
             return 0;
         }
-        let (_, mut r) = self.base.descend(c, |_| {});
+        let mut r = self.base.first_radius(c);
         // Every point at distance `inner` or less has been offered; only
         // points at or under the list's entry bound `entry` can enter it.
         let (mut inner, mut entry) = (f64::NEG_INFINITY, f64::INFINITY);
@@ -286,9 +286,7 @@ impl DynGrid {
                 return candidates;
             }
             inner = r;
-            let s = &self.base.shape;
-            let spans_grid = s.span(&reach_box(c, c, r)) == Some((0, s.nx - 1, 0, s.ny - 1));
-            r = if spans_grid { f64::INFINITY } else { 2.0 * r };
+            r = self.base.next_radius(c, r);
         }
     }
 

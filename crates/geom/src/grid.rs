@@ -118,9 +118,7 @@ pub(crate) const SPLIT_BUDGET: usize = 32;
 /// pathological spreads, whose deepest cells then stay overloaded.
 pub(crate) const MAX_SPLIT_DEPTH: usize = 16;
 
-/// Cap on the number of grid cells. Besides keeping cell ids in `u32`,
-/// `2³⁰` bounds `nx` and `ny`, which bounds the rounding error of a
-/// bucket coordinate well below the ring search's stop margin.
+/// Cap on the number of grid cells, which keeps cell ids in `u32`.
 const MAX_CELLS: f64 = (1u64 << 30) as f64;
 
 /// Origin, cell size and cell counts of a grid.
@@ -492,7 +490,7 @@ mod tests {
             .collect()
     }
 
-    /// Nearest-neighbour distance of point `i` via the grid's ring search.
+    /// Nearest-neighbour distance of point `i` via the grid's search.
     fn nearest_dist(g: &SoaGrid, i: usize) -> Option<f64> {
         (0..g.len()).find(|&k| g.item(k) == i).and_then(|k| g.nearest_at(k)).map(|near| near.dist)
     }

@@ -28,10 +28,10 @@
 //! cells separates the points of least and greatest coordinate, so each
 //! nested cell holds fewer points, and a one-cell shape is not split. The
 //! nested buckets re-permute the parent cell's run of the columns in
-//! place, stably, so a scan that reads a run flat stays exact
-//! ([`SoaGrid::nearest_at`] does). Disk queries descend, scanning at
-//! every level the range of the same slackened radius through that
-//! level's monotone cell coordinate. A cell's index into the shared
+//! place, stably. Disk queries descend, scanning at every level the
+//! range of the same slackened radius through that level's monotone cell
+//! coordinate, and the nearest-neighbour search ([`SoaGrid::nearest_at`])
+//! is a sequence of disk queries' scans. A cell's index into the shared
 //! `starts` vector is its *cell id*, the key of [`crate::DynGrid`]'s
 //! per-cell tables.
 
@@ -357,38 +357,32 @@ impl SoaGrid {
     /// buffer of hit offsets, see `filter_run`); hits and their order are
     /// those of a plain `if` over the run.
     #[inline]
-    // rim-lint: allow(panic-freedom) — cell coordinates are clamped to the grid; `starts` has `ncells + 1` entries and bounds the column slices
     pub fn for_each_pos_in_disk<F: FnMut(usize)>(&self, c: Point, r: f64, mut f: F) -> usize {
         debug_assert!(r >= 0.0);
-        if !self.subs.is_empty() {
-            return self.scan_split(c, r, &mut f);
-        }
-        let s = &self.shape;
         let mut candidates = 0;
-        let Some((cx0, cx1, cy0, cy1)) = s.span(&reach_box(c, c, r)) else {
-            return candidates; // negative radius
-        };
-        for cy in cy0..=cy1 {
-            // Contiguous run of cells within the row: one slice scan per
-            // row instead of one per cell keeps the loop tight.
-            let row = cy * s.nx;
-            let lo = self.starts[row + cx0] as usize;
-            let hi = self.starts[row + cx1 + 1] as usize;
-            candidates += self.filter_run(lo, hi, c, r, &mut f);
-        }
+        self.for_each_disk_run(c, r, |lo, hi| candidates += self.filter_run(lo, hi, c, r, &mut f));
         candidates
     }
 
-    /// The split-aware disk scan: every run of leaf cells
-    /// [`SoaGrid::walk_cells`] yields is one [`SoaGrid::filter_run`].
-    // rim-lint: allow(panic-freedom) — walked cell ids are followed by their end offset in `starts`
-    fn scan_split<F: FnMut(usize)>(&self, c: Point, r: f64, f: &mut F) -> usize {
-        let mut candidates = 0;
-        self.walk_cells(self.top(), &reach_box(c, c, r), &mut |g0, g1| {
-            let (lo, hi) = (self.starts[g0] as usize, self.starts[g1 + 1] as usize);
-            candidates += self.filter_run(lo, hi, c, r, f);
-        });
-        candidates
+    /// Calls `run(lo, hi)` for every run `lo..hi` of positions that the
+    /// disk query of radius `r` around `c` scans: one per row of the top
+    /// level's cell range on a grid without split cells (a contiguous
+    /// run of cells, so one slice scan per row keeps the loop tight), and
+    /// the runs of [`SoaGrid::walk_cells`] on a grid with them.
+    #[inline]
+    // rim-lint: allow(panic-freedom) — cell coordinates are clamped to the grid, and every cell id is followed by its end offset in `starts`, which bounds the columns
+    fn for_each_disk_run(&self, c: Point, r: f64, mut run: impl FnMut(usize, usize)) {
+        let (b, s) = (reach_box(c, c, r), &self.shape);
+        if !self.subs.is_empty() {
+            self.walk_cells(self.top(), &b, &mut |g0, g1| {
+                run(self.starts[g0] as usize, self.starts[g1 + 1] as usize);
+            });
+        } else if let Some((x0, x1, y0, y1)) = s.span(&b) {
+            for y in y0..=y1 {
+                let row = y * s.nx;
+                run(self.starts[row + x0] as usize, self.starts[row + x1 + 1] as usize);
+            }
+        }
     }
 
     /// Calls `f(k)` for every position `k` in `lo..hi` whose point has
@@ -557,6 +551,29 @@ impl SoaGrid {
         }
     }
 
+    /// The radius of the first round of a nearest-neighbour search around
+    /// `c` ([`SoaGrid::nearest_at`], [`crate::DynGrid::k_nearest_where`]):
+    /// the size of the leaf cell `c` falls in, which a grid without split
+    /// cells knows without computing `c`'s cell.
+    pub(crate) fn first_radius(&self, c: Point) -> f64 {
+        if self.subs.is_empty() {
+            return self.shape.cell;
+        }
+        self.descend(c, |_| {}).1
+    }
+
+    /// The radius of the round after one of radius `r` around `c`: `2r`,
+    /// or, once the disk query's box spans the whole top level, infinity,
+    /// whose round scans every point.
+    pub(crate) fn next_radius(&self, c: Point, r: f64) -> f64 {
+        let s = &self.shape;
+        if s.span(&reach_box(c, c, r)) == Some((0, s.nx - 1, 0, s.ny - 1)) {
+            f64::INFINITY
+        } else {
+            2.0 * r
+        }
+    }
+
     /// Occupancy of every non-empty top-level bucket, in cell order — the
     /// cell occupancy distribution the observability layer histograms at
     /// build time.
@@ -581,125 +598,48 @@ impl SoaGrid {
     /// than two points or an out-of-range position.
     ///
     /// [`Nearest::dist`] is `sqrt(min dist_sq)` over all other points,
-    /// bit-equal to [`Point::dist`] of the closest pair. The search reads
-    /// the 3×3 block of cells around the point's own cell, then widens by
-    /// one Chebyshev ring at a time, keeping the two smallest `dist_sq`
-    /// and the first position of the smallest in scan order; no square
-    /// root is taken until the end. After ring `R` it stops once
-    /// `best_sq ≤ (R·cell·(1 − 2⁻²⁰))²`. If the block covers the whole
-    /// grid, or more rings would cost more than a scan of every point,
-    /// it falls back to a full scan, which starts all three trackers
-    /// afresh.
+    /// bit-equal to [`Point::dist`] of the closest pair. The search runs
+    /// the closed-disk rounds of [`crate::DynGrid::k_nearest_where`]: a
+    /// round of radius `R` scans the runs of the disk query of radius `R`
+    /// around the point ([`SoaGrid::for_each_pos_in_disk`]), keeping the
+    /// two smallest `dist_sq` and the first position of the smallest with
+    /// no square root in the loop, and the search stops once `dist =
+    /// sqrt(best_sq) <= R`. The first `R` is the size of the point's leaf
+    /// cell; every other round starts afresh at twice the last `R`, or,
+    /// once a round's box has spanned the top level, at an infinite one,
+    /// which scans every point.
     ///
-    /// Why the stop is exact: every point is bucketed by its cell coordinate,
-    /// i.e. `floor(a)` with `a = fl(fl(x − o)/cell)`, clamped to `nx − 1`.
-    /// Take a point `p` whose column is at least `R + 1` away from the
-    /// column of `c`. Clamping only lowers a column, so `c`'s column is
-    /// `floor(a_c)` if `p` lies to its right and at most `floor(a_c)` if
-    /// `p` lies to its left; either way `|a_p − a_c| > R`. Each `a` is
-    /// within `2.0001u·nx` of the true `(x − o)/cell` (`u = 2⁻⁵³`: two
-    /// roundings relative to `a < nx·(1 + 2u)`), and the grid caps
-    /// `nx, ny ≤ 2³⁰`, so the true offset exceeds
-    /// `(R − 2⁻²¹·1.0001)·cell ≥ R·cell·(1 − 2⁻²¹·1.0001)`. The stop
-    /// factor keeps almost another `2⁻²¹` in reserve, far more than the
-    /// few ulps by which the computed `R·cell·(1 − 2⁻²⁰)` can exceed its
-    /// exact value, so it stays below `|p.x − c.x|`. Rounding is
-    /// monotone, so `p`'s computed `dx²`, and with it its `dist_sq`, is at
-    /// least the threshold and cannot undercut `best_sq`, even where
-    /// squares underflow. Rows follow the same argument.
-    ///
-    /// Why [`Nearest::unique`] is exact: it holds when `best_sq ≥
-    /// f64::MIN_POSITIVE` and `sqrt(second) > dist`, and then the
-    /// closed disk `D(c, dist)` holds exactly `c` and `pos` — the hits
-    /// the disk scatter finds for this sender.
-    ///
-    /// * Every hit was scanned. While `best_sq` is normal, so are the
-    ///   stop and every unscanned point's `dx²`, and rounding is relative:
-    ///   `best_sq ≤ fl(stop²) ≤ (R·cell)²·(1 − 2⁻²⁰)²·(1 + 6u)`, while the
-    ///   reserve above puts every unscanned point at `dist_sq ≥
-    ///   (R·cell)²·(1 − 1.0001·2⁻²¹)²·(1 − 6u) ≥ best_sq·(1 + 2⁻²¹)`. The
-    ///   exact roots of the two differ by a relative `2⁻²²`, far more than
-    ///   an ulp, so the rounded root of every unscanned point exceeds
-    ///   `dist` strictly. (The `≥` above is all the radius needs; the hit
-    ///   set needs this strict `>`.)
-    /// * Every scanned point other than `pos` has `dist_sq ≥ second`, so
-    ///   its root is at least `sqrt(second) > dist`.
-    ///
-    /// Every other case — a distance tie (`second = best_sq`, or a
-    /// `second` whose root rounds to `dist`), coincident points
-    /// (`best_sq = 0`) and a subnormal `best_sq`, where relative rounding
-    /// no longer bounds the stop — reports `unique = false`, and a caller
-    /// that needs the hits runs the disk query itself.
-    // rim-lint: allow(panic-freedom) — `k` is range-checked; ring cells are clamped to the grid
+    /// Why the answer is exact: the disk query's runs hold every point at
+    /// distance at most `R`. A point left out has `sqrt(dist_sq) > R >=
+    /// dist`, so, `sqrt` being monotone, its `dist_sq > best_sq`: it can
+    /// neither undercut nor tie the minimum. The same argument makes
+    /// [`Nearest::unique`], `sqrt(second) > dist`, exact: every point of
+    /// the closed disk `D(c, dist)` was scanned, and each scanned point
+    /// other than `pos` has `dist_sq >= second`. Only an infinite `dist`
+    /// leaves `unique` false whatever the disk holds.
     pub fn nearest_at(&self, k: usize) -> Option<Nearest> {
         if self.len() < 2 || k >= self.len() {
             return None;
         }
-        let c = Point::new(self.sxs[k], self.sys[k]);
-        let s = &self.shape;
-        let (ix, iy) = (s.col(c.x), s.row(c.y));
-        let (last_x, last_y) = (s.nx - 1, s.ny - 1);
-        let mut two = TwoNearest::new(k);
-        // Own cell and ring 1, as three contiguous row runs.
-        let (x0, x1) = (ix.saturating_sub(1), (ix + 1).min(last_x));
-        for y in iy.saturating_sub(1)..=(iy + 1).min(last_y) {
-            self.scan_cells(y, x0, x1, c, &mut two);
-        }
-        let mut ring = 1;
+        let c = self.point_at(k);
+        let mut r = self.first_radius(c);
         loop {
-            let stop = ring as f64 * s.cell * RING_SHRINK;
-            if two.best_sq <= stop * stop {
-                break;
+            let mut two = TwoNearest::new(k);
+            self.for_each_disk_run(c, r, |lo, hi| self.scan_range(lo, hi, c, &mut two));
+            let dist = two.best_sq.sqrt();
+            if dist <= r {
+                let unique = two.second_sq.sqrt() > dist;
+                return Some(Nearest { dist, pos: two.pos, unique });
             }
-            let covers = ix <= ring && iy <= ring && ix + ring >= last_x && iy + ring >= last_y;
-            if covers || ring * ring > self.len() {
-                two = TwoNearest::new(k);
-                self.scan_range(0, self.len(), c, &mut two);
-                break;
-            }
-            ring += 1;
-            // Ring `ring`: its top and bottom rows as runs, then the
-            // single cells of its left and right columns in between.
-            let (x0, x1) = (ix.saturating_sub(ring), (ix + ring).min(last_x));
-            if let Some(y) = iy.checked_sub(ring) {
-                self.scan_cells(y, x0, x1, c, &mut two);
-            }
-            if iy + ring <= last_y {
-                self.scan_cells(iy + ring, x0, x1, c, &mut two);
-            }
-            let left = ix.checked_sub(ring);
-            let right = (ix + ring <= last_x).then_some(ix + ring);
-            if left.is_some() || right.is_some() {
-                for y in iy.saturating_sub(ring - 1)..=(iy + ring - 1).min(last_y) {
-                    for x in left.into_iter().chain(right) {
-                        self.scan_cells(y, x, x, c, &mut two);
-                    }
-                }
-            }
+            r = self.next_radius(c, r);
         }
-        let dist = two.best_sq.sqrt();
-        Some(Nearest {
-            dist,
-            pos: two.pos,
-            unique: two.best_sq >= f64::MIN_POSITIVE && two.second_sq.sqrt() > dist,
-        })
-    }
-
-    /// Feeds the points in cells `x0..=x1` of row `y` to `two`.
-    #[inline]
-    // rim-lint: allow(panic-freedom) — callers clamp `y <= ny - 1` and `x0 <= x1 <= nx - 1`; `starts` has `ncells + 1` entries
-    fn scan_cells(&self, y: usize, x0: usize, x1: usize, c: Point, two: &mut TwoNearest) {
-        let row = y * self.shape.nx;
-        let lo = self.starts[row + x0] as usize;
-        let hi = self.starts[row + x1 + 1] as usize;
-        self.scan_range(lo, hi, c, two);
     }
 
     /// Feeds positions `lo..hi` to `two`, by their `dist_sq` from `c`.
     /// The updates are selects, not branches: the search loop stays as
     /// cheap as a plain minimum.
     #[inline]
-    // rim-lint: allow(panic-freedom) — `lo <= hi <= len()` comes from `starts` or the caller
+    // rim-lint: allow(panic-freedom) — `lo <= hi <= len()` comes from `starts`
     fn scan_range(&self, lo: usize, hi: usize, c: Point, two: &mut TwoNearest) {
         for (i, (&x, &y)) in self.sxs[lo..hi].iter().zip(&self.sys[lo..hi]).enumerate() {
             let pos = lo + i;
@@ -727,14 +667,13 @@ pub struct Nearest {
     /// the search scanned at the smallest `dist_sq`.
     pub pos: usize,
     /// Whether `pos` is the only other point `q` with `dist(q, c) <=
-    /// dist`. `false` for distance ties, coincident points and subnormal
-    /// squared distances, whatever the hits (see
-    /// [`SoaGrid::nearest_at`]).
+    /// dist` (see [`SoaGrid::nearest_at`]): `false` for distance ties,
+    /// and for an infinite `dist`, where squared distances overflow.
     pub unique: bool,
 }
 
-/// The two smallest `dist_sq` a ring search has seen, and the first
-/// position of the smallest.
+/// The two smallest `dist_sq` a round of [`SoaGrid::nearest_at`] has
+/// seen, and the first position of the smallest.
 struct TwoNearest {
     best_sq: f64,
     second_sq: f64,
@@ -814,10 +753,6 @@ const QUERY_SLACK: f64 = 1.0 / (1u64 << 40) as f64;
 /// Absolute slack of a disk query's cell range, `2⁻⁵⁰⁰`: covers offsets
 /// whose squares underflow.
 const UNDERFLOW_SLACK: f64 = f64::from_bits((1023 - 500) << 52);
-
-/// Stop factor of the ring search, `1 − 2⁻²⁰` (see
-/// [`SoaGrid::nearest_at`]).
-const RING_SHRINK: f64 = 1.0 - 1.0 / (1u64 << 20) as f64;
 
 #[cfg(test)]
 mod tests {
@@ -901,11 +836,11 @@ mod tests {
         assert_eq!(empty.nearest_at(0), None);
         let one = SoaGrid::from_points(&[Point::new(1.0, 1.0)], 1.0);
         assert_eq!(one.nearest_at(0), None);
-        // Coincident points: nearest distance is exactly zero, and a zero
-        // minimum is never reported unique.
+        // Coincident points: nearest distance is exactly zero, and each
+        // of a coincident pair is alone in the other's disk of radius 0.
         let dup = SoaGrid::from_points(&[Point::new(2.0, 2.0), Point::new(2.0, 2.0)], 1.0);
-        assert_eq!(dup.nearest_at(0), Some(Nearest { dist: 0.0, pos: 1, unique: false }));
-        assert_eq!(dup.nearest_at(1), Some(Nearest { dist: 0.0, pos: 0, unique: false }));
+        assert_eq!(dup.nearest_at(0), Some(Nearest { dist: 0.0, pos: 1, unique: true }));
+        assert_eq!(dup.nearest_at(1), Some(Nearest { dist: 0.0, pos: 0, unique: true }));
         assert_eq!(dup.nearest_at(2), None);
         // Two points at one distance tie; one nearer point does not.
         let line = [Point::ORIGIN, Point::new(1.0, 0.0), Point::new(-1.0, 0.0)];

@@ -271,15 +271,14 @@ fn arb_cell(rng: &mut SmallRng) -> f64 {
     2f64.powi(rng.gen_range(0u32..41) as i32 - 20)
 }
 
-/// The ring search's distance is the brute-force one bit for bit, its
-/// position is a brute-force argmin, and it reports the nearest point
-/// unique exactly when it is the only other point in the closed disk
-/// and the squared minimum is normal (never for coincident points or a
-/// subnormal minimum, whatever the disk holds).
+/// The nearest-neighbour search's distance is the brute-force one bit
+/// for bit, its position is a brute-force argmin, and it reports the
+/// nearest point unique exactly when it is the only other point in the
+/// closed disk, coincident points and subnormal minima included.
 #[test]
-fn soa_ring_nearest_matches_brute_force_bitwise() {
+fn soa_nearest_matches_brute_force_bitwise() {
     check(
-        "soa_ring_nearest_matches_brute_force_bitwise",
+        "soa_nearest_matches_brute_force_bitwise",
         512,
         |rng| (arb_cloud(rng), arb_cell(rng)),
         |(pts, cell)| {
@@ -296,7 +295,7 @@ fn soa_ring_nearest_matches_brute_force_bitwise() {
                 prop_ensure!(
                     // rim-lint: allow(float-eq) — comparing u64 bit patterns; exactness is the property
                     got.dist.to_bits() == want.to_bits(),
-                    "position {k} (point {i}): ring search {:e}, brute force {want:e}",
+                    "position {k} (point {i}): grid search {:e}, brute force {want:e}",
                     got.dist
                 );
                 let at = grid.item(got.pos);
@@ -307,9 +306,8 @@ fn soa_ring_nearest_matches_brute_force_bitwise() {
                 );
                 let hits =
                     (0..pts.len()).filter(|&j| j != i && pts[j].dist(&c) <= got.dist).count();
-                let normal = min_sq >= f64::MIN_POSITIVE && min_sq.is_finite();
                 prop_ensure!(
-                    got.unique == (normal && hits == 1),
+                    got.unique == (hits == 1),
                     "position {k} (point {i}): unique = {} with {hits} point(s) in the disk",
                     got.unique
                 );
@@ -444,7 +442,7 @@ fn dyn_grid_nearest_k_matches_brute_force() {
                 _ => Point::new(c.x * 3.0 + 50.0, c.y - 50.0),
             };
             // Keeping only every `m`-th point pushes the answer out of the
-            // query's 3×3 block, into later rings.
+            // first round's disk, into later rounds.
             let (m, sparse) = (rng.gen_range(1usize..17), rng.gen_bool(0.5));
             (pts, merged, cell, query, rng.gen_range(1usize..6), m, sparse)
         },

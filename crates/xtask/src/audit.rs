@@ -256,6 +256,7 @@ pub const PANIC_FREE_ROOTS: &[&str] = &[
     "interference_counts_sharded",
     "par_scatter_u32",
     "nn_radii",
+    "nearest_at",
     "nn_in_degree",
     "par_fill_chunks",
     "par_fill_chunk_pairs",
@@ -265,7 +266,7 @@ pub const PANIC_FREE_ROOTS: &[&str] = &[
     "decode_snapshot",
     "k_nearest_live",
     "push_overlay",
-    "scan_split",
+    "for_each_disk_run",
     "for_each_reaching",
     "raise_bound",
     "unit_disk_graph_with_range",

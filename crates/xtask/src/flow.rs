@@ -770,6 +770,7 @@ pub const DETERMINISM_ROOTS: &[&str] = &[
     "par_scatter_u32",
     "run_pieces",
     "nn_radii",
+    "nearest_at",
     "nn_in_degree",
     "par_fill_chunks",
     "par_fill_chunk_pairs",
@@ -778,7 +779,7 @@ pub const DETERMINISM_ROOTS: &[&str] = &[
     "encode_snapshot",
     "k_nearest_live",
     "push_overlay",
-    "scan_split",
+    "for_each_disk_run",
     "for_each_reaching",
     "raise_bound",
     "unit_disk_graph_with_range",

@@ -164,11 +164,12 @@ fn physical_engine_obligations_stay_registered() {
 fn streaming_kernel_obligations_stay_registered() {
     // The million-node streaming path's standing obligations: the
     // counting entry points and the (max, Σ) reduction, the
-    // nearest-neighbor radius and position pass and the in-degree count
-    // over its positions, the grid build's parallel scatter and column
-    // gather, the sharded scatter, in-place fill (one column or two)
-    // and column-partition primitives, and `run_pieces`, the one
-    // executor they all run on, carry the panic-freedom closure check,
+    // nearest-neighbor radius and position pass, the grid search it
+    // calls, and the in-degree count over its positions, the grid
+    // build's parallel scatter and column gather, the sharded scatter,
+    // in-place fill (one column or two) and column-partition primitives,
+    // and `run_pieces`, the one executor they all run on, carry the
+    // panic-freedom closure check,
     // the thread-count-invariant kernels are determinism roots,
     // and the naive oracle the streaming differential suite pins against
     // stays retained. Dropping any of these would silently un-audit the
@@ -180,6 +181,7 @@ fn streaming_kernel_obligations_stay_registered() {
         "interference_max_sum",
         "par_scatter_u32",
         "nn_radii",
+        "nearest_at",
         "nn_in_degree",
         "par_fill_chunks",
         "par_fill_chunk_pairs",
@@ -198,6 +200,7 @@ fn streaming_kernel_obligations_stay_registered() {
         "interference_max_sum",
         "par_scatter_u32",
         "nn_radii",
+        "nearest_at",
         "nn_in_degree",
         "par_fill_chunks",
         "par_fill_chunk_pairs",
@@ -221,9 +224,10 @@ fn streaming_kernel_obligations_stay_registered() {
 fn churn_hot_path_obligations_stay_registered() {
     // The churn layer's standing obligations: the whole edit hot path
     // (op application, tombstoning departures, the engine's
-    // nearest-live query, its grid's overlay insert, the split-aware
-    // cell scan, the arrival-coverage query, the per-cell radius bound
-    // raise and its one-pass fill, and the in-place compaction) plus both
+    // nearest-live query, its grid's overlay insert, the disk query's
+    // split-aware run walk, the arrival-coverage query, the per-cell
+    // radius bound raise and its one-pass fill, and the in-place
+    // compaction) plus both
     // snapshot codec entry points are panic-free roots, and the
     // replay-equality surface (apply_edit, remove_node, the nearest-live
     // query, the grid paths, the snapshot encoder) must not reach RNG
@@ -231,7 +235,7 @@ fn churn_hot_path_obligations_stay_registered() {
     // replay and snapshot restore depend on it. Dropping any of these
     // would silently un-audit rim-churn.
     const GRID_PATHS: [&str; 5] =
-        ["scan_split", "for_each_reaching", "raise_bound", "fill_bounds", "compact"];
+        ["for_each_disk_run", "for_each_reaching", "raise_bound", "fill_bounds", "compact"];
     for root in [
         "remove_node",
         "apply_edit",
