@@ -216,6 +216,7 @@ impl ChurnSim {
     /// Applies one churn op — the hot path. `O(affected)` through the
     /// engine, whose grid also answers the nearest-live queries; no wall
     /// clock, no randomness (the op carries every draw).
+    // rim-lint: root
     pub fn apply_edit(&mut self, op: ChurnOp) {
         self.counts.edits += 1;
         match op {

@@ -52,6 +52,7 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// Serializes the full sim state. The output is a pure function of the
 /// sim's observable state: two sims that behave identically encode
 /// identically (the property-test equality surface).
+// rim-lint: root
 pub fn encode_snapshot(sim: &ChurnSim) -> Vec<u8> {
     let cfg = sim.config();
     let s = sim.engine().export_state();
@@ -166,6 +167,7 @@ impl<'a> Rd<'a> {
 /// Deserializes a snapshot produced by [`encode_snapshot`], validating
 /// the magic, the checksum, and every structural invariant. The
 /// restored sim continues the run bit-identically (property-tested).
+// rim-lint: root
 pub fn decode_snapshot(bytes: &[u8]) -> Result<ChurnSim, String> {
     let split = bytes
         .len()
@@ -195,15 +197,17 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<ChurnSim, String> {
     let bootstrapped = rd.u8()? != 0;
     let trace = ChurnTrace::from_parts(cfg, rng, live, remaining, bootstrapped)
         .ok_or("degenerate (all-zero) RNG state")?;
-    let mut counts = OpCounts::default();
-    counts.edits = rd.u64()?;
-    counts.arrivals = rd.u64()?;
-    counts.departures = rd.u64()?;
-    counts.moves = rd.u64()?;
-    counts.relinks = rd.u64()?;
-    counts.links_added = rd.u64()?;
-    counts.links_removed = rd.u64()?;
-    counts.compactions = rd.u64()?;
+    // Fields are read in the order written, which is the encoding order.
+    let counts = OpCounts {
+        edits: rd.u64()?,
+        arrivals: rd.u64()?,
+        departures: rd.u64()?,
+        moves: rd.u64()?,
+        relinks: rd.u64()?,
+        links_added: rd.u64()?,
+        links_removed: rd.u64()?,
+        compactions: rd.u64()?,
+    };
     // Per node: a position (16 bytes), a radius (8) and a liveness byte.
     let n = rd.records("node", 25)?;
     let mut points = Vec::with_capacity(n);

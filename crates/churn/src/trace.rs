@@ -57,16 +57,9 @@ impl Family {
         }
     }
 
-    /// Parses a CLI/wire tag. (Explicit loop, not `Iterator::find`: the
-    /// lint call-graph resolver is name-based and would tie a `.find(…)`
-    /// call on the snapshot-decode path to `UnionFind::find`.)
+    /// Parses a CLI/wire tag.
     pub fn parse(s: &str) -> Option<Family> {
-        for f in Family::ALL {
-            if f.tag() == s {
-                return Some(f);
-            }
-        }
-        None
+        Family::ALL.into_iter().find(|f| f.tag() == s)
     }
 
     /// Stable single-byte encoding for snapshots.
@@ -80,15 +73,9 @@ impl Family {
         }
     }
 
-    /// Inverse of [`Family::code`]. (Explicit loop for the same reason
-    /// as [`Family::parse`].)
+    /// Inverse of [`Family::code`].
     pub fn from_code(c: u8) -> Option<Family> {
-        for f in Family::ALL {
-            if f.code() == c {
-                return Some(f);
-            }
-        }
-        None
+        Family::ALL.into_iter().find(|f| f.code() == c)
     }
 }
 

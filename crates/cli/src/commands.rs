@@ -176,6 +176,7 @@ pub fn generate(args: &Args) -> Result<(), UsageError> {
 
 /// Checks a length flag of a generator, which asserts on it: it must be
 /// finite and positive.
+// rim-lint: root
 fn positive_length(key: &str, value: f64) -> Result<f64, UsageError> {
     if value > 0.0 && value.is_finite() {
         Ok(value)
@@ -189,6 +190,7 @@ fn positive_length(key: &str, value: f64) -> Result<f64, UsageError> {
 /// Checks every generated coordinate with the predicate
 /// [`io::parse_nodes`] applies, so `rim generate` never writes a nodes
 /// file `rim` refuses; `scale` is the flag to blame.
+// rim-lint: root
 fn check_generated(nodes: &NodeSet, scale: &str) -> Result<(), UsageError> {
     for (i, p) in nodes.points().iter().enumerate() {
         if !(io::coordinate_in_range(p.x) && io::coordinate_in_range(p.y)) {
@@ -543,6 +545,7 @@ pub fn simulate(args: &Args) -> Result<(), UsageError> {
 /// `Args::parse`, and through its `.next()` calls to the churn-trace
 /// iterators, pulling their slice indexing into these panic-freedom
 /// roots.
+// rim-lint: root
 fn parse_generate_spec(spec: &str) -> Result<usize, UsageError> {
     let n = match spec.split_once(':') {
         Some(("uniform", count)) => usize::from_str(count)
@@ -562,6 +565,7 @@ fn parse_generate_spec(spec: &str) -> Result<usize, UsageError> {
 }
 
 /// Parses a `family:N` churn trace spec.
+// rim-lint: root
 fn parse_trace_spec(spec: &str) -> Result<(rim_churn::Family, usize), UsageError> {
     let err = || {
         UsageError(format!(

@@ -1166,8 +1166,7 @@ fn churn_snapshot_resume_matches_uninterrupted_run() {
     // The resumed run's final checkpoint equals the uninterrupted run's.
     let last = |text: &str| -> String {
         text.lines()
-            .filter(|l| l.contains("churn_checkpoint"))
-            .next_back()
+            .rfind(|l| l.contains("churn_checkpoint"))
             .expect("a checkpoint record")
             .to_string()
     };

@@ -200,6 +200,7 @@ impl DynamicInterference {
     /// when it has a link, and dead radii are 0. The result is the state
     /// `from_topology(&self.live_topology().0)` reaches by replaying
     /// every edge through two disk queries (property-tested).
+    // rim-lint: root
     // rim-lint: allow(panic-freedom) — `dense[v]` and the moves run over `v < len()` of per-slot vectors of one length, and the cursor `live` never passes `v`
     pub fn compact(&mut self) {
         let n = self.len();
@@ -234,6 +235,7 @@ impl DynamicInterference {
     /// overlay; dead slots are skipped. Fewer than `k` entries come back
     /// when fewer live slots qualify. `out` is a caller-owned buffer, so
     /// a query allocates nothing once it has held `k` entries.
+    // rim-lint: root
     pub fn k_nearest_live(
         &self,
         p: Point,
@@ -253,6 +255,7 @@ impl DynamicInterference {
     /// Inserts `{u, v}`; returns `false` if the edge already existed or
     /// either endpoint has departed. Costs one disk query per endpoint
     /// whose radius (or transmit status) changed — `O(affected)`.
+    // rim-lint: root
     // rim-lint: allow(panic-freedom) — node ids are caller-validated against the structure
     pub fn insert_edge(&mut self, u: usize, v: usize) -> bool {
         if !self.alive[u] || !self.alive[v] {
@@ -269,6 +272,7 @@ impl DynamicInterference {
     }
 
     /// Removes `{u, v}`; returns `false` if the edge was absent.
+    // rim-lint: root
     pub fn remove_edge(&mut self, u: usize, v: usize) -> bool {
         if !self.graph.remove_edge(u, v) {
             return false;
@@ -288,6 +292,7 @@ impl DynamicInterference {
     /// cells whose radius bound reaches it, via the index) and, being
     /// isolated, contributes nothing itself until an edge arrives. The
     /// spatial index absorbs the node lazily — see the module docs.
+    // rim-lint: root
     // rim-lint: allow(panic-freedom) — grid ids index the per-slot vectors, which grow in lockstep with it
     pub fn insert_node(&mut self, p: Point) -> usize {
         assert!(p.is_finite(), "node positions must be finite");
@@ -327,6 +332,7 @@ impl DynamicInterference {
     /// [`DynamicInterference::live_topology`]. Insert-then-remove is an
     /// exact no-op on the surviving nodes' counts and on the histogram
     /// (regression-tested).
+    // rim-lint: root
     // rim-lint: allow(panic-freedom) — v is a maintained node id; per-node vectors grow in lockstep
     pub fn remove_node(&mut self, v: usize) -> bool {
         if !self.alive[v] {

@@ -135,6 +135,7 @@ pub(crate) fn upper_median(values: &mut [f64]) -> f64 {
 
 /// Per-node interference via an explicitly chosen [`Engine`]:
 /// `out[v] = I(v)`. All engines agree exactly; see the module docs.
+// rim-lint: root
 pub fn interference_vector_with(t: &Topology, engine: Engine) -> Vec<usize> {
     if t.num_nodes() == 0 {
         return Vec::new();

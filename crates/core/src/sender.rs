@@ -74,6 +74,7 @@ pub fn sender_graph_interference(t: &Topology) -> usize {
 
 /// [`sender_graph_interference`] with the bounds taken over `threads`
 /// workers.
+// rim-lint: root
 // rim-lint: allow(panic-freedom) — `par_map_ranges` only yields edge indices below `edges.len()`, and `bounds` has one entry per edge
 pub(crate) fn worst_link_coverage(t: &Topology, threads: usize) -> usize {
     let edges = t.edges();
@@ -130,6 +131,7 @@ pub(crate) fn worst_link_coverage(t: &Topology, threads: usize) -> usize {
 /// function of its edge, so the vector is the same for every worker
 /// count. Each shard counts its scanned candidates and its covered
 /// nodes once, as `core.sender_candidates` and `core.sender_hits`.
+// rim-lint: root
 pub fn coverage_vector(t: &Topology) -> Vec<usize> {
     coverage_vector_threads(t, rim_par::auto_threads(t.num_nodes()))
 }

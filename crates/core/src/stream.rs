@@ -25,7 +25,7 @@
 //!   Both count by the **SoA scatter**: one closed-disk query per
 //!   transmitter, scattered into `u32` count buffers sharded over the
 //!   workers.
-//! * [`StreamInstance::with_nn_radii`] assigns every node its
+//! * [`StreamInstance::try_with_nn_radii`] assigns every node its
 //!   nearest-neighbor distance as radius, entirely from the index — the
 //!   streaming analogue of the nearest-neighbor-forest radius
 //!   assignment. Such an instance counts without the scatter (next
@@ -88,7 +88,7 @@ const TIED: u32 = u32::MAX;
 ///     Point::new(1.0, 0.0),
 ///     Point::new(2.1, 0.0),
 /// ]);
-/// let inst = StreamInstance::with_nn_radii(pts);
+/// let inst = StreamInstance::try_with_nn_radii(pts).expect("three points fit the grid");
 /// assert_eq!(inst.interference_counts(), vec![1, 2, 0]);
 /// assert_eq!(inst.interference_max_sum(1), Ok((2, 3)));
 /// ```
@@ -144,23 +144,13 @@ impl StreamInstance {
 
     /// Builds a streaming instance straight from points, assigning every
     /// node its nearest-neighbor distance as transmission radius — the
-    /// UDG-free path: no topology, no edge list, `O(n)` memory.
+    /// UDG-free path: no topology, no edge list, `O(n)` memory. Errors
+    /// when the store exceeds the grid's `u32` item capacity or a
+    /// point-sized column does not fit in memory. The radius pass runs on
+    /// [`num_threads`] workers.
     ///
     /// A single-node (or empty) instance has no neighbors to reach, so
     /// all nodes are silent and every count is zero.
-    pub fn with_nn_radii(points: SoaPoints) -> Self {
-        match Self::try_with_nn_radii(points) {
-            Ok(inst) => inst,
-            // rim-lint: allow(panic-freedom) — the capacity assert replaces silent id truncation
-            // rim-lint: allow(no-unwrap-in-lib) — intentional capacity assert, fallible twin is try_with_nn_radii
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible variant of [`StreamInstance::with_nn_radii`]: errors when
-    /// the store exceeds the grid's `u32` item capacity or a point-sized
-    /// column does not fit in memory. The radius pass runs on
-    /// [`num_threads`] workers.
     pub fn try_with_nn_radii(points: SoaPoints) -> Result<Self, GridCapacityError> {
         Self::try_with_nn_radii_sharded(points, num_threads())
     }
@@ -205,6 +195,7 @@ impl StreamInstance {
     /// Per-node interference `out[v] = I(v)` (original node order),
     /// computed sequentially. Bit-identical to
     /// [`crate::interference_vector_naive`] on the same instance.
+    // rim-lint: root
     pub fn interference_counts(&self) -> Vec<u32> {
         let _span = rim_obs::span("interference/streaming");
         self.by_node(self.position_counts(1))
@@ -217,6 +208,7 @@ impl StreamInstance {
     /// **thread-count-invariant**: every worker scatters a disjoint
     /// sender range and integer addition commutes, so the merged counts
     /// are bit-identical for any `threads >= 1`.
+    // rim-lint: root
     pub fn interference_counts_sharded(&self, threads: usize) -> Vec<u32> {
         let _span = rim_obs::span("interference/streaming_sharded");
         self.by_node(self.position_counts(threads))
@@ -228,6 +220,7 @@ impl StreamInstance {
     /// vector is ever built; they equal the max and sum of the per-node
     /// counts for any `threads >= 1`. Errors when the count column of a
     /// nearest-neighbour instance does not fit in memory.
+    // rim-lint: root
     pub fn interference_max_sum(&self, threads: usize) -> Result<(u32, u64), GridCapacityError> {
         let _span = rim_obs::span("interference/streaming_sharded");
         let counts = if self.nearest.is_empty() {
@@ -289,6 +282,7 @@ impl StreamInstance {
     /// neighbour, or, for a `TIED` sender, the hits of the scatter's own
     /// disk query. Sequential, so the counts cannot depend on the thread
     /// count. Counts `core.nn_tie_fallbacks`.
+    // rim-lint: root
     fn nn_in_degree(&self, counts: &mut [u32]) {
         let _span = rim_obs::span("stream/nn_in_degree");
         let mut fallbacks = 0u64;
@@ -325,6 +319,7 @@ impl StreamInstance {
 /// [`SoaGrid::nearest_at`] distance and, when that neighbour is alone in
 /// the disk, its position, else `TIED`. A store with fewer than two
 /// points has no neighbors, so every node is `SILENT`.
+// rim-lint: root
 fn nn_radii(grid: &SoaGrid, threads: usize, radii: &mut [f64], nearest: &mut [u32]) {
     let _span = rim_obs::span("stream/nn_radii");
     let threads = threads.min((grid.len() / STREAM_CHUNK).max(1));
@@ -346,7 +341,7 @@ fn nn_radii(grid: &SoaGrid, threads: usize, radii: &mut [f64], nearest: &mut [u3
 ///
 /// Theory: Devroye–Morin (arXiv 1202.5945) prove max interference of
 /// MST-style radius assignments on uniform points is Θ(√(log n)) w.h.p.;
-/// the NN-radius assignment used by [`StreamInstance::with_nn_radii`] is
+/// the NN-radius assignment used by [`StreamInstance::try_with_nn_radii`] is
 /// pointwise ≤ the MST radii (every MST links each node to something at
 /// least as far as its nearest neighbor), and any graph containing the
 /// nearest-neighbor links inherits the √(log n) lower-bound construction.
@@ -423,7 +418,8 @@ mod tests {
         let pts: Vec<Point> = (0..640)
             .map(|i| Point::new((i % 32) as f64 * 0.21, (i / 32) as f64 * 0.17))
             .collect();
-        let inst = StreamInstance::with_nn_radii(SoaPoints::from_points(&pts));
+        let inst =
+            StreamInstance::try_with_nn_radii(SoaPoints::from_points(&pts)).expect("fits the grid");
         let reference = inst.interference_counts();
         for threads in 1..=8 {
             assert_eq!(
@@ -483,11 +479,12 @@ mod tests {
 
     #[test]
     fn nn_radii_empty_and_singleton() {
-        let empty = StreamInstance::with_nn_radii(SoaPoints::new());
+        let empty = StreamInstance::try_with_nn_radii(SoaPoints::new()).expect("fits the grid");
         assert!(empty.is_empty());
         assert_eq!(empty.interference_counts(), Vec::<u32>::new());
         assert_eq!(empty.interference_max_sum(1), Ok((0, 0)));
-        let one = StreamInstance::with_nn_radii(SoaPoints::from_points(&[Point::ORIGIN]));
+        let one = StreamInstance::try_with_nn_radii(SoaPoints::from_points(&[Point::ORIGIN]))
+            .expect("fits the grid");
         assert_eq!(one.interference_counts(), vec![0]);
     }
 

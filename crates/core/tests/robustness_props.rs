@@ -97,8 +97,8 @@ fn incremental_arrival_and_departure_are_bounded() {
 
             // Arrival of an isolated node: no old count moves at all.
             let v = d.insert_node(*p);
-            for w in 0..old_n {
-                prop_ensure_eq!(d.interference_at(w), before[w]);
+            for (w, &was) in before.iter().enumerate() {
+                prop_ensure_eq!(d.interference_at(w), was);
             }
 
             // Anchor it to a transmitter already covering it (if any):
@@ -109,9 +109,9 @@ fn incremental_arrival_and_departure_are_bounded() {
             };
             prop_ensure!(d.insert_edge(v, anchor));
             let mut after = Vec::with_capacity(old_n);
-            for w in 0..old_n {
+            for (w, &was) in before.iter().enumerate() {
                 let now = d.interference_at(w);
-                let delta = now as isize - before[w] as isize;
+                let delta = now as isize - was as isize;
                 prop_ensure!(
                     (0..=1).contains(&delta),
                     "I({w}) moved by {delta} on incremental arrival"

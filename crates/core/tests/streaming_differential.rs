@@ -5,7 +5,7 @@
 //! instance families `differential.rs` pins `Engine::Auto` by, and the
 //! sharded accumulator variant must be
 //! invariant in the worker count. The nearest-neighbor path
-//! ([`StreamInstance::with_nn_radii`]) is pinned the same way, against
+//! ([`StreamInstance::try_with_nn_radii`]) is pinned the same way, against
 //! brute-force nearest-neighbor radii, and its in-degree count against
 //! the scatter over the same radii ([`StreamInstance::with_radii`]) on
 //! instances far above the parallel gates, ties and underflowing squared
@@ -229,12 +229,13 @@ fn nn_oracle(pts: &[Point]) -> Vec<usize> {
     want
 }
 
-/// `with_nn_radii` must reproduce [`nn_oracle`] exactly. (Instances this
+/// `try_with_nn_radii` must reproduce [`nn_oracle`] exactly. (Instances this
 /// small run on one worker; see the thread-count test below.)
 fn nn_radii_match_oracle(t: &Topology) -> Result<(), String> {
     let pts = t.nodes().points();
     let oracle = nn_oracle(pts);
-    let inst = StreamInstance::with_nn_radii(SoaPoints::from_points(pts));
+    let inst =
+        StreamInstance::try_with_nn_radii(SoaPoints::from_points(pts)).expect("fits the grid");
     let got: Vec<usize> = inst.interference_counts().into_iter().map(|c| c as usize).collect();
     prop_ensure!(
         got == oracle,
@@ -383,7 +384,7 @@ fn nn_radii_gate_at_1e5() {
     }
     let radii = nn_radii_by_node(&soa);
     let pts: Vec<Point> = (0..n).map(|i| soa.get(i)).collect();
-    let inst = StreamInstance::with_nn_radii(soa);
+    let inst = StreamInstance::try_with_nn_radii(soa).expect("fits the grid");
     let counts = inst.interference_counts_sharded(4);
     assert_eq!(
         counts,
@@ -404,7 +405,7 @@ fn nn_radii_gate_at_1e5() {
 
 /// Every node's nearest-neighbour distance, in node order, as
 /// [`SoaGrid::nearest_at`] finds it (`None` without a neighbour): the radii
-/// [`StreamInstance::with_nn_radii`] assigns, for
+/// [`StreamInstance::try_with_nn_radii`] assigns, for
 /// [`StreamInstance::with_radii`] to scatter.
 fn nn_radii_by_node(soa: &SoaPoints) -> Vec<Option<f64>> {
     let grid = SoaGrid::try_build_unit_density(soa, 1).expect("fits the grid");

@@ -107,6 +107,7 @@ impl DynGrid {
     /// Appends `p` to the overlay, chained into the leaf cell the build
     /// would have bucketed it in, and returns its id ([`DynGrid::len`]
     /// before the call). `O(split depth)`.
+    // rim-lint: root
     // rim-lint: allow(panic-freedom) — `descend` returns a cell id, and `heads` has one entry per cell id
     pub fn push_overlay(&mut self, p: Point) -> usize {
         let (leaf, _) = self.base.descend(p, |_| {});
@@ -119,6 +120,7 @@ impl DynGrid {
     /// Raises to at least `r` the radius bound of the leaf cell a point
     /// at `p` falls in and of every cell on the way down to it.
     /// `O(split depth)`.
+    // rim-lint: root
     pub fn raise_bound(&mut self, p: Point, r: f64) {
         let bounds = &mut self.bounds;
         self.base.descend(p, |g| {
@@ -138,6 +140,7 @@ impl DynGrid {
     /// reads it. `radius` returns −∞ for a point that raises nothing.
     /// Overlay entries are not read: each needs its own `raise_bound`.
     /// `O(merged points + cells)`.
+    // rim-lint: root
     // rim-lint: allow(panic-freedom) — a level's cell ids are followed by its end offset in `starts`, which bounds the id column; `bounds` has one entry per cell id
     pub fn fill_bounds(&mut self, radius: impl Fn(usize) -> f64) {
         let (g, bounds) = (&self.base, &mut self.bounds);
@@ -186,6 +189,7 @@ impl DynGrid {
     /// docs) within the top-level range of radius `r`, which must bound
     /// every raised radius. Returns and records counts as
     /// [`DynGrid::for_each_within`] does.
+    // rim-lint: root
     pub fn for_each_reaching<F: FnMut(usize, f64)>(&self, c: Point, r: f64, mut f: F) -> usize {
         let (mut hits, mut candidates) = (0, 0);
         self.reaching(self.base.top(), c, r, &mut |g, b| {

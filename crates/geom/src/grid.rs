@@ -332,6 +332,7 @@ fn direct_scatter(cells: &[u32], ncells: usize) -> Result<Buckets, GridCapacityE
 /// runs the same three steps. Step 3 writes the permutation over the
 /// cell ids, which steps 1 and 2 have consumed, so the sort allocates no
 /// second `u32` column.
+// rim-lint: root
 // rim-lint: allow(panic-freedom) — block cells are < ncells and block entries < n; group indices are < workers and a group's blocks lie in its windows, which its cursors never leave
 fn par_block_scatter(
     cells: Vec<u32>,

@@ -369,6 +369,7 @@ impl SoaGrid {
     /// level's cell range on a grid without split cells (a contiguous
     /// run of cells, so one slice scan per row keeps the loop tight), and
     /// the runs of [`SoaGrid::walk_cells`] on a grid with them.
+    // rim-lint: root
     #[inline]
     // rim-lint: allow(panic-freedom) — cell coordinates are clamped to the grid, and every cell id is followed by its end offset in `starts`, which bounds the columns
     fn for_each_disk_run(&self, c: Point, r: f64, mut run: impl FnMut(usize, usize)) {
@@ -444,6 +445,7 @@ impl SoaGrid {
     /// point at computed distance at most `r` from `a`
     /// ([`SoaGrid::for_each_pos_in_disk`]); likewise for `b` and for the
     /// rows, at every level of split cells.
+    // rim-lint: root
     // rim-lint: allow(panic-freedom) — walked cell ids are followed by their end offset in `starts`, which bounds the column slices
     pub fn for_each_link_run<F: FnMut(&[f64], &[f64])>(
         &self,
@@ -617,6 +619,7 @@ impl SoaGrid {
     /// the closed disk `D(c, dist)` was scanned, and each scanned point
     /// other than `pos` has `dist_sq >= second`. Only an infinite `dist`
     /// leaves `unique` false whatever the disk holds.
+    // rim-lint: root
     pub fn nearest_at(&self, k: usize) -> Option<Nearest> {
         if self.len() < 2 || k >= self.len() {
             return None;
@@ -698,6 +701,7 @@ impl TwoNearest {
 
 /// Column `v` in bucket order, `out[k] = v(items[k])`, gathered by
 /// `threads` workers over contiguous position windows.
+// rim-lint: root
 fn gather_column(
     items: &[u32],
     v: impl Fn(usize) -> f64 + Sync,
@@ -1003,7 +1007,9 @@ mod tests {
 
     /// Everything a query can observe of a grid: shapes, offsets, ids,
     /// coordinate bits and split tables.
-    fn layout(g: &SoaGrid) -> (String, Vec<u32>, Vec<u32>, Vec<u64>, Vec<u64>, String, Vec<u32>) {
+    type Layout = (String, Vec<u32>, Vec<u32>, Vec<u64>, Vec<u64>, String, Vec<u32>);
+
+    fn layout(g: &SoaGrid) -> Layout {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
         (
             format!("{:?}", g.shape),

@@ -194,6 +194,7 @@ impl AdjacencyList {
     }
 
     /// Removes edge `{u, v}`; returns `false` if it was absent.
+    // rim-lint: root
     // rim-lint: allow(panic-freedom) — vertex ids are caller-validated; lists stay symmetric
     pub fn remove_edge(&mut self, u: usize, v: usize) -> bool {
         let Ok(pos_u) = self.adj[u].binary_search_by_key(&(v as u32), |&(w, _)| w) else {

@@ -55,6 +55,7 @@ pub fn is_connected(g: &AdjacencyList) -> bool {
 /// one scan of `reference`'s lists finds no such edge. Otherwise (a
 /// constructor bug, or a topology with a link the reference lacks) the
 /// answer compares `reference`'s own components.
+// rim-lint: root
 pub fn preserves_connectivity(reference: &AdjacencyList, sub: &AdjacencyList) -> bool {
     assert_eq!(reference.num_vertices(), sub.num_vertices());
     let n = sub.num_vertices();

@@ -103,6 +103,7 @@ fn relock<T>(r: std::sync::LockResult<T>) -> T {
 /// Each helper is joined, and a panic in any piece is resumed on the
 /// caller with that piece's own payload (a piece on the caller unwinds
 /// straight through the scope, which still joins the helpers first).
+// rim-lint: root
 fn run_pieces<P, R, F>(pieces: Vec<P>, threads: usize, work: F) -> Vec<R>
 where
     P: Send,
@@ -176,6 +177,7 @@ fn room_for_a_helper() -> bool {
 ///
 /// `chunks` is clamped to `1..=max(n, 1)`, so `n == 0` runs `work(0..0)`
 /// once. With one chunk the work runs inline on the calling thread.
+// rim-lint: root
 pub fn par_map_ranges<R, F>(n: usize, chunks: usize, work: F) -> Vec<R>
 where
     R: Send,
@@ -218,6 +220,7 @@ where
 /// than `u32::MAX` total increments (receiver-centric interference is
 /// bounded by `n - 1 < u32::MAX` in this workspace — grids refuse more
 /// than `u32::MAX` points).
+// rim-lint: root
 pub fn par_scatter_u32<F>(out_len: usize, n: usize, chunks: usize, scatter: F) -> Vec<u32>
 where
     F: Fn(Range<usize>, &mut [u32]) + Sync,
@@ -261,6 +264,7 @@ where
 /// element is a pure function of its index, the result is identical for
 /// every `chunks`; with `chunks <= 1` `fill(0, out)` runs inline on the
 /// calling thread, and an empty slice has no pieces.
+// rim-lint: root
 pub fn par_fill_chunks<T, F>(out: &mut [T], chunks: usize, fill: F)
 where
     T: Send,
@@ -277,6 +281,7 @@ where
 /// follow `a`'s cut and pair up while `b` lasts, so the columns should
 /// have equal lengths. The same determinism rule holds as for
 /// [`par_fill_chunks`].
+// rim-lint: root
 pub fn par_fill_chunk_pairs<A, B, F>(a: &mut [A], b: &mut [B], chunks: usize, fill: F)
 where
     A: Send,
@@ -310,6 +315,7 @@ where
 ///
 /// The workers' piece lists are reserved with `try_reserve_exact`, so
 /// running out of memory for them is an [`AllocError`], not an abort.
+// rim-lint: root
 pub fn par_fill_columns<T, R, F>(
     out: &mut [T],
     workers: usize,
@@ -372,6 +378,7 @@ fn try_reserve<T>(v: &mut Vec<T>, len: usize) -> Result<(), AllocError> {
 /// themselves: a slow item (a long simulation, a big sweep point) never
 /// idles the other threads the way a static split would. `f` must be
 /// `Sync` (it is shared across threads) and items are consumed by value.
+// rim-lint: root
 pub fn parallel_map<P, R, F>(params: Vec<P>, f: F) -> Vec<R>
 where
     P: Send,
@@ -526,7 +533,7 @@ mod tests {
             .unwrap();
             let mut want = Vec::new();
             for (j, &len) in lens.iter().enumerate() {
-                want.extend(std::iter::repeat((j % cols, j / cols)).take(len));
+                want.extend(std::iter::repeat_n((j % cols, j / cols), len));
             }
             want.extend([(usize::MAX, usize::MAX); 2]); // past the pieces: untouched
             assert_eq!(out, want, "workers={workers}");

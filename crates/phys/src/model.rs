@@ -117,6 +117,7 @@ impl PhysParams {
     /// This is the one place link-budget figures from outside the
     /// program are checked; [`PhysModel::with_params`] asserts that the
     /// parameters and powers it is handed meet the same bounds.
+    // rim-lint: root
     pub fn from_link_budget(
         alpha: f64,
         power_dbm: f64,

@@ -49,6 +49,7 @@ pub fn coverage_vector_naive(m: &PhysModel) -> Vec<usize> {
 /// cores, with transmitter `u` at radius `ρ_u` and every node that
 /// does not transmit silent. Equal to [`coverage_vector_naive`] on
 /// every model (differential-tested).
+// rim-lint: root
 pub fn physical_interference_vector(m: &PhysModel) -> Vec<usize> {
     let _span = rim_obs::span("phys/coverage");
     let radii: Vec<Option<f64>> =
@@ -98,6 +99,7 @@ pub fn sinr_interference_naive(m: &PhysModel) -> Vec<f64> {
 /// below the noise floor, so the indexed sums equal the naive oracle's
 /// bit-for-bit (identical addends, identical per-receiver order; see
 /// the module docs and `DESIGN.md` §11).
+// rim-lint: root
 pub fn sinr_interference_indexed(m: &PhysModel) -> Vec<f64> {
     let _span = rim_obs::span("phys/sinr_indexed");
     let index = build_phys_index(m);

@@ -9,13 +9,11 @@ use rim_udg::Topology;
 ///
 /// `coverers[v]` lists the nodes `u != v` with `|uv| <= r_u` — the
 /// potential destroyers of a reception at `v`; by Definition 3.1,
-/// `coverers[v].len() == I(v)`. `covered[u]` is the transpose.
+/// `coverers[v].len() == I(v)`.
 #[derive(Debug, Clone)]
 pub struct Coverage {
     /// For each receiver, the nodes whose disks cover it.
     pub coverers: Vec<Vec<u32>>,
-    /// For each sender, the nodes its disk covers.
-    pub covered: Vec<Vec<u32>>,
 }
 
 impl Coverage {
@@ -24,16 +22,13 @@ impl Coverage {
     /// One closed-disk query per transmitter over the shared interference
     /// index (same predicate as the batch kernels, `|uv| <= r_u` at
     /// distance level), so construction is output-sensitive instead of
-    /// `O(n²)`. Both adjacency lists come out in ascending order:
-    /// `coverers[v]` because senders are scattered in ascending `u`,
-    /// `covered[u]` by an explicit sort (index visit order is
-    /// backend-dependent).
+    /// `O(n²)`. Each `coverers[v]` comes out in ascending order, because
+    /// senders are scattered in ascending `u`.
     pub fn of(t: &Topology) -> Self {
         let n = t.num_nodes();
         let nodes = t.nodes();
         let index = build_index(nodes.points(), t.radii().iter().copied());
         let mut coverers = vec![Vec::new(); n];
-        let mut covered = vec![Vec::new(); n];
         for u in 0..n {
             if t.graph().degree(u) == 0 {
                 continue; // never transmits
@@ -41,12 +36,10 @@ impl Coverage {
             index.for_each_in_disk(nodes.pos(u), t.radius(u), |v| {
                 if v != u {
                     coverers[v].push(u as u32);
-                    covered[u].push(v as u32);
                 }
             });
-            covered[u].sort_unstable();
         }
-        Coverage { coverers, covered }
+        Coverage { coverers }
     }
 
     /// The receiver-centric interference `I(v)` — the number of potential
@@ -94,17 +87,17 @@ mod tests {
     }
 
     #[test]
-    fn coverers_and_covered_are_transposes() {
+    fn coverers_are_the_ascending_senders_whose_disks_cover() {
         let t = chain();
         let cov = Coverage::of(&t);
         for v in 0..t.num_nodes() {
-            for &u in &cov.coverers[v] {
-                assert!(cov.covered[u as usize].contains(&(v as u32)));
-            }
+            let want: Vec<u32> = (0..t.num_nodes())
+                .filter(|&u| u != v && t.graph().degree(u) > 0)
+                .filter(|&u| t.nodes().dist(u, v) <= t.radius(u))
+                .map(|u| u as u32)
+                .collect();
+            assert_eq!(cov.coverers[v], want, "v={v}");
         }
-        let pairs_a: usize = cov.coverers.iter().map(Vec::len).sum();
-        let pairs_b: usize = cov.covered.iter().map(Vec::len).sum();
-        assert_eq!(pairs_a, pairs_b);
     }
 
     #[test]

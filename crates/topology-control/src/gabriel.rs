@@ -47,6 +47,7 @@ pub fn is_gabriel_edge_naive(nodes: &NodeSet, u: usize, v: usize) -> bool {
 /// graph `udg` of `nodes`: every witness lies in `N(u)` (see the module
 /// docs), so the identical predicate runs over `u`'s list only and stops
 /// at the first blocker.
+// rim-lint: root
 pub fn is_gabriel_edge(nodes: &NodeSet, udg: &AdjacencyList, u: usize, v: usize) -> bool {
     udg.neighbors(u).all(|w| !blocks(nodes, u, v, w))
 }
@@ -56,6 +57,7 @@ pub fn is_gabriel_edge(nodes: &NodeSet, udg: &AdjacencyList, u: usize, v: usize)
 /// (`O(n·m)`), `Auto` scans `u`'s neighbour list per edge on
 /// [`rim_par::auto_threads`] workers. Both return the same topology.
 /// `udg` must be the unit disk graph of `nodes` at some range.
+// rim-lint: root
 pub fn gabriel_graph_with(nodes: &NodeSet, udg: &AdjacencyList, engine: Engine) -> Topology {
     match engine {
         Engine::Naive => {

@@ -113,6 +113,7 @@ struct Neighbourhood {
 /// `v` to one of the `k − 1` earlier neighbours. Most links meet such a
 /// neighbour in one step; only the others search further, through
 /// later neighbours.
+// rim-lint: root
 // rim-lint: allow(panic-freedom) — `links`, `pts` and `seen` have one entry per neighbour, and `k`, `a` and `m` index them
 fn lmst_selection<'a>(
     nb: &'a mut Neighbourhood,
@@ -166,6 +167,7 @@ fn lmst_selection<'a>(
 /// Builds the LMST topology over the UDG with an explicit [`Engine`]
 /// (see the module docs for what each engine changes — never the
 /// output, a differential-tested invariant).
+// rim-lint: root
 pub fn lmst_with(
     nodes: &NodeSet,
     udg: &AdjacencyList,
@@ -177,6 +179,7 @@ pub fn lmst_with(
             let selections: Vec<Vec<usize>> = (0..nodes.len())
                 .map(|u| local_selection_naive(nodes, udg, u))
                 .collect();
+            // rim-lint: allow(panic-freedom) — `selections` has one entry per node, and `lmst_assemble` asks only for node ids
             lmst_assemble(nodes, variant, |u| &selections[u])
         }
         Engine::Auto => lmst_parallel(nodes, udg, variant, rim_par::auto_threads(nodes.len())),
@@ -209,6 +212,7 @@ pub fn lmst_parallel(
         start.extend(ends.iter().map(|end| flat.len() + end));
         flat.extend(chunk);
     }
+    // rim-lint: allow(panic-freedom) — `start` holds `n + 1` ascending offsets into `flat`, and `lmst_assemble` asks only for node ids `u < n`
     lmst_assemble(nodes, variant, |u| &flat[start[u]..start[u + 1]])
 }
 

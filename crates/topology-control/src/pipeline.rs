@@ -43,6 +43,7 @@ use rim_graph::{AdjacencyList, Edge};
 /// 1`), and hands the survivors *in walk order* to the bulk
 /// [`AdjacencyList::from_edges`] — so the result is independent of the
 /// thread count by construction, and every list arrives sorted.
+// rim-lint: root
 // rim-lint: allow(panic-freedom) — `bounds` has at least two entries, and `par_map_ranges` only yields chunk ranges within `0..bounds.len() - 1`
 pub(crate) fn filter_edges<F>(udg: &AdjacencyList, threads: usize, keep: F) -> AdjacencyList
 where

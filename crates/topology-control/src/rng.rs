@@ -33,6 +33,7 @@ pub fn is_rng_edge_naive(nodes: &NodeSet, u: usize, v: usize) -> bool {
 /// lune witness lies in `N(u)` (see the module docs), so the identical
 /// squared-distance predicate runs over `u`'s list only and stops at the
 /// first witness.
+// rim-lint: root
 pub fn is_rng_edge(nodes: &NodeSet, udg: &AdjacencyList, u: usize, v: usize) -> bool {
     let d_uv = nodes.dist_sq(u, v);
     udg.neighbors(u)

@@ -57,6 +57,7 @@ pub fn keeps_edge(nodes: &NodeSet, udg: &AdjacencyList, u: usize, v: usize) -> b
 /// lies in `N(v)` (see the module docs), so the oracle's ranking tests,
 /// with `dist_sq(u, v)` computed once, find exactly its blockers. `w =
 /// v` ranks behind itself from `u`, so it never blocks.
+// rim-lint: root
 pub fn keeps_edge_one_list(nodes: &NodeSet, udg: &AdjacencyList, u: usize, v: usize) -> bool {
     let d_uv = nodes.dist_sq(u, v);
     udg.neighbors(u).all(|w| {
@@ -73,6 +74,7 @@ pub fn keeps_edge_one_list(nodes: &NodeSet, udg: &AdjacencyList, u: usize, v: us
 /// `Naive` runs [`keeps_edge`] serially, `Auto` runs
 /// [`keeps_edge_one_list`] on [`rim_par::auto_threads`] workers. Both
 /// return the same topology.
+// rim-lint: root
 pub fn xtc_with(nodes: &NodeSet, udg: &AdjacencyList, engine: Engine) -> Topology {
     match engine {
         Engine::Naive => {

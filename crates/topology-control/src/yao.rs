@@ -120,6 +120,7 @@ fn atan2_cone(pu: Point, pv: Point, k: usize) -> usize {
 /// `atan2` formula only next to a boundary: the same selections, since
 /// the two agree on every link (see the module docs). `dirs` holds the
 /// `k = best.len()` boundary directions.
+// rim-lint: root
 fn sector_selection(
     nodes: &NodeSet,
     udg: &AdjacencyList,
@@ -168,6 +169,7 @@ fn boundaries(k: usize) -> Vec<(f64, f64)> {
 /// Cone `j` at node `u` covers angles `[2πj/k, 2π(j+1)/k)` measured from
 /// the positive x-axis. Ties within a cone break towards the smaller
 /// index.
+// rim-lint: root
 pub fn yao_graph_with(nodes: &NodeSet, udg: &AdjacencyList, k: usize, engine: Engine) -> Topology {
     match engine {
         Engine::Naive => yao_union(nodes, k, 1, |u, best| cone_selection(nodes, udg, u, best)),

@@ -157,6 +157,7 @@ pub fn coordinate_in_range(c: f64) -> bool {
 /// Parses a nodes file: `x [y]` per line. Rejects non-finite coordinates
 /// and nonzero ones whose magnitude lies outside `[2^-459, 2^509]`, where
 /// squared distances would overflow or underflow.
+// rim-lint: root
 pub fn parse_nodes(text: &str) -> Result<NodeSet, ParseError> {
     let mut pts = Vec::new();
     // The reservation is only a hint: if it does not fit, the vector
@@ -228,6 +229,7 @@ pub fn format_nodes(nodes: &NodeSet) -> String {
 /// files [`format_topology`] writes give it lists that are sorted
 /// already. A repeated pair makes it refuse, and only then is the file
 /// walked again, to the refused pair's line.
+// rim-lint: root
 pub fn parse_topology(text: &str, nodes: &NodeSet) -> Result<Topology, ParseError> {
     let n = nodes.len();
     let mut keys = Vec::new();

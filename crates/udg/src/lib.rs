@@ -30,4 +30,4 @@ pub mod udg;
 
 pub use node_set::NodeSet;
 pub use topology::Topology;
-pub use udg::{max_degree, udg_census, unit_disk_graph, UdgCensus};
+pub use udg::{udg_census, unit_disk_graph, UdgCensus};

@@ -22,6 +22,7 @@ use rim_geom::SoaGrid;
 /// From [`rim_par::AUTO_PARALLEL_MIN`] nodes on, the queries fan out
 /// over [`rim_par::num_threads`] workers; the graph is the same for
 /// every worker count.
+// rim-lint: root
 pub fn unit_disk_graph_with_range(nodes: &NodeSet, max_range: f64) -> AdjacencyList {
     unit_disk_graph_threads(nodes, max_range, rim_par::auto_threads(nodes.len()))
 }
@@ -98,6 +99,7 @@ pub struct UdgCensus {
 /// fed once to a union-find over the classes. Sums, maxima and
 /// first-appearance labels do not depend on the order of the pairs, so
 /// the census is the same for every worker count and every valid seed.
+// rim-lint: root
 pub fn udg_census(nodes: &NodeSet, max_range: f64, seed: &[usize]) -> UdgCensus {
     udg_census_threads(nodes, max_range, seed, rim_par::auto_threads(nodes.len()))
 }
@@ -165,12 +167,6 @@ pub fn unit_disk_graph(nodes: &NodeSet) -> AdjacencyList {
     unit_disk_graph_with_range(nodes, 1.0)
 }
 
-/// Maximum node degree `Δ` of the UDG — the quantity the paper's bounds
-/// are expressed in (`O(√Δ)` interference, `O(Δ^{1/4})` approximation).
-pub fn max_degree(udg: &AdjacencyList) -> usize {
-    udg.max_degree()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,7 +214,7 @@ mod tests {
         let ns = NodeSet::on_line(&[0.0, 0.1, 0.2, 0.3]);
         let g = unit_disk_graph(&ns);
         assert_eq!(g.num_edges(), 6);
-        assert_eq!(max_degree(&g), 3);
+        assert_eq!(g.max_degree(), 3);
         assert!(is_connected(&g));
     }
 

@@ -6,8 +6,8 @@
 //!
 //! * 2-D [`NodeSet`]s — [`uniform_square`], [`gaussian_clusters`],
 //!   [`grid_lattice`], and the Figure 1 instance [`fig1_instance`];
-//!   plus the streaming million-node variants [`uniform_square_stream`]
-//!   and [`uniform_soa`], which draw the same coordinates without ever
+//!   plus the million-node variant [`uniform_soa`], which draws the
+//!   same coordinates straight into two columns without ever
 //!   materializing a `Vec<Point>`;
 //! * 1-D [`HighwayInstance`]s — [`uniform_highway`],
 //!   [`clustered_highway`], and [`fragmented_exponential`] (the
@@ -22,71 +22,23 @@ use rim_udg::NodeSet;
 
 /// `n` points uniform in the `side × side` square.
 pub fn uniform_square(n: usize, side: f64, seed: u64) -> NodeSet {
+    let mut pts = Vec::with_capacity(n);
+    draw_uniform(n, side, seed, |x, y| pts.push(Point::new(x, y)));
+    NodeSet::new(pts)
+}
+
+/// The one draw loop of [`uniform_square`] and [`uniform_soa`]: hands
+/// `n` uniform points of the `side × side` square to `push`. Draw order
+/// is pinned: point `i` consumes RNG draws `2i` (x) and `2i + 1` (y), so
+/// both generators produce bit-identical coordinates for the same
+/// `(n, side, seed)`.
+fn draw_uniform(n: usize, side: f64, seed: u64, mut push: impl FnMut(f64, f64)) {
     assert!(side > 0.0);
-    let mut stream = uniform_square_stream(n, side, seed);
-    NodeSet::new((0..n).map(|_| stream.next_point()).collect())
-}
-
-/// Streaming source of `n` uniform points in the `side × side` square —
-/// the million-node generator: points are drawn one at a time, so a
-/// caller filling a columnar store ([`uniform_soa`]) never materializes
-/// an intermediate `Vec<Point>` (or any per-node structure at all).
-///
-/// Draw order is pinned: point `i` consumes RNG draws `2i` (x) and
-/// `2i + 1` (y), which makes the stream produce bit-identical
-/// coordinates to [`uniform_square`] with the same `(n, side, seed)` —
-/// a tested contract, so streaming and materialized pipelines can be
-/// differential-tested against each other.
-#[derive(Debug, Clone)]
-pub struct UniformStream {
-    rng: SmallRng,
-    side: f64,
-    remaining: usize,
-}
-
-impl UniformStream {
-    /// Next point of the stream. Panics if the stream is exhausted —
-    /// use the [`Iterator`] impl for checked draws.
-    // rim-lint: allow(panic-freedom) — documented contract; the Iterator impl is the checked path
-    // rim-lint: allow(no-unwrap-in-lib) — documented contract; the Iterator impl is the checked path
-    pub fn next_point(&mut self) -> Point {
-        assert!(self.remaining > 0, "uniform stream exhausted");
-        self.remaining -= 1;
-        let x = self.rng.gen::<f64>() * self.side;
-        let y = self.rng.gen::<f64>() * self.side;
-        Point::new(x, y)
-    }
-
-    /// Points not yet drawn.
-    pub fn remaining(&self) -> usize {
-        self.remaining
-    }
-}
-
-impl Iterator for UniformStream {
-    type Item = Point;
-
-    fn next(&mut self) -> Option<Point> {
-        if self.remaining == 0 {
-            None
-        } else {
-            Some(self.next_point())
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
-    }
-}
-
-/// Opens a [`UniformStream`] over `n` uniform points in the
-/// `side × side` square.
-pub fn uniform_square_stream(n: usize, side: f64, seed: u64) -> UniformStream {
-    assert!(side > 0.0);
-    UniformStream {
-        rng: SmallRng::seed_from_u64(seed),
-        side,
-        remaining: n,
+    let mut rng = SmallRng::seed_from_u64(seed);
+    for _ in 0..n {
+        let x = rng.gen::<f64>() * side;
+        let y = rng.gen::<f64>() * side;
+        push(x, y);
     }
 }
 
@@ -114,9 +66,7 @@ pub fn try_uniform_soa(
     seed: u64,
 ) -> Result<rim_geom::SoaPoints, rim_geom::GridCapacityError> {
     let mut soa = rim_geom::SoaPoints::try_with_capacity(n)?;
-    for p in uniform_square_stream(n, side, seed) {
-        soa.push(p.x, p.y);
-    }
+    draw_uniform(n, side, seed, |x, y| soa.push(x, y));
     Ok(soa)
 }
 
@@ -309,24 +259,15 @@ mod tests {
     #[test]
     fn stream_matches_materialized_generator_bit_for_bit() {
         let ns = uniform_square(333, 4.5, 42);
-        let streamed: Vec<Point> = uniform_square_stream(333, 4.5, 42).collect();
-        assert_eq!(ns.points(), &streamed[..]);
         let soa = uniform_soa(333, 4.5, 42);
         assert_eq!(soa.len(), 333);
         for (i, p) in ns.points().iter().enumerate() {
             assert_eq!(soa.get(i), *p, "index {i}");
         }
-    }
-
-    #[test]
-    fn stream_is_exhaustible_and_sized() {
-        let mut s = uniform_square_stream(3, 1.0, 9);
-        assert_eq!(s.remaining(), 3);
-        assert_eq!(s.size_hint(), (3, Some(3)));
-        assert!(s.next().is_some());
-        assert_eq!(s.by_ref().count(), 2);
-        assert_eq!(s.next(), None);
-        assert_eq!(s.remaining(), 0);
+        // Point 0 takes the seed's first two draws, x then y.
+        let mut rng = SmallRng::seed_from_u64(42);
+        let (x, y) = (rng.gen::<f64>() * 4.5, rng.gen::<f64>() * 4.5);
+        assert_eq!(soa.get(0), Point::new(x, y));
     }
 
     #[test]

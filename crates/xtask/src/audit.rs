@@ -91,6 +91,9 @@ pub fn parse_manifest(text: &str) -> Manifest {
     m
 }
 
+/// One lexed source file: `(rel_path, tokens, test_mod_ranges)`.
+pub type Source = (String, Vec<Token>, Vec<(usize, usize)>);
+
 /// A workspace member: manifest plus lexed sources grouped by role.
 pub struct Member {
     /// Directory containing `Cargo.toml`.
@@ -99,10 +102,10 @@ pub struct Member {
     pub manifest_rel: String,
     /// Parsed manifest.
     pub manifest: Manifest,
-    /// `(rel_path, tokens, test_mod_ranges)` for `src/**.rs`.
-    pub lib_sources: Vec<(String, Vec<Token>, Vec<(usize, usize)>)>,
-    /// Same for `tests/`, `benches/`, `examples/`.
-    pub test_sources: Vec<(String, Vec<Token>, Vec<(usize, usize)>)>,
+    /// The sources under `src/`.
+    pub lib_sources: Vec<Source>,
+    /// The sources under `tests/`, `benches/`, `examples/`.
+    pub test_sources: Vec<Source>,
 }
 
 /// `rim-geom` → `rim_geom` (the identifier Rust code uses).
@@ -152,8 +155,7 @@ pub fn audit_member(member: &Member, workspace_crates: &BTreeSet<String>, out: &
     // Declared-but-unused: a [dependencies] entry must be referenced
     // somewhere in the crate; a [dev-dependencies] entry likewise
     // (test modules inside src/ count).
-    let all_sources: Vec<&(String, Vec<Token>, Vec<(usize, usize)>)> =
-        member.lib_sources.iter().chain(&member.test_sources).collect();
+    let all_sources: Vec<&Source> = member.lib_sources.iter().chain(&member.test_sources).collect();
     for (deps, kind) in [(&m.deps, "dependency"), (&m.dev_deps, "dev-dependency")] {
         for dep in deps {
             let ident = crate_ident(&dep.name);
@@ -229,105 +231,6 @@ pub fn audit_oracle_retained_graph(ws: &Workspace, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Root functions whose entire call closure must be panic-free: the
-/// interference kernel, the dynamic-update entry points, the parallel
-/// executor, the topology-pipeline stages, the file and CLI spec
-/// parsers, and the checks of the CLI's real-valued flags and link
-/// budgets. These run inside the long-lived services the ROADMAP plans
-/// (`rim-serve`, the churn simulator), where a panic is an availability
-/// bug, not a backtrace.
-pub const PANIC_FREE_ROOTS: &[&str] = &[
-    "interference_vector_with",
-    "insert_edge",
-    "remove_edge",
-    "insert_node",
-    "par_map_ranges",
-    "parallel_map",
-    "run_pieces",
-    "filter_edges",
-    "is_gabriel_edge",
-    "is_rng_edge",
-    "lmst_selection",
-    "keeps_edge_one_list",
-    "sector_selection",
-    "physical_interference_vector",
-    "sinr_interference_indexed",
-    "interference_counts",
-    "interference_counts_sharded",
-    "par_scatter_u32",
-    "nn_radii",
-    "nearest_at",
-    "nn_in_degree",
-    "par_fill_chunks",
-    "par_fill_chunk_pairs",
-    "remove_node",
-    "apply_edit",
-    "encode_snapshot",
-    "decode_snapshot",
-    "k_nearest_live",
-    "push_overlay",
-    "for_each_disk_run",
-    "for_each_reaching",
-    "raise_bound",
-    "unit_disk_graph_with_range",
-    "udg_census",
-    "coverage_vector",
-    "worst_link_coverage",
-    "preserves_connectivity",
-    "for_each_link_run",
-    "interference_max_sum",
-    "par_block_scatter",
-    "gather_column",
-    "par_fill_columns",
-    "parse_nodes",
-    "parse_topology",
-    "parse_generate_spec",
-    "parse_trace_spec",
-    "from_link_budget",
-    "positive_length",
-    "check_generated",
-    "compact",
-    "fill_bounds",
-];
-
-/// Flags every entry of the root registry `registry` — the `const`
-/// listing `roots`, such as [`PANIC_FREE_ROOTS`] — that names no non-test
-/// `fn` of the workspace, under `rule`. Roots are resolved by bare name,
-/// so an entry left behind by a rename seeds nothing and silently
-/// un-audits the function it meant. The finding points at the entry's
-/// string in the registry's definition (at the definition when the entry
-/// is not written there). A linted workspace that does not define the
-/// registry, such as a fixture, has nothing to check.
-pub fn audit_root_registry(
-    ws: &Workspace,
-    registry: &str,
-    roots: &[&str],
-    rule: &'static str,
-    out: &mut Vec<Diagnostic>,
-) {
-    let defined = ws.files.iter().find_map(|f| {
-        let at = f.tokens.windows(2).position(|w| w[0].text == "const" && w[1].text == registry)?;
-        Some((f, f.tokens.get(at..)?))
-    });
-    let Some((file, tokens)) = defined else { return };
-    for root in roots {
-        if ws.defs_named(root).iter().any(|&i| ws.fns.get(i).is_some_and(|f| !f.in_test)) {
-            continue;
-        }
-        let quoted = format!("\"{root}\"");
-        let at = tokens.iter().find(|t| t.kind == Kind::Str && t.text == quoted);
-        out.push(Diagnostic {
-            rule,
-            file: file.rel.to_string(),
-            line: at.or(tokens.first()).map_or(1, |t| t.line),
-            message: format!(
-                "`{registry}` entry `{root}` names no workspace `fn`, so `{rule}` audits \
-                 nothing from it; name the function it is meant to cover or remove it"
-            ),
-        });
-    }
-}
-
 /// Finds the first occurrence of each token-level panicking construct
 /// inside a function body: `panic!`-family macros, `.unwrap()`/
 /// `.expect()`, and unchecked `.len() - …` arithmetic. Slice indexing is
@@ -376,11 +279,17 @@ fn panic_sites(tokens: &[Token], (b0, b1): (usize, usize)) -> Vec<(u32, &'static
     out
 }
 
-/// `panic-freedom`: no function reachable from [`PANIC_FREE_ROOTS`] in
-/// the call graph may contain a panicking construct without a
-/// `// rim-lint: allow(panic-freedom)` pragma — accepted at the
-/// offending site or on the function's `fn` line (one justification
-/// per function, not one per index expression).
+/// `panic-freedom`: no function reachable in the call graph from a fn
+/// marked `// rim-lint: root` ([`Workspace::root_of`]) may contain a
+/// panicking construct without a `// rim-lint: allow(panic-freedom)`
+/// pragma — accepted at the offending site or on the function's `fn`
+/// line (one justification per function, not one per index
+/// expression). The roots are the hot-path kernels: the interference
+/// engines, the dynamic-update and churn entry points, the parallel
+/// executor, the topology-pipeline stages, and the file, CLI-spec,
+/// flag and link-budget checks that face outside input. They run inside
+/// long-lived services (the churn simulator), where a panic is an
+/// availability bug, not a backtrace.
 ///
 /// Slice indexing goes through the expression-level const-bounds pass
 /// ([`crate::flow::audit_indexing`]), which sees every fn with a body:
@@ -395,28 +304,11 @@ pub fn audit_panic_freedom(
     pragmas: &BTreeMap<String, rules::Pragmas>,
     out: &mut Vec<Diagnostic>,
 ) {
-    audit_root_registry(ws, "PANIC_FREE_ROOTS", PANIC_FREE_ROOTS, "panic-freedom", out);
-    // Per-root reachability, so each finding names the root that pulls
-    // the function onto a hot path.
-    let masks: Vec<(&str, Vec<bool>)> = PANIC_FREE_ROOTS
-        .iter()
-        .map(|root| {
-            let seeds: Vec<usize> = ws
-                .defs_named(root)
-                .iter()
-                .copied()
-                .filter(|&i| !ws.fns[i].in_test)
-                .collect();
-            (*root, ws.reachable_from(seeds))
-        })
-        .collect();
     for (i, f) in ws.fns.iter().enumerate() {
-        if f.in_test {
-            continue;
-        }
-        let Some((root, _)) = masks.iter().find(|(_, m)| m[i]) else {
-            continue;
-        };
+        // Each finding names the root that pulls the function onto a
+        // hot path.
+        let Some(root) = ws.root_of[i].filter(|_| !f.in_test) else { continue };
+        let root = &ws.fns[root].name;
         let file = &ws.files[f.file_idx];
         let mut sites = panic_sites(file.tokens, f.body);
         if let Some(body) = &flow.bodies[i] {
@@ -576,54 +468,49 @@ pub fn audit_lock_discipline(
                     }
                 }
                 ";" => pending_let = None,
-                "drop" => {
-                    if code.get(i + 1).is_some_and(|n| n.text == "(") {
-                        if let Some(n) = code.get(i + 2) {
-                            active.retain(|(g, _, _)| *g != n.text);
-                        }
+                "drop" if code.get(i + 1).is_some_and(|n| n.text == "(") => {
+                    if let Some(n) = code.get(i + 2) {
+                        active.retain(|(g, _, _)| *g != n.text);
                     }
                 }
-                "lock" => {
+                "lock"
                     if i >= 2
                         && code[i - 1].text == "."
                         && code.get(i + 1).is_some_and(|n| n.text == "(")
-                        && code[i - 2].kind == Kind::Ident
-                    {
-                        let recv = code[i - 2].text.clone();
-                        if let Some((_, _, held)) =
-                            active.iter().find(|(_, r, _)| *r == recv)
-                        {
-                            emit(
-                                t.line,
-                                format!(
-                                    "`{}` locks `{recv}` again while the guard taken at \
-                                     line {held} is still live; `std::sync::Mutex` \
-                                     self-deadlocks on relock",
-                                    f.path(),
-                                ),
-                                out,
-                            );
-                        }
-                        if let Some(g) = pending_let.clone().filter(|_| binds_guard(&code, i)) {
-                            active.push((g, recv, t.line));
-                        }
+                        && code[i - 2].kind == Kind::Ident =>
+                {
+                    let recv = code[i - 2].text.clone();
+                    if let Some((_, _, held)) = active.iter().find(|(_, r, _)| *r == recv) {
+                        emit(
+                            t.line,
+                            format!(
+                                "`{}` locks `{recv}` again while the guard taken at \
+                                 line {held} is still live; `std::sync::Mutex` \
+                                 self-deadlocks on relock",
+                                f.path(),
+                            ),
+                            out,
+                        );
+                    }
+                    if let Some(g) = pending_let.clone().filter(|_| binds_guard(&code, i)) {
+                        active.push((g, recv, t.line));
                     }
                 }
-                "par_map_ranges" | "parallel_map" => {
-                    if code.get(i + 1).is_some_and(|n| n.text == "(") {
-                        if let Some((g, r, held)) = active.first() {
-                            emit(
-                                t.line,
-                                format!(
-                                    "`{}` calls `{}` while guard `{g}` (locked from \
-                                     `{r}` at line {held}) is live; drop the guard \
-                                     before entering the parallel region",
-                                    f.path(),
-                                    t.text,
-                                ),
-                                out,
-                            );
-                        }
+                "par_map_ranges" | "parallel_map"
+                    if code.get(i + 1).is_some_and(|n| n.text == "(") =>
+                {
+                    if let Some((g, r, held)) = active.first() {
+                        emit(
+                            t.line,
+                            format!(
+                                "`{}` calls `{}` while guard `{g}` (locked from \
+                                 `{r}` at line {held}) is live; drop the guard \
+                                 before entering the parallel region",
+                                f.path(),
+                                t.text,
+                            ),
+                            out,
+                        );
                     }
                 }
                 _ => {}
@@ -1194,32 +1081,6 @@ mod tests {
     }
 
     #[test]
-    fn root_registry_flags_entries_that_name_no_function() {
-        let lib = "pub const PANIC_FREE_ROOTS: &[&str] = &[\n    \"present\",\n    \
-                   \"renamed_away\",\n    \"test_only\",\n];\npub fn present() {}\n";
-        let test_src = "#[test]\nfn test_only() {}\n";
-        let roots = ["present", "renamed_away", "test_only"];
-        let out = run_graph_audit(lib, Some(test_src), |ws, _, out| {
-            audit_root_registry(ws, "PANIC_FREE_ROOTS", &roots, "panic-freedom", out);
-            // An entry missing from the registry's text is reported at
-            // the definition.
-            audit_root_registry(ws, "PANIC_FREE_ROOTS", &["no_such_fn"], "panic-freedom", out);
-        });
-        let got: Vec<(u32, bool)> = out
-            .iter()
-            .map(|d| (d.line, d.rule == "panic-freedom" && d.file == "src/lib.rs"))
-            .collect();
-        assert_eq!(got, [(3, true), (4, true), (1, true)], "{out:#?}");
-        assert!(out[0].message.contains("`renamed_away`"), "{}", out[0].message);
-        assert!(out[2].message.contains("`no_such_fn`"), "{}", out[2].message);
-        // A workspace that does not define the registry is not checked.
-        let out = run_graph_audit("pub fn present() {}\n", None, |ws, _, out| {
-            audit_root_registry(ws, "PANIC_FREE_ROOTS", &roots, "panic-freedom", out);
-        });
-        assert!(out.is_empty(), "{out:#?}");
-    }
-
-    #[test]
     fn panic_sites_reports_first_of_each_category() {
         let (tokens, _) = rules::prepare(
             "fn f() { panic!(); x.unwrap(); a[0]; y.expect(\"\"); v.len() - 1; todo!(); }\n",
@@ -1235,7 +1096,7 @@ mod tests {
     fn panic_sites_skips_non_index_brackets() {
         // Array patterns and literals are no indexing obligation for
         // the bounds pass either.
-        let lib = "pub fn parallel_map(pair: [u32; 2]) -> u32 {\n\
+        let lib = "// rim-lint: root\npub fn parallel_map(pair: [u32; 2]) -> u32 {\n\
                    let [a, b] = pair;\nfor x in [1, 2] { g(x); }\na + b\n}\n\
                    fn g(x: u32) -> u32 { x }\n";
         let out = run_graph_audit(lib, None, |ws, p, out| {
@@ -1246,9 +1107,9 @@ mod tests {
 
     #[test]
     fn panic_freedom_fires_on_the_reachable_closure_only() {
-        // `parallel_map` is a panic-free root; `helper` is in its call
-        // closure, `unrelated` is not.
-        let lib = "pub fn parallel_map(v: Vec<u32>) -> u32 { helper(v) }\n\
+        // `parallel_map` is a root; `helper` is in its call closure,
+        // `unrelated` is not.
+        let lib = "// rim-lint: root\npub fn parallel_map(v: Vec<u32>) -> u32 { helper(v) }\n\
                    fn helper(v: Vec<u32>) -> u32 { v[0] }\n\
                    fn unrelated(v: Vec<u32>) -> u32 { v.first().unwrap() + v[1] }\n";
         let out = run_graph_audit(lib, None, |ws, p, out| {
@@ -1256,14 +1117,14 @@ mod tests {
         });
         assert_eq!(out.len(), 1, "{out:#?}");
         assert_eq!(out[0].rule, "panic-freedom");
-        assert_eq!(out[0].line, 2);
+        assert_eq!(out[0].line, 3);
         assert!(out[0].message.contains("parallel_map"), "{}", out[0].message);
         assert!(out[0].message.contains("slice indexing"), "{}", out[0].message);
     }
 
     #[test]
     fn panic_freedom_accepts_pragmas_at_site_or_fn_line() {
-        let on_fn = "pub fn parallel_map(v: Vec<u32>) -> u32 { helper(v) }\n\
+        let on_fn = "// rim-lint: root\npub fn parallel_map(v: Vec<u32>) -> u32 { helper(v) }\n\
                      // rim-lint: allow(panic-freedom) — caller guarantees non-empty\n\
                      fn helper(v: Vec<u32>) -> u32 { let x = v[0];\nv.len() - x as usize }\n";
         let out = run_graph_audit(on_fn, None, |ws, p, out| {
@@ -1271,7 +1132,7 @@ mod tests {
         });
         // One pragma on the `fn` line covers every category in the body.
         assert!(out.is_empty(), "{out:#?}");
-        let at_site = "pub fn parallel_map(v: Vec<u32>) -> u32 { helper(v) }\n\
+        let at_site = "// rim-lint: root\npub fn parallel_map(v: Vec<u32>) -> u32 { helper(v) }\n\
                        fn helper(v: Vec<u32>) -> u32 {\n\
                        v[0] // rim-lint: allow(panic-freedom) — non-empty by contract\n\
                        }\n";

@@ -367,7 +367,7 @@ impl<'a> Parser<'a> {
                 let e = self.parse_expr(0, false);
                 let semi = self.eat(";");
                 let block_like = is_block_like(&e);
-                if !semi && self.pos >= self.code.len() || !semi && self.text() == "}" {
+                if !semi && (self.pos >= self.code.len() || self.text() == "}") {
                     block.tail = Some(Box::new(e));
                 } else if semi || block_like {
                     block.stmts.push(Stmt::Expr(e, semi));
@@ -590,8 +590,7 @@ impl<'a> Parser<'a> {
 
     fn parse_expr_inner(&mut self, min_bp: u8, no_struct: bool) -> Expr {
         let mut lhs = self.parse_prefix(no_struct);
-        loop {
-            let Some(t) = self.peek() else { break };
+        while let Some(t) = self.peek() {
             let op = t.text.as_str();
             // Postfix: `.`, `?`, call, index.
             match op {

@@ -15,11 +15,11 @@
 //!    The dataflow `squared-distance-mismatch`
 //!    ([`check_unit_mismatch`]) flags any comparison or add/sub whose
 //!    sides live at different powers.
-//! 2. **Determinism** ([`audit_engine_determinism`]). Functions pinned
-//!    by the differential/thread-invariance test layers
-//!    ([`DETERMINISM_ROOTS`]) must not reach atomic read-modify-write
-//!    ops, RNG draws, wall-clock reads, or observability-sink
-//!    installation without a justified
+//! 2. **Determinism** ([`audit_engine_determinism`]). The hot-path
+//!    kernels marked `// rim-lint: root`, which the differential and
+//!    thread-invariance test layers pin, must not reach atomic
+//!    read-modify-write ops, RNG draws, wall-clock reads, or
+//!    observability-sink installation without a justified
 //!    `// rim-lint: allow(engine-determinism)` pragma.
 //! 3. **Const bounds** ([`audit_indexing`]). Facts like "`buf` has
 //!    length `n`" (from `vec![0.0; n]`) and "`i < v.len()`" (from
@@ -290,11 +290,9 @@ fn signature_params(tokens: &[Token], (s0, s1): (usize, usize), fn_name: &str) -
                     break;
                 }
             }
-            ":" if depth == 1 => {
-                if j > 0 && code[j - 1].kind == Kind::Ident {
-                    let name = code[j - 1].text.clone();
-                    out.push((name.clone(), ident_unit(&name)));
-                }
+            ":" if depth == 1 && j > 0 && code[j - 1].kind == Kind::Ident => {
+                let name = code[j - 1].text.clone();
+                out.push((name.clone(), ident_unit(&name)));
             }
             _ => {}
         }
@@ -751,51 +749,6 @@ pub fn check_unit_mismatch(
 // Determinism analysis
 // ---------------------------------------------------------------------
 
-/// Functions pinned by the differential and thread-count-invariance
-/// test layers: their call closure must be bitwise deterministic for a
-/// fixed input, independent of thread count and wall clock.
-pub const DETERMINISM_ROOTS: &[&str] = &[
-    "interference_vector_with",
-    "filter_edges",
-    "lmst_selection",
-    "keeps_edge_one_list",
-    "sector_selection",
-    "lmst_with",
-    "xtc_with",
-    "yao_graph_with",
-    "gabriel_graph_with",
-    "physical_interference_vector",
-    "sinr_interference_indexed",
-    "interference_counts_sharded",
-    "par_scatter_u32",
-    "run_pieces",
-    "nn_radii",
-    "nearest_at",
-    "nn_in_degree",
-    "par_fill_chunks",
-    "par_fill_chunk_pairs",
-    "remove_node",
-    "apply_edit",
-    "encode_snapshot",
-    "k_nearest_live",
-    "push_overlay",
-    "for_each_disk_run",
-    "for_each_reaching",
-    "raise_bound",
-    "unit_disk_graph_with_range",
-    "udg_census",
-    "coverage_vector",
-    "worst_link_coverage",
-    "preserves_connectivity",
-    "for_each_link_run",
-    "interference_max_sum",
-    "par_block_scatter",
-    "gather_column",
-    "par_fill_columns",
-    "compact",
-    "fill_bounds",
-];
-
 /// Atomic read-modify-write methods (order-sensitive cross-thread
 /// state).
 const ATOMIC_RMW: &[&str] = &[
@@ -849,10 +802,13 @@ pub fn nondet_sites(body: &Body) -> Vec<(u32, String)> {
     out
 }
 
-/// `engine-determinism`: no function reachable from
-/// [`DETERMINISM_ROOTS`] may contain a nondeterminism site without a
+/// `engine-determinism`: no function reachable from a fn marked
+/// `// rim-lint: root` ([`Workspace::root_of`], the set `panic-freedom`
+/// audits) may contain a nondeterminism site without a
 /// `// rim-lint: allow(engine-determinism)` pragma at the site or on
-/// the `fn` line. The justified exceptions are exactly the ones the
+/// the `fn` line: the call closure of a kernel must be bitwise
+/// deterministic for a fixed input, independent of thread count and
+/// wall clock. The justified exceptions are exactly the ones the
 /// thread-invariance tests rely on being benign: the rim-par work
 /// cursor (order-free work claiming) and the rim-obs counters/span
 /// clocks (flow into observability output, never into results).
@@ -862,30 +818,9 @@ pub fn audit_engine_determinism(
     pragmas: &BTreeMap<String, Pragmas>,
     out: &mut Vec<Diagnostic>,
 ) {
-    crate::audit::audit_root_registry(
-        ws,
-        "DETERMINISM_ROOTS",
-        DETERMINISM_ROOTS,
-        "engine-determinism",
-        out,
-    );
-    let masks: Vec<(&str, Vec<bool>)> = DETERMINISM_ROOTS
-        .iter()
-        .map(|root| {
-            let seeds: Vec<usize> = ws
-                .defs_named(root)
-                .iter()
-                .copied()
-                .filter(|&i| !ws.fns[i].in_test)
-                .collect();
-            (*root, ws.reachable_from(seeds))
-        })
-        .collect();
     for (i, f) in ws.fns.iter().enumerate() {
-        if f.in_test {
-            continue;
-        }
-        let Some((root, _)) = masks.iter().find(|(_, m)| m[i]) else { continue };
+        let Some(root) = ws.root_of[i].filter(|_| !f.in_test) else { continue };
+        let root = &ws.fns[root].name;
         let Some(body) = &flow.bodies[i] else { continue };
         let file = &ws.files[f.file_idx];
         for (line, what) in nondet_sites(body) {
@@ -1184,7 +1119,7 @@ fn inclusive_bound(e: &Expr, env: &BoundsEnv) -> Option<Bound> {
         // `i <= x - k` for k >= 1 implies `i < x`.
         ExprKind::Binary(op, l, r) if op == "-" => match &r.kind {
             ExprKind::Int(text)
-                if text.replace('_', "").parse::<u64>().map_or(false, |k| k >= 1) =>
+                if text.replace('_', "").parse::<u64>().is_ok_and(|k| k >= 1) =>
             {
                 strict_bound(l, env)
             }

@@ -11,10 +11,11 @@
 //! * **Token rules** ([`rules`]) over a comment/string-aware token
 //!   stream ([`lexer`]): `float-eq`, `no-unwrap-in-lib`,
 //!   `forbid-unsafe`, and `unknown-pragma-rule` (every pragma must name
-//!   a rule registered in [`rules::RULE_CATALOG`]). Intentional
-//!   violations are silenced in place with `// rim-lint: allow(<rule>)`
-//!   (same + next line) or `// rim-lint: allow-file(<rule>)` (whole
-//!   file).
+//!   a rule registered in [`rules::RULE_CATALOG`], and every
+//!   `// rim-lint: root` mark must sit above a non-test `fn`).
+//!   Intentional violations are silenced in place with
+//!   `// rim-lint: allow(<rule>)` (same + next line) or
+//!   `// rim-lint: allow-file(<rule>)` (whole file).
 //! * **Item trees** ([`parse`]): a brace-matched parser recovering
 //!   module/impl/trait nesting and `fn` items with opaque token-range
 //!   bodies; self-tested against every `.rs` file in the repository
@@ -26,16 +27,20 @@
 //! * **Dataflow passes** ([`flow`]): units-of-measure inference
 //!   powering `squared-distance-mismatch` and `power-domain-mismatch`,
 //!   the `engine-determinism` rule (no atomic read-modify-write, RNG
-//!   draw, wall-clock read, or sink installation reachable from the
-//!   determinism-pinned engine roots), and a const-bounds pass whose
-//!   in-range proofs discharge `panic-freedom` slice-indexing
-//!   obligations.
+//!   draw, wall-clock read, or sink installation reachable from a
+//!   root), and a const-bounds pass whose in-range proofs discharge
+//!   `panic-freedom` slice-indexing obligations.
 //! * **Workspace call graph** ([`model`]), built in process on every
 //!   run: heuristic name resolution restricted to each caller crate's
-//!   dependency closure, feeding the graph-driven rules `panic-freedom`
-//!   (no panicking construct reachable from the
-//!   kernel/update/executor/pipeline roots), `atomic-ordering` (every
-//!   `Relaxed`/`SeqCst` in rim-par/rim-obs is justified),
+//!   dependency closure. The hot-path kernels are marked where they are
+//!   defined, with `// rim-lint: root` above the `fn` (reading past its
+//!   doc comments, attributes and `allow(...)` lines); the model computes
+//!   the call closure of the marked fns once
+//!   ([`model::Workspace::root_of`]), and `engine-determinism` and
+//!   `panic-freedom` both audit it. The graph feeds the rules
+//!   `panic-freedom` (no panicking construct reachable from a root),
+//!   `atomic-ordering` (every `Relaxed`/`SeqCst` in rim-par/rim-obs is
+//!   justified),
 //!   `lock-discipline` (no `MutexGuard` held across the parallel
 //!   executor, no double-lock), `dead-pub` (no `pub` item without a
 //!   caller), and `naive-oracle-retained` (each brute-force oracle must
@@ -212,6 +217,7 @@ pub fn run_lint(root: &Path) -> Result<Vec<Diagnostic>, String> {
         let _span = rim_obs::span("lint.model_build");
         model::build(&members)
     };
+    rules::unattached_root_marks(&ws, &mut out);
     let pragma_map: std::collections::BTreeMap<String, rules::Pragmas> = ws
         .files
         .iter()

@@ -44,6 +44,11 @@ pub struct FnDef {
     /// Defined in test scope: a `tests/`/`benches/`/`examples/` file, a
     /// `#[cfg(test)]` module, or carrying `#[test]` itself.
     pub in_test: bool,
+    /// A non-test fn marked `// rim-lint: root` above its item (doc
+    /// comments, attributes and `allow(...)` lines may sit between): a
+    /// hot-path kernel whose call closure `panic-freedom` and
+    /// `engine-determinism` audit.
+    pub root: bool,
     /// Body token range within the file's token vector.
     pub body: (usize, usize),
     /// Signature token range: from the item's first token (attributes
@@ -127,6 +132,13 @@ pub struct Workspace<'a> {
     /// Every unrestricted-`pub` item of library sources (fns included),
     /// for `dead-pub`.
     pub pub_items: Vec<PubItem>,
+    /// Per fn, the root whose call closure contains it (a root is its
+    /// own), or `None` off the hot path: the one set of fns that
+    /// `panic-freedom` and `engine-determinism` audit.
+    pub root_of: Vec<Option<usize>>,
+    /// `(file index, line)` of each `// rim-lint: root` mark that
+    /// attaches to no non-test fn.
+    pub(crate) unattached_marks: Vec<(usize, u32)>,
     /// fn-name → indices into `fns`.
     by_name: BTreeMap<String, Vec<usize>>,
     /// Forward adjacency: `fns`-index → callee indices.
@@ -165,11 +177,14 @@ pub fn build<'a>(members: &'a [Member]) -> Workspace<'a> {
         }
     }
 
-    // Pass 1: collect definitions and pub items.
+    // Pass 1: collect definitions, root marks and pub items.
     let mut fns: Vec<FnDef> = Vec::new();
     let mut pub_items: Vec<PubItem> = Vec::new();
+    let mut unattached_marks = Vec::new();
     for (file_idx, f) in files.iter().enumerate() {
         let is_bin = f.rel.ends_with("main.rs") || f.rel.contains("src/bin/");
+        let marks = crate::rules::root_marks(f.tokens);
+        let first_fn = fns.len();
         f.tree.walk(&mut |item, stack| {
             let in_test = f.is_test_source
                 || item.is_test_marked()
@@ -187,6 +202,7 @@ pub fn build<'a>(members: &'a [Member]) -> Workspace<'a> {
                     qual: qual.clone(),
                     line: item.line,
                     in_test,
+                    root: !in_test && marks.iter().any(|&(_, at)| at == item.span.0),
                     body: item.body,
                     sig: (item.span.0, item.body.0.max(item.span.0)),
                     file_idx,
@@ -220,6 +236,11 @@ pub fn build<'a>(members: &'a [Member]) -> Workspace<'a> {
                 });
             }
         });
+        for &(line, at) in &marks {
+            if !fns[first_fn..].iter().any(|d| d.root && d.sig.0 == at) {
+                unattached_marks.push((file_idx, line));
+            }
+        }
     }
 
     let mut by_name: BTreeMap<String, Vec<usize>> = BTreeMap::new();
@@ -279,8 +300,40 @@ pub fn build<'a>(members: &'a [Member]) -> Workspace<'a> {
     for e in &edges {
         succ[e.from].push(e.to);
     }
+    let root_of = closure(&succ, (0..fns.len()).filter(|&i| fns[i].root));
 
-    Workspace { files, fns, edges, pub_items, by_name, succ }
+    Workspace {
+        files,
+        fns,
+        edges,
+        pub_items,
+        root_of,
+        unattached_marks,
+        by_name,
+        succ,
+    }
+}
+
+/// Closure over the call edges `succ` from `seeds`: per fn, the seed it
+/// was first reached from (a seed reaches itself), or `None`.
+fn closure(succ: &[Vec<usize>], seeds: impl IntoIterator<Item = usize>) -> Vec<Option<usize>> {
+    let mut from = vec![None; succ.len()];
+    let mut queue: Vec<usize> = Vec::new();
+    for s in seeds {
+        if s < from.len() && from[s].is_none() {
+            from[s] = Some(s);
+            queue.push(s);
+        }
+    }
+    while let Some(u) = queue.pop() {
+        for &v in &succ[u] {
+            if from[v].is_none() {
+                from[v] = from[u];
+                queue.push(v);
+            }
+        }
+    }
+    from
 }
 
 /// One syntactic call site inside a function body.
@@ -450,26 +503,13 @@ impl<'a> Workspace<'a> {
         self.by_name.get(name).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Breadth-first closure over call edges from `seeds`; returns a
-    /// reachability mask over [`Workspace::fns`]. Seeds are included.
+    /// Closure over call edges from `seeds`; returns a reachability
+    /// mask over [`Workspace::fns`]. Seeds are included.
     pub fn reachable_from(&self, seeds: impl IntoIterator<Item = usize>) -> Vec<bool> {
-        let mut seen = vec![false; self.fns.len()];
-        let mut queue: Vec<usize> = Vec::new();
-        for s in seeds {
-            if s < seen.len() && !seen[s] {
-                seen[s] = true;
-                queue.push(s);
-            }
-        }
-        while let Some(u) = queue.pop() {
-            for &v in &self.succ[u] {
-                if !seen[v] {
-                    seen[v] = true;
-                    queue.push(v);
-                }
-            }
-        }
-        seen
+        closure(&self.succ, seeds)
+            .iter()
+            .map(Option::is_some)
+            .collect()
     }
 
     /// Reachability mask from every test-scope function — the graph
@@ -710,6 +750,64 @@ mod tests {
         let ws = build(&members);
         let names: Vec<&str> = ws.pub_items.iter().map(|p| p.name.as_str()).collect();
         assert_eq!(names, vec!["S", "api"]);
+    }
+
+    /// The paths of the fns a one-file crate marks as roots, and the
+    /// lines of its marks that attach to none.
+    fn marked(lib: &str) -> (Vec<String>, Vec<u32>) {
+        let members = vec![member("a", &[("crates/a/src/lib.rs", lib)], &[])];
+        let ws = build(&members);
+        let roots = ws.fns.iter().filter(|f| f.root).map(FnDef::path).collect();
+        (
+            roots,
+            ws.unattached_marks.iter().map(|&(_, line)| line).collect(),
+        )
+    }
+
+    #[test]
+    fn a_mark_reads_past_doc_comments_attributes_and_allow_lines() {
+        let lib = "// rim-lint: root\n/// A kernel.\n\
+                   // rim-lint: allow(panic-freedom) — in range by construction\n\
+                   #[inline]\n/// More docs.\n#[must_use]\npub fn kernel() -> u32 { 0 }\n\
+                   pub fn unmarked() {}\n";
+        assert_eq!(marked(lib), (vec!["a::lib::kernel".to_string()], vec![]));
+    }
+
+    #[test]
+    fn a_mark_above_a_struct_or_inside_a_body_is_reported() {
+        let lib = "// rim-lint: root\npub struct S;\n\
+                   pub fn f() {\n    // rim-lint: root\n    g();\n}\nfn g() {}\n\
+                   #[cfg(test)]\nmod tests {\n    // rim-lint: root\n    #[test]\n\
+                   fn t() {}\n}\n";
+        assert_eq!(marked(lib), (vec![], vec![1, 4, 10]));
+        let members = vec![member("a", &[("crates/a/src/lib.rs", lib)], &[])];
+        let mut out = Vec::new();
+        crate::rules::unattached_root_marks(&build(&members), &mut out);
+        let got: Vec<(&str, u32)> = out.iter().map(|d| (d.rule, d.line)).collect();
+        let rule = "unknown-pragma-rule";
+        assert_eq!(got, [(rule, 1), (rule, 4), (rule, 10)]);
+    }
+
+    #[test]
+    fn a_mark_in_a_doc_comment_does_nothing() {
+        let lib = "//! rim-lint: root\n/// rim-lint: root\npub fn f() {}\n";
+        assert_eq!(marked(lib), (vec![], vec![]));
+    }
+
+    #[test]
+    fn only_the_marked_one_of_two_same_named_fns_is_a_root() {
+        let lib = "pub struct A;\npub struct B;\n\
+                   impl A {\n    // rim-lint: root\n    pub fn step(&self) { self.inner() }\n\
+                   fn inner(&self) {}\n}\n\
+                   impl B {\n    pub fn step(&self) { self.other() }\n    fn other(&self) {}\n}\n";
+        assert_eq!(marked(lib), (vec!["a::lib::A::step".to_string()], vec![]));
+        let members = vec![member("a", &[("crates/a/src/lib.rs", lib)], &[])];
+        let ws = build(&members);
+        let on_path: Vec<String> = (0..ws.fns.len())
+            .filter(|&i| ws.root_of[i].is_some())
+            .map(|i| ws.fns[i].path())
+            .collect();
+        assert_eq!(on_path, ["a::lib::A::step", "a::lib::A::inner"]);
     }
 
     #[test]

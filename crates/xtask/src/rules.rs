@@ -5,7 +5,8 @@
 //! mistakes the rules exist to catch (exact float comparison, panicking
 //! library paths) fire reliably. Intentional violations are silenced in place
 //! with `// rim-lint: allow(<rule>)` pragmas, which keeps every
-//! exception visible at the site that needs it.
+//! exception visible at the site that needs it. The same pragma comment
+//! marks hot-path kernels: `// rim-lint: root` above a `fn`.
 
 use crate::lexer::{lex, Kind, Token};
 use crate::Diagnostic;
@@ -35,8 +36,9 @@ pub const RULE_CATALOG: &[(&str, &str)] = &[
     ),
     (
         "engine-determinism",
-        "a function reachable from a determinism-pinned root (the \
-         interference kernel, pipeline stages, the topology builders) \
+        "a function reachable from a `// rim-lint: root` fn (the hot-path \
+         kernels: interference engines, dynamic updates, the parallel \
+         executor, pipeline stages, topology builders, input parsers) \
          performs an atomic read-modify-write, RNG draw, wall-clock read, or \
          observability-sink installation; thread-count invariance requires \
          bitwise-deterministic results",
@@ -52,11 +54,10 @@ pub const RULE_CATALOG: &[(&str, &str)] = &[
     ),
     (
         "panic-freedom",
-        "a function reachable from the panic-free root set (the interference \
-         kernel, dynamic updates, the parallel executor, pipeline stages) \
-         contains a panicking construct: `panic!`-family macros, \
-         `.unwrap()`/`.expect()`, slice indexing, or unchecked length \
-         subtraction",
+        "a function reachable from a `// rim-lint: root` fn (the hot-path \
+         kernels, as for engine-determinism) contains a panicking construct: \
+         `panic!`-family macros, `.unwrap()`/`.expect()`, slice indexing, or \
+         unchecked length subtraction",
     ),
     (
         "atomic-ordering",
@@ -76,7 +77,8 @@ pub const RULE_CATALOG: &[(&str, &str)] = &[
     (
         "unknown-pragma-rule",
         "a `// rim-lint: allow(...)` pragma names a rule that is not in the \
-         registry, so it suppresses nothing",
+         registry, so it suppresses nothing, or a `// rim-lint: root` mark \
+         sits above no non-test `fn`, so it marks nothing",
     ),
     (
         "external-dependency",
@@ -152,6 +154,40 @@ pub struct Pragmas {
     unknown: Vec<(String, u32)>,
 }
 
+/// The text after `rim-lint:` in a pragma comment. Plain line comments
+/// only: doc comments *describe* the pragma grammar (`allow(<rule>)` in
+/// rustdoc examples) and must neither suppress, mark a root, nor trip
+/// `unknown-pragma-rule`.
+fn pragma_text(t: &Token) -> Option<&str> {
+    if t.kind != Kind::Comment {
+        return None;
+    }
+    t.text
+        .find("rim-lint:")
+        .map(|p| t.text[p + 9..].trim_start())
+}
+
+/// The `// rim-lint: root` marks of a file, as `(line, at)`: `at` is the
+/// index of the first non-comment token after the mark, so the mark
+/// attaches to the item that starts there, reading past the item's doc
+/// comments, `allow(...)` lines and attributes. [`crate::model::build`]
+/// makes the non-test `fn` a mark attaches to a root of the hot path
+/// that `panic-freedom` and `engine-determinism` audit; a mark that
+/// attaches to anything else is reported by [`unattached_root_marks`].
+pub(crate) fn root_marks(tokens: &[Token]) -> Vec<(u32, usize)> {
+    let mut marks = Vec::new();
+    for (i, t) in tokens.iter().enumerate() {
+        if pragma_text(t).and_then(|s| s.split_whitespace().next()) != Some("root") {
+            continue;
+        }
+        let next = tokens[i + 1..]
+            .iter()
+            .position(|n| !matches!(n.kind, Kind::Comment | Kind::DocComment));
+        marks.push((t.line, next.map_or(tokens.len(), |p| i + 1 + p)));
+    }
+    marks
+}
+
 impl Pragmas {
     /// Extracts pragmas from comment tokens. Grammar:
     /// `// rim-lint: allow(rule-a, rule-b)` (same + next line) and
@@ -161,16 +197,7 @@ impl Pragmas {
         let mut file_allows = Vec::new();
         let mut unknown = Vec::new();
         for t in tokens {
-            // Plain line comments only: doc comments *describe* the
-            // pragma grammar (`allow(<rule>)` in rustdoc examples) and
-            // must neither suppress nor trip `unknown-pragma-rule`.
-            if t.kind != Kind::Comment {
-                continue;
-            }
-            let Some(rest) = t.text.find("rim-lint:").map(|p| &t.text[p + 9..]) else {
-                continue;
-            };
-            let rest = rest.trim_start();
+            let Some(rest) = pragma_text(t) else { continue };
             let (file_scope, args) = if let Some(a) = rest.strip_prefix("allow-file(") {
                 (true, a)
             } else if let Some(a) = rest.strip_prefix("allow(") {
@@ -337,7 +364,7 @@ fn is_window_stop(text: &str) -> bool {
 /// index `op`, skipping comments and balancing `()`/`[]` so method
 /// calls and index expressions stay inside the window. `dir` is `-1`
 /// for the left operand, `+1` for the right.
-fn operand_window<'a>(tokens: &'a [Token], op: usize, dir: i64) -> Vec<&'a Token> {
+fn operand_window(tokens: &[Token], op: usize, dir: i64) -> Vec<&Token> {
     let mut out = Vec::new();
     let mut depth = 0i64;
     let mut i = op as i64 + dir;
@@ -530,6 +557,24 @@ pub fn unknown_pragma_rule(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
                  `cargo run -p rim-xtask -- lint --explain <rule>` for the catalog"
             ),
         );
+    }
+}
+
+/// `unknown-pragma-rule`, for marks: a `// rim-lint: root` mark that
+/// attaches to no non-test `fn` (it sits above a `struct`, inside a fn
+/// body, or above a test) marks nothing, so the kernel it was meant for
+/// goes unaudited.
+pub(crate) fn unattached_root_marks(ws: &crate::model::Workspace, out: &mut Vec<Diagnostic>) {
+    for &(file_idx, line) in &ws.unattached_marks {
+        out.push(Diagnostic {
+            rule: "unknown-pragma-rule",
+            file: ws.files[file_idx].rel.to_string(),
+            line,
+            message: "`// rim-lint: root` sits above no non-test `fn`, so it marks \
+                      nothing; put it above the kernel's `fn` item (its doc comments, \
+                      attributes and `allow(...)` lines may sit between)"
+                .to_string(),
+        });
     }
 }
 

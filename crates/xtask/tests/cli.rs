@@ -20,7 +20,7 @@ fn explain_prints_the_registered_explanation() {
     assert!(out.status.success(), "{out:?}");
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.starts_with("panic-freedom:"), "{text}");
-    assert!(text.contains("panic-free root set"), "{text}");
+    assert!(text.contains("`// rim-lint: root` fn"), "{text}");
 }
 
 #[test]

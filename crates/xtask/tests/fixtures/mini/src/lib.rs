@@ -26,8 +26,8 @@ pub fn ok() -> u32 {
     demo_core::seven()
 }
 
-/// Determinism-pinned engine root that reads the wall clock —
-/// deliberately wrong for the fixture.
+/// Engine root that reads the wall clock — deliberately wrong for the fixture.
+// rim-lint: root
 pub fn interference_vector_with(n: u64) -> u64 {
     n + std::time::Instant::now().elapsed().as_nanos() as u64
 }

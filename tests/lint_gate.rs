@@ -10,10 +10,10 @@
 //!
 //! The gate also pins the call-graph layer itself: the graph must stay
 //! populated (a degenerate parse would silently disable every
-//! graph-driven rule), the registries of panic-free and determinism
-//! roots keep their hot-path entries, and the one full lint run must
-//! stay inside a wall-clock budget so the gate remains cheap enough to
-//! run on every `cargo test`.
+//! graph-driven rule), the hot-path kernels stay marked
+//! `// rim-lint: root`, and the one full lint run must stay inside a
+//! wall-clock budget so the gate remains cheap enough to run on every
+//! `cargo test`.
 
 use std::path::Path;
 use std::sync::OnceLock;
@@ -122,36 +122,155 @@ fn call_graph_stays_populated() {
     }
 }
 
+/// The sorted `FnDef::path()` strings of the fns marked
+/// `// rim-lint: root`, whose call closures `panic-freedom` and
+/// `engine-determinism` audit. The pins below read it, so the model is
+/// built once however the test harness schedules them.
+fn marked_roots() -> &'static [String] {
+    static MARKED: OnceLock<Vec<String>> = OnceLock::new();
+    MARKED.get_or_init(|| {
+        let members = rim_xtask::load_workspace(root()).expect("workspace loads");
+        let ws = rim_xtask::model::build(&members);
+        let mut marked: Vec<String> = ws.fns.iter().filter(|f| f.root).map(|f| f.path()).collect();
+        marked.sort();
+        marked
+    })
+}
+
+/// Fails with the kernels of `group` that carry no mark: a dropped mark
+/// would silently un-audit its kernel.
+fn assert_marked(group: &[&str]) {
+    let marked = marked_roots();
+    let unmarked: Vec<&&str> = group.iter().filter(|w| !marked.iter().any(|m| m == *w)).collect();
+    assert!(unmarked.is_empty(), "pinned, not marked `// rim-lint: root`: {unmarked:?}");
+}
+
+/// The SINR kernel entry points and the link-budget check that guards
+/// them against outside input.
+const PHYSICAL_ENGINE: [&str; 3] = [
+    "rim_phys::model::PhysParams::from_link_budget",
+    "rim_phys::sinr::physical_interference_vector",
+    "rim_phys::sinr::sinr_interference_indexed",
+];
+
+/// The million-node streaming path: the counting entry points and the
+/// (max, Σ) reduction, the nearest-neighbour radius pass, the grid
+/// search it calls and the in-degree count over its positions, the grid
+/// build's parallel scatter and column gather, and `rim-par`'s
+/// primitives with `run_pieces`, the one executor they all run on.
+const STREAMING_KERNELS: [&str; 15] = [
+    "rim_core::stream::StreamInstance::interference_counts",
+    "rim_core::stream::StreamInstance::interference_counts_sharded",
+    "rim_core::stream::StreamInstance::interference_max_sum",
+    "rim_core::stream::StreamInstance::nn_in_degree",
+    "rim_core::stream::nn_radii",
+    "rim_geom::grid::par_block_scatter",
+    "rim_geom::soa_grid::SoaGrid::nearest_at",
+    "rim_geom::soa_grid::gather_column",
+    "rim_par::lib::par_fill_chunk_pairs",
+    "rim_par::lib::par_fill_chunks",
+    "rim_par::lib::par_fill_columns",
+    "rim_par::lib::par_map_ranges",
+    "rim_par::lib::par_scatter_u32",
+    "rim_par::lib::parallel_map",
+    "rim_par::lib::run_pieces",
+];
+
+/// The churn edit hot path: op application, the dynamic engine's
+/// updates and nearest-live query, its grid's overlay insert, split-aware
+/// disk walk, arrival-coverage query and per-cell radius bounds, the
+/// in-place compaction, and both snapshot codec entry points. Bit-exact
+/// (seed, trace) replay and snapshot restore depend on them.
+const CHURN_HOT_PATH: [&str; 15] = [
+    "rim_churn::sim::ChurnSim::apply_edit",
+    "rim_churn::snapshot::decode_snapshot",
+    "rim_churn::snapshot::encode_snapshot",
+    "rim_core::dynamic::DynamicInterference::compact",
+    "rim_core::dynamic::DynamicInterference::insert_edge",
+    "rim_core::dynamic::DynamicInterference::insert_node",
+    "rim_core::dynamic::DynamicInterference::k_nearest_live",
+    "rim_core::dynamic::DynamicInterference::remove_edge",
+    "rim_core::dynamic::DynamicInterference::remove_node",
+    "rim_geom::dyn_grid::DynGrid::fill_bounds",
+    "rim_geom::dyn_grid::DynGrid::for_each_reaching",
+    "rim_geom::dyn_grid::DynGrid::push_overlay",
+    "rim_geom::dyn_grid::DynGrid::raise_bound",
+    "rim_geom::soa_grid::SoaGrid::for_each_disk_run",
+    "rim_graph::adjacency::AdjacencyList::remove_edge",
+];
+
+/// The node-sized query loops of the topology-control pipeline: the UDG
+/// build and `analyze`'s UDG census, the receiver interference engine,
+/// the sender coverage vector with its one box scan per link and the
+/// worst link found by bound, and the connectivity check.
+const PIPELINE_QUERY_LOOPS: [&str; 7] = [
+    "rim_core::receiver::interference_vector_with",
+    "rim_core::sender::coverage_vector",
+    "rim_core::sender::worst_link_coverage",
+    "rim_geom::soa_grid::SoaGrid::for_each_link_run",
+    "rim_graph::traversal::preserves_connectivity",
+    "rim_udg::udg::udg_census",
+    "rim_udg::udg::unit_disk_graph_with_range",
+];
+
+/// The topology builders and their fast paths off the UDG's neighbour
+/// lists (the edge filter, the Gabriel and RNG witness scans, LMST's
+/// local MSTs, XTC's blocker scan and Yao's cones), and the file, CLI
+/// spec and `rim generate` checks that must reject arbitrary input with
+/// an error, never a panic.
+const NEIGHBOUR_LISTS_AND_PARSERS: [&str; 16] = [
+    "rim_cli::commands::check_generated",
+    "rim_cli::commands::parse_generate_spec",
+    "rim_cli::commands::parse_trace_spec",
+    "rim_cli::commands::positive_length",
+    "rim_topology_control::gabriel::gabriel_graph_with",
+    "rim_topology_control::gabriel::is_gabriel_edge",
+    "rim_topology_control::lmst::lmst_selection",
+    "rim_topology_control::lmst::lmst_with",
+    "rim_topology_control::pipeline::filter_edges",
+    "rim_topology_control::rng::is_rng_edge",
+    "rim_topology_control::xtc::keeps_edge_one_list",
+    "rim_topology_control::xtc::xtc_with",
+    "rim_topology_control::yao::sector_selection",
+    "rim_topology_control::yao::yao_graph_with",
+    "rim_udg::io::parse_nodes",
+    "rim_udg::io::parse_topology",
+];
+
+#[test]
+fn hot_path_kernels_stay_marked() {
+    // Every marked kernel belongs to one of the pinned groups, and every
+    // pinned kernel is marked: a renamed or new kernel updates its
+    // group as well as its mark.
+    let mut want: Vec<&str> = [
+        PHYSICAL_ENGINE.as_slice(),
+        &STREAMING_KERNELS,
+        &CHURN_HOT_PATH,
+        &PIPELINE_QUERY_LOOPS,
+        &NEIGHBOUR_LISTS_AND_PARSERS,
+    ]
+    .concat();
+    want.sort();
+    let marked = marked_roots();
+    let unpinned: Vec<&String> = marked.iter().filter(|m| !want.contains(&m.as_str())).collect();
+    let unmarked: Vec<&&str> = want.iter().filter(|w| !marked.iter().any(|m| m == *w)).collect();
+    assert_eq!(marked, want, "marked, not pinned: {unpinned:?}; pinned, not marked: {unmarked:?}");
+}
+
 #[test]
 fn physical_engine_obligations_stay_registered() {
-    // The SINR layer's standing obligations: the naive SINR and coverage
-    // oracles are retained differential references (so
-    // `naive-oracle-retained` fails the gate if the physical differential
-    // suite stops calling them), both physical kernel entry points carry
-    // the panic-freedom closure check and are determinism roots, and the
-    // link-budget check that guards them against outside input is
-    // panic-free. Dropping any of these from the registries would
-    // silently un-audit rim-phys; pin them here.
-    for oracle in [
-        "interference_vector_naive",
-        "sinr_interference_naive",
-        "coverage_vector_naive",
-    ] {
+    // The naive SINR and coverage oracles are retained differential
+    // references (so `naive-oracle-retained` fails the gate if the
+    // physical differential suite stops calling them), and the dBm/mW
+    // mixing rule stays registered. Dropping any of these would silently
+    // un-audit rim-phys.
+    assert_marked(&PHYSICAL_ENGINE);
+    for oracle in
+        ["interference_vector_naive", "sinr_interference_naive", "coverage_vector_naive"]
+    {
         assert!(
             rim_xtask::audit::RETAINED_ORACLES.contains(&oracle),
             "`{oracle}` must stay in RETAINED_ORACLES"
-        );
-    }
-    for root in ["physical_interference_vector", "sinr_interference_indexed", "from_link_budget"] {
-        assert!(
-            rim_xtask::audit::PANIC_FREE_ROOTS.contains(&root),
-            "`{root}` must stay in PANIC_FREE_ROOTS"
-        );
-    }
-    for root in ["physical_interference_vector", "sinr_interference_indexed"] {
-        assert!(
-            rim_xtask::flow::DETERMINISM_ROOTS.contains(&root),
-            "`{root}` must stay in DETERMINISM_ROOTS"
         );
     }
     assert!(
@@ -162,58 +281,7 @@ fn physical_engine_obligations_stay_registered() {
 
 #[test]
 fn streaming_kernel_obligations_stay_registered() {
-    // The million-node streaming path's standing obligations: the
-    // counting entry points and the (max, Σ) reduction, the
-    // nearest-neighbor radius and position pass, the grid search it
-    // calls, and the in-degree count over its positions, the grid
-    // build's parallel scatter and column gather, the sharded scatter,
-    // in-place fill (one column or two) and column-partition primitives,
-    // and `run_pieces`, the one executor they all run on, carry the
-    // panic-freedom closure check,
-    // the thread-count-invariant kernels are determinism roots,
-    // and the naive oracle the streaming differential suite pins against
-    // stays retained. Dropping any of these would silently un-audit the
-    // SoA/streaming layer.
-    const PARALLEL_BUILD: [&str; 3] = ["par_block_scatter", "gather_column", "par_fill_columns"];
-    for root in [
-        "interference_counts",
-        "interference_counts_sharded",
-        "interference_max_sum",
-        "par_scatter_u32",
-        "nn_radii",
-        "nearest_at",
-        "nn_in_degree",
-        "par_fill_chunks",
-        "par_fill_chunk_pairs",
-        "run_pieces",
-    ]
-    .into_iter()
-    .chain(PARALLEL_BUILD)
-    {
-        assert!(
-            rim_xtask::audit::PANIC_FREE_ROOTS.contains(&root),
-            "`{root}` must stay in PANIC_FREE_ROOTS"
-        );
-    }
-    for root in [
-        "interference_counts_sharded",
-        "interference_max_sum",
-        "par_scatter_u32",
-        "nn_radii",
-        "nearest_at",
-        "nn_in_degree",
-        "par_fill_chunks",
-        "par_fill_chunk_pairs",
-        "run_pieces",
-    ]
-    .into_iter()
-    .chain(PARALLEL_BUILD)
-    {
-        assert!(
-            rim_xtask::flow::DETERMINISM_ROOTS.contains(&root),
-            "`{root}` must stay in DETERMINISM_ROOTS"
-        );
-    }
+    assert_marked(&STREAMING_KERNELS);
     assert!(
         rim_xtask::audit::RETAINED_ORACLES.contains(&"interference_vector_naive"),
         "the naive oracle anchors the streaming differential suite"
@@ -222,45 +290,7 @@ fn streaming_kernel_obligations_stay_registered() {
 
 #[test]
 fn churn_hot_path_obligations_stay_registered() {
-    // The churn layer's standing obligations: the whole edit hot path
-    // (op application, tombstoning departures, the engine's
-    // nearest-live query, its grid's overlay insert, the disk query's
-    // split-aware run walk, the arrival-coverage query, the per-cell
-    // radius bound raise and its one-pass fill, and the in-place
-    // compaction) plus both
-    // snapshot codec entry points are panic-free roots, and the
-    // replay-equality surface (apply_edit, remove_node, the nearest-live
-    // query, the grid paths, the snapshot encoder) must not reach RNG
-    // draws, wall-clock reads, or atomic RMW — bit-exact (seed, trace)
-    // replay and snapshot restore depend on it. Dropping any of these
-    // would silently un-audit rim-churn.
-    const GRID_PATHS: [&str; 5] =
-        ["for_each_disk_run", "for_each_reaching", "raise_bound", "fill_bounds", "compact"];
-    for root in [
-        "remove_node",
-        "apply_edit",
-        "k_nearest_live",
-        "push_overlay",
-        "encode_snapshot",
-        "decode_snapshot",
-    ]
-    .into_iter()
-    .chain(GRID_PATHS)
-    {
-        assert!(
-            rim_xtask::audit::PANIC_FREE_ROOTS.contains(&root),
-            "`{root}` must stay in PANIC_FREE_ROOTS"
-        );
-    }
-    for root in ["remove_node", "apply_edit", "k_nearest_live", "push_overlay", "encode_snapshot"]
-        .into_iter()
-        .chain(GRID_PATHS)
-    {
-        assert!(
-            rim_xtask::flow::DETERMINISM_ROOTS.contains(&root),
-            "`{root}` must stay in DETERMINISM_ROOTS"
-        );
-    }
+    assert_marked(&CHURN_HOT_PATH);
     assert!(
         rim_xtask::audit::RETAINED_ORACLES.contains(&"interference_vector_naive"),
         "the naive oracle anchors the churn replay-differential suite"
@@ -269,66 +299,10 @@ fn churn_hot_path_obligations_stay_registered() {
 
 #[test]
 fn pipeline_query_loops_stay_registered() {
-    // The node-sized query loops of the topology-control pipeline that
-    // fan out over worker threads — the UDG build, `analyze`'s UDG census,
-    // the sender coverage vector with its one box scan per link and the
-    // worst link found by bound — and the connectivity check must stay
-    // panic-free and bitwise deterministic for every worker count.
-    // Dropping any registration would silently un-audit them.
-    for root in [
-        "unit_disk_graph_with_range",
-        "udg_census",
-        "coverage_vector",
-        "worst_link_coverage",
-        "preserves_connectivity",
-        "for_each_link_run",
-    ] {
-        assert!(
-            rim_xtask::audit::PANIC_FREE_ROOTS.contains(&root),
-            "`{root}` must stay in PANIC_FREE_ROOTS"
-        );
-        assert!(
-            rim_xtask::flow::DETERMINISM_ROOTS.contains(&root),
-            "`{root}` must stay in DETERMINISM_ROOTS"
-        );
-    }
+    assert_marked(&PIPELINE_QUERY_LOOPS);
 }
 
 #[test]
 fn neighbour_list_kernels_and_file_parsers_stay_registered() {
-    // The topology-control fast paths run off the UDG's neighbour lists:
-    // the adjacency-walking edge filter, the Gabriel and RNG witness
-    // scans of N(u), LMST's local MSTs from coordinates, XTC's one-list
-    // blocker scan and Yao's sign-test cones. They must stay panic-free,
-    // and the kernels
-    // whose output the thread-invariance suite pins must stay bitwise
-    // deterministic. The node and topology file parsers, the CLI's
-    // `--generate`/`--trace` spec parsers and `rim generate`'s length
-    // and coordinate checks face arbitrary input and must reject it with
-    // an error, never a panic.
-    for root in [
-        "filter_edges",
-        "is_gabriel_edge",
-        "is_rng_edge",
-        "lmst_selection",
-        "keeps_edge_one_list",
-        "sector_selection",
-        "parse_nodes",
-        "parse_topology",
-        "parse_generate_spec",
-        "parse_trace_spec",
-        "positive_length",
-        "check_generated",
-    ] {
-        assert!(
-            rim_xtask::audit::PANIC_FREE_ROOTS.contains(&root),
-            "`{root}` must stay in PANIC_FREE_ROOTS"
-        );
-    }
-    for root in ["filter_edges", "lmst_selection", "keeps_edge_one_list", "sector_selection"] {
-        assert!(
-            rim_xtask::flow::DETERMINISM_ROOTS.contains(&root),
-            "`{root}` must stay in DETERMINISM_ROOTS"
-        );
-    }
+    assert_marked(&NEIGHBOUR_LISTS_AND_PARSERS);
 }
