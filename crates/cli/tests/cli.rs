@@ -1030,7 +1030,8 @@ fn json_u64(line: &str, key: &str) -> Option<u64> {
 fn analyze_generate_obs_shows_one_staged_grid_build() {
     // Above the parallel build gate: the streaming path builds exactly
     // one grid, reports its worker count and times its three stages
-    // inside `stream/soa_build`.
+    // inside `stream/soa_build`; its radius pass settles all but a few
+    // per cent of the points in their cell's 3×3 block.
     let out = rim()
         .args(["analyze", "--generate", "uniform:200000", "--seed", "3", "--obs", "jsonl"])
         .output()
@@ -1047,6 +1048,9 @@ fn analyze_generate_obs_shows_one_staged_grid_build() {
     let threads = named("geom.grid.build_threads");
     assert_eq!(threads.len(), 1, "{err}");
     assert!(json_u64(&threads[0], "max").is_some_and(|t| t >= 1), "{err}");
+    let misses = named("geom.nn.block_misses");
+    assert_eq!(misses.len(), 1, "{err}");
+    assert!(json_u64(&misses[0], "value").is_some_and(|m| m > 0 && m < 200_000 / 20), "{err}");
     let wall = |name: &str| {
         let spans = named(name);
         assert_eq!(spans.len(), 1, "{name}: {err}");

@@ -408,7 +408,7 @@ fn nn_radii_gate_at_1e5() {
 /// [`StreamInstance::try_with_nn_radii`] assigns, for
 /// [`StreamInstance::with_radii`] to scatter.
 fn nn_radii_by_node(soa: &SoaPoints) -> Vec<Option<f64>> {
-    let grid = SoaGrid::try_build_unit_density(soa, 1).expect("fits the grid");
+    let (grid, _) = SoaGrid::try_build_unit_density(soa.clone(), 1).expect("fits the grid");
     let mut radii = vec![None; soa.len()];
     for k in 0..grid.len() {
         radii[grid.item(k)] = grid.nearest_at(k).map(|near| near.dist);
@@ -497,7 +497,7 @@ fn nn_radii_stay_exact_on_a_24_octave_line() {
     let pts: Vec<Point> =
         (0..n).map(|_| Point::on_line(side * (-24.0 * rng.gen_range(0.0..1.0)).exp2())).collect();
     let soa = SoaPoints::from_points(&pts);
-    let grid = SoaGrid::try_build_unit_density(&soa, 1).expect("fits the grid");
+    let (grid, _) = SoaGrid::try_build_unit_density(soa.clone(), 1).expect("fits the grid");
     assert!(grid.split_cells() > 0, "the unit-density grid must split");
     let (radii, counts) = line_nn_oracle(&pts);
     assert!(nn_radii_by_node(&soa) == radii, "radii diverged from the sorted oracle");

@@ -119,7 +119,7 @@ pub(crate) const SPLIT_BUDGET: usize = 32;
 pub(crate) const MAX_SPLIT_DEPTH: usize = 16;
 
 /// Cap on the number of grid cells, which keeps cell ids in `u32`.
-const MAX_CELLS: f64 = (1u64 << 30) as f64;
+pub(crate) const MAX_CELLS: f64 = (1u64 << 30) as f64;
 
 /// Origin, cell size and cell counts of a grid.
 #[derive(Debug, Clone, Copy)]

@@ -104,6 +104,13 @@ impl SoaPoints {
         (self.xs, self.ys)
     }
 
+    /// Takes the x column out, leaving it empty: a grid build that
+    /// consumes the store gathers its bucket-ordered y column into it
+    /// once nothing reads x any more.
+    pub(crate) fn take_xs(&mut self) -> Vec<f64> {
+        std::mem::take(&mut self.xs)
+    }
+
     /// Bounding box of the stored points (empty box for an empty store).
     pub fn bbox(&self) -> Aabb {
         let mut bbox = Aabb::EMPTY;

@@ -31,18 +31,22 @@
 //! place, stably. Disk queries descend, scanning at every level the
 //! range of the same slackened radius through that level's monotone cell
 //! coordinate, and the nearest-neighbour search ([`SoaGrid::nearest_at`])
-//! is a sequence of disk queries' scans. A cell's index into the shared
+//! is a sequence of disk queries' scans. The streaming radius pass
+//! ([`SoaGrid::for_each_nearest`]) reads each cell's 3×3 block once for
+//! all of the cell's points and runs that search only for the points the
+//! block cannot settle. A cell's index into the shared
 //! `starts` vector is its *cell id*, the key of [`crate::DynGrid`]'s
 //! per-cell tables.
 
 use crate::bbox::Aabb;
 use crate::grid::{
-    bucket_scatter, fits_u32_index, try_filled, GridCapacityError, GridShape, MAX_SPLIT_DEPTH,
-    PAR_BUILD_MIN, SPLIT_BUDGET,
+    bucket_scatter, fits_u32_index, try_filled, GridCapacityError, GridShape, MAX_CELLS,
+    MAX_SPLIT_DEPTH, PAR_BUILD_MIN, SPLIT_BUDGET,
 };
 use crate::point::Point;
 use crate::soa::SoaPoints;
 use rim_par::par_fill_chunks;
+use std::ops::Range;
 
 /// A bucket grid with bucket-major coordinate columns for sequential
 /// scans, whose overloaded cells split into nested grids (see the
@@ -102,31 +106,24 @@ impl SoaGrid {
     /// workers.
     pub fn try_build(points: &SoaPoints, cell: f64) -> Result<Self, GridCapacityError> {
         let shape = GridShape::new(&points.bbox(), points.len(), cell);
-        Self::try_build_soa(points, shape, rim_par::num_threads())
+        Ok(Self::try_build_with(points, shape, rim_par::num_threads())?.0)
     }
 
     /// Builds a grid over `points` with about one point per cell (see
     /// [`crate::grid`]), the shape of the streaming nearest-neighbour
-    /// kernels, on `threads` workers from the build gate on. The
+    /// kernels, on `threads` workers from the build gate on, and hands
+    /// back the store's y column. The build consumes the store: it
+    /// gathers the bucket-ordered y column into the store's x column once
+    /// the x column is gathered, so the y column is a point-sized buffer
+    /// nothing reads any more (the streaming kernel's radius column). The
     /// bounding box is scanned once. Errors like [`SoaGrid::try_build`].
     pub fn try_build_unit_density(
-        points: &SoaPoints,
+        points: SoaPoints,
         threads: usize,
-    ) -> Result<Self, GridCapacityError> {
+    ) -> Result<(Self, Vec<f64>), GridCapacityError> {
         let shape = GridShape::unit_density(&points.bbox(), points.len());
-        Self::try_build_soa(points, shape, threads)
-    }
-
-    /// The columnar build behind [`SoaGrid::try_build`] and
-    /// [`SoaGrid::try_build_unit_density`].
-    // rim-lint: allow(panic-freedom) — `i < len()` for both columns
-    fn try_build_soa(
-        points: &SoaPoints,
-        shape: GridShape,
-        threads: usize,
-    ) -> Result<Self, GridCapacityError> {
-        let (xs, ys) = (points.xs(), points.ys());
-        Self::try_build_with(points.len(), shape, |i| xs[i], |i| ys[i], threads)
+        let (grid, points) = Self::try_build_with(points, shape, threads)?;
+        Ok((grid, points.into_columns().1))
     }
 
     /// The index build of the `Point`-slice callers, with `cell_hint`
@@ -140,18 +137,11 @@ impl SoaGrid {
 
     /// [`SoaGrid::from_points`] on `threads` workers from the build gate
     /// on; the grid is the same for every `threads`.
-    // rim-lint: allow(panic-freedom) — the capacity assert replaces silent `as u32` id truncation; `i < points.len()`
+    // rim-lint: allow(panic-freedom) — the capacity assert replaces silent `as u32` id truncation
     pub(crate) fn from_points_threads(points: &[Point], cell_hint: f64, threads: usize) -> Self {
         let shape = GridShape::new(&Aabb::of_points(points), points.len(), cell_hint);
-        let built = Self::try_build_with(
-            points.len(),
-            shape,
-            |i| points[i].x,
-            |i| points[i].y,
-            threads,
-        );
-        let grid = match built {
-            Ok(grid) => grid,
+        let grid = match Self::try_build_with(points, shape, threads) {
+            Ok((grid, _)) => grid,
             // rim-lint: allow(no-unwrap-in-lib) — intentional capacity assert, fallible twin is try_build
             Err(e) => panic!("{e}"),
         };
@@ -163,8 +153,9 @@ impl SoaGrid {
         grid
     }
 
-    /// The build behind every entry point: `(x(i), y(i))` for `i < n`
-    /// are the points, `shape` the top level's shape. Below
+    /// The build behind every entry point: `points` are the points,
+    /// `shape` the top level's shape, and the input comes back with the
+    /// grid (see [`BuildInput`] for what a consumed store keeps). Below
     /// [`PAR_BUILD_MIN`] points the build runs on the calling thread,
     /// from it on `threads` workers compute the cell ids, scatter the
     /// buckets and gather the columns; the grid is the same either way.
@@ -174,13 +165,12 @@ impl SoaGrid {
     /// and a build that splits records `geom.grid.split_cells` and
     /// `geom.grid.split_depth`. Every point-sized buffer is allocated
     /// with [`try_filled`], so running out of memory is an error.
-    fn try_build_with(
-        n: usize,
+    fn try_build_with<P: BuildInput>(
+        mut points: P,
         shape: GridShape,
-        x: impl Fn(usize) -> f64 + Sync,
-        y: impl Fn(usize) -> f64 + Sync,
         threads: usize,
-    ) -> Result<Self, GridCapacityError> {
+    ) -> Result<(Self, P), GridCapacityError> {
+        let n = points.len();
         if !fits_u32_index(n) {
             return Err(GridCapacityError { points: n, bytes: None });
         }
@@ -194,7 +184,7 @@ impl SoaGrid {
             let mut cells = try_filled(n, n, 0u32)?;
             par_fill_chunks(&mut cells, threads, |first, window| {
                 for (i, c) in (first..).zip(window.iter_mut()) {
-                    *c = (shape.row(y(i)) * shape.nx + shape.col(x(i))) as u32;
+                    *c = (shape.row(points.y(i)) * shape.nx + shape.col(points.x(i))) as u32;
                 }
             });
             cells
@@ -207,7 +197,9 @@ impl SoaGrid {
         // every bucket scan is a sequential read of both columns.
         let (sxs, sys) = {
             let _span = rim_obs::span("geom/grid_gather");
-            (gather_column(&items, &x, threads)?, gather_column(&items, &y, threads)?)
+            let sxs = gather_column(&items, |i| points.x(i), Vec::new(), threads)?;
+            let spent = points.spent_x();
+            (sxs, gather_column(&items, |i| points.y(i), spent, threads)?)
         };
         let mut grid = SoaGrid {
             shape,
@@ -225,7 +217,7 @@ impl SoaGrid {
             rim_obs::counter_add("geom.grid.split_cells", grid.split_cells() as u64);
             rim_obs::record("geom.grid.split_depth", grid.split_depth() as u64);
         }
-        Ok(grid)
+        Ok((grid, points))
     }
 
     /// Splits every overloaded cell (see the module docs), level by
@@ -595,9 +587,10 @@ impl SoaGrid {
     }
 
     /// The nearest other indexed point of the point at *bucket-order
-    /// position* `k` — the streaming nearest-neighbour radius assignment
-    /// and the sender it covers. Returns `None` for a store with fewer
-    /// than two points or an out-of-range position.
+    /// position* `k` — the general nearest-neighbour search behind the
+    /// streaming radius pass ([`SoaGrid::for_each_nearest`]). Returns
+    /// `None` for a store with fewer than two points or an out-of-range
+    /// position.
     ///
     /// [`Nearest::dist`] is `sqrt(min dist_sq)` over all other points,
     /// bit-equal to [`Point::dist`] of the closest pair. The search runs
@@ -625,37 +618,135 @@ impl SoaGrid {
             return None;
         }
         let c = self.point_at(k);
-        let mut r = self.first_radius(c);
+        Some(self.nearest_from(k, c, self.first_radius(c)))
+    }
+
+    /// The rounds of [`SoaGrid::nearest_at`] around the point `c` at
+    /// position `k`, from a round of radius `r` on. The answer is the same
+    /// for every `r > 0`: each round that stops is exact on its own.
+    fn nearest_from(&self, k: usize, c: Point, mut r: f64) -> Nearest {
         loop {
             let mut two = TwoNearest::new(k);
-            self.for_each_disk_run(c, r, |lo, hi| self.scan_range(lo, hi, c, &mut two));
-            let dist = two.best_sq.sqrt();
-            if dist <= r {
-                let unique = two.second_sq.sqrt() > dist;
-                return Some(Nearest { dist, pos: two.pos, unique });
+            self.for_each_disk_run(c, r, |lo, hi| two = two.scan(lo, self.run(lo, hi), c));
+            if let Some(near) = two.settled(r) {
+                return near;
             }
             r = self.next_radius(c, r);
         }
     }
 
-    /// Feeds positions `lo..hi` to `two`, by their `dist_sq` from `c`.
-    /// The updates are selects, not branches: the search loop stays as
-    /// cheap as a plain minimum.
-    #[inline]
-    // rim-lint: allow(panic-freedom) — `lo <= hi <= len()` comes from `starts`
-    fn scan_range(&self, lo: usize, hi: usize, c: Point, two: &mut TwoNearest) {
-        for (i, (&x, &y)) in self.sxs[lo..hi].iter().zip(&self.sys[lo..hi]).enumerate() {
-            let pos = lo + i;
-            let d_sq = if pos == two.skip { f64::INFINITY } else { Point::new(x, y).dist_sq(&c) };
-            // The larger of the old minimum and `d_sq` may be the new
-            // second; the smaller is the new minimum.
-            let above = if d_sq > two.best_sq { d_sq } else { two.best_sq };
-            two.second_sq = if above < two.second_sq { above } else { two.second_sq };
-            if d_sq < two.best_sq {
-                two.best_sq = d_sq;
-                two.pos = pos;
+    /// Calls `f(self.nearest_at(k))` for every position `k` in
+    /// `positions`, in order: the streaming radius pass, cell by cell.
+    ///
+    /// For each top-level cell it reads the row runs of the cell's 3×3
+    /// block of cells (clamped to the grid) once, and for each of the
+    /// cell's points scans them as a round of [`SoaGrid::nearest_at`]
+    /// does, in increasing position order. The point is *settled*, its
+    /// answer taken from that round, when `dist = sqrt(best_sq) <= cert`:
+    /// `cert` is its distance to the block's outer boundary, a side on
+    /// the grid's edge counting as infinitely far, less a margin of
+    /// `2⁻²⁰·cell`. Every other point goes on with `nearest_at`'s rounds
+    /// from the second on: the block scanned about what the first, of
+    /// radius one cell, would, and a round that stops is exact whatever
+    /// its radius. Every point of a grid with split cells, with cells
+    /// below `2⁻⁴⁷⁰` or with block edges that overflow runs `nearest_at`.
+    /// Counts the points that ran `nearest_at`'s rounds as
+    /// `geom.nn.block_misses`, once per call. Each answer is a pure
+    /// function of its position, so any cut of the positions into calls
+    /// gives the same answers.
+    ///
+    /// Why a settled answer is `nearest_at`'s: every point at computed
+    /// distance at most `cert` from `c` lies in the block (below). So no
+    /// point outside it undercuts or ties `best_sq`, and every point of
+    /// the closed disk `D(c, dist)` was scanned: `dist`, `unique` and
+    /// `pos`, the least position at the smallest `dist_sq` (see
+    /// [`Nearest::pos`]), follow as they do for `nearest_at`'s rounds.
+    ///
+    /// Why the block holds them: take the left side, `cx >= 2` for the
+    /// cell's column `cx` (the other sides are alike), and a point `q`
+    /// bucketed left of the block, `col(q.x) <= cx − 2`. Let `u = 2⁻⁵³`,
+    /// `o` the origin, `λ = (cx − 1)·cell` and `t = fl(q.x − o) >= 0`.
+    ///
+    /// * The bucketing `floor(fl(t/cell)) <= cx − 2` gives
+    ///   `fl(t/cell) < cx − 1`, so `t/cell < cx − 1` (rounding is
+    ///   monotone and `cx − 1` is representable), so `t < λ` and
+    ///   `q.x − o < λ/(1 − u)`.
+    /// * With `s = fl(c.x − o)` and the computed side distance
+    ///   `d = fl(s − fl(λ))` follows `c.x − q.x > d − u·(d + s + 2.01λ)`.
+    /// * On the right side `fl(t/cell) >= m` only gives
+    ///   `t/cell >= m/(1 + u)`, one rounding more, and there
+    ///   `q.x − c.x > d − u·(d + 3ρ + 1.01s)` with `ρ = (cx + 2)·cell`.
+    /// * The offsets `s`, `λ` and `ρ` of a side that is not on the
+    ///   grid's edge are below `nx·cell`, and `nx <= 2³⁰`, as a grid has
+    ///   at most `MAX_CELLS = 2³⁰` cells, while `d <= 2.01·cell`. So in
+    ///   exact arithmetic every point outside the block is farther than
+    ///   `d − 4.02·2³⁰·u·cell = d − 2^−20.99·cell` from `c` along one
+    ///   axis.
+    /// * A point at computed distance at most `cert` is at most
+    ///   `cert·(1 + 2⁻⁴⁰) + 2⁻⁵⁰⁰` from `c` along each axis
+    ///   ([`SoaGrid::for_each_pos_in_disk`]). With
+    ///   `cert = fl(d − 2⁻²⁰·cell)` that stays below
+    ///   `d − 2^−20.99·cell` once `cell >= 2⁻⁴⁷⁰`: the `2⁻²⁰` leaves
+    ///   `3.98·2⁻²³·cell` for the `2⁻⁴⁰` term and the `2⁻⁵⁰⁰`. So the
+    ///   point lies in the block.
+    ///
+    /// Every error is relative to an offset from `o`, never to `|o|`, so
+    /// coordinates far from the origin (squares offset by 2⁵⁰,
+    /// `--side 2⁵¹¹`) keep the bound.
+    // rim-lint: root
+    // rim-lint: allow(panic-freedom) — `g` is the cell holding position `k < len()`, so `g < ncells`; block cells are clamped to the grid, and `starts` has `ncells + 1` top-level entries
+    pub fn for_each_nearest(&self, positions: Range<usize>, mut f: impl FnMut(Option<Nearest>)) {
+        let s = &self.shape;
+        let end = positions.end.min(self.len());
+        let mut k = positions.start;
+        let mut misses = 0u64;
+        if self.len() >= 2 && self.subs.is_empty() && settles(s) {
+            let top = &self.starts[..=s.ncells()];
+            let margin = s.cell * SETTLE_MARGIN;
+            // The cell holding position `k`: the last with `starts[g] <= k`.
+            let mut g = top.partition_point(|&st| st as usize <= k).saturating_sub(1);
+            while k < end {
+                let cell_end = top[g + 1] as usize;
+                if cell_end <= k {
+                    g += 1;
+                    continue;
+                }
+                let (cx, cy) = (g % s.nx, g / s.nx);
+                let (x0, x1) = (cx.saturating_sub(1), (cx + 1).min(s.nx - 1));
+                let mut runs = [(0, self.run(0, 0)); 3];
+                for (run, y) in runs.iter_mut().zip(cy.saturating_sub(1)..=(cy + 1).min(s.ny - 1)) {
+                    let (lo, hi) = (top[y * s.nx + x0] as usize, top[y * s.nx + x1 + 1] as usize);
+                    *run = (lo, self.run(lo, hi));
+                }
+                let (lo_x, hi_x) = block_edges(cx, s.nx, s.cell);
+                let (lo_y, hi_y) = block_edges(cy, s.ny, s.cell);
+                for k in k..cell_end.min(end) {
+                    let c = self.point_at(k);
+                    let two =
+                        runs.iter().fold(TwoNearest::new(k), |two, &(lo, run)| two.scan(lo, run, c));
+                    let (dx, dy) = (c.x - s.origin.x, c.y - s.origin.y);
+                    let room = (dx - lo_x).min(hi_x - dx).min(dy - lo_y).min(hi_y - dy);
+                    f(Some(two.settled(room - margin).unwrap_or_else(|| {
+                        misses += 1;
+                        self.nearest_from(k, c, self.next_radius(c, s.cell))
+                    })));
+                }
+                (k, g) = (cell_end.min(end), g + 1);
             }
         }
+        for k in k..positions.end {
+            let near = self.nearest_at(k);
+            misses += u64::from(near.is_some());
+            f(near);
+        }
+        rim_obs::counter_add("geom.nn.block_misses", misses);
+    }
+
+    /// The coordinate columns of positions `lo..hi`.
+    #[inline]
+    // rim-lint: allow(panic-freedom) — `lo <= hi <= len()` comes from `starts`
+    fn run(&self, lo: usize, hi: usize) -> (&[f64], &[f64]) {
+        (&self.sxs[lo..hi], &self.sys[lo..hi])
     }
 }
 
@@ -666,8 +757,12 @@ pub struct Nearest {
     /// Distance to the nearest other point, `sqrt(min dist_sq)`:
     /// bit-equal to [`Point::dist`] of the closest pair.
     pub dist: f64,
-    /// Bucket-order position of a point at that distance: the first one
-    /// the search scanned at the smallest `dist_sq`.
+    /// Bucket-order position of a point at that distance: the least
+    /// position among the points at the smallest `dist_sq`. Every round
+    /// of [`SoaGrid::nearest_at`], and the block round of
+    /// [`SoaGrid::for_each_nearest`], scans its runs in increasing
+    /// position order, keeps the first minimum and scans every point
+    /// tied at it, so the two report the same position.
     pub pos: usize,
     /// Whether `pos` is the only other point `q` with `dist(q, c) <=
     /// dist` (see [`SoaGrid::nearest_at`]): `false` for distance ties,
@@ -677,6 +772,7 @@ pub struct Nearest {
 
 /// The two smallest `dist_sq` a round of [`SoaGrid::nearest_at`] has
 /// seen, and the first position of the smallest.
+#[derive(Clone, Copy)]
 struct TwoNearest {
     best_sq: f64,
     second_sq: f64,
@@ -697,17 +793,131 @@ impl TwoNearest {
             skip,
         }
     }
+
+    /// Fed the run of positions from `lo` on whose coordinate columns are
+    /// `(xs, ys)`, by their `dist_sq` from `c`. The tracker is taken and
+    /// handed back by value, so its fields are locals for the loop and the
+    /// updates are selects, not branches: through a reference the
+    /// compiler would store the minimum and its position behind a branch
+    /// at every new minimum, since it may not turn a conditional store
+    /// into a select.
+    #[inline]
+    fn scan(self, lo: usize, (xs, ys): (&[f64], &[f64]), c: Point) -> Self {
+        let TwoNearest { mut best_sq, mut second_sq, mut pos, skip } = self;
+        for (p, (&x, &y)) in (lo..).zip(xs.iter().zip(ys)) {
+            let d_sq = if p == skip { f64::INFINITY } else { Point::new(x, y).dist_sq(&c) };
+            // The larger of the old minimum and `d_sq` may be the new
+            // second; the smaller is the new minimum.
+            let above = if d_sq > best_sq { d_sq } else { best_sq };
+            second_sq = if above < second_sq { above } else { second_sq };
+            if d_sq < best_sq {
+                best_sq = d_sq;
+                pos = p;
+            }
+        }
+        TwoNearest { best_sq, second_sq, pos, skip }
+    }
+
+    /// The answer of a round that scanned every point at computed
+    /// distance at most `r`, when `dist <= r`.
+    fn settled(self, r: f64) -> Option<Nearest> {
+        let dist = self.best_sq.sqrt();
+        (dist <= r).then(|| Nearest { dist, pos: self.pos, unique: self.second_sq.sqrt() > dist })
+    }
+}
+
+/// Whether [`SoaGrid::for_each_nearest`] may settle points on a top level
+/// of shape `s`: its cells are at least [`MIN_SETTLE_CELL`], and `(n +
+/// 1)·cell`, above every block edge on an axis of `n` cells, is finite.
+fn settles(s: &GridShape) -> bool {
+    s.cell >= MIN_SETTLE_CELL && (s.cell * (s.nx.max(s.ny) + 1) as f64).is_finite()
+}
+
+/// The offsets from the origin of the outer edges of the 3×3 block around
+/// cell coordinate `c` on an axis of `n` cells of size `cell`, `(c −
+/// 1)·cell` and `(c + 2)·cell`; an edge with no cell beyond it is
+/// infinitely far.
+fn block_edges(c: usize, n: usize, cell: f64) -> (f64, f64) {
+    let lo = if c >= 2 { (c - 1) as f64 * cell } else { f64::NEG_INFINITY };
+    let hi = if c + 2 < n { (c + 2) as f64 * cell } else { f64::INFINITY };
+    (lo, hi)
+}
+
+/// The points a grid build reads, by original index `i < len()`: a
+/// borrowed `Point` slice or [`SoaPoints`] store, or a store the build
+/// consumes.
+trait BuildInput: Sync {
+    fn len(&self) -> usize;
+    fn x(&self, i: usize) -> f64;
+    fn y(&self, i: usize) -> f64;
+    /// A point-sized buffer for the y gather, taken once the x gather is
+    /// done: a consumed store's x column, which nothing reads any more,
+    /// or none, so the gather allocates one.
+    fn spent_x(&mut self) -> Vec<f64> {
+        Vec::new()
+    }
+}
+
+impl BuildInput for &[Point] {
+    fn len(&self) -> usize {
+        <[Point]>::len(self)
+    }
+    // rim-lint: allow(panic-freedom) — the build reads `i < len()`
+    fn x(&self, i: usize) -> f64 {
+        self[i].x
+    }
+    // rim-lint: allow(panic-freedom) — the build reads `i < len()`
+    fn y(&self, i: usize) -> f64 {
+        self[i].y
+    }
+}
+
+impl BuildInput for &SoaPoints {
+    fn len(&self) -> usize {
+        SoaPoints::len(self)
+    }
+    // rim-lint: allow(panic-freedom) — the build reads `i < len()`
+    fn x(&self, i: usize) -> f64 {
+        self.xs()[i]
+    }
+    // rim-lint: allow(panic-freedom) — the build reads `i < len()`
+    fn y(&self, i: usize) -> f64 {
+        self.ys()[i]
+    }
+}
+
+impl BuildInput for SoaPoints {
+    fn len(&self) -> usize {
+        SoaPoints::len(self)
+    }
+    // rim-lint: allow(panic-freedom) — the build reads `i < len()`, and x only before `spent_x`
+    fn x(&self, i: usize) -> f64 {
+        self.xs()[i]
+    }
+    // rim-lint: allow(panic-freedom) — the build reads `i < len()`
+    fn y(&self, i: usize) -> f64 {
+        self.ys()[i]
+    }
+    fn spent_x(&mut self) -> Vec<f64> {
+        self.take_xs()
+    }
 }
 
 /// Column `v` in bucket order, `out[k] = v(items[k])`, gathered by
-/// `threads` workers over contiguous position windows.
+/// `threads` workers over contiguous position windows into `out` when it
+/// is point-sized, else into a new column.
 // rim-lint: root
 fn gather_column(
     items: &[u32],
     v: impl Fn(usize) -> f64 + Sync,
+    out: Vec<f64>,
     threads: usize,
 ) -> Result<Vec<f64>, GridCapacityError> {
-    let mut out = try_filled(items.len(), items.len(), 0.0)?;
+    let mut out = if out.len() == items.len() {
+        out
+    } else {
+        try_filled(items.len(), items.len(), 0.0)?
+    };
     par_fill_chunks(&mut out, threads, |first, window| {
         for (slot, &i) in window.iter_mut().zip(items.get(first..).unwrap_or_default()) {
             *slot = v(i as usize);
@@ -751,6 +961,20 @@ pub(crate) fn reach_box(a: Point, b: Point, r: f64) -> Aabb {
 /// stack buffer of hit offsets; offsets fit a `u8`.
 const SCAN_BLOCK: usize = 128;
 
+/// Margin, in cells, between a point's distance to its block's boundary
+/// and the distances [`SoaGrid::for_each_nearest`] settles: `2⁻²⁰`, which
+/// covers the rounding of cell coordinates on grids of up to
+/// `MAX_CELLS = 2³⁰` cells (see there).
+const SETTLE_MARGIN: f64 = 1.0 / (1u64 << 20) as f64;
+
+/// Smallest cell on which [`SoaGrid::for_each_nearest`] settles points,
+/// `2⁻⁴⁷⁰`: above it the margin also covers the disk query's absolute
+/// slack of `2⁻⁵⁰⁰`. The CLI's smallest side, `2⁻⁴⁰⁵`, gives cells of at
+/// least `2⁻⁴²¹`.
+const MIN_SETTLE_CELL: f64 = f64::from_bits((1023 - 470) << 52);
+
+const _: () = assert!(MAX_CELLS <= (1u64 << 30) as f64, "SETTLE_MARGIN covers 2^30 cells");
+
 /// Relative slack of a disk query's cell range.
 const QUERY_SLACK: f64 = 1.0 / (1u64 << 40) as f64;
 
@@ -762,6 +986,8 @@ const UNDERFLOW_SLACK: f64 = f64::from_bits((1023 - 500) << 52);
 mod tests {
     use super::*;
     use crate::MAX_INDEXED_POINTS;
+    use rim_rng::prop::check;
+    use rim_rng::{prop_ensure, SmallRng};
 
     fn lcg_points(n: usize, side: f64) -> Vec<Point> {
         let mut state = 0x9e3779b97f4a7c15u64;
@@ -1055,7 +1281,7 @@ mod tests {
         let hint = GridShape::unit_density(&soa.bbox(), n).cell;
         let by_slice = SoaGrid::from_points_threads(&pts, hint, 1);
         for threads in [1, 3] {
-            let by_soa = SoaGrid::try_build_unit_density(&soa, threads).unwrap();
+            let (by_soa, _) = SoaGrid::try_build_unit_density(soa.clone(), threads).unwrap();
             assert!(layout(&by_soa) == layout(&by_slice), "threads={threads}");
         }
     }
@@ -1195,6 +1421,119 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Lattice sites `(fl(i·s), fl(j·s))` for `i, j` in `0..m` less the
+    /// origin, plus the corner `(m, m)`: `m²` points whose bounding box is
+    /// `[0, fl(m·s)]²`, so their unit-density cell is `s` up to rounding.
+    fn corner_lattice(m: usize, s: f64) -> Vec<Point> {
+        let at = |i: usize| i as f64 * s;
+        let mut pts: Vec<Point> =
+            (1..m * m).map(|k| Point::new(at(k % m), at(k / m))).collect();
+        pts.push(Point::new(at(m), at(m)));
+        pts
+    }
+
+    /// A [`corner_lattice`] whose spacing, the first from `s` up, equals
+    /// its unit-density cell, so every point lies on (or, rounded, just
+    /// beside) a cell boundary; with `s` a power of two every coordinate
+    /// is exact and inner points tie four ways.
+    fn cell_lattice(m: usize, s: f64) -> Vec<Point> {
+        let mut s = s;
+        loop {
+            let pts = corner_lattice(m, s);
+            let cell = GridShape::unit_density(&Aabb::of_points(&pts), pts.len()).cell;
+            // rim-lint: allow(float-eq) — comparing u64 bit patterns; the lattice needs the exact cell
+            if cell.to_bits() == s.to_bits() {
+                return pts;
+            }
+            s = f64::from_bits(s.to_bits() + 1);
+        }
+    }
+
+    /// Inputs where the sweep's settling rule meets rounding: uniform
+    /// squares offset by 2²⁰, 2⁴⁰ and 2⁵⁰ (coordinates there are
+    /// multiples of up to ¼, so offsets to cell edges round and distances
+    /// tie), lattices on the unit-density cell, points piled on the
+    /// top and right edges of the bounding box, stores of 2 and 3 points,
+    /// and squares of the CLI's extreme sides `2⁻⁴⁰⁵` and `2⁵¹¹`.
+    fn arb_sweep_input(rng: &mut SmallRng) -> Vec<Point> {
+        let (n, kind) = (rng.gen_range(2usize..2500), rng.gen_range(0..6u32));
+        let mut unit =
+            |side: f64| Point::new(rng.gen_range(0.0..1.0) * side, rng.gen_range(0.0..1.0) * side);
+        match kind {
+            0 => {
+                let o = 2f64.powi([20, 40, 50][n % 3]);
+                let side = (n as f64).sqrt();
+                (0..n).map(|_| unit(side)).map(|p| Point::new(p.x + o, p.y + o)).collect()
+            }
+            1 => {
+                let m = 3 + n % 40;
+                // Power-of-two spacings give exact lattices, others rounded ones.
+                let s = match n % 2 {
+                    0 => 2f64.powi((n % 7) as i32 - 3),
+                    _ => 0.3 + n as f64 * 1e-3,
+                };
+                cell_lattice(m, s)
+            }
+            2 => {
+                let side = (n as f64).sqrt();
+                let mut pts: Vec<Point> = (0..n).map(|_| unit(side)).collect();
+                pts.push(Point::new(side, side));
+                for (i, p) in pts.iter_mut().enumerate().take(n).filter(|(i, _)| i % 5 < 2) {
+                    *p = if i % 5 == 0 { Point::new(side, p.y) } else { Point::new(p.x, side) };
+                }
+                pts
+            }
+            3 => {
+                let pts: Vec<Point> = (0..2 + n % 2).map(|_| unit(4.0)).collect();
+                if n % 3 == 0 {
+                    vec![pts[0]; pts.len()]
+                } else {
+                    pts
+                }
+            }
+            _ => {
+                let side = if n % 2 == 0 { 2f64.powi(-405) } else { 2f64.powi(511) };
+                (0..n).map(|_| unit(side)).collect()
+            }
+        }
+    }
+
+    /// The sweep reports `nearest_at`'s answer, its oracle, at every
+    /// position: the radius bits, the position and `unique`, with the
+    /// positions cut into windows at random, as the radius pass's workers
+    /// cut them.
+    #[test]
+    fn sweep_matches_nearest_at_where_rounding_bites() {
+        check("sweep_matches_nearest_at_where_rounding_bites", 96, arb_sweep_input, |pts| {
+            let n = pts.len();
+            let (grid, _) = SoaGrid::try_build_unit_density(SoaPoints::from_points(pts), 1)
+                .map_err(|e| e.to_string())?;
+            prop_ensure!(grid.split_cells() == 0, "the grid split");
+            let mut cuts = vec![0, n];
+            let mut state = n as u64;
+            for _ in 0..n % 5 {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                cuts.push((state >> 33) as usize % (n + 1));
+            }
+            cuts.sort_unstable();
+            let mut swept = Vec::with_capacity(n);
+            for w in cuts.windows(2) {
+                grid.for_each_nearest(w[0]..w[1], |near| swept.push(near));
+            }
+            prop_ensure!(swept.len() == n, "{} answers for {n} positions", swept.len());
+            let key =
+                |near: Option<Nearest>| near.map(|near| (near.dist.to_bits(), near.pos, near.unique));
+            for (k, &near) in swept.iter().enumerate() {
+                let want = grid.nearest_at(k);
+                prop_ensure!(
+                    key(near) == key(want),
+                    "position {k} of {n}: sweep {near:?}, nearest_at {want:?}"
+                );
+            }
+            Ok(())
+        });
     }
 
     #[test]

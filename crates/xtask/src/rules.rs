@@ -77,8 +77,10 @@ pub const RULE_CATALOG: &[(&str, &str)] = &[
     (
         "unknown-pragma-rule",
         "a `// rim-lint: allow(...)` pragma names a rule that is not in the \
-         registry, so it suppresses nothing, or a `// rim-lint: root` mark \
-         sits above no non-test `fn`, so it marks nothing",
+         registry, so it suppresses nothing, a `// rim-lint: root` mark \
+         sits above no non-test `fn`, so it marks nothing, or a \
+         `// rim-lint:` comment is in none of the forms `allow(...)`, \
+         `allow-file(...)` and `root`",
     ),
     (
         "external-dependency",
@@ -152,6 +154,8 @@ pub struct Pragmas {
     file_allows: Vec<String>,
     /// `(name, line)` of pragma arguments that are not registered rules.
     unknown: Vec<(String, u32)>,
+    /// `(text, line)` of pragma comments in none of the three forms.
+    malformed: Vec<(String, u32)>,
 }
 
 /// The text after `rim-lint:` in a pragma comment. Plain line comments
@@ -177,7 +181,7 @@ fn pragma_text(t: &Token) -> Option<&str> {
 pub(crate) fn root_marks(tokens: &[Token]) -> Vec<(u32, usize)> {
     let mut marks = Vec::new();
     for (i, t) in tokens.iter().enumerate() {
-        if pragma_text(t).and_then(|s| s.split_whitespace().next()) != Some("root") {
+        if !pragma_text(t).is_some_and(is_root_mark) {
             continue;
         }
         let next = tokens[i + 1..]
@@ -188,24 +192,33 @@ pub(crate) fn root_marks(tokens: &[Token]) -> Vec<(u32, usize)> {
     marks
 }
 
+/// Whether pragma text is a root mark: its first word is `root`.
+fn is_root_mark(text: &str) -> bool {
+    text.split_whitespace().next() == Some("root")
+}
+
 impl Pragmas {
     /// Extracts pragmas from comment tokens. Grammar:
-    /// `// rim-lint: allow(rule-a, rule-b)` (same + next line) and
-    /// `// rim-lint: allow-file(rule-a)` (whole file).
+    /// `// rim-lint: allow(rule-a, rule-b)` (same + next line),
+    /// `// rim-lint: allow-file(rule-a)` (whole file) and the root mark
+    /// `// rim-lint: root` (see `root_marks`). A pragma comment in none of
+    /// these forms (`roots`, `alow(…)`, an `allow(` without its `)`) is
+    /// recorded as malformed, for `unknown-pragma-rule` to report.
     pub fn parse(tokens: &[Token]) -> Pragmas {
         let mut line_allows = Vec::new();
         let mut file_allows = Vec::new();
         let mut unknown = Vec::new();
+        let mut malformed = Vec::new();
         for t in tokens {
             let Some(rest) = pragma_text(t) else { continue };
-            let (file_scope, args) = if let Some(a) = rest.strip_prefix("allow-file(") {
-                (true, a)
-            } else if let Some(a) = rest.strip_prefix("allow(") {
-                (false, a)
-            } else {
+            let args = rest.strip_prefix("allow-file(").or_else(|| rest.strip_prefix("allow("));
+            let Some((args, end)) = args.and_then(|a| Some((a, a.find(')')?))) else {
+                if !is_root_mark(rest) {
+                    malformed.push((rest.trim_end().to_string(), t.line));
+                }
                 continue;
             };
-            let Some(end) = args.find(')') else { continue };
+            let file_scope = rest.starts_with("allow-file(");
             for rule in args[..end].split(',') {
                 let rule = rule.trim().to_string();
                 if rule.is_empty() {
@@ -224,12 +237,17 @@ impl Pragmas {
                 }
             }
         }
-        Pragmas { line_allows, file_allows, unknown }
+        Pragmas { line_allows, file_allows, unknown, malformed }
     }
 
     /// Pragma arguments that named unregistered rules.
     pub fn unknown_rules(&self) -> &[(String, u32)] {
         &self.unknown
+    }
+
+    /// Pragma comments in none of the three forms, as `(text, line)`.
+    pub fn malformed(&self) -> &[(String, u32)] {
+        &self.malformed
     }
 
     /// Is `rule` suppressed at `line`?
@@ -542,10 +560,12 @@ pub fn no_unwrap_in_lib(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
 }
 
 /// `unknown-pragma-rule`: every rule name in a `// rim-lint:` pragma
-/// must exist in [`RULE_CATALOG`]. A typo'd pragma suppresses nothing,
-/// which is worse than no pragma: the author believes the site is
-/// justified while the gate still fires — or, for a rule that was
-/// renamed away, never fires again.
+/// must exist in [`RULE_CATALOG`], and every `// rim-lint:` comment must
+/// be a pragma. A typo'd pragma suppresses nothing, which is worse than
+/// no pragma: the author believes the site is justified while the gate
+/// still fires — or, for a rule that was renamed away, never fires
+/// again. A typo'd root mark (`roots`) marks nothing, so its kernel goes
+/// unaudited.
 pub fn unknown_pragma_rule(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
     for (name, line) in ctx.pragmas.unknown_rules() {
         ctx.emit(
@@ -555,6 +575,17 @@ pub fn unknown_pragma_rule(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
             format!(
                 "pragma names `{name}`, which is not a registered rule; see \
                  `cargo run -p rim-xtask -- lint --explain <rule>` for the catalog"
+            ),
+        );
+    }
+    for (text, line) in ctx.pragmas.malformed() {
+        ctx.emit(
+            out,
+            "unknown-pragma-rule",
+            *line,
+            format!(
+                "`rim-lint: {text}` is not a pragma, so it suppresses and marks nothing; \
+                 write `allow(<rule>, ...)`, `allow-file(<rule>, ...)` or `root`"
             ),
         );
     }
@@ -790,6 +821,23 @@ mod tests {
         assert_eq!(run(unknown_pragma_rule, "// rim-lint: allow-file(no-such)\n").len(), 1);
         let (tokens, _) = prepare("// rim-lint: allow-file(no-such)\n");
         assert!(!Pragmas::parse(&tokens).allows("no-such", 5));
+    }
+
+    #[test]
+    fn unknown_pragma_rule_flags_malformed_pragmas() {
+        for bad in ["roots", "rot", "alow(float-eq)", "allow(float-eq"] {
+            let out = run(unknown_pragma_rule, &format!("// rim-lint: {bad}\nfn f() {{}}"));
+            assert_eq!(out.len(), 1, "{bad}: {out:#?}");
+            assert_eq!(out[0].line, 1, "{bad}");
+            assert!(out[0].message.contains(bad), "{bad}: {}", out[0].message);
+        }
+        for good in ["allow(float-eq)", "allow-file(float-eq)", "root"] {
+            let out = run(unknown_pragma_rule, &format!("// rim-lint: {good}\nfn f() {{}}"));
+            assert!(out.is_empty(), "{good}: {out:#?}");
+        }
+        // A malformed `allow` suppresses nothing.
+        let (tokens, _) = prepare("// rim-lint: allow(float-eq\nfn f() {}");
+        assert!(!Pragmas::parse(&tokens).allows("float-eq", 2));
     }
 
     // ---- pragmas ----

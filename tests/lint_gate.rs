@@ -154,17 +154,19 @@ const PHYSICAL_ENGINE: [&str; 3] = [
 ];
 
 /// The million-node streaming path: the counting entry points and the
-/// (max, Σ) reduction, the nearest-neighbour radius pass, the grid
-/// search it calls and the in-degree count over its positions, the grid
+/// (max, Σ) reduction, the nearest-neighbour radius pass, the grid's
+/// cell-by-cell sweep and the search it falls back to, the in-degree
+/// count over their positions, the grid
 /// build's parallel scatter and column gather, and `rim-par`'s
 /// primitives with `run_pieces`, the one executor they all run on.
-const STREAMING_KERNELS: [&str; 15] = [
+const STREAMING_KERNELS: [&str; 16] = [
     "rim_core::stream::StreamInstance::interference_counts",
     "rim_core::stream::StreamInstance::interference_counts_sharded",
     "rim_core::stream::StreamInstance::interference_max_sum",
     "rim_core::stream::StreamInstance::nn_in_degree",
     "rim_core::stream::nn_radii",
     "rim_geom::grid::par_block_scatter",
+    "rim_geom::soa_grid::SoaGrid::for_each_nearest",
     "rim_geom::soa_grid::SoaGrid::nearest_at",
     "rim_geom::soa_grid::gather_column",
     "rim_par::lib::par_fill_chunk_pairs",
